@@ -28,7 +28,8 @@ from repro.errors import PTLError
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
-from repro.ptl.incremental import FireResult, IncrementalEvaluator
+from repro.ptl.incremental import FireResult
+from repro.ptl.plan import IncrementalEvaluator
 from repro.ptl.rewrite import normalize
 
 

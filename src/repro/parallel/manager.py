@@ -65,14 +65,14 @@ from repro.storage.persist import _decode_item, _encode_item, _encode_value
 from repro.storage.snapshot import DatabaseState
 
 #: Distinct from the serial manager's format so restoring a sharded
-#: checkpoint into a serial manager (or vice versa) fails loudly.
-#: ``sharded-2`` additionally records the shard assignment and rule
-#: index map verbatim plus per-rule condition fingerprints, birth, and
-#: shadow flags — recomputing the partition cannot verify a rule base
-#: that changed after sealing, and the fingerprints make drift-tolerant
-#: restores (``strict=False``) possible.
-_SHARDED_FORMAT_V1 = "sharded-1"
-_SHARDED_FORMAT = "sharded-2"
+#: checkpoint into a serial manager (or vice versa) fails loudly.  The
+#: payload records the shard assignment and rule index map verbatim plus
+#: per-rule condition fingerprints, birth, and shadow flags — recomputing
+#: the partition cannot verify a rule base that changed after sealing,
+#: and the fingerprints make drift-tolerant restores (``strict=False``)
+#: possible.  ``sharded-3`` carries IC evaluators as one-rule plan
+#: sections; older formats are refused.
+_SHARDED_FORMAT = "sharded-3"
 
 
 class ShardedRuleManager(RuleManager):
@@ -756,12 +756,12 @@ class ShardedRuleManager(RuleManager):
         redefined) rules are admin-removed from the restored workers,
         and freshly registered rules are placed and shipped live.
         Returns ``{"added", "dropped", "changed"}`` name lists."""
-        fmt = payload.get("format")
-        if fmt not in (_SHARDED_FORMAT_V1, _SHARDED_FORMAT):
+        if payload.get("format") != _SHARDED_FORMAT:
             raise RecoveryError(
                 f"unsupported sharded-manager state format "
-                f"{payload.get('format')!r} — was this checkpoint taken "
-                f"by the serial RuleManager?"
+                f"{payload.get('format')!r} (this build reads "
+                f"{_SHARDED_FORMAT!r}) — was this checkpoint taken by the "
+                f"serial RuleManager?"
             )
         if payload["shards"] != self.shards:
             raise RecoveryError(
@@ -787,15 +787,14 @@ class ShardedRuleManager(RuleManager):
             | (set(ck_ics) - set(self._ics))
         )
         changed = []
-        if fmt == _SHARDED_FORMAT:
-            for name in set(ck_rules) & set(self._rules):
-                fp = str(self._rules[name].rule.condition)
-                if ck_rules[name]["formula"] != fp:
-                    changed.append(name)
-            for name in set(ck_ics) & set(self._ics):
-                fp = str(self._ics[name].rule.condition)
-                if ck_ics[name]["formula"] != fp:
-                    changed.append(name)
+        for name in set(ck_rules) & set(self._rules):
+            fp = str(self._rules[name].rule.condition)
+            if ck_rules[name]["formula"] != fp:
+                changed.append(name)
+        for name in set(ck_ics) & set(self._ics):
+            fp = str(self._ics[name].rule.condition)
+            if ck_ics[name]["formula"] != fp:
+                changed.append(name)
         changed = sorted(changed)
         if strict:
             if set(ck_rules) != set(self._rules):
@@ -815,12 +814,6 @@ class ShardedRuleManager(RuleManager):
                     f"rule {changed[0]!r} condition differs from the "
                     "checkpoint"
                 )
-        elif fmt == _SHARDED_FORMAT_V1 and (added or dropped or changed):
-            raise RecoveryError(
-                "sharded-1 checkpoints record no condition fingerprints "
-                "and cannot be restored across rule-set drift "
-                f"(added={added}, dropped={dropped})"
-            )
         changed_set = set(changed)
         self.states_seen = payload["states_seen"]
         self.executed.from_state(payload["executed"])
@@ -830,9 +823,9 @@ class ShardedRuleManager(RuleManager):
                 self._decode_pairs(bindings),
                 index,
                 ts,
-                bool(rest[0]) if rest else False,
+                shadow,
             )
-            for rule, bindings, index, ts, *rest in payload["firings"]
+            for rule, bindings, index, ts, shadow in payload["firings"]
         ]
         for name, entry in ck_rules.items():
             reg = self._rules.get(name)
@@ -840,15 +833,14 @@ class ShardedRuleManager(RuleManager):
                 continue
             ev, sk, fi = entry["stats"]
             reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
-            if fmt == _SHARDED_FORMAT:
-                reg.birth = entry.get("birth", 0)
-                # The checkpointed shadow flag wins over the
-                # re-registration's (mirrors the serial manager).
-                reg.rule.shadow = bool(entry.get("shadow", False))
-                if reg.rule.shadow and reg.m_shadow_firings is None:
-                    reg.m_shadow_firings = self.metrics.counter(
-                        "shadow_firings_total", rule=name
-                    )
+            reg.birth = entry["birth"]
+            # The checkpointed shadow flag wins over the
+            # re-registration's (mirrors the serial manager).
+            reg.rule.shadow = bool(entry["shadow"])
+            if reg.rule.shadow and reg.m_shadow_firings is None:
+                reg.m_shadow_firings = self.metrics.counter(
+                    "shadow_firings_total", rule=name
+                )
         for name, entry in ck_ics.items():
             reg = self._ics.get(name)
             if reg is None or name in changed_set:
@@ -887,32 +879,18 @@ class ShardedRuleManager(RuleManager):
     def _seal_from_checkpoint(self, payload: dict, changed_set: set) -> None:
         """Bring the runtime up from checkpointed worker payloads.
 
-        ``sharded-2`` payloads carry the assignment and rule-index maps
-        verbatim (a layout shaped by hot adds/removals is not
-        recomputable); ``sharded-1`` payloads are fingerprint-checked
-        against a recomputed partition, as before.  Surviving rules'
+        The payload carries the assignment and rule-index maps verbatim
+        (a layout shaped by hot adds/removals is not recomputable).
+        Surviving rules'
         conditions are verified against the worker specs; under drift
         the restored workers are then reconciled in place — dropped or
         redefined rules admin-removed, new registrations placed and
         admin-added."""
         workers = payload["workers"]
-        if payload["format"] == _SHARDED_FORMAT:
-            assignment = dict(payload["assignment"])
-            rule_index = {
-                name: int(i) for name, i in payload["rule_index"].items()
-            }
-        else:
-            partition = self._compute_partition()
-            if dict(partition.assignment) != payload["assignment"]:
-                raise RecoveryError(
-                    "shard assignment fingerprint mismatch: the rule base "
-                    "(names, conditions, write-sets, or couplings) changed "
-                    "since the checkpoint\n"
-                    f"  checkpoint: {payload['assignment']}\n"
-                    f"  recomputed: {dict(partition.assignment)}"
-                )
-            assignment = dict(partition.assignment)
-            rule_index = {n: i for i, n in enumerate(self._rules)}
+        assignment = dict(payload["assignment"])
+        rule_index = {
+            name: int(i) for name, i in payload["rule_index"].items()
+        }
         for worker_payload in workers:
             for spec in worker_payload["rules"]:
                 reg = self._rules.get(spec["name"])

@@ -33,8 +33,8 @@ from repro.ptl.compiled import (
     set_ptl_compile,
 )
 from repro.ptl.context import EvalContext, ExecutedStore, ExecutionRecord
-from repro.ptl.incremental import FireResult, IncrementalEvaluator
-from repro.ptl.plan import PlanBoundEvaluator, SharedPlan
+from repro.ptl.incremental import FireResult
+from repro.ptl.plan import IncrementalEvaluator, PlanBoundEvaluator, SharedPlan
 from repro.ptl.future_parser import parse_future_formula
 from repro.ptl.parser import parse_formula
 from repro.ptl.rewrite import normalize

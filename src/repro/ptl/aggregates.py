@@ -385,7 +385,7 @@ class RewrittenEvaluator:
         metrics=None,
         name=None,
     ):
-        from repro.ptl.incremental import IncrementalEvaluator
+        from repro.ptl.plan import IncrementalEvaluator
 
         self.ctx = ctx or EvalContext()
         self.rewrite = rewrite_condition(condition, self.ctx)

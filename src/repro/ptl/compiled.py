@@ -11,8 +11,8 @@ evaluator was before the compiled query plans (PR 3).
 
 This module lowers a rule set's node DAG (post-normalize, post-hash-consing,
 post common-subformula elimination) into generated Python step functions,
-compiled per :class:`~repro.ptl.plan.SharedPlan` (or per core evaluator)
-and reused across steps and shards:
+compiled per :class:`~repro.ptl.plan.SharedPlan` and reused across steps
+and shards:
 
 * every distinct subformula becomes one *slot* — computed exactly once per
   state without any memoization machinery;
@@ -29,7 +29,7 @@ and reused across steps and shards:
   step function, with state authority staying in the interpreted
   ``_AggregateState`` / ``_MaintainedAggregate`` objects.
 
-Persistent (plan-owned) chains are built as **segments**: hot rule adds
+Chains are built as **segments**: hot rule adds
 compile only the new rules' unshared suffix into a fresh segment appended
 to the run list; hot removes decrement per-slot refcounts mirroring the
 plan's memo refcounts, swap dead temporal slots to an inert sentinel, and
@@ -154,7 +154,7 @@ class _MaintEntry:
 
 
 class _Slot:
-    """Refcount bookkeeping for one compiled node in a persistent chain."""
+    """Refcount bookkeeping for one compiled node in a chain."""
 
     __slots__ = ("node", "seg", "children", "row", "aggs")
 
@@ -192,15 +192,13 @@ class CompiledChain:
     ``run(state)`` executes the segments in build order (updating the
     temporal nodes' ``stored``/``started`` and the maintained aggregates'
     state in place); ``top_of(root)`` reads a rule root's value for the
-    last state run.  Persistent chains (``persistent=True``, built by
-    :class:`~repro.ptl.plan.SharedPlan`) additionally support incremental
-    patching: :meth:`add_roots` compiles only the new rules' unshared
-    suffix into a fresh segment, :meth:`release_roots` refcounts slots
-    down exactly as the plan's memo table does.
+    last state run.  A chain is patched incrementally: :meth:`add_roots`
+    compiles only the new rules' unshared suffix into a fresh segment,
+    :meth:`release_roots` refcounts slots down exactly as the plan's memo
+    table does.
     """
 
     __slots__ = (
-        "persistent",
         "segments",
         "temporal",
         "maintained",
@@ -213,22 +211,19 @@ class CompiledChain:
         "n_query_slots",
         "fingerprint",
         "layout",
-        "_agg_rows",
         "_root_refs",
         "_root_obj",
         "_root_slot",
         "_V",
-        "_results",
     )
 
-    def __init__(self, persistent: bool):
-        self.persistent = persistent
+    def __init__(self):
         self.segments: list[_Segment] = []
         #: Live temporal rows, in lowering order.
         self.temporal: list[_TemporalRow] = []
         #: id(aggregate) -> _MaintEntry for aggregates maintained in-chain.
         self.maintained: dict[int, _MaintEntry] = {}
-        #: id(aggregate) -> live reader-slot count (persistent chains).
+        #: id(aggregate) -> live reader-slot count.
         self.maint_refs: dict[int, int] = {}
         self.node_slot: dict[int, int] = {}
         self.slots: list[Optional[_Slot]] = []
@@ -238,12 +233,11 @@ class CompiledChain:
         self.n_query_slots = 0
         self.fingerprint = ""
         self.layout: list = []
-        self._agg_rows: list = []
         self._root_refs: dict[int, int] = {}
         self._root_obj: dict[int, Any] = {}
         self._root_slot: dict[int, int] = {}
-        self._V: Optional[list] = [] if persistent else None
-        self._results: list = self._V if persistent else []
+        #: The slot value vector every segment reads and writes.
+        self._V: list = []
 
     # -- execution -----------------------------------------------------------
 
@@ -253,7 +247,7 @@ class CompiledChain:
 
     def top_of(self, root) -> cs.C:
         """The value computed for ``root`` by the last :meth:`run`."""
-        return self._results[self._root_slot[id(root)]]
+        return self._V[self._root_slot[id(root)]]
 
     @property
     def roots(self) -> list:
@@ -278,7 +272,7 @@ class CompiledChain:
     def layout_fingerprint(self) -> str:
         return self.fingerprint
 
-    # -- incremental patching (persistent chains) ----------------------------
+    # -- incremental patching -------------------------------------------------
 
     def add_roots(self, roots, temporal_meta=None) -> None:
         """Compile the unshared suffix of ``roots`` into a fresh segment
@@ -373,11 +367,7 @@ class CompiledChain:
     def should_compact(self) -> bool:
         """Whether enough released slots have accumulated that a full
         rebuild (which the plan performs lazily) beats carrying them."""
-        return (
-            self.persistent
-            and self.dead_slots >= 64
-            and self.dead_slots >= self.n_nodes
-        )
+        return self.dead_slots >= 64 and self.dead_slots >= self.n_nodes
 
     # -- fingerprint ---------------------------------------------------------
 
@@ -390,18 +380,15 @@ class CompiledChain:
         rows: list = [
             [row.kind, row.label, list(row.prune)] for row in self.temporal
         ]
-        if self.persistent:
-            seen: set[int] = set()
-            for slot in self.slots:
-                if slot is None:
+        seen: set[int] = set()
+        for slot in self.slots:
+            if slot is None:
+                continue
+            for agg in slot.aggs:
+                if id(agg) in seen:
                     continue
-                for agg in slot.aggs:
-                    if id(agg) in seen:
-                        continue
-                    seen.add(id(agg))
-                    rows.append(["agg", str(agg.term)])
-        else:
-            rows.extend(list(r) for r in self._agg_rows)
+                seen.add(id(agg))
+                rows.append(["agg", str(agg.term)])
         for entry in self.maintained.values():
             rows.append(
                 ["maint", entry.term_str, list(entry.avail), entry.mode]
@@ -641,37 +628,25 @@ def _specialization_agrees(builder, steps, op, fixed, dyn_on_left) -> bool:
     return True
 
 
-def _collect_agg_terms(term, out) -> None:
-    if isinstance(term, ast.AggT):
-        out.append(term)
-    elif isinstance(term, ast.FuncT):
-        for a in term.args:
-            _collect_agg_terms(a, out)
-
-
-def try_lower(roots, persistent=False, temporal_meta=None):
+def try_lower(roots, temporal_meta=None):
     """Lower ``roots`` into a chain, or None when some node shape is
     unsupported — callers then fall back to the interpreted path wholesale
     (never a half-compiled mix)."""
     try:
-        return lower(roots, persistent, temporal_meta)
+        return lower(roots, temporal_meta)
     except ChainLoweringError:
         return None
 
 
-def lower(roots, persistent=False, temporal_meta=None) -> CompiledChain:
-    """Lower the node DAG reachable from ``roots`` (memo/timing wrappers
-    included) into a :class:`CompiledChain`.  ``persistent=True`` builds a
-    patchable segmented chain (the :class:`SharedPlan` shape);
-    ``temporal_meta`` maps ``id(inner temporal node)`` to its sorted
-    prune-variable tuple for the canonical layout rows."""
-    roots = list(roots)
-    if persistent:
-        chain = CompiledChain(True)
-        chain.add_roots(roots, temporal_meta)
-        chain.refingerprint()
-        return chain
-    return _Lowering(roots, temporal_meta=temporal_meta).build_static()
+def lower(roots, temporal_meta=None) -> CompiledChain:
+    """Lower the node DAG reachable from ``roots`` (memo wrappers
+    included) into a :class:`CompiledChain`.  ``temporal_meta`` maps
+    ``id(inner temporal node)`` to its sorted prune-variable tuple for the
+    canonical layout rows."""
+    chain = CompiledChain()
+    chain.add_roots(list(roots), temporal_meta)
+    chain.refingerprint()
+    return chain
 
 
 def try_lower_executor(maintained) -> Optional[CompiledExecutor]:
@@ -686,8 +661,8 @@ def try_lower_executor(maintained) -> Optional[CompiledExecutor]:
 
 
 class _Lowering:
-    """Lowers a batch of roots into one generated step function — a whole
-    static chain, one persistent-chain segment, or an executor body."""
+    """Lowers a batch of roots into one generated step function — one
+    chain segment, or an executor body."""
 
     def __init__(self, roots, chain=None, temporal_meta=None):
         from repro.ptl import incremental as inc
@@ -697,7 +672,6 @@ class _Lowering:
         self._MemoNode = _MemoNode
         self.roots = list(roots)
         self.chain = chain
-        self.persistent = chain is not None and chain.persistent
         self.temporal_meta = temporal_meta
         #: Query-slot loads, emitted once at the top of the function.
         self.head: list[str] = []
@@ -725,7 +699,7 @@ class _Lowering:
             "_gqv": inc.gated_query_value,
             "_frs": inc.fire_result,
         }
-        if self.persistent:
+        if chain is not None:
             self.env["_V"] = chain._V
         #: id(node as referenced) -> expression for its value.
         self.expr: dict[int, str] = {}
@@ -739,8 +713,6 @@ class _Lowering:
         #: cached (never flag-gated maintenance code).
         self._agg_vals: dict[int, str] = {}
         self.temporal_rows: list[_TemporalRow] = []
-        self.agg_layout: list = []
-        self._agg_seen: set[int] = set()
         #: Extra indentation applied by _emit (maintenance flag guards).
         self._indent = 0
         #: Inside aggregate-maintenance lowering: sub-evaluator nodes are
@@ -770,14 +742,9 @@ class _Lowering:
     # -- graph walk ----------------------------------------------------------
 
     def _peel(self, node):
-        inc = self._inc
-        while True:
-            if isinstance(node, self._MemoNode):
-                node = node.inner
-            elif isinstance(node, inc._TimedNode):
-                node = node.inner
-            else:
-                return node
+        while isinstance(node, self._MemoNode):
+            node = node.inner
+        return node
 
     def _children(self, node) -> tuple:
         inc = self._inc
@@ -796,10 +763,10 @@ class _Lowering:
 
     def _toposort(self, roots) -> list:
         """Topological order of the *new* nodes reachable from ``roots``.
-        Nodes already compiled into the persistent chain are not recursed:
+        Nodes already compiled into the chain are not recursed:
         their expression becomes a read of their value-vector slot."""
         chain = self.chain
-        known = chain.node_slot if self.persistent else None
+        known = chain.node_slot if chain is not None else None
         order: list = []
         seen: set[int] = set()
         stack = [(n, False) for n in reversed(roots)]
@@ -1173,11 +1140,7 @@ class _Lowering:
     def _capture_agg(self, inner, term) -> str:
         agg = inner.evaluator._aggregates[term]
         if not self._in_maint:
-            if id(agg) not in self._agg_seen:
-                self._agg_seen.add(id(agg))
-                self.agg_layout.append(("agg", str(term)))
-            if self.persistent:
-                self._cur_aggs.append(agg)
+            self._cur_aggs.append(agg)
         return self._capture("A", agg)
 
     def _agg_value(self, inner, term) -> str:
@@ -1209,10 +1172,7 @@ class _Lowering:
             inner = self._peel(node)
             if not isinstance(inner, inc._ComparisonNode):
                 continue
-            terms: list = []
-            _collect_agg_terms(inner.formula.left, terms)
-            _collect_agg_terms(inner.formula.right, terms)
-            for term in terms:
+            for term in ast.aggregate_terms(inner.formula):
                 agg = inner.evaluator._aggregates.get(term)
                 if agg is not None:
                     self._maybe_lower_maintenance(agg)
@@ -1413,11 +1373,10 @@ class _Lowering:
 
     # -- assembly ------------------------------------------------------------
 
-    def _assemble(self, footer):
+    def _assemble(self):
         lines = ["def _chain_step(state):", "    _ts = state.timestamp"]
         lines.extend(self.head)
         lines.extend(self.body)
-        lines.extend(footer)
         source = "\n".join(lines) + "\n"
         code = compile(source, "<ptl-compiled-chain>", "exec")
         exec(code, self.env)
@@ -1425,7 +1384,7 @@ class _Lowering:
 
     def build_segment(self) -> None:
         """Compile this batch of new roots as one fresh segment appended
-        to the persistent chain (hot add patches: only the unshared suffix
+        to the chain (hot add patches: only the unshared suffix
         is lowered; everything already compiled is read from ``_V``)."""
         chain = self.chain
         order = self._toposort(self.roots)
@@ -1454,7 +1413,7 @@ class _Lowering:
             for agg in slot.aggs:
                 aid = id(agg)
                 chain.maint_refs[aid] = chain.maint_refs.get(aid, 0) + 1
-        fn, source = self._assemble(())
+        fn, source = self._assemble()
         seg = _Segment(
             fn, self.env, source, len(new_slots), self._maints,
             len(self._qslots),
@@ -1468,47 +1427,6 @@ class _Lowering:
         chain.segments.append(seg)
         chain.temporal.extend(self.temporal_rows)
         chain.n_query_slots += len(self._qslots)
-
-    def build_static(self) -> CompiledChain:
-        """Compile the whole root set as one non-patchable function (the
-        per-core-evaluator shape: built once, never churned)."""
-        order = self._toposort(self.roots)
-        self._maint_prepass(order)
-        for node in order:
-            self._lower_node(node)
-        results: list = []
-        root_slot: dict[int, int] = {}
-        footer: list[str] = []
-        for root in self.roots:
-            if id(root) in root_slot:
-                continue
-            j = len(results)
-            results.append(cs.CFALSE)
-            root_slot[id(root)] = j
-            footer.append(f"    _R[{j}] = {self.expr[id(root)]}")
-        self.env["_R"] = results
-        fn, source = self._assemble(footer)
-        chain = CompiledChain(False)
-        seg = _Segment(
-            fn, self.env, source, len(order), self._maints,
-            len(self._qslots),
-        )
-        for entry in self._maints:
-            entry.seg = seg
-            chain.maintained[id(entry.agg)] = entry
-        chain.segments.append(seg)
-        chain.temporal = self.temporal_rows
-        chain._agg_rows = [list(r) for r in self.agg_layout]
-        chain.n_nodes = len(order)
-        chain.n_query_slots = len(self._qslots)
-        chain._results = results
-        chain._root_slot = root_slot
-        for root in self.roots:
-            rid = id(root)
-            chain._root_refs[rid] = chain._root_refs.get(rid, 0) + 1
-            chain._root_obj[rid] = root
-        chain.refingerprint()
-        return chain
 
     def build_executor(self, maintained) -> Optional[CompiledExecutor]:
         """Compile an executor's maintained-aggregate list; aggregates
@@ -1535,7 +1453,7 @@ class _Lowering:
             self._in_maint = prev
         if not compiled_ms:
             return None
-        fn, source = self._assemble(())
+        fn, source = self._assemble()
         ex = CompiledExecutor()
         ex.fn = fn
         ex.overlay = overlay

@@ -34,7 +34,7 @@ from repro.errors import PTLError, UnsafeFormulaError
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
-from repro.ptl.incremental import IncrementalEvaluator
+from repro.ptl.plan import IncrementalEvaluator
 
 # ---------------------------------------------------------------------------
 # Future-formula AST (wraps past-PTL formulas as atoms)

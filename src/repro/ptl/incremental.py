@@ -31,16 +31,20 @@ Free variables
 * Variables used as *query parameters* (``price($x)``) cannot stay
   symbolic — a query cannot run half-bound.  Following Section 6.1.1
   ("multiple database items, indexed with different values for the free
-  variables"), the evaluator *instantiates* one sub-evaluator per
-  combination of domain values, created eagerly for list domains and
-  lazily as values appear for query domains.
+  variables"), the condition is *instantiated* once per combination of
+  domain values, created eagerly for list domains and lazily as values
+  appear for query domains.
+
+This module holds the recurrences themselves: the node classes, the one
+formula -> node switch (:func:`build_node`) and the aggregate state.  The
+engine that steps them — for one rule or for many, with common-subformula
+elimination — is :class:`repro.ptl.plan.SharedPlan`;
+:class:`~repro.ptl.plan.IncrementalEvaluator` is its one-rule view.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Mapping, Optional
 
 from repro.datamodel.relation import Relation
@@ -51,13 +55,11 @@ from repro.errors import (
     UnsafeFormulaError,
 )
 from repro.history.state import SystemState
-from repro.obs.metrics import as_registry
 from repro.ptl import ast
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
-from repro.ptl import compiled as _compiled
 from repro.ptl.optimize import prune_time_bounds
-from repro.ptl.rewrite import TIME_QUERY, normalize
+from repro.ptl.rewrite import TIME_QUERY
 from repro.ptl.semantics import UNDEFINED, eval_query_value
 from repro.query import ast as qast
 from repro.query import plan as qplan
@@ -87,9 +89,9 @@ _FALSE_RESULT = FireResult(False)
 def fire_result(top: cs.C, state: SystemState, ctx: EvalContext) -> FireResult:
     """Firing decision for a computed top-level state formula: solve for
     the satisfying assignments, drawing candidate values from equality
-    atoms and the context's declared domains.  Shared by the per-rule
-    evaluator and the multi-rule :class:`repro.ptl.plan.SharedPlan` (which
-    resolves the same formula against different per-rule domains)."""
+    atoms and the context's declared domains (a
+    :class:`repro.ptl.plan.SharedPlan` resolves one shared formula against
+    each rule's own domains)."""
     if top is cs.CTRUE:
         return _TRUE_RESULT
     if top is cs.CFALSE:
@@ -227,11 +229,6 @@ def gated_query_value(gate, query, state):
     if gate is not None:
         gate.store(state, value)
     return value
-
-
-#: "Tried to lower, unsupported" marker — distinct from None ("not yet
-#: tried") so the lowering attempt happens at most once per evaluator.
-_NO_CHAIN = object()
 
 
 # ---------------------------------------------------------------------------
@@ -522,41 +519,47 @@ class _AssignNode(_Node):
         return cs.substitute(inner, {self.var: value})
 
 
-class _TimedNode(_Node):
-    """Wraps a temporal node with a per-subformula update-latency histogram
-    (installed only when metrics are enabled, so the disabled path never
-    pays for it)."""
+def build_node(f: ast.Formula, avail: frozenset[str], owner, child) -> _Node:
+    """The one formula -> node switch.  ``owner`` is the evaluator surface
+    the atoms read through (``ctx``, ``_term_value``, ``_aggregates``);
+    ``child(g, avail)`` compiles a subformula — plain recursion in
+    :class:`_CoreEvaluator`, hash-consed in
+    :class:`~repro.ptl.plan.SharedPlan`.
 
-    __slots__ = ("inner", "hist")
-
-    def __init__(self, inner: _Node, hist):
-        self.inner = inner
-        self.hist = hist
-
-    def compute(self, state):
-        t0 = perf_counter()
-        result = self.inner.compute(state)
-        self.hist.observe(perf_counter() - t0)
-        return result
-
-    def get_state(self):
-        return self.inner.get_state()
-
-    def set_state(self, snapshot) -> None:
-        self.inner.set_state(snapshot)
-
-    def stored_size(self) -> int:
-        return self.inner.stored_size()
-
-    def prune(self, now, time_vars) -> None:
-        self.inner.prune(now, time_vars)
-
-    def stored_formulas(self):
-        return self.inner.stored_formulas()
-
-
-def _short_label(label: str, limit: int = 60) -> str:
-    return label if len(label) <= limit else label[: limit - 3] + "..."
+    ``avail`` tracks variables assigned from ``time`` on the path from the
+    root with no temporal operator in between — at every step their
+    binding equals the current timestamp, which is what lets windowed
+    aggregates resolve them."""
+    if isinstance(f, ast.BoolConst):
+        return _BoolNode(f.value)
+    if isinstance(f, ast.Comparison):
+        return _ComparisonNode(f, owner)
+    if isinstance(f, ast.EventAtom):
+        return _EventNode(f, owner)
+    if isinstance(f, ast.ExecutedAtom):
+        return _ExecutedNode(f, owner)
+    if isinstance(f, ast.InQuery):
+        return _InQueryNode(f, owner)
+    if isinstance(f, ast.Not):
+        return _NotNode(child(f.operand, avail))
+    if isinstance(f, ast.And):
+        return _AndNode([child(c, avail) for c in f.operands])
+    if isinstance(f, ast.Or):
+        return _OrNode([child(c, avail) for c in f.operands])
+    if isinstance(f, ast.Lasttime):
+        return _LasttimeNode(child(f.operand, frozenset()), str(f))
+    if isinstance(f, ast.Since):
+        return _SinceNode(
+            child(f.lhs, frozenset()), child(f.rhs, frozenset()), str(f)
+        )
+    if isinstance(f, ast.Assign):
+        if f.query.params():
+            raise UnsafeFormulaError(
+                f"assignment query {f.query} has unresolved parameters"
+            )
+        inner_avail = avail | {f.var} if f.query == TIME_QUERY else avail
+        return _AssignNode(f.var, f.query, child(f.body, inner_avail))
+    raise PTLError(f"cannot compile formula node {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -878,32 +881,29 @@ def _decode_node_state(payload):
 
 
 # ---------------------------------------------------------------------------
-# Core evaluator (formula with all queries ground)
+# Ground sub-formula stepper (aggregate start / sample formulas)
 # ---------------------------------------------------------------------------
 
 
 class _CoreEvaluator:
-    """Evaluator for one (instantiated) formula.
-
-    Assumes every query in the formula is ground (no unresolved ``$x``
-    parameters) — the public :class:`IncrementalEvaluator` guarantees this
-    by domain instantiation.
-    """
+    """Private stepper for one *ground* formula: the starting and sampling
+    formulas of a temporal aggregate (:class:`_AggregateState`, and the
+    rewritten pipeline's ``_MaintainedAggregate``), which
+    :mod:`repro.ptl.compiled` inlines into the owning chain.  Rule
+    conditions never run here — they compile into a
+    :class:`~repro.ptl.plan.SharedPlan`."""
 
     def __init__(
         self,
         formula: ast.Formula,
         ctx: EvalContext,
         optimize: bool = True,
-        obs: Optional[tuple] = None,
     ):
         self.formula = formula
         self.ctx = ctx
         self.optimize = optimize
         self.steps = 0
         self.last_top: cs.C = cs.CFALSE
-        #: (registry, rule label) when per-subformula timing is on.
-        self._obs = obs
         self._temporal_nodes: list[_Node] = []
         self._aggregates: dict[ast.AggT, _AggregateState] = {}
         #: Variables assigned from the ``time`` item (monotone — prunable).
@@ -913,88 +913,18 @@ class _CoreEvaluator:
             if query == TIME_QUERY
         )
         self._root = self._compile(formula, frozenset())
-        #: Lazily built compiled recurrence chain (None = not yet tried;
-        #: _NO_CHAIN = lowering unsupported, stay interpreted).
-        self._chain = None
-
-    # -- compilation --------------------------------------------------------
 
     def _compile(self, f: ast.Formula, avail: frozenset[str]) -> _Node:
-        """``avail`` tracks variables assigned from ``time`` on the path
-        from the root with no temporal operator in between — at every step
-        their binding equals the current timestamp, which is what lets
-        windowed aggregates resolve them."""
-        if isinstance(f, ast.BoolConst):
-            return _BoolNode(f.value)
         if isinstance(f, ast.Comparison):
-            self._register_aggregates_of(f, avail)
-            return _ComparisonNode(f, self)
-        if isinstance(f, ast.EventAtom):
-            return _EventNode(f, self)
-        if isinstance(f, ast.ExecutedAtom):
-            return _ExecutedNode(f, self)
-        if isinstance(f, ast.InQuery):
-            return _InQueryNode(f, self)
-        if isinstance(f, ast.Not):
-            return _NotNode(self._compile(f.operand, avail))
-        if isinstance(f, ast.And):
-            return _AndNode([self._compile(c, avail) for c in f.operands])
-        if isinstance(f, ast.Or):
-            return _OrNode([self._compile(c, avail) for c in f.operands])
-        if isinstance(f, ast.Lasttime):
-            node = self._finish_temporal(
-                _LasttimeNode(self._compile(f.operand, frozenset()), str(f))
-            )
-            return node
-        if isinstance(f, ast.Since):
-            node = self._finish_temporal(
-                _SinceNode(
-                    self._compile(f.lhs, frozenset()),
-                    self._compile(f.rhs, frozenset()),
-                    str(f),
-                )
-            )
-            return node
-        if isinstance(f, ast.Assign):
-            if f.query.params():
-                raise UnsafeFormulaError(
-                    f"assignment query {f.query} has unresolved parameters"
-                )
-            inner_avail = avail
-            if f.query == TIME_QUERY:
-                inner_avail = avail | {f.var}
-            return _AssignNode(f.var, f.query, self._compile(f.body, inner_avail))
-        raise PTLError(f"cannot compile formula node {f!r}")
-
-    def _finish_temporal(self, node: _Node) -> _Node:
-        """Register a temporal node, wrapping it with per-subformula update
-        timing when metrics are enabled."""
-        if self._obs is not None:
-            registry, rule = self._obs
-            node = _TimedNode(
-                node,
-                registry.histogram(
-                    "evaluator_node_seconds",
-                    rule=rule,
-                    node=_short_label(node.label),
-                ),
-            )
-        self._temporal_nodes.append(node)
+            for term in ast.aggregate_terms(f):
+                if term not in self._aggregates:
+                    self._aggregates[term] = _AggregateState(
+                        term, self.ctx, self.optimize, avail
+                    )
+        node = build_node(f, avail, self, self._compile)
+        if isinstance(node, (_LasttimeNode, _SinceNode)):
+            self._temporal_nodes.append(node)
         return node
-
-    def _register_aggregates_of(self, f: ast.Comparison, avail) -> None:
-        for term in (f.left, f.right):
-            self._register_aggregate_terms(term, avail)
-
-    def _register_aggregate_terms(self, term: ast.Term, avail) -> None:
-        if isinstance(term, ast.AggT):
-            if term not in self._aggregates:
-                self._aggregates[term] = _AggregateState(
-                    term, self.ctx, self.optimize, avail
-                )
-        elif isinstance(term, ast.FuncT):
-            for a in term.args:
-                self._register_aggregate_terms(a, avail)
 
     # -- term evaluation ------------------------------------------------------
 
@@ -1032,88 +962,28 @@ class _CoreEvaluator:
 
     def step(self, state: SystemState) -> FireResult:
         """Process one new system state; returns the firing result."""
-        chain = None
-        if _compiled._PTL_COMPILE:
-            chain = self._ensure_chain()
-            if chain is _NO_CHAIN:
-                chain = None
-        maintained = chain.maintained if chain is not None else None
         for agg in self._aggregates.values():
-            # Aggregates whose maintenance is lowered into the chain are
-            # stepped by the generated code, not here.
-            if maintained and id(agg) in maintained:
-                continue
             agg.step(state)
-        if chain is not None:
-            chain.run(state)
-            top = chain.top_of(self._root)
-        else:
-            top = self._root.compute(state)
+        top = self._root.compute(state)
         self.last_top = top
         self.steps += 1
         if self.optimize and self.time_vars:
             for node in self._temporal_nodes:
                 node.prune(state.timestamp, self.time_vars)
-        return self._fire_result(top, state)
-
-    def _fire_result(self, top: cs.C, state: SystemState) -> FireResult:
         return fire_result(top, state, self.ctx)
-
-    # -- compiled backend -----------------------------------------------------
-
-    def _ensure_chain(self):
-        """The compiled chain for this formula, built on first use
-        (``_NO_CHAIN`` when the lowering declined — stay interpreted)."""
-        chain = self._chain
-        if chain is None:
-            chain = _compiled.try_lower([self._root])
-            self._chain = chain if chain is not None else _NO_CHAIN
-        return self._chain
-
-    def _compiled_top(self, state: SystemState) -> cs.C:
-        chain = self._ensure_chain()
-        if chain is _NO_CHAIN:
-            return self._root.compute(state)
-        chain.run(state)
-        return chain.top_of(self._root)
-
-    def compiled_ops(self) -> int:
-        """Slots in this evaluator's compiled chain (0 when interpreted).
-
-        Gated on the live toggle: a chain may survive a
-        ``set_ptl_compile(False)`` switch, but while the toggle is off the
-        interpreter is what runs, and the gauges must say so."""
-        if not _compiled._PTL_COMPILE:
-            return 0
-        chain = self._chain
-        if isinstance(chain, _compiled.CompiledChain):
-            return chain.n_nodes
-        return 0
 
     # -- inspection / snapshot -----------------------------------------------------
 
-    def stored_formula_size(self) -> int:
-        """Size of the stored state formulas F_{g,i-1}, counted as the
-        and-or *graph* the evaluator actually retains: hash-consed nodes
-        shared between (or within) stored formulas count once.  The tree
-        count (``sum(cs.size(c))``) over-reports shared structure — a
-        ``!(throughout_past ...)`` stores a formula and its negation, whose
-        common tail would otherwise be double-counted."""
-        return cs.dag_size(c for _, c in self.stored_formulas())
-
-    def aux_rows(self) -> int:
-        """Retained auxiliary tuples (aggregate logs/samples) — the live
-        counterpart of the paper's R_x row counts."""
-        return sum(agg.state_size() for agg in self._aggregates.values())
-
     def state_size(self) -> int:
-        return self.stored_formula_size() + self.aux_rows()
-
-    def stored_formulas(self) -> list[tuple[str, cs.C]]:
-        out = []
-        for node in self._temporal_nodes:
-            out.extend(node.stored_formulas())
-        return out
+        """Stored-formula DAG size plus nested aggregate rows."""
+        stored = cs.dag_size(
+            c
+            for node in self._temporal_nodes
+            for _, c in node.stored_formulas()
+        )
+        return stored + sum(
+            agg.state_size() for agg in self._aggregates.values()
+        )
 
     def snapshot(self):
         return (
@@ -1138,10 +1008,8 @@ class _CoreEvaluator:
         """JSON-serializable counterpart of :meth:`snapshot`.  Temporal
         nodes and aggregates are stored positionally (compilation order is
         deterministic for a given formula), with the aggregate term's text
-        as a fingerprint.  Under the compiled backend the chain's slot
-        vector rides along with its layout fingerprint, so restore can
-        detect slot-layout drift."""
-        out = {
+        as a fingerprint."""
+        return {
             "steps": self.steps,
             "last_top": cs.to_payload(self.last_top),
             "nodes": [
@@ -1153,11 +1021,6 @@ class _CoreEvaluator:
                 for term, agg in self._aggregates.items()
             ],
         }
-        if _compiled._PTL_COMPILE:
-            chain = self._ensure_chain()
-            if chain is not _NO_CHAIN:
-                out["compiled"] = chain.to_state()
-        return out
 
     def from_state(self, state: dict) -> None:
         nodes = state["nodes"]
@@ -1185,303 +1048,3 @@ class _CoreEvaluator:
                     f"evaluator compiled {str(term)!r}"
                 )
             agg.from_state(payload)
-        compiled_section = state.get("compiled")
-        if compiled_section is not None and _compiled._PTL_COMPILE:
-            chain = self._ensure_chain()
-            if chain is not _NO_CHAIN:
-                # The slots alias the temporal nodes restored above, but
-                # loading through the chain verifies the layout fingerprint
-                # (RecoveryError on drift).
-                chain.from_state(compiled_section)
-
-
-# ---------------------------------------------------------------------------
-# Public evaluator (handles domains / instantiation)
-# ---------------------------------------------------------------------------
-
-
-class IncrementalEvaluator:
-    """Incremental detector for one PTL condition.
-
-    Parameters
-    ----------
-    formula:
-        The PTL condition (an :mod:`repro.ptl.ast` formula; use
-        :func:`repro.ptl.parser.parse_formula` for the textual syntax).
-    ctx:
-        Shared :class:`~repro.ptl.context.EvalContext` (executed store and
-        free-variable domains).
-    optimize:
-        Apply the Section 5 time-bound pruning after each step.
-    metrics:
-        ``None``/``False`` (default), ``True``, or a
-        :class:`~repro.obs.metrics.MetricsRegistry` — when enabled, the
-        evaluator maintains per-step latency histograms, state-size and
-        auxiliary-row gauges, and per-subformula update timings.  Disabled
-        instrumentation costs one branch per step and allocates nothing.
-    name:
-        Label for this evaluator's metrics (the rule name); defaults to a
-        shared anonymous label.
-
-    Call :meth:`step` with each appended system state; the result reports
-    firing and free-variable bindings.
-    """
-
-    def __init__(
-        self,
-        formula: ast.Formula,
-        ctx: Optional[EvalContext] = None,
-        optimize: bool = True,
-        metrics=None,
-        name: Optional[str] = None,
-    ):
-        self.ctx = ctx or EvalContext()
-        self.optimize = optimize
-        self.original = formula
-        self.formula = normalize(formula)
-        self.steps = 0
-        self.metrics = as_registry(metrics)
-        self.name = name if name is not None else "<anonymous>"
-        self._obs_on = self.metrics.enabled
-        self._obs: Optional[tuple] = None
-        if self._obs_on:
-            registry = self.metrics
-            self._obs = (registry, self.name)
-            self._m_steps = registry.counter(
-                "evaluator_steps_total", rule=self.name
-            )
-            self._m_step_seconds = registry.histogram(
-                "evaluator_step_seconds", rule=self.name
-            )
-            self._m_state_size = registry.gauge(
-                "evaluator_state_size", rule=self.name
-            )
-            self._m_stored_size = registry.gauge(
-                "evaluator_stored_formula_size", rule=self.name
-            )
-            self._m_aux_rows = registry.gauge(
-                "evaluator_aux_rows", rule=self.name
-            )
-            self._m_instances = registry.gauge(
-                "evaluator_instances", rule=self.name
-            )
-            self._m_compiled_ops = registry.gauge(
-                "evaluator_compiled_ops", rule=self.name
-            )
-
-        self._qvars = tuple(sorted(query_param_vars(self.formula)))
-        for name_ in self._qvars:
-            if name_ not in self.ctx.domains:
-                raise UnsafeFormulaError(
-                    f"free variable {name_!r} parameterizes a query; it "
-                    f"needs a domain (EvalContext.domains[{name_!r}])"
-                )
-        if not self._qvars:
-            self._core: Optional[_CoreEvaluator] = _CoreEvaluator(
-                self.formula, self.ctx, optimize, obs=self._obs
-            )
-            self._instances: dict[tuple, _CoreEvaluator] = {}
-        else:
-            self._core = None
-            self._instances = {}
-
-    # -- stepping ------------------------------------------------------------
-
-    def step(self, state: SystemState) -> FireResult:
-        """Process one new system state."""
-        if not self._obs_on:
-            return self._step_inner(state)
-        t0 = perf_counter()
-        result = self._step_inner(state)
-        self._m_step_seconds.observe(perf_counter() - t0)
-        self._m_steps.inc()
-        self._record_gauges()
-        return result
-
-    def _step_inner(self, state: SystemState) -> FireResult:
-        self.steps += 1
-        if self._core is not None:
-            return self._core.step(state)
-
-        self._refresh_instances(state)
-        fired = False
-        bindings: list[dict] = []
-        for key, core in self._instances.items():
-            result = core.step(state)
-            if result.fired:
-                fired = True
-                for b in result.bindings:
-                    merged = dict(zip(self._qvars, key))
-                    merged.update(b)
-                    bindings.append(merged)
-        return FireResult(fired, tuple(bindings))
-
-    def _record_gauges(self) -> None:
-        """Refresh the memory gauges from the current evaluator state (the
-        E4 bounded-memory claim as live metrics)."""
-        stored = self.stored_formula_size()
-        aux = self.aux_rows()
-        self._m_stored_size.set(stored)
-        self._m_aux_rows.set(aux)
-        self._m_state_size.set(stored + aux)
-        self._m_instances.set(
-            1 if self._core is not None else len(self._instances)
-        )
-        self._m_compiled_ops.set(self.compiled_ops())
-        qplan.STATS.publish(self._obs[0])
-
-    def _refresh_instances(self, state: SystemState) -> None:
-        per_var: list[list] = []
-        for name in self._qvars:
-            values = self.ctx.domain_for(name, state)
-            per_var.append(values or [])
-        for combo in itertools.product(*per_var):
-            if combo in self._instances:
-                continue
-            env = dict(zip(self._qvars, combo))
-            inst = instantiate_formula(self.formula, env)
-            self._instances[combo] = _CoreEvaluator(
-                inst, self.ctx, self.optimize, obs=self._obs
-            )
-
-    # -- inspection -------------------------------------------------------------
-
-    @property
-    def last_top(self) -> cs.C:
-        if self._core is not None:
-            return self._core.last_top
-        tops = [core.last_top for core in self._instances.values()]
-        return cs.cor(tops)
-
-    def state_size(self) -> int:
-        """Total retained state — the paper's space metric (E2/E4):
-        stored-formula DAG size plus auxiliary aggregate rows."""
-        return self.stored_formula_size() + self.aux_rows()
-
-    def stored_formula_size(self) -> int:
-        """Size of the stored state formulas F_{g,i-1} across all
-        instances, as one shared DAG (structure shared between instances
-        counts once — see :func:`repro.ptl.constraints.dag_size`)."""
-        if self._core is not None:
-            return self._core.stored_formula_size()
-        return cs.dag_size(
-            stored
-            for core in self._instances.values()
-            for _, stored in core.stored_formulas()
-        )
-
-    def aux_rows(self) -> int:
-        """Retained auxiliary tuples (aggregate logs/samples) across all
-        instances — the live R_x row count."""
-        if self._core is not None:
-            return self._core.aux_rows()
-        return sum(core.aux_rows() for core in self._instances.values())
-
-    def compiled_ops(self) -> int:
-        """Total compiled-chain slots across instances (0 when running
-        interpreted)."""
-        if self._core is not None:
-            return self._core.compiled_ops()
-        return sum(core.compiled_ops() for core in self._instances.values())
-
-    def stored_formulas(self) -> list[tuple[str, cs.C]]:
-        if self._core is not None:
-            return self._core.stored_formulas()
-        out = []
-        for key, core in self._instances.items():
-            for label, stored in core.stored_formulas():
-                out.append((f"{label}@{key!r}", stored))
-        return out
-
-    def snapshot(self):
-        if self._core is not None:
-            return ("core", self.steps, self._core.snapshot())
-        return (
-            "indexed",
-            self.steps,
-            {key: core.snapshot() for key, core in self._instances.items()},
-        )
-
-    def restore(self, snap) -> None:
-        kind, steps, payload = snap
-        self.steps = steps
-        if kind == "core":
-            self._core.restore(payload)
-        else:
-            # Instances created after the snapshot are dropped.
-            self._instances = {
-                key: core
-                for key, core in self._instances.items()
-                if key in payload
-            }
-            for key, core in self._instances.items():
-                core.restore(payload[key])
-        if self._obs_on:
-            # Gauges must reflect the restored state, not the pre-restore
-            # one (no stale R_x counts after a snapshot round-trip).
-            self._record_gauges()
-
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> dict:
-        """JSON-serializable evaluator state (the recovery counterpart of
-        the in-memory :meth:`snapshot`).  The normalized formula's text is
-        included as a fingerprint: :meth:`from_state` refuses to load state
-        into an evaluator compiled from a different condition."""
-        out = {
-            "format": 1,
-            "formula": str(self.formula),
-            "steps": self.steps,
-        }
-        if self._core is not None:
-            out["kind"] = "core"
-            out["core"] = self._core.to_state()
-        else:
-            out["kind"] = "indexed"
-            out["instances"] = [
-                [cs.encode_value(key), core.to_state()]
-                for key, core in self._instances.items()
-            ]
-        return out
-
-    def from_state(self, payload: dict) -> None:
-        """Load serialized state produced by :meth:`to_state`.  The
-        evaluator must have been constructed from the same formula (and
-        context domains); domain-indexed instances are re-instantiated
-        from their recorded keys."""
-        if payload.get("format") != 1:
-            raise RecoveryError(
-                f"unsupported evaluator state format: {payload.get('format')!r}"
-            )
-        if payload.get("formula") != str(self.formula):
-            raise RecoveryError(
-                "evaluator state belongs to a different formula:\n"
-                f"  checkpoint: {payload.get('formula')}\n"
-                f"  evaluator:  {self.formula}"
-            )
-        self.steps = payload["steps"]
-        if payload["kind"] == "core":
-            if self._core is None:
-                raise RecoveryError(
-                    "checkpoint is for a ground formula but this evaluator "
-                    "is domain-indexed"
-                )
-            self._core.from_state(payload["core"])
-        else:
-            if self._core is not None:
-                raise RecoveryError(
-                    "checkpoint is domain-indexed but this evaluator "
-                    "compiled a ground formula"
-                )
-            self._instances = {}
-            for enc_key, inst_state in payload["instances"]:
-                key = cs.decode_value(enc_key)
-                env = dict(zip(self._qvars, key))
-                inst = instantiate_formula(self.formula, env)
-                core = _CoreEvaluator(
-                    inst, self.ctx, self.optimize, obs=self._obs
-                )
-                core.from_state(inst_state)
-                self._instances[key] = core
-        if self._obs_on:
-            self._record_gauges()

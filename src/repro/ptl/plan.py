@@ -3,8 +3,8 @@
 Section 5 maintains a state formula ``F_{g,i}`` per *subformula* g of a
 trigger condition.  A rule base with many triggers over overlapping
 conditions (the homogeneous ECA rule sets of practice) repeats the same
-subformulas across rules, and running one :class:`IncrementalEvaluator`
-per rule re-evaluates — and re-stores — each shared g once per rule.
+subformulas across rules, and evaluating each rule on its own
+re-evaluates — and re-stores — each shared g once per rule.
 
 :class:`SharedPlan` compiles every registered rule's condition (after
 :func:`~repro.ptl.rewrite.normalize`) into a single node DAG with
@@ -16,9 +16,9 @@ differences stay at the edges:
 * **firing**: each rule solves its own top-level formula against its own
   declared domains (:func:`repro.ptl.incremental.fire_result`);
 * **query parameters**: a rule whose condition parameterizes queries
-  (``price($x)``) is instantiated per domain combination, exactly as the
-  per-rule evaluator does — instantiated formulas still share nodes with
-  every other rule (and instance) through the same cache.
+  (``price($x)``) is instantiated per domain combination — instantiated
+  formulas still share nodes with every other rule (and instance) through
+  the same cache.
 
 Sharing is keyed so it is *sound*, not just syntactic:
 
@@ -34,12 +34,18 @@ Sharing is keyed so it is *sound*, not just syntactic:
   state, so it only shares nodes born at the same epoch.  Rules registered
   before the first step (the common case) all share.
 
-THEOREM 1 equivalence with per-rule evaluation is differential-tested in
-``tests/test_shared_plan.py`` and the speedup measured in benchmark E11.
+This is the one condition-evaluation backend: a standalone condition is
+a plan holding one rule (:class:`IncrementalEvaluator`).  THEOREM 1
+equivalence — one plan for all rules vs one plan per rule vs the
+reference semantics (:mod:`repro.ptl.semantics`) — is differential-tested
+in ``tests/test_shared_plan.py`` and the speedup measured in benchmark
+E11.
 """
 
 from __future__ import annotations
 
+import itertools
+from time import perf_counter
 from typing import Iterator, Optional
 
 from repro.errors import (
@@ -56,26 +62,29 @@ from repro.ptl.context import EvalContext
 from repro.ptl import compiled as _compiled
 from repro.ptl.incremental import (
     FireResult,
-    _NO_CHAIN,
     _AggregateState,
     _AndNode,
     _AssignNode,
-    _BoolNode,
     _ComparisonNode,
     _CoreEvaluator,
-    _EventNode,
-    _ExecutedNode,
-    _InQueryNode,
     _LasttimeNode,
     _Node,
     _NotNode,
     _OrNode,
     _SinceNode,
+    _decode_node_state,
+    _encode_node_state,
+    build_node,
     fire_result,
     instantiate_formula,
     query_param_vars,
 )
 from repro.ptl.rewrite import TIME_QUERY, normalize
+from repro.query import plan as qplan
+
+#: "Tried to lower, unsupported" marker — distinct from None ("not yet
+#: tried") so the lowering attempt happens at most once per root set.
+_NO_CHAIN = object()
 
 
 class _SubEval:
@@ -263,12 +272,16 @@ class SharedPlan:
         formula: ast.Formula,
         ctx: Optional[EvalContext] = None,
     ) -> "PlanBoundEvaluator":
-        """Register a rule's condition; returns the per-rule view (a
-        drop-in for :class:`IncrementalEvaluator`).  ``ctx`` carries the
-        rule's domains; its executed store should be the plan's."""
+        """Register a rule's condition; returns the per-rule view.
+        ``ctx`` carries the rule's domains; its executed store should be
+        the plan's."""
+        return PlanBoundEvaluator(
+            self, self._register(name, formula, ctx), formula
+        )
+
+    def _register(self, name, formula, ctx) -> "_PlanRule":
         if name in self._rules:
             raise DuplicateRuleError(f"rule {name!r} already in the plan")
-        original = formula
         formula = normalize(formula)
         rule_ctx = ctx or self.ctx
         time_vars = frozenset(
@@ -293,7 +306,7 @@ class SharedPlan:
         self._layout_gen += 1
         if self._obs_on:
             self._record_metrics()
-        return PlanBoundEvaluator(self, entry, original)
+        return entry
 
     def remove_rule(self, name: str) -> None:
         """Drop a rule and release its references into the shared DAG.
@@ -342,11 +355,8 @@ class SharedPlan:
             self._release(inner.child)
 
     def _release_aggregates(self, inner: _ComparisonNode) -> None:
-        terms: dict = {}
-        _collect_aggregate_terms(inner.formula.left, terms)
-        _collect_aggregate_terms(inner.formula.right, terms)
         sub = inner.evaluator
-        for term in terms:
+        for term in dict.fromkeys(ast.aggregate_terms(inner.formula)):
             agg = sub._aggregates.get(term)
             if agg is None:
                 continue
@@ -384,57 +394,15 @@ class SharedPlan:
 
     def _build(self, f, avail, time_vars, prune_set) -> _Node:
         sub = self._subeval(avail)
-        if isinstance(f, ast.BoolConst):
-            return _BoolNode(f.value)
         if isinstance(f, ast.Comparison):
-            terms: dict = {}
-            _collect_aggregate_terms(f.left, terms)
-            _collect_aggregate_terms(f.right, terms)
-            for term in terms:
+            for term in dict.fromkeys(ast.aggregate_terms(f)):
                 self._ref_aggregate(term, avail, sub)
-            return _ComparisonNode(f, sub)
-        if isinstance(f, ast.EventAtom):
-            return _EventNode(f, sub)
-        if isinstance(f, ast.ExecutedAtom):
-            return _ExecutedNode(f, sub)
-        if isinstance(f, ast.InQuery):
-            return _InQueryNode(f, sub)
-        if isinstance(f, ast.Not):
-            return _NotNode(self._compile(f.operand, avail, time_vars))
-        if isinstance(f, ast.And):
-            return _AndNode(
-                [self._compile(c, avail, time_vars) for c in f.operands]
-            )
-        if isinstance(f, ast.Or):
-            return _OrNode(
-                [self._compile(c, avail, time_vars) for c in f.operands]
-            )
-        if isinstance(f, ast.Lasttime):
-            node = _LasttimeNode(
-                self._compile(f.operand, frozenset(), time_vars), str(f)
-            )
+        node = build_node(
+            f, avail, sub, lambda g, a: self._compile(g, a, time_vars)
+        )
+        if isinstance(node, (_LasttimeNode, _SinceNode)):
             self._temporal.append((node, prune_set, self.epoch))
-            return node
-        if isinstance(f, ast.Since):
-            node = _SinceNode(
-                self._compile(f.lhs, frozenset(), time_vars),
-                self._compile(f.rhs, frozenset(), time_vars),
-                str(f),
-            )
-            self._temporal.append((node, prune_set, self.epoch))
-            return node
-        if isinstance(f, ast.Assign):
-            if f.query.params():
-                raise UnsafeFormulaError(
-                    f"assignment query {f.query} has unresolved parameters"
-                )
-            inner_avail = avail
-            if f.query == TIME_QUERY:
-                inner_avail = avail | {f.var}
-            return _AssignNode(
-                f.var, f.query, self._compile(f.body, inner_avail, time_vars)
-            )
-        raise UnsafeFormulaError(f"cannot compile formula node {f!r}")
+        return node
 
     def _subeval(self, avail: frozenset[str]) -> _SubEval:
         key = (avail, self.epoch)
@@ -522,8 +490,6 @@ class SharedPlan:
         return FireResult(fired, tuple(bindings))
 
     def _refresh_instances(self, entry: _PlanRule, state) -> None:
-        import itertools
-
         per_var = []
         for name in entry.qvars:
             values = entry.ctx.domain_for(name, state)
@@ -598,16 +564,12 @@ class SharedPlan:
         }
 
     def _build_chain(self, roots) -> None:
-        import time
-
-        start = time.perf_counter()
-        chain = _compiled.try_lower(
-            roots, persistent=True, temporal_meta=self._temporal_meta()
-        )
+        start = perf_counter()
+        chain = _compiled.try_lower(roots, self._temporal_meta())
         self._chain = chain if chain is not None else _NO_CHAIN
         self.chain_builds += 1
         if self._obs_on:
-            self._m_chain_build.observe(time.perf_counter() - start)
+            self._m_chain_build.observe(perf_counter() - start)
 
     def _patch_chain(self, chain, roots) -> None:
         """Diff the wanted root multiset against the chain's root refs and
@@ -685,8 +647,6 @@ class SharedPlan:
         return stored + aux
 
     def _record_metrics(self) -> None:
-        from repro.query import plan as qplan
-
         self._m_rules.set(len(self._rules))
         self._m_nodes.set(len(self._nodes))
         self._m_dedup.set(self.dedup_ratio())
@@ -710,7 +670,7 @@ class SharedPlan:
         return (
             self.epoch,
             self._last_state,
-            [node.get_state() for node, _, _ in self._temporal],
+            [(node, node.get_state()) for node, _, _ in self._temporal],
             {key: agg.get_state() for key, agg in self._aggregates.items()},
             {
                 name: (entry.last_top, entry.result)
@@ -720,9 +680,27 @@ class SharedPlan:
 
     def restore(self, snap) -> None:
         epoch, last_state, node_states, agg_states, rule_states = snap
+        # Query-parameter instances born after the snapshot leave through
+        # the refcount path, taking their temporal nodes and aggregates
+        # with them (they would otherwise keep the trial's state).
+        for entry in self._rules.values():
+            late = [
+                combo
+                for combo, (birth, _) in entry.instance_births.items()
+                if birth > epoch
+            ]
+            for combo in late:
+                del entry.instance_births[combo]
+                self._release(entry.instances.pop(combo))
+            if late:
+                self._layout_gen += 1
         self.epoch = epoch
         self._last_state = last_state
-        for (node, _, _), stored in zip(self._temporal, node_states):
+        # The memo cache is keyed on the epoch being rolled back: the next
+        # step reuses it, and must not read the abandoned step's values.
+        for memo in self._nodes.values():
+            memo._epoch = -1
+        for node, stored in node_states:
             node.set_state(stored)
         for key, stored in agg_states.items():
             if key in self._aggregates:
@@ -749,8 +727,6 @@ class SharedPlan:
         (label, prune set, birth) pools rather than by position — which
         makes checkpoints taken after :meth:`remove_rule` (where replay
         order can differ from original compile order) restorable."""
-        from repro.ptl.incremental import _encode_node_state
-
         out = {
             "format": 2,
             "epoch": self.epoch,
@@ -806,10 +782,7 @@ class SharedPlan:
         hot registration; rules only in the checkpoint are dropped.
         Returns ``{"added": [...], "dropped": [...], "changed": [...]}``
         (all empty under ``strict=True``)."""
-        from repro.ptl.incremental import _decode_node_state
-
-        fmt = payload.get("format")
-        if fmt not in (1, 2):
+        if payload.get("format") != 2:
             raise RecoveryError(
                 f"unsupported plan state format: {payload.get('format')!r}"
             )
@@ -833,13 +806,6 @@ class SharedPlan:
                 f"rule {name!r} condition differs from checkpoint:\n"
                 f"  checkpoint: {by_name[name]['formula']}\n"
                 f"  plan:       {self._rules[name].formula}"
-            )
-        if fmt == 1 and drift:
-            raise RecoveryError(
-                "format-1 plan checkpoints record no per-temporal-node "
-                "birth epochs and cannot be restored across rule-set "
-                f"drift (added={added}, dropped={dropped}, "
-                f"changed={changed})"
             )
         kept = [n for n in self._rules if n in by_name and n not in changed]
         fresh = [n for n in self._rules if n not in by_name or n in changed]
@@ -904,52 +870,30 @@ class SharedPlan:
         self._next_seq = next_seq
         self._last_state = None
 
-        temporal = payload["temporal"]
-        if fmt == 1:
-            # Legacy positional matching (format-1 checkpoints were only
-            # written by plans that never removed a rule, and drift was
-            # rejected above).
-            if len(temporal) != len(self._temporal):
+        # Pool matching by (label, prune set, birth): nodes with the same
+        # pool key carry identical state (temporal children always compile
+        # with avail=∅, so two same-key memo wrappers step in lockstep),
+        # making assignment within a pool safe whatever order replay
+        # produced them in.
+        pools: dict = {}
+        for label, ps, birth, state in payload["temporal"]:
+            pools.setdefault((label, tuple(ps), birth), []).append(state)
+        for node, prune_set, birth in self._temporal:
+            pool = pools.get((node.label, tuple(sorted(prune_set)), birth))
+            if pool:
+                node.set_state(_decode_node_state(pool.pop(0)))
+            elif strict:
                 raise RecoveryError(
-                    f"checkpoint has {len(temporal)} temporal nodes; "
-                    f"rebuilt plan has {len(self._temporal)} (was a rule "
-                    "removed before the checkpoint?)"
+                    f"temporal node {node.label!r} (prune "
+                    f"{sorted(prune_set)}, birth {birth}) has no "
+                    "stored state in the checkpoint"
                 )
-            for (node, prune_set, _), (label, ps, state) in zip(
-                self._temporal, temporal
-            ):
-                if node.label != label or sorted(prune_set) != ps:
-                    raise RecoveryError(
-                        f"temporal node mismatch: checkpoint "
-                        f"{label!r}/{ps}, plan "
-                        f"{node.label!r}/{sorted(prune_set)}"
-                    )
-                node.set_state(_decode_node_state(state))
-        else:
-            # Pool matching by (label, prune set, birth): nodes with the
-            # same pool key carry identical state (temporal children
-            # always compile with avail=∅, so two same-key memo wrappers
-            # step in lockstep), making assignment within a pool safe
-            # whatever order replay produced them in.
-            pools: dict = {}
-            for label, ps, birth, state in temporal:
-                pools.setdefault((label, tuple(ps), birth), []).append(state)
-            for node, prune_set, birth in self._temporal:
-                pool = pools.get((node.label, tuple(sorted(prune_set)), birth))
-                if pool:
-                    node.set_state(_decode_node_state(pool.pop(0)))
-                elif strict:
-                    raise RecoveryError(
-                        f"temporal node {node.label!r} (prune "
-                        f"{sorted(prune_set)}, birth {birth}) has no "
-                        "stored state in the checkpoint"
-                    )
-                # drift: a node of an added/changed rule starts fresh.
-            if strict and any(pools.values()):
-                leftover = sorted(k for k, v in pools.items() if v)
-                raise RecoveryError(
-                    f"checkpoint temporal states left unmatched: {leftover}"
-                )
+            # drift: a node of an added/changed rule starts fresh.
+        if strict and any(pools.values()):
+            leftover = sorted(k for k, v in pools.items() if v)
+            raise RecoveryError(
+                f"checkpoint temporal states left unmatched: {leftover}"
+            )
         agg_pools: dict = {}
         for fp, fp_avail, fp_birth, state in payload["aggregates"]:
             agg_pools.setdefault(
@@ -998,16 +942,6 @@ class SharedPlan:
         return {"added": added, "dropped": dropped, "changed": changed}
 
 
-def _collect_aggregate_terms(term, terms: dict) -> None:
-    """Collect the distinct aggregate terms under ``term`` (dict used as
-    an ordered set — AST terms hash structurally)."""
-    if isinstance(term, ast.AggT):
-        terms[term] = None
-    elif isinstance(term, ast.FuncT):
-        for a in term.args:
-            _collect_aggregate_terms(a, terms)
-
-
 def _encode_fire_result(result: FireResult) -> dict:
     return {
         "fired": result.fired,
@@ -1029,10 +963,9 @@ def _decode_fire_result(payload: dict) -> FireResult:
 
 
 class PlanBoundEvaluator:
-    """Per-rule view of a :class:`SharedPlan` — the interface of
-    :class:`IncrementalEvaluator` (step, firing result, inspection), with
-    the evaluation work done once in the plan however many views step it
-    on the same state."""
+    """Per-rule view of a :class:`SharedPlan` (step, firing result,
+    inspection), with the evaluation work done once in the plan however
+    many views step it on the same state."""
 
     def __init__(self, plan: SharedPlan, entry: _PlanRule, original):
         self.plan = plan
@@ -1079,7 +1012,151 @@ class PlanBoundEvaluator:
         return total
 
     def state_size(self) -> int:
+        """Total retained state — the paper's space metric (E2/E4):
+        stored-formula DAG size plus auxiliary aggregate rows."""
         return self.stored_formula_size() + self.aux_rows()
+
+
+class IncrementalEvaluator(PlanBoundEvaluator):
+    """Incremental detector for one PTL condition: the sole view of a
+    private one-rule :class:`SharedPlan`, so a standalone condition (an
+    integrity constraint, a valid-time trigger, a future-monitor atom)
+    runs through exactly the code a shared rule base does.
+
+    Parameters
+    ----------
+    formula:
+        The PTL condition (an :mod:`repro.ptl.ast` formula; use
+        :func:`repro.ptl.parser.parse_formula` for the textual syntax).
+    ctx:
+        :class:`~repro.ptl.context.EvalContext` (executed store and
+        free-variable domains).
+    optimize:
+        Apply the Section 5 time-bound pruning after each step.
+    metrics:
+        ``None``/``False`` (default), ``True``, or a
+        :class:`~repro.obs.metrics.MetricsRegistry` — when enabled, the
+        evaluator maintains per-step latency histograms and state-size,
+        auxiliary-row and instance gauges.  Disabled instrumentation
+        costs one branch per step and allocates nothing.
+    name:
+        Label for this evaluator's metrics (the rule name); defaults to a
+        shared anonymous label.
+
+    Call :meth:`step` with each appended system state; the result reports
+    firing and free-variable bindings.  :meth:`snapshot`/:meth:`restore`
+    bracket a *trial* step (integrity-constraint enforcement).
+    """
+
+    def __init__(
+        self,
+        formula: ast.Formula,
+        ctx: Optional[EvalContext] = None,
+        optimize: bool = True,
+        metrics=None,
+        name: Optional[str] = None,
+    ):
+        ctx = ctx or EvalContext()
+        plan = SharedPlan(ctx, optimize)
+        entry = plan._register(
+            name if name is not None else "<anonymous>", formula, ctx
+        )
+        super().__init__(plan, entry, formula)
+        self.optimize = optimize
+        self.metrics = as_registry(metrics)
+        self._obs_on = self.metrics.enabled
+        if self._obs_on:
+            registry, rule = self.metrics, self.name
+            self._m_steps = registry.counter("evaluator_steps_total", rule=rule)
+            self._m_step_seconds = registry.histogram(
+                "evaluator_step_seconds", rule=rule
+            )
+            self._m_state_size = registry.gauge(
+                "evaluator_state_size", rule=rule
+            )
+            self._m_stored_size = registry.gauge(
+                "evaluator_stored_formula_size", rule=rule
+            )
+            self._m_aux_rows = registry.gauge("evaluator_aux_rows", rule=rule)
+            self._m_instances = registry.gauge(
+                "evaluator_instances", rule=rule
+            )
+            self._m_compiled_ops = registry.gauge(
+                "evaluator_compiled_ops", rule=rule
+            )
+
+    def step(self, state: SystemState) -> FireResult:
+        """Process one new system state."""
+        # Sole view: every call is a new step, even on the same state
+        # object (the plan's per-state idempotence exists for many views
+        # stepping one plan).
+        self.plan._last_state = None
+        if not self._obs_on:
+            return super().step(state)
+        t0 = perf_counter()
+        result = super().step(state)
+        self._m_step_seconds.observe(perf_counter() - t0)
+        self._m_steps.inc()
+        self._record_gauges()
+        return result
+
+    def _record_gauges(self) -> None:
+        """Refresh the memory gauges from the current evaluator state (the
+        E4 bounded-memory claim as live metrics)."""
+        stored = self.stored_formula_size()
+        aux = self.aux_rows()
+        self._m_stored_size.set(stored)
+        self._m_aux_rows.set(aux)
+        self._m_state_size.set(stored + aux)
+        entry = self.entry
+        self._m_instances.set(
+            1 if entry.root is not None else len(entry.instances)
+        )
+        self._m_compiled_ops.set(self.compiled_ops())
+        qplan.STATS.publish(self.metrics)
+
+    def compiled_ops(self) -> int:
+        """Slots in the plan's compiled chain (0 when interpreted)."""
+        return self.plan.compiled_ops()
+
+    def snapshot(self):
+        return (self.steps, self.plan.snapshot())
+
+    def restore(self, snap) -> None:
+        self.steps, plan_snap = snap
+        self.plan.restore(plan_snap)
+        if self._obs_on:
+            # Gauges must reflect the restored state, not the pre-restore
+            # one (no stale R_x counts after a snapshot round-trip).
+            self._record_gauges()
+
+    # -- serialization (recovery checkpoints) --------------------------------
+
+    def to_state(self) -> dict:
+        """JSON-serializable evaluator state (the recovery counterpart of
+        the in-memory :meth:`snapshot`): the step count around the private
+        plan's own checkpoint section (which fingerprints the normalized
+        condition: :meth:`from_state` refuses to load state into an
+        evaluator compiled from a different one)."""
+        return {
+            "format": 2,
+            "steps": self.steps,
+            "plan": self.plan.to_state(),
+        }
+
+    def from_state(self, payload: dict) -> None:
+        """Load serialized state produced by :meth:`to_state`.  The
+        evaluator must have been constructed from the same formula (and
+        context domains); domain-indexed instances are re-instantiated
+        from their recorded keys."""
+        if payload.get("format") != 2:
+            raise RecoveryError(
+                f"unsupported evaluator state format: {payload.get('format')!r}"
+            )
+        self.plan.from_state(payload["plan"])
+        self.steps = payload["steps"]
+        if self._obs_on:
+            self._record_gauges()
 
 
 def _temporal_under(root: _Node, seen: set[int]):

@@ -46,9 +46,8 @@ from repro.obs.trace import (
 from repro.ptl import ast
 from repro.ptl.aggregates import RewrittenEvaluator
 from repro.ptl.context import EvalContext, ExecutedStore
-from repro.ptl.incremental import IncrementalEvaluator
 from repro.ptl.parser import parse_formula
-from repro.ptl.plan import PlanBoundEvaluator, SharedPlan
+from repro.ptl.plan import IncrementalEvaluator, SharedPlan
 from repro.ptl.rewrite import normalize
 from repro.ptl.safety import check_safety
 from repro.query.parser import parse_query
@@ -196,7 +195,7 @@ class _RegisteredRule:
         self.stateless = stateless
         self._prev_bindings: frozenset = frozenset()
         #: ``states_seen`` at registration — a hot-added rule's firings
-        #: can only start here (recorded in manager-2 checkpoints).
+        #: can only start here (recorded in checkpoints).
         self.birth = birth
         registry = registry or NULL_REGISTRY
         name = rule.name
@@ -247,11 +246,13 @@ class RuleManager:
         compiled into one :class:`~repro.ptl.plan.SharedPlan` with
         common-subformula elimination, so overlapping conditions are
         evaluated once per state instead of once per rule;
-        ``shared_plan=False`` keeps one independent
-        :class:`IncrementalEvaluator` per rule (the pre-plan behaviour,
-        and the baseline benchmark E11 compares against).  Integrity
-        constraints and ``rewrite_aggregates`` rules always get their own
-        evaluators (IC trial evaluation must not touch shared state).
+        ``shared_plan=False`` is the same backend grouped differently —
+        one private plan per rule (:class:`IncrementalEvaluator`), no
+        sharing across rules (the baseline benchmark E11 compares
+        against, and what the sharded manager's coordinator needs: its
+        plans live in the workers).  Integrity constraints and
+        ``rewrite_aggregates`` rules always get a private plan (IC trial
+        evaluation must not touch shared state).
 
         ``isolate_action_failures=True`` contains a raising trigger action
         to its own rule: the exception is recorded (a ``"failed"``
@@ -534,9 +535,7 @@ class RuleManager:
         self._lifecycle_sync("remove", name)
         if name in self._rules:
             reg = self._rules.pop(name)
-            if self.plan is not None and isinstance(
-                reg.evaluator, PlanBoundEvaluator
-            ):
+            if self._in_shared_plan(reg):
                 self.plan.remove_rule(name)
             self._pending_actions = [
                 p for p in self._pending_actions if p[0].name != name
@@ -867,10 +866,18 @@ class RuleManager:
     # Checkpoint serialization (crash recovery)
     # ------------------------------------------------------------------
 
-    #: Checkpoint format: 2 ("manager-2") adds per-rule birth epochs,
-    #: shadow flags, and condition fingerprints, enabling drift-tolerant
-    #: restore (format-1 payloads still load, strictly).
-    _STATE_FORMAT = 2
+    #: Checkpoint format: 3 carries each private evaluator (ICs,
+    #: ``shared_plan=False`` rules) as a one-rule plan section.  Older
+    #: formats are refused, never partially loaded.
+    _STATE_FORMAT = 3
+
+    def _in_shared_plan(self, reg: _RegisteredRule) -> bool:
+        """Whether the rule's state lives in the manager's shared plan
+        (as opposed to a private evaluator of its own)."""
+        return (
+            self.plan is not None
+            and getattr(reg.evaluator, "plan", None) is self.plan
+        )
 
     @staticmethod
     def _encode_pairs(pairs) -> list:
@@ -926,7 +933,7 @@ class RuleManager:
                 "birth": reg.birth,
                 "shadow": reg.rule.shadow,
             }
-            if not isinstance(reg.evaluator, PlanBoundEvaluator):
+            if not self._in_shared_plan(reg):
                 entry["evaluator"] = reg.evaluator.to_state()
             rules[name] = entry
         return {
@@ -980,8 +987,8 @@ class RuleManager:
         The rules must already be re-registered on this manager and the
         engine must be at the checkpointed state — recovery rebuilds both
         before calling this.  With ``strict=True`` any rule-set drift
-        (names or, for format-2 payloads, conditions) raises
-        :class:`~repro.errors.RecoveryError`, as before.  With
+        (names or conditions) raises
+        :class:`~repro.errors.RecoveryError`.  With
         ``strict=False`` the *intersection* is restored: rules in both
         the checkpoint and the registration (same condition) get their
         state back — including their checkpointed shadow flag, which wins
@@ -992,10 +999,10 @@ class RuleManager:
         "changed"}`` name lists (all empty on a strict restore)."""
         from repro.history.state import SystemState
 
-        fmt = payload.get("format")
-        if fmt not in (1, 2):
+        if payload.get("format") != self._STATE_FORMAT:
             raise RecoveryError(
-                f"unsupported manager state format {payload.get('format')!r}"
+                f"unsupported manager state format {payload.get('format')!r} "
+                f"(this build reads format {self._STATE_FORMAT})"
             )
         if self._monitors:
             raise RecoveryError(
@@ -1012,15 +1019,14 @@ class RuleManager:
             | (set(ck_ics) - set(self._ics))
         )
         changed = []
-        if fmt >= 2:
-            for name in set(ck_rules) & set(self._rules):
-                fp = str(normalize(self._rules[name].rule.condition))
-                if ck_rules[name]["formula"] != fp:
-                    changed.append(name)
-            for name in set(ck_ics) & set(self._ics):
-                fp = str(normalize(self._ics[name].rule.condition))
-                if ck_ics[name]["formula"] != fp:
-                    changed.append(name)
+        for name in set(ck_rules) & set(self._rules):
+            fp = str(normalize(self._rules[name].rule.condition))
+            if ck_rules[name]["formula"] != fp:
+                changed.append(name)
+        for name in set(ck_ics) & set(self._ics):
+            fp = str(normalize(self._ics[name].rule.condition))
+            if ck_ics[name]["formula"] != fp:
+                changed.append(name)
         changed = sorted(changed)
         if strict:
             if set(ck_rules) != set(self._rules):
@@ -1040,12 +1046,6 @@ class RuleManager:
                 raise RecoveryError(
                     f"rule {name!r} condition differs from the checkpoint"
                 )
-        elif fmt == 1 and (added or dropped or changed):
-            raise RecoveryError(
-                "format-1 manager checkpoints record no condition "
-                "fingerprints and cannot be restored across rule-set "
-                f"drift (added={added}, dropped={dropped})"
-            )
         changed_set = set(changed)
         plan_state = payload.get("plan")
         if plan_state is not None and self.plan is None:
@@ -1060,9 +1060,9 @@ class RuleManager:
                 self._decode_pairs(bindings),
                 index,
                 ts,
-                bool(rest[0]) if rest else False,
+                shadow,
             )
-            for rule, bindings, index, ts, *rest in payload["firings"]
+            for rule, bindings, index, ts, shadow in payload["firings"]
         ]
         if plan_state is not None:
             self.plan.from_state(plan_state, strict=strict)
@@ -1077,21 +1077,20 @@ class RuleManager:
             )
             ev, sk, fi = entry["stats"]
             reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
-            if fmt >= 2:
-                reg.birth = entry.get("birth", 0)
-                reg.rule.shadow = bool(entry.get("shadow", False))
-                if reg.rule.shadow and reg.m_shadow_firings is None:
-                    reg.m_shadow_firings = self.metrics.counter(
-                        "shadow_firings_total", rule=name
-                    )
+            reg.birth = entry["birth"]
+            reg.rule.shadow = bool(entry["shadow"])
+            if reg.rule.shadow and reg.m_shadow_firings is None:
+                reg.m_shadow_firings = self.metrics.counter(
+                    "shadow_firings_total", rule=name
+                )
             if "evaluator" in entry:
-                if isinstance(reg.evaluator, PlanBoundEvaluator):
+                if self._in_shared_plan(reg):
                     raise RecoveryError(
                         f"rule {name!r} was checkpointed with an "
                         "independent evaluator but is now plan-backed"
                     )
                 reg.evaluator.from_state(entry["evaluator"])
-            elif not isinstance(reg.evaluator, PlanBoundEvaluator):
+            elif not self._in_shared_plan(reg):
                 raise RecoveryError(
                     f"rule {name!r} was checkpointed plan-backed but is "
                     "now independent"
@@ -1196,12 +1195,11 @@ class RuleManager:
         total = 0
         plan_counted = False
         for reg in list(self._rules.values()) + list(self._ics.values()):
-            if isinstance(reg.evaluator, PlanBoundEvaluator):
-                if not plan_counted:
-                    total += self.plan.state_size()
-                    plan_counted = True
-            else:
+            if not self._in_shared_plan(reg):
                 total += reg.evaluator.state_size()
+            elif not plan_counted:
+                total += self.plan.state_size()
+                plan_counted = True
         return total
 
     def detach(self) -> None:

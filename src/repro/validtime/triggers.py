@@ -23,7 +23,7 @@ from typing import Any, Optional
 from repro.errors import ValidTimeError
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
-from repro.ptl.incremental import IncrementalEvaluator
+from repro.ptl.plan import IncrementalEvaluator
 from repro.validtime.model import ValidTimeDatabase
 
 

@@ -1,12 +1,14 @@
 """Cross-backend conformance matrix — the single oracle every trigger
 backend must pass.
 
-Four backends evaluate the same PTL conditions:
+Four rows evaluate the same PTL conditions — the reference semantics and
+three groupings of the one production backend:
 
 * ``naive`` — full-history re-evaluation per state (the reference
   semantics, :class:`repro.baselines.NaiveDetector` per rule);
-* ``incremental`` — one independent incremental evaluator per rule
-  (``shared_plan=False``);
+* ``unshared`` — one private one-rule plan per rule
+  (``shared_plan=False``: the same code as ``shared-plan`` with no
+  sharing across rules);
 * ``shared-plan`` — one :class:`~repro.ptl.plan.SharedPlan` with
   common-subformula elimination (the serial default);
 * ``sharded-K`` — :class:`~repro.parallel.manager.ShardedRuleManager`
@@ -73,7 +75,7 @@ if _env_shards:
 
 BACKENDS = [
     ("naive", NaiveRuleManager),
-    ("incremental", lambda e: RuleManager(e, shared_plan=False)),
+    ("unshared", lambda e: RuleManager(e, shared_plan=False)),
     ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
 ] + [
     (

@@ -15,7 +15,7 @@ Three layers of guarantees:
   lifecycle operations (register / remove / replace / promote, with
   mid-run checkpoint + restore into a fresh manager) produces identical
   firing sequences and executed-store contents on every backend (naive
-  full-history, independent incremental, shared-plan, sharded-K) under
+  full-history, unshared one-plan-per-rule, shared-plan, sharded-K) under
   both the interpreted and compiled recurrence pipelines.
 """
 
@@ -58,7 +58,7 @@ class NaiveRuleManager(RuleManager):
 
 BACKENDS = [
     ("naive", NaiveRuleManager),
-    ("incremental", lambda e: RuleManager(e, shared_plan=False)),
+    ("unshared", lambda e: RuleManager(e, shared_plan=False)),
     ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
     (
         "sharded-2",
@@ -606,7 +606,7 @@ class TestDriftRestore:
         manager.detach()
 
     def test_sharded_checkpoint_after_hot_add_restores(self):
-        """sharded-2 checkpoints record the layout verbatim: a rule base
+        """Sharded checkpoints record the layout verbatim: a rule base
         shaped by post-seal additions (which no recomputed partition can
         reproduce) restores strictly."""
         adb = make_engine()

@@ -40,7 +40,6 @@ from repro.ptl.compiled import (
     CompiledChain,
     ptl_compile_enabled,
     set_ptl_compile,
-    try_lower,
 )
 from repro.ptl.incremental import _encode_node_state
 from repro.rules.actions import RecordingAction
@@ -348,13 +347,12 @@ def test_restore_refuses_fingerprint_drift():
 def test_restore_refuses_wrong_slot_count():
     with mode(True):
         f = parse_formula("previously[3] (price > 60)", None, {"price"})
-        ev = IncrementalEvaluator(f)
-        chain = try_lower([ev._core._root])
-        assert chain is not None
-        payload = chain.to_state()
-        payload["slots"] = payload["slots"] + payload["slots"]
+        payload = IncrementalEvaluator(f).to_state()
+        section = payload["plan"]["compiled"]
+        assert section["slots"] > 0
+        section["slots"] += section["slots"]
         with pytest.raises(RecoveryError, match="temporal slots"):
-            chain.from_state(payload)
+            IncrementalEvaluator(f).from_state(payload)
 
 
 def test_interpreted_checkpoint_loads_into_compiled_mode():

@@ -16,9 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine import ActiveDatabase
-from repro.errors import RecoveryError, StorageError
+from repro.errors import RecoveryError, StorageError, TransactionAborted
 from repro.events import user_event
-from repro.ptl import IncrementalEvaluator
+from repro.parallel import ShardedRuleManager
+from repro.ptl import IncrementalEvaluator, parse_formula, set_ptl_compile
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.plan import SharedPlan
 from repro.recovery import RecoveryManager, recover
@@ -31,6 +32,7 @@ from repro.workloads.generator import (
     random_executed_store,
     random_pair,
 )
+from tests.helpers import executed_sig, store_sig
 
 
 def json_round_trip(payload):
@@ -230,6 +232,57 @@ class TestManagerRoundTrip:
         )
         assert manager2.run_pending() == oracle_m.run_pending()
 
+    @pytest.mark.parametrize(
+        "compiled", [False, True], ids=["interp", "compiled"]
+    )
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+    def test_round_trip_across_ic_vetoes(self, shared, compiled):
+        """Triggers (one plan for all, or one plan per rule) next to a
+        *temporal* integrity constraint that vetoes on both sides of the
+        checkpoint: the restored manager re-serializes to the very same
+        payload and then matches an uninterrupted twin on firings,
+        executed store and committed items — the IC remembers the
+        pre-checkpoint price, and the vetoed trials leave no trace."""
+
+        def build():
+            adb = make_engine()
+            manager = setup_rules(adb, shared)
+            manager.add_integrity_constraint(
+                "calm", "!(price > 70 & lasttime price > 70)"
+            )
+            return adb, manager
+
+        def run(adb, ops):
+            vetoes = 0
+            for op in ops:
+                try:
+                    drive(adb, [op])
+                except TransactionAborted:
+                    vetoes += 1
+            return vetoes
+
+        head = OPS[:6] + [("set", 95)]  # 80 then 95: vetoed
+        tail = [("set", 90), ("set", 55), ("ev", "go"), ("set", 75), ("set", 85)]
+        previous = set_ptl_compile(compiled)
+        try:
+            twin, twin_m = build()
+            assert run(twin, head) == 1 and run(twin, tail) == 2
+
+            adb, manager = build()
+            run(adb, head)
+            payload = json_round_trip(manager.to_state())
+
+            adb2, manager2 = build()
+            run(adb2, head)
+            manager2.from_state(payload)
+            assert json_round_trip(manager2.to_state()) == payload
+            assert run(adb2, tail) == 2
+        finally:
+            set_ptl_compile(previous)
+        assert firing_sig(manager2) == firing_sig(twin_m)
+        assert executed_sig(manager2) == executed_sig(twin_m)
+        assert store_sig(adb2) == store_sig(twin)
+
     def test_monitors_not_checkpointable(self):
         adb = make_engine()
         manager = setup_rules(adb)
@@ -267,6 +320,53 @@ class TestManagerRoundTrip:
         other = setup_rules(adb2, shared=False)
         with pytest.raises(RecoveryError):
             other.from_state(payload)
+
+
+def _sharded(adb):
+    manager = ShardedRuleManager(adb, shards=2, runtime="thread")
+    manager.add_trigger("t", "price > 50", RecordingAction())
+    manager.add_integrity_constraint("cap", "!(price > 1000)")
+    return manager
+
+
+def _one_rule_plan(_adb):
+    plan = SharedPlan()
+    plan.add_rule("r", parse_formula("previously @go"))
+    return plan
+
+
+def _evaluator(_adb):
+    return IncrementalEvaluator(parse_formula("previously @go"))
+
+
+@pytest.mark.parametrize(
+    "build, old_format",
+    [
+        (setup_rules, 1),
+        (setup_rules, 2),
+        (_sharded, "sharded-1"),
+        (_sharded, "sharded-2"),
+        (_one_rule_plan, 1),
+        (_evaluator, 1),
+    ],
+    ids=["manager-1", "manager-2", "sharded-1", "sharded-2", "plan-1",
+         "evaluator-1"],
+)
+def test_older_checkpoint_formats_are_refused(build, old_format):
+    """No reader for a retired format survives: the payload is refused
+    with a typed error naming the format, before anything is loaded."""
+    adb = make_engine()
+    target = build(adb)
+    drive(adb, OPS[:3])
+    payload = target.to_state()
+    before = json_round_trip(payload)
+    payload["format"] = old_format
+    with pytest.raises(RecoveryError, match=repr(old_format)):
+        target.from_state(payload)
+    payload["format"] = before["format"]
+    assert json_round_trip(target.to_state()) == before
+    if hasattr(target, "detach"):
+        target.detach()
 
 
 class TestRecoveryManager:

@@ -235,28 +235,49 @@ class TestIntegrityConstraints:
         # XYZ rolled back; a clean update still commits
         set_price(adb, 95.0)
 
+    def test_domain_indexed_constraint_across_aborted_trial(self, adb, manager):
+        """A vetoed transaction leaves nothing behind in a domain-indexed
+        IC: not the instance born for a stock first seen in the trial,
+        not the trial's query values."""
+        manager.add_integrity_constraint(
+            "cap_all",
+            "!(price($s) > 100)",
+            domains={"s": "RETRIEVE (S.name) FROM STOCK S"},
+        )
+        with pytest.raises(TransactionAborted):
+            adb.execute(lambda t: t.insert("STOCK", ("NEW", 500.0)))
+        # the same stock at a legal price is admitted ...
+        adb.execute(lambda t: t.insert("STOCK", ("NEW", 50.0)))
+        # ... and is enforced from then on
+        txn = adb.begin()
+        txn.update(
+            "STOCK", lambda r: r["name"] == "NEW", lambda r: {"price": 150.0}
+        )
+        with pytest.raises(TransactionAborted):
+            txn.commit()
+        with pytest.raises(TransactionAborted):
+            set_price(adb, 101.0)
+        set_price(adb, 95.0)
+
     def test_indexed_snapshot_restore_drops_new_instances(self, adb, manager):
         """Trial evaluation of a domain-indexed condition must not leak
-        evaluator instances created during the trial."""
+        evaluator instances created during the trial: a leaked instance's
+        ``previously`` would go on remembering the abandoned state."""
         from repro.ptl import EvalContext, IncrementalEvaluator, parse_formula
+        from repro.query.parser import parse_query
         from tests.helpers import stock_history
 
-        f = parse_formula(
-            "price($s) > 5",
-            adb.db.queries,
-        )
+        f = parse_formula("previously (price($s) > 11)", adb.db.queries)
         ctx = EvalContext(
-            domains={"s": __import__("repro.query.parser", fromlist=["parse_query"]).parse_query("RETRIEVE (S.name) FROM STOCK S")}
+            domains={"s": parse_query("RETRIEVE (S.name) FROM STOCK S")}
         )
         ev = IncrementalEvaluator(f, ctx)
-        h = stock_history([(10, 1), (12, 2)])
+        h = stock_history([(12, 1), (10, 2)])
         snap = ev.snapshot()  # before any instances exist
-        ev.step(h[0])
-        assert ev._instances
+        assert ev.step(h[0]).fired
         ev.restore(snap)
-        assert not ev._instances
-        result = ev.step(h[1])
-        assert result.fired
+        assert ev.state_size() == 0
+        assert not ev.step(h[1]).fired
 
     def test_constraint_sees_events_of_committing_txn(self, adb, manager):
         # constraint: forbid committing while user X is logged in

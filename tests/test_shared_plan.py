@@ -1,12 +1,17 @@
 """SharedPlan: common-subformula elimination across rules.
 
 THEOREM 1 must survive sharing: a rule evaluated off the shared plan fires
-at exactly the states, with exactly the bindings, that its own independent
-:class:`IncrementalEvaluator` produces.  The differential tests check that
-step-by-step over random rule sets built to share subformulas (including
-``executed(...)``-coupled rules, so plan sharing doesn't break Section 7
-composite actions), and the manager-level test replays a stock workload
-under ``shared_plan=True`` and ``False`` and compares the firing logs.
+at exactly the states, with exactly the bindings, that its own private
+one-rule plan (:class:`IncrementalEvaluator`) produces — and both fire
+exactly where the reference semantics (:func:`repro.ptl.semantics.answers`)
+says.  Shared and unshared are the same code grouped differently, so the
+first comparison is the CSE-soundness check and the second is what keeps
+the plan from being graded against itself.  The differential tests check
+that step-by-step over random rule sets built to share subformulas
+(including ``executed(...)``-coupled rules, so plan sharing doesn't break
+Section 7 composite actions), and the manager-level test replays a stock
+workload under ``shared_plan=True`` and ``False`` and compares the firing
+logs.
 """
 
 import random
@@ -22,7 +27,8 @@ from repro.ptl import (
     IncrementalEvaluator,
     SharedPlan,
 )
-from repro.ptl import ast
+from repro.ptl import answers, ast, parse_formula
+from repro.query.parser import parse_query
 from repro.rules import RecordingAction, RuleManager
 from repro.workloads import apply_tick, make_stock_db
 from repro.workloads.generator import (
@@ -30,6 +36,7 @@ from repro.workloads.generator import (
     random_executed_store,
     random_history,
 )
+from tests.helpers import stock_history, stock_registry
 
 
 def overlapping_formulas(rng, allow_executed=False):
@@ -57,10 +64,19 @@ def assert_equivalent(formulas, history, store):
         IncrementalEvaluator(f, EvalContext(executed=store))
         for f in formulas
     ]
+    oracle_ctx = EvalContext(executed=store)
     for pos, state in enumerate(history):
         for i, (view, ev) in enumerate(zip(views, independents)):
             shared = view.step(state)
             alone = ev.step(state)
+            expected = bool(
+                answers(history.states, pos, formulas[i], oracle_ctx)
+            )
+            assert shared.fired == expected, (
+                f"rule r{i} diverged from the reference semantics at "
+                f"position {pos}: plan={shared.fired} "
+                f"reference={expected}\nformula: {formulas[i]}"
+            )
             assert shared.fired == alone.fired, (
                 f"rule r{i} diverged at position {pos}: "
                 f"shared={shared.fired} independent={alone.fired}\n"
@@ -166,6 +182,63 @@ class TestSharedPlanSharing:
         assert registry.value("plan_distinct_nodes") == plan.distinct_nodes()
         assert 0.0 < registry.value("plan_dedup_ratio") <= 1.0
         assert registry.value("plan_state_size") == plan.state_size()
+
+
+STOCK_DOMAIN = {"s": parse_query("RETRIEVE (S.name) FROM STOCK S")}
+
+
+class TestPlanTrialEvaluation:
+    """``snapshot`` / step / ``restore`` is how integrity constraints are
+    enforced: the abandoned step must leave nothing behind."""
+
+    def test_restore_drops_the_trial_steps_memoized_values(self):
+        """The memo cache is keyed on the epoch ``restore`` rolls back, so
+        the step after a restore must recompute, not reuse the abandoned
+        step's values."""
+        plan = SharedPlan()
+        plan.add_rule(
+            "high", parse_formula("price('IBM') > 50", stock_registry())
+        )
+        trial, real = stock_history([(60, 1), (40, 2)]).states
+        snap = plan.snapshot()
+        plan.step(trial)
+        assert plan.result_of("high").fired
+        plan.restore(snap)
+        plan.step(real)
+        assert not plan.result_of("high").fired
+
+    def test_restore_releases_instances_born_in_the_trial(self):
+        """A query-parameter instance created by the abandoned step must
+        leave with it — kept, its ``previously`` would remember the
+        trial's price."""
+        plan = SharedPlan()
+        plan.add_rule(
+            "was_high",
+            parse_formula("previously (price($s) > 50)", stock_registry()),
+            EvalContext(domains=STOCK_DOMAIN),
+        )
+        nodes_before = plan.distinct_nodes()
+        trial, real = stock_history([(60, 1), (40, 2)]).states
+        snap = plan.snapshot()
+        plan.step(trial)
+        assert plan.result_of("was_high").fired
+        plan.restore(snap)
+        assert plan.distinct_nodes() == nodes_before
+        assert plan.state_size() == 0
+        plan.step(real)
+        assert not plan.result_of("was_high").fired
+
+    def test_single_evaluator_steps_twice_on_one_state_object(self):
+        """The plan skips a state object it has already stepped so that
+        many views can share it; a standalone evaluator has one view, and
+        every ``step`` call advances it."""
+        (state,) = stock_history([(60, 1)]).states
+        ev = IncrementalEvaluator(
+            parse_formula("lasttime (price('IBM') > 50)", stock_registry())
+        )
+        assert not ev.step(state).fired
+        assert ev.step(state).fired
+        assert ev.steps == 2
 
 
 def _run_stock_workload(shared_plan):
