@@ -31,7 +31,7 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.errors import HistoryError, StorageError
+from repro.errors import HistoryError
 from repro.events.model import Event
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
@@ -42,7 +42,6 @@ from repro.storage.tiers import SegmentStore
 
 PathLike = Union[str, Path]
 
-TIERS_FORMAT = 1
 #: Default budget before spilling begins (64 MiB of estimated bytes).
 DEFAULT_BUDGET = 64 * 1024 * 1024
 #: Default number of recent states kept hot in memory.
@@ -375,10 +374,8 @@ class TieredHistory(SystemHistory):
 
     def tier_state(self) -> dict:
         return {
-            "format": TIERS_FORMAT,
             "segments": [dict(info) for info in self._catalog],
             "archived": self._archived,
-            "hot": [self._mem_start, len(self)],
             "hot_window": self.hot_window,
             # Global index of position 0: positions are local to this
             # history (an engine recovered mid-run keeps only a suffix),
@@ -391,7 +388,6 @@ class TieredHistory(SystemHistory):
         cls,
         store: SegmentStore,
         tier_state: dict,
-        hot_window: Optional[int] = None,
         metrics=None,
         verify: bool = True,
     ) -> "TieredHistory":
@@ -401,23 +397,13 @@ class TieredHistory(SystemHistory):
         and checked against its fingerprint before use; anything missing
         or mismatched raises :class:`~repro.errors.RecoveryError`, and
         unreferenced segment files (crash debris) are quarantined."""
-        if tier_state.get("format") != TIERS_FORMAT:
-            raise StorageError(
-                f"unsupported tier format {tier_state.get('format')!r}"
-            )
         history = cls(
-            store,
-            hot_window=hot_window or tier_state.get(
-                "hot_window", DEFAULT_HOT_WINDOW
-            ),
-            metrics=metrics,
+            store, hot_window=tier_state["hot_window"], metrics=metrics
         )
         history._catalog = [dict(info) for info in tier_state["segments"]]
         history._archived = tier_state["archived"]
         history._mem_start = history._archived
-        history.base_index = (
-            tier_state.get("index_base", 0) + history._mem_start
-        )
+        history.base_index = tier_state["index_base"] + history._mem_start
         if verify:
             for info in history._catalog:
                 store.verify(info)
@@ -567,12 +553,8 @@ class TieredRuntime:
         """Flush every tier to sealed segments and return the checkpoint
         descriptor (segment names + fingerprints)."""
         desc = {
-            "format": TIERS_FORMAT,
             "history": self.history.archive(),
-            "config": {
-                "budget_bytes": self.governor.budget_bytes,
-                "hot_window": self.history.hot_window,
-            },
+            "budget_bytes": self.governor.budget_bytes,
         }
         executed = getattr(self.manager, "executed", None)
         if executed is not None and hasattr(executed, "tier_state"):
@@ -650,11 +632,6 @@ def restore_tiers(
     :class:`TieredHistory` whose archive is the checkpointed segment set;
     call :meth:`TieredRuntime.adopt_manager` once the rule manager is
     restored to re-link spilled executed records."""
-    if tiers.get("format") != TIERS_FORMAT:
-        raise StorageError(
-            f"unsupported checkpoint tier format {tiers.get('format')!r}"
-        )
-    config = tiers.get("config", {})
     store = SegmentStore(
         directory, injector=injector, metrics=engine.metrics
     )
@@ -665,15 +642,12 @@ def restore_tiers(
     history = TieredHistory.restore(
         store,
         tiers["history"],
-        hot_window=config.get("hot_window"),
         metrics=engine.metrics,
         verify=verify,
     )
     store.quarantine_orphans(live)
     engine.history = history
-    governor = MemoryGovernor(
-        config.get("budget_bytes", DEFAULT_BUDGET), metrics=engine.metrics
-    )
+    governor = MemoryGovernor(tiers["budget_bytes"], metrics=engine.metrics)
     runtime = TieredRuntime(engine, store, governor, history)
     runtime._pending_executed = executed_state
     return runtime

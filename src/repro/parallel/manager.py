@@ -38,7 +38,6 @@ from repro.errors import (
     RuleError,
     UnknownRuleError,
 )
-from repro.history.state import SystemState
 from repro.obs.trace import FIRING, LIFECYCLE, MONITOR, SHADOW_FIRING
 from repro.parallel.partition import (
     RulePartition,
@@ -46,12 +45,9 @@ from repro.parallel.partition import (
     rule_profile,
 )
 from repro.parallel.runtime import ShardRuntime, make_runtime
-from repro.parallel.worker import (
-    WORKER_FORMAT,
-    decode_bindings,
-    encode_domains,
-)
+from repro.parallel.worker import decode_bindings, encode_domains
 from repro.ptl.compiled import ptl_compile_enabled
+from repro.ptl.plan import rule_drift, rule_fingerprint
 from repro.ptl.safety import check_safety
 from repro.rules.actions import as_action
 from repro.rules.manager import (
@@ -63,16 +59,6 @@ from repro.rules.manager import (
 from repro.rules.rule import CouplingMode, FireMode, FiringRecord, Rule
 from repro.storage.persist import _decode_item, _encode_item, _encode_value
 from repro.storage.snapshot import DatabaseState
-
-#: Distinct from the serial manager's format so restoring a sharded
-#: checkpoint into a serial manager (or vice versa) fails loudly.  The
-#: payload records the shard assignment and rule index map verbatim plus
-#: per-rule condition fingerprints, birth, and shadow flags — recomputing
-#: the partition cannot verify a rule base that changed after sealing,
-#: and the fingerprints make drift-tolerant restores (``strict=False``)
-#: possible.  ``sharded-3`` carries IC evaluators as one-rule plan
-#: sections; older formats are refused.
-_SHARDED_FORMAT = "sharded-3"
 
 
 class ShardedRuleManager(RuleManager):
@@ -453,7 +439,6 @@ class ShardedRuleManager(RuleManager):
         executed = self.executed.to_state()
         payloads = [
             {
-                "format": WORKER_FORMAT,
                 "shard": shard,
                 "retention": self.executed_retention,
                 "seq": None,
@@ -665,86 +650,44 @@ class ShardedRuleManager(RuleManager):
     # Checkpoint serialization (crash recovery)
     # ------------------------------------------------------------------
 
+    _BACKEND = "sharded"
+
     def to_state(self) -> dict:
-        if self._monitors:
-            raise RecoveryError(
-                "future-obligation monitors are not checkpointable"
-            )
-        if self._batch or self._queue:
-            raise RecoveryError(
-                "cannot checkpoint with batched states pending; flush() first"
-            )
+        """The serial manager's section (firings, stats, ICs, queued
+        actions, quarantine, per-rule fingerprints) plus what is sharded:
+        the layout and one init payload per resident worker."""
+        state = super().to_state()
         if self._rules and not self._sealed:
             self._seal()
-        return {
-            "format": _SHARDED_FORMAT,
-            "shards": self.shards,
-            "states_seen": self.states_seen,
-            "executed": self.executed.to_state(),
-            "firings": [
-                [
-                    f.rule,
-                    self._encode_pairs(f.bindings),
-                    f.state_index,
-                    f.timestamp,
-                    f.shadow,
-                ]
-                for f in self._firings
-            ],
-            "rules": {
-                name: {
-                    "stats": [
-                        reg.stats.evaluations,
-                        reg.stats.skips,
-                        reg.stats.firings,
-                    ],
-                    # Raw-text fingerprint (the same text form the worker
-                    # protocol ships) + lifecycle facts for the
-                    # drift-tolerant restore path.
-                    "formula": str(reg.rule.condition),
-                    "birth": reg.birth,
-                    "shadow": reg.rule.shadow,
-                }
-                for name, reg in self._rules.items()
-            },
-            "ics": {
-                name: {
-                    "evaluator": reg.evaluator.to_state(),
-                    "stats": [
-                        reg.stats.evaluations,
-                        reg.stats.skips,
-                        reg.stats.firings,
-                    ],
-                    "formula": str(reg.rule.condition),
-                }
-                for name, reg in self._ics.items()
-            },
-            "pending": [
-                [
-                    rule.name,
-                    self._encode_pairs(sorted(binding.items())),
-                    state.index,
-                    state.timestamp,
-                ]
-                for rule, binding, state in self._pending_actions
-            ],
-            "action_failures": dict(self._action_failures),
-            "quarantined": sorted(self._quarantined),
-            "assignment": (
-                dict(self._partition.assignment) if self._sealed else None
-            ),
-            #: Recorded verbatim: with hot adds and removals the layout
-            #: is history-dependent and cannot be recomputed on restore.
-            "rule_index": (
-                dict(self._rule_index) if self._sealed else None
-            ),
-            #: Fresh worker init payloads — each one carries the shard's
-            #: resident database items, plan state, executed store,
-            #: rising-edge memory, and last applied seq.
-            "workers": (
-                self.runtime.snapshot_all() if self._sealed else None
-            ),
-        }
+        state["shards"] = self.shards
+        # Layout recorded verbatim: with hot adds and removals it is
+        # history-dependent and cannot be recomputed on restore.
+        state["assignment"] = (
+            dict(self._partition.assignment) if self._sealed else None
+        )
+        state["rule_index"] = dict(self._rule_index) if self._sealed else None
+        # Fresh worker init payloads — each one carries the shard's
+        # resident database items, plan state, executed store,
+        # rising-edge memory, and last applied seq.
+        state["workers"] = (
+            self.runtime.snapshot_all() if self._sealed else None
+        )
+        return state
+
+    def _has_private_evaluator(self, reg) -> bool:
+        return False  # trigger state lives in the shard workers
+
+    def _check_restorable(self, payload: dict) -> None:
+        super()._check_restorable(payload)
+        if payload["shards"] != self.shards:
+            raise RecoveryError(
+                f"checkpoint used {payload['shards']} shards; this "
+                f"manager has {self.shards}"
+            )
+        if self._sealed:
+            raise RecoveryError(
+                "cannot restore into a manager whose runtime already started"
+            )
 
     def from_state(self, payload: dict, strict: bool = True) -> dict:
         """Restore a checkpoint taken by :meth:`to_state`.
@@ -756,125 +699,10 @@ class ShardedRuleManager(RuleManager):
         redefined) rules are admin-removed from the restored workers,
         and freshly registered rules are placed and shipped live.
         Returns ``{"added", "dropped", "changed"}`` name lists."""
-        if payload.get("format") != _SHARDED_FORMAT:
-            raise RecoveryError(
-                f"unsupported sharded-manager state format "
-                f"{payload.get('format')!r} (this build reads "
-                f"{_SHARDED_FORMAT!r}) — was this checkpoint taken by the "
-                f"serial RuleManager?"
-            )
-        if payload["shards"] != self.shards:
-            raise RecoveryError(
-                f"checkpoint used {payload['shards']} shards; this "
-                f"manager has {self.shards}"
-            )
-        if self._monitors:
-            raise RecoveryError(
-                "future-obligation monitors are not checkpointable"
-            )
-        if self._sealed:
-            raise RecoveryError(
-                "cannot restore into a manager whose runtime already started"
-            )
-        ck_rules = payload["rules"]
-        ck_ics = payload["ics"]
-        added = sorted(
-            (set(self._rules) - set(ck_rules))
-            | (set(self._ics) - set(ck_ics))
-        )
-        dropped = sorted(
-            (set(ck_rules) - set(self._rules))
-            | (set(ck_ics) - set(self._ics))
-        )
-        changed = []
-        for name in set(ck_rules) & set(self._rules):
-            fp = str(self._rules[name].rule.condition)
-            if ck_rules[name]["formula"] != fp:
-                changed.append(name)
-        for name in set(ck_ics) & set(self._ics):
-            fp = str(self._ics[name].rule.condition)
-            if ck_ics[name]["formula"] != fp:
-                changed.append(name)
-        changed = sorted(changed)
-        if strict:
-            if set(ck_rules) != set(self._rules):
-                raise RecoveryError(
-                    "checkpointed trigger set "
-                    f"{sorted(ck_rules)} != registered "
-                    f"{sorted(self._rules)}"
-                )
-            if set(ck_ics) != set(self._ics):
-                raise RecoveryError(
-                    "checkpointed integrity-constraint set "
-                    f"{sorted(ck_ics)} != registered "
-                    f"{sorted(self._ics)}"
-                )
-            if changed:
-                raise RecoveryError(
-                    f"rule {changed[0]!r} condition differs from the "
-                    "checkpoint"
-                )
-        changed_set = set(changed)
-        self.states_seen = payload["states_seen"]
-        self.executed.from_state(payload["executed"])
-        self._firings = [
-            FiringRecord(
-                rule,
-                self._decode_pairs(bindings),
-                index,
-                ts,
-                shadow,
-            )
-            for rule, bindings, index, ts, shadow in payload["firings"]
-        ]
-        for name, entry in ck_rules.items():
-            reg = self._rules.get(name)
-            if reg is None or name in changed_set:
-                continue
-            ev, sk, fi = entry["stats"]
-            reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
-            reg.birth = entry["birth"]
-            # The checkpointed shadow flag wins over the
-            # re-registration's (mirrors the serial manager).
-            reg.rule.shadow = bool(entry["shadow"])
-            if reg.rule.shadow and reg.m_shadow_firings is None:
-                reg.m_shadow_firings = self.metrics.counter(
-                    "shadow_firings_total", rule=name
-                )
-        for name, entry in ck_ics.items():
-            reg = self._ics.get(name)
-            if reg is None or name in changed_set:
-                continue
-            reg.evaluator.from_state(entry["evaluator"])
-            ev, sk, fi = entry["stats"]
-            reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
-        self._pending_actions = []
-        for name, binding, index, ts in payload["pending"]:
-            if name not in self._rules:
-                if strict:
-                    raise RecoveryError(
-                        f"pending action for unknown rule {name!r}"
-                    )
-                continue  # the rule was dropped; its queued actions go too
-            stub = SystemState(self.engine.db.state, (), ts, index=index)
-            self._pending_actions.append(
-                (self._rules[name].rule, dict(self._decode_pairs(binding)), stub)
-            )
-        failures = dict(payload["action_failures"])
-        quarantined = set(payload["quarantined"])
-        if not strict:
-            known = set(self._rules) | set(self._ics)
-            failures = {k: v for k, v in failures.items() if k in known}
-            quarantined &= known
-        self._action_failures = failures
-        self._quarantined = quarantined
+        drift = super().from_state(payload, strict=strict)
         if payload["workers"] is not None:
-            self._seal_from_checkpoint(payload, changed_set)
-        if self._obs_on:
-            self._m_pending.set(len(self._pending_actions))
-            self._m_quarantined.set(len(self._quarantined))
-            self._m_shadow.set(len(self.shadow_rules()))
-        return {"added": added, "dropped": dropped, "changed": changed}
+            self._seal_from_checkpoint(payload, set(drift["changed"]))
+        return drift
 
     def _seal_from_checkpoint(self, payload: dict, changed_set: set) -> None:
         """Bring the runtime up from checkpointed worker payloads.
@@ -891,19 +719,21 @@ class ShardedRuleManager(RuleManager):
         rule_index = {
             name: int(i) for name, i in payload["rule_index"].items()
         }
-        for worker_payload in workers:
-            for spec in worker_payload["rules"]:
-                reg = self._rules.get(spec["name"])
-                if reg is None or spec["name"] in changed_set:
-                    continue  # reconciled away below
-                current = str(reg.rule.condition)
-                if spec["formula"] != current:
-                    raise RecoveryError(
-                        f"rule {spec['name']!r} condition differs from "
-                        f"the checkpoint:\n"
-                        f"  checkpoint: {spec['formula']}\n"
-                        f"  registered: {current}"
-                    )
+        surviving = {
+            spec["name"]: rule_fingerprint(
+                self._parse_condition(spec["formula"])
+            )
+            for worker_payload in workers
+            for spec in worker_payload["rules"]
+            # The rest is reconciled away below.
+            if spec["name"] in self._rules
+            and spec["name"] not in changed_set
+        }
+        rule_drift(
+            surviving,
+            self._fingerprints({name: self._rules[name] for name in surviving}),
+            strict=True,
+        )
         self._rule_index = rule_index
         # ``assignment`` stays aliased into the partition on purpose:
         # the reconciliation loop below mutates it through placement.

@@ -54,9 +54,6 @@ from repro.rules.rule import CouplingMode, FireMode
 from repro.storage.persist import _decode_item, _encode_item
 from repro.storage.snapshot import DatabaseState
 
-#: Protocol version stamped into init/snapshot payloads.
-WORKER_FORMAT = 1
-
 
 # -- payload codecs ---------------------------------------------------------
 
@@ -155,20 +152,13 @@ class ShardWorker:
     directly)."""
 
     def __init__(self, payload: dict):
-        if payload.get("format") != WORKER_FORMAT:
-            raise RecoveryError(
-                f"unsupported shard worker payload format "
-                f"{payload.get('format')!r}"
-            )
         self.shard: int = payload["shard"]
-        self.retention: Optional[int] = payload.get("retention")
-        self.seq: Optional[int] = payload.get("seq")
+        self.retention: Optional[int] = payload["retention"]
+        self.seq: Optional[int] = payload["seq"]
         # The parent pins the recurrence backend at seal time so every
         # shard process evaluates in the same mode it does (the flag is
-        # process-global; older payloads without the key leave it alone).
-        ptl_compile = payload.get("ptl_compile")
-        if ptl_compile is not None:
-            set_ptl_compile(bool(ptl_compile))
+        # process-global).
+        set_ptl_compile(payload["ptl_compile"])
         self.db = DatabaseState(
             {
                 name: _decode_item(item)
@@ -190,9 +180,8 @@ class ShardWorker:
         for spec in payload["rules"]:
             self._install_rule(spec)
         self._reorder()
-        plan_state = payload.get("plan")
-        if plan_state is not None:
-            self.plan.from_state(plan_state)
+        if payload["plan"] is not None:
+            self.plan.from_state(payload["plan"])
 
     def _install_rule(self, spec: dict) -> _WorkerRule:
         rule = _WorkerRule(spec)
@@ -323,7 +312,6 @@ class ShardWorker:
             spec["prev"] = _encode_prev(rule.prev_bindings)
             rules.append(spec)
         return {
-            "format": WORKER_FORMAT,
             "shard": self.shard,
             "retention": self.retention,
             "seq": self.seq,

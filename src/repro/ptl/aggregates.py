@@ -132,32 +132,6 @@ class _MaintainedAggregate:
             return {name: None for name in self.names}
         return dict(self.values)
 
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> dict:
-        from repro.ptl.constraints import encode_value
-
-        return {
-            "started": self.started,
-            "poisoned": self.poisoned,
-            "values": {
-                name: encode_value(v) for name, v in self.values.items()
-            },
-            "start": self.start_eval.to_state(),
-            "sample": self.sample_eval.to_state(),
-        }
-
-    def from_state(self, state: dict) -> None:
-        from repro.ptl.constraints import decode_value
-
-        self.started = state["started"]
-        self.poisoned = state["poisoned"]
-        self.values = {
-            name: decode_value(state["values"][name]) for name in self.names
-        }
-        self.start_eval.from_state(state["start"])
-        self.sample_eval.from_state(state["sample"])
-
 
 #: Sentinel: the lowering declined this executor — stay interpreted.
 _EXEC_NO_CHAIN = object()
@@ -219,27 +193,6 @@ class AggregateExecutor:
 
     def __len__(self) -> int:
         return len(self._maintained)
-
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> list:
-        return [[str(m.term), m.to_state()] for m in self._maintained]
-
-    def from_state(self, state: list) -> None:
-        from repro.errors import RecoveryError
-
-        if len(state) != len(self._maintained):
-            raise RecoveryError(
-                f"checkpoint has {len(state)} maintained aggregates; this "
-                f"executor holds {len(self._maintained)}"
-            )
-        for m, (fingerprint, payload) in zip(self._maintained, state):
-            if str(m.term) != fingerprint:
-                raise RecoveryError(
-                    f"maintained-aggregate mismatch: checkpoint has "
-                    f"{fingerprint!r}, executor compiled {str(m.term)!r}"
-                )
-            m.from_state(payload)
 
 
 class OverlayState:
@@ -410,15 +363,3 @@ class RewrittenEvaluator:
             self.evaluator.compiled_ops()
             + self.rewrite.executor.compiled_ops()
         )
-
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> dict:
-        return {
-            "executor": self.rewrite.executor.to_state(),
-            "evaluator": self.evaluator.to_state(),
-        }
-
-    def from_state(self, state: dict) -> None:
-        self.rewrite.executor.from_state(state["executor"])
-        self.evaluator.from_state(state["evaluator"])

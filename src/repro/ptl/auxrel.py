@@ -138,23 +138,6 @@ class AuxiliaryRelation:
                         return decode_value(value)
         return UNDEFINED
 
-    # -- serialization (recovery checkpoints) ----------------------------------
-
-    def to_state(self) -> list:
-        from repro.ptl.constraints import encode_value
-
-        return [
-            [encode_value(r.value), r.t_start, r.t_end] for r in self._rows
-        ]
-
-    def from_state(self, state: list) -> None:
-        from repro.ptl.constraints import decode_value
-
-        self._rows = [
-            VersionRow(decode_value(value), t_start, t_end)
-            for value, t_start, t_end in state
-        ]
-
     @property
     def rows(self) -> list[VersionRow]:
         return list(self._rows)
@@ -219,26 +202,3 @@ class AuxiliaryStore:
         return sum(
             r.spill_cold(horizon, store) for r in self._relations.values()
         )
-
-    # -- serialization (recovery checkpoints) ----------------------------------
-
-    def to_state(self) -> dict:
-        """Version rows per tracked variable.  The queries themselves are
-        not serialized — a restored store must already :meth:`track` the
-        same variables (they come from the formula, which the recovering
-        process re-registers)."""
-        return {
-            name: rel.to_state() for name, rel in self._relations.items()
-        }
-
-    def from_state(self, state: dict) -> None:
-        from repro.errors import RecoveryError
-
-        missing = set(state) - set(self._relations)
-        if missing:
-            raise RecoveryError(
-                f"auxiliary store has no relation(s) {sorted(missing)}; "
-                "re-register the same formula before restoring"
-            )
-        for name, rows in state.items():
-            self._relations[name].from_state(rows)

@@ -409,7 +409,6 @@ class CompiledChain:
         are owned by the interpreted nodes and ride in the evaluator/plan
         sections; the chain section only verifies layout on restore."""
         return {
-            "format": 2,
             "fingerprint": self.fingerprint,
             "slots": len(self.temporal),
         }
@@ -419,11 +418,6 @@ class CompiledChain:
         refuses on slot-layout drift.  The temporal-node states themselves
         are restored by the owning evaluator/plan (the slots alias those
         same node objects)."""
-        if payload.get("format") != 2:
-            raise RecoveryError(
-                f"unsupported compiled-chain state format: "
-                f"{payload.get('format')!r}"
-            )
         if payload.get("fingerprint") != self.fingerprint:
             raise RecoveryError(
                 "compiled slot-layout drift: checkpoint fingerprint "

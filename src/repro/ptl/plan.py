@@ -82,6 +82,44 @@ from repro.ptl.incremental import (
 from repro.ptl.rewrite import TIME_QUERY, normalize
 from repro.query import plan as qplan
 
+
+def rule_fingerprint(condition: ast.Formula) -> str:
+    """A condition's identity in a checkpoint: the text of its normal
+    form.  A past-only condition is identified by what the evaluator
+    stores for it, not by its surface syntax — ``previously f`` and
+    ``true since f`` are the same rule on every backend."""
+    return str(normalize(condition))
+
+
+def rule_drift(checkpointed: dict, registered: dict, strict: bool) -> dict:
+    """Compare two ``{rule name: fingerprint}`` maps.
+
+    Returns the sorted name lists ``{"added", "dropped", "changed"}``:
+    registered but not checkpointed, checkpointed but no longer
+    registered, and present in both under a different fingerprint.  With
+    ``strict`` any drift raises :class:`RecoveryError` instead."""
+    added = sorted(set(registered) - set(checkpointed))
+    dropped = sorted(set(checkpointed) - set(registered))
+    changed = sorted(
+        name
+        for name in set(checkpointed) & set(registered)
+        if checkpointed[name] != registered[name]
+    )
+    if strict and (added or dropped):
+        raise RecoveryError(
+            f"checkpointed rule set {sorted(checkpointed)} != registered "
+            f"{sorted(registered)}"
+        )
+    if strict and changed:
+        name = changed[0]
+        raise RecoveryError(
+            f"rule {name!r} condition differs from the checkpoint:\n"
+            f"  checkpoint: {checkpointed[name]}\n"
+            f"  registered: {registered[name]}"
+        )
+    return {"added": added, "dropped": dropped, "changed": changed}
+
+
 #: "Tried to lower, unsupported" marker — distinct from None ("not yet
 #: tried") so the lowering attempt happens at most once per root set.
 _NO_CHAIN = object()
@@ -715,7 +753,7 @@ class SharedPlan:
     # ------------------------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable whole-plan state (format 2).
+        """JSON-serializable whole-plan state.
 
         Alongside every temporal node's stored formula and every shared
         aggregate's running state, the payload records each rule root's
@@ -728,13 +766,12 @@ class SharedPlan:
         makes checkpoints taken after :meth:`remove_rule` (where replay
         order can differ from original compile order) restorable."""
         out = {
-            "format": 2,
             "epoch": self.epoch,
             "next_seq": self._next_seq,
             "rules": [
                 {
                     "name": entry.name,
-                    "formula": str(entry.formula),
+                    "formula": rule_fingerprint(entry.formula),
                     "birth": entry.birth,
                     "seq": entry.seq,
                     "instances": [
@@ -782,31 +819,16 @@ class SharedPlan:
         hot registration; rules only in the checkpoint are dropped.
         Returns ``{"added": [...], "dropped": [...], "changed": [...]}``
         (all empty under ``strict=True``)."""
-        if payload.get("format") != 2:
-            raise RecoveryError(
-                f"unsupported plan state format: {payload.get('format')!r}"
-            )
         by_name = {r["name"]: r for r in payload["rules"]}
-        added = sorted(set(self._rules) - set(by_name))
-        dropped = sorted(set(by_name) - set(self._rules))
-        changed = sorted(
-            name
-            for name in set(by_name) & set(self._rules)
-            if by_name[name]["formula"] != str(self._rules[name].formula)
+        drift = rule_drift(
+            {name: rec["formula"] for name, rec in by_name.items()},
+            {
+                name: rule_fingerprint(entry.formula)
+                for name, entry in self._rules.items()
+            },
+            strict,
         )
-        drift = bool(added or dropped or changed)
-        if strict and (added or dropped):
-            raise RecoveryError(
-                f"plan rule set mismatch: checkpoint has "
-                f"{sorted(by_name)}, plan has {sorted(self._rules)}"
-            )
-        if strict and changed:
-            name = changed[0]
-            raise RecoveryError(
-                f"rule {name!r} condition differs from checkpoint:\n"
-                f"  checkpoint: {by_name[name]['formula']}\n"
-                f"  plan:       {self._rules[name].formula}"
-            )
+        changed = drift["changed"]
         kept = [n for n in self._rules if n in by_name and n not in changed]
         fresh = [n for n in self._rules if n not in by_name or n in changed]
 
@@ -927,7 +949,7 @@ class SharedPlan:
         if (
             compiled_section is not None
             and _compiled._PTL_COMPILE
-            and not drift
+            and not any(drift.values())
         ):
             chain = self._ensure_chain()
             if chain is not None:
@@ -939,7 +961,7 @@ class SharedPlan:
                 chain.from_state(compiled_section)
         if self._obs_on:
             self._record_metrics()
-        return {"added": added, "dropped": dropped, "changed": changed}
+        return drift
 
 
 def _encode_fire_result(result: FireResult) -> dict:
@@ -1138,21 +1160,13 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         plan's own checkpoint section (which fingerprints the normalized
         condition: :meth:`from_state` refuses to load state into an
         evaluator compiled from a different one)."""
-        return {
-            "format": 2,
-            "steps": self.steps,
-            "plan": self.plan.to_state(),
-        }
+        return {"steps": self.steps, "plan": self.plan.to_state()}
 
     def from_state(self, payload: dict) -> None:
         """Load serialized state produced by :meth:`to_state`.  The
         evaluator must have been constructed from the same formula (and
         context domains); domain-indexed instances are re-instantiated
         from their recorded keys."""
-        if payload.get("format") != 2:
-            raise RecoveryError(
-                f"unsupported evaluator state format: {payload.get('format')!r}"
-            )
         self.plan.from_state(payload["plan"])
         self.steps = payload["steps"]
         if self._obs_on:

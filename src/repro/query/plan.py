@@ -44,7 +44,6 @@ float aggregate summation order.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Mapping, Optional
 
 from repro.datamodel.relation import Relation
@@ -72,11 +71,11 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Toggles (env-seeded, test/bench switchable)
+# Toggles (in-process: the differential tests and benchmarks E13/E18)
 # --------------------------------------------------------------------------
 
-_PLANS_ENABLED = os.environ.get("REPRO_QUERY_PLANS", "1") != "0"
-_DELTA_SKIP = os.environ.get("REPRO_DELTA_SKIP", "1") != "0"
+_PLANS_ENABLED = True
+_DELTA_SKIP = True
 
 
 def plans_enabled() -> bool:

@@ -24,7 +24,12 @@ from repro.storage.persist import _encode_item, atomic_write_text
 
 PathLike = Union[str, Path]
 
-FORMAT_VERSION = 1
+#: The one version number of ``checkpoint.json``.  Every section inside
+#: the document (manager, plans, evaluators, compiled layouts, worker
+#: payloads, tiers) is versioned by it and carries none of its own; bump
+#: it whenever any section's shape changes.  :func:`read_checkpoint`
+#: refuses every other value — there is no reader for an older document.
+FORMAT_VERSION = 2
 
 
 def write_checkpoint(
@@ -51,7 +56,6 @@ def write_checkpoint(
             for name in engine.db.queries.names()
         },
         "manager": None if manager is None else manager.to_state(),
-        "manager_kind": None if manager is None else type(manager).__name__,
     }
     tiered = getattr(engine, "tiered", None)
     if tiered is not None:
@@ -73,7 +77,9 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: PathLike) -> Optional[dict]:
-    """Load a checkpoint; ``None`` if ``path`` does not exist."""
+    """Load a checkpoint; ``None`` if ``path`` does not exist.  A
+    document of any other format version is refused here, whole, before
+    any section of it reaches an engine or a manager."""
     target = Path(path)
     if not target.exists():
         return None
@@ -85,6 +91,7 @@ def read_checkpoint(path: PathLike) -> Optional[dict]:
         ) from exc
     if payload.get("format") != FORMAT_VERSION:
         raise RecoveryError(
-            f"unsupported checkpoint format {payload.get('format')!r}"
+            f"unsupported checkpoint format {payload.get('format')!r} in "
+            f"{str(path)!r} (this build reads format {FORMAT_VERSION})"
         )
     return payload

@@ -180,22 +180,13 @@ class RecoveryManager:
             )
 
         manager = setup(engine) if setup is not None else None
-        manager_state = (
-            checkpoint.get("manager") if checkpoint is not None else None
-        )
+        manager_state = None if checkpoint is None else checkpoint["manager"]
         rule_drift = None
         if manager_state is not None:
             if manager is None:
                 raise RecoveryError(
                     "checkpoint contains temporal-component state but "
                     "setup() returned no manager"
-                )
-            kind = checkpoint.get("manager_kind")
-            if kind is not None and type(manager).__name__ != kind:
-                raise RecoveryError(
-                    f"checkpoint was taken by a {kind}; setup() returned "
-                    f"a {type(manager).__name__} — recover with the same "
-                    "manager kind (and shard layout) it was taken with"
                 )
             rule_drift = manager.from_state(manager_state, strict=strict_rules)
         if runtime is not None and manager is not None:

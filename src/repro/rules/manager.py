@@ -47,8 +47,12 @@ from repro.ptl import ast
 from repro.ptl.aggregates import RewrittenEvaluator
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.parser import parse_formula
-from repro.ptl.plan import IncrementalEvaluator, SharedPlan
-from repro.ptl.rewrite import normalize
+from repro.ptl.plan import (
+    IncrementalEvaluator,
+    SharedPlan,
+    rule_drift,
+    rule_fingerprint,
+)
 from repro.ptl.safety import check_safety
 from repro.query.parser import parse_query
 from repro.rules.actions import Action, ActionContext, as_action
@@ -866,10 +870,10 @@ class RuleManager:
     # Checkpoint serialization (crash recovery)
     # ------------------------------------------------------------------
 
-    #: Checkpoint format: 3 carries each private evaluator (ICs,
-    #: ``shared_plan=False`` rules) as a one-rule plan section.  Older
-    #: formats are refused, never partially loaded.
-    _STATE_FORMAT = 3
+    #: The manager section's ``backend`` field.  It names where trigger
+    #: state lives, not the class: a subclass that leaves evaluation
+    #: alone restores a ``serial`` section, the sharded manager does not.
+    _BACKEND = "serial"
 
     def _in_shared_plan(self, reg: _RegisteredRule) -> bool:
         """Whether the rule's state lives in the manager's shared plan
@@ -878,6 +882,32 @@ class RuleManager:
             self.plan is not None
             and getattr(reg.evaluator, "plan", None) is self.plan
         )
+
+    def _has_private_evaluator(self, reg: _RegisteredRule) -> bool:
+        """Whether the rule's state is its own evaluator's to checkpoint
+        (as opposed to the shared plan's)."""
+        return not self._in_shared_plan(reg)
+
+    @staticmethod
+    def _fingerprints(registered: dict) -> dict:
+        return {
+            name: rule_fingerprint(reg.rule.condition)
+            for name, reg in registered.items()
+        }
+
+    def _check_restorable(self, payload: dict) -> None:
+        """Refuse a manager section this manager cannot load, before any
+        of it is applied."""
+        if payload["backend"] != self._BACKEND:
+            raise RecoveryError(
+                f"checkpoint was taken by a {payload['backend']} manager; "
+                f"this one is {self._BACKEND} — recover with the same "
+                "manager kind (and shard layout) it was taken with"
+            )
+        if self._monitors:
+            raise RecoveryError(
+                "future-obligation monitors are not checkpointable"
+            )
 
     @staticmethod
     def _encode_pairs(pairs) -> list:
@@ -929,15 +959,15 @@ class RuleManager:
                 ],
                 # Normalized-condition fingerprint + lifecycle facts: the
                 # drift-tolerant restore path matches rules on these.
-                "formula": str(normalize(reg.rule.condition)),
+                "formula": rule_fingerprint(reg.rule.condition),
                 "birth": reg.birth,
                 "shadow": reg.rule.shadow,
             }
-            if not self._in_shared_plan(reg):
+            if self._has_private_evaluator(reg):
                 entry["evaluator"] = reg.evaluator.to_state()
             rules[name] = entry
         return {
-            "format": self._STATE_FORMAT,
+            "backend": self._BACKEND,
             "states_seen": self.states_seen,
             "executed": self.executed.to_state(),
             "firings": [
@@ -964,7 +994,7 @@ class RuleManager:
                         reg.stats.skips,
                         reg.stats.firings,
                     ],
-                    "formula": str(normalize(reg.rule.condition)),
+                    "formula": rule_fingerprint(reg.rule.condition),
                 }
                 for name, reg in self._ics.items()
             },
@@ -999,55 +1029,24 @@ class RuleManager:
         "changed"}`` name lists (all empty on a strict restore)."""
         from repro.history.state import SystemState
 
-        if payload.get("format") != self._STATE_FORMAT:
-            raise RecoveryError(
-                f"unsupported manager state format {payload.get('format')!r} "
-                f"(this build reads format {self._STATE_FORMAT})"
-            )
-        if self._monitors:
-            raise RecoveryError(
-                "future-obligation monitors are not checkpointable"
-            )
+        self._check_restorable(payload)
         ck_rules = payload["rules"]
         ck_ics = payload["ics"]
-        added = sorted(
-            (set(self._rules) - set(ck_rules))
-            | (set(self._ics) - set(ck_ics))
+        # Triggers and integrity constraints drift separately: a name
+        # that moved from one kind to the other is dropped and added.
+        drift = rule_drift(
+            {name: entry["formula"] for name, entry in ck_rules.items()},
+            self._fingerprints(self._rules),
+            strict,
         )
-        dropped = sorted(
-            (set(ck_rules) - set(self._rules))
-            | (set(ck_ics) - set(self._ics))
+        ic_drift = rule_drift(
+            {name: entry["formula"] for name, entry in ck_ics.items()},
+            self._fingerprints(self._ics),
+            strict,
         )
-        changed = []
-        for name in set(ck_rules) & set(self._rules):
-            fp = str(normalize(self._rules[name].rule.condition))
-            if ck_rules[name]["formula"] != fp:
-                changed.append(name)
-        for name in set(ck_ics) & set(self._ics):
-            fp = str(normalize(self._ics[name].rule.condition))
-            if ck_ics[name]["formula"] != fp:
-                changed.append(name)
-        changed = sorted(changed)
-        if strict:
-            if set(ck_rules) != set(self._rules):
-                raise RecoveryError(
-                    "checkpointed trigger set "
-                    f"{sorted(ck_rules)} != registered "
-                    f"{sorted(self._rules)}"
-                )
-            if set(ck_ics) != set(self._ics):
-                raise RecoveryError(
-                    "checkpointed integrity-constraint set "
-                    f"{sorted(ck_ics)} != registered "
-                    f"{sorted(self._ics)}"
-                )
-            if changed:
-                name = changed[0]
-                raise RecoveryError(
-                    f"rule {name!r} condition differs from the checkpoint"
-                )
-        changed_set = set(changed)
-        plan_state = payload.get("plan")
+        drift = {key: sorted(drift[key] + ic_drift[key]) for key in drift}
+        changed_set = set(drift["changed"])
+        plan_state = payload["plan"]
         if plan_state is not None and self.plan is None:
             raise RecoveryError(
                 "checkpoint used a shared plan; manager has shared_plan=False"
@@ -1083,18 +1082,13 @@ class RuleManager:
                 reg.m_shadow_firings = self.metrics.counter(
                     "shadow_firings_total", rule=name
                 )
-            if "evaluator" in entry:
-                if self._in_shared_plan(reg):
-                    raise RecoveryError(
-                        f"rule {name!r} was checkpointed with an "
-                        "independent evaluator but is now plan-backed"
-                    )
-                reg.evaluator.from_state(entry["evaluator"])
-            elif not self._in_shared_plan(reg):
+            if ("evaluator" in entry) != self._has_private_evaluator(reg):
                 raise RecoveryError(
-                    f"rule {name!r} was checkpointed plan-backed but is "
-                    "now independent"
+                    f"rule {name!r} changed between plan-backed and "
+                    "independent evaluation since the checkpoint"
                 )
+            if "evaluator" in entry:
+                reg.evaluator.from_state(entry["evaluator"])
         for name, reg in self._ics.items():
             entry = ck_ics.get(name)
             if entry is None or name in changed_set:
@@ -1132,7 +1126,7 @@ class RuleManager:
             self._m_quarantined.set(len(self._quarantined))
             self._m_shadow.set(len(self.shadow_rules()))
             self._m_state_size.set(self.total_state_size())
-        return {"added": added, "dropped": dropped, "changed": changed}
+        return drift
 
     # ------------------------------------------------------------------
     # Introspection

@@ -41,6 +41,7 @@ from repro.ptl.compiled import (
     ptl_compile_enabled,
     set_ptl_compile,
 )
+from repro.ptl.constraints import encode_value
 from repro.ptl.incremental import _encode_node_state
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
@@ -83,6 +84,26 @@ def canon_agg_names(payload):
         return mapping.setdefault(m.group(0), f"AGG#{len(mapping)}")
 
     return re.sub(r"AGG_\d+", repl, text)
+
+
+def rewritten_state(ev):
+    """Everything a :class:`RewrittenEvaluator` carries between steps:
+    its condition evaluator's state plus every maintained aggregate's
+    running values and start/sample steppers."""
+    return {
+        "evaluator": ev.evaluator.to_state(),
+        "executor": [
+            [
+                str(m.term),
+                m.started,
+                m.poisoned,
+                {name: encode_value(v) for name, v in m.values.items()},
+                m.start_eval.to_state(),
+                m.sample_eval.to_state(),
+            ]
+            for m in ev.rewrite.executor._maintained
+        ],
+    }
 
 
 @contextmanager
@@ -256,11 +277,11 @@ def test_aggregate_differential(text):
     with mode(False):
         ev_i = RewrittenEvaluator(f)
         fired_i = [(r.fired, r.bindings) for r in run_evaluator(ev_i, history)]
-        final_i = ev_i.to_state()
+        final_i = rewritten_state(ev_i)
     with mode(True):
         ev_c = RewrittenEvaluator(f)
         fired_c = [(r.fired, r.bindings) for r in run_evaluator(ev_c, history)]
-        final_c = ev_c.to_state()
+        final_c = rewritten_state(ev_c)
         assert ev_c.compiled_ops() > 0
     assert fired_c == fired_i
     assert canon_agg_names(strip_compiled(final_c)) == canon_agg_names(

@@ -18,12 +18,15 @@ from hypothesis import strategies as st
 from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, StorageError, TransactionAborted
 from repro.events import user_event
+from repro.history.spill import attach_tiered_history
 from repro.parallel import ShardedRuleManager
 from repro.ptl import IncrementalEvaluator, parse_formula, set_ptl_compile
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.plan import SharedPlan
 from repro.recovery import RecoveryManager, recover
+from repro.recovery.checkpoint import FORMAT_VERSION
 from repro.rules.actions import RecordingAction
+from repro.rules.manager import RuleManager
 from repro.rules.rule import CouplingMode, FireMode
 from repro.storage.log import ChangeLog
 from repro.storage.persist import atomic_write_text
@@ -168,7 +171,14 @@ def make_engine():
 
 
 def setup_rules(adb, shared=True):
-    manager = adb.rule_manager(shared_plan=shared)
+    return register_rules(adb.rule_manager(shared_plan=shared))
+
+
+def sharded_rules(adb):
+    return register_rules(ShardedRuleManager(adb, shards=2, runtime="thread"))
+
+
+def register_rules(manager):
     manager.add_trigger(
         "rising",
         "price > 50 & lasttime price <= 50",
@@ -322,51 +332,156 @@ class TestManagerRoundTrip:
             other.from_state(payload)
 
 
-def _sharded(adb):
-    manager = ShardedRuleManager(adb, shards=2, runtime="thread")
-    manager.add_trigger("t", "price > 50", RecordingAction())
-    manager.add_integrity_constraint("cap", "!(price > 1000)")
+def _drift_manager(backend, adb, condition):
+    manager = (
+        adb.rule_manager()
+        if backend == "serial"
+        else ShardedRuleManager(adb, shards=2, runtime="thread")
+    )
+    manager.add_trigger("t", condition, RecordingAction())
+    manager.add_trigger("high", "price > 90", RecordingAction())
     return manager
 
 
-def _one_rule_plan(_adb):
-    plan = SharedPlan()
-    plan.add_rule("r", parse_formula("previously @go"))
-    return plan
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "tolerant"])
+@pytest.mark.parametrize("backend", ["serial", "sharded"])
+class TestDriftVerdictIsBackendIndependent:
+    """One fingerprint and one drift check for every backend: the same
+    re-registration gets the same verdict from the serial and the
+    sharded manager."""
+
+    HEAD = [("set", 60), ("set", 20), ("set", 30)]
+    TAIL = [("set", 10), ("set", 95), ("set", 40)]
+
+    def _checkpoint(self, backend):
+        adb = make_engine()
+        manager = _drift_manager(backend, adb, "previously (price > 50)")
+        drive(adb, self.HEAD)
+        manager.flush()
+        payload = json_round_trip(manager.to_state())
+        manager.detach()
+        return payload
+
+    def _restore_target(self, backend, condition):
+        adb = make_engine()
+        drive(adb, self.HEAD)  # the engine is at the checkpointed state
+        return adb, _drift_manager(backend, adb, condition)
+
+    def test_respelled_condition_is_the_same_rule(self, backend, strict):
+        twin = make_engine()
+        twin_m = _drift_manager(backend, twin, "previously (price > 50)")
+        drive(twin, self.HEAD + self.TAIL)
+        twin_m.flush()
+
+        payload = self._checkpoint(backend)
+        adb, manager = self._restore_target(
+            backend, "true since (price > 50)"
+        )
+        drift = manager.from_state(payload, strict=strict)
+        assert drift == {"added": [], "dropped": [], "changed": []}
+        drive(adb, self.TAIL)
+        manager.flush()
+        # ``t`` still remembers the 60 from before the checkpoint.
+        assert firing_sig(manager) == firing_sig(twin_m)
+        assert len(manager.firings_of("t")) == len(self.HEAD + self.TAIL)
+        manager.detach()
+        twin_m.detach()
+
+    def test_different_condition_is_changed(self, backend, strict):
+        payload = self._checkpoint(backend)
+        adb, manager = self._restore_target(
+            backend, "previously (price > 55)"
+        )
+        if strict:
+            with pytest.raises(RecoveryError, match="'t' condition differs"):
+                manager.from_state(payload, strict=True)
+        else:
+            drift = manager.from_state(payload, strict=False)
+            assert drift == {"added": [], "dropped": [], "changed": ["t"]}
+        manager.detach()
 
 
-def _evaluator(_adb):
-    return IncrementalEvaluator(parse_formula("previously @go"))
+def _format_keys(node):
+    if isinstance(node, dict):
+        return ("format" in node) + sum(_format_keys(v) for v in node.values())
+    if isinstance(node, list):
+        return sum(_format_keys(v) for v in node)
+    return 0
 
 
-@pytest.mark.parametrize(
-    "build, old_format",
-    [
-        (setup_rules, 1),
-        (setup_rules, 2),
-        (_sharded, "sharded-1"),
-        (_sharded, "sharded-2"),
-        (_one_rule_plan, 1),
-        (_evaluator, 1),
-    ],
-    ids=["manager-1", "manager-2", "sharded-1", "sharded-2", "plan-1",
-         "evaluator-1"],
-)
-def test_older_checkpoint_formats_are_refused(build, old_format):
-    """No reader for a retired format survives: the payload is refused
-    with a typed error naming the format, before anything is loaded."""
-    adb = make_engine()
-    target = build(adb)
-    drive(adb, OPS[:3])
-    payload = target.to_state()
-    before = json_round_trip(payload)
-    payload["format"] = old_format
-    with pytest.raises(RecoveryError, match=repr(old_format)):
-        target.from_state(payload)
-    payload["format"] = before["format"]
-    assert json_round_trip(target.to_state()) == before
-    if hasattr(target, "detach"):
-        target.detach()
+@pytest.mark.parametrize("tiers", [False, True], ids=["ram", "tiers"])
+@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
+@pytest.mark.parametrize("backend", ["serial", "sharded"])
+def test_checkpoint_document_round_trip(tmp_path, backend, compiled, tiers):
+    """``checkpoint.json`` graded as one document: written, recovered and
+    written again it is byte-identical; the recovered run then matches an
+    uninterrupted twin; and only its root is versioned — any other root
+    format is refused whole, before ``setup()`` runs, leaving the file
+    untouched."""
+    setup = {"serial": setup_rules, "sharded": sharded_rules}[backend]
+    head, tail = OPS[:5], OPS[5:] + [("set", 70), ("ev", "go")]
+
+    def start(rm, adb, manager=None):
+        rm.start(adb)
+        if tiers and adb.tiered is None:
+            attach_tiered_history(
+                adb, tmp_path / "segments", budget_bytes=1, hot_window=2,
+                segment_records=2, spill_check_every=1, manager=manager,
+            )
+
+    previous = set_ptl_compile(compiled)
+    try:
+        twin = make_engine()
+        twin_m = setup(twin)
+        drive(twin, head + tail)
+        twin_m.flush()
+
+        adb = make_engine()
+        manager = setup(adb)
+        rm = RecoveryManager(tmp_path)
+        start(rm, adb, manager)
+        drive(adb, head)
+        manager.flush()
+        rm.checkpoint(adb, manager)
+        rm.stop()
+        manager.detach()
+        written = rm.checkpoint_path.read_bytes()
+        document = json.loads(written)
+        assert _format_keys(document) == 1
+        assert document["manager"]["backend"] == backend
+        assert ("tiers" in document) == tiers
+        if tiers:
+            assert document["tiers"]["history"]["segments"], "nothing spilled"
+
+        report = recover(tmp_path, setup=setup)
+        adb2, manager2 = report.engine, report.manager
+        assert report.checkpoint_used and report.replayed_steps == 0
+        rm2 = RecoveryManager(tmp_path)
+        rm2.checkpoint(adb2, manager2)
+        assert rm2.checkpoint_path.read_bytes() == written
+
+        start(rm2, adb2)
+        drive(adb2, tail)
+        manager2.flush()
+        rm2.stop()
+        assert firing_sig(manager2) == firing_sig(twin_m)
+        assert executed_sig(manager2) == executed_sig(twin_m)
+        assert store_sig(adb2) == store_sig(twin)
+        manager2.detach()
+        twin_m.detach()
+
+        def never(engine):
+            raise AssertionError("setup() ran on a refused document")
+
+        for foreign in (FORMAT_VERSION - 1, str(FORMAT_VERSION)):
+            document["format"] = foreign
+            tampered = json.dumps(document, sort_keys=True).encode()
+            rm.checkpoint_path.write_bytes(tampered)
+            with pytest.raises(RecoveryError, match=repr(foreign)):
+                recover(tmp_path, setup=never)
+            assert rm.checkpoint_path.read_bytes() == tampered
+    finally:
+        set_ptl_compile(previous)
 
 
 class TestRecoveryManager:
@@ -424,6 +539,32 @@ class TestRecoveryManager:
             report.engine.state.item("price")
             == oracle.state.item("price")
         )
+
+    def test_backend_field_not_class_name_gates_the_restore(self, tmp_path):
+        """The manager section names its backend, not its class: a
+        subclass that leaves evaluation alone restores a serial
+        checkpoint; a sharded manager still refuses it."""
+
+        class Audited(RuleManager):
+            pass
+
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm = RecoveryManager(tmp_path)
+        rm.start(adb)
+        drive(adb, OPS[:5])
+        manager.flush()
+        rm.checkpoint(adb, manager)
+        drive(adb, OPS[5:])
+        rm.stop()
+
+        report = recover(
+            tmp_path, setup=lambda e: register_rules(Audited(e))
+        )
+        assert type(report.manager) is Audited
+        assert firing_sig(report.manager) == firing_sig(manager)
+        with pytest.raises(RecoveryError, match="manager kind"):
+            recover(tmp_path, setup=sharded_rules)
 
     def test_nothing_to_recover(self, tmp_path):
         with pytest.raises(RecoveryError):
