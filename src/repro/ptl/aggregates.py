@@ -18,9 +18,11 @@ r1/r2 updates synchronously so the rewritten condition is exactly
 equivalent to the direct aggregate semantics (benchmark E5 verifies the
 equivalence and compares cost).
 
-The incremental evaluator's *direct* pipeline
-(:class:`repro.ptl.incremental._AggregateState`) is the ablation
-counterpart.
+r1 and r2 are real rules: each rewritten condition owns one maintenance
+:class:`~repro.ptl.plan.SharedPlan` holding them, and F is that plan's
+:class:`repro.ptl.incremental._AggregateState` — the accumulator the
+evaluator's *direct* pipeline (the ablation counterpart) reads as a term
+value.  The two pipelines are two read paths over one maintenance.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from repro.errors import UnsafeFormulaError
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
-from repro.ptl.semantics import UNDEFINED, eval_query_value
+from repro.ptl.plan import IncrementalEvaluator, SharedPlan
+from repro.ptl.rewrite import normalize
 from repro.query import ast as qast
 
 _counter = itertools.count()
@@ -48,7 +51,8 @@ class RewrittenAggregate:
     replacement: qast.Query
     #: Names of the overlay items backing this aggregate.
     item_names: tuple[str, ...]
-    #: Names of the generated maintenance rules (the paper's r1, r2).
+    #: Names of the maintenance rules (the paper's r1, r2) in the
+    #: executor's plan.
     rule_names: tuple[str, str]
 
 
@@ -71,128 +75,46 @@ class AggregateRewrite:
         return 1 + 2 * len(self.rewritten)
 
 
-class _MaintainedAggregate:
-    """Runtime state of one rewritten aggregate: the r1/r2 rule pair."""
-
-    def __init__(self, term: ast.AggT, names: tuple[str, ...], ctx: EvalContext):
-        from repro.ptl.incremental import _CoreEvaluator, _atom_gate, gated_query_value
-
-        if ast.free_variables(term.start) or ast.free_variables(term.sample):
-            raise UnsafeFormulaError(
-                f"aggregate starting/sampling formulas must be ground: {term}"
-            )
-        self.term = term
-        self.names = names
-        self.start_eval = _CoreEvaluator(term.start, ctx)
-        self.sample_eval = _CoreEvaluator(term.sample, ctx)
-        self.started = False
-        self.poisoned = False
-        self.values: dict[str, Any] = {name: None for name in names}
-        self._qgate = _atom_gate((term.query,))
-        self._gated_value = gated_query_value
-
-    def _initialize(self) -> None:
-        func = self.term.func
-        self.started = True
-        self.poisoned = False
-        if func == "sum":
-            self.values[self.names[0]] = 0
-        elif func == "count":
-            self.values[self.names[0]] = 0
-        elif func == "avg":
-            self.values[self.names[0]] = 0
-            self.values[self.names[1]] = 0
-        else:  # min / max: undefined until the first sample
-            self.values[self.names[0]] = None
-
-    def step(self, state: SystemState) -> dict[str, Any]:
-        func = self.term.func
-        # r1: initialize on the starting formula.
-        if self.start_eval.step(state).fired:
-            self._initialize()
-        # r2: update on the sampling formula.
-        sampled = self.sample_eval.step(state).fired
-        if sampled and self.started and not self.poisoned:
-            value = self._gated_value(self._qgate, self.term.query, state)
-            if value is UNDEFINED:
-                self.poisoned = True
-            elif func in ("sum", "avg"):
-                self.values[self.names[0]] += value
-                if func == "avg":
-                    self.values[self.names[1]] += 1
-            elif func == "count":
-                self.values[self.names[0]] += 1
-            elif func == "min":
-                cur = self.values[self.names[0]]
-                self.values[self.names[0]] = value if cur is None else min(cur, value)
-            elif func == "max":
-                cur = self.values[self.names[0]]
-                self.values[self.names[0]] = value if cur is None else max(cur, value)
-        if not self.started or self.poisoned:
-            return {name: None for name in self.names}
-        return dict(self.values)
-
-
-#: Sentinel: the lowering declined this executor — stay interpreted.
-_EXEC_NO_CHAIN = object()
+def _item_values(agg) -> tuple:
+    """The maintained items of one accumulator F, in ``item_names``
+    order (``None`` = undefined: before the first φ, or poisoned; the
+    caller zips against the names, so one spare ``None`` is harmless)."""
+    if not agg.started or agg.poisoned:
+        return (None, None)
+    acc = agg.agg
+    if acc.name == "avg":
+        return (acc._sum, acc._count)
+    if acc.name == "sum":
+        return (acc._sum,)
+    if acc.name == "count":
+        return (acc._count,)
+    return (acc._extremum,)  # min / max: None until the first sample
 
 
 class AggregateExecutor:
-    """Steps every maintained aggregate and produces the overlay mapping.
+    """The maintenance rules of one rewritten condition — an r1/r2 pair
+    per aggregate — registered in one :class:`SharedPlan`, whose shared
+    accumulators the overlay items are read off.  Whatever steps a plan
+    (interpreted nodes, or a compiled chain under ``REPRO_PTL_COMPILE=1``)
+    steps the maintenance."""
 
-    Under ``REPRO_PTL_COMPILE=1`` the r1/r2 maintenance of every
-    lowerable aggregate runs as one generated function (overlay writes
-    included); state authority stays in the ``_MaintainedAggregate``
-    objects, so checkpoints and the interpreted differential oracle are
-    unchanged."""
+    def __init__(self, ctx: EvalContext) -> None:
+        self.plan = SharedPlan(ctx)
+        #: (item names, r2's view) per rewritten aggregate.
+        self._maintained: list = []
 
-    def __init__(self) -> None:
-        self._maintained: list[_MaintainedAggregate] = []
-        self._chain = None
-
-    def add(self, maintained: _MaintainedAggregate) -> None:
-        self._maintained.append(maintained)
-        self._chain = None
-
-    def _ensure_chain(self):
-        chain = self._chain
-        if chain is None:
-            from repro.ptl.compiled import try_lower_executor
-
-            chain = try_lower_executor(self._maintained)
-            self._chain = chain if chain is not None else _EXEC_NO_CHAIN
-        return self._chain
+    def add(self, rewritten: RewrittenAggregate) -> None:
+        view = self.plan.add_aggregate_rules(
+            rewritten.term, rewritten.rule_names
+        )
+        self._maintained.append((rewritten.item_names, view))
 
     def step(self, state: SystemState) -> dict[str, Any]:
-        from repro.ptl import compiled as _compiled
-
-        if self._maintained and _compiled._PTL_COMPILE:
-            chain = self._ensure_chain()
-            if chain is not _EXEC_NO_CHAIN:
-                chain.fn(state)
-                overlay = dict(chain.overlay)
-                for m in chain.uncompiled:
-                    overlay.update(m.step(state))
-                return overlay
+        self.plan.step(state)
         overlay: dict[str, Any] = {}
-        for m in self._maintained:
-            overlay.update(m.step(state))
+        for names, view in self._maintained:
+            overlay.update(zip(names, _item_values(view.entry.maintains)))
         return overlay
-
-    def compiled_ops(self) -> int:
-        """Maintained aggregates running on generated code (0 when the
-        toggle is off or the lowering declined)."""
-        from repro.ptl import compiled as _compiled
-
-        if not _compiled._PTL_COMPILE:
-            return 0
-        chain = self._chain
-        if chain is None or chain is _EXEC_NO_CHAIN:
-            return 0
-        return chain.n_ops
-
-    def __len__(self) -> int:
-        return len(self._maintained)
 
 
 class OverlayState:
@@ -252,8 +174,8 @@ def rewrite_condition(
     grounds them first (the paper's "multiple database items, indexed with
     different values for the free variables").
     """
-    ctx = ctx or EvalContext()
-    executor = AggregateExecutor()
+    condition = normalize(condition)
+    executor = AggregateExecutor(ctx or EvalContext())
     rewritten: list[RewrittenAggregate] = []
 
     def fresh_names(func: str) -> tuple[str, ...]:
@@ -275,11 +197,9 @@ def rewrite_condition(
                     f"rewrite_condition needs a ground aggregate query: "
                     f"{term.query} (instantiate domains first)"
                 )
-            # Nested aggregates in start/sample are handled by the
-            # sub-evaluators inside _MaintainedAggregate directly.
+            # Aggregates nested in start/sample stay direct: they compile
+            # into the maintenance plan with the rule that reads them.
             names = fresh_names(term.func)
-            maintained = _MaintainedAggregate(term, names, ctx)
-            executor.add(maintained)
             if term.func == "avg":
                 replacement = qast.ExprQuery(
                     "/", (qast.ItemRef(names[0]), qast.ItemRef(names[1]))
@@ -295,6 +215,7 @@ def rewrite_condition(
                     (f"r{2 * n + 1}__init", f"r{2 * n + 2}__update"),
                 )
             )
+            executor.add(rewritten[-1])
             return ast.QueryT(replacement)
         if isinstance(term, ast.FuncT):
             return ast.FuncT(term.func, tuple(rewrite_term(a) for a in term.args))
@@ -313,22 +234,18 @@ def rewrite_condition(
             return ast.Since(rec(f.lhs), rec(f.rhs))
         if isinstance(f, ast.Lasttime):
             return ast.Lasttime(rec(f.operand))
-        if isinstance(f, ast.Previously):
-            return ast.Previously(rec(f.operand), f.window)
-        if isinstance(f, ast.ThroughoutPast):
-            return ast.ThroughoutPast(rec(f.operand), f.window)
         if isinstance(f, ast.Assign):
             return ast.Assign(f.var, f.query, rec(f.body))
         return f
 
-    new_condition = rec(condition)
-    return AggregateRewrite(new_condition, rewritten, executor)
+    return AggregateRewrite(rec(condition), rewritten, executor)
 
 
-class RewrittenEvaluator:
-    """Drop-in evaluator running a rewritten condition: steps the
-    aggregate-maintenance rules, overlays the maintained items, then steps
-    the aggregate-free condition."""
+class RewrittenEvaluator(IncrementalEvaluator):
+    """Drop-in evaluator running a rewritten condition: an
+    :class:`IncrementalEvaluator` of the aggregate-free condition that
+    first steps the maintenance rules and overlays the maintained items.
+    Its retained state is the two plans' — condition plus maintenance."""
 
     def __init__(
         self,
@@ -338,28 +255,32 @@ class RewrittenEvaluator:
         metrics=None,
         name=None,
     ):
-        from repro.ptl.plan import IncrementalEvaluator
-
-        self.ctx = ctx or EvalContext()
-        self.rewrite = rewrite_condition(condition, self.ctx)
-        self.evaluator = IncrementalEvaluator(
-            self.rewrite.condition, self.ctx, optimize,
-            metrics=metrics, name=name,
+        ctx = ctx or EvalContext()
+        self.rewrite = rewrite_condition(condition, ctx)
+        self.maintenance = self.rewrite.executor.plan
+        super().__init__(
+            self.rewrite.condition, ctx, optimize, metrics=metrics, name=name
         )
 
     def step(self, state: SystemState):
         overlay = self.rewrite.executor.step(state)
-        return self.evaluator.step(OverlayState(state, overlay))
+        return super().step(OverlayState(state, overlay))
 
-    def state_size(self) -> int:
-        return self.evaluator.state_size()
+    def stored_formulas(self):
+        return super().stored_formulas() + self.maintenance.stored_formulas()
+
+    def aux_rows(self) -> int:
+        return super().aux_rows() + self.maintenance.aux_rows()
 
     def compiled_ops(self) -> int:
-        """Chain slots of the underlying evaluator plus maintained
-        aggregates lowered into the executor's generated function, when
-        the compiled recurrence backend is active (0 on the interpreted
-        path)."""
-        return (
-            self.evaluator.compiled_ops()
-            + self.rewrite.executor.compiled_ops()
-        )
+        """Chain slots of the condition plus the maintenance plan (0 on
+        the interpreted path)."""
+        return super().compiled_ops() + self.maintenance.compiled_ops()
+
+    def snapshot(self):
+        return (super().snapshot(), self.maintenance.snapshot())
+
+    def restore(self, snap) -> None:
+        mine, maintenance = snap
+        self.maintenance.restore(maintenance)
+        super().restore(mine)

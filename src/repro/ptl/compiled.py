@@ -25,9 +25,10 @@ and shards:
 * the ``Since``/``Lasttime`` recurrences become direct loads/stores of the
   interpreted nodes' ``stored``/``started`` attributes;
 * **aggregate maintenance** (window-log append/expire, running
-  sum/count/min/max deltas, overlay-item writes) is lowered into the same
-  step function, with state authority staying in the interpreted
-  ``_AggregateState`` / ``_MaintainedAggregate`` objects.
+  sum/count/min/max deltas) is lowered into the same step function: an
+  aggregate is one more slot, emitted after the slots of its φ/ψ (ordinary
+  subformulas of the DAG) and before its first reader, with state
+  authority staying in the interpreted ``_AggregateState`` objects.
 
 Chains are built as **segments**: hot rule adds
 compile only the new rules' unshared suffix into a fresh segment appended
@@ -138,46 +139,42 @@ class _TemporalRow:
 
 
 class _MaintEntry:
-    """One aggregate whose maintenance is lowered into a segment; the
-    ``flag`` cell gates the generated block so releasing the last reader
-    turns maintenance off without regenerating code."""
+    """One aggregate slot: its maintenance runs in a segment, gated by the
+    ``flag`` cell so releasing the last reader turns it off without
+    regenerating code."""
 
-    __slots__ = ("agg", "flag", "term_str", "avail", "mode", "seg")
+    __slots__ = ("agg", "flag")
 
-    def __init__(self, agg, flag, term_str, avail, mode):
+    def __init__(self, agg, flag):
         self.agg = agg
         self.flag = flag
-        self.term_str = term_str
-        self.avail = avail
-        self.mode = mode
-        self.seg = None
 
 
 class _Slot:
-    """Refcount bookkeeping for one compiled node in a chain."""
+    """Refcount bookkeeping for one compiled node in a chain (``row``:
+    its temporal row, ``maint``: its aggregate entry — else None)."""
 
-    __slots__ = ("node", "seg", "children", "row", "aggs")
+    __slots__ = ("node", "seg", "children", "row", "maint")
 
-    def __init__(self, node, children, row, aggs):
+    def __init__(self, node, row, maint):
         self.node = node
         self.seg = None
-        self.children = children
+        self.children: list[int] = []
         self.row = row
-        self.aggs = aggs
+        self.maint = maint
 
 
 class _Segment:
     """One generated step function covering a batch of slots (the initial
     build, or one hot-add patch)."""
 
-    __slots__ = ("fn", "env", "source", "alive", "maints", "n_qslots")
+    __slots__ = ("fn", "env", "source", "alive", "n_qslots")
 
-    def __init__(self, fn, env, source, alive, maints, n_qslots):
+    def __init__(self, fn, env, source, alive, n_qslots):
         self.fn = fn
         self.env = env
         self.source = source
         self.alive = alive
-        self.maints = maints
         self.n_qslots = n_qslots
 
 
@@ -202,7 +199,6 @@ class CompiledChain:
         "segments",
         "temporal",
         "maintained",
-        "maint_refs",
         "node_slot",
         "slots",
         "slot_refs",
@@ -221,10 +217,8 @@ class CompiledChain:
         self.segments: list[_Segment] = []
         #: Live temporal rows, in lowering order.
         self.temporal: list[_TemporalRow] = []
-        #: id(aggregate) -> _MaintEntry for aggregates maintained in-chain.
+        #: id(aggregate) -> _MaintEntry for the live aggregate slots.
         self.maintained: dict[int, _MaintEntry] = {}
-        #: id(aggregate) -> live reader-slot count.
-        self.maint_refs: dict[int, int] = {}
         self.node_slot: dict[int, int] = {}
         self.slots: list[Optional[_Slot]] = []
         self.slot_refs: list[int] = []
@@ -331,38 +325,21 @@ class CompiledChain:
         self.dead_slots += 1
         seg = slot.seg
         seg.alive -= 1
+        if seg.alive == 0:
+            self.segments.remove(seg)
+            self.n_query_slots -= seg.n_qslots
         row = slot.row
         if row is not None:
             # Stores become no-ops, loads constants: the dead recurrence
             # can never grow its stored formula again.
             row.env[row.name] = _DEAD
             self.temporal.remove(row)
-        for agg in slot.aggs:
-            aid = id(agg)
-            refs = self.maint_refs.get(aid)
-            if refs is None:
-                continue
-            refs -= 1
-            if refs > 0:
-                self.maint_refs[aid] = refs
-                continue
-            del self.maint_refs[aid]
-            entry = self.maintained.pop(aid, None)
-            if entry is not None:
-                entry.flag[0] = False
-                self._maybe_drop_segment(entry.seg)
+        if slot.maint is not None:
+            # The last reader is gone: stop accumulating.
+            slot.maint.flag[0] = False
+            del self.maintained[id(slot.maint.agg)]
         for cj in slot.children:
             self._deref(cj)
-        self._maybe_drop_segment(seg)
-
-    def _maybe_drop_segment(self, seg: _Segment) -> None:
-        if seg.alive > 0 or any(e.flag[0] for e in seg.maints):
-            return
-        try:
-            self.segments.remove(seg)
-        except ValueError:
-            return
-        self.n_query_slots -= seg.n_qslots
 
     def should_compact(self) -> bool:
         """Whether enough released slots have accumulated that a full
@@ -380,18 +357,10 @@ class CompiledChain:
         rows: list = [
             [row.kind, row.label, list(row.prune)] for row in self.temporal
         ]
-        seen: set[int] = set()
-        for slot in self.slots:
-            if slot is None:
-                continue
-            for agg in slot.aggs:
-                if id(agg) in seen:
-                    continue
-                seen.add(id(agg))
-                rows.append(["agg", str(agg.term)])
         for entry in self.maintained.values():
+            agg = entry.agg
             rows.append(
-                ["maint", entry.term_str, list(entry.avail), entry.mode]
+                ["agg", str(agg.term), sorted(agg.avail), agg.mode]
             )
         rows.sort(key=lambda r: json.dumps(r, separators=(",", ":")))
         rows.append(["roots", len(self._root_slot)])
@@ -430,16 +399,6 @@ class CompiledChain:
                 f"checkpoint has {slots} temporal slots; chain has "
                 f"{len(self.temporal)}"
             )
-
-
-class CompiledExecutor:
-    """Lowered :class:`~repro.ptl.aggregates.AggregateExecutor` step: the
-    r1/r2 maintenance of every supported ``_MaintainedAggregate`` inlined
-    into one generated function writing the shared ``overlay`` dict;
-    unsupported aggregates stay on the interpreted path and are merged in
-    by the executor."""
-
-    __slots__ = ("fn", "overlay", "uncompiled", "n_ops", "source")
 
 
 def _fast_subst(c, var, value):
@@ -643,12 +602,6 @@ def lower(roots, temporal_meta=None) -> CompiledChain:
     return chain
 
 
-def try_lower_executor(maintained) -> Optional[CompiledExecutor]:
-    """Lower an :class:`AggregateExecutor`'s maintained-aggregate list
-    into a :class:`CompiledExecutor`; None when nothing lowered."""
-    return _Lowering([]).build_executor(maintained)
-
-
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
@@ -656,14 +609,12 @@ def try_lower_executor(maintained) -> Optional[CompiledExecutor]:
 
 class _Lowering:
     """Lowers a batch of roots into one generated step function — one
-    chain segment, or an executor body."""
+    chain segment."""
 
-    def __init__(self, roots, chain=None, temporal_meta=None):
+    def __init__(self, roots, chain, temporal_meta=None):
         from repro.ptl import incremental as inc
-        from repro.ptl.plan import _MemoNode
 
         self._inc = inc
-        self._MemoNode = _MemoNode
         self.roots = list(roots)
         self.chain = chain
         self.temporal_meta = temporal_meta
@@ -692,30 +643,19 @@ class _Lowering:
             "_QEE": QueryEvaluationError,
             "_gqv": inc.gated_query_value,
             "_frs": inc.fire_result,
+            "_V": chain._V,
         }
-        if chain is not None:
-            self.env["_V"] = chain._V
         #: id(node as referenced) -> expression for its value.
         self.expr: dict[int, str] = {}
         self._n = 0
         #: query -> local name of its per-state value slot.
         self._qslots: dict[Any, str] = {}
-        #: id(aggregate) -> local holding its value this state.  Rules
-        #: sharing an aggregate then share one ``.value()`` call per
-        #: body — windowed values walk the sample log, so the dedup
-        #: matters at fan-in.  Only unconditional node-code reads are
-        #: cached (never flag-gated maintenance code).
-        self._agg_vals: dict[int, str] = {}
         self.temporal_rows: list[_TemporalRow] = []
         #: Extra indentation applied by _emit (maintenance flag guards).
         self._indent = 0
-        #: Inside aggregate-maintenance lowering: sub-evaluator nodes are
-        #: private to their aggregate — no slots, rows, or layout entries.
-        self._in_maint = False
-        self._maint_done: set[int] = set()
-        self._maints: list[_MaintEntry] = []
+        #: The temporal row / aggregate entry of the node being lowered.
         self._cur_row: Optional[_TemporalRow] = None
-        self._cur_aggs: list = []
+        self._cur_maint: Optional[_MaintEntry] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -735,32 +675,12 @@ class _Lowering:
 
     # -- graph walk ----------------------------------------------------------
 
-    def _peel(self, node):
-        while isinstance(node, self._MemoNode):
-            node = node.inner
-        return node
-
-    def _children(self, node) -> tuple:
-        inc = self._inc
-        inner = self._peel(node)
-        if isinstance(inner, inc._NotNode):
-            return (inner.child,)
-        if isinstance(inner, (inc._AndNode, inc._OrNode)):
-            return tuple(inner.children)
-        if isinstance(inner, inc._LasttimeNode):
-            return (inner.child,)
-        if isinstance(inner, inc._SinceNode):
-            return (inner.lhs, inner.rhs)
-        if isinstance(inner, inc._AssignNode):
-            return (inner.child,)
-        return ()
-
     def _toposort(self, roots) -> list:
         """Topological order of the *new* nodes reachable from ``roots``.
         Nodes already compiled into the chain are not recursed:
         their expression becomes a read of their value-vector slot."""
-        chain = self.chain
-        known = chain.node_slot if chain is not None else None
+        known = self.chain.node_slot
+        children = self._inc.children
         order: list = []
         seen: set[int] = set()
         stack = [(n, False) for n in reversed(roots)]
@@ -773,11 +693,11 @@ class _Lowering:
             if nid in seen:
                 continue
             seen.add(nid)
-            if known is not None and nid in known:
+            if nid in known:
                 self.expr[nid] = f"_V[{known[nid]}]"
                 continue
             stack.append((node, True))
-            for child in reversed(self._children(node)):
+            for child in reversed(children(node)):
                 if id(child) not in seen:
                     stack.append((child, False))
         return order
@@ -796,8 +716,11 @@ class _Lowering:
 
     def _lower_node(self, node) -> None:
         inc = self._inc
-        inner = self._peel(node)
+        inner = inc.peel(node)
         key = id(node)
+        if isinstance(inner, inc._AggregateState):
+            self.expr[key] = self._lower_aggregate(inner)
+            return
         if isinstance(inner, inc._BoolNode):
             self.expr[key] = "_T" if inner.value is cs.CTRUE else "_F"
             return
@@ -824,8 +747,7 @@ class _Lowering:
             v = self._local()
             self._emit(f"{v} = {n}.stored")
             self._emit(f"{n}.stored = {self.expr[id(inner.child)]}")
-            if not self._in_maint:
-                self._add_row("last", inner, n)
+            self._add_row("last", inner, n)
             self.expr[key] = v
             return
         if isinstance(inner, inc._SinceNode):
@@ -840,8 +762,7 @@ class _Lowering:
             self._emit(f"{n}.started = True", 2)
             self._emit(f"{v} = {b}", 2)
             self._emit(f"{n}.stored = {v}")
-            if not self._in_maint:
-                self._add_row("since", inner, n)
+            self._add_row("since", inner, n)
             self.expr[key] = v
             return
         if isinstance(inner, inc._AssignNode):
@@ -1131,77 +1052,55 @@ class _Lowering:
             self.head.append(f"    {name} = _gqv({g}, {q}, state)")
         return name
 
-    def _capture_agg(self, inner, term) -> str:
-        agg = inner.evaluator._aggregates[term]
-        if not self._in_maint:
-            self._cur_aggs.append(agg)
-        return self._capture("A", agg)
-
     def _agg_value(self, inner, term) -> str:
-        """The aggregate's current value, read once per generated body."""
-        agg = inner.evaluator._aggregates[term]
-        cacheable = not self._in_maint and self._indent == 0
-        if cacheable:
-            cached = self._agg_vals.get(id(agg))
-            if cached is not None:
-                # Refcount/layout bookkeeping still runs per reader.
-                self._capture_agg(inner, term)
-                return cached
-        name = self._capture_agg(inner, term)
-        t = self._local()
-        self._emit(f"{t} = {name}.value()")
-        if cacheable:
-            self._agg_vals[id(agg)] = t
-        return t
+        """The aggregate's value this state: its slot, computed once
+        right after its maintenance however many atoms read it."""
+        return self.expr[id(inner.evaluator._aggregates[term])]
 
     # -- aggregate maintenance -----------------------------------------------
 
-    def _maint_prepass(self, order) -> None:
-        """Lower the maintenance of every aggregate read by this batch's
-        comparison nodes, ahead of the node code (the interpreter steps
-        aggregates before computing nodes; segment order preserves that
-        for cross-segment readers)."""
-        inc = self._inc
-        for node in order:
-            inner = self._peel(node)
-            if not isinstance(inner, inc._ComparisonNode):
-                continue
-            for term in ast.aggregate_terms(inner.formula):
-                agg = inner.evaluator._aggregates.get(term)
-                if agg is not None:
-                    self._maybe_lower_maintenance(agg)
+    def _fired(self, node, ctx) -> str:
+        """Emit the firing decision of a ground φ/ψ root from its slot
+        (``fire_result``, its constant-top cases inlined)."""
+        top = self.expr[id(node)]
+        fv = self._local()
+        ec = self._capture("EC", ctx)
+        self._emit(
+            f"{fv} = {top} is _T or "
+            f"({top} is not _F and _frs({top}, state, {ec}).fired)"
+        )
+        return fv
 
-    def _maybe_lower_maintenance(self, agg) -> None:
-        aid = id(agg)
-        if aid in self._maint_done:
-            return
-        self._maint_done.add(aid)
-        chain = self.chain
-        if chain is not None and aid in chain.maintained:
-            return  # an earlier segment already maintains it
-        mark = len(self.body)
+    def _lower_aggregate(self, agg) -> str:
+        """One aggregate slot: its step (φ/ψ read off their slots, which
+        precede it in the order) under a flag cell, then its value.  An
+        accumulator shape the inliner declines is rolled back to a call
+        of the interpreted ``advance`` — still fed from the slots."""
         flag = [True]
         fl = self._capture("FL", flag)
+        A = self._capture("A", agg)
+        v = self._local()
+        self._emit(f"{v} = _U")
         self._emit(f"if {fl}[0]:")
         self._indent += 1
+        fs = "False" if agg.start is None else self._fired(agg.start, agg.ctx)
+        fv = self._fired(agg.sample, agg.ctx)
+        mark = len(self.body)
         try:
-            self._lower_agg_state(agg)
+            self._lower_agg_state(agg, A, fs, fv)
         except ChainLoweringError:
-            self._indent -= 1
-            # Roll back the partial block: this aggregate stays on the
-            # interpreted step (its readers still work — value() reads
-            # whatever state the interpreter maintains).
             del self.body[mark:]
-            return
+            self._emit(f"{A}.advance(state, {fs}, {fv})")
+        self._emit(f"{v} = {A}.value()")
         self._indent -= 1
-        self._maints.append(
-            _MaintEntry(agg, flag, str(agg.term), sorted(agg.avail), agg.mode)
+        self._cur_maint = self.chain.maintained[id(agg)] = _MaintEntry(
+            agg, flag
         )
+        return v
 
-    def _lower_agg_state(self, agg) -> None:
-        """Inline one ``_AggregateState.step`` (both modes), state
+    def _lower_agg_state(self, agg, A, fs, fv) -> None:
+        """Inline one ``_AggregateState.advance`` (both modes), state
         authority staying in the interpreted object."""
-        A = self._capture("A", agg)
         self._emit(f"{A}.now = _ts")
         qg = self._capture("QG", agg._qgate)
         qq = self._capture("QQ", agg.term.query)
@@ -1210,13 +1109,11 @@ class _Lowering:
                 raise ChainLoweringError(
                     f"unsupported running aggregate {agg.agg.name!r}"
                 )
-            fs = self._lower_subeval(agg.start_eval)
             ag = self._capture("G", agg.agg)
             self._emit(f"if {fs}:")
             self._emit(f"{ag}.reset()", 2)
             self._emit(f"{A}.started = True", 2)
             self._emit(f"{A}.poisoned = False", 2)
-            fv = self._lower_subeval(agg.sample_eval)
             t = self._local()
             self._emit(f"if {fv} and {A}.started:")
             self._emit(f"{t} = _gqv({qg}, {qq}, state)", 2)
@@ -1226,7 +1123,6 @@ class _Lowering:
             self._lower_running_add(ag, agg.agg.name, t, 3)
             return
         # windowed: record, then value() evaluates lazily at read time.
-        fv = self._lower_subeval(agg.sample_eval)
         val = self._local()
         t = self._local()
         self._emit(f"{val} = None")
@@ -1278,93 +1174,6 @@ class _Lowering:
         self._emit(f"if {k} > 0:", 2)
         self._emit(f"del {L}[:{k}]", 3)
 
-    def _lower_subeval(self, ev) -> str:
-        """Inline one ``_CoreEvaluator.step`` over a private sub-formula
-        (aggregate start/sample): nested aggregates first, then the node
-        chain, bookkeeping, pruning, and the fired flag.  Returns the
-        local holding the boolean firedness."""
-        prev = self._in_maint
-        self._in_maint = True
-        try:
-            for sub in ev._aggregates.values():
-                self._lower_agg_state(sub)
-            order = self._toposort([ev._root])
-            for node in order:
-                self._lower_node(node)
-            E = self._capture("E", ev)
-            top = self.expr[id(ev._root)]
-            self._emit(f"{E}.last_top = {top}")
-            self._emit(f"{E}.steps += 1")
-            if ev.optimize and ev.time_vars:
-                tv = self._capture("TV", ev.time_vars)
-                for tn in ev._temporal_nodes:
-                    pr = self._capture("P", tn.prune)
-                    self._emit(f"{pr}(_ts, {tv})")
-            fv = self._local()
-            self._emit(f"if {top} is _T:")
-            self._emit(f"{fv} = True", 2)
-            self._emit(f"elif {top} is _F:")
-            self._emit(f"{fv} = False", 2)
-            self._emit("else:")
-            ec = self._capture("EC", ev.ctx)
-            self._emit(f"{fv} = _frs({top}, state, {ec}).fired", 2)
-            return fv
-        finally:
-            self._in_maint = prev
-
-    def _lower_maintained(self, m) -> None:
-        """Inline one ``_MaintainedAggregate.step`` (the paper's r1/r2
-        maintenance-rule pair), overlay-item writes included."""
-        func = m.term.func
-        if func not in _RUNNING_FUNCS:
-            raise ChainLoweringError(
-                f"unsupported maintained aggregate {func!r}"
-            )
-        M = self._capture("M", m)
-        names = m.names
-        qg = self._capture("QG", m._qgate)
-        qq = self._capture("QQ", m.term.query)
-        # r1: initialize on the starting formula.
-        fs = self._lower_subeval(m.start_eval)
-        self._emit(f"if {fs}:")
-        self._emit(f"{M}.started = True", 2)
-        self._emit(f"{M}.poisoned = False", 2)
-        if func in ("sum", "count"):
-            self._emit(f"{M}.values[{names[0]!r}] = 0", 2)
-        elif func == "avg":
-            self._emit(f"{M}.values[{names[0]!r}] = 0", 2)
-            self._emit(f"{M}.values[{names[1]!r}] = 0", 2)
-        else:  # min / max: undefined until the first sample
-            self._emit(f"{M}.values[{names[0]!r}] = None", 2)
-        # r2: update on the sampling formula.
-        fv = self._lower_subeval(m.sample_eval)
-        t = self._local()
-        self._emit(f"if {fv} and {M}.started and not {M}.poisoned:")
-        self._emit(f"{t} = _gqv({qg}, {qq}, state)", 2)
-        self._emit(f"if {t} is _U:", 2)
-        self._emit(f"{M}.poisoned = True", 3)
-        self._emit("else:", 2)
-        if func in ("sum", "avg"):
-            self._emit(f"{M}.values[{names[0]!r}] += {t}", 3)
-            if func == "avg":
-                self._emit(f"{M}.values[{names[1]!r}] += 1", 3)
-        elif func == "count":
-            self._emit(f"{M}.values[{names[0]!r}] += 1", 3)
-        else:
-            c = self._local()
-            self._emit(f"{c} = {M}.values[{names[0]!r}]", 3)
-            self._emit(
-                f"{M}.values[{names[0]!r}] = {t} if {c} is None "
-                f"else {func}({c}, {t})",
-                3,
-            )
-        self._emit(f"if not {M}.started or {M}.poisoned:")
-        for name in names:
-            self._emit(f"_OV[{name!r}] = None", 2)
-        self._emit("else:")
-        for name in names:
-            self._emit(f"_OV[{name!r}] = {M}.values[{name!r}]", 2)
-
     # -- assembly ------------------------------------------------------------
 
     def _assemble(self):
@@ -1381,77 +1190,27 @@ class _Lowering:
         to the chain (hot add patches: only the unshared suffix
         is lowered; everything already compiled is read from ``_V``)."""
         chain = self.chain
-        order = self._toposort(self.roots)
-        self._maint_prepass(order)
         new_slots: list[_Slot] = []
-        for node in order:
-            self._cur_row = None
-            self._cur_aggs = []
+        for node in self._toposort(self.roots):
+            self._cur_row = self._cur_maint = None
             self._lower_node(node)
             j = len(chain.slots)
             self._emit(f"_V[{j}] = {self.expr[id(node)]}")
-            slot = _Slot(node, [], self._cur_row, list(self._cur_aggs))
+            slot = _Slot(node, self._cur_row, self._cur_maint)
             chain.slots.append(slot)
             chain.slot_refs.append(0)
             chain._V.append(cs.CFALSE)
             chain.node_slot[id(node)] = j
             chain.n_nodes += 1
             new_slots.append(slot)
-        for slot in new_slots:
-            children = []
-            for child in self._children(slot.node):
-                cj = chain.node_slot[id(child)]
-                children.append(cj)
-                chain.slot_refs[cj] += 1
-            slot.children = children
-            for agg in slot.aggs:
-                aid = id(agg)
-                chain.maint_refs[aid] = chain.maint_refs.get(aid, 0) + 1
         fn, source = self._assemble()
-        seg = _Segment(
-            fn, self.env, source, len(new_slots), self._maints,
-            len(self._qslots),
-        )
+        seg = _Segment(fn, self.env, source, len(new_slots), len(self._qslots))
         for slot in new_slots:
             slot.seg = seg
-        for entry in self._maints:
-            entry.seg = seg
-            chain.maintained[id(entry.agg)] = entry
-            chain.maint_refs.setdefault(id(entry.agg), 0)
+            for child in self._inc.children(slot.node):
+                cj = chain.node_slot[id(child)]
+                slot.children.append(cj)
+                chain.slot_refs[cj] += 1
         chain.segments.append(seg)
         chain.temporal.extend(self.temporal_rows)
         chain.n_query_slots += len(self._qslots)
-
-    def build_executor(self, maintained) -> Optional[CompiledExecutor]:
-        """Compile an executor's maintained-aggregate list; aggregates
-        whose shape declines lowering stay interpreted and are merged in
-        by the executor after the generated function runs."""
-        overlay: dict[str, Any] = {}
-        self.env["_OV"] = overlay
-        self.head.append("    _OV.clear()")
-        prev = self._in_maint
-        self._in_maint = True
-        compiled_ms = []
-        uncompiled = []
-        try:
-            for m in maintained:
-                mark = len(self.body)
-                try:
-                    self._lower_maintained(m)
-                except ChainLoweringError:
-                    del self.body[mark:]
-                    uncompiled.append(m)
-                    continue
-                compiled_ms.append(m)
-        finally:
-            self._in_maint = prev
-        if not compiled_ms:
-            return None
-        fn, source = self._assemble()
-        ex = CompiledExecutor()
-        ex.fn = fn
-        ex.overlay = overlay
-        ex.uncompiled = uncompiled
-        ex.n_ops = len(compiled_ms)
-        ex.source = source
-        return ex

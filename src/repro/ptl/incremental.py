@@ -36,9 +36,10 @@ Free variables
   appear for query domains.
 
 This module holds the recurrences themselves: the node classes, the one
-formula -> node switch (:func:`build_node`) and the aggregate state.  The
-engine that steps them — for one rule or for many, with common-subformula
-elimination — is :class:`repro.ptl.plan.SharedPlan`;
+formula -> node switch (:func:`build_node`), the one child enumeration
+(:func:`children`) and the aggregate accumulator.  The engine that steps
+them — for one rule or for many, with common-subformula elimination — is
+:class:`repro.ptl.plan.SharedPlan`;
 :class:`~repro.ptl.plan.IncrementalEvaluator` is its one-rule view.
 """
 
@@ -273,11 +274,16 @@ class _BoolNode(_Node):
 
 
 class _ComparisonNode(_Node):
-    __slots__ = ("formula", "evaluator", "_gate")
+    __slots__ = ("formula", "evaluator", "aggs", "_gate")
 
-    def __init__(self, formula: ast.Comparison, evaluator: "_CoreEvaluator"):
+    def __init__(self, formula: ast.Comparison, evaluator):
         self.formula = formula
         self.evaluator = evaluator
+        #: The shared aggregates this atom reads (its DAG children).
+        self.aggs = tuple(
+            evaluator._aggregates[term]
+            for term in dict.fromkeys(ast.aggregate_terms(formula))
+        )
         queries: list = []
         left_ok = _term_queries(formula.left, queries)
         right_ok = _term_queries(formula.right, queries)
@@ -522,9 +528,8 @@ class _AssignNode(_Node):
 def build_node(f: ast.Formula, avail: frozenset[str], owner, child) -> _Node:
     """The one formula -> node switch.  ``owner`` is the evaluator surface
     the atoms read through (``ctx``, ``_term_value``, ``_aggregates``);
-    ``child(g, avail)`` compiles a subformula — plain recursion in
-    :class:`_CoreEvaluator`, hash-consed in
-    :class:`~repro.ptl.plan.SharedPlan`.
+    ``child(g, avail)`` compiles a subformula (hash-consed in
+    :class:`~repro.ptl.plan.SharedPlan`).
 
     ``avail`` tracks variables assigned from ``time`` on the path from the
     root with no temporal operator in between — at every step their
@@ -560,6 +565,85 @@ def build_node(f: ast.Formula, avail: frozenset[str], owner, child) -> _Node:
         inner_avail = avail | {f.var} if f.query == TIME_QUERY else avail
         return _AssignNode(f.var, f.query, child(f.body, inner_avail))
     raise PTLError(f"cannot compile formula node {f!r}")
+
+
+class _MemoNode(_Node):
+    """Epoch-memoized wrapper around a shared node: however many parents
+    (within one rule or across rules) reference it, ``compute`` runs once
+    per plan step.  Besides the shared work, this is what keeps temporal
+    nodes *correct* under sharing — a ``Since`` stepped twice per state
+    would corrupt its recurrence.
+
+    ``refs`` counts referencing parents (rule roots, parent memo nodes
+    and aggregates): :meth:`SharedPlan.remove_rule` releases a removed
+    rule's references and physically drops subtrees nobody shares any
+    more."""
+
+    __slots__ = ("inner", "plan", "_epoch", "_cached", "key", "refs")
+
+    def __init__(self, inner: _Node, plan):
+        self.inner = inner
+        self.plan = plan
+        self._epoch = -1
+        self._cached: Optional[cs.C] = None
+        #: The plan's sharing key (subformula, avail, prune set, birth).
+        self.key = None
+        #: Number of live references from roots, parents and aggregates.
+        self.refs = 0
+
+    def compute(self, state):
+        if self._epoch == self.plan.epoch:
+            return self._cached
+        result = self.inner.compute(state)
+        self._epoch = self.plan.epoch
+        self._cached = result
+        return result
+
+    def get_state(self):
+        return self.inner.get_state()
+
+    def set_state(self, snapshot) -> None:
+        self.inner.set_state(snapshot)
+
+    def stored_size(self) -> int:
+        return self.inner.stored_size()
+
+    def prune(self, now, time_vars) -> None:
+        self.inner.prune(now, time_vars)
+
+    def stored_formulas(self):
+        return self.inner.stored_formulas()
+
+
+def peel(node):
+    """The node behind any memo wrappers."""
+    while isinstance(node, _MemoNode):
+        node = node.inner
+    return node
+
+
+def children(node) -> tuple:
+    """The DAG nodes hanging directly under ``node`` — the one child
+    enumeration (plan release, the per-rule walks and the compiled
+    chain's toposort all go through it).  Children come back *as
+    referenced*: memo wrappers on, since those carry the refcounts.  A
+    comparison's children are the shared aggregates it reads, an
+    aggregate's are its φ/ψ roots — so whatever walks the DAG sees
+    aggregate sub-formulas like any other subformula."""
+    node = peel(node)
+    if isinstance(node, (_NotNode, _LasttimeNode, _AssignNode)):
+        return (node.child,)
+    if isinstance(node, (_AndNode, _OrNode)):
+        return tuple(node.children)
+    if isinstance(node, _SinceNode):
+        return (node.lhs, node.rhs)
+    if isinstance(node, _ComparisonNode):
+        return node.aggs
+    if isinstance(node, _AggregateState):
+        if node.start is None:
+            return (node.sample,)
+        return (node.start, node.sample)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -645,26 +729,37 @@ def _is_monotone_window(f: ast.Formula, avail: frozenset[str]) -> bool:
 
 
 class _AggregateState:
-    """Running state for one temporal-aggregate term.
+    """Running state for one temporal-aggregate term ``f(q, φ, ψ)``.
+
+    Section 6.1.1 maintains the aggregate with two more rules — ``r1: φ →
+    initialize F``, ``r2: ψ → update F`` — so φ and ψ are ordinary
+    conditions: ``start`` and ``sample`` are *node references into the
+    owning plan's DAG* (bound by :meth:`SharedPlan._ref_aggregate`;
+    compiled, shared, refcounted, pruned and checkpointed like every other
+    subformula), and the aggregate itself is a refcounted DAG node whose
+    parents are the comparison atoms reading it (:func:`children`).
 
     Two modes:
 
-    * **running** — ground starting formula: a sub-evaluator fires resets,
-      a :class:`RunningAggregate` accumulates samples (O(1) per step).
+    * **running** — ground starting formula: φ firing resets, a
+      :class:`RunningAggregate` accumulates samples (O(1) per step).
     * **windowed** — starting formula is a pure time predicate over outer
       variables assigned from ``time`` (the paper's moving hourly
       average): a log of (timestamp, sampled, value) entries; at read time
       the start index is the latest entry satisfying the predicate with
       the outer variables bound to the *current* timestamp.  For monotone
-      windows the log is pruned below the start index.
+      windows the log is pruned below the start index.  No φ node.
     """
 
     __slots__ = (
         "term",
         "mode",
         "avail",
-        "start_eval",
-        "sample_eval",
+        "ctx",
+        "start",
+        "sample",
+        "key",
+        "refs",
         "agg",
         "started",
         "poisoned",
@@ -678,7 +773,6 @@ class _AggregateState:
         self,
         term: ast.AggT,
         ctx: EvalContext,
-        optimize: bool,
         avail_time_vars: frozenset[str] = frozenset(),
     ):
         start_free = ast.free_variables(term.start)
@@ -687,15 +781,20 @@ class _AggregateState:
                 f"aggregate sampling formula must be ground: {term}"
             )
         self.term = term
+        self.ctx = ctx
         self.avail = frozenset(avail_time_vars)
-        self.sample_eval = _CoreEvaluator(term.sample, ctx, optimize)
+        #: φ / ψ roots in the owning plan (φ only in running mode).
+        self.start: Optional[_Node] = None
+        self.sample: Optional[_Node] = None
+        #: The plan's sharing key (term, avail, birth) and reader count.
+        self.key = None
+        self.refs = 0
+        self.started = False
         self.poisoned = False
         self._qgate = _atom_gate((term.query,))
         if not start_free:
             self.mode = "running"
-            self.start_eval = _CoreEvaluator(term.start, ctx, optimize)
             self.agg = RunningAggregate(term.func)
-            self.started = False
             self.log = None
             self.prunable = False
         else:
@@ -708,22 +807,32 @@ class _AggregateState:
                     f"operator in between): {term}"
                 )
             self.mode = "windowed"
-            self.start_eval = None
             self.agg = None
-            self.started = False
             #: (timestamp, sampled, value) per state.
             self.log = []
             self.prunable = _is_monotone_window(term.start, self.avail)
         self.now = None
 
     def step(self, state: SystemState) -> None:
+        """Interpreted step: whether φ/ψ fire is read off the plan's
+        nodes (memoized — the plan computes each once per state)."""
+        ctx = self.ctx
+        reset = (
+            self.start is not None
+            and fire_result(self.start.compute(state), state, ctx).fired
+        )
+        sampled = fire_result(self.sample.compute(state), state, ctx).fired
+        self.advance(state, reset, sampled)
+
+    def advance(self, state: SystemState, reset: bool, sampled: bool) -> None:
+        """The r1/r2 actions for one state, given whether φ and ψ fired
+        (``reset`` is ignored in windowed mode)."""
         self.now = state.timestamp
         if self.mode == "running":
-            if self.start_eval.step(state).fired:
+            if reset:
                 self.agg.reset()
                 self.started = True
                 self.poisoned = False
-            sampled = self.sample_eval.step(state).fired
             if sampled and self.started:
                 value = gated_query_value(self._qgate, self.term.query, state)
                 if value is UNDEFINED:
@@ -732,7 +841,6 @@ class _AggregateState:
                     self.agg.add(value)
             return
         # windowed mode: record, then evaluate lazily at read time.
-        sampled = self.sample_eval.step(state).fired
         value = None
         if sampled:
             v = gated_query_value(self._qgate, self.term.query, state)
@@ -777,45 +885,21 @@ class _AggregateState:
 
     def get_state(self):
         if self.mode == "running":
-            return (
-                "running",
-                self.started,
-                self.poisoned,
-                list(self.agg._samples),
-                self.start_eval.snapshot(),
-                self.sample_eval.snapshot(),
-            )
-        return (
-            "windowed",
-            self.poisoned,
-            list(self.log),
-            self.now,
-            self.sample_eval.snapshot(),
-        )
+            return (self.started, self.poisoned, list(self.agg._samples))
+        return (self.poisoned, list(self.log), self.now)
 
     def set_state(self, snap) -> None:
-        if snap[0] == "running":
-            _, started, poisoned, samples, start_snap, sample_snap = snap
-            self.started = started
-            self.poisoned = poisoned
+        if self.mode == "running":
+            self.started, self.poisoned, samples = snap
             self.agg.reset()
             self.agg.add_all(samples)
-            self.start_eval.restore(start_snap)
-            self.sample_eval.restore(sample_snap)
         else:
-            _, poisoned, log, now, sample_snap = snap
-            self.poisoned = poisoned
+            self.poisoned, log, self.now = snap
             self.log = list(log)
-            self.now = now
-            self.sample_eval.restore(sample_snap)
 
     def state_size(self) -> int:
-        total = self.sample_eval.state_size()
-        if self.mode == "running":
-            total += self.start_eval.state_size() + self.agg.count
-        else:
-            total += len(self.log)
-        return total
+        """Accumulator rows (φ/ψ state is the plan's, counted there)."""
+        return self.agg.count if self.mode == "running" else len(self.log)
 
     # -- serialization (recovery checkpoints) --------------------------------
 
@@ -826,8 +910,6 @@ class _AggregateState:
                 "started": self.started,
                 "poisoned": self.poisoned,
                 "samples": [cs.encode_value(v) for v in self.agg._samples],
-                "start": self.start_eval.to_state(),
-                "sample": self.sample_eval.to_state(),
             }
         return {
             "mode": "windowed",
@@ -837,7 +919,6 @@ class _AggregateState:
                 for ts, sampled, v in self.log
             ],
             "now": self.now,
-            "sample": self.sample_eval.to_state(),
         }
 
     def from_state(self, state: dict) -> None:
@@ -847,12 +928,10 @@ class _AggregateState:
                 f"{state.get('mode')!r}, evaluator compiled {self.mode!r}"
             )
         self.poisoned = state["poisoned"]
-        self.sample_eval.from_state(state["sample"])
         if self.mode == "running":
             self.started = state["started"]
             self.agg.reset()
             self.agg.add_all([cs.decode_value(v) for v in state["samples"]])
-            self.start_eval.from_state(state["start"])
         else:
             self.log = [
                 (ts, sampled, cs.decode_value(v))
@@ -878,173 +957,3 @@ def _decode_node_state(payload):
     if payload["k"] == "since":
         return (cs.from_payload(payload["f"]), payload["started"])
     return cs.from_payload(payload["f"])
-
-
-# ---------------------------------------------------------------------------
-# Ground sub-formula stepper (aggregate start / sample formulas)
-# ---------------------------------------------------------------------------
-
-
-class _CoreEvaluator:
-    """Private stepper for one *ground* formula: the starting and sampling
-    formulas of a temporal aggregate (:class:`_AggregateState`, and the
-    rewritten pipeline's ``_MaintainedAggregate``), which
-    :mod:`repro.ptl.compiled` inlines into the owning chain.  Rule
-    conditions never run here — they compile into a
-    :class:`~repro.ptl.plan.SharedPlan`."""
-
-    def __init__(
-        self,
-        formula: ast.Formula,
-        ctx: EvalContext,
-        optimize: bool = True,
-    ):
-        self.formula = formula
-        self.ctx = ctx
-        self.optimize = optimize
-        self.steps = 0
-        self.last_top: cs.C = cs.CFALSE
-        self._temporal_nodes: list[_Node] = []
-        self._aggregates: dict[ast.AggT, _AggregateState] = {}
-        #: Variables assigned from the ``time`` item (monotone — prunable).
-        self.time_vars: frozenset[str] = frozenset(
-            var
-            for var, query in ast.assigned_variables(formula).items()
-            if query == TIME_QUERY
-        )
-        self._root = self._compile(formula, frozenset())
-
-    def _compile(self, f: ast.Formula, avail: frozenset[str]) -> _Node:
-        if isinstance(f, ast.Comparison):
-            for term in ast.aggregate_terms(f):
-                if term not in self._aggregates:
-                    self._aggregates[term] = _AggregateState(
-                        term, self.ctx, self.optimize, avail
-                    )
-        node = build_node(f, avail, self, self._compile)
-        if isinstance(node, (_LasttimeNode, _SinceNode)):
-            self._temporal_nodes.append(node)
-        return node
-
-    # -- term evaluation ------------------------------------------------------
-
-    def _term_value(self, term: ast.Term, state: SystemState):
-        """Symbolic value of a term at the current state, or None if the
-        term is undefined there."""
-        if isinstance(term, ast.ConstT):
-            return cs.SConst(term.value)
-        if isinstance(term, ast.Var):
-            return cs.SVar(term.name)
-        if isinstance(term, ast.FuncT):
-            args = []
-            for a in term.args:
-                sym = self._term_value(a, state)
-                if sym is None:
-                    return None
-                args.append(sym)
-            try:
-                return cs.sapp(term.func, tuple(args))
-            except Exception:
-                return None
-        if isinstance(term, ast.QueryT):
-            value = eval_query_value(term.query, state, {})
-            if value is UNDEFINED:
-                return None
-            return cs.SConst(value)
-        if isinstance(term, ast.AggT):
-            value = self._aggregates[term].value()
-            if value is UNDEFINED:
-                return None
-            return cs.SConst(value)
-        raise EvaluationError(f"unknown term {term!r}")
-
-    # -- stepping ----------------------------------------------------------------
-
-    def step(self, state: SystemState) -> FireResult:
-        """Process one new system state; returns the firing result."""
-        for agg in self._aggregates.values():
-            agg.step(state)
-        top = self._root.compute(state)
-        self.last_top = top
-        self.steps += 1
-        if self.optimize and self.time_vars:
-            for node in self._temporal_nodes:
-                node.prune(state.timestamp, self.time_vars)
-        return fire_result(top, state, self.ctx)
-
-    # -- inspection / snapshot -----------------------------------------------------
-
-    def state_size(self) -> int:
-        """Stored-formula DAG size plus nested aggregate rows."""
-        stored = cs.dag_size(
-            c
-            for node in self._temporal_nodes
-            for _, c in node.stored_formulas()
-        )
-        return stored + sum(
-            agg.state_size() for agg in self._aggregates.values()
-        )
-
-    def snapshot(self):
-        return (
-            self.steps,
-            self.last_top,
-            [node.get_state() for node in self._temporal_nodes],
-            {term: agg.get_state() for term, agg in self._aggregates.items()},
-        )
-
-    def restore(self, snap) -> None:
-        steps, last_top, node_states, agg_states = snap
-        self.steps = steps
-        self.last_top = last_top
-        for node, stored in zip(self._temporal_nodes, node_states):
-            node.set_state(stored)
-        for term, stored in agg_states.items():
-            self._aggregates[term].set_state(stored)
-
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> dict:
-        """JSON-serializable counterpart of :meth:`snapshot`.  Temporal
-        nodes and aggregates are stored positionally (compilation order is
-        deterministic for a given formula), with the aggregate term's text
-        as a fingerprint."""
-        return {
-            "steps": self.steps,
-            "last_top": cs.to_payload(self.last_top),
-            "nodes": [
-                _encode_node_state(n.get_state())
-                for n in self._temporal_nodes
-            ],
-            "aggregates": [
-                [str(term), agg.to_state()]
-                for term, agg in self._aggregates.items()
-            ],
-        }
-
-    def from_state(self, state: dict) -> None:
-        nodes = state["nodes"]
-        aggs = state["aggregates"]
-        if len(nodes) != len(self._temporal_nodes):
-            raise RecoveryError(
-                f"checkpoint has {len(nodes)} temporal nodes; this "
-                f"evaluator compiled {len(self._temporal_nodes)}"
-            )
-        if len(aggs) != len(self._aggregates):
-            raise RecoveryError(
-                f"checkpoint has {len(aggs)} aggregates; this evaluator "
-                f"compiled {len(self._aggregates)}"
-            )
-        self.steps = state["steps"]
-        self.last_top = cs.from_payload(state["last_top"])
-        for node, payload in zip(self._temporal_nodes, nodes):
-            node.set_state(_decode_node_state(payload))
-        for (term, agg), (fingerprint, payload) in zip(
-            self._aggregates.items(), aggs
-        ):
-            if str(term) != fingerprint:
-                raise RecoveryError(
-                    f"aggregate mismatch: checkpoint has {fingerprint!r}, "
-                    f"evaluator compiled {str(term)!r}"
-                )
-            agg.from_state(payload)

@@ -34,6 +34,12 @@ Sharing is keyed so it is *sound*, not just syntactic:
   state, so it only shares nodes born at the same epoch.  Rules registered
   before the first step (the common case) all share.
 
+A temporal aggregate's starting and sampling formulas (Section 6.1.1's
+``r1: φ → initialize F``, ``r2: ψ → update F``) are conditions like any
+other: they compile through the same cache under the same key, so a ψ that
+also occurs in another rule's condition — or in five other aggregates — is
+one node, stepped once per state.
+
 This is the one condition-evaluation backend: a standalone condition is
 a plan holding one rule (:class:`IncrementalEvaluator`).  THEOREM 1
 equivalence — one plan for all rules vs one plan per rule vs the
@@ -50,6 +56,7 @@ from typing import Iterator, Optional
 
 from repro.errors import (
     DuplicateRuleError,
+    EvaluationError,
     RecoveryError,
     UnknownRuleError,
     UnsafeFormulaError,
@@ -63,23 +70,21 @@ from repro.ptl import compiled as _compiled
 from repro.ptl.incremental import (
     FireResult,
     _AggregateState,
-    _AndNode,
-    _AssignNode,
-    _ComparisonNode,
-    _CoreEvaluator,
     _LasttimeNode,
+    _MemoNode,
     _Node,
-    _NotNode,
-    _OrNode,
     _SinceNode,
     _decode_node_state,
     _encode_node_state,
     build_node,
+    children,
     fire_result,
     instantiate_formula,
+    peel,
     query_param_vars,
 )
 from repro.ptl.rewrite import TIME_QUERY, normalize
+from repro.ptl.semantics import UNDEFINED, eval_query_value
 from repro.query import plan as qplan
 
 
@@ -120,9 +125,21 @@ def rule_drift(checkpointed: dict, registered: dict, strict: bool) -> dict:
     return {"added": added, "dropped": dropped, "changed": changed}
 
 
+#: The node classes that store a formula between states.
+_TEMPORAL = (_LasttimeNode, _SinceNode)
+
 #: "Tried to lower, unsupported" marker — distinct from None ("not yet
 #: tried") so the lowering attempt happens at most once per root set.
 _NO_CHAIN = object()
+
+
+def _time_vars(formula: ast.Formula) -> frozenset[str]:
+    """Variables assigned from the ``time`` item (monotone — prunable)."""
+    return frozenset(
+        var
+        for var, query in ast.assigned_variables(formula).items()
+        if query == TIME_QUERY
+    )
 
 
 class _SubEval:
@@ -137,54 +154,35 @@ class _SubEval:
         self.ctx = ctx
         self._aggregates: dict = {}
 
-    _term_value = _CoreEvaluator._term_value
-
-
-class _MemoNode(_Node):
-    """Epoch-memoized wrapper around a shared node: however many parents
-    (within one rule or across rules) reference it, ``compute`` runs once
-    per plan step.  Besides the shared work, this is what keeps temporal
-    nodes *correct* under sharing — a ``Since`` stepped twice per state
-    would corrupt its recurrence.
-
-    ``refs`` counts referencing parents (rule roots and parent memo
-    nodes): :meth:`SharedPlan.remove_rule` releases a removed rule's
-    references and physically drops subtrees nobody shares any more."""
-
-    __slots__ = ("inner", "plan", "_epoch", "_cached", "key", "refs")
-
-    def __init__(self, inner: _Node, plan: "SharedPlan"):
-        self.inner = inner
-        self.plan = plan
-        self._epoch = -1
-        self._cached: Optional[cs.C] = None
-        #: The plan's sharing key (subformula, avail, prune set, birth).
-        self.key = None
-        #: Number of live references from roots and parent memo nodes.
-        self.refs = 0
-
-    def compute(self, state):
-        if self._epoch == self.plan.epoch:
-            return self._cached
-        result = self.inner.compute(state)
-        self._epoch = self.plan.epoch
-        self._cached = result
-        return result
-
-    def get_state(self):
-        return self.inner.get_state()
-
-    def set_state(self, snapshot) -> None:
-        self.inner.set_state(snapshot)
-
-    def stored_size(self) -> int:
-        return self.inner.stored_size()
-
-    def prune(self, now, time_vars) -> None:
-        self.inner.prune(now, time_vars)
-
-    def stored_formulas(self):
-        return self.inner.stored_formulas()
+    def _term_value(self, term: ast.Term, state: SystemState):
+        """Symbolic value of a term at the current state, or None if the
+        term is undefined there."""
+        if isinstance(term, ast.ConstT):
+            return cs.SConst(term.value)
+        if isinstance(term, ast.Var):
+            return cs.SVar(term.name)
+        if isinstance(term, ast.FuncT):
+            args = []
+            for a in term.args:
+                sym = self._term_value(a, state)
+                if sym is None:
+                    return None
+                args.append(sym)
+            try:
+                return cs.sapp(term.func, tuple(args))
+            except Exception:
+                return None
+        if isinstance(term, ast.QueryT):
+            value = eval_query_value(term.query, state, {})
+            if value is UNDEFINED:
+                return None
+            return cs.SConst(value)
+        if isinstance(term, ast.AggT):
+            value = self._aggregates[term].value()
+            if value is UNDEFINED:
+                return None
+            return cs.SConst(value)
+        raise EvaluationError(f"unknown term {term!r}")
 
 
 class _PlanRule:
@@ -204,6 +202,7 @@ class _PlanRule:
         "birth",
         "seq",
         "instance_births",
+        "maintains",
     )
 
     def __init__(self, name, formula, ctx, time_vars, qvars):
@@ -223,11 +222,16 @@ class _PlanRule:
         self.seq = 0
         #: combo -> (birth epoch, sequence number) per instance.
         self.instance_births: dict[tuple, tuple[int, int]] = {}
+        #: The accumulator F a maintenance rule ``r2: ψ → update F`` roots
+        #: (:meth:`SharedPlan.add_aggregate_rules`); None for conditions.
+        self.maintains: Optional[_AggregateState] = None
 
     def roots(self) -> Iterator[_Node]:
         if self.root is not None:
             yield self.root
         yield from self.instances.values()
+        if self.maintains is not None:
+            yield self.maintains
 
 
 class SharedPlan:
@@ -262,12 +266,10 @@ class SharedPlan:
         self._nodes: dict = {}
         #: (node, prune set, birth epoch) per distinct temporal node.
         self._temporal: list[tuple[_Node, frozenset[str], int]] = []
-        #: (aggregate term, avail, birth epoch) -> shared running state.
+        #: (aggregate term, avail, birth epoch) -> shared running state,
+        #: in registration order: an aggregate nested in another's φ/ψ
+        #: comes first, so stepping in order is inner-before-outer.
         self._aggregates: dict = {}
-        #: Aggregate refcounts: sharing key -> number of referencing
-        #: comparison nodes; id(agg) -> key (release bookkeeping).
-        self._agg_refs: dict = {}
-        self._agg_key_of: dict[int, tuple] = {}
         self._subevals: dict = {}
         #: Next root-compilation sequence number (checkpoint replay order).
         self._next_seq = 0
@@ -322,11 +324,6 @@ class SharedPlan:
             raise DuplicateRuleError(f"rule {name!r} already in the plan")
         formula = normalize(formula)
         rule_ctx = ctx or self.ctx
-        time_vars = frozenset(
-            var
-            for var, query in ast.assigned_variables(formula).items()
-            if query == TIME_QUERY
-        )
         qvars = tuple(sorted(query_param_vars(formula)))
         for qv in qvars:
             if qv not in rule_ctx.domains:
@@ -334,17 +331,44 @@ class SharedPlan:
                     f"free variable {qv!r} parameterizes a query; it "
                     f"needs a domain (EvalContext.domains[{qv!r}])"
                 )
-        entry = _PlanRule(name, formula, rule_ctx, time_vars, qvars)
+        entry = _PlanRule(name, formula, rule_ctx, _time_vars(formula), qvars)
         entry.birth = self.epoch
         entry.seq = self._next_seq
         self._next_seq += 1
         if not qvars:
-            entry.root = self._compile(formula, frozenset(), time_vars)
+            self._compile_root(entry)
         self._rules[name] = entry
         self._layout_gen += 1
         if self._obs_on:
             self._record_metrics()
         return entry
+
+    def add_aggregate_rules(
+        self, term: ast.AggT, names: tuple[str, str]
+    ) -> "PlanBoundEvaluator":
+        """Section 6.1.1's maintenance of ``term = f(q, φ, ψ)`` as two
+        real rules of this plan, ``names = (r1, r2)``: ``r1: φ →
+        initialize F`` and ``r2: ψ → update F``.  F is the plan's own
+        accumulator for the (normalized, ground) term — the rules' roots
+        *are* its φ/ψ nodes — and ``r2`` roots it, so whichever backend
+        steps the plan maintains it.  Returns r2's view; the live
+        accumulator is ``view.entry.maintains``."""
+        self.add_rule(names[0], term.start)
+        view = self.add_rule(names[1], term.sample)
+        view.entry.maintains = self._ref_aggregate(term, frozenset())
+        self._layout_gen += 1
+        return view
+
+    def _compile_root(self, entry: _PlanRule) -> None:
+        """Compile a ground rule's root at the current epoch (and
+        re-reference the accumulator a maintenance rule roots)."""
+        entry.root = self._compile(
+            entry.formula, frozenset(), entry.time_vars
+        )
+        if entry.maintains is not None:
+            entry.maintains = self._ref_aggregate(
+                entry.maintains.term, frozenset()
+            )
 
     def remove_rule(self, name: str) -> None:
         """Drop a rule and release its references into the shared DAG.
@@ -362,51 +386,26 @@ class SharedPlan:
         if self._obs_on:
             self._record_metrics()
 
-    def _release(self, node: _Node) -> None:
-        """Drop one reference to a memo node; on the last reference the
-        node leaves the plan and its child references are released."""
-        if not isinstance(node, _MemoNode):
-            return
+    def _release(self, node) -> None:
+        """Drop one reference to a memo node or shared aggregate; on the
+        last reference it leaves the plan and its child references are
+        released."""
         node.refs -= 1
         if node.refs > 0:
             return
-        self._nodes.pop(node.key, None)
-        inner = node.inner
-        if isinstance(inner, (_LasttimeNode, _SinceNode)):
-            for i, (tnode, _, _) in enumerate(self._temporal):
-                if tnode is inner:
-                    del self._temporal[i]
-                    break
-        if isinstance(inner, _ComparisonNode):
-            self._release_aggregates(inner)
-        if isinstance(inner, _NotNode):
-            self._release(inner.child)
-        elif isinstance(inner, (_AndNode, _OrNode)):
-            for child in inner.children:
-                self._release(child)
-        elif isinstance(inner, _LasttimeNode):
-            self._release(inner.child)
-        elif isinstance(inner, _SinceNode):
-            self._release(inner.lhs)
-            self._release(inner.rhs)
-        elif isinstance(inner, _AssignNode):
-            self._release(inner.child)
-
-    def _release_aggregates(self, inner: _ComparisonNode) -> None:
-        sub = inner.evaluator
-        for term in dict.fromkeys(ast.aggregate_terms(inner.formula)):
-            agg = sub._aggregates.get(term)
-            if agg is None:
-                continue
-            key = self._agg_key_of.get(id(agg))
-            if key is None:
-                continue
-            self._agg_refs[key] -= 1
-            if self._agg_refs[key] == 0:
-                del self._agg_refs[key]
-                del self._agg_key_of[id(agg)]
-                del self._aggregates[key]
-                del sub._aggregates[term]
+        if isinstance(node, _AggregateState):
+            term, avail, birth = node.key
+            del self._aggregates[node.key]
+            del self._subevals[(avail, birth)]._aggregates[term]
+        else:
+            self._nodes.pop(node.key, None)
+            if isinstance(node.inner, _TEMPORAL):
+                for i, (tnode, _, _) in enumerate(self._temporal):
+                    if tnode is node.inner:
+                        del self._temporal[i]
+                        break
+        for child in children(node):
+            self._release(child)
 
     def _compile(
         self,
@@ -431,14 +430,16 @@ class SharedPlan:
         return node
 
     def _build(self, f, avail, time_vars, prune_set) -> _Node:
-        sub = self._subeval(avail)
         if isinstance(f, ast.Comparison):
             for term in dict.fromkeys(ast.aggregate_terms(f)):
-                self._ref_aggregate(term, avail, sub)
+                self._ref_aggregate(term, avail)
         node = build_node(
-            f, avail, sub, lambda g, a: self._compile(g, a, time_vars)
+            f,
+            avail,
+            self._subeval(avail),
+            lambda g, a: self._compile(g, a, time_vars),
         )
-        if isinstance(node, (_LasttimeNode, _SinceNode)):
+        if isinstance(node, _TEMPORAL):
             self._temporal.append((node, prune_set, self.epoch))
         return node
 
@@ -450,18 +451,29 @@ class SharedPlan:
             self._subevals[key] = sub
         return sub
 
-    def _ref_aggregate(self, term, avail, sub: _SubEval) -> None:
-        """One comparison node references ``term``: create or share the
-        running aggregate for this (avail, birth) context and count the
-        reference for :meth:`_release_aggregates`."""
+    def _ref_aggregate(self, term, avail) -> _AggregateState:
+        """Take one reference to the shared aggregate for ``term`` in this
+        (avail, birth) context, creating it on first use.  Its φ and ψ
+        are conditions like any other: they compile into this DAG at the
+        aggregate's birth epoch (same sharing key, refcounts, prune loop
+        and checkpoint pools as every temporal child), and the aggregate
+        registers *after* them — so one nested in φ/ψ steps first."""
         key = (term, avail, self.epoch)
         agg = self._aggregates.get(key)
         if agg is None:
-            agg = _AggregateState(term, self.ctx, self.optimize, avail)
+            agg = _AggregateState(term, self.ctx, avail)
+            agg.key = key
+            if agg.mode == "running":
+                agg.start = self._compile(
+                    term.start, frozenset(), _time_vars(term.start)
+                )
+            agg.sample = self._compile(
+                term.sample, frozenset(), _time_vars(term.sample)
+            )
             self._aggregates[key] = agg
-            self._agg_key_of[id(agg)] = key
-        sub._aggregates[term] = agg
-        self._agg_refs[key] = self._agg_refs.get(key, 0) + 1
+            self._subeval(avail)._aggregates[term] = agg
+        agg.refs += 1
+        return agg
 
     # ------------------------------------------------------------------
     # Stepping
@@ -479,15 +491,13 @@ class SharedPlan:
             if entry.qvars:
                 self._refresh_instances(entry, state)
         chain = self._ensure_chain() if _compiled._PTL_COMPILE else None
-        maintained = chain.maintained if chain is not None else None
-        for agg in self._aggregates.values():
-            # Aggregates whose maintenance is lowered into the chain are
-            # stepped by the generated code, not here.
-            if maintained and id(agg) in maintained:
-                continue
-            agg.step(state)
         if chain is not None:
+            # Aggregates are slots of the chain like their φ/ψ: the
+            # generated code maintains every one reachable from a root.
             chain.run(state)
+        else:
+            for agg in self._aggregates.values():
+                agg.step(state)
         for entry in self._rules.values():
             entry.result = self._eval_rule(entry, state, chain)
         if self.optimize:
@@ -537,14 +547,11 @@ class SharedPlan:
                 continue
             env = dict(zip(entry.qvars, combo))
             inst = instantiate_formula(entry.formula, env)
-            time_vars = frozenset(
-                var
-                for var, query in ast.assigned_variables(inst).items()
-                if query == TIME_QUERY
-            )
             entry.instance_births[combo] = (self.epoch, self._next_seq)
             self._next_seq += 1
-            entry.instances[combo] = self._compile(inst, frozenset(), time_vars)
+            entry.instances[combo] = self._compile(
+                inst, frozenset(), _time_vars(inst)
+            )
             self._layout_gen += 1
 
     # ------------------------------------------------------------------
@@ -677,12 +684,18 @@ class SharedPlan:
             out.extend(node.stored_formulas())
         return out
 
+    def aux_rows(self) -> int:
+        """Accumulator rows across the plan's shared aggregates."""
+        return sum(agg.state_size() for agg in self._aggregates.values())
+
     def state_size(self) -> int:
         """Retained state across the whole plan: the stored-formula DAG
-        (each distinct node once) plus shared aggregate rows."""
-        stored = cs.dag_size(c for _, c in self.stored_formulas())
-        aux = sum(agg.state_size() for agg in self._aggregates.values())
-        return stored + aux
+        (each distinct node once, aggregate φ/ψ included) plus shared
+        aggregate rows."""
+        return (
+            cs.dag_size(c for _, c in self.stored_formulas())
+            + self.aux_rows()
+        )
 
     def _record_metrics(self) -> None:
         self._m_rules.set(len(self._rules))
@@ -836,8 +849,6 @@ class SharedPlan:
         self._nodes = {}
         self._temporal = []
         self._aggregates = {}
-        self._agg_refs = {}
-        self._agg_key_of = {}
         self._subevals = {}
         self.compile_requests = 0
         self.compile_shared = 0
@@ -858,20 +869,13 @@ class SharedPlan:
         for seq, birth, entry, combo in sorted(jobs):
             self.epoch = birth
             if combo is None:
-                entry.root = self._compile(
-                    entry.formula, frozenset(), entry.time_vars
-                )
+                self._compile_root(entry)
                 continue
             env = dict(zip(entry.qvars, combo))
             inst = instantiate_formula(entry.formula, env)
-            time_vars = frozenset(
-                var
-                for var, query in ast.assigned_variables(inst).items()
-                if query == TIME_QUERY
-            )
             entry.instance_births[combo] = (birth, seq)
             entry.instances[combo] = self._compile(
-                inst, frozenset(), time_vars
+                inst, frozenset(), _time_vars(inst)
             )
         next_seq = payload["next_seq"]
         self.epoch = payload["epoch"]
@@ -886,15 +890,14 @@ class SharedPlan:
             entry.last_top = cs.CFALSE
             entry.result = FireResult(False)
             if not entry.qvars:
-                entry.root = self._compile(
-                    entry.formula, frozenset(), entry.time_vars
-                )
+                self._compile_root(entry)
         self._next_seq = next_seq
         self._last_state = None
 
         # Pool matching by (label, prune set, birth): nodes with the same
-        # pool key carry identical state (temporal children always compile
-        # with avail=∅, so two same-key memo wrappers step in lockstep),
+        # pool key carry identical state (temporal children and aggregate
+        # φ/ψ always compile with avail=∅, so two same-key memo wrappers
+        # step in lockstep),
         # making assignment within a pool safe whatever order replay
         # produced them in.
         pools: dict = {}
@@ -1010,13 +1013,29 @@ class PlanBoundEvaluator:
     def last_top(self) -> cs.C:
         return self.entry.last_top
 
-    def stored_formulas(self) -> list[tuple[str, cs.C]]:
-        out = []
+    def _under(self, kinds) -> list:
+        """Distinct DAG nodes of the given classes under this rule's
+        roots (aggregates and their φ/ψ included)."""
         seen: set[int] = set()
-        for root in self.entry.roots():
-            for node in _temporal_under(root, seen):
-                out.extend(node.stored_formulas())
+        stack = list(self.entry.roots())
+        out = []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            inner = peel(node)
+            if isinstance(inner, kinds):
+                out.append(inner)
+            stack.extend(children(node))
         return out
+
+    def stored_formulas(self) -> list[tuple[str, cs.C]]:
+        return [
+            pair
+            for node in self._under(_TEMPORAL)
+            for pair in node.stored_formulas()
+        ]
 
     def stored_formula_size(self) -> int:
         """This rule's stored-formula footprint, counted over the shared
@@ -1026,12 +1045,9 @@ class PlanBoundEvaluator:
         return cs.dag_size(c for _, c in self.stored_formulas())
 
     def aux_rows(self) -> int:
-        seen: set[int] = set()
-        total = 0
-        for root in self.entry.roots():
-            for agg in _aggregates_under(root, seen):
-                total += agg.state_size()
-        return total
+        return sum(
+            agg.state_size() for agg in self._under(_AggregateState)
+        )
 
     def state_size(self) -> int:
         """Total retained state — the paper's space metric (E2/E4):
@@ -1171,52 +1187,3 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         self.steps = payload["steps"]
         if self._obs_on:
             self._record_gauges()
-
-
-def _temporal_under(root: _Node, seen: set[int]):
-    """Distinct temporal nodes reachable from ``root``."""
-    for node in _walk_nodes(root, seen):
-        if isinstance(node, (_LasttimeNode, _SinceNode)):
-            yield node
-
-
-def _aggregates_under(root: _Node, seen: set[int]):
-    aggs: dict[int, _AggregateState] = {}
-
-    def collect(term, sub: _SubEval) -> None:
-        if isinstance(term, ast.AggT):
-            agg = sub._aggregates.get(term)
-            if agg is not None:
-                aggs.setdefault(id(agg), agg)
-        elif isinstance(term, ast.FuncT):
-            for a in term.args:
-                collect(a, sub)
-
-    for node in _walk_nodes(root, seen):
-        if isinstance(node, _ComparisonNode):
-            collect(node.formula.left, node.evaluator)
-            collect(node.formula.right, node.evaluator)
-    return aggs.values()
-
-
-def _walk_nodes(root: _Node, seen: set[int]):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        if isinstance(node, _MemoNode):
-            stack.append(node.inner)
-        elif isinstance(node, _NotNode):
-            stack.append(node.child)
-        elif isinstance(node, (_AndNode, _OrNode)):
-            stack.extend(node.children)
-        elif isinstance(node, _LasttimeNode):
-            stack.append(node.child)
-        elif isinstance(node, _SinceNode):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif isinstance(node, _AssignNode):
-            stack.append(node.child)

@@ -29,7 +29,7 @@ PathLike = Union[str, Path]
 #: payloads, tiers) is versioned by it and carries none of its own; bump
 #: it whenever any section's shape changes.  :func:`read_checkpoint`
 #: refuses every other value — there is no reader for an older document.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def write_checkpoint(

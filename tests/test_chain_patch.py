@@ -256,6 +256,27 @@ class TestCompiledAggregateMaintenance:
             "workload never fired — weak differential"
         )
 
+    def test_declined_accumulator_rolls_back_to_a_slot_fed_call(
+        self, monkeypatch
+    ):
+        """An accumulator the inliner declines keeps its interpreted
+        ``advance`` — called from the chain with φ/ψ read off their slots,
+        so no node is stepped twice and the rest stays compiled."""
+        from repro.ptl import compiled
+
+        sig_i, final_i, aggs_i, _ = run_agg_managed(False)
+        monkeypatch.setattr(compiled, "_RUNNING_FUNCS", ("sum", "count"))
+        with mode(True):
+            adb, manager = make_manager([])
+            manager.add_trigger("avg", AGG_TEMPLATES[1], RecordingAction())
+            drive(adb, OPS[:2])
+            source = chain_of(manager.plan).source
+            manager.detach()
+        assert ".advance(state, " in source and "._sum +=" not in source
+        sig_c, final_c, aggs_c, info = run_agg_managed(True)
+        assert info["maintained"] == len(AGG_TEMPLATES)
+        assert (sig_c, final_c, aggs_c) == (sig_i, final_i, aggs_i)
+
     def test_maintenance_survives_churn(self):
         sig_i, final_i, aggs_i, _ = run_agg_managed(False, churn=True)
         sig_c, final_c, aggs_c, info = run_agg_managed(True, churn=True)

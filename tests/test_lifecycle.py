@@ -91,6 +91,12 @@ TEMPLATES = [
     "previously[3] (price > 60)",
     "@go & (price > 10 since @go)",
     "[x := price] (x > 50 & @go)",
+    # Aggregates whose ψ is a temporal formula that is also another
+    # rule's subformula (and another aggregate's ψ): one shared node per
+    # birth epoch, kept alive by whichever sharers remain.
+    "sum(price; @go; lasttime (price > 50)) > 100",
+    "lasttime (price > 50) & price < 40",
+    "count(price; @go; lasttime (price > 50)) >= 2",
 ]
 
 

@@ -236,22 +236,72 @@ class TestRewriting:
         w = [r.fired for r in run_evaluator(rewritten, h)]
         assert d == w
 
-    @pytest.mark.parametrize(
-        "cond",
-        [
-            "sum(price(IBM); time = 540; @update_stocks) > 200",
-            "sum(1; time = 540; @update_stocks) >= 3",
-            "min(price(IBM); time = 540; @update_stocks) < 55",
-            "max(price(IBM); time = 540; @update_stocks) >= 95",
-            "avg(price(IBM); time = 540; @update_stocks) > 70",
-        ],
-    )
+    #: One condition per aggregate function, plus an aggregate nested in
+    #: another's φ (maintained by the rule that reads it).
+    REWRITABLE = [
+        "sum(price(IBM); time = 540; @update_stocks) > 200",
+        "sum(1; time = 540; @update_stocks) >= 3",
+        "min(price(IBM); time = 540; @update_stocks) < 55",
+        "max(price(IBM); time = 540; @update_stocks) >= 95",
+        "avg(price(IBM); time = 540; @update_stocks) > 70",
+        "sum(price(IBM); count(1; time = 540; @update_stocks) = 1;"
+        " @update_stocks) > 0",
+    ]
+
+    @pytest.mark.parametrize("cond", REWRITABLE)
     def test_rewritten_equals_direct_all_functions(self, registry, cond):
         f = parse_formula(cond, registry)
         h = hourly_history([60, 90, 50, 95, 120, 40])
-        d = [r.fired for r in run_evaluator(IncrementalEvaluator(f), h)]
-        w = [r.fired for r in run_evaluator(RewrittenEvaluator(f), h)]
+        direct, rewritten = IncrementalEvaluator(f), RewrittenEvaluator(f)
+        d = [r.fired for r in run_evaluator(direct, h)]
+        w = [r.fired for r in run_evaluator(rewritten, h)]
         assert d == w
+        # The §5 memory metric sees the maintenance rules' state: same
+        # accumulators, same φ/ψ nodes, wherever they are read from.
+        assert rewritten.state_size() == direct.state_size() > 0
+
+    @pytest.mark.parametrize("cond", REWRITABLE)
+    def test_manager_counts_rewritten_rules(self, cond):
+        from repro.rules import RecordingAction, RuleManager
+        from repro.workloads import apply_tick, make_stock_db
+
+        sizes = []
+        for rewrite in (False, True):
+            adb = make_stock_db([("IBM", 40.0)])
+            manager = RuleManager(adb)
+            manager.add_trigger(
+                "r", cond, RecordingAction(), rewrite_aggregates=rewrite
+            )
+            for i, price in enumerate([60, 90, 50, 95, 120, 40]):
+                apply_tick(adb, "IBM", float(price), at_time=540 + 60 * i)
+            sizes.append(manager.total_state_size())
+        assert sizes[0] == sizes[1] > 0
+
+    def test_maintenance_rules_are_real_and_checkpointable(self, registry):
+        """r1/r2 exist in the maintenance plan under the generated names,
+        and that plan round-trips like any other (the accumulator an r2
+        roots is re-bound on replay) — item names are process-local, the
+        maintenance state is not."""
+        import json
+
+        f = parse_formula(
+            "sum(price(IBM); time = 540; lasttime (price(IBM) > 55)) > 100",
+            registry,
+        )
+        states = hourly_history([60, 90, 50, 95, 120, 40]).states
+        first, second = RewrittenEvaluator(f), RewrittenEvaluator(f)
+        (rewritten,) = first.rewrite.rewritten
+        assert first.maintenance.rule_names() == sorted(rewritten.rule_names)
+        assert first.rewrite.rule_count == 1 + len(first.maintenance.rule_names())
+        for state in states[:3]:
+            first.step(state)
+        payload = json.loads(json.dumps(first.maintenance.to_state()))
+        second.maintenance.from_state(payload)
+        assert second.maintenance.to_state() == payload
+        for state in states[3:]:
+            a = first.rewrite.executor.step(state)
+            b = second.rewrite.executor.step(state)
+            assert list(a.values()) == list(b.values()) != [None]
 
     def test_rewritten_undefined_before_start(self, registry):
         f = parse_formula(AVG_RULE, registry)

@@ -41,7 +41,6 @@ from repro.ptl.compiled import (
     ptl_compile_enabled,
     set_ptl_compile,
 )
-from repro.ptl.constraints import encode_value
 from repro.ptl.incremental import _encode_node_state
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
@@ -88,21 +87,11 @@ def canon_agg_names(payload):
 
 def rewritten_state(ev):
     """Everything a :class:`RewrittenEvaluator` carries between steps:
-    its condition evaluator's state plus every maintained aggregate's
-    running values and start/sample steppers."""
+    its condition plan's state plus the maintenance plan's — the r1/r2
+    rules, their φ/ψ temporal nodes and the accumulators."""
     return {
-        "evaluator": ev.evaluator.to_state(),
-        "executor": [
-            [
-                str(m.term),
-                m.started,
-                m.poisoned,
-                {name: encode_value(v) for name, v in m.values.items()},
-                m.start_eval.to_state(),
-                m.sample_eval.to_state(),
-            ]
-            for m in ev.rewrite.executor._maintained
-        ],
+        "evaluator": ev.to_state(),
+        "maintenance": ev.maintenance.to_state(),
     }
 
 

@@ -401,12 +401,30 @@ class TestDriftVerdictIsBackendIndependent:
         manager.detach()
 
 
-def _format_keys(node):
+def _count_keys(node, names):
     if isinstance(node, dict):
-        return ("format" in node) + sum(_format_keys(v) for v in node.values())
+        return sum(k in names for k in node) + sum(
+            _count_keys(v, names) for v in node.values()
+        )
     if isinstance(node, list):
-        return sum(_format_keys(v) for v in node)
+        return sum(_count_keys(v, names) for v in node)
     return 0
+
+
+def _with_aggregate(setup):
+    """``setup`` plus one aggregate rule whose ψ is a temporal formula:
+    its ``lasttime`` is a plan temporal node, not a nested evaluator."""
+
+    def wrapped(adb):
+        manager = setup(adb)
+        manager.add_trigger(
+            "summed",
+            "sum(price; @go; lasttime (price > 50)) > 100",
+            RecordingAction(),
+        )
+        return manager
+
+    return wrapped
 
 
 @pytest.mark.parametrize("tiers", [False, True], ids=["ram", "tiers"])
@@ -418,7 +436,9 @@ def test_checkpoint_document_round_trip(tmp_path, backend, compiled, tiers):
     uninterrupted twin; and only its root is versioned — any other root
     format is refused whole, before ``setup()`` runs, leaving the file
     untouched."""
-    setup = {"serial": setup_rules, "sharded": sharded_rules}[backend]
+    setup = _with_aggregate(
+        {"serial": setup_rules, "sharded": sharded_rules}[backend]
+    )
     head, tail = OPS[:5], OPS[5:] + [("set", 70), ("ev", "go")]
 
     def start(rm, adb, manager=None):
@@ -447,7 +467,11 @@ def test_checkpoint_document_round_trip(tmp_path, backend, compiled, tiers):
         manager.detach()
         written = rm.checkpoint_path.read_bytes()
         document = json.loads(written)
-        assert _format_keys(document) == 1
+        assert _count_keys(document, {"format"}) == 1
+        assert document["format"] == FORMAT_VERSION == 3
+        # No evaluator-shaped section nests under an aggregate entry.
+        assert _count_keys(document, {"start", "sample"}) == 0
+        assert '"samples"' in written.decode()
         assert document["manager"]["backend"] == backend
         assert ("tiers" in document) == tiers
         if tiers:

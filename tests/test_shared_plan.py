@@ -16,6 +16,7 @@ logs.
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from repro.ptl import (
     SharedPlan,
 )
 from repro.ptl import answers, ast, parse_formula
+from repro.ptl import constraints as cs
 from repro.query.parser import parse_query
 from repro.rules import RecordingAction, RuleManager
 from repro.workloads import apply_tick, make_stock_db
@@ -37,6 +39,7 @@ from repro.workloads.generator import (
     random_history,
 )
 from tests.helpers import stock_history, stock_registry
+from tests.test_ptl_compile import mode
 
 
 def overlapping_formulas(rng, allow_executed=False):
@@ -184,6 +187,124 @@ class TestSharedPlanSharing:
         assert registry.value("plan_state_size") == plan.state_size()
 
 
+#: ψ of the aggregate rules below — also a plain subformula of SHARED_B.
+PSI = "lasttime (price(IBM) > 50)"
+#: A temporal ψ shared between an aggregate (A), another rule's own
+#: condition (B) and a second aggregate (C).
+SHARED_A = f"sum(price(IBM); time = 1; {PSI}) > 100"
+SHARED_B = f"{PSI} & price(IBM) < 40"
+SHARED_C = f"count(1; time = 1; {PSI}) >= 2"
+#: An aggregate inside another aggregate's φ: the inner count must step
+#: before the outer sum reads it.
+NESTED = (
+    f"sum(price(IBM); count(1; time = 1; {PSI}) = 1; @update_stocks) > 60"
+)
+AGG_PRICES = [40, 60, 70, 30, 55, 35, 80, 90, 20, 45]
+
+
+def agg_history():
+    return stock_history([(p, i + 1) for i, p in enumerate(AGG_PRICES)])
+
+
+def parse_all(*texts):
+    registry = stock_registry()
+    return [parse_formula(text, registry) for text in texts]
+
+
+def psi_nodes(plan):
+    """Memo nodes compiled for ψ itself, one per birth epoch."""
+    return sorted(
+        key[3] for key in plan._nodes if str(key[0]) == str(parse_all(PSI)[0])
+    )
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
+class TestAggregateSubformulasInTheDag:
+    """φ and ψ are formulas like any other: they compile into the owning
+    plan's DAG, share nodes with every other occurrence, and are stepped
+    by the plan — never by an engine of the aggregate's own."""
+
+    def test_shared_psi_is_one_node_and_matches_reference(self, compiled):
+        formulas = parse_all(SHARED_A, SHARED_B, SHARED_C)
+        alone = []
+        for f in formulas[:2]:
+            plan = SharedPlan()
+            plan.add_rule("r", f)
+            alone.append(plan.distinct_nodes())
+        with mode(compiled):
+            plan = assert_equivalent(formulas, agg_history(), ExecutedStore())
+        assert psi_nodes(plan) == [0]
+        # A and B overlap in exactly ψ's subtree (lasttime + its atom); C
+        # adds only its own comparison (φ and ψ are A's).
+        assert plan.distinct_nodes() == sum(alone) - 2 + 1
+        assert any(plan.result_of(f"r{i}").fired for i in range(3))
+
+    def test_nested_aggregate_matches_reference(self, compiled):
+        with mode(compiled):
+            plan = assert_equivalent(
+                parse_all(NESTED, SHARED_B), agg_history(), ExecutedStore()
+            )
+        inner, outer = plan._aggregates.values()
+        assert inner.term.func == "count" and outer.term.func == "sum"
+        assert psi_nodes(plan) == [0]
+
+    def test_hot_added_psi_is_born_fresh_and_removal_keeps_sharers(
+        self, compiled
+    ):
+        a, b, c = parse_all(SHARED_A, SHARED_B, SHARED_C)
+        states = agg_history().states
+        with mode(compiled):
+            plan = SharedPlan()
+            plan.add_rule("a", a)
+            view_b = plan.add_rule("b", b)
+            fresh_b = IncrementalEvaluator(b)
+            for state in states[:4]:
+                plan.step(state)
+                fresh_b.step(state)
+            late = plan.add_rule("late", c)
+            fresh_c = IncrementalEvaluator(c)
+            assert psi_nodes(plan) == [0, 4]  # same ψ, its own birth
+            plan.remove_rule("a")
+            assert psi_nodes(plan) == [0, 4]  # b still holds the old one
+            assert [str(k[0]) for k in plan._aggregates] == [str(
+                ast.aggregate_terms(c)[0]
+            )]
+            for state in states[4:]:
+                plan.step(state)
+                assert view_b.entry.result == fresh_b.step(state)
+                assert late.entry.result == fresh_c.step(state)
+            plan.remove_rule("b")
+            assert psi_nodes(plan) == [4]
+
+    def test_stored_state_under_psi_is_shown_and_counted_once(self, compiled):
+        """The ``lasttime`` under ψ is plan state: listed by
+        ``stored_formulas`` (per rule and per plan), shown by
+        ``explain_firing``, and sized inside the one ``dag_size`` pass."""
+        text = "sum(price(IBM); time = 1; lasttime (price(IBM) > 0)) > 0"
+        (f,) = parse_all(text)
+        label = str(parse_all("lasttime (price(IBM) > 0)")[0])
+        with mode(compiled):
+            ev = IncrementalEvaluator(f)
+            for state in agg_history().states:
+                ev.step(state)
+            assert [lbl for lbl, _ in ev.stored_formulas()] == [label]
+            assert ev.plan.stored_formulas() == ev.stored_formulas()
+            ((_, stored),) = ev.stored_formulas()
+            (agg,) = ev.plan._aggregates.values()
+            assert ev.plan.state_size() == ev.state_size() == (
+                cs.dag_size([stored]) + agg.state_size()
+            )
+
+            adb = make_stock_db([("IBM", 40.0)])
+            manager = RuleManager(adb)
+            manager.add_trigger("summed", text, RecordingAction())
+            for ts, price in [(1, 42.0), (2, 50.0), (3, 44.0)]:
+                apply_tick(adb, "IBM", price, at_time=ts)
+            assert [lbl for lbl, _ in manager.plan.stored_formulas()] == [label]
+            rendered = manager.explain_firing(manager.firings[-1], rendered=True)
+        assert "lasttime" in rendered and "IBM" in rendered
+
+
 STOCK_DOMAIN = {"s": parse_query("RETRIEVE (S.name) FROM STOCK S")}
 
 
@@ -227,6 +348,41 @@ class TestPlanTrialEvaluation:
         assert plan.state_size() == 0
         plan.step(real)
         assert not plan.result_of("was_high").fired
+
+    @pytest.mark.parametrize(
+        "compiled", [False, True], ids=["interp", "compiled"]
+    )
+    def test_vetoed_trial_does_not_advance_an_aggregates_psi(self, compiled):
+        """An IC over an aggregate whose ψ has a ``lasttime``: the vetoed
+        transaction's state must leave neither a sample nor ψ's stored
+        formula behind — ψ's node is plan state, rolled back with it."""
+        from repro.errors import TransactionAborted
+
+        ic = "!(count(1; time = 1; lasttime (price(IBM) > 50)) >= 2)"
+        with mode(compiled):
+            adb = make_stock_db([("IBM", 40.0)])
+            manager = RuleManager(adb)
+            manager.add_integrity_constraint("twice", ic)
+            reg = manager._ics["twice"]
+            twin = IncrementalEvaluator(reg.rule.condition, name="twice")
+            ticks = [(1, 60.0), (2, 70.0), (3, 30.0), (4, 80.0), (5, 20.0)]
+            vetoed, seen = [], 0
+            for ts, price in ticks:
+                try:
+                    apply_tick(adb, "IBM", price, at_time=ts)
+                except TransactionAborted:
+                    vetoed.append(ts)
+                # Committed or vetoed, the IC holds exactly what a twin fed
+                # only the history (commit states and abort markers — never
+                # a vetoed candidate) holds.
+                for state in adb.history.states[seen:]:
+                    twin.step(state)
+                seen = len(adb.history.states)
+                assert reg.evaluator.to_state() == twin.to_state()
+        # ψ holds at t=2 and t=3 (the previous price was above 50): the
+        # commit at t=3 would be the second sample — the first violation —
+        # and with 70 left in place every later commit samples again.
+        assert vetoed == [3, 4, 5]
 
     def test_single_evaluator_steps_twice_on_one_state_object(self):
         """The plan skips a state object it has already stepped so that
