@@ -12,14 +12,7 @@ import pytest
 from conftest import report
 
 from repro.baselines import NaiveDetector
-from repro.bench import (
-    Table,
-    emit_bench_json,
-    per_update_micros,
-    smoke_mode,
-    time_best,
-)
-from repro.obs import MetricsRegistry
+from repro.bench import Table, per_update_micros, time_best
 from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.workloads import (
     SHARP_INCREASE,
@@ -28,8 +21,7 @@ from repro.workloads import (
     trace_history,
 )
 
-SMOKE = smoke_mode()
-SIZES = (20, 40, 80) if SMOKE else (50, 100, 200, 400)
+SIZES = (50, 100, 200, 400)
 
 
 def make_history(n):
@@ -101,40 +93,10 @@ def test_e3_scaling_table(benchmark, formula):
     report(table)
 
     # shape: naive per-update cost grows with n, incremental roughly flat,
-    # so the gap widens (smoke sizes are too small for stable shapes)
-    if not SMOKE:
-        assert naive_pu[-1] > 3 * naive_pu[0]
-        assert incr_pu[-1] < 3 * incr_pu[0]
-        assert ratios[-1] > ratios[0]
-
-    # one metrics-enabled pass at the largest size — its registry snapshot
-    # rides along in the machine-readable result document
-    registry = MetricsRegistry()
-    history = make_history(SIZES[-1])
-    run_detector(
-        lambda: IncrementalEvaluator(
-            formula, metrics=registry, name="sharp_increase"
-        ),
-        history,
-    )
-    emit_bench_json(
-        "E3",
-        {
-            "sizes": list(SIZES),
-            "rows": [
-                {
-                    "updates": n,
-                    "incr_seconds": t_incr,
-                    "naive_seconds": t_naive,
-                    "incr_us_per_update": per_update_micros(t_incr, n),
-                    "naive_us_per_update": per_update_micros(t_naive, n),
-                    "firings": f_incr,
-                }
-                for n, t_incr, t_naive, f_incr, _ in rows
-            ],
-        },
-        registry=registry,
-    )
+    # so the gap widens
+    assert naive_pu[-1] > 3 * naive_pu[0]
+    assert incr_pu[-1] < 3 * incr_pu[0]
+    assert ratios[-1] > ratios[0]
 
 
 def test_e3_incremental_throughput(benchmark, formula):

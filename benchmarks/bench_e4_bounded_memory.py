@@ -15,7 +15,7 @@ interval pruning.
 
 from conftest import report
 
-from repro.bench import Table, emit_bench_json, smoke_mode
+from repro.bench import Table
 from repro.obs import MetricsRegistry
 from repro.ptl import AuxiliaryStore, IncrementalEvaluator, parse_formula
 from repro.ptl.rewrite import normalize
@@ -26,8 +26,7 @@ from repro.workloads import (
     trace_history,
 )
 
-SMOKE = smoke_mode()
-CHECKPOINTS = (50, 100, 200) if SMOKE else (100, 200, 400, 800)
+CHECKPOINTS = (100, 200, 400, 800)
 
 
 def sizes_over(history, formula, optimize):
@@ -89,12 +88,11 @@ def test_e4_state_size_vs_updates(benchmark):
     assert max(b) <= min(b) + 30
     s = [results["sharp-opt"][cp] for cp in CHECKPOINTS]
     so = [results["sharp+opt"][cp] for cp in CHECKPOINTS]
-    if not SMOKE:  # growth shapes need the full-size run to be stable
-        # variable-carrying condition without optimization: linear growth
-        assert s[-1] > 5 * s[0]
-        # with optimization: flat
-        assert max(so) <= 10 * min(so)
-        assert max(so) < s[0]
+    # variable-carrying condition without optimization: linear growth
+    assert s[-1] > 5 * s[0]
+    # with optimization: flat
+    assert max(so) <= 10 * min(so)
+    assert max(so) < s[0]
 
     # re-run the optimized sharp case with live gauges: the registry's
     # final evaluator_state_size gauge must agree with the table's figure
@@ -110,14 +108,6 @@ def test_e4_state_size_vs_updates(benchmark):
         ev.step(state)
     gauge = registry.value("evaluator_state_size", rule="sharp_increase")
     assert gauge == results["sharp+opt"][max(CHECKPOINTS)]
-    emit_bench_json(
-        "E4",
-        {
-            "checkpoints": list(CHECKPOINTS),
-            "state_sizes": {k: v for k, v in results.items()},
-        },
-        registry=registry,
-    )
 
 
 def test_e4_auxiliary_relation_rows(benchmark):
@@ -134,5 +124,4 @@ def test_e4_auxiliary_relation_rows(benchmark):
     pruned_rows = [results[cp][0] for cp in CHECKPOINTS]
     raw_rows = [results[cp][1] for cp in CHECKPOINTS]
     assert max(pruned_rows) <= 20
-    if not SMOKE:
-        assert raw_rows[-1] > 20 * max(pruned_rows)
+    assert raw_rows[-1] > 20 * max(pruned_rows)

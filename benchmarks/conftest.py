@@ -1,32 +1,10 @@
-"""Benchmark support: result tables are registered here and printed in the
-terminal summary, so ``pytest benchmarks/ --benchmark-only`` emits both the
-timing statistics and the paper-style result tables.
-
-``pytest benchmarks/ --smoke`` (or ``BENCH_SMOKE=1``) runs every benchmark
-at small CI sizes — cheap enough for every CI run, still refreshing the
-``BENCH_*.json`` trajectory files at the repository root."""
+"""Experiment support: result tables are registered here and printed in the
+terminal summary, so ``pytest benchmarks/bench_e*.py`` emits both the
+timing statistics and the paper-style result tables."""
 
 from __future__ import annotations
 
-import os
-
 _TABLES: list[str] = []
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--smoke",
-        action="store_true",
-        default=False,
-        help="run benchmarks at small CI smoke sizes",
-    )
-
-
-def pytest_configure(config):
-    # The env var (read by repro.bench.smoke_mode) makes the choice visible
-    # to benchmark modules at import time, before collection.
-    if config.getoption("--smoke"):
-        os.environ["BENCH_SMOKE"] = "1"
 
 
 def report(table) -> None:

@@ -1,21 +1,5 @@
-"""Benchmark support: timing helpers, result tables, and JSON emission."""
+"""Benchmark support: timing helpers and result tables."""
 
-from repro.bench.harness import (
-    Table,
-    emit_bench_json,
-    per_update_micros,
-    smoke_mode,
-    summarize,
-    time_best,
-    time_once,
-)
+from repro.bench.harness import Table, per_update_micros, time_best
 
-__all__ = [
-    "Table",
-    "time_once",
-    "time_best",
-    "per_update_micros",
-    "summarize",
-    "smoke_mode",
-    "emit_bench_json",
-]
+__all__ = ["Table", "time_best", "per_update_micros"]

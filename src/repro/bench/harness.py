@@ -1,27 +1,20 @@
-"""Shared benchmark utilities: timing, paper-style result tables, and
-machine-readable ``BENCH_*.json`` emission (optionally including a metrics
-registry snapshot)."""
+"""Shared utilities of the paper experiments (E1-E10) and the CLI demo:
+timing and paper-style result tables."""
 
 from __future__ import annotations
 
-import json
-import os
-import statistics
 import time
-from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
-
-
-def time_once(fn: Callable[[], Any]) -> float:
-    """Wall-clock seconds for one call."""
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+from typing import Any, Callable, Sequence
 
 
 def time_best(fn: Callable[[], Any], repeat: int = 3) -> float:
     """Best-of-``repeat`` wall-clock seconds."""
-    return min(time_once(fn) for _ in range(repeat))
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 class Table:
@@ -72,56 +65,3 @@ def _fmt(value: Any) -> str:
 
 def per_update_micros(total_seconds: float, updates: int) -> float:
     return 1e6 * total_seconds / max(1, updates)
-
-
-def summarize(values: Sequence[float]) -> dict:
-    return {
-        "mean": statistics.fmean(values),
-        "median": statistics.median(values),
-        "max": max(values),
-        "min": min(values),
-    }
-
-
-def smoke_mode() -> bool:
-    """True when benchmarks should run at CI smoke sizes (set by the
-    ``--smoke`` pytest option in ``benchmarks/conftest.py`` or the
-    ``BENCH_SMOKE=1`` environment variable): small workloads, shape
-    assertions relaxed, but every ``BENCH_*.json`` still refreshed."""
-    return os.environ.get("BENCH_SMOKE") == "1"
-
-
-def _repo_root() -> Optional[Path]:
-    """The repository root (nearest ancestor with a ``pyproject.toml``) —
-    where ``BENCH_*.json`` trajectory files live by default, so results
-    land in the same place however the benchmarks are invoked."""
-    for candidate in Path(__file__).resolve().parents:
-        if (candidate / "pyproject.toml").exists():
-            return candidate
-    return None
-
-
-def emit_bench_json(
-    name: str,
-    payload: dict,
-    registry=None,
-    directory: Optional[str] = None,
-) -> Path:
-    """Write ``BENCH_<name>.json`` with the benchmark's results.
-
-    ``payload`` is the benchmark-specific result document; when an enabled
-    metrics ``registry`` is passed, its full snapshot is embedded under a
-    ``"metrics"`` key.  The target directory is, in order: the explicit
-    ``directory`` argument, the ``BENCH_DIR`` environment variable, the
-    repository root, the current directory.  Returns the path written.
-    """
-    if directory is None:
-        directory = os.environ.get("BENCH_DIR")
-    if directory is None:
-        directory = _repo_root() or "."
-    doc = {"bench": name, **payload}
-    if registry is not None and getattr(registry, "enabled", False):
-        doc["metrics"] = registry.to_dict()
-    path = Path(directory) / f"BENCH_{name}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path

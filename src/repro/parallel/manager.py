@@ -25,7 +25,7 @@ Shard-level relevance gating: a shard whose rules are all *stateless*
 (in the :func:`~repro.rules.manager.infer_relevant_events` sense) and all
 event-gated is only dispatched states carrying one of its rules' relevant
 events — the serial per-rule skip, hoisted to whole shards, which is what
-makes low-coupling rule bases scale with K (benchmark E15).
+makes low-coupling rule bases scale with K.
 """
 
 from __future__ import annotations

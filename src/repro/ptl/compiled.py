@@ -77,7 +77,7 @@ def ptl_compile_enabled() -> bool:
 
 def set_ptl_compile(flag: bool) -> bool:
     """Enable/disable the compiled backend; returns the previous setting
-    (the ``set_plans_enabled`` idiom, for ``try/finally`` toggling)."""
+    (for ``try/finally`` toggling)."""
     global _PTL_COMPILE
     previous = _PTL_COMPILE
     _PTL_COMPILE = bool(flag)

@@ -44,8 +44,7 @@ This is the one condition-evaluation backend: a standalone condition is
 a plan holding one rule (:class:`IncrementalEvaluator`).  THEOREM 1
 equivalence — one plan for all rules vs one plan per rule vs the
 reference semantics (:mod:`repro.ptl.semantics`) — is differential-tested
-in ``tests/test_shared_plan.py`` and the speedup measured in benchmark
-E11.
+in ``tests/test_shared_plan.py``.
 """
 
 from __future__ import annotations

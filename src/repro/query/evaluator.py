@@ -243,17 +243,17 @@ def _eval_retrieve(
     query: ast.Retrieve, state: StateView, params: Env
 ) -> Relation:
     qplan = _plan_module()
-    if qplan.plans_enabled():
-        result = qplan.try_execute(query, state, params)
-        if result is not qplan.FALLBACK:
-            return result
+    result = qplan.try_execute(query, state, params)
+    if result is not qplan.FALLBACK:
+        return result
     return _eval_retrieve_scan(query, state, params)
 
 
 def _eval_retrieve_scan(
     query: ast.Retrieve, state: StateView, params: Env, probe: bool = True
 ) -> Relation:
-    """The naive nested-loop path (kept as the differential-test oracle);
+    """The naive nested-loop path: the ``FALLBACK`` route of the planner,
+    and the oracle the differential tests call directly;
     ``probe=False`` also disables the single-range equality fast path."""
     out_rows: list[tuple] = []
 
@@ -354,10 +354,9 @@ def _eval_aggregate(
     query: ast.AggregateQuery, state: StateView, params: Env
 ) -> Any:
     qplan = _plan_module()
-    if qplan.plans_enabled():
-        result = qplan.try_execute(query, state, params)
-        if result is not qplan.FALLBACK:
-            return result
+    result = qplan.try_execute(query, state, params)
+    if result is not qplan.FALLBACK:
+        return result
     return _eval_aggregate_scan(query, state, params)
 
 

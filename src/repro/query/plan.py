@@ -35,7 +35,7 @@ only a fast pre-filter; correctness never depends on it.  Registered
 scalar functions are assumed pure (the shipped ones are).
 
 Differential equivalence with the naive path is property-tested in
-``tests/test_query_plans.py`` and the speedups measured in benchmark E13.
+``tests/test_query_plans.py``.
 The only tolerated divergences from the naive path, all documented there:
 compile-time strictness (unknown columns/functions raise even when a
 relation is empty), predicate evaluation order for *error* cases, and
@@ -62,46 +62,8 @@ __all__ = [
     "QPlanStats",
     "STATS",
     "clear_plan_cache",
-    "delta_skip_enabled",
-    "plans_enabled",
-    "set_delta_skip",
-    "set_plans_enabled",
     "try_execute",
 ]
-
-
-# --------------------------------------------------------------------------
-# Toggles (in-process: the differential tests and benchmarks E13/E18)
-# --------------------------------------------------------------------------
-
-_PLANS_ENABLED = True
-_DELTA_SKIP = True
-
-
-def plans_enabled() -> bool:
-    """Whether ``eval_query`` routes Retrieve/Aggregate through plans."""
-    return _PLANS_ENABLED
-
-
-def set_plans_enabled(flag: bool) -> bool:
-    """Switch planned execution on/off; returns the previous setting."""
-    global _PLANS_ENABLED
-    previous = _PLANS_ENABLED
-    _PLANS_ENABLED = bool(flag)
-    return previous
-
-
-def delta_skip_enabled() -> bool:
-    """Whether :class:`DeltaGate` may reuse memoized atom values."""
-    return _DELTA_SKIP
-
-
-def set_delta_skip(flag: bool) -> bool:
-    """Switch delta skipping on/off; returns the previous setting."""
-    global _DELTA_SKIP
-    previous = _DELTA_SKIP
-    _DELTA_SKIP = bool(flag)
-    return previous
 
 
 # --------------------------------------------------------------------------
@@ -691,7 +653,7 @@ class DeltaGate:
 
     def lookup(self, state):
         """The memoized value, or :data:`MISS` if it cannot be reused."""
-        if not (self.enabled and _DELTA_SKIP and self._valid):
+        if not (self.enabled and self._valid):
             return MISS
         if type(state) is not _system_state_type():
             return MISS

@@ -252,9 +252,8 @@ class RuleManager:
         evaluated once per state instead of once per rule;
         ``shared_plan=False`` is the same backend grouped differently —
         one private plan per rule (:class:`IncrementalEvaluator`), no
-        sharing across rules (the baseline benchmark E11 compares
-        against, and what the sharded manager's coordinator needs: its
-        plans live in the workers).  Integrity constraints and
+        sharing across rules (what the sharded manager's coordinator
+        needs: its plans live in the workers).  Integrity constraints and
         ``rewrite_aggregates`` rules always get a private plan (IC trial
         evaluation must not touch shared state).
 

@@ -94,3 +94,10 @@ class TestOfflineAudit:
         # fires at t=8 and still at the t=9 session-close state (the low
         # price at t=1 is still inside the 10-unit window there)
         assert fired == [8, 9]
+        # ... which is what a live evaluator saw on the original history
+        live = IncrementalEvaluator(
+            parse_formula(SHARP_INCREASE, adb.db.queries)
+        )
+        assert [
+            s.timestamp for s in adb.history if live.step(s).fired
+        ] == fired

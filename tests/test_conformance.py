@@ -16,14 +16,16 @@ three groupings of the one production backend:
   ``REPRO_SHARDS`` when CI reruns the matrix on a specific layout).
 
 Each hypothesis-generated rule set × operation sequence runs on every
-backend under every (compiled-recurrences × query-plans × delta-skip)
-toggle combination, and all backends must produce identical firings
-(rule, bindings, state index, timestamp) and identical
-executed-relation contents.  The compiled-recurrence toggle
-(``REPRO_PTL_COMPILE`` / :func:`repro.ptl.set_ptl_compile`) swaps the
-incremental backends' node-graph interpretation for the lowered closure
-chains of :mod:`repro.ptl.compiled`; the naive backend ignores it,
-which is exactly what makes it the oracle for both.
+backend in a two-cell matrix — recurrences interpreted and compiled —
+and all backends must produce identical firings (rule, bindings, state
+index, timestamp) and identical executed-relation contents.  The
+compiled-recurrence toggle (``REPRO_PTL_COMPILE`` /
+:func:`repro.ptl.set_ptl_compile`) swaps the incremental backends'
+node-graph interpretation for the lowered closure chains of
+:mod:`repro.ptl.compiled`; the naive backend ignores it, which is
+exactly what makes it the oracle for both.  Query plans and delta
+skipping are not cells: they are always on in the incremental rows, and
+the naive row never consults a :class:`~repro.query.plan.DeltaGate`.
 
 The generated conditions are ``executed``-free: the naive backend
 re-evaluates old states against the *current* executed store, which is
@@ -45,7 +47,6 @@ from repro.events import user_event
 from repro.parallel import ShardedRuleManager
 from repro.ptl.compiled import set_ptl_compile
 from repro.ptl.context import EvalContext
-from repro.query.plan import set_delta_skip, set_plans_enabled
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 from repro.rules.rule import FireMode
@@ -87,16 +88,12 @@ BACKENDS = [
 
 
 @contextmanager
-def toggles(plans: bool, delta_skip: bool, compiled: bool = False):
-    prev_plans = set_plans_enabled(plans)
-    prev_skip = set_delta_skip(delta_skip)
-    prev_compiled = set_ptl_compile(compiled)
+def ptl_compile(compiled: bool):
+    previous = set_ptl_compile(compiled)
     try:
         yield
     finally:
-        set_plans_enabled(prev_plans)
-        set_delta_skip(prev_skip)
-        set_ptl_compile(prev_compiled)
+        set_ptl_compile(previous)
 
 
 # -- generated rule sets -----------------------------------------------------
@@ -161,15 +158,10 @@ def run_backend(factory, rules, ops):
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-@pytest.mark.parametrize(
-    "plans,delta_skip",
-    [(True, True), (True, False), (False, True), (False, False)],
-    ids=["plans+skip", "plans", "skip", "neither"],
-)
 @given(rules=rule_sets, ops=op_streams)
-@settings(max_examples=10)
-def test_backends_agree(plans, delta_skip, compiled, rules, ops):
-    with toggles(plans, delta_skip, compiled):
+@settings(max_examples=40)  # 2 cells x 40: the example budget of the old 8 x 10
+def test_backends_agree(compiled, rules, ops):
+    with ptl_compile(compiled):
         results = {
             name: run_backend(factory, rules, ops)
             for name, factory in BACKENDS
@@ -178,7 +170,7 @@ def test_backends_agree(plans, delta_skip, compiled, rules, ops):
     for name, sig in results.items():
         assert sig == oracle, (
             f"backend {name} diverged from the naive reference "
-            f"(plans={plans}, delta_skip={delta_skip}, compiled={compiled})"
+            f"(compiled={compiled})"
         )
 
 
@@ -205,7 +197,7 @@ EXEC_OPS = [
 @pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
 def test_executed_coupling_agrees_across_incremental_backends(compiled):
     results = {}
-    with toggles(True, True, compiled):
+    with ptl_compile(compiled):
         for name, factory in BACKENDS:
             if name == "naive":
                 continue

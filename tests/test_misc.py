@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.bench.harness import Table, per_update_micros, summarize
+from repro.bench.harness import Table, per_update_micros
 from repro.events import user_event
 from repro.rules import RecordingAction, RuleManager
 from repro.workloads import apply_tick, make_stock_db
@@ -48,8 +48,6 @@ class TestBenchHarness:
 
     def test_helpers(self):
         assert per_update_micros(1.0, 1000) == 1000.0
-        s = summarize([1.0, 3.0])
-        assert s["mean"] == 2.0 and s["max"] == 3.0
 
 
 class TestStandardEventBindings:

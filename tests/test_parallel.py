@@ -160,11 +160,20 @@ def serial_oracle(register=register_mixed, ops=OPS):
 
 class TestShardedManager:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_serial_oracle(self, shards):
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"batch_size": 8, "relevance_filtering": True}],
+        ids=["plain", "batched+gated"],
+    )
+    def test_matches_serial_oracle(self, shards, options):
+        """Shard count, batched dispatch and shard-level relevance gating
+        change when work happens, never which rules fire or in what order."""
         _, oracle = serial_oracle()
         adb = make_engine()
         manager = register_mixed(
-            ShardedRuleManager(adb, shards=shards, runtime="thread")
+            ShardedRuleManager(
+                adb, shards=shards, runtime="thread", **options
+            )
         )
         drive(adb, OPS)
         manager.flush()

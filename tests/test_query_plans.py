@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import NaiveDetector
 from repro.datamodel import FLOAT, INT, STRING, Relation, Schema
 from repro.engine import ActiveDatabase
 from repro.errors import QueryEvaluationError, TransactionAborted
 from repro.obs.metrics import MetricsRegistry
 from repro.ptl import EvalContext, IncrementalEvaluator, parse_formula
+from repro.ptl.compiled import set_ptl_compile
 from repro.query import parse_query
 from repro.query import plan as qplan
 from repro.query.deps import query_deps
@@ -123,8 +125,8 @@ class TestDifferential:
         qi=st.integers(0, len(QUERIES) - 1),
     )
     def test_eval_query_dispatch_matches_scan(self, r_rows, s_rows, qi):
-        """The public ``eval_query`` entry point (plans on) agrees with the
-        scan path on non-empty relations."""
+        """The public ``eval_query`` entry point agrees with the scan path
+        on non-empty relations."""
         query = parse_query(QUERIES[qi])
         state = make_state(r_rows, s_rows)
         assert eval_query(query, state, {"p": 1}) == naive(
@@ -189,16 +191,6 @@ class TestPlanMechanics:
             planned(query, state)
         # ... but an empty relation means the predicate never runs: no error.
         assert len(planned(query, make_state([], []))) == 0
-
-    def test_toggle_disables_planning(self):
-        prev = qplan.set_plans_enabled(False)
-        try:
-            query = parse_query("RETRIEVE (R.a) FROM R R")
-            state = make_state([(1, 1, "x")], [])
-            eval_query(query, state)
-            assert qplan.STATS.cache_misses == 0
-        finally:
-            qplan.set_plans_enabled(prev)
 
     def test_sorted_rows_memoized(self):
         rel = Relation.from_values(S_SCHEMA, [(2, 1), (1, 2)])
@@ -292,59 +284,47 @@ class TestDeltaSkip:
             states.append(adb.last_state)
         return registry, states
 
-    def test_firings_identical_on_and_off(self):
+    # The reference is the offline semantics (``NaiveDetector`` re-runs
+    # ``ptl.semantics`` over the full history and never consults a
+    # ``DeltaGate``), so each case checks skipping against an evaluation
+    # that cannot skip.
+
+    def assert_matches_reference(self, text):
         registry, states = self.drive(None)
-        text = "price(IBM) > 70"
-        prev = qplan.set_delta_skip(True)
+        fired = [r.fired for r in run_history(text, states, registry)]
+        reference = NaiveDetector(parse_formula(text, registry))
+        assert fired == [reference.step(s).fired for s in states]
+        return fired
+
+    @pytest.mark.parametrize(
+        "compiled", [False, True], ids=["interp", "compiled"]
+    )
+    def test_firings_match_reference(self, compiled):
+        """Both recurrence backends read atoms through delta gates."""
+        previous = set_ptl_compile(compiled)
         try:
             qplan.STATS.reset()
-            with_skip = run_history(text, states, registry)
-            assert qplan.STATS.atoms_skipped > 0
-            qplan.set_delta_skip(False)
-            without = run_history(text, states, registry)
+            fired = self.assert_matches_reference("price(IBM) > 70")
         finally:
-            qplan.set_delta_skip(prev)
-        assert [r.fired for r in with_skip] == [r.fired for r in without]
+            set_ptl_compile(previous)
+        assert qplan.STATS.atoms_skipped > 0
+        assert any(fired) and not all(fired)
 
-    def test_temporal_formula_identical(self):
-        registry, states = self.drive(None)
-        text = "[x := price(IBM)] previously price(IBM) < x"
-        prev = qplan.set_delta_skip(True)
-        try:
-            on = run_history(text, states, registry)
-            qplan.set_delta_skip(False)
-            off = run_history(text, states, registry)
-        finally:
-            qplan.set_delta_skip(prev)
-        assert [r.fired for r in on] == [r.fired for r in off]
+    def test_temporal_formula_matches_reference(self):
+        self.assert_matches_reference(
+            "[x := price(IBM)] previously price(IBM) < x"
+        )
 
-    def test_aggregate_formula_identical(self):
-        registry, states = self.drive(None)
+    def test_aggregate_formula_matches_reference(self):
         # Reset at the first state, sample at every state.
-        text = "avg(price(IBM); time >= 0; price(IBM) > 0) > 55"
-        prev = qplan.set_delta_skip(True)
-        try:
-            on = run_history(text, states, registry)
-            qplan.set_delta_skip(False)
-            off = run_history(text, states, registry)
-        finally:
-            qplan.set_delta_skip(prev)
-        assert [r.fired for r in on] == [r.fired for r in off]
+        self.assert_matches_reference(
+            "avg(price(IBM); time >= 0; price(IBM) > 0) > 55"
+        )
 
     def test_time_condition_never_gated(self):
         """Conditions reading ``time`` must re-evaluate at every state even
         when the database is untouched."""
-        registry, states = self.drive(None)
-        text = "time >= 5"
-        prev = qplan.set_delta_skip(True)
-        try:
-            on = run_history(text, states, registry)
-            qplan.set_delta_skip(False)
-            off = run_history(text, states, registry)
-        finally:
-            qplan.set_delta_skip(prev)
-        fired = [r.fired for r in on]
-        assert fired == [r.fired for r in off]
+        fired = self.assert_matches_reference("time >= 5")
         assert any(fired) and not all(fired)
 
     def test_ic_trial_states_safe(self):
@@ -352,44 +332,35 @@ class TestDeltaSkip:
         gating must not leak candidate values into committed evaluation."""
         registry = stock_registry()
         formula = parse_formula("price(IBM) > 95", registry)
+        adb = build_engine()
+        ev = IncrementalEvaluator(formula, EvalContext())
+        fired = []
 
-        def run(skip):
-            prev = qplan.set_delta_skip(skip)
+        def validator(candidate, txn):
+            # Trial-evaluate against the candidate, then roll back.
+            snap = ev.snapshot()
+            result = ev.step(candidate)
+            ev.restore(snap)
+            return ["too high"] if result.fired else []
+
+        adb.add_commit_validator(validator)
+        for price in (60.0, 99.0, 80.0, 99.5, 70.0):
             try:
-                adb = build_engine()
-                ev = IncrementalEvaluator(
-                    formula, EvalContext()
+                adb.execute(
+                    lambda t, p=price: t.update(
+                        "STOCK", lambda r: True, lambda r: {"price": p}
+                    )
                 )
-                fired = []
-
-                def validator(candidate, txn):
-                    # Trial-evaluate against the candidate, then roll back.
-                    snap = ev.snapshot()
-                    result = ev.step(candidate)
-                    ev.restore(snap)
-                    return ["too high"] if result.fired else []
-
-                adb.add_commit_validator(validator)
-                for price in (60.0, 99.0, 80.0, 99.5, 70.0):
-                    try:
-                        adb.execute(
-                            lambda t, p=price: t.update(
-                                "STOCK",
-                                lambda r: True,
-                                lambda r: {"price": p},
-                            )
-                        )
-                    except TransactionAborted:
-                        pass
-                    fired.append(ev.step(adb.last_state).fired)
-                final = sorted(
-                    r.values for r in adb.state.relation("STOCK").rows
-                )
-                return fired, final
-            finally:
-                qplan.set_delta_skip(prev)
-
-        assert run(True) == run(False)
+            except TransactionAborted:
+                pass
+            fired.append(ev.step(adb.last_state).fired)
+        # 99.0 and 99.5 are vetoed: their candidate value (True) must not
+        # be what the committed abort state evaluates to.
+        assert fired == [False] * 5
+        assert qplan.STATS.atoms_skipped > 0
+        assert [r.values for r in adb.state.relation("STOCK").rows] == [
+            ("IBM", 70.0)
+        ]
 
     def test_gate_stats_published(self):
         registry, states = self.drive(None)
