@@ -67,16 +67,14 @@ def run_demo() -> int:
 
 
 def run_monitor(
-    metrics_json=None, ticks: int = 200, wal=None, shards=None,
-    batch: int = 1, churn=None,
+    metrics_json=None, ticks: int = 200, wal=None, batch: int = 1,
+    churn=None,
 ) -> int:
     """Stock-monitor workload with metrics + traces enabled."""
     from repro.facade import TemporalDatabase
     from repro.workloads.stock import STOCK_SCHEMA, spike_trace
 
-    tdb = TemporalDatabase(
-        metrics=True, trace=True, shards=shards, batch_size=batch
-    )
+    tdb = TemporalDatabase(metrics=True, trace=True, batch_size=batch)
     tdb.create_relation(
         "STOCK", STOCK_SCHEMA, [("IBM", 50.0, "IBM Corp", "tech")]
     )
@@ -138,9 +136,6 @@ def run_monitor(
         print(f"  lifecycle churn: {lifecycle_ops} op(s) every {churn} "
               f"tick(s), {shadow} shadow firing(s), "
               f"{len(tdb.rules.shadow_rules())} rule(s) still in shadow")
-    if shards is not None:
-        print(f"  sharded evaluation: {shards} shard(s), "
-              f"{tdb.rules.worker_rebuilds} worker rebuild(s)")
     if recovery is not None:
         recovery.checkpoint(tdb.engine, tdb.rules)
         recovery.stop()
@@ -158,17 +153,12 @@ def run_monitor(
     return 0 if firings else 1
 
 
-def run_recover(wal, shards=None, tolerate_drift: bool = False) -> int:
+def run_recover(wal, tolerate_drift: bool = False) -> int:
     """Rebuild the monitor system from a durable directory."""
     from repro.recovery import RecoveryManager
 
     def setup(engine):
-        if shards is None:
-            manager = engine.rule_manager()
-        else:
-            from repro.parallel import ShardedRuleManager
-
-            manager = ShardedRuleManager(engine, shards=shards)
+        manager = engine.rule_manager()
         manager.add_trigger(
             "sharp_increase", SHARP_INCREASE, lambda ctx: None
         )
@@ -278,11 +268,6 @@ def main(argv=None) -> int:
         "rebuilds from it",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="evaluate the monitor's rules across K shard workers "
-        "(sharded rule manager); default is the serial manager",
-    )
-    parser.add_argument(
         "--batch", type=int, default=1, metavar="N",
         help="rule-manager batch size for the monitor workload "
         "(Section 8 batched invocation)",
@@ -337,10 +322,7 @@ def main(argv=None) -> int:
     if args.command == "recover":
         if args.wal is None:
             parser.error("recover requires --wal DIR")
-        return run_recover(
-            args.wal, shards=args.shards,
-            tolerate_drift=args.tolerate_drift,
-        )
+        return run_recover(args.wal, tolerate_drift=args.tolerate_drift)
     if args.command == "serve":
         if args.root is None:
             parser.error("serve requires --root DIR")
@@ -354,7 +336,7 @@ def main(argv=None) -> int:
     if args.command == "monitor" or args.metrics_json is not None:
         return run_monitor(
             metrics_json=args.metrics_json, ticks=args.ticks, wal=args.wal,
-            shards=args.shards, batch=args.batch, churn=args.churn,
+            batch=args.batch, churn=args.churn,
         )
     return run_demo()
 

@@ -46,50 +46,23 @@ class TemporalDatabase:
         executed_retention: Optional[int] = None,
         metrics=None,
         trace=None,
-        shards: Optional[int] = None,
-        shard_runtime: str = "auto",
     ):
         """``metrics=True`` (or an existing registry) turns on the
         observability layer for the engine, the rule manager, and every
         evaluator registered through this facade; ``trace=True`` (or a
         sink) additionally records structured firing/action/violation
         traces.  Both default off — the hot paths then pay a single
-        boolean check.
-
-        ``shards=K`` evaluates trigger conditions across K shard workers
-        (:class:`~repro.parallel.manager.ShardedRuleManager`) on the
-        ``shard_runtime`` backend (``"process"``/``"thread"``/``"auto"``);
-        ``None`` keeps the serial in-process manager unless the
-        ``REPRO_SHARDS`` environment variable names a shard count (how
-        CI reruns the facade-level suites on the sharded backend)."""
-        if shards is None:
-            import os
-
-            env = os.environ.get("REPRO_SHARDS")
-            shards = int(env) if env else None
+        boolean check."""
         self.engine = ActiveDatabase(
             start_time=start_time, keep_history=keep_history, metrics=metrics
         )
-        if shards is None:
-            self.rules = RuleManager(
-                self.engine,
-                relevance_filtering=relevance_filtering,
-                batch_size=batch_size,
-                executed_retention=executed_retention,
-                trace=trace,
-            )
-        else:
-            from repro.parallel import ShardedRuleManager
-
-            self.rules = ShardedRuleManager(
-                self.engine,
-                shards=shards,
-                runtime=shard_runtime,
-                relevance_filtering=relevance_filtering,
-                batch_size=batch_size,
-                executed_retention=executed_retention,
-                trace=trace,
-            )
+        self.rules = RuleManager(
+            self.engine,
+            relevance_filtering=relevance_filtering,
+            batch_size=batch_size,
+            executed_retention=executed_retention,
+            trace=trace,
+        )
 
     # -- catalog -------------------------------------------------------------
 
@@ -242,6 +215,5 @@ class TemporalDatabase:
         return self.rules.explain_firing(record, rendered=rendered)
 
     def close(self) -> None:
-        """Detach the temporal component (rules stop being evaluated;
-        shard workers, if any, are shut down)."""
+        """Detach the temporal component (rules stop being evaluated)."""
         self.rules.detach()

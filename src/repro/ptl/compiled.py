@@ -11,8 +11,7 @@ evaluator was before the compiled query plans (PR 3).
 
 This module lowers a rule set's node DAG (post-normalize, post-hash-consing,
 post common-subformula elimination) into generated Python step functions,
-compiled per :class:`~repro.ptl.plan.SharedPlan` and reused across steps
-and shards:
+compiled per :class:`~repro.ptl.plan.SharedPlan` and reused across steps:
 
 * every distinct subformula becomes one *slot* — computed exactly once per
   state without any memoization machinery;

@@ -139,30 +139,6 @@ def infer_relevant_events(formula: ast.Formula) -> Optional[frozenset[str]]:
     return None
 
 
-def apply_fire_mode(
-    fire_mode: FireMode, result, prev_bindings: frozenset
-) -> tuple[list[dict], frozenset]:
-    """Turn an evaluator :class:`~repro.ptl.incremental.FireResult` into
-    the bindings that actually fire, given the rule's fire mode and its
-    previous binding set.  Returns ``(bindings, new_prev_bindings)``.
-
-    Shared between the in-process rule registry and the shard workers
-    (:mod:`repro.parallel.worker`) so both backends apply rising-edge
-    semantics identically."""
-    bindings = [dict(b) for b in result.bindings] if result.fired else []
-    if fire_mode is FireMode.RISING_EDGE:
-        current = frozenset(
-            tuple(sorted(b.items(), key=lambda kv: kv[0])) for b in bindings
-        )
-        fresh = current - prev_bindings
-        return [dict(t) for t in sorted(fresh)], current
-    if result.fired:
-        return bindings, frozenset(
-            tuple(sorted(b.items(), key=lambda kv: kv[0])) for b in bindings
-        )
-    return bindings, frozenset()
-
-
 @dataclass
 class RuleStats:
     evaluations: int = 0
@@ -176,7 +152,6 @@ class _RegisteredRule:
         "evaluator",
         "stats",
         "_prev_bindings",
-        "stateless",
         "birth",
         "m_firings",
         "m_eval_seconds",
@@ -189,14 +164,12 @@ class _RegisteredRule:
         self,
         rule: Rule,
         evaluator,
-        stateless: bool,
         registry=None,
         birth: int = 0,
     ):
         self.rule = rule
         self.evaluator = evaluator
         self.stats = RuleStats()
-        self.stateless = stateless
         self._prev_bindings: frozenset = frozenset()
         #: ``states_seen`` at registration — a hot-added rule's firings
         #: can only start here (recorded in checkpoints).
@@ -215,12 +188,22 @@ class _RegisteredRule:
             else None
         )
 
-    def step(self, state):
+    def step(self, state) -> list[dict]:
+        """Step the evaluator and return the bindings that actually fire
+        under the rule's fire mode (rising edge: only bindings absent
+        from the previous state's binding set)."""
         result = self.evaluator.step(state)
         self.stats.evaluations += 1
-        bindings, self._prev_bindings = apply_fire_mode(
-            self.rule.fire_mode, result, self._prev_bindings
+        if not result.fired:
+            self._prev_bindings = frozenset()
+            return []
+        bindings = [dict(b) for b in result.bindings]
+        current = frozenset(
+            tuple(sorted(b.items(), key=lambda kv: kv[0])) for b in bindings
         )
+        if self.rule.fire_mode is FireMode.RISING_EDGE:
+            bindings = [dict(t) for t in sorted(current - self._prev_bindings)]
+        self._prev_bindings = current
         return bindings
 
 
@@ -252,8 +235,7 @@ class RuleManager:
         evaluated once per state instead of once per rule;
         ``shared_plan=False`` is the same backend grouped differently —
         one private plan per rule (:class:`IncrementalEvaluator`), no
-        sharing across rules (what the sharded manager's coordinator
-        needs: its plans live in the workers).  Integrity constraints and
+        sharing across rules.  Integrity constraints and
         ``rewrite_aggregates`` rules always get a private plan (IC trial
         evaluation must not touch shared state).
 
@@ -421,13 +403,8 @@ class RuleManager:
             evaluator = IncrementalEvaluator(
                 formula, ctx, metrics=self.metrics, name=name
             )
-        stateless = infer_relevant_events(formula) is not None
         registered = _RegisteredRule(
-            rule,
-            evaluator,
-            stateless,
-            registry=self.metrics,
-            birth=self.states_seen,
+            rule, evaluator, registry=self.metrics, birth=self.states_seen
         )
         if (
             rule.relevant_events is None
@@ -470,7 +447,7 @@ class RuleManager:
             rule.condition, ctx, metrics=self.metrics, name=name
         )
         self._ics[name] = _RegisteredRule(
-            rule, evaluator, stateless=False, registry=self.metrics
+            rule, evaluator, registry=self.metrics
         )
         if not self._validator_installed:
             self.engine.add_commit_validator(self._validate)
@@ -869,11 +846,6 @@ class RuleManager:
     # Checkpoint serialization (crash recovery)
     # ------------------------------------------------------------------
 
-    #: The manager section's ``backend`` field.  It names where trigger
-    #: state lives, not the class: a subclass that leaves evaluation
-    #: alone restores a ``serial`` section, the sharded manager does not.
-    _BACKEND = "serial"
-
     def _in_shared_plan(self, reg: _RegisteredRule) -> bool:
         """Whether the rule's state lives in the manager's shared plan
         (as opposed to a private evaluator of its own)."""
@@ -882,31 +854,12 @@ class RuleManager:
             and getattr(reg.evaluator, "plan", None) is self.plan
         )
 
-    def _has_private_evaluator(self, reg: _RegisteredRule) -> bool:
-        """Whether the rule's state is its own evaluator's to checkpoint
-        (as opposed to the shared plan's)."""
-        return not self._in_shared_plan(reg)
-
     @staticmethod
     def _fingerprints(registered: dict) -> dict:
         return {
             name: rule_fingerprint(reg.rule.condition)
             for name, reg in registered.items()
         }
-
-    def _check_restorable(self, payload: dict) -> None:
-        """Refuse a manager section this manager cannot load, before any
-        of it is applied."""
-        if payload["backend"] != self._BACKEND:
-            raise RecoveryError(
-                f"checkpoint was taken by a {payload['backend']} manager; "
-                f"this one is {self._BACKEND} — recover with the same "
-                "manager kind (and shard layout) it was taken with"
-            )
-        if self._monitors:
-            raise RecoveryError(
-                "future-obligation monitors are not checkpointable"
-            )
 
     @staticmethod
     def _encode_pairs(pairs) -> list:
@@ -962,11 +915,10 @@ class RuleManager:
                 "birth": reg.birth,
                 "shadow": reg.rule.shadow,
             }
-            if self._has_private_evaluator(reg):
+            if not self._in_shared_plan(reg):
                 entry["evaluator"] = reg.evaluator.to_state()
             rules[name] = entry
         return {
-            "backend": self._BACKEND,
             "states_seen": self.states_seen,
             "executed": self.executed.to_state(),
             "firings": [
@@ -1028,7 +980,10 @@ class RuleManager:
         "changed"}`` name lists (all empty on a strict restore)."""
         from repro.history.state import SystemState
 
-        self._check_restorable(payload)
+        if self._monitors:
+            raise RecoveryError(
+                "future-obligation monitors are not checkpointable"
+            )
         ck_rules = payload["rules"]
         ck_ics = payload["ics"]
         # Triggers and integrity constraints drift separately: a name
@@ -1081,7 +1036,7 @@ class RuleManager:
                 reg.m_shadow_firings = self.metrics.counter(
                     "shadow_firings_total", rule=name
                 )
-            if ("evaluator" in entry) != self._has_private_evaluator(reg):
+            if ("evaluator" in entry) == self._in_shared_plan(reg):
                 raise RecoveryError(
                     f"rule {name!r} changed between plan-backed and "
                     "independent evaluation since the checkpoint"

@@ -20,7 +20,6 @@ from repro.serve.tenant import (
     Tenant,
     TenantProfile,
     TenantRegistry,
-    default_manager,
 )
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "TenantRegistry",
     "compile_statements",
     "decode_frame",
-    "default_manager",
     "encode_frame",
 ]

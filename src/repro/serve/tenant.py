@@ -26,7 +26,6 @@ checkpoint (and the WAL) intact for the next open.
 from __future__ import annotations
 
 import asyncio
-import os
 import re
 import time
 from pathlib import Path
@@ -46,25 +45,6 @@ TENANT_DIR = "tenants"
 
 #: Tenant ids are path components: one safe segment, no traversal.
 TENANT_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
-
-
-def default_manager(engine, trace=None, shards: Optional[int] = None, **kw):
-    """The manager a profile attaches unless it has reasons of its own.
-
-    Honors ``REPRO_SHARDS`` exactly like the facade — the serving CI job
-    reruns the whole suite on the sharded backend by exporting it — but
-    on the *thread* runtime: a server hosting many tenants must not fork
-    a process pool per tenant."""
-    if shards is None:
-        env = os.environ.get("REPRO_SHARDS")
-        shards = int(env) if env else None
-    if shards:
-        from repro.parallel import ShardedRuleManager
-
-        return ShardedRuleManager(
-            engine, shards=shards, runtime="thread", trace=trace, **kw
-        )
-    return engine.rule_manager(trace=trace, **kw)
 
 
 class TenantProfile:
@@ -109,7 +89,7 @@ class StockProfile(TenantProfile):
         from repro.rules.actions import RecordingAction
         from repro.workloads import SHARP_INCREASE
 
-        manager = default_manager(engine, trace=trace)
+        manager = engine.rule_manager(trace=trace)
         manager.add_trigger(
             "sharp_increase", SHARP_INCREASE, RecordingAction()
         )

@@ -495,48 +495,3 @@ def test_midchurn_checkpoint_restores_over_patched_chain():
         assert post and firing_sig(m2) == post
         manager.detach()
         m2.detach()
-
-
-# ---------------------------------------------------------------------------
-# Sharded workers: admin ops patch resident chains, never rebuild them
-# ---------------------------------------------------------------------------
-
-
-class TestShardedChainPatching:
-    def test_sharded_admin_patches_resident_chains(self):
-        from repro.parallel import ShardedRuleManager
-
-        with mode(True):
-            adb = ActiveDatabase()
-            adb.declare_item("price", 0)
-            manager = ShardedRuleManager(adb, shards=2, runtime="thread")
-            manager.add_trigger("r0", TEMPLATES[3], RecordingAction())
-            manager.add_trigger("r1", TEMPLATES[6], RecordingAction())
-            for op in OPS[:6]:
-                apply_op(adb, op)
-            manager.flush()
-            base = manager.chain_stats()
-            assert len(base) == 2
-            assert all(s["builds"] >= 1 for s in base)
-
-            manager.add_trigger("dyn", TEMPLATES[4], RecordingAction())
-            after_add = manager.chain_stats()
-            # The owning shard patched its resident chain in place; no
-            # shard rebuilt from scratch.
-            assert sum(s["patches"] for s in after_add) >= 1
-            assert [s["builds"] for s in after_add] == [
-                s["builds"] for s in base
-            ]
-
-            for op in OPS[6:10]:
-                apply_op(adb, op)
-            manager.flush()
-            manager.remove_rule("dyn")
-            after_remove = manager.chain_stats()
-            assert sum(s["patches"] for s in after_remove) > sum(
-                s["patches"] for s in after_add
-            )
-            assert [s["builds"] for s in after_remove] == [
-                s["builds"] for s in base
-            ]
-            manager.detach()

@@ -7,6 +7,11 @@ EXPERIMENTS.md, ``docs/*.md`` and the verify skill.  A reference is a
 rooted path (``src/repro/…``, ``tests/…``, ``benchmarks/…``, ``docs/…``),
 a root-level ``BENCH*.json``, or a bare ``bench_e*.py`` / ``test_*.py``
 module name; ``*`` in a reference is a glob that must match something.
+
+The same documents, and the CI workflow, name environment toggles: every
+``REPRO_*`` token they mention must be read through ``os.environ``
+somewhere under ``src/repro/`` — a toggle deleted from the source must
+not live on in a CI step or a how-to.
 """
 
 import re
@@ -29,6 +34,11 @@ REFERENCE = re.compile(
     r"|BENCH[A-Za-z0-9_*]*\.json"
     r"|(?:bench_e|test_)[A-Za-z0-9_*]*\.py"
     r")"
+)
+
+ENV_TOGGLE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+ENV_READ = re.compile(
+    r"os\.environ(?:\.get\(|\[)\s*[\"'](REPRO_[A-Z0-9_]+)[\"']"
 )
 
 #: Where a bare module name may live.
@@ -61,6 +71,26 @@ def test_named_paths_exist(document):
         r for r in references(document.read_text()) if not exists(r)
     )
     assert not dangling, f"{document.relative_to(ROOT)} names {dangling}"
+
+
+def env_reads() -> set[str]:
+    return {
+        name
+        for source in (ROOT / "src" / "repro").rglob("*.py")
+        for name in ENV_READ.findall(source.read_text())
+    }
+
+
+def test_named_env_toggles_are_read():
+    read = env_reads()
+    assert "REPRO_PTL_COMPILE" in read  # the extractor matches something
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    stale = {}
+    for document in DOCUMENTS + [workflow]:
+        unread = set(ENV_TOGGLE.findall(document.read_text())) - read
+        if unread:
+            stale[str(document.relative_to(ROOT))] = sorted(unread)
+    assert not stale, f"toggles no source file reads: {stale}"
 
 
 def test_reference_pattern():

@@ -364,36 +364,14 @@ def _enqueue_ops(adb, ops):
             adb.enqueue(lambda t, v=val: t.post_event(user_event(v)))
 
 
-def _sharded_rules(adb):
-    from repro.parallel import ShardedRuleManager
-
-    manager = ShardedRuleManager(adb, shards=2, runtime="thread")
-    manager.add_trigger(
-        "rising",
-        "price > 50 & lasttime price <= 50",
-        RecordingAction(),
-        fire_mode=FireMode.RISING_EDGE,
-    )
-    manager.add_trigger(
-        "detached",
-        "@go & (price > 10 since @go)",
-        RecordingAction(),
-        coupling=CouplingMode.T_C_A,
-    )
-    manager.add_integrity_constraint("cap", "!(price > 1000)")
-    return manager
-
-
 class TestGroupCommitCrash:
     """Update batching with WAL group commit: a crash mid-batch-fsync
     must replay or drop the *whole* batch on recovery — never a prefix
     of it."""
 
-    KINDS = ["shared", "perrule", "sharded"]
+    KINDS = ["shared", "perrule"]
 
     def _setup_for(self, kind):
-        if kind == "sharded":
-            return _sharded_rules
         return lambda e: setup_rules(e, shared=(kind == "shared"))
 
     @pytest.mark.parametrize(

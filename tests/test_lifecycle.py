@@ -15,8 +15,8 @@ Three layers of guarantees:
   lifecycle operations (register / remove / replace / promote, with
   mid-run checkpoint + restore into a fresh manager) produces identical
   firing sequences and executed-store contents on every backend (naive
-  full-history, unshared one-plan-per-rule, shared-plan, sharded-K) under
-  both the interpreted and compiled recurrence pipelines.
+  full-history, unshared one-plan-per-rule, shared-plan) under both the
+  interpreted and compiled recurrence pipelines.
 """
 
 from contextlib import contextmanager
@@ -30,7 +30,6 @@ from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, UnknownRuleError
 from repro.events import user_event
 from repro.obs.trace import FIRING, LIFECYCLE, SHADOW_FIRING
-from repro.parallel import ShardedRuleManager
 from repro.ptl.compiled import set_ptl_compile
 from repro.ptl.context import EvalContext
 from repro.rules.actions import RecordingAction
@@ -60,14 +59,6 @@ BACKENDS = [
     ("naive", NaiveRuleManager),
     ("unshared", lambda e: RuleManager(e, shared_plan=False)),
     ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
-    (
-        "sharded-2",
-        lambda e: ShardedRuleManager(e, shards=2, runtime="thread"),
-    ),
-    (
-        "sharded-4",
-        lambda e: ShardedRuleManager(e, shards=4, runtime="thread"),
-    ),
 ]
 
 
@@ -274,21 +265,10 @@ class TestHotAddSemantics:
 # ---------------------------------------------------------------------------
 
 
-def _sharded_obs(e):
-    return ShardedRuleManager(e, shards=2, runtime="thread", trace=True)
-
-
-def _serial_obs(e):
-    return RuleManager(e, shared_plan=True, trace=True)
-
-
 class TestShadowMode:
-    @pytest.mark.parametrize(
-        "factory", [_serial_obs, _sharded_obs], ids=["serial", "sharded"]
-    )
-    def test_shadow_fires_without_side_effects(self, factory):
+    def test_shadow_fires_without_side_effects(self):
         adb = make_engine(metrics=True)
-        manager = factory(adb)
+        manager = RuleManager(adb, shared_plan=True, trace=True)
         executed_actions = []
         manager.add_trigger(
             "probe", "price > 50", lambda ctx: executed_actions.append(ctx),
@@ -440,7 +420,7 @@ lifecycle_scripts = st.lists(
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
 @given(script=lifecycle_scripts)
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=16, deadline=None)
 def test_lifecycle_backends_agree(compiled, script):
     with compiled_toggle(compiled):
         results = {
@@ -483,7 +463,7 @@ def fifty_rule_script():
 def test_fifty_rule_churn_across_backends(compiled):
     """The acceptance bar: a 50-rule live engine with mid-stream
     lifecycle changes produces identical firings on every backend,
-    including sharded K=4 and the compiled recurrence pipeline."""
+    including the compiled recurrence pipeline."""
 
     def run(factory):
         adb = make_engine()
@@ -558,9 +538,9 @@ def test_fifty_rule_churn_across_backends(compiled):
 
 
 class TestDriftRestore:
-    def _checkpoint(self, factory):
+    def _checkpoint(self):
         adb = make_engine()
-        manager = factory(adb)
+        manager = RuleManager(adb, shared_plan=True)
         manager.add_trigger("a", "price > 50", RecordingAction())
         manager.add_trigger(
             "b", "previously[10] (price > 50)", RecordingAction()
@@ -573,17 +553,9 @@ class TestDriftRestore:
         manager.detach()
         return adb, state, fired_before
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda e: RuleManager(e, shared_plan=True),
-            lambda e: ShardedRuleManager(e, shards=2, runtime="thread"),
-        ],
-        ids=["serial", "sharded"],
-    )
-    def test_restore_reports_and_tolerates_drift(self, factory):
-        adb, state, fired_before = self._checkpoint(factory)
-        manager = factory(adb)
+    def test_restore_reports_and_tolerates_drift(self):
+        adb, state, fired_before = self._checkpoint()
+        manager = RuleManager(adb, shared_plan=True)
         manager.add_trigger(
             "b", "previously[10] (price > 50)", RecordingAction()
         )
@@ -610,34 +582,3 @@ class TestDriftRestore:
         manager.flush()
         assert "d" in [f.rule for f in manager.firings[fired_before:]]
         manager.detach()
-
-    def test_sharded_checkpoint_after_hot_add_restores(self):
-        """Sharded checkpoints record the layout verbatim: a rule base
-        shaped by post-seal additions (which no recomputed partition can
-        reproduce) restores strictly."""
-        adb = make_engine()
-        manager = ShardedRuleManager(adb, shards=2, runtime="thread")
-        manager.add_trigger("early", "price > 50", RecordingAction())
-        drive(adb, [("set", 60)])
-        manager.flush()  # seals
-        manager.add_trigger("late", "@go", RecordingAction())
-        drive(adb, [("ev", "go")])
-        manager.flush()
-        state = manager.to_state()
-        assignment = dict(state["assignment"])
-        fired = signature(manager)
-        manager.detach()
-
-        restored = ShardedRuleManager(adb, shards=2, runtime="thread")
-        restored.add_trigger("early", "price > 50", RecordingAction())
-        restored.add_trigger("late", "@go", RecordingAction())
-        report = restored.from_state(state)
-        assert report == {"added": [], "dropped": [], "changed": []}
-        assert dict(restored._partition.assignment) == assignment
-        assert signature(restored) == fired
-        drive(adb, [("ev", "go"), ("set", 70)])
-        restored.flush()
-        new = [f.rule for f in restored.firings[len(fired[0]):]]
-        # go state (price still 60): early + late; then price 70: early.
-        assert sorted(new) == ["early", "early", "late"]
-        restored.detach()

@@ -19,7 +19,6 @@ from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, StorageError, TransactionAborted
 from repro.events import user_event
 from repro.history.spill import attach_tiered_history
-from repro.parallel import ShardedRuleManager
 from repro.ptl import IncrementalEvaluator, parse_formula, set_ptl_compile
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.plan import SharedPlan
@@ -172,10 +171,6 @@ def make_engine():
 
 def setup_rules(adb, shared=True):
     return register_rules(adb.rule_manager(shared_plan=shared))
-
-
-def sharded_rules(adb):
-    return register_rules(ShardedRuleManager(adb, shards=2, runtime="thread"))
 
 
 def register_rules(manager):
@@ -332,51 +327,44 @@ class TestManagerRoundTrip:
             other.from_state(payload)
 
 
-def _drift_manager(backend, adb, condition):
-    manager = (
-        adb.rule_manager()
-        if backend == "serial"
-        else ShardedRuleManager(adb, shards=2, runtime="thread")
-    )
+def _drift_manager(adb, condition):
+    manager = adb.rule_manager()
     manager.add_trigger("t", condition, RecordingAction())
     manager.add_trigger("high", "price > 90", RecordingAction())
     return manager
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "tolerant"])
-@pytest.mark.parametrize("backend", ["serial", "sharded"])
-class TestDriftVerdictIsBackendIndependent:
-    """One fingerprint and one drift check for every backend: the same
-    re-registration gets the same verdict from the serial and the
-    sharded manager."""
+class TestRespelledConditionIsNotDrift:
+    """Drift is judged on the normalized condition: a re-registration
+    that only respells a rule restores it, a different condition does
+    not."""
 
     HEAD = [("set", 60), ("set", 20), ("set", 30)]
     TAIL = [("set", 10), ("set", 95), ("set", 40)]
 
-    def _checkpoint(self, backend):
+    def _checkpoint(self):
         adb = make_engine()
-        manager = _drift_manager(backend, adb, "previously (price > 50)")
+        manager = _drift_manager(adb, "previously (price > 50)")
         drive(adb, self.HEAD)
         manager.flush()
         payload = json_round_trip(manager.to_state())
         manager.detach()
         return payload
 
-    def _restore_target(self, backend, condition):
+    def _restore_target(self, condition):
         adb = make_engine()
         drive(adb, self.HEAD)  # the engine is at the checkpointed state
-        return adb, _drift_manager(backend, adb, condition)
+        return adb, _drift_manager(adb, condition)
 
-    def test_respelled_condition_is_the_same_rule(self, backend, strict):
+    def test_respelled_condition_is_the_same_rule(self, strict):
         twin = make_engine()
-        twin_m = _drift_manager(backend, twin, "previously (price > 50)")
+        twin_m = _drift_manager(twin, "previously (price > 50)")
         drive(twin, self.HEAD + self.TAIL)
         twin_m.flush()
 
-        payload = self._checkpoint(backend)
-        adb, manager = self._restore_target(
-            backend, "true since (price > 50)"
-        )
+        payload = self._checkpoint()
+        adb, manager = self._restore_target("true since (price > 50)")
         drift = manager.from_state(payload, strict=strict)
         assert drift == {"added": [], "dropped": [], "changed": []}
         drive(adb, self.TAIL)
@@ -387,11 +375,9 @@ class TestDriftVerdictIsBackendIndependent:
         manager.detach()
         twin_m.detach()
 
-    def test_different_condition_is_changed(self, backend, strict):
-        payload = self._checkpoint(backend)
-        adb, manager = self._restore_target(
-            backend, "previously (price > 55)"
-        )
+    def test_different_condition_is_changed(self, strict):
+        payload = self._checkpoint()
+        adb, manager = self._restore_target("previously (price > 55)")
         if strict:
             with pytest.raises(RecoveryError, match="'t' condition differs"):
                 manager.from_state(payload, strict=True)
@@ -429,16 +415,13 @@ def _with_aggregate(setup):
 
 @pytest.mark.parametrize("tiers", [False, True], ids=["ram", "tiers"])
 @pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-@pytest.mark.parametrize("backend", ["serial", "sharded"])
-def test_checkpoint_document_round_trip(tmp_path, backend, compiled, tiers):
+def test_checkpoint_document_round_trip(tmp_path, compiled, tiers):
     """``checkpoint.json`` graded as one document: written, recovered and
     written again it is byte-identical; the recovered run then matches an
     uninterrupted twin; and only its root is versioned — any other root
     format is refused whole, before ``setup()`` runs, leaving the file
     untouched."""
-    setup = _with_aggregate(
-        {"serial": setup_rules, "sharded": sharded_rules}[backend]
-    )
+    setup = _with_aggregate(setup_rules)
     head, tail = OPS[:5], OPS[5:] + [("set", 70), ("ev", "go")]
 
     def start(rm, adb, manager=None):
@@ -468,11 +451,11 @@ def test_checkpoint_document_round_trip(tmp_path, backend, compiled, tiers):
         written = rm.checkpoint_path.read_bytes()
         document = json.loads(written)
         assert _count_keys(document, {"format"}) == 1
-        assert document["format"] == FORMAT_VERSION == 3
+        assert document["format"] == FORMAT_VERSION == 4
         # No evaluator-shaped section nests under an aggregate entry.
         assert _count_keys(document, {"start", "sample"}) == 0
         assert '"samples"' in written.decode()
-        assert document["manager"]["backend"] == backend
+        assert "backend" not in document["manager"]
         assert ("tiers" in document) == tiers
         if tiers:
             assert document["tiers"]["history"]["segments"], "nothing spilled"
@@ -564,10 +547,9 @@ class TestRecoveryManager:
             == oracle.state.item("price")
         )
 
-    def test_backend_field_not_class_name_gates_the_restore(self, tmp_path):
-        """The manager section names its backend, not its class: a
-        subclass that leaves evaluation alone restores a serial
-        checkpoint; a sharded manager still refuses it."""
+    def test_subclass_restores_a_rule_manager_checkpoint(self, tmp_path):
+        """The manager section does not name the class that wrote it: a
+        subclass that leaves evaluation alone restores it."""
 
         class Audited(RuleManager):
             pass
@@ -587,8 +569,6 @@ class TestRecoveryManager:
         )
         assert type(report.manager) is Audited
         assert firing_sig(report.manager) == firing_sig(manager)
-        with pytest.raises(RecoveryError, match="manager kind"):
-            recover(tmp_path, setup=sharded_rules)
 
     def test_nothing_to_recover(self, tmp_path):
         with pytest.raises(RecoveryError):

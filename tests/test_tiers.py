@@ -10,7 +10,7 @@ same executed store.  On top of that: no torn or corrupted segment is
 ever loaded (fingerprints), a disk that stays broken flips the engine
 into degraded read-only mode deterministically (and back out), and a
 checkpoint of a spilled run recovers bit-identically across the
-serial / shared-plan / sharded and interpreted / compiled backends.
+per-rule / shared-plan and interpreted / compiled backends.
 """
 
 import shutil
@@ -56,25 +56,6 @@ def make_engine(metrics=False):
 
 def setup_rules(adb, shared=True):
     manager = adb.rule_manager(shared_plan=shared)
-    manager.add_trigger(
-        "rising",
-        "price > 50 & lasttime price <= 50",
-        RecordingAction(),
-        fire_mode=FireMode.RISING_EDGE,
-    )
-    manager.add_trigger(
-        "watch",
-        "price > 10 since @go",
-        RecordingAction(),
-        coupling=CouplingMode.T_C_A,
-    )
-    return manager
-
-
-def sharded_rules(adb):
-    from repro.parallel import ShardedRuleManager
-
-    manager = ShardedRuleManager(adb, shards=2, runtime="thread")
     manager.add_trigger(
         "rising",
         "price > 50 & lasttime price <= 50",
@@ -575,11 +556,9 @@ class TestSpillCrash:
 
 
 class TestSpilledRecovery:
-    KINDS = ["shared", "perrule", "sharded"]
+    KINDS = ["shared", "perrule"]
 
     def _setup_for(self, kind):
-        if kind == "sharded":
-            return sharded_rules
         return lambda e: setup_rules(e, shared=(kind == "shared"))
 
     @pytest.mark.parametrize(
