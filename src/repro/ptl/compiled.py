@@ -452,7 +452,7 @@ def _fast_subst(c, var, value):
                 return cs.CTRUE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(cs._intern_formulas, ("&", kept), cs.CAnd(kept))
+            return cs._intern(cs.CAnd, kept)
         return cs.cand(ops)
     if isinstance(c, cs.COr):
         ops = [_fast_subst(x, var, value) for x in c.operands]
@@ -471,7 +471,7 @@ def _fast_subst(c, var, value):
                 return cs.CFALSE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(cs._intern_formulas, ("|", kept), cs.COr(kept))
+            return cs._intern(cs.COr, kept)
         return cs.cor(ops)
     return cs.substitute(c, {var: value})
 
@@ -529,22 +529,13 @@ def _partial_normalize(op, fixed, dyn_on_left):
 
 def _atom_builder(op, var_side):
     """Closure interning ``var_side <op> SConst(d)`` directly — the
-    residual of ``catom`` once normalization has been evaluated away.
-    The intern table is cleared in place, never rebound, so capturing it
-    here is safe."""
-    table = cs._intern_formulas
-    get = table.get
+    residual of ``catom`` once normalization has been evaluated away."""
     intern = cs._intern
     SConst = cs.SConst
     CAtom = cs.CAtom
 
     def build(d):
-        r = SConst(d)
-        key = ("atom", op, var_side, r)
-        got = get(key)
-        if got is not None:
-            return got
-        return intern(table, key, CAtom(op, var_side, r))
+        return intern(CAtom, op, var_side, SConst(d))
 
     return build
 

@@ -17,21 +17,29 @@ with aggressive simplification on construction:
   what makes the Section 5 time-bound pruning (:mod:`repro.ptl.optimize`)
   applicable.
 
-Everything is immutable and hashable; sharing makes the "and-or graph".
-The smart constructors *hash-cons* their results (see :func:`intern_stats`):
-structurally equal formulas are represented by one shared object, so the
-``Since``/``Lasttime`` recurrences — which rebuild ``F_h | (F_g & F_prev)``
-every step from largely unchanged pieces — reuse existing nodes instead of
-allocating fresh copies, equality checks degenerate to pointer comparisons
-on the hot path, and the retained state really is the paper's and-or
-*graph*.  :func:`dag_size` measures it accordingly: unique nodes once,
-however many parents share them (:func:`size` is the plain tree count).
+Nodes are slotted, hashable and treated as immutable (nothing outside this
+module and the deadline cache of :mod:`repro.ptl.optimize` assigns to
+one); sharing makes the "and-or graph".  The smart constructors
+*hash-cons* their results through :func:`_intern`: while a node is alive,
+every construction of a structurally equal formula returns that same
+object, so the ``Since``/``Lasttime`` recurrences — which rebuild
+``F_h | (F_g & F_prev)`` every step from largely unchanged pieces — reuse
+existing nodes instead of allocating fresh copies, and equality checks
+degenerate to pointer comparisons on the hot path.
+
+The intern tables hold their nodes *weakly*: a node is canonical exactly
+while something references it, and its table entry goes when it does.
+What the process retains is therefore the and-or graph reachable from the
+stored state formulas — the paper's Section 5 bound holds for the tables
+too, not only for the roots — and :func:`dag_size` measures that graph:
+unique nodes once, however many parents share them (:func:`size` is the
+plain tree count).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
+from weakref import ref as _weakref
 
 from repro.errors import (
     EvaluationError,
@@ -42,37 +50,61 @@ from repro.query.evaluator import apply_comparison
 from repro.query.functions import scalar_function
 
 # ---------------------------------------------------------------------------
-# Hash-consing (interning) cache
+# Hash-consing (interning) tables
 # ---------------------------------------------------------------------------
 
-#: Cap on each intern table; on overflow the table is cleared (interning is
-#: best-effort — equality stays structural, only sharing is lost).
-_INTERN_CAP = 1 << 17
 
+class _Entry(_weakref):
+    """A weak table entry that knows where it is filed, so the death of its
+    node removes exactly that entry."""
+
+    __slots__ = ("key", "table")
+
+
+def _forget(entry: _Entry) -> None:
+    table = entry.table
+    # A dead entry may already have been replaced by a rebuilt node's.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+def _file(table: dict, key, node) -> None:
+    entry = _Entry(node, _forget)
+    entry.key = key
+    entry.table = table
+    table[key] = entry
+
+
+#: ``hash tuple -> _Entry`` for the live :class:`SApp` terms / formula nodes.
 _intern_terms: dict = {}
 _intern_formulas: dict = {}
 _intern_hits = 0
 _intern_misses = 0
 
 
-def _intern(table: dict, key, value):
-    """Return the canonical object for ``key``, installing ``value`` when
-    the key is new."""
+def _intern(cls, *parts):
+    """The canonical ``cls(*parts)``: the live node with these parts when
+    there is one, otherwise a new node (built only now, on the miss)."""
     global _intern_hits, _intern_misses
-    found = table.get(key)
-    if found is not None:
-        _intern_hits += 1
-        return found
+    table = cls._table
+    key = (cls._tag, *parts)
+    entry = table.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            _intern_hits += 1
+            return node
     _intern_misses += 1
-    if len(table) >= _INTERN_CAP:
-        table.clear()
-    table[key] = value
-    return value
+    node = cls(*parts)
+    _file(table, key, node)
+    return node
 
 
 def intern_stats() -> dict:
-    """Hit/miss counters of the hash-consing cache (the shared-plan obs
-    layer reports the hit rate)."""
+    """Process-wide counters of the hash-consing tables: constructor
+    hits/misses since import, and the number of *live* interned terms and
+    formula nodes right now (the shared-plan obs layer publishes the hit
+    rate and the live count)."""
     total = _intern_hits + _intern_misses
     return {
         "hits": _intern_hits,
@@ -82,16 +114,6 @@ def intern_stats() -> dict:
         "formulas": len(_intern_formulas),
     }
 
-
-def clear_intern_cache() -> None:
-    """Drop all interned nodes and reset the counters (tests/benchmarks)."""
-    global _intern_hits, _intern_misses
-    _intern_terms.clear()
-    _intern_formulas.clear()
-    _cnot_memo.clear()
-    _catom_memo.clear()
-    _intern_hits = 0
-    _intern_misses = 0
 
 # ---------------------------------------------------------------------------
 # Symbolic terms
@@ -105,9 +127,24 @@ class STerm:
         return frozenset()
 
 
-@dataclass(frozen=True)
 class SConst(STerm):
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is SConst:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Not cached: a ground atom folds without hashing its constants,
+        # so an unhashable value must stay legal until something keys on it.
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"SConst(value={self.value!r})"
 
     def __str__(self) -> str:
         if isinstance(self.value, float) and self.value == int(self.value):
@@ -115,40 +152,74 @@ class SConst(STerm):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class SVar(STerm):
-    name: str
+    __slots__ = ("name", "_h", "_vars")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._h = hash((name,))
+        self._vars = frozenset((name,))
+
+    def __eq__(self, other):
+        if other.__class__ is SVar:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._h
 
     def variables(self) -> frozenset[str]:
-        return frozenset({self.name})
+        return self._vars
+
+    def __repr__(self) -> str:
+        return f"SVar(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+def _union_variables(parts) -> frozenset[str]:
+    v: frozenset[str] = frozenset()
+    for p in parts:
+        v |= p.variables()
+    return v
+
+
 class SApp(STerm):
-    func: str
-    args: tuple[STerm, ...]
+    __slots__ = ("func", "args", "_h", "_vars", "__weakref__")
+    _tag = "sapp"
+    _table = _intern_terms
+
+    def __init__(self, func: str, args: tuple[STerm, ...]):
+        self.func = func
+        self.args = args
+        # Structural hash, computed once: deep nodes are common dict keys
+        # and must not re-walk their subtree on every lookup.
+        self._h = hash(("sapp", func, args))
+        self._vars = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is SApp:
+            return (
+                self._h == other._h
+                and self.func == other.func
+                and self.args == other.args
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # Structural hash, computed once: the hash-consed graph makes
-        # deep nodes common dict keys, and the generated dataclass hash
-        # would re-walk the whole subtree on every lookup.
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(("sapp", self.func, self.args))
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._h
 
     def variables(self) -> frozenset[str]:
-        v = self.__dict__.get("_vars")
+        v = self._vars
         if v is None:
-            v = frozenset()
-            for a in self.args:
-                v |= a.variables()
-            object.__setattr__(self, "_vars", v)
+            v = self._vars = _union_variables(self.args)
         return v
+
+    def __repr__(self) -> str:
+        return f"SApp(func={self.func!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if self.func in ("+", "-", "*", "/", "mod") and len(self.args) == 2:
@@ -161,7 +232,7 @@ def sapp(func: str, args: tuple[STerm, ...]) -> STerm:
     if all(isinstance(a, SConst) for a in args):
         fn = scalar_function(func)
         return SConst(fn(*(a.value for a in args)))
-    return _intern(_intern_terms, (func, args), SApp(func, args))
+    return _intern(SApp, func, args)
 
 
 def subst_term(term: STerm, env: Mapping[str, Any]) -> STerm:
@@ -194,9 +265,23 @@ class C:
         return frozenset()
 
 
-@dataclass(frozen=True)
 class CBool(C):
-    value: bool
+    __slots__ = ("value", "_h")
+
+    def __init__(self, value: bool):
+        self.value = value
+        self._h = hash((value,))
+
+    def __eq__(self, other):
+        if other.__class__ is CBool:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._h
+
+    def __repr__(self) -> str:
+        return f"CBool(value={self.value!r})"
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -209,91 +294,122 @@ _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass(frozen=True)
-class CAtom(C):
-    op: str
-    left: STerm
-    right: STerm
+class _Interned(C):
+    """The non-constant formula nodes.  Beside its parts and their
+    structural hash a node carries three caches: ``_vars`` (free
+    variables), ``_neg`` (its negation, see :func:`cnot`) and ``_mdl``
+    (earliest deadline, owned by :mod:`repro.ptl.optimize`)."""
+
+    __slots__ = ("_h", "_vars", "_neg", "_mdl", "__weakref__")
+    _table = _intern_formulas
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(("atom", self.op, self.left, self.right))
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._h
+
+
+class CAtom(_Interned):
+    __slots__ = ("op", "left", "right")
+    _tag = "atom"
+
+    def __init__(self, op: str, left: STerm, right: STerm):
+        self.op = op
+        self.left = left
+        self.right = right
+        self._h = hash(("atom", op, left, right))
+        self._vars = self._neg = self._mdl = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is CAtom:
+            return (
+                self._h == other._h
+                and self.op == other.op
+                and self.left == other.left
+                and self.right == other.right
+            )
+        return NotImplemented
+
+    __hash__ = _Interned.__hash__
 
     def variables(self) -> frozenset[str]:
-        v = self.__dict__.get("_vars")
+        v = self._vars
         if v is None:
-            v = self.left.variables() | self.right.variables()
-            object.__setattr__(self, "_vars", v)
+            v = self._vars = self.left.variables() | self.right.variables()
         return v
+
+    def __repr__(self) -> str:
+        return f"CAtom(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
-class CAnd(C):
-    operands: tuple[C, ...]
+class _Junction(_Interned):
+    """Shared body of :class:`CAnd` / :class:`COr`."""
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(("&", self.operands))
-            object.__setattr__(self, "_h", h)
-        return h
+    __slots__ = ("operands",)
 
-    def variables(self) -> frozenset[str]:
-        v = self.__dict__.get("_vars")
-        if v is None:
-            v = frozenset()
-            for c in self.operands:
-                v |= c.variables()
-            object.__setattr__(self, "_vars", v)
-        return v
+    def __init__(self, operands: tuple[C, ...]):
+        self.operands = operands
+        self._h = hash((self._tag, operands))
+        self._vars = self._neg = self._mdl = None
 
-    def __str__(self) -> str:
-        return "(" + " & ".join(map(str, self.operands)) + ")"
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._h == other._h and self.operands == other.operands
+        return NotImplemented
 
-
-@dataclass(frozen=True)
-class COr(C):
-    operands: tuple[C, ...]
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(("|", self.operands))
-            object.__setattr__(self, "_h", h)
-        return h
+    __hash__ = _Interned.__hash__
 
     def variables(self) -> frozenset[str]:
-        v = self.__dict__.get("_vars")
+        v = self._vars
         if v is None:
-            v = frozenset()
-            for c in self.operands:
-                v |= c.variables()
-            object.__setattr__(self, "_vars", v)
+            v = self._vars = _union_variables(self.operands)
         return v
 
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(operands={self.operands!r})"
+
     def __str__(self) -> str:
-        return "(" + " | ".join(map(str, self.operands)) + ")"
+        return "(" + f" {self._tag} ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class CNot(C):
-    operand: C
+class CAnd(_Junction):
+    __slots__ = ()
+    _tag = "&"
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(("not", self.operand))
-            object.__setattr__(self, "_h", h)
-        return h
+
+class COr(_Junction):
+    __slots__ = ()
+    _tag = "|"
+
+
+class CNot(_Interned):
+    __slots__ = ("operand",)
+    _tag = "not"
+
+    def __init__(self, operand: C):
+        self.operand = operand
+        self._h = hash(("not", operand))
+        self._vars = self._neg = self._mdl = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is CNot:
+            return self._h == other._h and self.operand == other.operand
+        return NotImplemented
+
+    __hash__ = _Interned.__hash__
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
+
+    def __repr__(self) -> str:
+        return f"CNot(operand={self.operand!r})"
 
     def __str__(self) -> str:
         return f"!({self.operand})"
@@ -304,6 +420,8 @@ class CNot(C):
 # ---------------------------------------------------------------------------
 
 
+#: ``pre-normalization (op, left, right) -> _Entry`` of the resulting live
+#: atom; like the intern tables, an entry goes when its atom does.
 _catom_memo: dict = {}
 
 
@@ -320,16 +438,13 @@ def catom(op: str, left: STerm, right: STerm) -> C:
             # cannot hold.
             return CFALSE
     key = (op, left, right)
-    cached = _catom_memo.get(key)
-    if cached is not None:
-        return cached
-    op, left, right = _normalize_linear(op, left, right)
-    result = _intern(
-        _intern_formulas, ("atom", op, left, right), CAtom(op, left, right)
-    )
-    if len(_catom_memo) >= _INTERN_CAP:
-        _catom_memo.clear()
-    _catom_memo[key] = result
+    entry = _catom_memo.get(key)
+    if entry is not None:
+        cached = entry()
+        if cached is not None:
+            return cached
+    result = _intern(CAtom, *_normalize_linear(op, left, right))
+    _file(_catom_memo, key, result)
     return result
 
 
@@ -386,38 +501,43 @@ def _intify(value: float):
     return value
 
 
-#: Memoized negations.  With hash-consed operands the table key is the
-#: canonical node, so re-negating the unchanged tail of a ``Since``
-#: recurrence is a single dict probe instead of a full tree rewrite.
-_cnot_memo: dict = {}
-
-
 def cnot(operand: C) -> C:
+    """Negation, pushed into the atoms.  The memo lives on the nodes: the
+    node negated first holds its negation strongly and the negation points
+    back through a weakref, so ``x`` and ``!x`` never form a reference
+    cycle, ``x`` keeps ``!x`` alive (re-negating the unchanged tail of a
+    ``Since`` recurrence stays a single probe) and ``cnot(cnot(x)) is x``."""
     if isinstance(operand, CBool):
         return CFALSE if operand.value else CTRUE
-    cached = _cnot_memo.get(operand)
-    if cached is not None:
-        return cached
     if isinstance(operand, CNot):
-        result: C = operand.operand
-    elif isinstance(operand, CAtom):
-        op = _NEGATED_OP[operand.op]
-        result = _intern(
-            _intern_formulas,
-            ("atom", op, operand.left, operand.right),
-            CAtom(op, operand.left, operand.right),
+        return operand.operand
+    cached = operand._neg
+    if cached is not None:
+        if cached.__class__ is _weakref:
+            cached = cached()
+        if cached is not None:
+            return cached
+    if isinstance(operand, CAtom):
+        result: C = _intern(
+            CAtom, _NEGATED_OP[operand.op], operand.left, operand.right
         )
     elif isinstance(operand, CAnd):
         result = cor(tuple(cnot(c) for c in operand.operands))
     elif isinstance(operand, COr):
         result = cand(tuple(cnot(c) for c in operand.operands))
     else:
-        result = _intern(
-            _intern_formulas, ("not", operand), CNot(operand)
-        )
-    if len(_cnot_memo) >= _INTERN_CAP:
-        _cnot_memo.clear()
-    _cnot_memo[operand] = result
+        return _intern(CNot, operand)
+    if isinstance(result, CBool):
+        # Only a hand-built, non-canonical junction negates to a constant.
+        return result
+    back = result._neg
+    if back is operand:
+        # The negation was built first and already owns this node.
+        operand._neg = _weakref(result)
+    else:
+        operand._neg = result
+        if back is None or (back.__class__ is _weakref and back() is None):
+            result._neg = _weakref(operand)
     return result
 
 
@@ -447,7 +567,7 @@ def cand(operands: Iterable[C]) -> C:
     if len(flat) == 1:
         return flat[0]
     ops = tuple(flat)
-    return _intern(_intern_formulas, ("&", ops), CAnd(ops))
+    return _intern(CAnd, ops)
 
 
 def cor(operands: Iterable[C]) -> C:
@@ -476,7 +596,7 @@ def cor(operands: Iterable[C]) -> C:
     if len(flat) == 1:
         return flat[0]
     ops = tuple(flat)
-    return _intern(_intern_formulas, ("|", ops), COr(ops))
+    return _intern(COr, ops)
 
 
 def cand2(a: C, b: C) -> C:
@@ -505,8 +625,7 @@ def cand2(a: C, b: C) -> C:
             return b
         if cnot(a) in ops:
             return CFALSE
-        new_ops = (a,) + ops
-        return _intern(_intern_formulas, ("&", new_ops), CAnd(new_ops))
+        return _intern(CAnd, (a,) + ops)
     return cand((a, b))
 
 
@@ -526,8 +645,7 @@ def cor2(a: C, b: C) -> C:
             return b
         if cnot(a) in ops:
             return CTRUE
-        new_ops = (a,) + ops
-        return _intern(_intern_formulas, ("|", new_ops), COr(new_ops))
+        return _intern(COr, (a,) + ops)
     return cor((a, b))
 
 
@@ -584,63 +702,62 @@ def dag_size(roots: Iterable[C]) -> int:
     size.  A subformula shared by several parents (or several roots, e.g.
     the same ``Since`` tail referenced from both an operand and its
     negation) contributes once, which is what the evaluator actually
-    retains in memory under hash-consing.  Structural duplicates that
-    escaped interning (cache overflow) still count once: the walk
-    deduplicates by equality, not identity."""
+    retains in memory: live structurally equal nodes are one object."""
     seen: set = set()
+    return sum(_dag_walk(r, seen) for r in roots)
 
-    def term(t: STerm) -> int:
-        if t in seen:
-            return 0
-        seen.add(t)
-        if isinstance(t, SApp):
-            return 1 + sum(term(a) for a in t.args)
+
+def _dag_term(t: STerm, seen: set) -> int:
+    if t in seen:
+        return 0
+    seen.add(t)
+    if isinstance(t, SApp):
+        return 1 + sum(_dag_term(a, seen) for a in t.args)
+    return 1
+
+
+def _dag_walk(c: C, seen: set) -> int:
+    if c in seen:
+        return 0
+    seen.add(c)
+    if isinstance(c, CBool):
         return 1
-
-    def walk(c: C) -> int:
-        if c in seen:
-            return 0
-        seen.add(c)
-        if isinstance(c, CBool):
-            return 1
-        if isinstance(c, CAtom):
-            return 1 + term(c.left) + term(c.right)
-        if isinstance(c, CNot):
-            return 1 + walk(c.operand)
-        if isinstance(c, (CAnd, COr)):
-            return 1 + sum(walk(x) for x in c.operands)
-        raise EvaluationError(f"unknown constraint node {c!r}")
-
-    return sum(walk(r) for r in roots)
+    if isinstance(c, CAtom):
+        return 1 + _dag_term(c.left, seen) + _dag_term(c.right, seen)
+    if isinstance(c, CNot):
+        return 1 + _dag_walk(c.operand, seen)
+    if isinstance(c, (CAnd, COr)):
+        return 1 + sum(_dag_walk(x, seen) for x in c.operands)
+    raise EvaluationError(f"unknown constraint node {c!r}")
 
 
 def equality_candidates(c: C) -> dict[str, set]:
     """Candidate values for each variable, harvested from ``var = const``
     atoms (answer extraction for event/executed-bound variables)."""
     out: dict[str, set] = {}
-
-    def visit(node: C) -> None:
-        if isinstance(node, CAtom):
-            if (
-                node.op == "="
-                and isinstance(node.left, SVar)
-                and isinstance(node.right, SConst)
-            ):
-                out.setdefault(node.left.name, set()).add(node.right.value)
-            elif (
-                node.op == "="
-                and isinstance(node.right, SVar)
-                and isinstance(node.left, SConst)
-            ):
-                out.setdefault(node.right.name, set()).add(node.left.value)
-        elif isinstance(node, (CAnd, COr)):
-            for x in node.operands:
-                visit(x)
-        elif isinstance(node, CNot):
-            visit(node.operand)
-
-    visit(c)
+    _collect_equalities(c, out)
     return out
+
+
+def _collect_equalities(node: C, out: dict[str, set]) -> None:
+    if isinstance(node, CAtom):
+        if (
+            node.op == "="
+            and isinstance(node.left, SVar)
+            and isinstance(node.right, SConst)
+        ):
+            out.setdefault(node.left.name, set()).add(node.right.value)
+        elif (
+            node.op == "="
+            and isinstance(node.right, SVar)
+            and isinstance(node.left, SConst)
+        ):
+            out.setdefault(node.right.name, set()).add(node.left.value)
+    elif isinstance(node, (CAnd, COr)):
+        for x in node.operands:
+            _collect_equalities(x, out)
+    elif isinstance(node, CNot):
+        _collect_equalities(node.operand, out)
 
 
 class FreshValue:
@@ -743,9 +860,7 @@ def term_from_payload(payload: Any) -> STerm:
         args = tuple(term_from_payload(a) for a in payload["a"])
         # Rebuild through the interning table, but never constant-fold:
         # the original node survived folding at construction time.
-        return _intern(
-            _intern_terms, (payload["f"], args), SApp(payload["f"], args)
-        )
+        return _intern(SApp, payload["f"], args)
     raise SerializationError(f"unknown term payload: {payload!r}")
 
 
@@ -818,21 +933,38 @@ def solve(
         candidates.setdefault(name, set()).add(FRESH)
 
     solutions: list[dict[str, Any]] = []
-
-    def rec(i: int, env: dict[str, Any], current: C) -> None:
-        if len(solutions) >= max_solutions:
-            return
-        if current is CFALSE:
-            return
-        if i == len(variables):
-            if current is CTRUE:
-                solutions.append(dict(env))
-            return
-        name = variables[i]
-        for value in sorted(candidates[name], key=repr):
-            env[name] = value
-            rec(i + 1, env, substitute(current, {name: value}))
-            del env[name]
-
-    rec(0, {}, c)
+    _solve_from(0, {}, c, variables, candidates, solutions, max_solutions)
     return solutions
+
+
+def _solve_from(
+    i: int,
+    env: dict[str, Any],
+    current: C,
+    variables: list[str],
+    candidates: Mapping[str, set],
+    solutions: list[dict[str, Any]],
+    max_solutions: int,
+) -> None:
+    """Extend ``env`` over ``variables[i:]``; :func:`solve`'s search."""
+    if len(solutions) >= max_solutions:
+        return
+    if current is CFALSE:
+        return
+    if i == len(variables):
+        if current is CTRUE:
+            solutions.append(dict(env))
+        return
+    name = variables[i]
+    for value in sorted(candidates[name], key=repr):
+        env[name] = value
+        _solve_from(
+            i + 1,
+            env,
+            substitute(current, {name: value}),
+            variables,
+            candidates,
+            solutions,
+            max_solutions,
+        )
+        del env[name]

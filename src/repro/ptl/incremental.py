@@ -64,7 +64,8 @@ from repro.ptl.rewrite import TIME_QUERY
 from repro.ptl.semantics import UNDEFINED, eval_query_value
 from repro.query import ast as qast
 from repro.query import plan as qplan
-from repro.query.functions import RunningAggregate
+from repro.query.evaluator import apply_comparison
+from repro.query.functions import RunningAggregate, scalar_function
 from repro.query.subst import substitute_query
 
 
@@ -679,26 +680,27 @@ def _is_time_pred(f: ast.Formula, avail: frozenset[str]) -> bool:
     return False
 
 
+def _time_term(t: ast.Term, ts: int, env: Mapping[str, int]):
+    """Value of a time-predicate term at a state with timestamp ``ts``."""
+    if isinstance(t, ast.ConstT):
+        return t.value
+    if isinstance(t, ast.Var):
+        return env[t.name]
+    if isinstance(t, ast.QueryT):
+        return ts
+    if isinstance(t, ast.FuncT):
+        return scalar_function(t.func)(*(_time_term(a, ts, env) for a in t.args))
+    raise EvaluationError(f"not a time-predicate term: {t!r}")
+
+
 def _eval_time_pred(f: ast.Formula, ts: int, env: Mapping[str, int]) -> bool:
     """Evaluate a pure time predicate at a state with timestamp ``ts``."""
-    from repro.query.evaluator import apply_comparison
-    from repro.query.functions import scalar_function
-
-    def term(t: ast.Term):
-        if isinstance(t, ast.ConstT):
-            return t.value
-        if isinstance(t, ast.Var):
-            return env[t.name]
-        if isinstance(t, ast.QueryT):
-            return ts
-        if isinstance(t, ast.FuncT):
-            return scalar_function(t.func)(*(term(a) for a in t.args))
-        raise EvaluationError(f"not a time-predicate term: {t!r}")
-
     if isinstance(f, ast.BoolConst):
         return f.value
     if isinstance(f, ast.Comparison):
-        return apply_comparison(f.op, term(f.left), term(f.right))
+        return apply_comparison(
+            f.op, _time_term(f.left, ts, env), _time_term(f.right, ts, env)
+        )
     if isinstance(f, ast.Not):
         return not _eval_time_pred(f.operand, ts, env)
     if isinstance(f, ast.And):

@@ -68,7 +68,7 @@ def _min_deadline(c: cs.C) -> float:
     deadlines are all in the future (or absent)."""
     if isinstance(c, cs.CBool):
         return _INF
-    md = c.__dict__.get("_mdl")
+    md = c._mdl
     if md is None:
         if isinstance(c, cs.CAtom):
             if (
@@ -85,7 +85,7 @@ def _min_deadline(c: cs.C) -> float:
             md = _min_deadline(c.operand)
         else:
             md = _INF
-        object.__setattr__(c, "_mdl", md)
+        c._mdl = md
     return md
 
 #: Comparison operators whose ``time_var <op> const`` atom is doomed once
@@ -154,9 +154,7 @@ def prune_time_bounds(
                 return cs.CTRUE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(
-                cs._intern_formulas, ("&", kept), cs.CAnd(kept)
-            )
+            return cs._intern(cs.CAnd, kept)
         return cs.cand(ops)
     if isinstance(c, cs.COr):
         ops = [prune_time_bounds(x, now, time_vars) for x in c.operands]
@@ -180,9 +178,7 @@ def prune_time_bounds(
                 return cs.CFALSE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(
-                cs._intern_formulas, ("|", kept), cs.COr(kept)
-            )
+            return cs._intern(cs.COr, kept)
         return cs.cor(ops)
     if isinstance(c, cs.CNot):
         inner = prune_time_bounds(c.operand, now, time_vars)

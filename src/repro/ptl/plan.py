@@ -248,7 +248,8 @@ class SharedPlan:
     metrics:
         ``None``/``True``/a registry — when enabled the plan maintains
         gauges for plan size, subformula dedup ratio, and the
-        constraint-interning cache hit rate.
+        constraint-interning hit rate and live node count (the last two
+        are process-wide: every plan publishes the same reading).
     """
 
     def __init__(self, ctx: Optional[EvalContext] = None,
@@ -292,6 +293,7 @@ class SharedPlan:
             self._m_dedup = self.metrics.gauge("plan_dedup_ratio")
             self._m_state_size = self.metrics.gauge("plan_state_size")
             self._m_intern = self.metrics.gauge("plan_intern_hit_rate")
+            self._m_intern_live = self.metrics.gauge("plan_intern_live_nodes")
             self._m_compiled = self.metrics.gauge("plan_compiled")
             self._m_compiled_ops = self.metrics.gauge("plan_compiled_ops")
             self._m_chain_build = self.metrics.histogram(
@@ -701,7 +703,9 @@ class SharedPlan:
         self._m_nodes.set(len(self._nodes))
         self._m_dedup.set(self.dedup_ratio())
         self._m_state_size.set(self.state_size())
-        self._m_intern.set(cs.intern_stats()["hit_rate"])
+        interned = cs.intern_stats()
+        self._m_intern.set(interned["hit_rate"])
+        self._m_intern_live.set(interned["formulas"] + interned["terms"])
         chain = self._chain
         is_chain = isinstance(chain, _compiled.CompiledChain)
         self._m_compiled.set(

@@ -177,18 +177,19 @@ def _bindings(ranges, state: StateView, params: Env):
             raise UnknownRelationError(f"unknown relation {rv.relation!r}")
         relations.append((rv.name, state.relation(rv.relation)))
 
-    def rec(i: int, env: dict):
-        if i == len(relations):
-            yield env
-            return
-        name, rel = relations[i]
-        for row in rel.rows:
-            child = dict(env)
-            for attr, value in zip(rel.schema.names, row.values):
-                child[f"{name}.{attr}"] = value
-            yield from rec(i + 1, child)
+    yield from _bind_ranges(relations, 0, {})
 
-    yield from rec(0, {})
+
+def _bind_ranges(relations, i: int, env: dict):
+    if i == len(relations):
+        yield env
+        return
+    name, rel = relations[i]
+    for row in rel.rows:
+        child = dict(env)
+        for attr, value in zip(rel.schema.names, row.values):
+            child[f"{name}.{attr}"] = value
+        yield from _bind_ranges(relations, i + 1, child)
 
 
 def _equality_probe(query: ast.Retrieve, params: Env):

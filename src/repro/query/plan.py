@@ -287,48 +287,48 @@ class _CompiledQuery:
         consumers must use it before advancing the generator.
         """
         env = [None] * self.nslots
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
+        if not self.steps:
             for p in self.base_preds:
                 if not p(env, params):
                     return
             yield env
             return
         index_for = _index_for or _get_index_for()
+        yield from self._bind(0, env, rels, params, index_for)
 
-        def rec(i):
-            if i == n:
-                yield env
-                return
-            step = steps[i]
-            rel = rels[i]
-            preds = step.residuals
-            rows = None
-            if step.key_fns is not None:
-                try:
-                    key = tuple(fn(env, params) for fn in step.key_fns)
-                    rows = index_for(rel, step.probe_attrs).lookup(*key)
-                except (QueryEvaluationError, TypeError):
-                    # Unbound parameter, evaluation error, or unhashable
-                    # key: scan with the consumed conjuncts restored, so
-                    # behaviour (including errors) matches the naive path.
-                    rows = None
-                if rows is None:
-                    preds = step.all_preds
+    def _bind(self, i, env, rels, params, index_for):
+        """Bind range ``i`` and every deeper one, yielding ``env`` per
+        surviving combination."""
+        step = self.steps[i]
+        rel = rels[i]
+        preds = step.residuals
+        rows = None
+        if step.key_fns is not None:
+            try:
+                key = tuple(fn(env, params) for fn in step.key_fns)
+                rows = index_for(rel, step.probe_attrs).lookup(*key)
+            except (QueryEvaluationError, TypeError):
+                # Unbound parameter, evaluation error, or unhashable
+                # key: scan with the consumed conjuncts restored, so
+                # behaviour (including errors) matches the naive path.
+                rows = None
             if rows is None:
-                rows = rel.rows
-            off = step.offset
-            end = off + step.arity
-            for row in rows:
-                env[off:end] = row.values
-                for p in preds:
-                    if not p(env, params):
-                        break
+                preds = step.all_preds
+        if rows is None:
+            rows = rel.rows
+        off = step.offset
+        end = off + step.arity
+        innermost = i + 1 == len(self.steps)
+        for row in rows:
+            env[off:end] = row.values
+            for p in preds:
+                if not p(env, params):
+                    break
+            else:
+                if innermost:
+                    yield env
                 else:
-                    yield from rec(i + 1)
-
-        yield from rec(0)
+                    yield from self._bind(i + 1, env, rels, params, index_for)
 
     def _count_exec(self) -> None:
         if self.has_probe:

@@ -17,15 +17,16 @@ from repro.errors import UnknownAttributeError
 
 class HashIndex:
     """Equality index on one or more attributes of a single relation
-    version."""
+    version.  The relation owns its indexes (see :func:`index_for`); an
+    index keeps no pointer back, so a dropped relation version is freed by
+    reference count."""
 
-    __slots__ = ("relation", "attrs", "_buckets")
+    __slots__ = ("attrs", "_buckets")
 
     def __init__(self, relation: Relation, attrs: Sequence[str]):
         for a in attrs:
             if a not in relation.schema:
                 raise UnknownAttributeError(f"no attribute {a!r}")
-        self.relation = relation
         self.attrs = tuple(attrs)
         buckets: dict[tuple, list[Row]] = {}
         positions = [relation.schema.position(a) for a in self.attrs]

@@ -13,20 +13,39 @@ reports honest numbers.
 The discrimination test shows the property is *about the optimization*:
 the same bounded-window condition violates the growth bound as soon as
 ``optimize=False`` disables Section 5 pruning.
+
+The last two classes hold the same promise for the *process*: the
+constraint-interning tables retain only the nodes the stored state still
+references (not every ``F_{g,i}`` that ever passed through a step), and a
+warmed-up step leaves nothing behind that only the cycle collector could
+free.
 """
+
+import gc
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine import ActiveDatabase
+from repro.errors import TransactionAborted
+from repro.events.model import user_event
 from repro.obs import MetricsRegistry
 from repro.ptl import IncrementalEvaluator, parse_formula
+from repro.ptl.constraints import intern_stats
+from repro.query.evaluator import eval_query
+from repro.query.parser import parse_query
+from repro.serve import StockProfile, compile_statements
 from repro.workloads import (
     SHARP_INCREASE,
+    apply_tick,
+    make_stock_db,
     random_walk_trace,
     stock_query_registry,
     trace_history,
 )
 from repro.workloads.generator import random_bounded_pair
+from tests.helpers import replay_transactions
 
 #: History length for the growth check; the first/second halves are
 #: compared below.
@@ -102,7 +121,7 @@ class TestNegatedWindowRegression:
     #: Steps the 3-unit windows need to fill at timestamp stride 2.
     WARMUP = 10
 
-    def _history(self):
+    def _history(self, length=60):
         from repro.events.model import Event
         from repro.history.history import SystemHistory
         from repro.history.state import SystemState
@@ -110,7 +129,7 @@ class TestNegatedWindowRegression:
 
         history = SystemHistory(validate_transaction_time=False)
         ts = 0
-        for i in range(60):
+        for i in range(length):
             ts += 2
             if i % 2 == 0:
                 events = [Event("e1", (1 if i % 3 else 2,))]
@@ -156,3 +175,219 @@ class TestOptimizationDiscrimination:
         """The exact assertion the property test makes must FAIL without
         the optimization — i.e. the property genuinely discriminates."""
         assert not bounded(self._sizes(optimize=False))
+
+
+# ---------------------------------------------------------------------------
+# Section 5 for the process
+# ---------------------------------------------------------------------------
+
+DENSE_SYMBOLS = ("S0", "S1", "S2")
+
+#: One rule per condition shape of the spine's ``rules_dense`` workload
+#: (bounded windows, an edge, SHARP-INCREASE with assignments, a windowed
+#: aggregate, a variable-free ``since``), plus a twin that shares a
+#: temporal subformula.
+DENSE_RULES = {
+    "prev": "previously[6] (price(S0) > 55)",
+    "prev_twin": "(previously[6] (price(S0) > 55)) & @update_stocks",
+    "thru": "throughout_past[4] (price(S1) < 65)",
+    "edge": "price(S2) > 45 & lasttime (price(S2) <= 45)",
+    "sharp": (
+        "[t := time] [x := price(S1)] "
+        "previously (price(S1) <= 0.5 * x & time >= t - 8)"
+    ),
+    "avg": "[u := time] avg(price(S0); time <= u - 8; @update_stocks) > 45",
+    "login": (
+        "price(S2) > 35 & (!@user_logout('X') since @user_login('X'))"
+    ),
+}
+DENSE_FREE_RULE = (
+    "[t := time] [x := price($s)] "
+    "previously (price($s) <= 0.5 * x & time >= t - 10)"
+)
+DENSE_READ = parse_query("RETRIEVE (S.price) FROM STOCK S WHERE S.name = $name")
+
+
+def dense_engine():
+    """A stock engine with the rule set above, one free-variable rule over
+    a domain query and one integrity constraint."""
+    adb = make_stock_db([(s, 50.0) for s in DENSE_SYMBOLS])
+    manager = adb.rule_manager()
+
+    def action(ctx):
+        pass
+
+    for name, text in DENSE_RULES.items():
+        manager.add_trigger(name, text, action)
+    manager.add_trigger(
+        "any_doubled", DENSE_FREE_RULE, action,
+        params=("s",), domains={"s": "RETRIEVE (S.name) FROM STOCK S"},
+    )
+    manager.add_integrity_constraint("positive_price", "price(S0) >= 0")
+    return adb, manager
+
+
+def dense_ops(n, seed=4):
+    """``rules_dense``'s op mix: price ticks (1/8 jump x2.2, 1/8 of the S0
+    ticks negative, so the IC vetoes them), a login/logout toggle and two
+    portfolio reads every 20 ops."""
+    rng = random.Random(seed)
+    prices = {s: 50.0 for s in DENSE_SYMBOLS}
+    logged_in = False
+    for i in range(n):
+        if i % 20 == 19:
+            logged_in = not logged_in
+            yield ("event", "user_login" if logged_in else "user_logout")
+        elif i % 10 == 4:
+            yield ("read",)
+        else:
+            sym = rng.choice(DENSE_SYMBOLS)
+            roll = rng.random()
+            if sym == "S0" and roll < 1 / 8:
+                yield ("tick", sym, -prices[sym])
+                continue
+            factor = 2.2 if roll < 1 / 8 else rng.uniform(0.8, 1.2)
+            prices[sym] = min(max(round(prices[sym] * factor, 2), 5.0), 150.0)
+            yield ("tick", sym, prices[sym])
+
+
+def apply_dense_op(adb, op):
+    if op[0] == "tick":
+        try:
+            apply_tick(adb, op[1], op[2])
+        except TransactionAborted:
+            pass
+    elif op[0] == "event":
+        adb.post_event(user_event(op[1], "X"))
+    else:
+        for s in DENSE_SYMBOLS:
+            eval_query(DENSE_READ, adb.state, {"name": s}).scalar()
+
+
+def served_prices(n, seed=4):
+    """The serving benchmarks' price stream: drifts, x2.2 jumps that fire
+    SHARP-INCREASE and negative prices the IC vetoes."""
+    rng = random.Random(seed)
+    price = 50.0
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 1 / 16:
+            yield -price
+            continue
+        factor = 2.2 if roll < 3 / 16 else rng.uniform(0.8, 1.2)
+        price = round(max(5.0, price * factor), 2)
+        if price > 1e7:
+            price = 50.0
+        yield price
+
+
+class TestProcessRetainsOnlyTheState:
+    """The intern tables hold nodes weakly, so the number of interned
+    formulas follows the retained state — flat over a four times longer
+    history, and back to where it started once the evaluator is gone."""
+
+    N = 150
+
+    @staticmethod
+    def flat(at_n, at_4n):
+        # The spine's flatness shape (rules_dense's Section 5 check).
+        return at_4n <= 1.5 * at_n + 32
+
+    def test_negated_window_formula(self):
+        gc.collect()
+        before = intern_stats()["formulas"]
+        regression = TestNegatedWindowRegression()
+        ev = IncrementalEvaluator(parse_formula(regression.FORMULA))
+        live = {}
+        for i, state in enumerate(regression._history(4 * self.N), 1):
+            ev.step(state)
+            if i in (self.N, 4 * self.N):
+                live[i] = intern_stats()["formulas"] - before
+        assert live[self.N] > 0
+        assert self.flat(live[self.N], live[4 * self.N]), live
+        del ev, state
+        gc.collect()
+        assert intern_stats()["formulas"] == before
+
+    def test_dense_rule_set(self):
+        gc.collect()
+        before = intern_stats()["formulas"]
+        adb, manager = dense_engine()
+        live, sizes = {}, {}
+        for i, op in enumerate(dense_ops(4 * self.N), 1):
+            apply_dense_op(adb, op)
+            if i in (self.N, 4 * self.N):
+                live[i] = intern_stats()["formulas"] - before
+                sizes[i] = manager.total_state_size()
+        assert manager.firings, "the rule set never fired"
+        assert self.flat(sizes[self.N], sizes[4 * self.N]), sizes
+        assert self.flat(live[self.N], live[4 * self.N]), live
+        # Nothing beyond the stored and-or graph (and the last step's
+        # results) is interned: the table is the state, not a history.
+        assert live[4 * self.N] <= 2 * sizes[4 * self.N] + 32, (live, sizes)
+        del adb, manager
+        gc.collect()
+        assert intern_stats()["formulas"] == before
+
+
+class TestCycleFreeStep:
+    """A warmed-up step creates no reference cycle: everything it
+    allocates and drops is freed by reference count, so the cycle
+    collector finds nothing (``DEBUG_SAVEALL`` keeps whatever it would
+    have had to free in ``gc.garbage``)."""
+
+    WARMUP = 50
+    WINDOW = 10
+
+    def _assert_no_cyclic_garbage(self, step, inputs):
+        inputs = list(inputs)
+        assert len(inputs) == self.WARMUP + self.WINDOW
+        for item in inputs[: self.WARMUP]:
+            step(item)
+        gc.collect()
+        was_enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for item in inputs[self.WARMUP :]:
+                step(item)
+            gc.collect()
+            found = [
+                getattr(o, "__qualname__", type(o).__name__)
+                for o in gc.garbage
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert found == []
+
+    def test_dense_rule_set(self):
+        adb, manager = dense_engine()
+        ops = list(dense_ops(self.WARMUP + self.WINDOW))
+        window = ops[self.WARMUP :]
+        assert {"tick", "read"} <= {op[0] for op in window}
+        assert any(op[0] == "tick" and op[2] < 0 for op in window), (
+            "the window must cover a vetoed transaction"
+        )
+        self._assert_no_cyclic_garbage(
+            lambda op: apply_dense_op(adb, op), ops
+        )
+        assert manager.firings
+
+    def test_served_stock_profile(self):
+        # The served tenant layout: catalog + rules of the stock profile.
+        profile, engine = StockProfile(), ActiveDatabase()
+        profile.catalog(engine)
+        manager = profile.rules(engine)
+        prices = list(served_prices(self.WARMUP + self.WINDOW))
+        assert any(p < 0 for p in prices[self.WARMUP :])
+
+        def step(price):
+            # One served transaction, as the drain runs it.
+            stmt = ["update", "STOCK", {"name": "IBM"}, {"price": price}]
+            replay_transactions(engine, manager, [compile_statements([stmt])])
+
+        self._assert_no_cyclic_garbage(step, prices)
+        assert manager.firings

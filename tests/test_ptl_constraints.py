@@ -1,10 +1,31 @@
 """Unit tests for the state-formula (constraint) layer."""
 
+import gc
+import weakref
+from functools import reduce
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import EvaluationError
+from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl import constraints as cs
+from repro.ptl.compiled import (
+    _apply_steps,
+    _atom_builder,
+    _fast_subst,
+    _partial_normalize,
+    _specialization_agrees,
+)
 from repro.ptl.optimize import prune_time_bounds
+from repro.workloads import (
+    SHARP_INCREASE,
+    random_walk_trace,
+    stock_query_registry,
+    trace_history,
+)
+from repro.workloads.generator import random_bounded_pair
 
 
 def atom(op, left, right):
@@ -188,3 +209,175 @@ class TestPruning:
         # future bindings are strictly greater than now, so t <= now is doomed
         f = atom("<=", T, cs.SConst(20))
         assert prune_time_bounds(f, now=20, time_vars={"t"}) is cs.CFALSE
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: exact while alive, gone when unreferenced
+# ---------------------------------------------------------------------------
+
+
+def rebuild_term(t):
+    if isinstance(t, cs.SApp):
+        return cs.sapp(t.func, tuple(rebuild_term(a) for a in t.args))
+    if isinstance(t, cs.SVar):
+        return cs.SVar(t.name)
+    return cs.SConst(t.value)
+
+
+def rebuild(c, conj, disj):
+    """Reconstruct ``c`` bottom-up from fresh leaves, through ``catom`` and
+    the given junction constructors (each takes an operand sequence)."""
+    if isinstance(c, cs.CBool):
+        return cs.cbool(c.value)
+    if isinstance(c, cs.CAtom):
+        return cs.catom(c.op, rebuild_term(c.left), rebuild_term(c.right))
+    ops = [rebuild(x, conj, disj) for x in c.operands]
+    return (conj if isinstance(c, cs.CAnd) else disj)(ops)
+
+
+def fold_right(binary):
+    """An n-ary constructor out of ``cand2``/``cor2``, appending to the
+    front the way the recurrences do."""
+    return lambda ops: reduce(lambda acc, x: binary(x, acc), reversed(ops))
+
+
+def reference_prune(c, now, time_vars):
+    """``prune_time_bounds`` with every junction rebuilt by the general
+    constructor — no kept-subsequence fast path."""
+    if isinstance(c, cs.CAnd):
+        return cs.cand([reference_prune(x, now, time_vars) for x in c.operands])
+    if isinstance(c, cs.COr):
+        return cs.cor([reference_prune(x, now, time_vars) for x in c.operands])
+    return prune_time_bounds(c, now, time_vars)
+
+
+def constants_of(c):
+    """The numeric constants of ``var <op> const`` atoms in ``c``."""
+    if isinstance(c, cs.CAtom):
+        if isinstance(c.right, cs.SConst) and cs._is_number(c.right.value):
+            return {c.right.value}
+        return set()
+    if isinstance(c, (cs.CAnd, cs.COr)):
+        return set().union(*(constants_of(x) for x in c.operands))
+    return set()
+
+
+def stored_formulas(formula, history, optimize=False):
+    """The non-constant state formulas an evaluator holds after
+    ``history`` (unoptimized by default: the deadline atoms stay in)."""
+    ev = IncrementalEvaluator(formula, optimize=optimize)
+    for state in history:
+        ev.step(state)
+    return [c for _, c in ev.stored_formulas() if not isinstance(c, cs.CBool)]
+
+
+def assert_canonical(c):
+    """Every way of building a formula structurally equal to the live
+    ``c`` returns ``c`` itself."""
+    assert rebuild(c, cs.cand, cs.cor) is c
+    assert rebuild(c, fold_right(cs.cand2), fold_right(cs.cor2)) is c
+    assert cs.from_payload(cs.to_payload(c)) is c
+    negation = cs.cnot(c)
+    assert cs.cnot(c) is negation
+    assert cs.cnot(negation) is c
+    assert rebuild(negation, cs.cand, cs.cor) is negation
+    variables = sorted(c.variables())
+    for now in sorted(constants_of(c)):
+        pruned = prune_time_bounds(c, now, variables)
+        assert pruned is reference_prune(c, now, variables)
+        if not isinstance(pruned, cs.CBool):
+            assert rebuild(pruned, cs.cand, cs.cor) is pruned
+        for var in variables:
+            specialized = _fast_subst(c, var, now)
+            assert specialized is cs.substitute(c, {var: now})
+
+
+class TestHashConsing:
+    @given(seed=st.integers(0, 10_000))
+    def test_live_equal_formulas_are_one_object(self, seed):
+        formula, history = random_bounded_pair(seed, length=12, max_depth=3)
+        for c in stored_formulas(formula, history):
+            assert_canonical(c)
+
+    def test_paper_shapes_are_canonical(self):
+        sharp = parse_formula(SHARP_INCREASE, stock_query_registry())
+        history = trace_history(random_walk_trace(seed=5, n=30, max_step=30.0))
+        negated = parse_formula(
+            "!(throughout_past[3] (previously[3] (@e1(u1))))"
+        )
+        _, events = random_bounded_pair(0, length=20)
+        found = stored_formulas(sharp, history) + stored_formulas(
+            negated, events
+        )
+        assert any(
+            isinstance(x, cs.CAnd)
+            for c in found if isinstance(c, cs.COr) for x in c.operands
+        ), "want a disjunction of multi-variable conjunctions"
+        for c in found:
+            assert_canonical(c)
+
+    def test_dead_formula_is_forgotten_and_rebuilds_equal(self):
+        gc.collect()
+        before = cs.intern_stats()["formulas"]
+        a = atom(">=", X, cs.SConst(22))
+        b = atom("<=", T, cs.SConst(30))
+        f = cs.cand([a, b])
+        # A hand-built twin: equal, never interned, survives the ``del``.
+        witness = cs.CAnd((cs.CAtom(">=", X, cs.SConst(22)),
+                           cs.CAtom("<=", T, cs.SConst(30))))
+        assert f == witness and f is not witness
+        assert hash(f) == hash(witness)
+        # f, its two atoms, and the atoms' negations (complement check).
+        assert cs.intern_stats()["formulas"] == before + 5
+        seen = weakref.ref(f)
+        del f, a, b
+        assert seen() is None, "freed by reference count, no collector run"
+        assert cs.intern_stats()["formulas"] == before
+        again = cs.cand([atom(">=", X, cs.SConst(22)),
+                         atom("<=", T, cs.SConst(30))])
+        assert again == witness
+        assert repr(again) == repr(witness)
+        assert cs.cand([atom("<=", T, cs.SConst(30)),
+                        atom(">=", X, cs.SConst(22))]) != again
+
+    def test_node_keeps_its_negation_not_the_reverse(self):
+        x = cs.cand([atom(">=", X, cs.SConst(22)), atom("<=", T, cs.SConst(30))])
+        negation = weakref.ref(cs.cnot(x))
+        assert negation() is not None, "x holds !x"
+        assert cs.cnot(x) is negation()
+        assert cs.cnot(negation()) is x
+
+        held = cs.cnot(x)
+        original = weakref.ref(x)
+        del x
+        assert original() is None, "!x does not hold x"
+        rebuilt = cs.cnot(held)
+        assert isinstance(rebuilt, cs.CAnd)
+        assert cs.cnot(rebuilt) is held
+        # The roles swapped: ``held`` now owns ``rebuilt``.
+        survivor = weakref.ref(rebuilt)
+        del rebuilt
+        assert survivor() is not None
+        del held
+        assert survivor() is None
+
+    def test_negation_pair_is_not_a_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            before = cs.intern_stats()["formulas"]
+            x = cs.cor([atom(">", X, cs.SConst(1)), atom("<", T, cs.SConst(2))])
+            assert cs.cnot(cs.cnot(x)) is x
+            del x
+            assert cs.intern_stats()["formulas"] == before
+        finally:
+            gc.enable()
+
+    def test_atom_specialization_agrees_by_identity(self):
+        # u <= time + w, the desugared ``previously[w]`` deadline atom.
+        fixed = cs.sapp("+", (cs.SVar("u"), cs.SConst(-8)))
+        op, var_side, steps = _partial_normalize("<=", fixed, dyn_on_left=True)
+        builder = _atom_builder(op, var_side)
+        assert _specialization_agrees(builder, steps, "<=", fixed, True)
+        want = cs.catom("<=", cs.SConst(12), fixed)
+        assert builder(_apply_steps(steps, 12)) is want

@@ -179,12 +179,21 @@ class TestSharedPlanSharing:
         formulas = overlapping_formulas(rng)
         for i, f in enumerate(formulas):
             plan.add_rule(f"r{i}", f)
+        # One interned node that is alive whatever the formulas retain.
+        held = cs.catom(">", cs.SVar("held"), cs.SConst(0))
         for state in random_history(rng, 6):
             plan.step(state)
         assert registry.value("plan_rules") == 3
         assert registry.value("plan_distinct_nodes") == plan.distinct_nodes()
         assert 0.0 < registry.value("plan_dedup_ratio") <= 1.0
         assert registry.value("plan_state_size") == plan.state_size()
+        interned = cs.intern_stats()
+        assert registry.value("plan_intern_hit_rate") == interned["hit_rate"]
+        # Read inside the step, while its intermediate formulas were alive.
+        live = interned["formulas"] + interned["terms"]
+        assert 1 <= live <= registry.value("plan_intern_live_nodes")
+        del held
+        assert cs.intern_stats()["formulas"] == interned["formulas"] - 1
 
 
 #: ψ of the aggregate rules below — also a plain subformula of SHARED_B.
