@@ -11,7 +11,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.tuples import Row
-from repro.errors import NotScalarError, SchemaError
+from repro.errors import DataModelError, NotScalarError, SchemaError
 
 
 class Relation:
@@ -100,10 +100,7 @@ class Relation:
         """
         cached = self._sorted_cache
         if cached is None:
-            cached = sorted(
-                self._rows, key=lambda r: tuple(map(_sort_key, r.values))
-            )
-            self._sorted_cache = cached
+            cached = self._sorted_cache = sort_rows(self._rows)
         return cached
 
     # -- scalar view -------------------------------------------------------
@@ -204,6 +201,34 @@ class Relation:
     def delete(self, predicate: Callable[[Row], bool]) -> "Relation":
         return Relation(self._schema, (r for r in self._rows if not predicate(r)))
 
+    def with_row_changes(
+        self,
+        removed: Iterable[Sequence[Any]],
+        added: Iterable[Sequence[Any]],
+    ) -> "Relation":
+        """The row-delta constructor: this relation without the rows
+        whose values are in ``removed`` and with a row for each value
+        tuple in ``added``.  Every untouched :class:`Row` is shared with
+        ``self`` — only the rows that came are built and validated — so a
+        chain of versions costs its changes, not its cardinality.
+        Raises :class:`DataModelError` unless every removed row was
+        present and every added row is new: a delta applied to a relation
+        it was not computed against is refused, not silently merged."""
+        removed = frozenset(map(tuple, removed))
+        added = frozenset(Row(self._schema, vals) for vals in added)
+        rows = (self._rows - removed) | added
+        if len(rows) != len(self._rows) - len(removed) + len(added):
+            raise DataModelError(
+                f"row delta (-{len(removed)} +{len(added)}) does not "
+                f"apply to {self!r}"
+            )
+        out = Relation.__new__(Relation)
+        out._index_cache = None
+        out._sorted_cache = None
+        out._schema = self._schema
+        out._rows = rows
+        return out
+
     def update(
         self,
         predicate: Callable[[Row], bool],
@@ -233,3 +258,8 @@ class Relation:
 def _sort_key(value: Any):
     """Total order across mixed value types for deterministic output."""
     return (type(value).__name__, value)
+
+
+def sort_rows(rows: Iterable[Row]) -> list[Row]:
+    """``rows`` in the deterministic order of :meth:`Relation.sorted_rows`."""
+    return sorted(rows, key=lambda r: tuple(map(_sort_key, r.values)))

@@ -27,17 +27,18 @@ history states, executed records, and auxiliary-relation versions are
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_right
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.datamodel.relation import Relation
 from repro.errors import HistoryError
-from repro.events.model import Event
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
 from repro.obs.metrics import as_registry
-from repro.storage.persist import _decode_item, _encode_item, _encode_value
-from repro.storage.snapshot import DatabaseState
+from repro.storage.persist import apply_state, encode_state, state_events
+from repro.storage.snapshot import IndexedItem
 from repro.storage.tiers import SegmentStore
 
 PathLike = Union[str, Path]
@@ -49,60 +50,43 @@ DEFAULT_HOT_WINDOW = 256
 #: Conventional segment subdirectory inside a recovery directory.
 SEGMENT_DIR_NAME = "segments"
 
-#: Initial per-unit byte estimates, refined from real segment sizes.
-_EST_STATE_BYTES = 512
+#: Per-unit RAM estimates.  A hot state's fixed part is its SystemState,
+#: event set, events, write-set and DatabaseState item table (measured:
+#: ~1.3 kB for a three-item database and a four-event commit).
+_EST_STATE_BYTES = 1024
 _EST_EXECUTED_BYTES = 120
 _EST_FORMULA_BYTES = 80
 
 
-# -- state codec (delta chain, self-contained per segment) -----------------
+def _container_bytes(value) -> int:
+    """The allocation a new version of one database item costs: the row
+    set of a relation (its rows are shared with the version before, the
+    table is not), the entry table of an indexed item, a boxed scalar."""
+    if isinstance(value, Relation):
+        return sys.getsizeof(value.rows)
+    if isinstance(value, IndexedItem):
+        return sys.getsizeof(value._entries)
+    return sys.getsizeof(value)
 
 
-def _encode_state(state: SystemState, prev_db) -> dict:
-    rec = {
-        "i": state.index,
-        "ts": state.timestamp,
-        "events": [
-            [e.name, [_encode_value(p) for p in e.params]]
-            for e in sorted(state.events, key=str)
-        ],
-        "delta": None if state.delta is None else sorted(state.delta),
-    }
-    if prev_db is None:
-        rec["items"] = {
-            name: _encode_item(state.db.raw_item(name))
-            for name in state.db.item_names()
-        }
-    else:
-        rec["changes"] = {
-            name: _encode_item(state.db.raw_item(name))
-            for name in state.db.changed_items(prev_db)
-        }
-    return rec
-
-
-def _decode_states(records: list) -> list[SystemState]:
-    db = None
-    out = []
-    for rec in records:
-        if "items" in rec:
-            db = DatabaseState(
-                {n: _decode_item(v) for n, v in rec["items"].items()}
-            )
-        else:
-            changes = {
-                n: _decode_item(v) for n, v in rec["changes"].items()
-            }
-            if changes:
-                db = db.with_updates(changes)
-        events = [Event(n, tuple(p)) for n, p in rec["events"]]
-        delta = (
-            None if rec["delta"] is None else frozenset(rec["delta"])
-        )
-        out.append(
-            SystemState(db, events, rec["ts"], index=rec["i"], delta=delta)
-        )
-    return out
+def _state_ram_bytes(state: SystemState, prev: Optional[SystemState]) -> int:
+    """Estimated bytes ``state`` allocated beyond its predecessor: the
+    fixed per-state part plus the containers its write-set replaced.  An
+    unknown write-set (``delta is None``) falls back to item identity
+    against ``prev``, as delta-aware evaluation does."""
+    db = state.db
+    names = state.delta
+    if names is None:
+        names = [
+            n
+            for n in db.item_names()
+            if prev is None
+            or not prev.db.has_item(n)
+            or prev.db.raw_item(n) is not db.raw_item(n)
+        ]
+    return _EST_STATE_BYTES + sum(
+        _container_bytes(db.raw_item(n)) for n in names if db.has_item(n)
+    )
 
 
 # -- the governor ----------------------------------------------------------
@@ -111,11 +95,12 @@ def _decode_states(records: list) -> list[SystemState]:
 class MemoryGovernor:
     """Byte-budget accounting across the growable stores.
 
-    Accounts are callables returning an *estimated* byte figure; the
-    governor sums them against ``budget_bytes`` and the runtime spills
-    while :meth:`over_budget`.  Estimates are deliberately cheap (counts
-    times a learned average) — the point is a stable trigger, not an
-    allocator-grade measurement."""
+    Accounts are callables returning an *estimated* figure of bytes of
+    RAM; the governor sums them against ``budget_bytes`` and the runtime
+    spills while :meth:`over_budget`.  Estimates are deliberately cheap
+    (a running sum of container sizes for the history, counts times a
+    constant for the rest) — the point is a trigger that tracks what the
+    process holds, not an allocator-grade measurement."""
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET, metrics=None):
         self.budget_bytes = max(0, int(budget_bytes))
@@ -157,11 +142,16 @@ class TieredHistory(SystemHistory):
 
     Positions ``[0, archived)`` are covered by sealed segments (the
     *catalog*); positions ``[mem_start, total)`` are in memory.  The two
-    ranges may overlap after :meth:`archive` (checkpoint flush): reads
+    ranges may overlap — after :meth:`archive` (checkpoint flush), and
+    because :meth:`spill` seals a batch ahead of what it evicts: reads
     prefer memory, and a later spill advances ``mem_start`` without
-    rewriting anything.  The invariant ``mem_start <= archived or
-    archived <= mem_start <= archived`` reduces to: no gap — every
-    position is in at least one tier.
+    rewriting anything.  The invariant is ``mem_start <= archived``: no
+    gap — every position is in at least one tier.
+
+    A deep-past read faults *one* segment's parsed records (row deltas,
+    so small) and materialises *one* state from them: a forward cursor
+    replays the delta chain, so sequential access is linear and two
+    consecutive faulted states share every row that did not change.
 
     ``base_index`` keeps the parent-class meaning (index of the first
     *in-memory* state) and is advanced as states are dropped, so
@@ -181,17 +171,28 @@ class TieredHistory(SystemHistory):
         self.hot_window = max(1, int(hot_window))
         self.segment_records = max(16, int(segment_records))
         #: Segment descriptors, in position order; meta carries
-        #: first_index/first_ts/last_ts for targeted faulting.
+        #: first_pos/first_index/first_ts/last_ts for targeted faulting.
+        #: ``_first_pos`` / ``_first_ts`` are its bisect keys.
         self._catalog: list[dict] = []
+        self._first_pos: list[int] = []
+        self._first_ts: list[int] = []
         self._archived = 0  # positions covered by the catalog
         self._mem_start = 0  # position of self._states[0]
-        self._cache: Optional[tuple[int, list[SystemState]]] = None
-        self._avg_state_bytes = float(_EST_STATE_BYTES)
+        #: The one faulted segment: (segment number, its records), and
+        #: the cursor into it: (k, the state records[k] describes).
+        self._cache: Optional[tuple[int, list]] = None
+        self._cursor: tuple[int, Optional[SystemState]] = (-1, None)
+        #: The RAM account: what each hot state added (aligned with
+        #: ``_states``) and the running sum the governor reads.
+        self._state_bytes: list[int] = []
+        self._hot_bytes = 0
         self.metrics = as_registry(metrics)
         self._m_spilled_bytes = self.metrics.counter("history_spilled_bytes")
         self._m_spilled = self.metrics.gauge("history_spilled_states")
         self._m_hot = self.metrics.gauge("history_hot_states")
+        self._m_hot_bytes = self.metrics.gauge("history_hot_bytes")
         self._m_faults = self.metrics.counter("history_faults_total")
+        self._m_faulted = self.metrics.gauge("history_faulted_records")
 
     # -- sizing ------------------------------------------------------------
 
@@ -207,7 +208,25 @@ class TieredHistory(SystemHistory):
         return self._mem_start
 
     def estimated_hot_bytes(self) -> int:
-        return int(len(self._states) * self._avg_state_bytes)
+        """Estimated bytes of RAM the hot window holds beyond the current
+        database state — the history's account with the governor."""
+        return self._hot_bytes
+
+    def append(self, state: SystemState) -> SystemState:
+        prev = self._states[-1] if self._states else None
+        state = super().append(state)
+        self._account(state, prev)
+        return state
+
+    def _account(self, state: SystemState, prev: Optional[SystemState]) -> None:
+        cost = _state_ram_bytes(state, prev)
+        self._state_bytes.append(cost)
+        self._hot_bytes += cost
+        self._report_hot()
+
+    def _report_hot(self) -> None:
+        self._m_hot.set(len(self._states))
+        self._m_hot_bytes.set(self._hot_bytes)
 
     # -- access ------------------------------------------------------------
 
@@ -220,29 +239,46 @@ class TieredHistory(SystemHistory):
         return index
 
     def _segment_for(self, position: int) -> int:
-        firsts = [info["meta"]["first_pos"] for info in self._catalog]
-        seg = bisect_right(firsts, position) - 1
+        seg = bisect_right(self._first_pos, position) - 1
         if seg < 0:
             raise HistoryError(
                 f"position {position} precedes the segment catalog"
             )
         return seg
 
-    def _segment_states(self, seg: int) -> list[SystemState]:
-        if self._cache is not None and self._cache[0] == seg:
-            return self._cache[1]
-        records = self._store.load_segment(self._catalog[seg])
-        states = _decode_states(records)
-        self._m_faults.inc()
-        self._cache = (seg, states)
-        return states
+    def _segment_records(self, seg: int) -> list:
+        if self._cache is None or self._cache[0] != seg:
+            records = self._store.load_segment(self._catalog[seg])
+            self._m_faults.inc()
+            self._m_faulted.set(len(records))
+            self._cache = (seg, records)
+            self._cursor = (-1, None)
+        return self._cache[1]
+
+    def _faulted_state(self, seg: int, k: int) -> SystemState:
+        """The state record ``k`` of segment ``seg`` describes: the delta
+        chain replayed forward from the cursor (from the segment's
+        snapshot head when the cursor is already past ``k``)."""
+        records = self._segment_records(seg)
+        at, state = self._cursor
+        if at > k:
+            at, state = -1, None
+        if at < k:
+            db = None if state is None else state.db
+            for record in records[at + 1 : k + 1]:
+                db = apply_state(db, record)
+            events, delta = state_events(record)
+            state = SystemState(
+                db, events, record["ts"], index=record["i"], delta=delta
+            )
+            self._cursor = (k, state)
+        return state
 
     def _state_at(self, position: int) -> SystemState:
         if position >= self._mem_start:
             return self._states[position - self._mem_start]
         seg = self._segment_for(position)
-        states = self._segment_states(seg)
-        return states[position - self._catalog[seg]["meta"]["first_pos"]]
+        return self._faulted_state(seg, position - self._first_pos[seg])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -254,16 +290,8 @@ class TieredHistory(SystemHistory):
         return self._state_at(self._norm(index))
 
     def __iter__(self):
-        for seg, info in enumerate(self._catalog):
-            if info["meta"]["first_pos"] >= self._mem_start:
-                break
-            for state, pos in zip(
-                self._segment_states(seg),
-                itertools.count(info["meta"]["first_pos"]),
-            ):
-                if pos >= self._mem_start:
-                    break
-                yield state
+        for position in range(self._mem_start):
+            yield self._state_at(position)
         yield from self._states
 
     @property
@@ -272,13 +300,9 @@ class TieredHistory(SystemHistory):
 
     @property
     def last(self) -> Optional[SystemState]:
-        if self._states:
-            return self._states[-1]
-        if not self._catalog:
-            return None
-        # Freshly restored: the hot window is empty and the newest state
-        # lives at the end of the final segment.
-        return self._segment_states(len(self._catalog) - 1)[-1]
+        # Freshly restored, the hot window is empty and the newest state
+        # is the final record of the final segment.
+        return self[-1] if len(self) else None
 
     def as_of(self, timestamp: int) -> Optional[SystemState]:
         """Latest state at or before ``timestamp``; faults at most one
@@ -288,15 +312,13 @@ class TieredHistory(SystemHistory):
                 self._states, timestamp, key=lambda s: s.timestamp
             )
             return self._states[i - 1] if i else None
-        if not self._catalog:
-            return None
-        firsts = [info["meta"]["first_ts"] for info in self._catalog]
-        seg = bisect_right(firsts, timestamp) - 1
+        seg = bisect_right(self._first_ts, timestamp) - 1
         if seg < 0:
             return None
-        states = self._segment_states(seg)
-        i = bisect_right(states, timestamp, key=lambda s: s.timestamp)
-        return states[i - 1] if i else None
+        k = bisect_right(
+            self._segment_records(seg), timestamp, key=lambda r: r["ts"]
+        )
+        return self._faulted_state(seg, k - 1)
 
     def up_to_time(self, timestamp: int) -> SystemHistory:
         return SystemHistory(
@@ -315,6 +337,11 @@ class TieredHistory(SystemHistory):
 
     # -- spilling ----------------------------------------------------------
 
+    def _catalog_append(self, info: dict) -> None:
+        self._catalog.append(info)
+        self._first_pos.append(info["meta"]["first_pos"])
+        self._first_ts.append(info["meta"]["first_ts"])
+
     def _archive_to(self, position: int) -> None:
         """Extend catalog coverage to ``position`` (exclusive)."""
         while self._archived < position:
@@ -326,7 +353,9 @@ class TieredHistory(SystemHistory):
             records = []
             prev_db = None
             for state in chunk:
-                records.append(_encode_state(state, prev_db))
+                record = encode_state(state, prev_db)
+                record["i"] = state.index
+                records.append(record)
                 prev_db = state.db
             info = self._store.write_segment(
                 "history",
@@ -338,13 +367,9 @@ class TieredHistory(SystemHistory):
                     "last_ts": chunk[-1].timestamp,
                 },
             )
-            self._catalog.append(info)
+            self._catalog_append(info)
             self._archived += count
             self._m_spilled_bytes.inc(info["bytes"])
-            self._avg_state_bytes = (
-                0.5 * self._avg_state_bytes
-                + 0.5 * (info["bytes"] / max(1, count))
-            )
 
     def spill(self, keep_hot: Optional[int] = None) -> int:
         """Move cold states to segments, keeping the ``keep_hot`` (default
@@ -356,13 +381,20 @@ class TieredHistory(SystemHistory):
         target = max(0, len(self) - keep)
         if target <= self._mem_start:
             return 0
-        self._archive_to(target)
+        if target > self._archived:
+            # Seal a batch, not one file per check: archive a quarter of
+            # the hot window ahead of what is evicted (the ranges may
+            # overlap), so the spills that follow only evict.
+            ahead = self._archived + self.hot_window // 4
+            self._archive_to(min(len(self), max(target, ahead)))
         dropped = target - self._mem_start
-        del self._states[: dropped]
+        del self._states[:dropped]
+        self._hot_bytes -= sum(self._state_bytes[:dropped])
+        del self._state_bytes[:dropped]
         self._mem_start = target
         self.base_index += dropped
         self._m_spilled.set(self._mem_start)
-        self._m_hot.set(len(self._states))
+        self._report_hot()
         return dropped
 
     def archive(self) -> dict:
@@ -400,7 +432,8 @@ class TieredHistory(SystemHistory):
         history = cls(
             store, hot_window=tier_state["hot_window"], metrics=metrics
         )
-        history._catalog = [dict(info) for info in tier_state["segments"]]
+        for info in tier_state["segments"]:
+            history._catalog_append(dict(info))
         history._archived = tier_state["archived"]
         history._mem_start = history._archived
         history.base_index = tier_state["index_base"] + history._mem_start
@@ -607,7 +640,11 @@ def attach_tiered_history(
         segment_records=segment_records,
     )
     history.base_index = engine.history.base_index
-    history._states = list(engine.history._states)
+    prev = None
+    for state in engine.history._states:
+        history._states.append(state)
+        history._account(state, prev)
+        prev = state
     engine.history = history
     governor = MemoryGovernor(budget_bytes, metrics=engine.metrics)
     return TieredRuntime(

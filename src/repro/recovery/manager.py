@@ -29,10 +29,9 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.errors import RecoveryError
-from repro.events.model import Event
 from repro.recovery.checkpoint import read_checkpoint, write_checkpoint
 from repro.recovery.wal import WriteAheadLog, load_wal
-from repro.storage.persist import _decode_item
+from repro.storage.persist import _decode_item, apply_state, state_events
 from repro.storage.snapshot import IndexedItem
 
 PathLike = Union[str, Path]
@@ -206,26 +205,12 @@ class RecoveryManager:
                         f"WAL gap: expected seq {engine.state_count}, "
                         f"found {record['seq']}"
                     )
-                changes = {
-                    name: _decode_item(item)
-                    for name, item in record["changes"].items()
-                }
-                db_state = engine.db.state
-                if changes:
-                    db_state = db_state.with_updates(changes)
-                    engine.db._set_state(db_state)
+                db_state = apply_state(engine.db.state, record)
+                engine.db._set_state(db_state)
                 ts = record["ts"]
                 if ts > engine.clock.now:
                     engine.clock.advance_to(ts)
-                events = [
-                    Event(name, tuple(params))
-                    for name, params in record["events"]
-                ]
-                delta = (
-                    None
-                    if record.get("delta") is None
-                    else frozenset(record["delta"])
-                )
+                events, delta = state_events(record)
                 engine._append(db_state, events, ts, delta=delta)
                 replayed += 1
         finally:

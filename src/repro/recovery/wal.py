@@ -7,14 +7,26 @@ front of the event bus.  Each record carries the state's identity and
 delta::
 
     {"seq": 7, "ts": 12, "events": [["transaction_commit", [3]]],
-     "changes": {"price": {"kind": "scalar", "value": 60.0}},
-     "delta": ["price"]}
+     "changes": {"price": {"kind": "scalar", "value": 60.0},
+                 "STOCK": {"kind": "rows", "del": [["IBM", 55.0]],
+                           "add": [["IBM", 60.0]]}},
+     "delta": ["STOCK", "price"]}
 
 plus one *base* record (``"seq": null``) capturing the full catalog when
 the log is first attached, so a log is replayable even without a
 checkpoint.  Torn final records (a crash mid-append) are detected and
 truncated by :func:`load_wal`; corruption anywhere else raises
 :class:`~repro.errors.RecoveryError`.
+
+Records are written by :func:`repro.storage.persist.encode_state`, the
+codec the history segments and the change log share: a changed relation
+is logged as the rows that left and the rows that came
+(``"kind": "rows"``), every other change as its full image — which is
+also all that a log written before row deltas holds, so older logs
+replay unchanged.  A row delta is relative to the previous *logged*
+state, and that chain cannot have a hole: ``_prev`` advances only after
+a record's write succeeded, :func:`load_wal` only ever drops a *suffix*
+(a torn tail, an unmarked group), and recovery refuses a ``seq`` gap.
 
 Group commit (:meth:`WriteAheadLog.begin_group` / ``end_group``, driven
 by :meth:`repro.engine.ActiveDatabase.batch`): records inside a group are
@@ -42,7 +54,7 @@ from repro.recovery.faultinject import (
     POST_COMMIT,
     PRE_COMMIT,
 )
-from repro.storage.persist import _encode_item, _encode_value, fsync_dir
+from repro.storage.persist import _encode_item, encode_state, fsync_dir
 from repro.storage.tiers import retry_io
 
 PathLike = Union[str, Path]
@@ -160,21 +172,8 @@ class WriteAheadLog:
     def _log_state(self, state) -> None:
         if self.injector is not None:
             self.injector.hit(PRE_COMMIT)
-        record = {
-            "seq": state.index,
-            "ts": state.timestamp,
-            "events": [
-                [e.name, [_encode_value(p) for p in e.params]]
-                for e in sorted(state.events, key=str)
-            ],
-            "changes": {
-                name: _encode_item(state.db.raw_item(name))
-                for name in state.db.changed_items(self._prev)
-            },
-            "delta": (
-                None if state.delta is None else sorted(state.delta)
-            ),
-        }
+        record = encode_state(state, self._prev)
+        record["seq"] = state.index
         if self._group is not None:
             record["g"] = self._group
         self._write_line(record)

@@ -11,8 +11,12 @@ changed items) suffices to reconstruct the full system history:
     history = ChangeLog.from_jsonl(path).replay()
     satisfies(history.states, i, constraint)
 
-Replay reproduces timestamps, event names/parameters, and database states
-exactly (values are serialized with the same codec as snapshots).
+Replay reproduces timestamps, event names/parameters, write-sets and
+database states exactly.  Records are the state records of
+:func:`repro.storage.persist.encode_state` — the codec the WAL and the
+history segments use: a changed relation is recorded as its row delta
+(``"kind": "rows"``) against the previous record, anything else as the
+full image that snapshots use; the base record holds full images only.
 """
 
 from __future__ import annotations
@@ -24,14 +28,14 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import StorageError
-from repro.events.model import Event
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
 from repro.storage.persist import (
-    _decode_item,
     _encode_item,
-    _encode_value,
+    apply_state,
     atomic_write_text,
+    encode_state,
+    state_events,
 )
 from repro.storage.snapshot import DatabaseState
 
@@ -42,8 +46,9 @@ class ChangeLog:
     """Per-state deltas captured off the engine's event bus."""
 
     def __init__(self) -> None:
-        #: Each record: {"ts", "events": [[name, [params]]], "changes":
-        #: {item: encoded}} — the first record carries the full base state.
+        #: Each record: {"ts", "events": [[name, [params]]], "delta",
+        #: "changes": {item: payload}} — the first record carries the
+        #: full base state.
         self.records: list[dict] = []
         self._prev: Optional[DatabaseState] = None
         self._subscription = None
@@ -80,20 +85,7 @@ class ChangeLog:
         return log
 
     def _on_state(self, state: SystemState) -> None:
-        changed = state.db.changed_items(self._prev)
-        self.records.append(
-            {
-                "ts": state.timestamp,
-                "events": [
-                    [e.name, [_encode_value(p) for p in e.params]]
-                    for e in sorted(state.events, key=str)
-                ],
-                "changes": {
-                    name: _encode_item(state.db.raw_item(name))
-                    for name in changed
-                },
-            }
-        )
+        self.records.append(encode_state(state, self._prev))
         self._prev = state.db
         if self._stream is not None:
             self._stream_records()
@@ -198,22 +190,12 @@ class ChangeLog:
         """Reconstruct the system history the log recorded."""
         if not self.records or self.records[0]["ts"] is not None:
             raise StorageError("log has no base-state record")
-        base = self.records[0]
-        db = DatabaseState(
-            {name: _decode_item(item) for name, item in base["changes"].items()}
-        )
+        db = apply_state(DatabaseState({}), self.records[0])
         history = SystemHistory(validate_transaction_time=False)
         for record in self.records[1:]:
-            changes = {
-                name: _decode_item(item)
-                for name, item in record["changes"].items()
-            }
-            if changes:
-                db = db.with_updates(changes)
-            events = [
-                Event(name, tuple(params)) for name, params in record["events"]
-            ]
-            history.append(SystemState(db, events, record["ts"]))
+            db = apply_state(db, record)
+            events, delta = state_events(record)
+            history.append(SystemState(db, events, record["ts"], delta=delta))
         return history
 
     def __len__(self) -> int:

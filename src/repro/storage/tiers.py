@@ -108,6 +108,10 @@ class SegmentStore:
         self._m_write_s = self.metrics.histogram("segment_write_seconds")
         self._m_load_s = self.metrics.histogram("segment_load_seconds")
         self._next_id = self._scan_next_id()
+        #: The manifest as last written by this store (read once from the
+        #: file): a segment write extends it and replaces the file
+        #: atomically, without re-reading what it wrote itself.
+        self._manifest: Optional[dict] = None
 
     # -- naming ------------------------------------------------------------
 
@@ -233,13 +237,15 @@ class SegmentStore:
         return info
 
     def _update_manifest(self, info: dict) -> None:
-        manifest = self.read_manifest()
-        manifest["segments"].append(info)
+        manifest = self._manifest or self.read_manifest()
+        manifest = {**manifest, "segments": manifest["segments"] + [info]}
         atomic_write_text(
             self.manifest_path,
             json.dumps(manifest, sort_keys=True),
             fsync=self.fsync,
         )
+        # Only now: memory must not run ahead of the file it mirrors.
+        self._manifest = manifest
 
     def read_manifest(self) -> dict:
         if not self.manifest_path.exists():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.datamodel import FLOAT, STRING, Relation, Schema
+from repro.datamodel import FLOAT, INT, STRING, Relation, Schema
 from repro.events.model import Event, transaction_commit, user_event
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
@@ -97,13 +97,54 @@ def run_evaluator(evaluator, history) -> list:
 # oracle's shared vocabulary.
 
 
+#: The relation the row ops below write (``make_orders`` declares it).
+ORDERS_SCHEMA = Schema.of(oid=INT, amount=FLOAT)
+
+
+def make_orders(adb, rows: int = 6) -> None:
+    adb.create_relation(
+        "ORDERS", ORDERS_SCHEMA, [(i, float(10 * i)) for i in range(rows)]
+    )
+
+
+#: A relation-writing twin of the crash suites' eight-op scalar
+#: workload: one state per op, inserts, updates and deletes of
+#: ``ORDERS`` rows, so WAL / change-log records carry row deltas.
+ROW_OPS = [
+    ("upd", 1, 20), ("ev", "go"), ("ins", 9, 60), ("set", 60),
+    ("ev", "go"), ("upd", 9, 80), ("del", 2), ("ins", 7, 1),
+]
+
+
+def op_body(op):
+    """The transaction body of one write op: ``("set", value)`` writes
+    the ``price`` item; ``("ins", oid, amount)`` / ``("upd", oid,
+    amount)`` / ``("del", oid)`` insert, update and delete ``ORDERS``
+    rows (an op that matches no row still commits a state); ``("ev",
+    name)`` posts a user event from inside the transaction."""
+    kind = op[0]
+    if kind == "set":
+        return lambda t: t.set_item("price", op[1])
+    if kind == "ins":
+        return lambda t: t.insert("ORDERS", (op[1], float(op[2])))
+    if kind == "upd":
+        return lambda t: t.update(
+            "ORDERS",
+            lambda r: r["oid"] == op[1],
+            lambda r: {"amount": float(op[2])},
+        )
+    if kind == "del":
+        return lambda t: t.delete("ORDERS", lambda r: r["oid"] == op[1])
+    return lambda t: t.post_event(user_event(str(op[1])))
+
+
 def apply_op(adb, op) -> None:
-    """Apply one ``("set", value)`` / ``("ev", name)`` op to an engine:
-    a committed ``price`` item write or a posted user event."""
-    if op[0] == "set":
-        adb.execute(lambda t, v=op[1]: t.set_item("price", v))
-    else:
+    """Apply one op to an engine: a posted user event for ``("ev",
+    name)``, one committed :func:`op_body` transaction for the rest."""
+    if op[0] == "ev":
         adb.post_event(user_event(str(op[1])))
+    else:
+        adb.execute(op_body(op))
 
 
 def drive(adb, ops, manager=None) -> None:

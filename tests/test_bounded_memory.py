@@ -14,22 +14,28 @@ The discrimination test shows the property is *about the optimization*:
 the same bounded-window condition violates the growth bound as soon as
 ``optimize=False`` disables Section 5 pruning.
 
-The last two classes hold the same promise for the *process*: the
+Two classes hold the same promise for the *process*: the
 constraint-interning tables retain only the nodes the stored state still
 references (not every ``F_{g,i}`` that ever passed through a step), and a
 warmed-up step leaves nothing behind that only the cycle collector could
-free.
+free.  The last one holds it for the archival past: a deep-past read
+costs the deltas it replays, not a copy of the database per faulted
+state, and the memory governor's history account tracks the RAM the hot
+window really holds.
 """
 
 import gc
 import random
+import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datamodel import FLOAT, INT, Schema
 from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
 from repro.events.model import user_event
+from repro.history.spill import attach_tiered_history
 from repro.obs import MetricsRegistry
 from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl.constraints import intern_stats
@@ -391,3 +397,96 @@ class TestCycleFreeStep:
 
         self._assert_no_cyclic_garbage(step, prices)
         assert manager.firings
+
+
+class TestArchivalPastCostsItsDeltas:
+    """ROADMAP item 9(c), both halves, on ``history_deep``'s shape: a
+    400-row relation with one row updated every fifth transaction."""
+
+    ROWS = 400
+    STATES = 600
+
+    def _engine(self, tmp_path):
+        adb = ActiveDatabase(metrics=True)
+        adb.declare_item("price", 0)
+        adb.create_relation(
+            "ORDERS",
+            Schema.of(oid=INT, cust=INT, amount=FLOAT),
+            [(i, i % 50, float(i % 97)) for i in range(self.ROWS)],
+        )
+        # A budget nothing reaches: every state stays hot until told.
+        attach_tiered_history(
+            adb, tmp_path / "segments", budget_bytes=1 << 40, fsync=False
+        )
+        return adb
+
+    def _txn(self, adb, i):
+        def work(txn):
+            txn.set_item("price", i % 90)
+            if i % 5 == 0:
+                txn.update(
+                    "ORDERS",
+                    lambda r: r["oid"] == i % self.ROWS,
+                    lambda r: {"amount": float(i)},
+                )
+
+        adb.execute(work)
+
+    def test_fault_materialises_one_state(self, tmp_path):
+        adb = self._engine(tmp_path)
+        for i in range(self.STATES):
+            self._txn(adb, i)
+        history = adb.history
+        history.archive()
+        assert history.spill(keep_hot=0) == self.STATES
+        (segment,) = history._catalog
+        assert segment["count"] == self.STATES
+        faults = adb.metrics.counter("history_faults_total")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            first = history[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.index == 0 and len(first.db.relation("ORDERS")) == self.ROWS
+        # parsed records + one database state, not 600 private copies of
+        # a 400-row relation (27 MB before the fault went lazy)
+        assert peak < 4_000_000, peak
+        assert faults.value == 1
+        # a second read into the same segment loads nothing
+        later = adb.as_of(first.timestamp + self.STATES // 2)
+        assert later.index > first.index
+        assert faults.value == 1
+
+    def test_governor_counts_ram(self, tmp_path):
+        adb = self._engine(tmp_path)
+        warmup = 100
+        for i in range(warmup):
+            self._txn(adb, i)
+        history = adb.history
+        estimates = [history.estimated_hot_bytes()]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(warmup, self.STATES):
+                self._txn(adb, i)
+                estimates.append(history.estimated_hot_bytes())
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert history.hot_states == self.STATES
+        per_state = (after - before) / (self.STATES - warmup)
+        measured = per_state * history.hot_states
+        estimate = history.estimated_hot_bytes()
+        # within a factor 3 of what the allocator saw (20x low when the
+        # estimate was learned from encoded segment bytes)
+        assert measured / 3 <= estimate <= 3 * measured, (estimate, measured)
+        # ...and eviction takes back what the dropped states had added
+        dropped = history.spill(keep_hot=100)
+        assert dropped == self.STATES - 100
+        added_by_kept = estimates[-1] - estimates[-101]
+        assert history.estimated_hot_bytes() == added_by_kept
+        assert adb.metrics.gauge("history_hot_bytes").value == added_by_kept

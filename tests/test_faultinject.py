@@ -45,6 +45,8 @@ from repro.ptl.compiled import set_ptl_compile
 from repro.rules.actions import Action, RecordingAction
 from repro.rules.rule import CouplingMode, FireMode
 
+from tests.helpers import ROW_OPS, drive, make_orders, op_body
+
 
 @contextmanager
 def ptl_mode(compiled: bool):
@@ -58,6 +60,7 @@ def ptl_mode(compiled: bool):
 def make_engine():
     adb = ActiveDatabase()
     adb.declare_item("price", 0)
+    make_orders(adb)
     return adb
 
 
@@ -85,14 +88,6 @@ OPS = [
 ]
 
 
-def drive(adb, ops):
-    for kind, val in ops:
-        if kind == "set":
-            adb.execute(lambda t, v=val: t.set_item("price", v))
-        else:
-            adb.post_event(user_event(val))
-
-
 def firing_sig(manager):
     return [
         (f.rule, f.bindings, f.state_index, f.timestamp)
@@ -100,10 +95,10 @@ def firing_sig(manager):
     ]
 
 
-def oracle_run():
+def oracle_run(ops=OPS):
     adb = make_engine()
     manager = setup_rules(adb)
-    drive(adb, OPS)
+    drive(adb, ops)
     return adb, manager
 
 
@@ -123,50 +118,72 @@ class TestCrashMatrix:
         self, tmp_path, shared, checkpoint_at, point, compiled
     ):
         with ptl_mode(compiled):
-            oracle_adb, oracle_m = oracle_run()
+            self._crash_recover(tmp_path, shared, checkpoint_at, point, OPS)
 
-            injector = FaultInjector()
-            rm = RecoveryManager(tmp_path, injector=injector)
-            adb = make_engine()
-            manager = setup_rules(adb, shared)
-            rm.start(adb)
-            injector.arm(point, after=5)  # crash during the 6th state
-            done = 0
-            with pytest.raises(SimulatedCrash):
-                for op in OPS:
-                    drive(adb, [op])
-                    done += 1
-                    if checkpoint_at is not None and done == checkpoint_at:
-                        manager.flush()
-                        rm.checkpoint(adb, manager)
-            rm.stop()
+    @pytest.mark.parametrize("checkpoint_at", [None, 4])
+    @pytest.mark.parametrize(
+        "point", [PRE_COMMIT, POST_COMMIT, MID_WAL]
+    )
+    def test_row_delta_wal_tail_recovers(self, tmp_path, checkpoint_at, point):
+        """The same matrix over a workload that writes relation rows:
+        the WAL tail past the checkpoint image is row deltas."""
+        self._crash_recover(tmp_path, True, checkpoint_at, point, ROW_OPS)
+        records, _ = load_wal(tmp_path / RecoveryManager.WAL_NAME)
+        kinds = [
+            payload["kind"]
+            for record in records[1:]
+            for payload in record["changes"].values()
+        ]
+        assert "rows" in kinds and "relation" not in kinds
 
-            report = RecoveryManager(tmp_path).recover(
-                setup=lambda e: setup_rules(e, shared)
-            )
-            survived = report.engine.state_count
-            # pre-commit / torn-write crashes lose the in-flight state;
-            # post-commit keeps it (durable before the action ran)
-            assert survived == (6 if point == POST_COMMIT else 5)
-            assert report.truncated == (point == MID_WAL)
-            if checkpoint_at is not None:
-                assert report.checkpoint_used
-                # never re-evaluates history older than the WAL tail
-                assert report.replayed_steps == survived - checkpoint_at
-            else:
-                assert report.replayed_steps == survived
+    def _crash_recover(self, tmp_path, shared, checkpoint_at, point, ops):
+        oracle_adb, oracle_m = oracle_run(ops)
 
-            drive(report.engine, OPS[survived:])
-            assert firing_sig(report.manager) == firing_sig(oracle_m)
-            assert (
-                report.engine.state.item("price")
-                == oracle_adb.state.item("price")
-            )
-            assert (
-                report.manager.executed.to_state()
-                == oracle_m.executed.to_state()
-            )
-            assert report.engine.state_count == oracle_adb.state_count
+        injector = FaultInjector()
+        rm = RecoveryManager(tmp_path, injector=injector)
+        adb = make_engine()
+        manager = setup_rules(adb, shared)
+        rm.start(adb)
+        injector.arm(point, after=5)  # crash during the 6th state
+        done = 0
+        with pytest.raises(SimulatedCrash):
+            for op in ops:
+                drive(adb, [op])
+                done += 1
+                if checkpoint_at is not None and done == checkpoint_at:
+                    manager.flush()
+                    rm.checkpoint(adb, manager)
+        rm.stop()
+
+        report = RecoveryManager(tmp_path).recover(
+            setup=lambda e: setup_rules(e, shared)
+        )
+        survived = report.engine.state_count
+        # pre-commit / torn-write crashes lose the in-flight state;
+        # post-commit keeps it (durable before the action ran)
+        assert survived == (6 if point == POST_COMMIT else 5)
+        assert report.truncated == (point == MID_WAL)
+        if checkpoint_at is not None:
+            assert report.checkpoint_used
+            # never re-evaluates history older than the WAL tail
+            assert report.replayed_steps == survived - checkpoint_at
+        else:
+            assert report.replayed_steps == survived
+        # checkpoint image + (row-delta) WAL tail rebuild every
+        # replayed database state, relations included
+        replayed = [s.db for s in report.engine.history]
+        assert replayed == [s.db for s in oracle_adb.history][
+            survived - len(replayed) : survived
+        ]
+
+        drive(report.engine, ops[survived:])
+        assert firing_sig(report.manager) == firing_sig(oracle_m)
+        assert report.engine.state == oracle_adb.state
+        assert (
+            report.manager.executed.to_state()
+            == oracle_m.executed.to_state()
+        )
+        assert report.engine.state_count == oracle_adb.state_count
 
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
@@ -236,17 +253,23 @@ class TestCrashMatrix:
     def test_mid_checkpoint_crash_keeps_previous_checkpoint(
         self, tmp_path, shared
     ):
-        oracle_adb, oracle_m = oracle_run()
+        self._mid_checkpoint_crash(tmp_path, shared, OPS)
+
+    def test_row_delta_mid_checkpoint_crash(self, tmp_path):
+        self._mid_checkpoint_crash(tmp_path, True, ROW_OPS)
+
+    def _mid_checkpoint_crash(self, tmp_path, shared, ops):
+        oracle_adb, oracle_m = oracle_run(ops)
 
         injector = FaultInjector()
         rm = RecoveryManager(tmp_path, injector=injector)
         adb = make_engine()
         manager = setup_rules(adb, shared)
         rm.start(adb)
-        drive(adb, OPS[:3])
+        drive(adb, ops[:3])
         manager.flush()
         rm.checkpoint(adb, manager)
-        drive(adb, OPS[3:6])
+        drive(adb, ops[3:6])
         manager.flush()
         injector.arm(MID_CHECKPOINT)
         with pytest.raises(SimulatedCrash):
@@ -260,12 +283,9 @@ class TestCrashMatrix:
         # the surviving checkpoint is the *old* one: 3 states replayed
         assert report.replayed_steps == 3
         assert report.engine.state_count == 6
-        drive(report.engine, OPS[6:])
+        drive(report.engine, ops[6:])
         assert firing_sig(report.manager) == firing_sig(oracle_m)
-        assert (
-            report.engine.state.item("price")
-            == oracle_adb.state.item("price")
-        )
+        assert report.engine.state == oracle_adb.state
 
     def test_repeated_crashes_converge(self, tmp_path):
         """Crash, recover, crash again on the very next state, recover —
@@ -357,11 +377,8 @@ class TestWalFile:
 
 
 def _enqueue_ops(adb, ops):
-    for kind, val in ops:
-        if kind == "set":
-            adb.enqueue(lambda t, v=val: t.set_item("price", v))
-        else:
-            adb.enqueue(lambda t, v=val: t.post_event(user_event(v)))
+    for op in ops:
+        adb.enqueue(op_body(op))
 
 
 class TestGroupCommitCrash:
@@ -385,12 +402,23 @@ class TestGroupCommitCrash:
         self, tmp_path, kind, point, compiled
     ):
         with ptl_mode(compiled):
-            self._run_mid_batch_crash(tmp_path, kind, point)
+            self._run_mid_batch_crash(tmp_path, kind, point, OPS)
 
-    def _run_mid_batch_crash(self, tmp_path, kind, point):
+    @pytest.mark.parametrize(
+        "point", [MID_GROUP_COMMIT, MID_WAL], ids=["fsync", "torn-record"]
+    )
+    def test_row_delta_batch_dropped_whole(self, tmp_path, point):
+        """A dropped unmarked group is a *suffix* of the log: the row
+        deltas that survive still chain from the base record."""
+        self._run_mid_batch_crash(tmp_path, "shared", point, ROW_OPS)
+
+    def test_row_delta_batch_replays_whole(self, tmp_path):
+        self._run_durable_batch(tmp_path, "shared", ROW_OPS)
+
+    def _run_mid_batch_crash(self, tmp_path, kind, point, ops):
         oracle_adb = make_engine()
         oracle_m = self._setup_for(kind)(oracle_adb)
-        drive(oracle_adb, OPS)
+        drive(oracle_adb, ops)
         oracle_m.flush()
 
         injector = FaultInjector()
@@ -398,8 +426,8 @@ class TestGroupCommitCrash:
         adb = make_engine()
         self._setup_for(kind)(adb)
         rm.start(adb)
-        drive(adb, OPS[:3])  # individually durable states
-        _enqueue_ops(adb, OPS[3:6])
+        drive(adb, ops[:3])  # individually durable states
+        _enqueue_ops(adb, ops[3:6])
         if point == MID_GROUP_COMMIT:
             injector.arm(point)  # crash before the batch fsync
         else:
@@ -419,13 +447,10 @@ class TestGroupCommitCrash:
         )
         assert report.engine.state_count == 3  # no batch prefix survived
         # Redo the lost batch and the rest; end state matches the oracle.
-        drive(report.engine, OPS[3:])
+        drive(report.engine, ops[3:])
         report.manager.flush()
         assert firing_sig(report.manager) == firing_sig(oracle_m)
-        assert (
-            report.engine.state.item("price")
-            == oracle_adb.state.item("price")
-        )
+        assert report.engine.state == oracle_adb.state
         assert (
             report.manager.executed.to_state()
             == oracle_m.executed.to_state()
@@ -439,20 +464,20 @@ class TestGroupCommitCrash:
         """Once the group fsync lands, recovery replays the entire
         batch."""
         with ptl_mode(compiled):
-            self._run_durable_batch(tmp_path, kind)
+            self._run_durable_batch(tmp_path, kind, OPS)
 
-    def _run_durable_batch(self, tmp_path, kind):
+    def _run_durable_batch(self, tmp_path, kind, ops):
         oracle_adb = make_engine()
         oracle_m = self._setup_for(kind)(oracle_adb)
-        drive(oracle_adb, OPS)
+        drive(oracle_adb, ops)
         oracle_m.flush()
 
         rm = RecoveryManager(tmp_path)
         adb = make_engine()
         manager = self._setup_for(kind)(adb)
         rm.start(adb)
-        drive(adb, OPS[:3])
-        _enqueue_ops(adb, OPS[3:])
+        drive(adb, ops[:3])
+        _enqueue_ops(adb, ops[3:])
         adb.drain()
         manager.flush()
         rm.stop()
@@ -460,10 +485,11 @@ class TestGroupCommitCrash:
         report = RecoveryManager(tmp_path).recover(
             setup=self._setup_for(kind)
         )
-        assert report.engine.state_count == len(OPS)
-        assert report.replayed_steps == len(OPS)
+        assert report.engine.state_count == len(ops)
+        assert report.replayed_steps == len(ops)
         report.manager.flush()
         assert firing_sig(report.manager) == firing_sig(oracle_m)
+        assert report.engine.state == oracle_adb.state
 
     def test_triggers_deferred_until_batch_durable(self, tmp_path):
         """Rule actions must not observe a state whose batch never
@@ -642,7 +668,10 @@ class TestTieredStorageFaults:
     torn write mid-spill never corrupts what recovery loads, and a full
     disk degrades the engine instead of diverging memory from the WAL."""
 
-    LONG_OPS = [("set", (i * 31) % 97) for i in range(40)] + [("ev", "go")]
+    LONG_OPS = [
+        ("upd", i % 6, i) if i % 3 == 0 else ("set", (i * 31) % 97)
+        for i in range(40)
+    ] + [("ins", 50, 5), ("del", 3), ("ev", "go")]
 
     @pytest.mark.parametrize(
         "point",
@@ -674,16 +703,10 @@ class TestTieredStorageFaults:
         _attach_tiers(report.engine, tmp_path / "segments", report.manager)
         drive(report.engine, self.LONG_OPS[report.engine.state_count :])
         assert firing_sig(report.manager) == firing_sig(oracle_m)
-        assert (
-            report.engine.state.item("price")
-            == oracle_adb.state.item("price")
-        )
-        assert len(report.engine.history) == len(oracle_adb.history)
-        for pos in (0, 7, 23, -1):
-            assert (
-                report.engine.history[pos].db.item("price")
-                == oracle_adb.history[pos].db.item("price")
-            )
+        assert report.engine.state == oracle_adb.state
+        assert [s.db for s in report.engine.history] == [
+            s.db for s in oracle_adb.history
+        ]
 
     def test_disk_full_degrades_and_recovers_clean(self, tmp_path):
         """DISK_FULL on the WAL: the commit is refused (memory and log

@@ -42,7 +42,7 @@ from repro.rules.actions import RecordingAction
 from repro.rules.rule import CouplingMode, FireMode
 from repro.storage.tiers import SegmentStore, retry_io
 
-from tests.helpers import drive, firing_sig
+from tests.helpers import drive, firing_sig, make_orders
 
 
 # -- shared workload ---------------------------------------------------------
@@ -51,6 +51,7 @@ from tests.helpers import drive, firing_sig
 def make_engine(metrics=False):
     adb = ActiveDatabase(metrics=metrics)
     adb.declare_item("price", 0)
+    make_orders(adb)
     return adb
 
 
@@ -78,6 +79,58 @@ def long_ops(n=120):
         if i % 7 == 0:
             ops.append(("ev", "go"))
     return ops
+
+
+def row_ops(n=80):
+    """``long_ops`` with ``ORDERS`` row inserts, updates and deletes
+    mixed in: the tiers must carry relations as row deltas."""
+    ops = []
+    for i, op in enumerate(long_ops(n)):
+        ops.append(op)
+        if i % 3 == 0:
+            ops.append(("upd", i % 6, i))
+        if i % 10 == 4:
+            ops.append(("ins", 100 + i, i))
+        if i % 10 == 9:
+            ops.append(("del", 100 + i - 5))
+    return ops
+
+
+def assert_same_states(history, oracle_history):
+    """Every position, through every access path, against the in-RAM
+    oracle: indexing, iteration, slices and ``as_of`` — whole database
+    states, relations included."""
+    n = len(oracle_history)
+    assert len(history) == n
+    want = [(s.index, s.timestamp, s.events, s.db) for s in oracle_history]
+    sig = lambda s: (s.index, s.timestamp, s.events, s.db)
+    assert [sig(s) for s in history] == want
+    assert [sig(history[i]) for i in range(n)] == want
+    assert [sig(history[i]) for i in reversed(range(n))] == want[::-1]
+    for cut in (slice(0, n, 3), slice(n // 3, 2 * n // 3), slice(-5, None)):
+        # a slice is a fresh history: it re-indexes from 0 in both
+        assert [sig(s) for s in history[cut]] == [
+            sig(s) for s in oracle_history[cut]
+        ]
+    for state in oracle_history:
+        assert sig(history.as_of(state.timestamp)) == sig(state)
+    assert history.as_of(oracle_history[0].timestamp - 1) is None
+
+
+def assert_faulted_states_share_rows(history):
+    """Two consecutive faulted states hold the *same* ``Row`` objects for
+    every row that did not change between them (and the same relation
+    when none did): a fault costs its deltas, not a copy per state."""
+    for pos in range(1, history.spilled_states):
+        if history._segment_for(pos) != history._segment_for(pos - 1):
+            continue
+        older = history[pos - 1].db.relation("ORDERS")
+        newer = history[pos].db.relation("ORDERS")
+        if older == newer:
+            assert newer is older
+            continue
+        mine = {row: row for row in older}
+        assert all(mine[row] is row for row in newer if row in mine)
 
 
 def attach(adb, directory, manager=None, injector=None, **kw):
@@ -286,9 +339,24 @@ class TestTieredHistoryEquivalence:
         assert m.gauge("governor_bytes").value >= 0
         assert m.gauge("governor_budget_bytes").value == 2_000
         assert m.gauge("segments_total").value > 0
-        # deep-past read faults at least one segment
-        adb.history[0]
+        # the history's own account, live at append and at eviction
+        history = adb.history
+        assert m.gauge("history_hot_states").value == history.hot_states
+        assert (
+            m.gauge("history_hot_bytes").value
+            == history.estimated_hot_bytes()
+            > 0
+        )
+        assert m.gauge("governor_bytes").value >= history.estimated_hot_bytes()
+        # deep-past read faults at least one segment: the fault cache
+        # holds that segment's records, not its states
+        assert m.gauge("history_faulted_records").value == 0
+        history[0]
         assert m.counter("history_faults_total").value >= 1
+        assert (
+            m.gauge("history_faulted_records").value
+            == history._catalog[0]["count"]
+        )
 
 
 class TestGovernor:
@@ -309,6 +377,9 @@ class TestGovernor:
 OP = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 100)),
     st.tuples(st.just("ev"), st.just("go")),
+    st.tuples(st.just("ins"), st.integers(0, 9), st.integers(0, 3)),
+    st.tuples(st.just("upd"), st.integers(0, 9), st.integers(0, 3)),
+    st.tuples(st.just("del"), st.integers(0, 9)),
 )
 
 
@@ -350,14 +421,9 @@ class TestSpillDifferential:
                 drive(adb, [op])
             assert not adb.degraded
             assert firing_sig(manager) == firing_sig(oracle_m)
-            assert adb.state.item("price") == oracle.state.item("price")
-            assert [
-                (s.index, s.timestamp, s.db.item("price"))
-                for s in adb.history
-            ] == [
-                (s.index, s.timestamp, s.db.item("price"))
-                for s in oracle.history
-            ]
+            assert adb.state == oracle.state
+            assert_same_states(adb.history, oracle.history)
+            assert_faulted_states_share_rows(adb.history)
             key = lambda r: (r.time, r.rule, r.params)
             assert sorted(manager.executed.records(), key=key) == sorted(
                 oracle_m.executed.records(), key=key
@@ -575,7 +641,7 @@ class TestSpilledRecovery:
             set_ptl_compile(prev)
 
     def _run(self, tmp_path, kind):
-        ops = long_ops(80)
+        ops = row_ops(60)
         oracle = make_engine()
         oracle_m = self._setup_for(kind)(oracle)
         drive(oracle, ops)
@@ -606,13 +672,11 @@ class TestSpilledRecovery:
         ) + (len(ops) - cut)
         manager2.flush()
         assert firing_sig(manager2)[-5:] == firing_sig(oracle_m)[-5:]
-        assert adb2.state.item("price") == oracle.state.item("price")
-        # the restored history covers the whole run bit-identically
-        assert len(adb2.history) == len(oracle.history)
-        for pos in (0, 1, 25, cut - 1, len(oracle.history) - 1):
-            a, b = adb2.history[pos], oracle.history[pos]
-            assert (a.index, a.timestamp) == (b.index, b.timestamp)
-            assert a.db.item("price") == b.db.item("price")
+        assert adb2.state == oracle.state
+        # the restored history covers the whole run bit-identically:
+        # segments below the checkpoint, the row-delta WAL tail above it
+        assert_same_states(adb2.history, oracle.history)
+        assert_faulted_states_share_rows(adb2.history)
         # ...and keeps running + spilling
         drive(adb2, [("set", 60), ("set", 40)])
         assert len(adb2.history) == len(oracle.history) + 2
