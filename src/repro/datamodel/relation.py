@@ -1,31 +1,69 @@
 """Relations: immutable sets of rows over a schema, with algebra helpers.
 
 Relations use *set* semantics (the paper's examples are QUEL/relational).
-All operations return new relations; the engine layers copy-on-write
-versioning on top of this immutability (see ``repro.storage.snapshot``).
+All operations return new relations; the engine layers versioning on top
+of this immutability (see ``repro.storage.snapshot``), and versions the
+way Section 5's ``R_x(attrs…, T_start, T_end)`` does — by tuple: only the
+newest version of a relation owns a table, every older one is a reverse
+row-delta off its successor (:meth:`Relation.supersede`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.tuples import Row
 from repro.errors import DataModelError, NotScalarError, SchemaError
 
 
+class VersionStats:
+    """Process-wide tallies of the version representation (the sibling of
+    :data:`repro.query.plan.STATS`; an engine with metrics enabled
+    publishes them)."""
+
+    __slots__ = ("demoted", "materialisations")
+
+    def __init__(self) -> None:
+        #: Versions superseded by a successor (:meth:`Relation.supersede`).
+        self.demoted = 0
+        #: Past versions folded back into a table (:meth:`Relation._fold`).
+        self.materialisations = 0
+
+
+STATS = VersionStats()
+
+
 class Relation:
     """An immutable set of :class:`Row` sharing one :class:`Schema`.
 
-    ``_index_cache`` memoizes hash indexes (see
-    :mod:`repro.storage.index`) — safe because the row set never changes.
+    The row *set* never changes; its representation does, once.  The
+    newest version of a relation is *flat*: ``_rows`` is its table and
+    ``_index_cache`` memoizes hash indexes on it (see
+    :mod:`repro.storage.index`).  When the engine installs a successor
+    (:meth:`supersede`) the version drops its caches, points at the
+    successor (``_succ``) and — when that is the smaller of the two —
+    trades the table for a reverse row-delta (``_delta``: the rows the
+    successor removed, the rows it added), RCS-style: the present is
+    materialised, the past is "my successor, minus what it added, plus
+    what it removed".  A version keeps its table once the deltas chained
+    behind it (``_chain``: their rows and links) would outweigh it, so
+    reading any past version costs O(|R|) however long the history.
+    ``_succ`` only ever points forward in time, so a chain is never a
+    cycle and an evicted past is freed by reference count.
     """
 
-    __slots__ = ("_schema", "_rows", "_index_cache", "_sorted_cache")
+    __slots__ = (
+        "_schema", "_rows", "_index_cache", "_sorted_cache",
+        "_succ", "_delta", "_chain",
+    )
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self._index_cache = None
         self._sorted_cache = None
+        self._succ = None
+        self._delta = None
+        self._chain = 0
         self._schema = schema
         frozen: frozenset[Row] = (
             rows if isinstance(rows, frozenset) else frozenset(rows)
@@ -36,6 +74,19 @@ class Relation:
                     f"row arity {len(row)} != schema arity {len(schema)}"
                 )
         self._rows = frozen
+
+    @classmethod
+    def _of(cls, schema: Schema, rows: frozenset) -> "Relation":
+        """A flat relation over rows already validated against ``schema``."""
+        out = cls.__new__(cls)
+        out._index_cache = None
+        out._sorted_cache = None
+        out._succ = None
+        out._delta = None
+        out._chain = 0
+        out._schema = schema
+        out._rows = rows
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -65,43 +116,128 @@ class Relation:
 
     @property
     def rows(self) -> frozenset[Row]:
-        return self._rows
+        rows = self._rows
+        return rows if rows is not None else self._fold()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        # Counted along the chain, not by folding it into a table.
+        count = 0
+        version = self
+        while version._rows is None:
+            removed, added = version._delta
+            count += len(removed) - len(added)
+            version = version._succ
+        return count + len(version._rows)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __contains__(self, row) -> bool:
         if isinstance(row, (tuple, list)):
-            return any(r.values == tuple(row) for r in self._rows)
-        return row in self._rows
+            return any(r.values == tuple(row) for r in self.rows)
+        return row in self.rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._schema.types == other._schema.types and self._rows == other._rows
+        if self._schema.types != other._schema.types:
+            return False
+        delta = self.delta_onto(other) or other.delta_onto(self)
+        if delta is not None:
+            # Adjacent versions: equal iff the successor changed nothing.
+            return not (delta[0] or delta[1])
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self._schema.types, self._rows))
+        return hash((self._schema.types, self.rows))
 
     def __repr__(self) -> str:
-        return f"Relation({self._schema!r}, {len(self._rows)} rows)"
+        return f"Relation({self._schema!r}, {len(self)} rows)"
 
     def is_empty(self) -> bool:
-        return not self._rows
+        return not self.rows
 
     def sorted_rows(self) -> list[Row]:
         """Rows in a deterministic order (for printing and testing).
 
-        Memoized on the (immutable) relation — callers must not mutate
-        the returned list.
+        Memoized on the newest version of a relation (nothing is cached
+        on a superseded one) — callers must not mutate the returned list.
         """
+        if self._succ is not None:
+            return sort_rows(self.rows)
         cached = self._sorted_cache
         if cached is None:
             cached = self._sorted_cache = sort_rows(self._rows)
         return cached
+
+    # -- versions ------------------------------------------------------------
+
+    @property
+    def superseded(self) -> bool:
+        """Whether a successor version has been installed over this one."""
+        return self._succ is not None
+
+    def supersede(self, successor: "Relation") -> None:
+        """``successor`` took this version's place as the newest one: give
+        up the representation only the present needs.  The caches go; the
+        table goes too while the reverse delta, together with the deltas
+        already chained behind this version, is smaller — reading the
+        version from then on folds the chain (:meth:`flat`), and the fold
+        never undoes more rows than a table holds.  A version already
+        superseded keeps its first successor, and a superseded version is
+        never a successor — both keep chains acyclic."""
+        if (
+            successor is self
+            or self._succ is not None
+            or successor._succ is not None
+        ):
+            return
+        self._index_cache = None
+        self._sorted_cache = None
+        self._succ = successor
+        STATS.demoted += 1
+        if self._schema != successor._schema:
+            return
+        removed = self._rows - successor._rows
+        added = successor._rows - self._rows
+        chain = self._chain + len(removed) + len(added) + 1
+        if chain <= len(self._rows):
+            self._delta = (tuple(removed), tuple(added))
+            self._rows = None
+            successor._chain = chain
+
+    def delta_onto(self, other: "Relation") -> Optional[tuple[tuple, tuple]]:
+        """``(removed, added)`` — the rows of this version ``other`` lacks
+        and the rows ``other`` has beyond it — when this version is stored
+        as exactly that reverse delta off ``other``; else ``None``."""
+        return self._delta if self._succ is other else None
+
+    def flat(self) -> "Relation":
+        """This version with a table of its own: ``self`` while it is the
+        newest, else a *transient* flat copy for one reader — a query
+        builds its indexes on the copy and both die with the execution, so
+        nothing is memoized on the past."""
+        if self._succ is None:
+            return self
+        return Relation._of(self._schema, self.rows)
+
+    def _fold(self) -> frozenset:
+        """The table of a version stored as a reverse delta: the table of
+        the first successor that still has one with every delta of the
+        chain undone, newest first — one table build, O(|R|) because
+        :meth:`supersede` bounds the chain.  Rows no delta touched are
+        the successor's own objects."""
+        chain = []
+        version = self
+        while version._rows is None:
+            chain.append(version._delta)
+            version = version._succ
+        table = set(version._rows)
+        for removed, added in reversed(chain):
+            table.difference_update(added)
+            table.update(removed)
+        STATS.materialisations += 1
+        return frozenset(table)
 
     # -- scalar view -------------------------------------------------------
 
@@ -112,25 +248,26 @@ class Relation:
         scalar query results are represented as 1x1 relations and unwrapped
         here.
         """
-        if len(self._rows) != 1 or len(self._schema) != 1:
+        rows = self.rows
+        if len(rows) != 1 or len(self._schema) != 1:
             raise NotScalarError(
-                f"relation is {len(self._rows)}x{len(self._schema)}, not 1x1"
+                f"relation is {len(rows)}x{len(self._schema)}, not 1x1"
             )
-        (row,) = self._rows
+        (row,) = rows
         return row[0]
 
     # -- algebra -----------------------------------------------------------
 
     def select(self, predicate: Callable[[Row], bool]) -> "Relation":
-        return Relation(self._schema, (r for r in self._rows if predicate(r)))
+        return Relation(self._schema, (r for r in self.rows if predicate(r)))
 
     def project(self, names: Sequence[str]) -> "Relation":
         sub = self._schema.project(names)
-        return Relation(sub, (r.project(names) for r in self._rows))
+        return Relation(sub, (r.project(names) for r in self.rows))
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         new_schema = self._schema.rename(dict(mapping))
-        return Relation(new_schema, (r.with_schema(new_schema) for r in self._rows))
+        return Relation(new_schema, (r.with_schema(new_schema) for r in self.rows))
 
     def extend(
         self, attribute: Attribute, fn: Callable[[Row], Any]
@@ -139,30 +276,31 @@ class Relation:
         new_schema = self._schema.extend(attribute)
         return Relation(
             new_schema,
-            (Row(new_schema, r.values + (fn(r),)) for r in self._rows),
+            (Row(new_schema, r.values + (fn(r),)) for r in self.rows),
         )
 
     def union(self, other: "Relation") -> "Relation":
         self._require_compatible(other)
-        return Relation(self._schema, self._rows | other._rows)
+        return Relation(self._schema, self.rows | other.rows)
 
     def difference(self, other: "Relation") -> "Relation":
         self._require_compatible(other)
-        return Relation(self._schema, self._rows - other._rows)
+        return Relation(self._schema, self.rows - other.rows)
 
     def intersection(self, other: "Relation") -> "Relation":
         self._require_compatible(other)
-        return Relation(self._schema, self._rows & other._rows)
+        return Relation(self._schema, self.rows & other.rows)
 
     def product(self, other: "Relation") -> "Relation":
         """Cross product; attribute names must not collide."""
         schema = self._schema.concat(other._schema)
+        right = other.rows
         return Relation(
             schema,
             (
                 Row(schema, a.values + b.values)
-                for a in self._rows
-                for b in other._rows
+                for a in self.rows
+                for b in right
             ),
         )
 
@@ -181,12 +319,12 @@ class Relation:
 
         index: dict[tuple, list[Row]] = {}
         right_keys = [r for (_, r) in on]
-        for row in other._rows:
+        for row in other.rows:
             index.setdefault(tuple(row[k] for k in right_keys), []).append(row)
 
         left_keys = [l for (l, _) in on]
         out = []
-        for row in self._rows:
+        for row in self.rows:
             key = tuple(row[k] for k in left_keys)
             for match in index.get(key, ()):
                 extra = tuple(match[n] for n in kept_right)
@@ -195,11 +333,11 @@ class Relation:
 
     def insert(self, row_values: Sequence[Any]) -> "Relation":
         return Relation(
-            self._schema, self._rows | {Row(self._schema, row_values)}
+            self._schema, self.rows | {Row(self._schema, row_values)}
         )
 
     def delete(self, predicate: Callable[[Row], bool]) -> "Relation":
-        return Relation(self._schema, (r for r in self._rows if not predicate(r)))
+        return Relation(self._schema, (r for r in self.rows if not predicate(r)))
 
     def with_row_changes(
         self,
@@ -216,18 +354,14 @@ class Relation:
         it was not computed against is refused, not silently merged."""
         removed = frozenset(map(tuple, removed))
         added = frozenset(Row(self._schema, vals) for vals in added)
-        rows = (self._rows - removed) | added
-        if len(rows) != len(self._rows) - len(removed) + len(added):
+        before = self.rows
+        rows = (before - removed) | added
+        if len(rows) != len(before) - len(removed) + len(added):
             raise DataModelError(
                 f"row delta (-{len(removed)} +{len(added)}) does not "
                 f"apply to {self!r}"
             )
-        out = Relation.__new__(Relation)
-        out._index_cache = None
-        out._sorted_cache = None
-        out._schema = self._schema
-        out._rows = rows
-        return out
+        return Relation._of(self._schema, rows)
 
     def update(
         self,
@@ -236,7 +370,7 @@ class Relation:
     ) -> "Relation":
         """Rows matching ``predicate`` have columns replaced per ``updater``."""
         out = []
-        for row in self._rows:
+        for row in self.rows:
             if predicate(row):
                 changes = updater(row)
                 mapping = row.as_dict()

@@ -28,6 +28,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
+from repro.datamodel.relation import STATS as VERSION_STATS
 from repro.errors import (
     ActionError,
     ClockError,
@@ -92,6 +93,10 @@ class ActiveDatabase:
         self._m_commits = self.metrics.counter("engine_commits_total")
         self._m_aborts = self.metrics.counter("engine_aborts_total")
         self._m_history_len = self.metrics.gauge("engine_history_len")
+        self._m_demoted = self.metrics.gauge("storage_versions_demoted")
+        self._m_materialised = self.metrics.counter(
+            "storage_version_materialisations_total"
+        )
         self.bus.attach_metrics(self.metrics)
         # -- ingest batching / group commit --------------------------------
         #: True while a batch() is open: durability consumers amortize
@@ -269,6 +274,9 @@ class ActiveDatabase:
             self._m_states.inc()
             if self.history is not None:
                 self._m_history_len.set(len(self.history))
+            self._m_demoted.set(VERSION_STATS.demoted)
+            folded = VERSION_STATS.materialisations
+            self._m_materialised.inc(folded - self._m_materialised.value)
         try:
             self.bus.publish(state)
         except ReproError:

@@ -40,7 +40,7 @@ STANDARD_EVENTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """An instantaneous event occurrence: ``name(params...)``.
 

@@ -52,18 +52,38 @@ SEGMENT_DIR_NAME = "segments"
 
 #: Per-unit RAM estimates.  A hot state's fixed part is its SystemState,
 #: event set, events, write-set and DatabaseState item table (measured:
-#: ~1.3 kB for a three-item database and a four-event commit).
-_EST_STATE_BYTES = 1024
+#: ~1.25 kB for a three-item database and a four-event commit); a row only
+#: the past still holds is a Row, its value tuple and a boxed value or two.
+_EST_STATE_BYTES = 1280
+_EST_ROW_BYTES = 200
 _EST_EXECUTED_BYTES = 120
 _EST_FORMULA_BYTES = 80
 
+_ABSENT = object()
 
-def _container_bytes(value) -> int:
-    """The allocation a new version of one database item costs: the row
-    set of a relation (its rows are shared with the version before, the
-    table is not), the entry table of an indexed item, a boxed scalar."""
+
+def _version_bytes(value, prev) -> int:
+    """What the hot window keeps because one database item went from
+    ``prev`` to ``value``.  A relation that replaced a relation leaves its
+    predecessor behind: a reverse row-delta once the engine superseded it
+    (two row tuples, plus the rows the successor dropped — the others are
+    shared), the table it still owns otherwise.  The newest table itself
+    is the current database's, not the history's.  Anything else costs
+    its container: the entry table of an indexed item, a boxed scalar."""
     if isinstance(value, Relation):
-        return sys.getsizeof(value.rows)
+        if prev is value:
+            return 0
+        if not isinstance(prev, Relation):
+            return sys.getsizeof(value.rows)
+        delta = prev.delta_onto(value)
+        if delta is None:
+            return sys.getsizeof(prev.rows)
+        removed, added = delta
+        return (
+            sys.getsizeof(removed)
+            + sys.getsizeof(added)
+            + len(removed) * _EST_ROW_BYTES
+        )
     if isinstance(value, IndexedItem):
         return sys.getsizeof(value._entries)
     return sys.getsizeof(value)
@@ -71,21 +91,26 @@ def _container_bytes(value) -> int:
 
 def _state_ram_bytes(state: SystemState, prev: Optional[SystemState]) -> int:
     """Estimated bytes ``state`` allocated beyond its predecessor: the
-    fixed per-state part plus the containers its write-set replaced.  An
-    unknown write-set (``delta is None``) falls back to item identity
-    against ``prev``, as delta-aware evaluation does."""
+    fixed per-state part plus what each item of its write-set left behind
+    (:func:`_version_bytes`).  An unknown write-set (``delta is None``)
+    falls back to item identity against ``prev``, as delta-aware
+    evaluation does."""
     db = state.db
+
+    def before(name):
+        if prev is not None and prev.db.has_item(name):
+            return prev.db.raw_item(name)
+        return _ABSENT
+
     names = state.delta
     if names is None:
         names = [
-            n
-            for n in db.item_names()
-            if prev is None
-            or not prev.db.has_item(n)
-            or prev.db.raw_item(n) is not db.raw_item(n)
+            n for n in db.item_names() if before(n) is not db.raw_item(n)
         ]
     return _EST_STATE_BYTES + sum(
-        _container_bytes(db.raw_item(n)) for n in names if db.has_item(n)
+        _version_bytes(db.raw_item(n), before(n))
+        for n in names
+        if db.has_item(n)
     )
 
 

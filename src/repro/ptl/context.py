@@ -21,7 +21,7 @@ from repro.query.ast import Query
 from repro.query.evaluator import StateView, eval_query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """One rule execution: rule name, parameter tuple, commit time.
 

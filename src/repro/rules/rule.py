@@ -88,7 +88,7 @@ class Rule:
         return f"{self.name}: {self.condition} -> {self.action!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiringRecord:
     """One rule firing: which rule, with which bindings, at which state."""
 

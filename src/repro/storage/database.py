@@ -14,7 +14,7 @@ from repro.datamodel.relation import Relation
 from repro.datamodel.schema import Schema
 from repro.errors import DuplicateRelationError, StorageError, UnknownRelationError
 from repro.query.subst import QueryDef, QueryRegistry
-from repro.storage.snapshot import DatabaseState, IndexedItem
+from repro.storage.snapshot import DatabaseState, IndexedItem, supersede
 
 
 class Database:
@@ -82,6 +82,10 @@ class Database:
         return self._state
 
     def _set_state(self, state: DatabaseState) -> None:
+        """Install ``state`` as the current one — the one place a version
+        of the database is superseded (a commit past its durable point, a
+        replayed WAL record): only the present stays materialised."""
+        supersede(self._state, state)
         self._state = state
 
     def apply_changes(self, changes: Mapping[str, Any]) -> DatabaseState:
@@ -89,5 +93,5 @@ class Database:
         for name in changes:
             if not self._state.has_item(name):
                 raise StorageError(f"unknown database item {name!r}")
-        self._state = self._state.with_updates(changes)
+        self._set_state(self._state.with_updates(changes))
         return self._state

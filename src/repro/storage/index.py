@@ -1,9 +1,13 @@
 """Hash indexes over immutable relations.
 
-Relations are immutable, so an index is built once per (relation version,
-attribute tuple) and cached on the relation object.  The query evaluator
-uses indexes for equality selections (``R.a = const``) and joins; auxiliary
-structures in the temporal component get them for free.
+Relations are immutable, so an index is built once per (attribute tuple)
+on the newest version of a relation and cached on the relation object; a
+superseded version caches nothing (its reader gets a transient flat copy
+from :meth:`DatabaseState.relation
+<repro.storage.snapshot.DatabaseState.relation>`, and an index built on
+that dies with it).  The query evaluator uses indexes for equality
+selections (``R.a = const``) and joins; auxiliary structures in the
+temporal component get them for free.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class HashIndex:
 
 
 def index_for(relation: Relation, attrs: Sequence[str]) -> HashIndex:
-    """The (cached) hash index of ``relation`` on ``attrs``."""
+    """The hash index of ``relation`` on ``attrs``: cached on the newest
+    version of a relation, built afresh for a superseded one."""
+    if relation._succ is not None:
+        return HashIndex(relation, tuple(attrs))
     cache = relation._index_cache
     if cache is None:
         cache = {}

@@ -37,7 +37,7 @@ from repro.storage.persist import (
     encode_state,
     state_events,
 )
-from repro.storage.snapshot import DatabaseState
+from repro.storage.snapshot import DatabaseState, supersede
 
 PathLike = Union[str, Path]
 
@@ -193,7 +193,8 @@ class ChangeLog:
         db = apply_state(DatabaseState({}), self.records[0])
         history = SystemHistory(validate_transaction_time=False)
         for record in self.records[1:]:
-            db = apply_state(db, record)
+            prev, db = db, apply_state(db, record)
+            supersede(prev, db)
             events, delta = state_events(record)
             history.append(SystemState(db, events, record["ts"], delta=delta))
         return history

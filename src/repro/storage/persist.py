@@ -150,14 +150,20 @@ def encode_change(prev: Any, value: Any) -> dict:
     are deterministic; the full image is written instead when the delta
     would be the larger of the two (the image holds every row plus a
     schema entry per attribute), and when a row to delete is not equal
-    to itself (a NaN) — the reader finds deleted rows by value."""
+    to itself (a NaN) — the reader finds deleted rows by value.  When
+    ``prev`` is held as a reverse delta off ``value`` (the hot history,
+    see :meth:`Relation.supersede`) that delta is read, not recomputed
+    from two materialised tables."""
     if (
         isinstance(prev, Relation)
         and isinstance(value, Relation)
         and prev.schema == value.schema
     ):
-        removed = prev.rows - value.rows
-        added = value.rows - prev.rows
+        delta = prev.delta_onto(value)
+        if delta is None:
+            before, after = prev.rows, value.rows
+            delta = before - after, after - before
+        removed, added = delta
         if len(removed) + len(added) <= len(value) + len(
             value.schema
         ) and all(v == v for row in removed for v in row.values):

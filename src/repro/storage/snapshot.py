@@ -3,9 +3,10 @@
 A :class:`DatabaseState` maps *database items* (the paper's Section 2:
 "names of relations or object classes", plus scalar items such as ``time``
 and the items introduced by aggregate rewriting) to values.  States are
-immutable; an update produces a new state sharing all unchanged items, so a
-history of n states over a database with k items costs O(n * changed), not
-O(n * k * |relation|).
+immutable; an update produces a new state sharing all unchanged items, and
+the relation versions the newest state replaced are kept as reverse
+row-deltas (:func:`supersede`), so a history of n states over a database
+with k items costs O(n * changed rows), not O(n * k * |relation|).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ class IndexedItem:
         return self._entries.get(index, self._default)
 
     def with_entry(self, index: tuple, value: Any) -> "IndexedItem":
-        entries = dict(self._entries)
-        entries[index] = value
-        return IndexedItem(entries, self._default)
+        out = IndexedItem.__new__(IndexedItem)
+        out._entries = {**self._entries, index: value}
+        out._default = self._default
+        return out
 
     def indices(self) -> list[tuple]:
         return sorted(self._entries, key=repr)
@@ -71,10 +73,14 @@ class DatabaseState:
     # -- StateView protocol --------------------------------------------------
 
     def relation(self, name: str) -> Relation:
+        """The relation ``name`` for a reader: the stored version while it
+        is the newest, a transient flat copy of a superseded one (see
+        :meth:`Relation.flat` — a query over the past indexes the copy,
+        not the history)."""
         value = self._items.get(name)
         if not isinstance(value, Relation):
             raise UnknownRelationError(f"no relation named {name!r}")
-        return value
+        return value if value._succ is None else value.flat()
 
     def item(self, name: str, index: tuple = ()) -> Any:
         if name not in self._items:
@@ -120,9 +126,10 @@ class DatabaseState:
         """New state with ``changes`` applied (unchanged items shared)."""
         if not changes:
             return self
-        items = dict(self._items)
-        items.update(changes)
-        return DatabaseState(items, self.version + 1)
+        out = DatabaseState.__new__(DatabaseState)
+        out._items = {**self._items, **changes}
+        out.version = self.version + 1
+        return out
 
     def with_indexed_update(self, name: str, index: tuple, value: Any) -> "DatabaseState":
         current = self._items.get(name)
@@ -141,3 +148,16 @@ class DatabaseState:
             if self._items.get(name) != previous._items.get(name):
                 out.append(name)
         return sorted(out)
+
+
+def supersede(old: DatabaseState, new: DatabaseState) -> None:
+    """``new`` took ``old``'s place as the newest state of a history:
+    every relation version it replaced becomes a reverse row-delta off its
+    replacement (:meth:`Relation.supersede`).  Call it only once ``new``
+    is decided — a vetoed candidate must not demote the live version."""
+    items = new._items
+    for name, was in old._items.items():
+        if isinstance(was, Relation):
+            now = items.get(name)
+            if now is not was and isinstance(now, Relation):
+                was.supersede(now)

@@ -206,3 +206,96 @@ def replay_transactions(engine, manager, bodies) -> None:
         except TransactionAborted:
             pass
     manager.flush()
+
+
+# -- the version-representation oracle ----------------------------------------
+#
+# Only the newest version of a relation owns a table; a superseded one is
+# a reverse row-delta off its successor (``Relation.supersede``).  The
+# representation must be invisible: whatever a version reads as later, it
+# is the row set it had when it was committed.
+
+
+class VersionRecorder:
+    """Keeps, for every state an engine appends, a flat copy of the named
+    relations — taken on the bus, while the version is still the newest
+    one and its table is its own."""
+
+    def __init__(self, engine, names: Sequence[str] = ("ORDERS",)):
+        self.engine = engine
+        self.names = tuple(names)
+        #: state index -> {relation name: flat copy}
+        self.copies: dict[int, dict[str, Relation]] = {}
+        engine.bus.subscribe(self._on_state)
+
+    def _on_state(self, state) -> None:
+        copies = {}
+        for name in self.names:
+            version = state.db.raw_item(name)
+            assert not version.superseded, "a state was published after its successor"
+            copies[name] = Relation(version.schema, frozenset(list(version.rows)))
+        self.copies[state.index] = copies
+
+
+def assert_reads_as(version: Relation, oracle: Relation) -> None:
+    """``version`` — flat, superseded or a transient copy — is observably
+    the flat ``oracle``: rows, size, membership, order, hash, equality and
+    an index lookup per key."""
+    from repro.storage.index import index_for
+
+    assert version.rows == oracle.rows
+    assert len(version) == len(oracle)
+    assert version.is_empty() == oracle.is_empty()
+    assert set(version) == set(oracle)
+    assert version == oracle and oracle == version
+    assert hash(version) == hash(oracle)
+    assert version.sorted_rows() == oracle.sorted_rows()
+    for row in oracle:
+        assert row in version and row.values in version
+    assert (-1, -1.0) not in version
+    key = oracle.schema.names[:1]
+    index, want = index_for(version, key), index_for(oracle, key)
+    assert index.keys() == want.keys()
+    for (value,) in want.keys() + [(-1,)]:
+        assert set(index.lookup(value)) == set(want.lookup(value))
+
+
+def assert_versions_invisible(engine, recorder: VersionRecorder) -> None:
+    """Every state of ``engine``'s history, through ``state.relation``,
+    ``state.db.raw_item`` and ``as_of``, reads as the flat copy
+    ``recorder`` took when that state was committed (by ``engine`` or by
+    an uninterrupted twin).  Untouched rows are the same objects along
+    the chain: a ``Row`` no transaction touched from a state to the
+    newest one is read back as the very object that was committed (when
+    ``recorder`` watched this engine; between consecutive versions rebuilt
+    from row deltas, every row they have in common is one object).  Only
+    the newest version is flat, and no superseded one holds a cache — not
+    even after being read through every path above."""
+    states = list(engine.history)
+    assert states, "nothing to check"
+    hot = states[getattr(engine.history, "spilled_states", 0):]
+    ids = lambda rows: {id(r) for r in rows}
+    for name in recorder.names:
+        assert not engine.state.raw_item(name).superseded
+        for state in states:
+            oracle = recorder.copies[state.index][name]
+            raw = state.db.raw_item(name)
+            assert_reads_as(raw, oracle)
+            assert_reads_as(state.relation(name), oracle)
+            assert_reads_as(engine.as_of(state.timestamp).relation(name), oracle)
+            if raw.superseded:
+                assert state.relation(name) is not raw, "a past read is transient"
+        if recorder.engine is engine:
+            untouched = None
+            for state in reversed(hot):
+                committed = ids(recorder.copies[state.index][name])
+                untouched = committed if untouched is None else untouched & committed
+                assert untouched <= ids(state.db.raw_item(name).rows)
+        else:
+            for older, newer in zip(hot, hot[1:]):
+                a, b = older.db.raw_item(name).rows, newer.db.raw_item(name).rows
+                assert len(ids(a) & ids(b)) == len(a & b)
+        for state in states:
+            raw = state.db.raw_item(name)
+            if raw.superseded:
+                assert raw._index_cache is None and raw._sorted_cache is None

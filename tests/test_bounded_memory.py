@@ -18,10 +18,11 @@ Two classes hold the same promise for the *process*: the
 constraint-interning tables retain only the nodes the stored state still
 references (not every ``F_{g,i}`` that ever passed through a step), and a
 warmed-up step leaves nothing behind that only the cycle collector could
-free.  The last one holds it for the archival past: a deep-past read
-costs the deltas it replays, not a copy of the database per faulted
-state, and the memory governor's history account tracks the RAM the hot
-window really holds.
+free.  The last two hold it for the past: a deep-past read costs the
+deltas it replays, not a copy of the database per faulted state, the
+memory governor's history account tracks the RAM the hot window really
+holds, and a hot state costs the rows it changed — only the newest
+version of a relation owns a table and its indexes.
 """
 
 import gc
@@ -399,6 +400,57 @@ class TestCycleFreeStep:
         assert manager.firings
 
 
+def deep_engine(tmp_path, rows=400):
+    """``history_deep``'s shape: a price item and a ``rows``-row relation
+    under a tiered history whose budget nothing reaches — every state
+    stays hot until told."""
+    adb = ActiveDatabase(metrics=True)
+    adb.declare_item("price", 0)
+    adb.create_relation(
+        "ORDERS",
+        Schema.of(oid=INT, cust=INT, amount=FLOAT),
+        [(i, i % 50, float(i % 97)) for i in range(rows)],
+    )
+    attach_tiered_history(
+        adb, tmp_path / "segments", budget_bytes=1 << 40, fsync=False
+    )
+    return adb
+
+
+def deep_txn(adb, i, rows=400):
+    """Transaction ``i`` of that shape: the price every time, one row of
+    the relation every fifth."""
+
+    def work(txn):
+        txn.set_item("price", i % 90)
+        if i % 5 == 0:
+            txn.update(
+                "ORDERS",
+                lambda r: r["oid"] == i % rows,
+                lambda r: {"amount": float(i)},
+            )
+
+    adb.execute(work)
+
+
+def retained_bytes(step, warmup, steps):
+    """``tracemalloc`` bytes still allocated after ``step(i)`` for ``i``
+    in ``range(warmup, steps)``, beyond what ``range(warmup)`` left."""
+    for i in range(warmup):
+        step(i)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(warmup, steps):
+            step(i)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
 class TestArchivalPastCostsItsDeltas:
     """ROADMAP item 9(c), both halves, on ``history_deep``'s shape: a
     400-row relation with one row updated every fifth transaction."""
@@ -407,30 +459,10 @@ class TestArchivalPastCostsItsDeltas:
     STATES = 600
 
     def _engine(self, tmp_path):
-        adb = ActiveDatabase(metrics=True)
-        adb.declare_item("price", 0)
-        adb.create_relation(
-            "ORDERS",
-            Schema.of(oid=INT, cust=INT, amount=FLOAT),
-            [(i, i % 50, float(i % 97)) for i in range(self.ROWS)],
-        )
-        # A budget nothing reaches: every state stays hot until told.
-        attach_tiered_history(
-            adb, tmp_path / "segments", budget_bytes=1 << 40, fsync=False
-        )
-        return adb
+        return deep_engine(tmp_path, self.ROWS)
 
     def _txn(self, adb, i):
-        def work(txn):
-            txn.set_item("price", i % 90)
-            if i % 5 == 0:
-                txn.update(
-                    "ORDERS",
-                    lambda r: r["oid"] == i % self.ROWS,
-                    lambda r: {"amount": float(i)},
-                )
-
-        adb.execute(work)
+        deep_txn(adb, i, self.ROWS)
 
     def test_fault_materialises_one_state(self, tmp_path):
         adb = self._engine(tmp_path)
@@ -490,3 +522,67 @@ class TestArchivalPastCostsItsDeltas:
         added_by_kept = estimates[-1] - estimates[-101]
         assert history.estimated_hot_bytes() == added_by_kept
         assert adb.metrics.gauge("history_hot_bytes").value == added_by_kept
+
+
+class TestHotPastCostsItsDeltas:
+    """ROADMAP item 3(a): only the newest version of a relation owns a
+    table (and its indexes); a superseded one is a reverse row-delta off
+    its successor, so a *hot* state costs what changed too."""
+
+    STATES = 600
+    WARMUP = 100
+
+    def _per_state(self, tmp_path, rows):
+        adb = deep_engine(tmp_path / str(rows), rows)
+        retained = retained_bytes(
+            lambda i: deep_txn(adb, i, rows), self.WARMUP, self.STATES
+        )
+        assert adb.history.hot_states == self.STATES
+        return retained / (self.STATES - self.WARMUP)
+
+    def test_a_hot_state_costs_its_delta(self, tmp_path):
+        # ~1.6 kB; 7.6 kB while every fifth state owned a 400-row table
+        assert self._per_state(tmp_path, 400) < 2_500
+
+    def test_flat_in_the_cardinality(self, tmp_path):
+        small, large = (self._per_state(tmp_path, n) for n in (400, 1600))
+        assert large < 1.5 * small, (small, large)
+
+    def test_served_past_holds_no_index(self):
+        # The served shape: a one-row STOCK, statements compiled as the
+        # server does, group commit.  Under drain() the rule step reads a
+        # version later commits already superseded; an index memoized on
+        # it would stay for as long as the history does.
+        from repro.storage.index import HashIndex
+
+        profile, engine = StockProfile(), ActiveDatabase()
+        profile.catalog(engine)
+        manager = profile.rules(engine)
+        prices = [p for p in served_prices(220) if p > 0][:200]
+        gc.collect()
+        indexes_before = sum(
+            isinstance(o, HashIndex) for o in gc.get_objects()
+        )
+        for start in range(0, len(prices), 8):
+            for price in prices[start : start + 8]:
+                stmt = ["update", "STOCK", {"name": "IBM"}, {"price": price}]
+                engine.enqueue(compile_statements([stmt]))
+            engine.drain()
+        manager.flush()
+        assert manager.firings
+        versions = {
+            id(s.db.raw_item("STOCK")): s.db.raw_item("STOCK")
+            for s in engine.history
+        }
+        assert len(versions) >= len(prices)
+        assert [v for v in versions.values() if not v.superseded] == [
+            engine.state.raw_item("STOCK")
+        ]
+        assert all(
+            v._index_cache is None
+            for v in versions.values()
+            if v.superseded
+        )
+        gc.collect()
+        indexes = sum(isinstance(o, HashIndex) for o in gc.get_objects())
+        assert indexes - indexes_before <= 4, indexes - indexes_before

@@ -45,7 +45,14 @@ from repro.ptl.compiled import set_ptl_compile
 from repro.rules.actions import Action, RecordingAction
 from repro.rules.rule import CouplingMode, FireMode
 
-from tests.helpers import ROW_OPS, drive, make_orders, op_body
+from tests.helpers import (
+    ROW_OPS,
+    VersionRecorder,
+    assert_versions_invisible,
+    drive,
+    make_orders,
+    op_body,
+)
 
 
 @contextmanager
@@ -135,6 +142,50 @@ class TestCrashMatrix:
             for payload in record["changes"].values()
         ]
         assert "rows" in kinds and "relation" not in kinds
+
+    @pytest.mark.parametrize("checkpoint_at", [None, 4])
+    @pytest.mark.parametrize(
+        "point", [PRE_COMMIT, POST_COMMIT, MID_WAL]
+    )
+    def test_recovered_versions_read_as_committed(
+        self, tmp_path, checkpoint_at, point
+    ):
+        """The crash row of ``tests/test_relation_versions.py``: WAL-tail
+        replay supersedes versions as commits do, and every replayed
+        state — then every state of the finished run — reads as the flat
+        copy an uninterrupted twin took at commit time."""
+        oracle = make_engine()
+        setup_rules(oracle)
+        recorder = VersionRecorder(oracle)
+        drive(oracle, ROW_OPS)
+
+        injector = FaultInjector()
+        rm = RecoveryManager(tmp_path, injector=injector)
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm.start(adb)
+        injector.arm(point, after=5)
+        with pytest.raises(SimulatedCrash):
+            for done, op in enumerate(ROW_OPS, 1):
+                drive(adb, [op])
+                if done == checkpoint_at:
+                    manager.flush()
+                    rm.checkpoint(adb, manager)
+        rm.stop()
+
+        report = RecoveryManager(tmp_path).recover(setup=setup_rules)
+        assert report.replayed_steps == report.engine.state_count - (
+            checkpoint_at or 0
+        )
+        assert_versions_invisible(report.engine, recorder)
+        replayed_past = [
+            s.db.raw_item("ORDERS").superseded for s in report.engine.history
+        ]
+        if checkpoint_at is None:
+            assert replayed_past[0] and not replayed_past[-1]
+        drive(report.engine, ROW_OPS[report.engine.state_count :])
+        assert report.engine.state_count == oracle.state_count
+        assert_versions_invisible(report.engine, recorder)
 
     def _crash_recover(self, tmp_path, shared, checkpoint_at, point, ops):
         oracle_adb, oracle_m = oracle_run(ops)
