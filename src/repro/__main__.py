@@ -195,7 +195,6 @@ def run_serve(
     max_batch: int = 64,
     max_resident: int = 64,
     idle_seconds=None,
-    tier_budget=None,
 ) -> int:
     """Run the multi-tenant serving layer until interrupted."""
     import asyncio
@@ -213,7 +212,6 @@ def run_serve(
             max_batch=max_batch,
             max_resident=max_resident,
             idle_seconds=idle_seconds,
-            tier_budget=tier_budget,
             tenant_metrics=True,
         )
         await server.start()
@@ -306,11 +304,6 @@ def main(argv=None) -> int:
         "(checkpoint-then-close)",
     )
     parser.add_argument(
-        "--tier-budget", type=int, default=None, metavar="BYTES",
-        help="serve: per-tenant history memory budget; cold states "
-        "spill to the tenant's segments/ directory",
-    )
-    parser.add_argument(
         "--tolerate-drift", action="store_true",
         help="recover: restore even if the registered rule set drifted "
         "from the checkpoint (the delta is reported)",
@@ -331,7 +324,6 @@ def main(argv=None) -> int:
             max_queue=args.max_queue, max_batch=args.batch
             if args.batch > 1 else 64,
             max_resident=args.max_resident, idle_seconds=args.idle_seconds,
-            tier_budget=args.tier_budget,
         )
     if args.command == "monitor" or args.metrics_json is not None:
         return run_monitor(

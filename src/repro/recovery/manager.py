@@ -116,8 +116,14 @@ class RecoveryManager:
         setup: Optional[Callable] = None,
         metrics=None,
         strict_rules: bool = True,
+        keep_history: bool = True,
     ) -> RecoveryReport:
         """Rebuild the system from the durable directory.
+
+        ``metrics`` and ``keep_history`` pass through to the rebuilt
+        :class:`~repro.engine.ActiveDatabase`.  Without a history the WAL
+        tail still re-steps the evaluators, and a checkpoint that carries
+        tiers still restores them as the engine's history.
 
         ``setup(engine)`` re-registers rules against the restored engine
         — the catalog and named queries are already in place when it runs
@@ -144,7 +150,9 @@ class RecoveryManager:
 
         if checkpoint is not None:
             engine = ActiveDatabase(
-                start_time=checkpoint["clock"], metrics=metrics
+                start_time=checkpoint["clock"],
+                keep_history=keep_history,
+                metrics=metrics,
             )
             self._restore_items(engine, checkpoint["items"])
             self._restore_queries(engine, checkpoint["queries"])
@@ -169,7 +177,7 @@ class RecoveryManager:
                 ts, index = checkpoint["last"]
                 engine._last_state = self._stub_state(engine, ts, index)
         elif base is not None:
-            engine = ActiveDatabase(metrics=metrics)
+            engine = ActiveDatabase(keep_history=keep_history, metrics=metrics)
             self._restore_items(engine, base["items"])
             self._restore_queries(engine, base.get("queries", {}))
         else:

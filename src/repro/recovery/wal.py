@@ -350,13 +350,16 @@ def load_wal(
             good_end = end
         offset = end
     # Drop a trailing group that never got its commit marker: all-or-
-    # nothing, never a prefix.
-    ended = {r["g"] for r in records if r.get("end") and "g" in r}
-    cut = None
+    # nothing, never a prefix.  Group ids restart with every attach, so
+    # only a marker *after* a group's records closes it.
+    open_groups: dict = {}  # group id -> index of its first record
     for i, record in enumerate(records):
-        if "g" in record and not record.get("end") and record["g"] not in ended:
-            cut = i
-            break
+        if "g" in record:
+            if record.get("end"):
+                open_groups.pop(record["g"], None)
+            else:
+                open_groups.setdefault(record["g"], i)
+    cut = min(open_groups.values(), default=None)
     if cut is not None:
         good_end = starts[cut]
         records = records[:cut]

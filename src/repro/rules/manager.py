@@ -1090,6 +1090,15 @@ class RuleManager:
     def firings(self) -> list[FiringRecord]:
         return list(self._firings)
 
+    @property
+    def firing_count(self) -> int:
+        return len(self._firings)
+
+    def firings_since(self, start: int) -> list[FiringRecord]:
+        """The firing log from position ``start`` on, without copying
+        what precedes it."""
+        return self._firings[start:]
+
     def firings_of(self, rule: str) -> list[FiringRecord]:
         return [f for f in self._firings if f.rule == rule]
 

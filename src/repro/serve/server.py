@@ -341,7 +341,7 @@ class Session:
                     "state_count": tenant.engine.state_count,
                     "clock": tenant.engine.now,
                     "queue_depth": tenant.engine.queue_depth,
-                    "firings": len(tenant.manager.firings),
+                    "firings": tenant.manager.firing_count,
                     "rules": sorted(tenant.manager.rule_names()),
                 }
         await self.send(ok_reply(frame_id, **fields))
@@ -382,7 +382,6 @@ class ReproServer:
         clock=time.monotonic,
         injector=None,
         fsync: bool = True,
-        tier_budget: Optional[int] = None,
         tenant_metrics: bool = False,
     ):
         self.metrics = as_registry(metrics)
@@ -400,7 +399,6 @@ class ReproServer:
             clock=clock,
             injector=injector,
             fsync=fsync,
-            tier_budget=tier_budget,
             tenant_metrics=tenant_metrics,
         )
         self.admission = AdmissionController(

@@ -6,7 +6,6 @@ its rule manager, living under a namespaced durable directory::
     <root>/tenants/<tenant-id>/
         wal.jsonl          write-ahead log (states durable before actions)
         checkpoint.json    atomic engine + manager checkpoint
-        segments/          tiered-history spill segments (optional)
 
 A :class:`TenantProfile` describes how a tenant database is laid out —
 its catalog (relations, items, named queries) and its rule base.  The
@@ -14,6 +13,11 @@ registry opens tenants lazily on first use: a fresh directory gets the
 profile's catalog and rules on an empty engine; a directory with durable
 state is rebuilt through :class:`~repro.recovery.manager.RecoveryManager`
 (checkpoint + WAL-tail replay), then the WAL re-attaches and appends.
+
+A tenant engine keeps no history (``keep_history=False``): the rule
+manager's state formulas summarise the past (``F_{g,i}`` is computed from
+``F_{g,i-1}`` and the new state only), no served operation reads an
+earlier state, and the durable past is the WAL.
 
 Idle tenants are evicted *checkpoint-then-close*: flush the manager,
 write an atomic checkpoint, detach the WAL and the temporal component,
@@ -66,6 +70,10 @@ class TenantProfile:
         raise NotImplementedError
 
 
+def _no_action(ctx) -> None:
+    pass
+
+
 class StockProfile(TenantProfile):
     """The paper's stock-monitor workload as a tenant layout: one STOCK
     relation, the ``price`` query, the SHARP-INCREASE trigger, and a
@@ -86,13 +94,12 @@ class StockProfile(TenantProfile):
         )
 
     def rules(self, engine, trace=None):
-        from repro.rules.actions import RecordingAction
         from repro.workloads import SHARP_INCREASE
 
         manager = engine.rule_manager(trace=trace)
-        manager.add_trigger(
-            "sharp_increase", SHARP_INCREASE, RecordingAction()
-        )
+        # Firings reach clients as notifications; the action itself
+        # keeps nothing.
+        manager.add_trigger("sharp_increase", SHARP_INCREASE, _no_action)
         manager.add_integrity_constraint(
             "positive_price", "price(IBM) >= 0"
         )
@@ -131,7 +138,7 @@ class Tenant:
         #: Watermarks for the notification pump — start past anything a
         #: recovery replay reproduced, so reopening a tenant never
         #: re-notifies its durable history.
-        self.notified_firings = len(manager.firings)
+        self.notified_firings = manager.firing_count
         self.notified_trace_seq = trace.emitted
         #: Veto reasons per txn id, filled by the notification pump and
         #: read by transaction replies (bounded: pruned as replies go out).
@@ -145,19 +152,15 @@ class Tenant:
         self.last_active = now
 
     def new_firings(self):
-        firings = self.manager.firings
-        fresh = firings[self.notified_firings:]
-        self.notified_firings = len(firings)
+        """Firings recorded since the last pump (O(new), not O(log))."""
+        fresh = self.manager.firings_since(self.notified_firings)
+        self.notified_firings += len(fresh)
         return fresh
 
     def new_vetoes(self):
         """Fresh ``ic_violation`` trace events since the last pump; also
         updates :attr:`veto_rules` for transaction replies."""
-        fresh = [
-            e
-            for e in self.trace.events("ic_violation")
-            if e.seq >= self.notified_trace_seq
-        ]
+        fresh = self.trace.since(self.notified_trace_seq, "ic_violation")
         self.notified_trace_seq = self.trace.emitted
         for event in fresh:
             txn_id = event.data.get("txn")
@@ -184,18 +187,13 @@ class TenantRegistry:
         clock: Callable[[], float] = time.monotonic,
         injector=None,
         fsync: bool = True,
-        tier_budget: Optional[int] = None,
         tenant_metrics: bool = False,
     ):
         """``metrics`` is the *server* registry: per-tenant rollups land
         there under ``tenant=<id>`` labels.  ``tenant_metrics=True``
         additionally gives each tenant engine its own isolated
         :class:`~repro.obs.metrics.MetricsRegistry` (engine metric names
-        are unlabelled, so tenants must not share one).
-
-        ``tier_budget`` (bytes) puts each tenant's history behind the
-        memory governor, spilling cold states to the tenant's
-        ``segments/`` directory (see :mod:`repro.history.spill`)."""
+        are unlabelled, so tenants must not share one)."""
         self.root = Path(root)
         self.profile = profile
         self.metrics = as_registry(metrics)
@@ -204,7 +202,6 @@ class TenantRegistry:
         self.clock = clock
         self.injector = injector
         self.fsync = fsync
-        self.tier_budget = tier_budget
         self.tenant_metrics = tenant_metrics
         self._resident: dict[str, Tenant] = {}
         self._open_locks: dict[str, asyncio.Lock] = {}
@@ -279,6 +276,7 @@ class TenantRegistry:
             report = recovery.recover(
                 setup=lambda eng: self.profile.rules(eng, trace=trace),
                 metrics=engine_metrics,
+                keep_history=False,
             )
             engine, manager = report.engine, report.manager
             if manager is None:
@@ -290,21 +288,9 @@ class TenantRegistry:
                 "serve_tenant_recoveries_total", tenant=tenant_id
             ).inc()
         else:
-            engine = ActiveDatabase(metrics=engine_metrics)
+            engine = ActiveDatabase(keep_history=False, metrics=engine_metrics)
             self.profile.catalog(engine)
             manager = self.profile.rules(engine, trace=trace)
-        if self.tier_budget is not None and getattr(
-            engine, "tiered", None
-        ) is None:
-            from repro.history.spill import attach_tiered_history
-
-            attach_tiered_history(
-                engine,
-                directory / "segments",
-                budget_bytes=self.tier_budget,
-                manager=manager,
-                injector=self.injector,
-            )
         recovery.start(engine)
         self.metrics.counter(
             "serve_tenant_opens_total", tenant=tenant_id

@@ -120,9 +120,15 @@ def op_body(op):
     """The transaction body of one write op: ``("set", value)`` writes
     the ``price`` item; ``("ins", oid, amount)`` / ``("upd", oid,
     amount)`` / ``("del", oid)`` insert, update and delete ``ORDERS``
-    rows (an op that matches no row still commits a state); ``("ev",
-    name)`` posts a user event from inside the transaction."""
+    rows (an op that matches no row still commits a state); ``("stmts",
+    statements)`` is a served transaction (:mod:`repro.serve.protocol`
+    statements); ``("ev", name)`` posts a user event from inside the
+    transaction."""
     kind = op[0]
+    if kind == "stmts":
+        from repro.serve import compile_statements
+
+        return compile_statements(op[1])
     if kind == "set":
         return lambda t: t.set_item("price", op[1])
     if kind == "ins":
@@ -140,9 +146,18 @@ def op_body(op):
 
 def apply_op(adb, op) -> None:
     """Apply one op to an engine: a posted user event for ``("ev",
-    name)``, one committed :func:`op_body` transaction for the rest."""
+    name)``, one committed :func:`op_body` transaction for the rest.  A
+    served transaction an integrity constraint vetoes stays aborted and
+    the stream carries on, as in the serving drain."""
     if op[0] == "ev":
         adb.post_event(user_event(str(op[1])))
+    elif op[0] == "stmts":
+        from repro.errors import TransactionAborted
+
+        try:
+            adb.execute(op_body(op))
+        except TransactionAborted:
+            pass
     else:
         adb.execute(op_body(op))
 
@@ -206,6 +221,46 @@ def replay_transactions(engine, manager, bodies) -> None:
         except TransactionAborted:
             pass
     manager.flush()
+
+
+def update_stmt(price) -> list:
+    """A served transaction's statements: set IBM's ``STOCK`` price."""
+    return [["update", "STOCK", {"name": "IBM"}, {"price": price}]]
+
+
+def stock_twin():
+    """A standalone engine + manager laid out like a served stock tenant
+    (``twin_replay``'s ``build`` for ``("stmts", ...)`` streams)."""
+    from repro.engine import ActiveDatabase
+    from repro.serve import StockProfile
+
+    profile, engine = StockProfile(), ActiveDatabase()
+    profile.catalog(engine)
+    return engine, profile.rules(engine)
+
+
+def serve_batch(server, tenant, ops) -> list:
+    """One served drain, without a socket: enqueue the ``("stmts", ...)``
+    ops on ``tenant``, drain them in one group commit, run ``server``'s
+    notification pump and take each transaction's veto reasons as its
+    reply would.  Returns the finished transactions."""
+    for op in ops:
+        tenant.engine.enqueue(op_body(op))
+    done = tenant.engine.drain()
+    server.pump(tenant)
+    for txn in done:
+        tenant.take_veto_rules(txn.id)
+    return done
+
+
+def served_sig(engine, manager) -> tuple:
+    """What the served isolation oracle compares: firings with bindings,
+    state count and the ``STOCK`` rows."""
+    return (
+        firing_sig(manager),
+        engine.state_count,
+        store_sig(engine, ["STOCK"]),
+    )
 
 
 # -- the version-representation oracle ----------------------------------------

@@ -42,7 +42,7 @@ from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl.constraints import intern_stats
 from repro.query.evaluator import eval_query
 from repro.query.parser import parse_query
-from repro.serve import StockProfile, compile_statements
+from repro.serve import ReproServer, StockProfile, compile_statements
 from repro.workloads import (
     SHARP_INCREASE,
     apply_tick,
@@ -52,7 +52,7 @@ from repro.workloads import (
     trace_history,
 )
 from repro.workloads.generator import random_bounded_pair
-from tests.helpers import replay_transactions
+from tests.helpers import replay_transactions, serve_batch, update_stmt
 
 #: History length for the growth check; the first/second halves are
 #: compared below.
@@ -384,8 +384,9 @@ class TestCycleFreeStep:
         assert manager.firings
 
     def test_served_stock_profile(self):
-        # The served tenant layout: catalog + rules of the stock profile.
-        profile, engine = StockProfile(), ActiveDatabase()
+        # The served tenant layout: catalog + rules of the stock profile
+        # on a history-less engine.
+        profile, engine = StockProfile(), ActiveDatabase(keep_history=False)
         profile.catalog(engine)
         manager = profile.rules(engine)
         prices = list(served_prices(self.WARMUP + self.WINDOW))
@@ -549,10 +550,12 @@ class TestHotPastCostsItsDeltas:
         assert large < 1.5 * small, (small, large)
 
     def test_served_past_holds_no_index(self):
-        # The served shape: a one-row STOCK, statements compiled as the
-        # server does, group commit.  Under drain() the rule step reads a
-        # version later commits already superseded; an index memoized on
-        # it would stay for as long as the history does.
+        # The served shape on an engine that keeps its history (a served
+        # tenant keeps none, see TestServedTenantHoldsThePresent): a
+        # one-row STOCK, statements compiled as the server does, group
+        # commit.  Under drain() the rule step reads a version later
+        # commits already superseded; an index memoized on it would stay
+        # for as long as the history does.
         from repro.storage.index import HashIndex
 
         profile, engine = StockProfile(), ActiveDatabase()
@@ -586,3 +589,37 @@ class TestHotPastCostsItsDeltas:
         gc.collect()
         indexes = sum(isinstance(o, HashIndex) for o in gc.get_objects())
         assert indexes - indexes_before <= 4, indexes - indexes_before
+
+
+class TestServedTenantHoldsThePresent:
+    """A served tenant holds its current state, the plan's state formulas,
+    the firing log and executed records (unbounded by design, ROADMAP
+    3(b)) and a bounded trace — nothing per past state: its engine keeps
+    no history."""
+
+    BATCH = 4
+    WARMUP = 25
+    BATCHES = 225
+
+    async def test_bytes_retained_per_served_txn(self, tmp_path):
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        ops = [
+            ("stmts", update_stmt(p))
+            for p in served_prices(self.BATCH * self.BATCHES)
+        ]
+
+        def step(i):
+            batch = ops[i * self.BATCH : (i + 1) * self.BATCH]
+            serve_batch(server, tenant, batch)
+
+        retained = retained_bytes(step, self.WARMUP, self.BATCHES)
+        per_txn = retained / (self.BATCH * (self.BATCHES - self.WARMUP))
+        # ~640 B (firings, executed records, trace events); ~2 230 while
+        # every tenant kept its history
+        assert per_txn < 1_000, per_txn
+        assert tenant.engine.history is None
+        assert tenant.manager.firing_count
+        await server.registry.close_all()

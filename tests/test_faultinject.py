@@ -28,6 +28,7 @@ from repro.engine import ActiveDatabase
 from repro.errors import ActionError, RecoveryError, StorageDegradedError
 from repro.events import user_event
 from repro.recovery import (
+    CRASH_POINTS,
     DISK_FULL,
     MID_CHECKPOINT,
     MID_GROUP_COMMIT,
@@ -44,6 +45,7 @@ from repro.recovery import (
 from repro.ptl.compiled import set_ptl_compile
 from repro.rules.actions import Action, RecordingAction
 from repro.rules.rule import CouplingMode, FireMode
+from repro.serve import ReproServer, StockProfile
 
 from tests.helpers import (
     ROW_OPS,
@@ -52,6 +54,11 @@ from tests.helpers import (
     drive,
     make_orders,
     op_body,
+    serve_batch,
+    served_sig,
+    stock_twin,
+    twin_replay,
+    update_stmt,
 )
 
 
@@ -376,6 +383,76 @@ class TestCrashMatrix:
         )
 
 
+class TestServedCrashMatrix:
+    """A served tenant crashed at every fault-injection point reopens
+    history-less and finishes its stream exactly like an uninterrupted
+    twin.  The stream is served in group commits of two, with an
+    eviction (checkpoint) after the fourth transaction; a crash loses
+    at most the group in flight, which the client sends again."""
+
+    OPS = [
+        ("stmts", update_stmt(p))
+        for p in (20.0, 45.0, 60.0, 100.0, 210.0, -5.0,
+                  30.0, 70.0, 150.0, 40.0, 90.0, 200.0)
+    ]
+    BATCH = 2
+    EVICT_AT = 4
+    #: Passes survived before the crash: the 7th state record (the WAL's
+    #: base record counts as a line for the torn write), the 4th group
+    #: marker, the eviction's checkpoint.
+    AFTER = {MID_WAL: 7, MID_GROUP_COMMIT: 3, MID_CHECKPOINT: 0}
+    #: What each crash leaves durable: the first three groups; plus the
+    #: post-commit record (durable by then, and the unwinding batch still
+    #: writes its group marker); the four states the failed checkpoint
+    #: was to cover; everything, where nothing crashes.
+    SURVIVED = {
+        POST_COMMIT: 7,
+        MID_CHECKPOINT: 4,
+        MID_SEGMENT_WRITE: 12,
+        TORN_SEGMENT: 12,
+    }
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    async def test_crash_reopen_matches_twin(self, tmp_path, point):
+        injector = FaultInjector()
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0,
+            injector=injector,
+        )
+        injector.arm(point, after=self.AFTER.get(point, 6))
+        tenant = await server.registry.get("t1")
+        try:
+            for start in range(0, len(self.OPS), self.BATCH):
+                if start == self.EVICT_AT:
+                    await server.registry.evict("t1")
+                    tenant = await server.registry.get("t1")
+                serve_batch(server, tenant, self.OPS[start : start + self.BATCH])
+        except SimulatedCrash:
+            assert injector.fired == [point]
+        else:
+            # A served tenant writes no segments, so a segment crash
+            # point is never reached; the process dies all the same.
+            assert injector.fired == []
+            assert not (tenant.directory / "segments").exists()
+        tenant.recovery.stop()
+
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        survived = tenant.engine.state_count
+        assert tenant.recovered and tenant.engine.history is None
+        assert survived == self.SURVIVED.get(point, 6)
+        for start in range(survived, len(self.OPS), self.BATCH):
+            serve_batch(server, tenant, self.OPS[start : start + self.BATCH])
+        tenant.manager.flush()
+        assert tenant.engine.history is None
+        assert served_sig(tenant.engine, tenant.manager) == served_sig(
+            *twin_replay(stock_twin, self.OPS)
+        )
+        await server.registry.close_all()
+
+
 class TestWalFile:
     def test_torn_tail_truncated_on_load(self, tmp_path):
         adb = make_engine()
@@ -465,6 +542,34 @@ class TestGroupCommitCrash:
 
     def test_row_delta_batch_replays_whole(self, tmp_path):
         self._run_durable_batch(tmp_path, "shared", ROW_OPS)
+
+    def test_marker_before_a_reattach_closes_no_later_group(self, tmp_path):
+        """Group ids restart with every WAL attach: a group written after
+        a reopen that never got its marker is dropped even though a group
+        with the same id was committed before the reopen."""
+        adb = make_engine()
+        rm = RecoveryManager(tmp_path, fsync=False)
+        rm.start(adb)
+        for op in [("set", 1), ("set", 2)]:  # groups 0 and 1
+            _enqueue_ops(adb, [op])
+            adb.drain()
+        rm.stop()
+
+        engine = RecoveryManager(tmp_path).recover().engine
+        injector = FaultInjector()
+        rm = RecoveryManager(tmp_path, fsync=False, injector=injector)
+        rm.start(engine)
+        _enqueue_ops(engine, [("set", 3)])  # group 0 again
+        engine.drain()
+        _enqueue_ops(engine, [("set", 4), ("set", 5)])  # group 1 again
+        injector.arm(MID_GROUP_COMMIT)
+        with pytest.raises(SimulatedCrash):
+            engine.drain()
+        rm.stop()
+
+        final = RecoveryManager(tmp_path).recover().engine
+        assert final.state_count == 3
+        assert final.state.item("price") == 3
 
     def _run_mid_batch_crash(self, tmp_path, kind, point, ops):
         oracle_adb = make_engine()

@@ -574,6 +574,70 @@ class TestRecoveryManager:
         with pytest.raises(RecoveryError):
             recover(tmp_path / "void")
 
+    def test_history_less_recovery(self, tmp_path):
+        """``keep_history=False`` rebuilds the same system as default
+        recovery — report, firings, executed store, items, clock, last
+        state, manager state, and the run that follows — minus the
+        history."""
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm = RecoveryManager(tmp_path)
+        rm.start(adb)
+        drive(adb, OPS[:5])
+        manager.flush()
+        rm.checkpoint(adb, manager)
+        drive(adb, OPS[5:])
+        rm.stop()
+
+        def rebuilt(**kw):
+            report = RecoveryManager(tmp_path).recover(
+                setup=setup_rules, **kw
+            )
+            engine, manager = report.engine, report.manager
+            head = (
+                report.replayed_steps, report.wal_records, report.truncated,
+                report.checkpoint_used, report.rule_drift,
+                engine.state_count, engine.now, engine.last_state.index,
+                engine.last_state.timestamp, manager.to_state(),
+            )
+            drive(engine, OPS[:3])
+            manager.flush()
+            return engine, head + (
+                firing_sig(manager), executed_sig(manager), store_sig(engine)
+            )
+
+        full, full_sig = rebuilt()
+        bare, bare_sig = rebuilt(keep_history=False)
+        assert len(full.history) == len(OPS) - 5 + 3
+        assert bare.history is None
+        assert bare_sig == full_sig
+
+    def test_history_less_recovery_restores_tiers(self, tmp_path):
+        """A checkpoint that carries tiers brings its tiered history back
+        whether or not the recovering engine asked for a history."""
+        from repro.history.spill import TieredHistory
+
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm = RecoveryManager(tmp_path)
+        rm.start(adb)
+        attach_tiered_history(
+            adb, tmp_path / "segments", budget_bytes=1, hot_window=2,
+            segment_records=2, spill_check_every=1, manager=manager,
+        )
+        drive(adb, OPS)
+        manager.flush()
+        rm.checkpoint(adb, manager)
+        rm.stop()
+
+        report = RecoveryManager(tmp_path).recover(
+            setup=setup_rules, keep_history=False
+        )
+        assert isinstance(report.engine.history, TieredHistory)
+        assert report.engine.tiered is not None
+        assert len(report.engine.history) == len(OPS)
+        assert firing_sig(report.manager) == firing_sig(manager)
+
     def test_recovery_metrics(self, tmp_path):
         adb = make_engine()
         setup_rules(adb)

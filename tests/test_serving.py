@@ -20,6 +20,7 @@ import json
 import os
 import shutil
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 
 import pytest
@@ -49,16 +50,17 @@ from tests.helpers import (
     executed_sig,
     firing_sig,
     replay_transactions,
+    serve_batch,
+    served_sig,
+    stock_twin,
     store_sig,
+    twin_replay,
+    update_stmt,
 )
 
 #: Price levels exercising quiet updates, sharp doublings (the
 #: SHARP-INCREASE trigger), and an IC-vetoed negative price.
 PRICES = [20.0, 45.0, 60.0, 100.0, 210.0, -5.0]
-
-
-def update_stmt(price):
-    return [["update", "STOCK", {"name": "IBM"}, {"price": price}]]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,8 @@ class TestEvictionRecovery:
     async def test_idle_eviction_round_trip(self):
         """An idle-evicted tenant restored on the next connect resumes
         with identical temporal state: same checkpointed manager state,
-        and a post-reopen doubling still fires off pre-eviction history."""
+        and a post-reopen doubling still fires off pre-eviction prices —
+        remembered by the restored state formulas, not by a history."""
         with serving_root() as (root, sock):
             clock = [0.0]
             server = ReproServer(
@@ -530,6 +533,30 @@ class TestEvictionRecovery:
                 c.close()
             finally:
                 await server.stop()
+
+    async def test_evict_reopen_keeps_no_history(self, tmp_path):
+        """Fresh and reopened tenants alike hold no past states, and the
+        reopened one finishes the stream exactly like an uninterrupted
+        twin (firings with bindings, state count, ``STOCK`` rows)."""
+        ops = [("stmts", update_stmt(p)) for p in PRICES * 3]
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        assert tenant.engine.history is None
+        for start in range(0, len(ops), 4):
+            if start == 8:
+                assert await server.registry.evict("t1")
+                tenant = await server.registry.get("t1")
+                assert tenant.recovered and tenant.engine.history is None
+            serve_batch(server, tenant, ops[start : start + 4])
+        tenant.manager.flush()
+        assert tenant.engine.history is None
+        assert served_sig(tenant.engine, tenant.manager) == served_sig(
+            *twin_replay(stock_twin, ops)
+        )
+        assert tenant.manager.firing_count
+        await server.registry.close_all()
 
     async def test_eviction_refused_while_busy(self):
         with serving_root() as (root, _sock):
@@ -611,3 +638,72 @@ class TestEvictionRecovery:
                 c.close()
             finally:
                 await server.stop()
+
+
+# ---------------------------------------------------------------------------
+# Notification pump
+# ---------------------------------------------------------------------------
+
+
+def counting(container):
+    """A ``container`` subclass counting the elements its readers visit
+    (iteration either way, slicing)."""
+
+    class Counting(container):
+        visits = 0
+
+        def __iter__(self):
+            for item in super().__iter__():
+                self.visits += 1
+                yield item
+
+        def __reversed__(self):
+            for item in super().__reversed__():
+                self.visits += 1
+                yield item
+
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            self.visits += len(got) if isinstance(key, slice) else 1
+            return got
+
+    return Counting
+
+
+class TestNotificationPump:
+    async def _pump_visits(self, root, backlog):
+        """Serve ``backlog`` transactions, then count the firing-log and
+        trace elements one more drain's pump visits."""
+        server = ReproServer(root, StockProfile(), fsync=False, sweep_interval=0)
+        tenant = await server.registry.get("t1")
+        prices = [PRICES[i % len(PRICES)] for i in range(backlog)] + [50.0]
+        for start in range(0, len(prices), 8):
+            serve_batch(
+                server,
+                tenant,
+                [("stmts", update_stmt(p)) for p in prices[start : start + 8]],
+            )
+        manager, trace = tenant.manager, tenant.trace
+        manager._firings = counting(list)(manager._firings)
+        trace._events = counting(deque)(
+            trace._events, maxlen=trace._events.maxlen
+        )
+        fired = manager.firing_count
+        done = serve_batch(
+            server,
+            tenant,
+            [("stmts", update_stmt(200.0)), ("stmts", update_stmt(-5.0))],
+        )
+        assert [t.status.name for t in done] == ["COMMITTED", "ABORTED"]
+        assert manager.firing_count > fired
+        visits = manager._firings.visits + trace._events.visits
+        await server.registry.close_all()
+        return visits, fired
+
+    async def test_pump_reads_only_what_is_new(self, tmp_path):
+        """The pump's work per drain does not depend on how long the
+        firing log and the trace already are."""
+        short_visits, short_log = await self._pump_visits(tmp_path / "a", 30)
+        long_visits, long_log = await self._pump_visits(tmp_path / "b", 900)
+        assert long_log > 20 * short_log
+        assert 0 < long_visits == short_visits
