@@ -1,9 +1,9 @@
 """Tiered history: a memory governor + transparent spill to segments.
 
 ROADMAP item 3: bounded-memory pruning handles time-bounded operators,
-but the engine's :class:`~repro.history.history.SystemHistory`, the
-``executed`` store, auxiliary-relation versions, and unbounded-``Since``
-storage still grow in RAM forever.  This module splits each into a *hot*
+but the engine's :class:`~repro.history.history.SystemHistory`,
+auxiliary-relation versions, and unbounded-``Since`` storage still grow
+in RAM forever.  This module splits each into a *hot*
 recent window kept in memory and an *archival* past spilled to the
 checksummed segments of :class:`~repro.storage.tiers.SegmentStore`:
 
@@ -20,8 +20,9 @@ checksummed segments of :class:`~repro.storage.tiers.SegmentStore`:
 
 Unbounded-``Since`` stored formulas are *accounted* (they are consulted
 at every step, so spilling them would just move the hot loop to disk);
-history states, executed records, and auxiliary-relation versions are
-*spilled*.
+history states and auxiliary-relation versions are *spilled*.  Execution
+records are not a tier: the rule manager keeps only those some live
+condition reads, and those are consulted at every step.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ SEGMENT_DIR_NAME = "segments"
 #: the past still holds is a Row, its value tuple and a boxed value or two.
 _EST_STATE_BYTES = 1280
 _EST_ROW_BYTES = 200
-_EST_EXECUTED_BYTES = 120
+_EST_AUX_ROW_BYTES = 120
 _EST_FORMULA_BYTES = 80
 
 _ABSENT = object()
@@ -509,20 +510,9 @@ class TieredRuntime:
     # -- wiring ------------------------------------------------------------
 
     def adopt_manager(self, manager) -> None:
-        """Register the temporal component's growable stores with the
-        governor and enable executed-record spilling on it."""
+        """Account the temporal component's stored formulas with the
+        governor."""
         self.manager = manager
-        executed = getattr(manager, "executed", None)
-        if executed is not None and hasattr(executed, "enable_spill"):
-            executed.enable_spill(self.store)
-            pending = getattr(self, "_pending_executed", None)
-            if pending:
-                executed.restore_tier(pending)
-                self._pending_executed = None
-            self.governor.register(
-                "executed",
-                lambda: len(executed) * _EST_EXECUTED_BYTES,
-            )
         if hasattr(manager, "total_state_size"):
             self.governor.register(
                 "since",
@@ -534,7 +524,7 @@ class TieredRuntime:
         self._aux_stores.append(aux_store)
         self.governor.register(
             f"aux:{id(aux_store):x}",
-            lambda: aux_store.total_rows() * _EST_EXECUTED_BYTES,
+            lambda: aux_store.total_rows() * _EST_AUX_ROW_BYTES,
         )
 
     def detach(self) -> None:
@@ -552,24 +542,6 @@ class TieredRuntime:
             return
         self._since_check = 0
         self.maybe_spill()
-
-    def _pinned_rules(self) -> frozenset:
-        """Rules referenced by ``executed`` atoms in live conditions:
-        their records are consulted every step and must stay hot."""
-        from repro.ptl.ast import ExecutedAtom, walk
-
-        manager = self.manager
-        if manager is None or not hasattr(manager, "_rules"):
-            return frozenset()
-        pinned = set()
-        for reg in list(manager._rules.values()):
-            condition = getattr(getattr(reg, "rule", None), "condition", None)
-            if condition is None:
-                continue
-            for sub in walk(condition):
-                if isinstance(sub, ExecutedAtom):
-                    pinned.add(sub.rule)
-        return frozenset(pinned)
 
     def maybe_spill(self) -> int:
         """Spill cold data while over budget; returns states spilled.
@@ -590,14 +562,6 @@ class TieredRuntime:
                 if self.history._states
                 else None
             )
-            executed = getattr(self.manager, "executed", None)
-            if (
-                horizon is not None
-                and executed is not None
-                and hasattr(executed, "spill_cold")
-            ):
-                executed.set_pinned(self._pinned_rules())
-                executed.spill_cold(horizon)
             for aux in self._aux_stores:
                 if horizon is not None and hasattr(aux, "spill_cold"):
                     aux.spill_cold(horizon, self.store)
@@ -610,16 +574,10 @@ class TieredRuntime:
     def archive(self) -> dict:
         """Flush every tier to sealed segments and return the checkpoint
         descriptor (segment names + fingerprints)."""
-        desc = {
+        return {
             "history": self.history.archive(),
             "budget_bytes": self.governor.budget_bytes,
         }
-        executed = getattr(self.manager, "executed", None)
-        if executed is not None and hasattr(executed, "tier_state"):
-            executed_state = executed.tier_state()
-            if executed_state is not None:
-                desc["executed"] = executed_state
-        return desc
 
     def probe(self) -> None:
         self.store.probe()
@@ -693,14 +651,17 @@ def restore_tiers(
     (fingerprint-verified).  The engine's history becomes a
     :class:`TieredHistory` whose archive is the checkpointed segment set;
     call :meth:`TieredRuntime.adopt_manager` once the rule manager is
-    restored to re-link spilled executed records."""
+    restored to put its stored formulas back under the governor.
+
+    Segment files the history does not list are quarantined.  That
+    includes the ``seg-executed-*`` files of a checkpoint written while
+    execution records still spilled (its ``tiers.executed`` section):
+    they only ever held records of rules no condition read, which the
+    manager no longer keeps."""
     store = SegmentStore(
         directory, injector=injector, metrics=engine.metrics
     )
     live = [info["name"] for info in tiers["history"]["segments"]]
-    executed_state = tiers.get("executed")
-    if executed_state:
-        live += [info["name"] for info in executed_state["segments"]]
     history = TieredHistory.restore(
         store,
         tiers["history"],
@@ -710,6 +671,4 @@ def restore_tiers(
     store.quarantine_orphans(live)
     engine.history = history
     governor = MemoryGovernor(tiers["budget_bytes"], metrics=engine.metrics)
-    runtime = TieredRuntime(engine, store, governor, history)
-    runtime._pending_executed = executed_state
-    return runtime
+    return TieredRuntime(engine, store, governor, history)

@@ -41,128 +41,14 @@ class ExecutedStore:
     """Append-only store of rule executions.
 
     The paper: "only information necessary for future evaluation of
-    conditions will be maintained" — :meth:`discard_before` implements that
-    garbage collection (driven by the rule manager's retention analysis).
+    conditions will be maintained".  The rule manager applies that twice:
+    it records executions only of rules some live condition reads (and
+    :meth:`keep_only` drops a rule's records when its last reader goes),
+    and :meth:`discard_before` drops records past the retention horizon.
     """
 
     def __init__(self) -> None:
         self._records: list[ExecutionRecord] = []
-        #: Spill tier (see :mod:`repro.history.spill`): cold records move
-        #: to checksummed segments and fault back on read.  ``None`` until
-        #: :meth:`enable_spill` — the store is pure-RAM by default.
-        self._spill: Optional[dict] = None
-        self._spilled_count = 0
-        #: Watermark from :meth:`discard_before`: faulted records older
-        #: than this are filtered out, so spilling never resurrects
-        #: records the retention analysis already discarded.
-        self._discard_horizon: Optional[int] = None
-
-    # -- spill tier ----------------------------------------------------------
-
-    def enable_spill(self, store, pinned=()) -> None:
-        """Let cold records spill to ``store`` (a
-        :class:`~repro.storage.tiers.SegmentStore`).  ``pinned`` rules are
-        never spilled — their records back live ``executed`` atoms and are
-        consulted every step."""
-        self._spill = {
-            "store": store,
-            "catalog": [],
-            "pinned": frozenset(pinned),
-            "cache": None,  # (segment name, decoded records)
-        }
-
-    def set_pinned(self, pinned) -> None:
-        if self._spill is not None:
-            self._spill["pinned"] = frozenset(pinned)
-
-    def spill_cold(self, horizon: int) -> int:
-        """Seal records with ``time < horizon`` (excluding pinned rules)
-        into a segment and drop them from memory; returns how many moved.
-        Atomic — nothing leaves memory until the segment is sealed."""
-        if self._spill is None:
-            return 0
-        pinned = self._spill["pinned"]
-        cold = [
-            r
-            for r in self._records
-            if r.time < horizon and r.rule not in pinned
-        ]
-        if not cold:
-            return 0
-        from repro.ptl.constraints import encode_value
-
-        rows = [
-            [r.rule, encode_value(r.params), r.time, r.status]
-            for r in cold
-        ]
-        info = self._spill["store"].write_segment(
-            "executed",
-            rows,
-            meta={"first_time": cold[0].time, "last_time": cold[-1].time},
-        )
-        self._spill["catalog"].append(info)
-        cold_ids = {id(r) for r in cold}
-        self._records = [
-            r for r in self._records if id(r) not in cold_ids
-        ]
-        self._spilled_count += len(cold)
-        return len(cold)
-
-    def _spilled_records(self, rule, before) -> list["ExecutionRecord"]:
-        """Fault spilled records matching the filters back from segments
-        (one-segment cache; deep-past reads only — pinned rules never
-        land here)."""
-        if self._spill is None or not self._spilled_count:
-            return []
-        from repro.ptl.constraints import decode_value
-
-        out = []
-        for info in self._spill["catalog"]:
-            cache = self._spill["cache"]
-            if cache is not None and cache[0] == info["name"]:
-                decoded = cache[1]
-            else:
-                decoded = [
-                    ExecutionRecord(r, decode_value(p), t, s)
-                    for r, p, t, s in self._spill["store"].load_segment(info)
-                ]
-                self._spill["cache"] = (info["name"], decoded)
-            for rec in decoded:
-                if rule is not None and rec.rule != rule:
-                    continue
-                if before is not None and rec.time >= before:
-                    continue
-                if (
-                    self._discard_horizon is not None
-                    and rec.time < self._discard_horizon
-                ):
-                    continue
-                out.append(rec)
-        return out
-
-    def tier_state(self) -> Optional[dict]:
-        """Checkpoint descriptor for the spill tier (segment names +
-        fingerprints); ``None`` when nothing has spilled."""
-        if self._spill is None or not self._spill["catalog"]:
-            return None
-        return {
-            "segments": [dict(info) for info in self._spill["catalog"]],
-            "spilled": self._spilled_count,
-            "discard_horizon": self._discard_horizon,
-            "pinned": sorted(self._spill["pinned"]),
-        }
-
-    def restore_tier(self, tier_state: dict) -> None:
-        """Re-link checkpointed spill segments after :meth:`from_state`
-        (requires :meth:`enable_spill` first)."""
-        if self._spill is None:
-            raise ValueError("restore_tier() before enable_spill()")
-        self._spill["catalog"] = [
-            dict(info) for info in tier_state["segments"]
-        ]
-        self._spill["pinned"] = frozenset(tier_state.get("pinned", ()))
-        self._spilled_count = tier_state["spilled"]
-        self._discard_horizon = tier_state.get("discard_horizon")
 
     def record(
         self, rule: str, params: tuple, time: int, status: str = "ok"
@@ -188,29 +74,20 @@ class ExecutedStore:
             out = [r for r in out if r.rule == rule]
         if before is not None:
             out = [r for r in out if r.time < before]
-        if self._spilled_count and (
-            rule is None or rule not in self._spill["pinned"]
-        ):
-            return self._spilled_records(rule, before) + list(out)
         return list(out)
 
     def discard_before(self, time: int) -> int:
-        """Drop records older than ``time``; returns how many were dropped.
-        Spilled segments stay on disk (they are archival) but faulted
-        reads respect the watermark, so discarded records never
-        reappear."""
+        """Drop records older than ``time``; returns how many were dropped."""
         before = len(self._records)
         self._records = [r for r in self._records if r.time >= time]
-        if self._spill is not None:
-            self._discard_horizon = (
-                time
-                if self._discard_horizon is None
-                else max(self._discard_horizon, time)
-            )
         return before - len(self._records)
 
+    def keep_only(self, rules) -> None:
+        """Drop the records of every rule not in ``rules``."""
+        self._records = [r for r in self._records if r.rule in rules]
+
     def __len__(self) -> int:
-        return len(self._records) + self._spilled_count
+        return len(self._records)
 
     # -- serialization (recovery checkpoints) --------------------------------
 

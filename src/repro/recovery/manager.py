@@ -197,8 +197,7 @@ class RecoveryManager:
                 )
             rule_drift = manager.from_state(manager_state, strict=strict_rules)
         if runtime is not None and manager is not None:
-            # Re-link the restored executed store to its spilled segments
-            # and put the manager's stores back under the governor.
+            # Put the manager's stored formulas back under the governor.
             runtime.adopt_manager(manager)
 
         start_seq = engine.state_count

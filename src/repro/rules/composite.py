@@ -137,7 +137,6 @@ def add_periodic(
         ast.And((executed, within, on_beat)),
         as_action(action),
         params=params,
-        record_executions=False,
     )
     return [arm, repeat]
 

@@ -10,8 +10,8 @@ evaluation algorithm for each trigger."  The manager:
   *trial evaluation* (snapshot -> step candidate -> restore), vetoing the
   commit when the IC condition (``attempts_to_commit(X) & !c``) fires;
 * executes trigger actions according to their coupling mode, records
-  executions in the ``executed`` store (Section 7), and garbage-collects
-  records past their retention;
+  the executions some live condition reads in the ``executed`` store
+  (Section 7), and garbage-collects records past their retention;
 * implements the Section 8 optimizations: *relevance filtering* (rules
   considered only when their events occur — automatically inferred only
   for stateless, event-guarded conditions, where it is sound) and
@@ -59,6 +59,7 @@ from repro.rules.actions import Action, ActionContext, as_action
 from repro.rules.rule import (
     CouplingMode,
     FireMode,
+    FiringLog,
     FiringRecord,
     Rule,
     make_integrity_constraint,
@@ -153,6 +154,7 @@ class _RegisteredRule:
         "stats",
         "_prev_bindings",
         "birth",
+        "reads",
         "m_firings",
         "m_eval_seconds",
         "m_action_seconds",
@@ -174,6 +176,12 @@ class _RegisteredRule:
         #: ``states_seen`` at registration — a hot-added rule's firings
         #: can only start here (recorded in checkpoints).
         self.birth = birth
+        #: Rules whose executions the condition reads.
+        self.reads = frozenset(
+            sub.rule
+            for sub in ast.walk(rule.condition)
+            if isinstance(sub, ast.ExecutedAtom)
+        )
         registry = registry or NULL_REGISTRY
         name = rule.name
         self.m_firings = registry.counter("rule_firings_total", rule=name)
@@ -278,11 +286,18 @@ class RuleManager:
         self._m_state_size = self.metrics.gauge("manager_state_size")
         self._m_quarantined = self.metrics.gauge("rules_quarantined")
         self._m_shadow = self.metrics.gauge("rules_shadow")
+        self._m_executed = self.metrics.gauge("executed_records")
+        self._m_firing_log = self.metrics.gauge("firing_log_length")
 
         self._rules: dict[str, _RegisteredRule] = {}
         self._ics: dict[str, _RegisteredRule] = {}
         self._monitors: dict[str, _RegisteredMonitor] = {}
-        self._firings: list[FiringRecord] = []
+        self._firings = FiringLog()
+        #: Rules whose executions are recorded: those an ``executed``
+        #: atom of a live trigger (shadow ones too) or integrity
+        #: constraint reads; ``None`` (every rule) while a future monitor
+        #: is registered.  See :meth:`_derive_readers`.
+        self._read_rules: Optional[frozenset[str]] = frozenset()
         self._pending_actions: list[tuple[Rule, dict, Any]] = []
         self._queue: list = []
         self._batch: list = []
@@ -343,6 +358,24 @@ class RuleManager:
         if self._batch:
             self.flush()
 
+    def _derive_readers(self) -> None:
+        """Recompute which rules' executions are recorded, and drop the
+        records of rules that lost their last reader.  A condition added
+        hot therefore sees the executions recorded since some live
+        condition first read that rule — none, for a rule nobody read,
+        exactly as on a fresh engine."""
+        if self._monitors:
+            # Future formulas are not walked: a monitor keeps everything.
+            self._read_rules = None
+            return
+        read = frozenset().union(
+            *(reg.reads for reg in self._rules.values()),
+            *(reg.reads for reg in self._ics.values()),
+        )
+        previous, self._read_rules = self._read_rules, read
+        if previous is None or previous - read:
+            self.executed.keep_only(read)
+
     def add_trigger(
         self,
         name: str,
@@ -354,7 +387,6 @@ class RuleManager:
         fire_mode: FireMode = FireMode.ALWAYS,
         relevant_events: Optional[Iterable[str]] = None,
         rewrite_aggregates: bool = False,
-        record_executions: bool = True,
         priority: int = 0,
         shadow: bool = False,
     ) -> Rule:
@@ -370,6 +402,11 @@ class RuleManager:
         shadow mode: its condition evaluates and firings are recorded and
         traced (``shadow_firings_total``), but the action never runs and
         nothing enters the executed store until :meth:`promote_rule`.
+
+        The rule's executions are recorded only while some live condition
+        reads them through an ``executed`` atom; an ``executed`` atom in
+        this condition sees the records kept since the rule it names
+        first had a reader.
         """
         if name in self._rules or name in self._ics or name in self._monitors:
             raise DuplicateRuleError(f"rule {name!r} already registered")
@@ -388,7 +425,6 @@ class RuleManager:
                 frozenset(relevant_events) if relevant_events is not None else None
             ),
             rewrite_aggregates=rewrite_aggregates,
-            record_executions=record_executions,
             priority=priority,
             shadow=shadow,
         )
@@ -414,6 +450,7 @@ class RuleManager:
             if inferred is not None:
                 rule.relevant_events = inferred
         self._rules[name] = registered
+        self._derive_readers()
         if self._obs_on:
             if self.states_seen > 0:
                 self.metrics.counter("rules_added_live_total").inc()
@@ -449,6 +486,7 @@ class RuleManager:
         self._ics[name] = _RegisteredRule(
             rule, evaluator, registry=self.metrics
         )
+        self._derive_readers()
         if not self._validator_installed:
             self.engine.add_commit_validator(self._validate)
             self._validator_installed = True
@@ -492,6 +530,7 @@ class RuleManager:
             respawn,
         )
         self._monitors[name] = registered
+        self._derive_readers()
         return registered
 
     def monitor_resolutions(self, name: str) -> list[tuple[str, int]]:
@@ -504,8 +543,14 @@ class RuleManager:
         on a live manager: batched states are evaluated first, then the
         rule's evaluator state (including its share of the plan DAG) is
         released, its queued detached actions are dropped, and its
-        quarantine bookkeeping is cleared.  Past firings and execution
-        records stay."""
+        quarantine bookkeeping is cleared.  Past firings stay; so do
+        execution records, unless this rule was the last condition
+        reading them."""
+        self._unregister(name)
+        self._derive_readers()
+
+    def _unregister(self, name: str) -> None:
+        """:meth:`remove_rule` short of recomputing the reader set."""
         if (
             name not in self._rules
             and name not in self._ics
@@ -540,12 +585,16 @@ class RuleManager:
         """Atomically swap a trigger's definition: remove + re-register
         under the same name, between two states.  The new condition's
         temporal operators start from "now" (no state carries over, even
-        if the condition text is unchanged).  ``kwargs`` are
-        :meth:`add_trigger`'s."""
+        if the condition text is unchanged); execution records that both
+        definitions read stay.  ``kwargs`` are :meth:`add_trigger`'s."""
         if name not in self._rules:
             raise UnknownRuleError(f"no trigger named {name!r}")
-        self.remove_rule(name)
-        rule = self.add_trigger(name, condition, action, **kwargs)
+        self._unregister(name)
+        try:
+            rule = self.add_trigger(name, condition, action, **kwargs)
+        finally:
+            # Once, after the swap: records both definitions read stay.
+            self._derive_readers()
         if self._obs_on:
             self.metrics.counter("rules_replaced_total").inc()
             self.trace.emit(
@@ -659,6 +708,8 @@ class RuleManager:
         if self._obs_on:
             self._m_batch.set(len(self._batch))
             self._m_state_size.set(self.total_state_size())
+            self._m_executed.set(len(self.executed))
+            self._m_firing_log.set(len(self._firings))
 
     def _ordered_rules(self) -> list[_RegisteredRule]:
         """Registration order, stably re-ordered by descending priority."""
@@ -692,14 +743,13 @@ class RuleManager:
                 bindings = reg.step(state)
             for binding in bindings:
                 reg.stats.firings += 1
-                record = FiringRecord(
+                self._firings.append(
                     rule.name,
                     tuple(sorted(binding.items(), key=lambda kv: kv[0])),
                     state.index,
                     state.timestamp,
-                    shadow=rule.shadow,
+                    rule.shadow,
                 )
-                self._firings.append(record)
                 if obs:
                     reg.m_firings.inc()
                     self.trace.emit(
@@ -707,7 +757,7 @@ class RuleManager:
                         timestamp=state.timestamp,
                         rule=rule.name,
                         state_index=state.index,
-                        bindings=dict(record.bindings),
+                        bindings=dict(binding),
                     )
                 if rule.shadow:
                     # Shadow deployment: the firing is observable above,
@@ -744,7 +794,8 @@ class RuleManager:
 
     def _execute(self, rule: Rule, binding: dict, state) -> None:
         rec = None
-        if rule.record_executions:
+        read = self._read_rules
+        if read is None or rule.name in read:
             params = tuple(binding.get(p) for p in rule.params)
             rec = self.executed.record(rule.name, params, state.timestamp)
         if self._replaying or rule.name in self._quarantined:
@@ -1007,16 +1058,13 @@ class RuleManager:
             )
         self.states_seen = payload["states_seen"]
         self.executed.from_state(payload["executed"])
-        self._firings = [
-            FiringRecord(
-                rule,
-                self._decode_pairs(bindings),
-                index,
-                ts,
-                shadow,
+        # Records of rules no registered condition reads are not kept.
+        self.executed.keep_only(self._read_rules)
+        self._firings = FiringLog()
+        for rule, bindings, index, ts, shadow in payload["firings"]:
+            self._firings.append(
+                rule, self._decode_pairs(bindings), index, ts, shadow
             )
-            for rule, bindings, index, ts, shadow in payload["firings"]
-        ]
         if plan_state is not None:
             self.plan.from_state(plan_state, strict=strict)
         for name, reg in self._rules.items():
@@ -1088,19 +1136,19 @@ class RuleManager:
 
     @property
     def firings(self) -> list[FiringRecord]:
-        return list(self._firings)
+        return self._firings.records()
 
     @property
     def firing_count(self) -> int:
         return len(self._firings)
 
     def firings_since(self, start: int) -> list[FiringRecord]:
-        """The firing log from position ``start`` on, without copying
-        what precedes it."""
-        return self._firings[start:]
+        """The firing log from position ``start`` on, without building
+        records for what precedes it."""
+        return self._firings.records(start)
 
     def firings_of(self, rule: str) -> list[FiringRecord]:
-        return [f for f in self._firings if f.rule == rule]
+        return self._firings.records_of(rule)
 
     def stats_of(self, rule: str) -> RuleStats:
         if rule in self._rules:

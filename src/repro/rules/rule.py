@@ -9,8 +9,9 @@ integrity constraint. ... A trigger is any other type of rule."
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.ptl import ast
 from repro.rules.actions import AbortAction, Action
@@ -69,8 +70,6 @@ class Rule:
     #: Process temporal aggregates by rewriting (Section 6.1.1) instead of
     #: the direct pipeline.
     rewrite_aggregates: bool = False
-    #: Record executions of this rule in the executed store.
-    record_executions: bool = True
     #: Evaluation/execution order within one state: higher runs first;
     #: ties break by registration order.
     priority: int = 0
@@ -105,6 +104,87 @@ class FiringRecord:
         return dict(self.bindings)
 
 
+#: One firing in a :class:`FiringLog`: ``(rule, shadow)`` id, bindings id,
+#: state index, timestamp.
+_FIRING = struct.Struct("=IIqq")
+
+
+class FiringLog:
+    """The manager's firing log, stored as packed rows.
+
+    One firing is one 24-byte row of a ``bytearray``: an interned
+    ``(rule, shadow)`` id, an interned bindings id, the state index and
+    the timestamp.  A :class:`FiringRecord` is built only when the log
+    is read."""
+
+    def __init__(self) -> None:
+        self._rows = bytearray()
+        #: ``(rule, shadow)`` pairs and bindings tuples, by id.
+        self._key_values: list[tuple[str, bool]] = []
+        self._key_ids: dict[tuple[str, bool], int] = {}
+        self._binding_values: list[tuple] = []
+        self._binding_ids: dict[tuple, int] = {}
+
+    def append(
+        self,
+        rule: str,
+        bindings: tuple,
+        state_index: int,
+        timestamp: int,
+        shadow: bool = False,
+    ) -> None:
+        key = (rule, shadow)
+        # ``1 == 1.0 == True`` hash alike: the value types join the
+        # bindings' intern key so a read gives back what was appended.
+        exact = (bindings, tuple(type(v) for _, v in bindings))
+        self._rows += _FIRING.pack(
+            _intern(self._key_ids, self._key_values, key, key),
+            _intern(self._binding_ids, self._binding_values, exact, bindings),
+            state_index,
+            timestamp,
+        )
+
+    def record(self, i: int) -> FiringRecord:
+        """Build the ``i``-th firing's record."""
+        key, bindings, index, timestamp = _FIRING.unpack_from(
+            self._rows, i * _FIRING.size
+        )
+        rule, shadow = self._key_values[key]
+        return FiringRecord(
+            rule, self._binding_values[bindings], index, timestamp,
+            shadow=shadow,
+        )
+
+    def records(self, start: int = 0) -> list[FiringRecord]:
+        """The firings from position ``start`` on."""
+        return list(map(self.record, range(len(self))[start:]))
+
+    def records_of(self, rule: str) -> list[FiringRecord]:
+        wanted = {
+            i for i, (name, _) in enumerate(self._key_values) if name == rule
+        }
+        return [
+            self.record(i)
+            for i, (key, *_) in enumerate(_FIRING.iter_unpack(self._rows))
+            if key in wanted
+        ]
+
+    def __len__(self) -> int:
+        return len(self._rows) // _FIRING.size
+
+    def __iter__(self) -> Iterator[FiringRecord]:
+        return map(self.record, range(len(self)))
+
+
+def _intern(ids: dict, values: list, key, value) -> int:
+    """``value``'s position in ``values``, appended under ``key`` when new."""
+    i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(values)
+        values.append(value)
+    return i
+
+
 def make_integrity_constraint(
     name: str, constraint: ast.Formula, txn_var: str = "__txn"
 ) -> Rule:
@@ -122,5 +202,4 @@ def make_integrity_constraint(
         action=AbortAction(),
         params=(txn_var,),
         coupling=CouplingMode.TCA,
-        record_executions=False,
     )

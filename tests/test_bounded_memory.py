@@ -591,11 +591,51 @@ class TestHotPastCostsItsDeltas:
         assert indexes - indexes_before <= 4, indexes - indexes_before
 
 
+class TestFiringCostsItsRow:
+    """ROADMAP item 3(b): a firing nobody's condition reads back leaves
+    one packed row of the firing log and no execution record."""
+
+    WARMUP = 200
+    STEPS = 2_200
+
+    def test_unread_firings_cost_their_log_row(self):
+        adb = ActiveDatabase(keep_history=False)
+        adb.declare_item("price", 0)
+        manager = adb.rule_manager()
+        manager.add_trigger("every", "price >= 0", lambda ctx: None)
+        manager.add_trigger(
+            "rise", "price > 50 & lasttime price <= 50", lambda ctx: None
+        )
+        manager.add_trigger(
+            "level", "@tick(L) & price > 20", lambda ctx: None,
+            params=("L",),
+        )
+        fired = []
+
+        def step(i):
+            if i == self.WARMUP:
+                fired.append(manager.firing_count)
+            if i % 3 == 0:
+                adb.post_event(user_event("tick", i % 5))
+            else:
+                adb.execute(lambda t: t.set_item("price", (i * 37) % 97))
+
+        retained = retained_bytes(step, self.WARMUP, self.STEPS)
+        firings = manager.firing_count - fired[0]
+        assert firings > self.STEPS - self.WARMUP
+        assert {f.rule for f in manager.firings} == {"every", "rise", "level"}
+        assert len(manager.executed) == 0
+        # ~29 B: a 24-byte row plus the bytearray's over-allocation;
+        # ~200 B with a FiringRecord and an ExecutionRecord each
+        assert retained / firings <= 40, retained / firings
+
+
 class TestServedTenantHoldsThePresent:
     """A served tenant holds its current state, the plan's state formulas,
-    the firing log and executed records (unbounded by design, ROADMAP
-    3(b)) and a bounded trace — nothing per past state: its engine keeps
-    no history."""
+    the firing log (unbounded by design, ROADMAP 3(b)) and a bounded trace
+    — nothing per past state: its engine keeps no history, and no
+    execution record, since no condition of the stock profile reads
+    one."""
 
     BATCH = 4
     WARMUP = 25
@@ -617,9 +657,11 @@ class TestServedTenantHoldsThePresent:
 
         retained = retained_bytes(step, self.WARMUP, self.BATCHES)
         per_txn = retained / (self.BATCH * (self.BATCHES - self.WARMUP))
-        # ~640 B (firings, executed records, trace events); ~2 230 while
-        # every tenant kept its history
-        assert per_txn < 1_000, per_txn
+        # ~560 B (the firing log, trace events); ~635 while every firing
+        # left an execution record, ~2 230 while every tenant kept its
+        # history
+        assert per_txn < 600, per_txn
+        assert len(tenant.manager.executed) == 0
         assert tenant.engine.history is None
         assert tenant.manager.firing_count
         await server.registry.close_all()

@@ -27,6 +27,7 @@ import pytest
 from repro.engine import ActiveDatabase
 from repro.errors import ActionError, RecoveryError, StorageDegradedError
 from repro.events import user_event
+from repro.obs.trace import ACTION_FAILURE
 from repro.recovery import (
     CRASH_POINTS,
     DISK_FULL,
@@ -697,7 +698,10 @@ class TestActionFailureIsolation:
 
     def test_isolated_failure_spares_other_rules(self):
         """The acceptance property: a failing action neither loses nor
-        duplicates other rules' firings."""
+        duplicates other rules' firings.  Nothing reads ``bad``'s
+        executions, so its failures are on the record as the
+        ``action_failures_total`` counter and ``action_failure`` trace
+        events, not as execution records."""
         oracle_adb, oracle_m = self._system()
         good_o = RecordingAction()
         oracle_m.add_trigger("good", "@go", good_o)
@@ -713,12 +717,33 @@ class TestActionFailureIsolation:
         assert good.calls == good_o.calls
         assert [f for f in firing_sig(manager) if f[0] == "good"] == \
             firing_sig(oracle_m)
-        # the failing rule still *fired* (and is on the record as failed)
+        # the failing rule still *fired*, and each failure is on record
         assert len(manager.firings_of("bad")) == 3
-        statuses = [
-            r.status for r in manager.executed.records(rule="bad")
-        ]
-        assert "failed" in statuses
+        assert (
+            adb.metrics.counter("action_failures_total", rule="bad").value
+            == 3
+        )
+        failures = manager.trace.events(ACTION_FAILURE)
+        assert [e.data["rule"] for e in failures] == ["bad"] * 3
+        assert [e.data["failures"] for e in failures] == [1, 2, 3]
+        assert manager.executed.records(rule="bad") == []
+
+    def test_failed_status_of_a_read_rule(self):
+        """A rule some condition reads keeps its execution records, and
+        an isolated failure marks its record ``"failed"`` — which still
+        satisfies ``executed``: the rule fired, only the effect was
+        lost."""
+        adb, manager = self._system(isolate_action_failures=True)
+        manager.add_trigger("bad", "@go", FlakyAction(1), priority=1)
+        audit = RecordingAction()
+        manager.add_trigger(
+            "audit", "executed(bad, t) & time = t + 1", audit
+        )
+        adb.post_event(user_event("go"))
+        adb.post_event(user_event("go"))
+        assert [r.status for r in manager.executed.records(rule="bad")] \
+            == ["failed", "ok"]
+        assert len(audit.calls) == 1  # the failed execution is read
 
     def test_bounded_retry_then_success(self):
         adb, manager = self._system(
@@ -726,6 +751,10 @@ class TestActionFailureIsolation:
         )
         flaky = FlakyAction(2)  # fails twice, third attempt succeeds
         manager.add_trigger("flaky", "@go", flaky)
+        # a reader, so that the execution is recorded with its status
+        manager.add_trigger(
+            "audit", "executed(flaky, t) & time = t + 1", RecordingAction()
+        )
         adb.post_event(user_event("go"))
         assert flaky.successes == 1
         assert flaky.calls == 3

@@ -16,7 +16,11 @@ Three layers of guarantees:
   mid-run checkpoint + restore into a fresh manager) produces identical
   firing sequences and executed-store contents on every backend (naive
   full-history, unshared one-plan-per-rule, shared-plan) under both the
-  interpreted and compiled recurrence pipelines.
+  interpreted and compiled recurrence pipelines;
+* **execution records** — a rule's executions are recorded only while
+  some live condition (trigger, shadow trigger, integrity constraint)
+  reads them, or any future monitor is registered; each reader row
+  matches the naive backend.
 """
 
 from contextlib import contextmanager
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import NaiveDetector
 from repro.engine import ActiveDatabase
-from repro.errors import RecoveryError, UnknownRuleError
+from repro.errors import RecoveryError, TransactionAborted, UnknownRuleError
 from repro.events import user_event
 from repro.obs.trace import FIRING, LIFECYCLE, SHADOW_FIRING
 from repro.ptl.compiled import set_ptl_compile
@@ -323,6 +327,179 @@ class TestShadowMode:
         with pytest.raises(UnknownRuleError):
             manager.promote_rule("ghost")
         manager.detach()
+
+
+# ---------------------------------------------------------------------------
+# Execution records exist only for rules a live condition reads
+# ---------------------------------------------------------------------------
+
+
+#: ``follow`` reads ``base``'s executions; nothing reads ``follow``'s.
+BASE = "price > 50"
+FOLLOW = "executed(base, t) & time <= t + 2"
+LATER = [("set", 90), ("set", 20), ("ev", "go"), ("set", 75)]
+
+
+def add_follow(manager, shadow=False):
+    manager.add_trigger(
+        "follow", FOLLOW, RecordingAction(), params=("t",), shadow=shadow
+    )
+
+
+def reader_first_added(adb, manager):
+    """The first reader arrives hot: ``base`` ran unread until then, so
+    ``follow`` sees only executions from its registration on."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    drive(adb, PREFIX)
+    manager.flush()
+    assert len(manager.executed) == 0
+    born = adb.now
+    add_follow(manager)
+    drive(adb, SUFFIX)
+    manager.flush()
+    times = [r.time for r in manager.executed.records()]
+    assert times and min(times) > born
+
+
+def reader_last_removed(adb, manager):
+    """Removing the last reader drops ``base``'s records and stops
+    recording; a reader added again starts from an empty past."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    add_follow(manager)
+    drive(adb, PREFIX)
+    manager.flush()
+    assert {r.rule for r in manager.executed.records()} == {"base"}
+    manager.remove_rule("follow")
+    assert len(manager.executed) == 0
+    drive(adb, SUFFIX)
+    manager.flush()
+    assert len(manager.executed) == 0
+    add_follow(manager)
+    drive(adb, LATER)
+    manager.flush()
+    assert manager.executed.records()
+
+
+def reader_replaced(adb, manager):
+    """Replacing the only reader with another reader of ``base`` keeps
+    ``base``'s records: the reader set changes once, after the swap."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    add_follow(manager)
+    drive(adb, PREFIX)
+    manager.flush()
+    kept = manager.executed.records()
+    assert kept
+    manager.replace_rule(
+        "follow", "executed(base, t) & time <= t + 4", RecordingAction(),
+        params=("t",),
+    )
+    assert manager.executed.records() == kept
+    drive(adb, SUFFIX)
+    manager.flush()
+    assert manager.executed.records()[: len(kept)] == kept
+
+
+def reader_in_shadow(adb, manager):
+    """A shadow reader is a reader: ``base`` is recorded for it, and it
+    fires (shadow-flagged) on what it reads; its own firings execute
+    nothing."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    add_follow(manager, shadow=True)
+    drive(adb, PREFIX + SUFFIX)
+    manager.flush()
+    assert {r.rule for r in manager.executed.records()} == {"base"}
+    follows = manager.firings_of("follow")
+    assert follows and all(f.shadow for f in follows)
+
+
+def reader_is_a_constraint(adb, manager):
+    """An integrity constraint reads ``base``: no price above 85 right
+    after ``base`` ran.  The vetoed commit is the proof it read."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    manager.add_integrity_constraint(
+        "calm", "!(executed(base, t) & time = t + 1 & price > 85)"
+    )
+    aborted = 0
+    for op in PREFIX + [("set", 90), ("set", 60), ("set", 95), ("set", 30)]:
+        try:
+            drive(adb, [op])
+        except TransactionAborted:
+            aborted += 1
+    manager.flush()
+    assert aborted == 1
+    assert {r.rule for r in manager.executed.records()} == {"base"}
+
+
+def reader_is_a_monitor(adb, manager):
+    """While a future monitor is registered every execution is kept
+    (future formulas are not walked); its removal drops what no
+    condition reads."""
+    manager.add_trigger("base", BASE, RecordingAction())
+    manager.add_trigger("other", "@go", RecordingAction())
+    manager.add_future_monitor("m", "eventually @halt")
+    drive(adb, PREFIX)
+    manager.flush()
+    assert {r.rule for r in manager.executed.records()} == {"base", "other"}
+    manager.remove_rule("m")
+    assert len(manager.executed) == 0
+    add_follow(manager)
+    drive(adb, SUFFIX)
+    manager.flush()
+    assert {r.rule for r in manager.executed.records()} == {"base"}
+
+
+READER_ROWS = [
+    reader_first_added,
+    reader_last_removed,
+    reader_replaced,
+    reader_in_shadow,
+    reader_is_a_constraint,
+    reader_is_a_monitor,
+]
+
+
+class TestExecutedReaders:
+    @pytest.mark.parametrize(
+        "row", READER_ROWS, ids=[row.__name__ for row in READER_ROWS]
+    )
+    def test_row_matches_naive_backend(self, row):
+        """Each row's own assertions hold on every backend, and every
+        backend's firings and executed store equal the naive one's."""
+        results = {}
+        for name, factory in BACKENDS:
+            adb = make_engine()
+            manager = factory(adb)
+            row(adb, manager)
+            results[name] = signature(manager)
+            manager.detach()
+        assert results["naive"][0]
+        for name, sig in results.items():
+            assert sig == results["naive"], f"backend {name} diverged"
+
+    def test_first_reader_sees_what_a_fresh_engine_sees(self):
+        """A reader added to an unread rule fires exactly as the same two
+        rules on a manager attached at that point."""
+        adb = make_engine()
+        manager = RuleManager(adb, shared_plan=True)
+        reader_first_added(adb, manager)
+        live = [
+            (f.bindings, f.state_index, f.timestamp)
+            for f in manager.firings_of("follow")
+        ]
+        manager.detach()
+
+        fresh_adb = make_engine()
+        drive(fresh_adb, PREFIX)
+        fresh = RuleManager(fresh_adb, shared_plan=True)
+        fresh.add_trigger("base", BASE, RecordingAction())
+        add_follow(fresh)
+        drive(fresh_adb, SUFFIX)
+        fresh.flush()
+        assert live and live == [
+            (f.bindings, f.state_index, f.timestamp)
+            for f in fresh.firings_of("follow")
+        ]
+        fresh.detach()
 
 
 # ---------------------------------------------------------------------------

@@ -311,3 +311,32 @@ class TestSnapshotRestoreGauges:
             assert fired == plain.step(state).fired
             assert registry.value("evaluator_state_size", rule="ic") \
                 == plain.state_size()
+
+
+class TestHolderGauges:
+    def test_executed_records_and_firing_log_length(self):
+        """``executed_records`` counts only the executions some condition
+        reads; ``firing_log_length`` counts every firing.  Both are set
+        when the manager flushes a state."""
+        from repro.engine import ActiveDatabase
+        from repro.events import user_event
+
+        registry = MetricsRegistry()
+        adb = ActiveDatabase(metrics=registry)
+        manager = adb.rule_manager()
+        manager.add_trigger("ping", "@ping", lambda ctx: None)
+        manager.add_trigger("other", "@ping", lambda ctx: None)
+        for _ in range(3):
+            adb.post_event(user_event("ping"))
+        assert registry.value("firing_log_length") == 6
+        assert registry.value("executed_records") == 0
+
+        manager.add_trigger(
+            "reader", "executed(ping, t) & time = t + 100", lambda ctx: None
+        )
+        for _ in range(2):
+            adb.post_event(user_event("ping"))
+        assert registry.value("firing_log_length") == manager.firing_count
+        assert manager.firing_count == 10
+        assert registry.value("executed_records") == 2
+        assert len(manager.executed) == 2

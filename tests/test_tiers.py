@@ -8,13 +8,16 @@ all-in-RAM oracle: same firings (rule, bindings, state index,
 timestamp), same states under random access / ``as_of`` / iteration,
 same executed store.  On top of that: no torn or corrupted segment is
 ever loaded (fingerprints), a disk that stays broken flips the engine
-into degraded read-only mode deterministically (and back out), and a
+into degraded read-only mode deterministically (and back out), a
 checkpoint of a spilled run recovers bit-identically across the
-per-rule / shared-plan and interpreted / compiled backends.
+per-rule / shared-plan and interpreted / compiled backends, and a
+checkpoint written while execution records still spilled restores.
 """
 
+import json
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -682,53 +685,107 @@ class TestSpilledRecovery:
         assert len(adb2.history) == len(oracle.history) + 2
 
 
-# -- executed-store + auxiliary-relation spilling ----------------------------
+# -- execution records under a tiered history --------------------------------
 
 
-class TestExecutedSpill:
-    def test_pinned_rules_stay_hot(self, tmp_path):
-        """Rules referenced by ``executed`` atoms back live conditions:
-        their records must not spill; everything else may."""
+def setup_chained(adb):
+    manager = adb.rule_manager()
+    manager.add_trigger("base", "price > 20", RecordingAction())
+    manager.add_trigger(
+        "chained", "executed(base, t) & time = t + 5", RecordingAction()
+    )
+    return manager
+
+
+class TestExecutedUnderTiers:
+    def test_read_rules_are_kept_in_ram_and_nothing_spills(self, tmp_path):
+        """Execution records are not a tier: the manager keeps exactly
+        the records of rules some condition reads (``base``, read by
+        ``chained``), in memory, however small the budget — no
+        ``seg-executed-*`` segment is written and no checkpoint section
+        describes one."""
         oracle = make_engine()
-        oracle_m = oracle.rule_manager()
-        oracle_m.add_trigger("base", "price > 20", RecordingAction())
-        oracle_m.add_trigger(
-            "chained", "executed(base, t) & time = t + 5", RecordingAction()
-        )
-
+        oracle_m = setup_chained(oracle)
         adb = make_engine()
-        manager = adb.rule_manager()
-        manager.add_trigger("base", "price > 20", RecordingAction())
-        manager.add_trigger(
-            "chained", "executed(base, t) & time = t + 5", RecordingAction()
+        manager = setup_chained(adb)
+        runtime = attach(
+            adb, tmp_path / "segments", manager=manager, budget_bytes=500
         )
-        attach(adb, tmp_path / "segments", manager=manager, budget_bytes=500)
 
         ops = long_ops(80)
         drive(oracle, ops)
         drive(adb, ops)
+        assert adb.history.spilled_states > 0
         assert firing_sig(manager) == firing_sig(oracle_m)
-        # the full executed record set is still reconstructable (spilled
-        # records fault back first, so compare time-sorted)
-        key = lambda r: (r.time, r.rule, r.params)
-        assert sorted(manager.executed.records(), key=key) == sorted(
-            oracle_m.executed.records(), key=key
-        )
-        assert len(manager.executed) == len(oracle_m.executed)
+        assert manager.executed.records() == oracle_m.executed.records()
+        assert {r.rule for r in manager.executed.records()} == {"base"}
+        assert len(manager.executed) == len(manager.firings_of("base"))
+        assert list((tmp_path / "segments").glob("seg-executed-*")) == []
+        assert set(runtime.archive()) == {"history", "budget_bytes"}
+        assert "executed" not in runtime.governor.usage()
 
-    def test_discard_horizon_respected_after_spill(self, tmp_path):
-        from repro.ptl.context import ExecutedStore
 
-        store = SegmentStore(tmp_path)
-        ex = ExecutedStore()
-        ex.enable_spill(store)
-        for t in range(20):
-            ex.record("r", (t,), t)
-        assert ex.spill_cold(horizon=15) == 15
-        assert len(ex) == 20
-        ex.discard_before(10)
-        times = sorted(r.time for r in ex.records())
-        assert times == list(range(10, 20))  # spilled-but-discarded gone
+#: A durable directory written by commit 9cbc0b7, the last to spill
+#: execution records: a format-4 checkpoint whose ``tiers.executed``
+#: section lists two ``seg-executed-*`` segments, and a WAL tail past it.
+#: It ran ``setup_v4_fixture`` over ``long_ops(24)`` with a
+#: checkpoint after the first 18 ops (see the fixture's README.md).
+V4_EXECUTED_TIER = Path(__file__).parent / "fixtures" / "ckpt_v4_executed_tier"
+
+
+def setup_v4_fixture(adb):
+    manager = adb.rule_manager()
+    manager.add_trigger("base", "price > 20", RecordingAction())
+    manager.add_trigger(
+        "rise", "price > 50 & lasttime price <= 50", RecordingAction()
+    )
+    manager.add_trigger(
+        "chained", "executed(rise, t) & time <= t + 3", RecordingAction(),
+        params=("t",),
+    )
+    return manager
+
+
+class TestOldExecutedTierCheckpoint:
+    def test_restores_and_replays_like_its_twin(self, tmp_path):
+        """A checkpoint that carries ``tiers.executed`` still restores.
+        Its spilled records were, by construction, records of rules no
+        condition read (``base``, ``chained``), which are no longer kept:
+        their segment files are quarantined as ``*.orphan`` like any
+        segment the history does not list.  The restored run then equals
+        a twin fed the same operations from scratch."""
+        root = tmp_path / "durable"
+        shutil.copytree(V4_EXECUTED_TIER, root)
+        checkpoint = json.loads((root / "checkpoint.json").read_text())
+        assert checkpoint["format"] == 4
+        spilled = [
+            info["name"] for info in checkpoint["tiers"]["executed"]["segments"]
+        ]
+        assert spilled and all(n.startswith("seg-executed-") for n in spilled)
+
+        report = RecoveryManager(root).recover(setup=setup_v4_fixture)
+        adb, manager = report.engine, report.manager
+        assert report.checkpoint_used and report.replayed_steps > 0
+        manager.flush()
+
+        twin = ActiveDatabase()
+        twin.declare_item("price", 0)
+        twin_m = setup_v4_fixture(twin)
+        ops = long_ops(24)
+        drive(twin, ops)
+        twin_m.flush()
+        assert adb.state_count == twin.state_count == len(ops)
+        assert firing_sig(manager) == firing_sig(twin_m)
+        assert manager.executed.records() == twin_m.executed.records()
+        assert {r.rule for r in manager.executed.records()} == {"rise"}
+        assert_same_states(adb.history, twin.history)
+
+        segments = root / "segments"
+        assert list(segments.glob("seg-executed-*.jsonl")) == []
+        orphans = {p.name for p in segments.glob("*.orphan")}
+        assert {f"{name}.orphan" for name in spilled} <= orphans
+        for info in checkpoint["tiers"]["history"]["segments"]:
+            assert (segments / info["name"]).exists()
 
 
 class TestAuxSpill:
