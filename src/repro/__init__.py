@@ -11,11 +11,21 @@ Public API highlights
 - :mod:`repro.ptl` — the PTL language and evaluators.
 - :mod:`repro.rules` — triggers, integrity constraints, the rule manager.
 - :mod:`repro.validtime` — the valid-time model.
+
+Names are exported lazily: ``repro.TemporalDatabase`` loads the facade
+the first time it is read.
 """
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from repro.engine import ActiveDatabase
-from repro.facade import TemporalDatabase
-
 __all__ = ["ActiveDatabase", "TemporalDatabase", "__version__"]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ActiveDatabase": "repro.engine",
+        "TemporalDatabase": "repro.facade",
+    },
+)

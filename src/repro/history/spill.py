@@ -40,7 +40,7 @@ from repro.history.state import SystemState
 from repro.obs.metrics import as_registry
 from repro.storage.persist import apply_state, encode_state, state_events
 from repro.storage.snapshot import IndexedItem
-from repro.storage.tiers import SegmentStore
+from repro.storage.tiers import SegmentRecords, SegmentStore
 
 PathLike = Union[str, Path]
 
@@ -115,6 +115,17 @@ def _state_ram_bytes(state: SystemState, prev: Optional[SystemState]) -> int:
     )
 
 
+def _records_of(states):
+    """The records of one history segment, one at a time: the first a
+    snapshot head, each later one a row delta off its predecessor."""
+    prev_db = None
+    for state in states:
+        record = encode_state(state, prev_db)
+        record["i"] = state.index
+        yield record
+        prev_db = state.db
+
+
 # -- the governor ----------------------------------------------------------
 
 
@@ -174,10 +185,11 @@ class TieredHistory(SystemHistory):
     rewriting anything.  The invariant is ``mem_start <= archived``: no
     gap — every position is in at least one tier.
 
-    A deep-past read faults *one* segment's parsed records (row deltas,
-    so small) and materialises *one* state from them: a forward cursor
-    replays the delta chain, so sequential access is linear and two
-    consecutive faulted states share every row that did not change.
+    A deep-past read faults *one* segment's verified bytes and
+    materialises *one* state from them, decoding only the records it
+    replays (row deltas, so small): a forward cursor replays the delta
+    chain, so sequential access is linear and two consecutive faulted
+    states share every row that did not change.
 
     ``base_index`` keeps the parent-class meaning (index of the first
     *in-memory* state) and is advanced as states are dropped, so
@@ -206,7 +218,7 @@ class TieredHistory(SystemHistory):
         self._mem_start = 0  # position of self._states[0]
         #: The one faulted segment: (segment number, its records), and
         #: the cursor into it: (k, the state records[k] describes).
-        self._cache: Optional[tuple[int, list]] = None
+        self._cache: Optional[tuple[int, SegmentRecords]] = None
         self._cursor: tuple[int, Optional[SystemState]] = (-1, None)
         #: The RAM account: what each hot state added (aligned with
         #: ``_states``) and the running sum the governor reads.
@@ -219,6 +231,7 @@ class TieredHistory(SystemHistory):
         self._m_hot_bytes = self.metrics.gauge("history_hot_bytes")
         self._m_faults = self.metrics.counter("history_faults_total")
         self._m_faulted = self.metrics.gauge("history_faulted_records")
+        self._m_cache_bytes = self.metrics.gauge("history_fault_cache_bytes")
 
     # -- sizing ------------------------------------------------------------
 
@@ -272,26 +285,31 @@ class TieredHistory(SystemHistory):
             )
         return seg
 
-    def _segment_records(self, seg: int) -> list:
+    def _segment_records(self, seg: int) -> SegmentRecords:
         if self._cache is None or self._cache[0] != seg:
+            # Let go of the previous segment and its cursor state first:
+            # a fault holds one segment, never two.
+            self._cache, self._cursor = None, (-1, None)
             records = self._store.load_segment(self._catalog[seg])
             self._m_faults.inc()
             self._m_faulted.set(len(records))
+            self._m_cache_bytes.set(records.nbytes)
             self._cache = (seg, records)
-            self._cursor = (-1, None)
         return self._cache[1]
 
     def _faulted_state(self, seg: int, k: int) -> SystemState:
         """The state record ``k`` of segment ``seg`` describes: the delta
         chain replayed forward from the cursor (from the segment's
-        snapshot head when the cursor is already past ``k``)."""
+        snapshot head when the cursor is already past ``k``), decoding
+        each record it applies once."""
         records = self._segment_records(seg)
         at, state = self._cursor
         if at > k:
             at, state = -1, None
         if at < k:
             db = None if state is None else state.db
-            for record in records[at + 1 : k + 1]:
+            for j in range(at + 1, k + 1):
+                record = records[j]
                 db = apply_state(db, record)
             events, delta = state_events(record)
             state = SystemState(
@@ -376,16 +394,9 @@ class TieredHistory(SystemHistory):
             )
             start = self._archived - self._mem_start
             chunk = self._states[start : start + count]
-            records = []
-            prev_db = None
-            for state in chunk:
-                record = encode_state(state, prev_db)
-                record["i"] = state.index
-                records.append(record)
-                prev_db = state.db
             info = self._store.write_segment(
                 "history",
-                records,
+                _records_of(chunk),
                 meta={
                     "first_pos": self._archived,
                     "first_index": chunk[0].index,

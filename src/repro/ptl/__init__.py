@@ -1,89 +1,67 @@
-"""Past Temporal Logic: language, reference semantics, incremental algorithm."""
+"""Past Temporal Logic: language, reference semantics, incremental algorithm.
 
-from repro.ptl.ast import (
-    FALSE,
-    TRUE,
-    AggT,
-    And,
-    Assign,
-    BoolConst,
-    Comparison,
-    ConstT,
-    EventAtom,
-    ExecutedAtom,
-    Formula,
-    FuncT,
-    InQuery,
-    Lasttime,
-    Not,
-    Or,
-    Previously,
-    QueryT,
-    Since,
-    Term,
-    ThroughoutPast,
-    Var,
-    assigned_variables,
-    free_variables,
-)
-from repro.ptl.auxrel import AuxiliaryRelation, AuxiliaryStore
-from repro.ptl.compiled import (
-    CompiledChain,
-    ptl_compile_enabled,
-    set_ptl_compile,
-)
-from repro.ptl.context import EvalContext, ExecutedStore, ExecutionRecord
-from repro.ptl.incremental import FireResult
-from repro.ptl.plan import IncrementalEvaluator, PlanBoundEvaluator, SharedPlan
-from repro.ptl.future_parser import parse_future_formula
-from repro.ptl.parser import parse_formula
-from repro.ptl.rewrite import normalize
-from repro.ptl.safety import check_safety, unsafe_variables
-from repro.ptl.semantics import UNDEFINED, answers, satisfies
+Names are exported lazily: reading one imports only the module that
+defines it, so an engine that evaluates conditions does not load the
+reference semantics, the future-formula monitor or the compiler.
+"""
 
-__all__ = [
-    "Formula",
-    "Term",
-    "Var",
-    "ConstT",
-    "FuncT",
-    "QueryT",
-    "AggT",
-    "BoolConst",
-    "TRUE",
-    "FALSE",
-    "Comparison",
-    "EventAtom",
-    "InQuery",
-    "ExecutedAtom",
-    "Not",
-    "And",
-    "Or",
-    "Since",
-    "Lasttime",
-    "Previously",
-    "ThroughoutPast",
-    "Assign",
-    "free_variables",
-    "assigned_variables",
-    "parse_formula",
-    "parse_future_formula",
-    "normalize",
-    "satisfies",
-    "answers",
-    "UNDEFINED",
-    "IncrementalEvaluator",
-    "SharedPlan",
-    "PlanBoundEvaluator",
-    "FireResult",
-    "EvalContext",
-    "ExecutedStore",
-    "ExecutionRecord",
-    "AuxiliaryRelation",
-    "AuxiliaryStore",
-    "CompiledChain",
-    "ptl_compile_enabled",
-    "set_ptl_compile",
-    "check_safety",
-    "unsafe_variables",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "Formula",
+            "Term",
+            "Var",
+            "ConstT",
+            "FuncT",
+            "QueryT",
+            "AggT",
+            "BoolConst",
+            "TRUE",
+            "FALSE",
+            "Comparison",
+            "EventAtom",
+            "InQuery",
+            "ExecutedAtom",
+            "Not",
+            "And",
+            "Or",
+            "Since",
+            "Lasttime",
+            "Previously",
+            "ThroughoutPast",
+            "Assign",
+            "free_variables",
+            "assigned_variables",
+        ),
+        "repro.ptl.ast",
+    ),
+    "parse_formula": "repro.ptl.parser",
+    "parse_future_formula": "repro.ptl.future_parser",
+    "normalize": "repro.ptl.rewrite",
+    "satisfies": "repro.ptl.semantics",
+    "answers": "repro.ptl.semantics",
+    "UNDEFINED": "repro.ptl.values",
+    **dict.fromkeys(
+        ("IncrementalEvaluator", "SharedPlan", "PlanBoundEvaluator"),
+        "repro.ptl.plan",
+    ),
+    "FireResult": "repro.ptl.incremental",
+    **dict.fromkeys(
+        ("EvalContext", "ExecutedStore", "ExecutionRecord"),
+        "repro.ptl.context",
+    ),
+    **dict.fromkeys(
+        ("AuxiliaryRelation", "AuxiliaryStore"), "repro.ptl.auxrel"
+    ),
+    "CompiledChain": "repro.ptl.compiled",
+    **dict.fromkeys(
+        ("ptl_compile_enabled", "set_ptl_compile"), "repro.ptl.compile_toggle"
+    ),
+    **dict.fromkeys(("check_safety", "unsafe_variables"), "repro.ptl.safety"),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from repro.query.ast import Query
 from repro.query.evaluator import StateView
-from repro.ptl.semantics import UNDEFINED, eval_query_value
+from repro.ptl.values import UNDEFINED, eval_query_value
 
 #: The paper's MAX sentinel for open validity intervals.
 MAX_TIME = None

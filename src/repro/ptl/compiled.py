@@ -46,41 +46,26 @@ working unchanged — and makes the two backends freely switchable mid-run
 together step-by-step).
 
 Toggle with ``REPRO_PTL_COMPILE=1`` (default off — the interpreted path is
-the differential oracle) or :func:`set_ptl_compile`.
+the differential oracle) or :func:`set_ptl_compile`; the toggle lives in
+:mod:`repro.ptl.compile_toggle` (re-exported here), so the plan reads it
+without loading this module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Optional
 
 from repro.errors import PTLError, QueryEvaluationError, RecoveryError
 from repro.ptl import ast
 from repro.ptl import constraints as cs
-from repro.ptl.semantics import UNDEFINED
+from repro.ptl.compile_toggle import (  # noqa: F401 (re-exported)
+    ptl_compile_enabled,
+    set_ptl_compile,
+)
+from repro.ptl.values import UNDEFINED
 from repro.query.evaluator import apply_comparison
-
-# ---------------------------------------------------------------------------
-# Toggle
-# ---------------------------------------------------------------------------
-
-_PTL_COMPILE = os.environ.get("REPRO_PTL_COMPILE", "0") != "0"
-
-
-def ptl_compile_enabled() -> bool:
-    """Whether evaluation steps run on compiled recurrence chains."""
-    return _PTL_COMPILE
-
-
-def set_ptl_compile(flag: bool) -> bool:
-    """Enable/disable the compiled backend; returns the previous setting
-    (for ``try/finally`` toggling)."""
-    global _PTL_COMPILE
-    previous = _PTL_COMPILE
-    _PTL_COMPILE = bool(flag)
-    return previous
 
 
 class ChainLoweringError(PTLError):

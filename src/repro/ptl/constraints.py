@@ -804,7 +804,7 @@ def encode_value(value: Any):
     come back as the singleton)."""
     if value is FRESH:
         return {"__fresh__": True}
-    from repro.ptl.semantics import UNDEFINED
+    from repro.ptl.values import UNDEFINED
 
     if value is UNDEFINED:
         return {"__undefined__": True}
@@ -825,7 +825,7 @@ def decode_value(payload: Any):
         if payload.get("__fresh__"):
             return FRESH
         if payload.get("__undefined__"):
-            from repro.ptl.semantics import UNDEFINED
+            from repro.ptl.values import UNDEFINED
 
             return UNDEFINED
         if "__tuple__" in payload:

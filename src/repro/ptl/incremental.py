@@ -61,7 +61,7 @@ from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
 from repro.ptl.optimize import prune_time_bounds
 from repro.ptl.rewrite import TIME_QUERY
-from repro.ptl.semantics import UNDEFINED, eval_query_value
+from repro.ptl.values import UNDEFINED, eval_query_value
 from repro.query import ast as qast
 from repro.query import plan as qplan
 from repro.query.evaluator import apply_comparison

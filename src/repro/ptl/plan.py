@@ -65,7 +65,7 @@ from repro.obs.metrics import as_registry
 from repro.ptl import ast
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
-from repro.ptl import compiled as _compiled
+from repro.ptl import compile_toggle
 from repro.ptl.incremental import (
     FireResult,
     _AggregateState,
@@ -83,7 +83,7 @@ from repro.ptl.incremental import (
     query_param_vars,
 )
 from repro.ptl.rewrite import TIME_QUERY, normalize
-from repro.ptl.semantics import UNDEFINED, eval_query_value
+from repro.ptl.values import UNDEFINED, eval_query_value
 from repro.query import plan as qplan
 
 
@@ -130,6 +130,12 @@ _TEMPORAL = (_LasttimeNode, _SinceNode)
 #: "Tried to lower, unsupported" marker — distinct from None ("not yet
 #: tried") so the lowering attempt happens at most once per root set.
 _NO_CHAIN = object()
+
+
+def _is_chain(chain) -> bool:
+    """A built compiled chain: neither not-yet-tried nor declined.  Only
+    then is :mod:`repro.ptl.compiled` loaded."""
+    return chain is not None and chain is not _NO_CHAIN
 
 
 def _time_vars(formula: ast.Formula) -> frozenset[str]:
@@ -491,7 +497,7 @@ class SharedPlan:
         for entry in self._rules.values():
             if entry.qvars:
                 self._refresh_instances(entry, state)
-        chain = self._ensure_chain() if _compiled._PTL_COMPILE else None
+        chain = self._ensure_chain() if compile_toggle.ENABLED else None
         if chain is not None:
             # Aggregates are slots of the chain like their φ/ψ: the
             # generated code maintains every one reachable from a root.
@@ -581,16 +587,10 @@ class SharedPlan:
             for entry in self._rules.values()
             for root in entry.roots()
         ]
-        if (
-            isinstance(chain, _compiled.CompiledChain)
-            and not chain.should_compact()
-        ):
+        if _is_chain(chain) and not chain.should_compact():
             self._patch_chain(chain, roots)
             chain = self._chain
-            if (
-                isinstance(chain, _compiled.CompiledChain)
-                and chain.should_compact()
-            ):
+            if _is_chain(chain) and chain.should_compact():
                 # The patch just crossed the dead-slot threshold.
                 self._build_chain(roots)
         else:
@@ -610,8 +610,10 @@ class SharedPlan:
         }
 
     def _build_chain(self, roots) -> None:
+        from repro.ptl.compiled import try_lower
+
         start = perf_counter()
-        chain = _compiled.try_lower(roots, self._temporal_meta())
+        chain = try_lower(roots, self._temporal_meta())
         self._chain = chain if chain is not None else _NO_CHAIN
         self.chain_builds += 1
         if self._obs_on:
@@ -640,10 +642,12 @@ class SharedPlan:
                 adds.extend([by_id[rid]] * (need - have))
         if not releases and not adds:
             return
+        from repro.ptl.compiled import ChainLoweringError
+
         chain.release_roots(releases)
         try:
             chain.add_roots(adds, self._temporal_meta())
-        except _compiled.ChainLoweringError:
+        except ChainLoweringError:
             self._chain = _NO_CHAIN
             return
         chain.refingerprint()
@@ -656,10 +660,10 @@ class SharedPlan:
 
         Gated on the live toggle, like ``plan_compiled``: a built chain
         that the toggle has switched off is not what evaluates rules."""
-        if not _compiled._PTL_COMPILE:
+        if not compile_toggle.ENABLED:
             return 0
         chain = self._chain
-        if isinstance(chain, _compiled.CompiledChain):
+        if _is_chain(chain):
             return chain.n_nodes
         return 0
 
@@ -707,9 +711,9 @@ class SharedPlan:
         self._m_intern.set(interned["hit_rate"])
         self._m_intern_live.set(interned["formulas"] + interned["terms"])
         chain = self._chain
-        is_chain = isinstance(chain, _compiled.CompiledChain)
+        is_chain = _is_chain(chain)
         self._m_compiled.set(
-            1 if (is_chain and _compiled._PTL_COMPILE) else 0
+            1 if (is_chain and compile_toggle.ENABLED) else 0
         )
         self._m_compiled_ops.set(self.compiled_ops())
         qplan.STATS.publish(self.metrics)
@@ -813,7 +817,7 @@ class SharedPlan:
                 for (term, avail, birth), agg in self._aggregates.items()
             ],
         }
-        if _compiled._PTL_COMPILE:
+        if compile_toggle.ENABLED:
             chain = self._ensure_chain()
             if chain is not None:
                 out["compiled"] = chain.to_state()
@@ -954,7 +958,7 @@ class SharedPlan:
         compiled_section = payload.get("compiled")
         if (
             compiled_section is not None
-            and _compiled._PTL_COMPILE
+            and compile_toggle.ENABLED
             and not any(drift.values())
         ):
             chain = self._ensure_chain()

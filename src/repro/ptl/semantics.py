@@ -17,32 +17,25 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.errors import EvaluationError, PTLTypeError, QueryEvaluationError
+from repro.errors import EvaluationError, QueryEvaluationError
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl.context import EvalContext, domain_values
 from repro.ptl.rewrite import normalize
+from repro.ptl.values import UNDEFINED, Undefined, eval_query_value
 from repro.query.evaluator import apply_comparison, eval_query
 from repro.query.functions import aggregate_function, scalar_function
 from repro.datamodel.relation import Relation
 
-
-class Undefined:
-    """Sentinel for undefined term values; any comparison involving it is
-    false."""
-
-    _instance: Optional["Undefined"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<undefined>"
-
-
-UNDEFINED = Undefined()
+__all__ = [
+    "UNDEFINED",
+    "Undefined",
+    "answers",
+    "eval_aggregate",
+    "eval_query_value",
+    "eval_term",
+    "satisfies",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -77,31 +70,6 @@ def eval_term(
     if isinstance(term, ast.AggT):
         return eval_aggregate(term, history, i, env, ctx)
     raise EvaluationError(f"unknown term {term!r}")
-
-
-def eval_query_value(query, state: SystemState, env: Mapping[str, Any]) -> Any:
-    """A query as a term value: scalars pass through, 1x1 relations unwrap,
-    empty results are undefined."""
-    try:
-        result = eval_query(query, state, env)
-    except (QueryEvaluationError, TypeError):
-        # Undefined item arithmetic (e.g. CUM_PRICE before initialization)
-        # or division by zero: the term is undefined, the enclosing atom
-        # false.
-        return UNDEFINED
-    if result is None:
-        return UNDEFINED
-    if isinstance(result, Relation):
-        if result.is_empty():
-            return UNDEFINED
-        try:
-            return result.scalar()
-        except Exception:
-            raise PTLTypeError(
-                f"query {query} used as a term but returned a "
-                f"{len(result)}-row relation"
-            )
-    return result
 
 
 def eval_aggregate(

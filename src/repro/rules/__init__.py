@@ -1,47 +1,44 @@
-"""The rule system: triggers, integrity constraints, composite actions."""
+"""The rule system: triggers, integrity constraints, composite actions.
 
-from repro.rules.actions import (
-    AbortAction,
-    Action,
-    ActionContext,
-    DbAction,
-    PyAction,
-    RecordingAction,
-    as_action,
-)
-from repro.rules.composite import (
-    CompositeStep,
-    add_composite,
-    add_periodic,
-    add_sequence,
-)
-from repro.rules.manager import RuleManager, TemporalComponent, infer_relevant_events
-from repro.rules.rule import (
-    CouplingMode,
-    FireMode,
-    FiringRecord,
-    Rule,
-    make_integrity_constraint,
-)
+Names are exported lazily: the composite actions of Section 7 load the
+first time one of them is read.
+"""
 
-__all__ = [
-    "Action",
-    "ActionContext",
-    "PyAction",
-    "DbAction",
-    "AbortAction",
-    "RecordingAction",
-    "as_action",
-    "Rule",
-    "FiringRecord",
-    "CouplingMode",
-    "FireMode",
-    "make_integrity_constraint",
-    "RuleManager",
-    "TemporalComponent",
-    "infer_relevant_events",
-    "CompositeStep",
-    "add_sequence",
-    "add_periodic",
-    "add_composite",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "Action",
+            "ActionContext",
+            "PyAction",
+            "DbAction",
+            "AbortAction",
+            "RecordingAction",
+            "as_action",
+        ),
+        "repro.rules.actions",
+    ),
+    **dict.fromkeys(
+        (
+            "Rule",
+            "FiringRecord",
+            "CouplingMode",
+            "FireMode",
+            "make_integrity_constraint",
+        ),
+        "repro.rules.rule",
+    ),
+    **dict.fromkeys(
+        ("RuleManager", "TemporalComponent", "infer_relevant_events"),
+        "repro.rules.manager",
+    ),
+    **dict.fromkeys(
+        ("CompositeStep", "add_sequence", "add_periodic", "add_composite"),
+        "repro.rules.composite",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

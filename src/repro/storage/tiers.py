@@ -15,7 +15,9 @@ Every disk path is hardened:
   surfaces immediately so callers can enter degraded mode;
 * segment load truncates a torn trailing record (crash mid-write), then
   validates the header count and payload hash — a torn or unsealed
-  segment is *refused*, not half-read;
+  segment is *refused*, not half-read.  Nothing is parsed to verify: the
+  hash runs over the file's bytes in place, and the loaded segment is a
+  :class:`SegmentRecords` that decodes a record only when it is read;
 * :meth:`SegmentStore.quarantine_orphans` renames segment files that no
   manifest or checkpoint references (the debris of a crash mid-spill) so
   they can never shadow live data;
@@ -34,8 +36,10 @@ import hashlib
 import json
 import os
 import time
+from array import array
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import RecoveryError, StorageError
 from repro.obs.metrics import as_registry
@@ -79,6 +83,39 @@ def retry_io(
                 on_retry(exc, attempt)
             sleep(backoff * (2 ** attempt))
             attempt += 1
+
+
+class SegmentRecords(Sequence):
+    """The records of one loaded segment, decoded when read.
+
+    Holds the segment file's verified bytes and the offset at which each
+    record's line starts; reading record ``k`` parses that line alone
+    (a fresh object per read).  A reader that bisects or replays a prefix
+    pays for the records it touches, not for the segment."""
+
+    __slots__ = ("_data", "_starts")
+
+    def __init__(self, data: bytes, starts: array):
+        self._data = data
+        #: ``len(self) + 1`` offsets: record ``k`` is the line
+        #: ``data[starts[k]:starts[k + 1]]``.
+        self._starts = starts
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of segment file held (header included)."""
+        return len(self._data)
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        starts = self._starts
+        return json.loads(self._data[starts[index] : starts[index + 1]])
 
 
 class SegmentStore:
@@ -147,14 +184,16 @@ class SegmentStore:
         )
 
     def write_segment(
-        self, tier: str, records: list, meta: Optional[dict] = None
+        self, tier: str, records: Iterable, meta: Optional[dict] = None
     ) -> dict:
         """Seal ``records`` into a new segment; returns its descriptor
         ``{name, tier, count, sha256, bytes, meta}``.
 
+        ``records`` may be any iterable (a generator is consumed once):
+        each record is encoded once, to one ASCII line, as it arrives.
         The write is a single pass — header, payload, fsync, directory
         fsync — retried as a whole on transient errors (reopening with
-        ``"w"`` makes a retry idempotent).  A crash mid-write leaves a
+        ``"wb"`` makes a retry idempotent).  A crash mid-write leaves a
         file that load/quarantine will refuse; the caller must not drop
         its in-memory copy until this method returns."""
         from repro.recovery.faultinject import (
@@ -166,43 +205,51 @@ class SegmentStore:
 
         name = f"seg-{tier}-{self._next_id:06d}.jsonl"
         self._next_id += 1
-        lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
-        payload = "".join(lines)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        header = json.dumps(
-            {
-                "kind": HEADER_KIND,
-                "format": SEGMENT_FORMAT,
-                "tier": tier,
-                "count": len(records),
-                "sha256": digest,
-                "meta": meta or {},
-            },
-            sort_keys=True,
-        ) + "\n"
+        sha = hashlib.sha256()
+        lines = []
+        for record in records:
+            line = (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
+            sha.update(line)
+            lines.append(line)
+        digest = sha.hexdigest()
+        payload_bytes = sum(map(len, lines))
+        header = (
+            json.dumps(
+                {
+                    "kind": HEADER_KIND,
+                    "format": SEGMENT_FORMAT,
+                    "tier": tier,
+                    "count": len(lines),
+                    "sha256": digest,
+                    "meta": meta or {},
+                },
+                sort_keys=True,
+            )
+            + "\n"
+        ).encode("ascii")
         path = self.segment_path(name)
         injector = self.injector
 
         def write_file() -> None:
-            with open(path, "w") as fp:
+            with open(path, "wb") as fp:
                 if injector is not None:
                     injector.io_check(DISK_FULL)
                 fp.write(header)
                 if injector is not None and injector.due(MID_SEGMENT_WRITE):
                     # Half the payload reaches the disk, then the machine
                     # dies with the segment unsealed.
-                    fp.write(payload[: len(payload) // 2])
+                    fp.write(b"".join(lines)[: payload_bytes // 2])
                     fp.flush()
                     os.fsync(fp.fileno())
                     injector.hit(MID_SEGMENT_WRITE)
                 if injector is not None and injector.due(TORN_SEGMENT) and lines:
                     # All but half of the final record reaches the disk.
-                    torn = len(payload) - max(1, len(lines[-1]) // 2)
-                    fp.write(payload[:torn])
+                    torn = payload_bytes - max(1, len(lines[-1]) // 2)
+                    fp.write(b"".join(lines)[:torn])
                     fp.flush()
                     os.fsync(fp.fileno())
                     injector.hit(TORN_SEGMENT)
-                fp.write(payload)
+                fp.writelines(lines)
                 fp.flush()
                 if self.fsync:
                     if injector is not None:
@@ -226,9 +273,9 @@ class SegmentStore:
         info = {
             "name": name,
             "tier": tier,
-            "count": len(records),
+            "count": len(lines),
             "sha256": digest,
-            "bytes": len(header) + len(payload),
+            "bytes": len(header) + payload_bytes,
             "meta": meta or {},
         }
         self._update_manifest(info)
@@ -260,14 +307,17 @@ class SegmentStore:
 
     # -- loading -----------------------------------------------------------
 
-    def load_segment(self, ref: Union[str, dict]) -> list:
-        """Load and verify one sealed segment; returns its records.
+    def load_segment(self, ref: Union[str, dict]) -> SegmentRecords:
+        """Load and verify one sealed segment; returns its records, each
+        decoded when read.
 
         ``ref`` is a descriptor (fingerprint verified) or a bare name
-        (header self-check only).  A torn trailing record is truncated
-        from the parse, after which any header/count/hash mismatch means
-        the segment never sealed (or rotted) and it is refused with
-        :class:`~repro.errors.RecoveryError` — no partial reads."""
+        (header self-check only).  A torn trailing record is truncated,
+        after which any header/count/hash mismatch means the segment
+        never sealed (or rotted) and it is refused with
+        :class:`~repro.errors.RecoveryError` — no partial reads.  A
+        corrupt record is refused by the payload hash, so no record is
+        parsed to verify the segment."""
         name = ref if isinstance(ref, str) else ref["name"]
         expected_sha = None if isinstance(ref, str) else ref["sha256"]
         path = self.segment_path(name)
@@ -276,41 +326,29 @@ class SegmentStore:
             self._m_faults.inc()
             raise RecoveryError(f"missing history segment {name!r}")
         data = path.read_bytes()
-        lines = data.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        else:
-            # Torn tail: the final record has no newline — a crash
-            # mid-write.  Truncate it from the parse; the header check
-            # below then refuses the unsealed segment.
-            lines = lines[:-1]
-        records = []
-        header = None
-        payload_parts = []
-        for i, raw in enumerate(lines):
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                if i + 1 < len(lines):
-                    self._m_faults.inc()
-                    raise RecoveryError(
-                        f"corrupt record mid-segment in {name!r} "
-                        f"(line {i + 1})"
-                    ) from None
-                break  # torn trailing record: truncated from the parse
-            if i == 0:
-                if record.get("kind") != HEADER_KIND:
-                    self._m_faults.inc()
-                    raise RecoveryError(f"segment {name!r} has no header")
-                header = record
-            else:
-                records.append(record)
-                payload_parts.append(raw)
-        if header is None:
+        # Torn tail: bytes after the final newline are a record the crash
+        # cut short.  Truncate them; the checks below then refuse the
+        # unsealed segment.
+        end = data.rfind(b"\n") + 1
+        if not end:
             self._m_faults.inc()
             raise RecoveryError(f"segment {name!r} is empty or torn")
-        payload = b"".join(p + b"\n" for p in payload_parts)
-        digest = hashlib.sha256(payload).hexdigest()
+        body = data.index(b"\n") + 1
+        try:
+            header = json.loads(data[:body])
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != HEADER_KIND:
+            self._m_faults.inc()
+            raise RecoveryError(f"segment {name!r} has no header")
+        starts = array("q")
+        at = body
+        while at < end:
+            starts.append(at)
+            at = data.index(b"\n", at) + 1
+        starts.append(end)
+        records = SegmentRecords(data, starts)
+        digest = hashlib.sha256(memoryview(data)[body:end]).hexdigest()
         if len(records) != header["count"] or digest != header["sha256"]:
             self._m_faults.inc()
             raise RecoveryError(

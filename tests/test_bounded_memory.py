@@ -26,8 +26,11 @@ version of a relation owns a table and its indexes.
 """
 
 import gc
+import json
+import math
 import random
 import tracemalloc
+import types
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -465,15 +468,23 @@ class TestArchivalPastCostsItsDeltas:
     def _txn(self, adb, i):
         deep_txn(adb, i, self.ROWS)
 
-    def test_fault_materialises_one_state(self, tmp_path):
+    def _archived(self, tmp_path):
+        """The engine after ``STATES`` transactions, every state sealed
+        into one segment and evicted; also the states' timestamps."""
         adb = self._engine(tmp_path)
         for i in range(self.STATES):
             self._txn(adb, i)
         history = adb.history
+        timestamps = [state.timestamp for state in history]
         history.archive()
         assert history.spill(keep_hot=0) == self.STATES
         (segment,) = history._catalog
         assert segment["count"] == self.STATES
+        return adb, timestamps
+
+    def test_fault_materialises_one_state(self, tmp_path):
+        adb, _ = self._archived(tmp_path)
+        history = adb.history
         faults = adb.metrics.counter("history_faults_total")
         gc.collect()
         tracemalloc.start()
@@ -483,14 +494,67 @@ class TestArchivalPastCostsItsDeltas:
         finally:
             tracemalloc.stop()
         assert first.index == 0 and len(first.db.relation("ORDERS")) == self.ROWS
-        # parsed records + one database state, not 600 private copies of
-        # a 400-row relation (27 MB before the fault went lazy)
-        assert peak < 4_000_000, peak
+        # the segment's bytes, one decoded record and one database state
+        # (≈ 0.34 MB on a 135 kB segment): not every record parsed
+        # (2.0 MB) nor 600 private copies of a 400-row relation (27 MB)
+        assert peak < 800_000, peak
         assert faults.value == 1
         # a second read into the same segment loads nothing
         later = adb.as_of(first.timestamp + self.STATES // 2)
         assert later.index > first.index
         assert faults.value == 1
+
+    def test_a_cold_read_decodes_what_it_replays(self, tmp_path, monkeypatch):
+        from repro.storage import tiers
+
+        adb, timestamps = self._archived(tmp_path)
+        history = adb.history
+        decoded = []
+
+        def loads(text, **kwargs):
+            decoded.append(len(text))
+            return json.loads(text, **kwargs)
+
+        # every record the segment store decodes goes through its json
+        monkeypatch.setattr(
+            tiers,
+            "json",
+            types.SimpleNamespace(
+                loads=loads,
+                dumps=json.dumps,
+                JSONDecodeError=json.JSONDecodeError,
+            ),
+        )
+        faults = adb.metrics.counter("history_faults_total")
+        bisect = math.ceil(math.log2(self.STATES))
+
+        k = self.STATES // 3
+        state = history.as_of(timestamps[k])
+        assert (state.index, state.timestamp) == (k, timestamps[k])
+        # the header, a bisection over the timestamps and the deltas
+        # from the snapshot head to k; the whole segment before
+        assert len(decoded) <= k + 2 + bisect, len(decoded)
+        assert faults.value == 1
+
+        # a second read into the same segment loads nothing and replays
+        # forward from the first
+        decoded.clear()
+        later = history.as_of(timestamps[2 * k])
+        assert later.index == 2 * k
+        assert len(decoded) <= k + bisect, len(decoded)
+        assert faults.value == 1
+
+    def test_fault_cache_bytes_name_the_segment(self, tmp_path):
+        adb, _ = self._archived(tmp_path)
+        gauge = adb.metrics.gauge("history_fault_cache_bytes")
+        assert gauge.value == 0
+        adb.history[0]
+        (segment,) = adb.history._catalog
+        assert gauge.value == segment["bytes"]
+        # not the governor's: a cold read moves no spill point
+        assert adb.tiered.governor.usage() == {
+            "history": adb.history.estimated_hot_bytes()
+        }
 
     def test_governor_counts_ram(self, tmp_path):
         adb = self._engine(tmp_path)

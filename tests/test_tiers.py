@@ -155,8 +155,36 @@ class TestSegmentStore:
         rows = [{"i": i, "v": "x" * i} for i in range(10)]
         info = store.write_segment("history", rows, meta={"first_pos": 0})
         assert info["count"] == 10
-        assert store.load_segment(info) == rows
-        assert store.load_segment(info["name"]) == rows  # header self-check
+        assert list(store.load_segment(info)) == rows
+        assert list(store.load_segment(info["name"])) == rows  # header self-check
+
+    def test_rewritten_segment_is_byte_identical(self, tmp_path):
+        """Each history segment of a durable directory an earlier commit
+        wrote, fed back to ``write_segment`` as a one-shot generator of
+        its records, is the same file with the same descriptor."""
+        segments = V4_EXECUTED_TIER / "segments"
+        manifest = {
+            info["name"]: info
+            for info in json.loads((segments / "MANIFEST.json").read_text())[
+                "segments"
+            ]
+        }
+        originals = sorted(segments.glob("seg-history-*.jsonl"))
+        assert originals
+        for original in originals:
+            data = original.read_bytes()
+            header, *lines = data.splitlines(keepends=True)
+            header = json.loads(header)
+            store = SegmentStore(tmp_path / original.stem, fsync=False)
+            info = store.write_segment(
+                header["tier"],
+                (json.loads(line) for line in lines),
+                meta=header["meta"],
+            )
+            assert store.segment_path(info["name"]).read_bytes() == data
+            want = dict(manifest[original.name], name=info["name"])
+            assert info == want
+            assert info["bytes"] == len(data)
 
     def test_tampered_payload_refused(self, tmp_path):
         store = SegmentStore(tmp_path)
@@ -203,7 +231,7 @@ class TestSegmentStore:
         quarantined = store.quarantine_orphans([live["name"]])
         assert quarantined == ["seg-history-000099.jsonl"]
         assert (tmp_path / "seg-history-000099.jsonl.orphan").exists()
-        assert store.load_segment(live) == [{"i": 1}]
+        assert list(store.load_segment(live)) == [{"i": 1}]
 
     def test_transient_fault_retried(self, tmp_path):
         injector = FaultInjector()
@@ -212,7 +240,7 @@ class TestSegmentStore:
         )
         injector.arm_io(FSYNC_FAIL, times=2)
         info = store.write_segment("history", [{"i": 1}])
-        assert store.load_segment(info) == [{"i": 1}]
+        assert list(store.load_segment(info)) == [{"i": 1}]
         assert store.metrics.counter("io_retries_total").value == 2
 
     def test_disk_full_not_retried(self, tmp_path):
