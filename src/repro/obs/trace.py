@@ -89,19 +89,6 @@ class TraceSink:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
 
-    def since(self, seq: int, kind: Optional[str] = None) -> list[TraceEvent]:
-        """Retained events with ``seq`` at or past ``seq``, oldest first —
-        walked from the newest end, so the cost is what is new, not what
-        is retained."""
-        fresh = []
-        for event in reversed(self._events):
-            if event.seq < seq:
-                break
-            if kind is None or event.kind == kind:
-                fresh.append(event)
-        fresh.reverse()
-        return fresh
-
     def to_dicts(self) -> list[dict]:
         return [e.to_dict() for e in self._events]
 
@@ -127,9 +114,6 @@ class NullTraceSink:
     emitted = 0
 
     def events(self, kind: Optional[str] = None) -> list:
-        return []
-
-    def since(self, seq: int, kind: Optional[str] = None) -> list:
         return []
 
     def to_dicts(self) -> list:

@@ -645,6 +645,9 @@ class RuleManager:
                 violations.append(
                     f"integrity constraint {reg.rule.name!r} violated"
                 )
+                txn.vetoes += (
+                    (reg.rule.name, candidate.index, candidate.timestamp),
+                )
                 if self._obs_on:
                     self.metrics.counter(
                         "ic_violations_total", rule=reg.rule.name

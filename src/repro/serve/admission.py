@@ -39,14 +39,14 @@ class AdmissionController:
         metrics=None,
         max_queue: int = 256,
         max_batch: int = 64,
-        on_drained: Optional[Callable[[Tenant], None]] = None,
+        on_drained: Optional[Callable[[Tenant, list], None]] = None,
     ):
         """``max_queue`` bounds each tenant's undrained transactions
         (admission refuses past it); ``max_batch`` caps one group
-        commit.  ``on_drained(tenant)`` runs after every drained batch,
-        *before* reply futures resolve — the server hooks the
-        notification pump there so veto reasons and firing pushes are
-        current when replies go out."""
+        commit.  ``on_drained(tenant, done)`` runs after every drained
+        batch with its finished transactions, *before* reply futures
+        resolve — the server hooks the notification pump there so
+        firing and veto pushes precede the replies."""
         self.metrics = as_registry(metrics)
         self.max_queue = max(1, max_queue)
         self.max_batch = max(1, max_batch)
@@ -135,7 +135,7 @@ class AdmissionController:
                     for i, txn in enumerate(done):
                         txn.serve_state_index = state_base + i
                     if self.on_drained is not None:
-                        self.on_drained(tenant)
+                        self.on_drained(tenant, done)
                     for future, txn in zip(futures, done):
                         if not future.cancelled():
                             future.set_result(txn)

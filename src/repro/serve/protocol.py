@@ -177,16 +177,18 @@ def firing_notification(tenant_id: str, record) -> dict:
     }
 
 
-def veto_notification(tenant_id: str, event) -> dict:
-    """Encode an ``ic_violation`` trace event as a push frame."""
-    data = event.data
+def veto_notification(
+    tenant_id: str, rule: str, txn_id: int, state_index: int, timestamp: int
+) -> dict:
+    """Encode one integrity-constraint veto of transaction ``txn_id`` (an
+    entry of its ``vetoes``) as a push frame."""
     return {
         "ev": "ic_veto",
         "tenant": tenant_id,
-        "rule": data.get("rule"),
-        "txn": data.get("txn"),
-        "state_index": data.get("state_index"),
-        "timestamp": event.timestamp,
+        "rule": rule,
+        "txn": txn_id,
+        "state_index": state_index,
+        "timestamp": timestamp,
     }
 
 

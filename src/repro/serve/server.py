@@ -286,8 +286,7 @@ class Session:
             "state_index": getattr(txn, "serve_state_index", None),
         }
         if not committed:
-            vetoed_by = tenant.take_veto_rules(txn.id)
-            fields["vetoed_by"] = vetoed_by
+            fields["vetoed_by"] = [rule for rule, _, _ in txn.vetoes]
             self.server.metrics.counter(
                 "serve_tenant_aborts_total", tenant=tenant.id
             ).inc()
@@ -508,10 +507,11 @@ class ReproServer:
 
     # -- notifications -----------------------------------------------------
 
-    def pump(self, tenant: Tenant) -> None:
-        """Push fresh firings and IC vetoes to the tenant's subscribers;
-        runs after every drained batch, before transaction replies, and
-        labels every pushed frame with the tenant id."""
+    def pump(self, tenant: Tenant, done: list) -> None:
+        """Push fresh firings, then the IC vetoes of the drained
+        transactions ``done``, to the tenant's subscribers; runs after
+        every drained batch, before transaction replies, and labels every
+        pushed frame with the tenant id."""
         subscribers = self.registry.subscribers_of(tenant.id)
         for record in tenant.new_firings():
             self.metrics.counter(
@@ -523,13 +523,16 @@ class ReproServer:
             frame = firing_notification(tenant.id, record)
             for post in subscribers:
                 post(frame)
-        for event in tenant.new_vetoes():
-            self.metrics.counter(
-                "serve_notifications_total", kind="ic_veto"
-            ).inc()
-            frame = veto_notification(tenant.id, event)
-            for post in subscribers:
-                post(frame)
+        for txn in done:
+            for rule, state_index, timestamp in txn.vetoes:
+                self.metrics.counter(
+                    "serve_notifications_total", kind="ic_veto"
+                ).inc()
+                frame = veto_notification(
+                    tenant.id, rule, txn.id, state_index, timestamp
+                )
+                for post in subscribers:
+                    post(frame)
 
     # -- idle eviction -----------------------------------------------------
 

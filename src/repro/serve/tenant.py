@@ -38,7 +38,6 @@ from typing import Callable, Optional, Union
 from repro.engine import ActiveDatabase
 from repro.errors import ProtocolError, TenantError
 from repro.obs.metrics import as_registry
-from repro.obs.trace import TraceSink
 from repro.recovery.manager import RecoveryManager
 from repro.serve.protocol import ERR_INVALID_TENANT
 
@@ -66,7 +65,7 @@ class TenantProfile:
     def catalog(self, engine) -> None:
         raise NotImplementedError
 
-    def rules(self, engine, trace=None):
+    def rules(self, engine):
         raise NotImplementedError
 
 
@@ -93,10 +92,10 @@ class StockProfile(TenantProfile):
             "RETRIEVE (S.price) FROM STOCK S WHERE S.name = $name",
         )
 
-    def rules(self, engine, trace=None):
+    def rules(self, engine):
         from repro.workloads import SHARP_INCREASE
 
-        manager = engine.rule_manager(trace=trace)
+        manager = engine.rule_manager()
         # Firings reach clients as notifications; the action itself
         # keeps nothing.
         manager.add_trigger("sharp_increase", SHARP_INCREASE, _no_action)
@@ -116,7 +115,6 @@ class Tenant:
         engine: ActiveDatabase,
         manager,
         recovery: RecoveryManager,
-        trace: TraceSink,
         recovered: bool,
     ):
         self.id = tenant_id
@@ -124,7 +122,6 @@ class Tenant:
         self.engine = engine
         self.manager = manager
         self.recovery = recovery
-        self.trace = trace
         self.recovered = recovered
         #: Serializes drains, eviction, and admin ops on this tenant.
         self.lock = asyncio.Lock()
@@ -135,14 +132,10 @@ class Tenant:
         self.last_active: float = 0.0
         #: True while an admission drain task is scheduled.
         self.draining = False
-        #: Watermarks for the notification pump — start past anything a
+        #: Watermark for the notification pump — starts past anything a
         #: recovery replay reproduced, so reopening a tenant never
         #: re-notifies its durable history.
         self.notified_firings = manager.firing_count
-        self.notified_trace_seq = trace.emitted
-        #: Veto reasons per txn id, filled by the notification pump and
-        #: read by transaction replies (bounded: pruned as replies go out).
-        self.veto_rules: dict[int, list[str]] = {}
 
     @property
     def state_count(self) -> int:
@@ -156,22 +149,6 @@ class Tenant:
         fresh = self.manager.firings_since(self.notified_firings)
         self.notified_firings += len(fresh)
         return fresh
-
-    def new_vetoes(self):
-        """Fresh ``ic_violation`` trace events since the last pump; also
-        updates :attr:`veto_rules` for transaction replies."""
-        fresh = self.trace.since(self.notified_trace_seq, "ic_violation")
-        self.notified_trace_seq = self.trace.emitted
-        for event in fresh:
-            txn_id = event.data.get("txn")
-            if txn_id is not None:
-                self.veto_rules.setdefault(txn_id, []).append(
-                    event.data.get("rule")
-                )
-        return fresh
-
-    def take_veto_rules(self, txn_id: int) -> list[str]:
-        return self.veto_rules.pop(txn_id, [])
 
 
 class TenantRegistry:
@@ -263,7 +240,6 @@ class TenantRegistry:
         recovery = RecoveryManager(
             directory, fsync=self.fsync, injector=self.injector
         )
-        trace = TraceSink()
         engine_metrics = True if self.tenant_metrics else None
         has_durable = (
             recovery.checkpoint_path.exists()
@@ -274,7 +250,7 @@ class TenantRegistry:
         )
         if has_durable:
             report = recovery.recover(
-                setup=lambda eng: self.profile.rules(eng, trace=trace),
+                setup=self.profile.rules,
                 metrics=engine_metrics,
                 keep_history=False,
             )
@@ -290,7 +266,7 @@ class TenantRegistry:
         else:
             engine = ActiveDatabase(keep_history=False, metrics=engine_metrics)
             self.profile.catalog(engine)
-            manager = self.profile.rules(engine, trace=trace)
+            manager = self.profile.rules(engine)
         recovery.start(engine)
         self.metrics.counter(
             "serve_tenant_opens_total", tenant=tenant_id
@@ -301,7 +277,6 @@ class TenantRegistry:
             engine,
             manager,
             recovery,
-            trace,
             recovered=has_durable,
         )
 

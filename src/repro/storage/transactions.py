@@ -55,6 +55,10 @@ class WriteOp:
 class Transaction:
     """A transaction handle.  Obtain via ``ActiveDatabase.begin()``."""
 
+    #: ``(rule, state_index, timestamp)`` per integrity constraint that
+    #: vetoed this transaction's commit (Section 8, TCA coupling).
+    vetoes: tuple[tuple[str, int, int], ...] = ()
+
     def __init__(self, txn_id: int, database: Database, engine):
         self.id = txn_id
         self._database = database

@@ -241,15 +241,12 @@ def stock_twin():
 
 def serve_batch(server, tenant, ops) -> list:
     """One served drain, without a socket: enqueue the ``("stmts", ...)``
-    ops on ``tenant``, drain them in one group commit, run ``server``'s
-    notification pump and take each transaction's veto reasons as its
-    reply would.  Returns the finished transactions."""
+    ops on ``tenant``, drain them in one group commit and run ``server``'s
+    notification pump over the drained transactions.  Returns them."""
     for op in ops:
         tenant.engine.enqueue(op_body(op))
     done = tenant.engine.drain()
-    server.pump(tenant)
-    for txn in done:
-        tenant.take_veto_rules(txn.id)
+    server.pump(tenant, done)
     return done
 
 

@@ -695,11 +695,11 @@ class TestFiringCostsItsRow:
 
 
 class TestServedTenantHoldsThePresent:
-    """A served tenant holds its current state, the plan's state formulas,
-    the firing log (unbounded by design, ROADMAP 3(b)) and a bounded trace
-    — nothing per past state: its engine keeps no history, and no
-    execution record, since no condition of the stock profile reads
-    one."""
+    """A served tenant holds its current state, the plan's state formulas
+    and the firing log (unbounded by design, ROADMAP 3(b)) — nothing per
+    past state: its engine keeps no history, no execution record (no
+    condition of the stock profile reads one) and no trace (an IC veto
+    rides on its transaction)."""
 
     BATCH = 4
     WARMUP = 25
@@ -721,10 +721,11 @@ class TestServedTenantHoldsThePresent:
 
         retained = retained_bytes(step, self.WARMUP, self.BATCHES)
         per_txn = retained / (self.BATCH * (self.BATCHES - self.WARMUP))
-        # ~560 B (the firing log, trace events); ~635 while every firing
-        # left an execution record, ~2 230 while every tenant kept its
-        # history
-        assert per_txn < 600, per_txn
+        # ~68 B (the firing log's packed rows); ~560 while every tenant
+        # kept a 10 000-event trace, ~635 while every firing also left an
+        # execution record, ~2 230 while every tenant kept its history
+        assert per_txn < 120, per_txn
+        assert tenant.manager.trace.enabled is False
         assert len(tenant.manager.executed) == 0
         assert tenant.engine.history is None
         assert tenant.manager.firing_count

@@ -5,8 +5,11 @@ none of: the reference semantics (``ptl.semantics``, the oracle of every
 Theorem-1 differential), the future-formula monitor (``ptl.future*``),
 the recurrence compiler (``ptl.compiled``, default off), the Section 5
 auxiliary relations (``ptl.auxrel``), the Section 7 composite actions
-(``rules.composite``) or the facade.  Package exports are lazy (PEP 562),
-so none of them loads unless something reads one of its names.
+(``rules.composite``) or the facade; and, keeping no history and only the
+stock profile, neither the tiered history (``history.spill``) nor the
+random workload generators (``workloads.generator``).  Package exports
+are lazy (PEP 562), so none of them loads unless something reads one of
+its names.
 
 The graph is read in a fresh interpreter: once ``import repro.serve``,
 and once more after a started server has opened a ``StockProfile``
@@ -52,7 +55,6 @@ ALLOWED_AT_IMPORT = {
     "repro.events.model",
     "repro.history",
     "repro.history.history",
-    "repro.history.spill",
     "repro.history.state",
     "repro.obs",
     "repro.obs.metrics",
@@ -105,7 +107,6 @@ ALLOWED_SERVED = ALLOWED_AT_IMPORT | {
     "repro.rules.rule",
     "repro.storage.index",
     "repro.workloads",
-    "repro.workloads.generator",
     "repro.workloads.stock",
 }
 
@@ -184,7 +185,10 @@ def test_a_served_tenant_loads_only_the_allow_list(served_process):
     assert loaded <= ALLOWED_SERVED, sorted(loaded - ALLOWED_SERVED)
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.ptl", "repro.rules"])
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.ptl", "repro.rules", "repro.workloads", "repro.history"],
+)
 def test_every_public_name_resolves(package):
     module = __import__(package, fromlist=["__all__"])
     for name in module.__all__:

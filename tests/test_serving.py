@@ -20,7 +20,6 @@ import json
 import os
 import shutil
 import tempfile
-from collections import deque
 from contextlib import contextmanager
 
 import pytest
@@ -28,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ActiveDatabase
-from repro.errors import ProtocolError, TenantError
+from repro.errors import ProtocolError, TenantError, TransactionAborted
 from repro.ptl.compiled import set_ptl_compile
 from repro.recovery import MID_CHECKPOINT, FaultInjector, SimulatedCrash
 from repro.serve import ReproServer, StockProfile, compile_statements
@@ -646,8 +645,7 @@ class TestEvictionRecovery:
 
 
 def counting(container):
-    """A ``container`` subclass counting the elements its readers visit
-    (iteration either way)."""
+    """A ``container`` subclass counting the elements its readers visit."""
 
     class Counting(container):
         visits = 0
@@ -657,19 +655,77 @@ def counting(container):
                 self.visits += 1
                 yield item
 
-        def __reversed__(self):
-            for item in super().__reversed__():
-                self.visits += 1
-                yield item
-
     return Counting
 
 
 class TestNotificationPump:
+    async def test_ic_veto_reply_and_push(self):
+        """A vetoed transaction replies ``vetoed_by`` and pushes one
+        ``ic_veto`` frame, after its drain's firings, naming the abort
+        state a standalone twin appends; a reopened tenant pushes
+        neither again."""
+        prices = [60.0, 130.0, -5.0]
+        engine, manager = stock_twin()
+        for price in prices:
+            try:
+                engine.execute(compile_statements(update_stmt(price)))
+            except TransactionAborted as exc:
+                abort = engine.last_state
+                twin_veto = (exc.txn_id, abort.index, abort.timestamp)
+        manager.detach()
+        with serving_root() as (root, sock):
+            server = ReproServer(
+                root, StockProfile(), unix_path=sock, fsync=False,
+                sweep_interval=0,
+            )
+            await server.start()
+            try:
+                c = await Client.connect(sock)
+                assert (await c.rpc(op="open", tenant="t1", id=0))["ok"]
+                # One write, so the three transactions share one drain.
+                await c.send_raw(b"".join(
+                    json.dumps({
+                        "op": "txn", "tenant": "t1", "id": i,
+                        "stmts": update_stmt(price),
+                    }).encode() + b"\n"
+                    for i, price in enumerate(prices, 1)
+                ))
+                replies = [await c.reply_for(i) for i in (1, 2, 3)]
+                assert [r["committed"] for r in replies] == [True, True, False]
+                assert "vetoed_by" not in replies[1]
+                assert replies[2]["vetoed_by"] == ["positive_price"]
+                assert (await c.rpc(op="ping", id=4))["pong"]
+                kinds = [n["ev"] for n in c.notifications]
+                assert kinds.count("ic_veto") == 1 and "firing" in kinds
+                veto = c.notifications[kinds.index("ic_veto")]
+                assert all(
+                    n["state_index"] > veto["state_index"]
+                    for n in c.notifications[kinds.index("ic_veto") + 1 :]
+                )
+                assert veto["rule"] == "positive_price"
+                assert veto["tenant"] == "t1"
+                assert twin_veto == (
+                    veto["txn"], veto["state_index"], veto["timestamp"]
+                )
+                assert veto["state_index"] == replies[2]["state_index"]
+
+                pushed = len(c.notifications)
+                assert (await c.rpc(op="evict", tenant="t1", id=5))["evicted"]
+                reply = await c.rpc(
+                    op="txn", tenant="t1", id=6, stmts=update_stmt(99.0)
+                )
+                assert reply["committed"]
+                assert server.registry.resident_tenant("t1").recovered
+                assert (await c.rpc(op="ping", id=7))["pong"]
+                assert len(c.notifications) == pushed, c.notifications[pushed:]
+                c.close()
+            finally:
+                await server.stop()
+
     async def _pump_visits(self, root, backlog):
         """Serve ``backlog`` transactions, then count the firing records
         one more drain's pump builds from the packed-row firing log,
-        plus the trace elements it visits."""
+        plus the drained transactions it visits for vetoes."""
         server = ReproServer(root, StockProfile(), fsync=False, sweep_interval=0)
         tenant = await server.registry.get("t1")
         prices = [PRICES[i % len(PRICES)] for i in range(backlog)] + [50.0]
@@ -679,13 +735,17 @@ class TestNotificationPump:
                 tenant,
                 [("stmts", update_stmt(p)) for p in prices[start : start + 8]],
             )
-        manager, trace = tenant.manager, tenant.trace
+        manager = tenant.manager
         log, built = manager._firings, []
         build = log.record
         log.record = lambda i: built.append(i) or build(i)
-        trace._events = counting(deque)(
-            trace._events, maxlen=trace._events.maxlen
-        )
+        pump, drained = server.pump, []
+
+        def counted_pump(tenant, done):
+            drained.append(counting(list)(done))
+            pump(tenant, drained[-1])
+
+        server.pump = counted_pump
         fired = manager.firing_count
         done = serve_batch(
             server,
@@ -694,13 +754,14 @@ class TestNotificationPump:
         )
         assert [t.status.name for t in done] == ["COMMITTED", "ABORTED"]
         assert manager.firing_count > fired
-        visits = len(built) + trace._events.visits
+        visits = len(built) + sum(d.visits for d in drained)
         await server.registry.close_all()
         return visits, fired
 
     async def test_pump_reads_only_what_is_new(self, tmp_path):
         """The pump's work per drain does not depend on how long the
-        firing log and the trace already are."""
+        firing log already is, nor on how many transactions were served
+        before."""
         short_visits, short_log = await self._pump_visits(tmp_path / "a", 30)
         long_visits, long_log = await self._pump_visits(tmp_path / "b", 900)
         assert long_log > 20 * short_log
