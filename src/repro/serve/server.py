@@ -21,6 +21,7 @@ per-tenant drain/evict lock.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import time
@@ -60,7 +61,8 @@ _session_tokens = itertools.count(1)
 
 
 class Session:
-    """One connected client: a reader loop plus ordered writes."""
+    """One connected client: a reader loop whose frames are written in
+    call order straight to the transport."""
 
     def __init__(self, server: "ReproServer", reader, writer):
         self.server = server
@@ -69,34 +71,20 @@ class Session:
         self.token = next(_session_tokens)
         #: Tenant ids this session has opened (and is notified about).
         self.tenants: set[str] = set()
-        self._write_lock = asyncio.Lock()
-        self._tasks: set[asyncio.Task] = set()
         self.closed = False
 
     # -- writing -----------------------------------------------------------
 
-    async def send(self, payload: dict) -> None:
-        if self.closed:
+    def send(self, payload: dict) -> None:
+        """Write one frame now.  The transport keeps frames in call order;
+        :meth:`run` applies backpressure by draining between reads."""
+        if self.closed or self.writer.is_closing():
+            self.closed = True
             return
-        data = encode_frame(payload)
-        async with self._write_lock:
-            if self.closed:
-                return
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                self.closed = True
+        self.writer.write(encode_frame(payload))
 
-    def post(self, payload: dict) -> None:
-        """Queue a frame from synchronous context (notification pump)."""
-        if not self.closed:
-            self._spawn(self.send(payload))
-
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    #: The notification pump's subscriber callback.
+    post = send
 
     # -- reading -----------------------------------------------------------
 
@@ -107,7 +95,7 @@ class Session:
             except (asyncio.LimitOverrunError, ValueError):
                 # The frame outgrew the stream limit mid-line; NDJSON
                 # cannot resynchronise, so reply typed and close.
-                await self.send(
+                self.send(
                     error_reply(
                         ProtocolError(
                             ERR_OVERSIZED,
@@ -124,6 +112,12 @@ class Session:
                 break
             await self.dispatch_line(line)
             if self.closed:
+                break
+            # A peer that does not read its replies is not read either:
+            # past the transport's high-water mark this waits.
+            try:
+                await self.writer.drain()
+            except ConnectionError:
                 break
 
     async def dispatch_line(self, line: bytes) -> None:
@@ -142,7 +136,7 @@ class Session:
                     frame_id = parsed.get("id")
             except Exception:
                 pass
-            await self.send(error_reply(exc, frame_id))
+            self.send(error_reply(exc, frame_id))
             if exc.type == ERR_OVERSIZED:
                 self.closed = True
             return
@@ -153,10 +147,10 @@ class Session:
             await getattr(self, f"op_{op}")(frame, frame_id)
         except ProtocolError as exc:
             server.count_error(exc.type)
-            await self.send(error_reply(exc, frame_id))
+            self.send(error_reply(exc, frame_id))
         except StorageDegradedError as exc:
             server.count_error(ERR_DEGRADED)
-            await self.send(
+            self.send(
                 error_reply(
                     ProtocolError(ERR_DEGRADED, str(exc), reason=exc.reason),
                     frame_id,
@@ -164,14 +158,14 @@ class Session:
             )
         except TenantError as exc:
             server.count_error(ERR_TENANT_BUSY)
-            await self.send(
+            self.send(
                 error_reply(
                     ProtocolError(ERR_TENANT_BUSY, str(exc)), frame_id
                 )
             )
         except Exception as exc:  # noqa: BLE001 — typed reply, keep serving
             server.count_error(ERR_INTERNAL)
-            await self.send(
+            self.send(
                 error_reply(
                     ProtocolError(
                         ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
@@ -184,7 +178,7 @@ class Session:
     # -- request handlers --------------------------------------------------
 
     async def op_hello(self, frame: dict, frame_id) -> None:
-        await self.send(
+        self.send(
             ok_reply(
                 frame_id,
                 server="repro-serve",
@@ -195,7 +189,7 @@ class Session:
         )
 
     async def op_ping(self, frame: dict, frame_id) -> None:
-        await self.send(ok_reply(frame_id, pong=True))
+        self.send(ok_reply(frame_id, pong=True))
 
     def _tenant_id(self, frame: dict) -> str:
         tenant_id = frame.get("tenant")
@@ -224,7 +218,7 @@ class Session:
         tenant = await self.server.registry.get(tenant_id)
         self.tenants.add(tenant_id)
         self.server.registry.subscribe(tenant_id, self.token, self.post)
-        await self.send(
+        self.send(
             ok_reply(
                 frame_id,
                 tenant=tenant_id,
@@ -244,43 +238,43 @@ class Session:
             )
         self.tenants.discard(tenant_id)
         self.server.registry.unsubscribe(tenant_id, self.token)
-        await self.send(ok_reply(frame_id, tenant=tenant_id, closed=True))
+        self.send(ok_reply(frame_id, tenant=tenant_id, closed=True))
 
     async def op_txn(self, frame: dict, frame_id) -> None:
         tenant = await self._open_tenant(frame)
         work = compile_statements(frame.get("stmts"))
         started = time.perf_counter()
         future = self.server.admission.admit(tenant, work)
-        self._spawn(self._txn_reply(tenant, frame_id, future, started))
+        future.add_done_callback(
+            functools.partial(self._txn_reply, tenant.id, frame_id, started)
+        )
 
-    async def _txn_reply(
-        self, tenant: Tenant, frame_id, future, started: float
+    def _txn_reply(
+        self, tenant_id: str, frame_id, started: float, future
     ) -> None:
-        try:
-            txn = await future
-        except ProtocolError as exc:
-            self.server.count_error(exc.type)
-            await self.send(error_reply(exc, frame_id))
+        """Done callback of an admitted transaction: writes its one
+        reply.  The pump wrote the drain's pushes before the future
+        resolved, and callbacks run in resolution order."""
+        if future.cancelled():
             return
-        except Exception as exc:  # noqa: BLE001
-            self.server.count_error(ERR_INTERNAL)
-            await self.send(
-                error_reply(
-                    ProtocolError(
-                        ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
-                    ),
-                    frame_id,
+        exc = future.exception()
+        if exc is not None:
+            if not isinstance(exc, ProtocolError):
+                exc = ProtocolError(
+                    ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
                 )
-            )
+            self.server.count_error(exc.type)
+            self.send(error_reply(exc, frame_id))
             return
         from repro.storage.transactions import TxnStatus
 
+        txn = future.result()
         committed = txn.status is TxnStatus.COMMITTED
         self.server.metrics.histogram("serve_txn_latency_seconds").observe(
             time.perf_counter() - started
         )
         fields: dict[str, Any] = {
-            "tenant": tenant.id,
+            "tenant": tenant_id,
             "committed": committed,
             "txn": txn.id,
             "state_index": getattr(txn, "serve_state_index", None),
@@ -288,9 +282,9 @@ class Session:
         if not committed:
             fields["vetoed_by"] = [rule for rule, _, _ in txn.vetoes]
             self.server.metrics.counter(
-                "serve_tenant_aborts_total", tenant=tenant.id
+                "serve_tenant_aborts_total", tenant=tenant_id
             ).inc()
-        await self.send(ok_reply(frame_id, **fields))
+        self.send(ok_reply(frame_id, **fields))
 
     async def op_query(self, frame: dict, frame_id) -> None:
         from repro.datamodel.relation import Relation
@@ -311,14 +305,14 @@ class Session:
                 ERR_QUERY, f"{type(exc).__name__}: {exc}"
             ) from exc
         if isinstance(result, Relation):
-            await self.send(
+            self.send(
                 ok_reply(
                     frame_id,
                     rows=[list(row.values) for row in result.sorted_rows()],
                 )
             )
         else:
-            await self.send(ok_reply(frame_id, value=result))
+            self.send(ok_reply(frame_id, value=result))
 
     async def op_stats(self, frame: dict, frame_id) -> None:
         server = self.server
@@ -343,12 +337,12 @@ class Session:
                     "firings": tenant.manager.firing_count,
                     "rules": sorted(tenant.manager.rule_names()),
                 }
-        await self.send(ok_reply(frame_id, **fields))
+        self.send(ok_reply(frame_id, **fields))
 
     async def op_evict(self, frame: dict, frame_id) -> None:
         tenant_id = self._tenant_id(frame)
         evicted = await self.server.registry.evict(tenant_id, reason="admin")
-        await self.send(ok_reply(frame_id, tenant=tenant_id, evicted=evicted))
+        self.send(ok_reply(frame_id, tenant=tenant_id, evicted=evicted))
 
     # -- teardown ----------------------------------------------------------
 
@@ -357,8 +351,6 @@ class Session:
         for tenant_id in self.tenants:
             self.server.registry.unsubscribe(tenant_id, self.token)
         self.tenants.clear()
-        for task in list(self._tasks):
-            task.cancel()
 
 
 class ReproServer:
@@ -446,8 +438,9 @@ class ReproServer:
         return len(self._sessions)
 
     async def stop(self) -> None:
-        """Orderly shutdown: stop accepting, drop sessions, evict every
-        tenant checkpoint-then-close (all state durable)."""
+        """Orderly shutdown: stop accepting, drop sessions (and their
+        unsent output), evict every tenant checkpoint-then-close (all
+        state durable)."""
         if self._sweeper is not None:
             self._sweeper.cancel()
             try:
@@ -461,10 +454,9 @@ class ReproServer:
             self._server = None
         for session in list(self._sessions):
             session.detach()
-            try:
-                session.writer.close()
-            except Exception:
-                pass
+            # Drop what is still buffered: a peer that does not read
+            # would otherwise hold the connection's close forever.
+            session.writer.transport.abort()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -499,7 +491,9 @@ class ReproServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # stop() may cancel a connection already closing; the
+                # stream protocol would log that CancelledError too.
                 pass
 
     def count_error(self, error_type: str) -> None:

@@ -21,6 +21,7 @@ import asyncio
 import inspect
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 _COMMON = dict(
@@ -43,13 +44,32 @@ def pytest_pyfunc_call(pyfuncitem):
 
     The container has no pytest-asyncio; this minimal hook covers the
     serving suite (plain coroutine tests, no async fixtures).  Hypothesis
-    tests stay synchronous and call :func:`asyncio.run` per example."""
+    tests stay synchronous and call :func:`asyncio.run` per example.
+
+    The loop's exception handler records every context it is given and
+    the test fails if any were: an exception raised in a done callback
+    or a task nobody awaits would otherwise only be logged."""
     func = pyfuncitem.obj
     if inspect.iscoroutinefunction(func):
         kwargs = {
             name: pyfuncitem.funcargs[name]
             for name in pyfuncitem._fixtureinfo.argnames
         }
-        asyncio.run(func(**kwargs))
+        reported = []
+        with asyncio.Runner() as runner:
+            runner.get_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            runner.run(func(**kwargs))
+        if reported:
+            pytest.fail(
+                f"the event loop reported {len(reported)} error(s), "
+                "the first: "
+                + "; ".join(
+                    f"{c.get('message')} {c.get('exception')!r}"
+                    for c in reported[:3]
+                ),
+                pytrace=False,
+            )
         return True
     return None

@@ -341,6 +341,7 @@ class TestProtocolRobustness:
                 assert not reply["ok"]
                 assert reply["error"]["type"] == ERR_OVERSIZED
                 assert await c.at_eof(), "connection must close after overrun"
+                c.close()
             finally:
                 await server.stop()
 
@@ -766,3 +767,125 @@ class TestNotificationPump:
         long_visits, long_log = await self._pump_visits(tmp_path / "b", 900)
         assert long_log > 20 * short_log
         assert 0 < long_visits == short_visits
+
+
+# ---------------------------------------------------------------------------
+# Write path
+# ---------------------------------------------------------------------------
+
+
+def txn_frames(tenant_id, ids):
+    """One write's worth of pipelined ``txn`` frames cycling ``PRICES``."""
+    return b"".join(
+        json.dumps({
+            "op": "txn", "tenant": tenant_id, "id": i,
+            "stmts": update_stmt(PRICES[i % len(PRICES)]),
+        }).encode() + b"\n"
+        for i in ids
+    )
+
+
+class TestWritePath:
+    async def test_a_served_txn_spawns_no_task(self):
+        """Pipelined transactions, with their firing and veto pushes,
+        cost no task per reply or per push — at most one per drain
+        round.  Replies arrive in frame-id order, and every push naming
+        state ``s`` or earlier arrives before the reply carrying ``s``."""
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        with serving_root() as (root, sock):
+            server = ReproServer(
+                root, StockProfile(), unix_path=sock, fsync=False,
+                sweep_interval=0,
+            )
+            await server.start()
+            try:
+                c = await Client.connect(sock)
+                assert (await c.rpc(op="open", tenant="t1", id=0))["ok"]
+                rounds = server.metrics.histogram("serve_drain_batch_txns")
+                rounds_before = rounds.count
+                loop.set_task_factory(counting_factory)
+                await c.send_raw(txn_frames("t1", range(1, 121)))
+                frames, replies = [], 0
+                async with asyncio.timeout(30):
+                    while replies < 120:
+                        frames.append(json.loads(await c.reader.readline()))
+                        replies += "ev" not in frames[-1]
+                drain_rounds = rounds.count - rounds_before
+                c.close()
+            finally:
+                loop.set_task_factory(None)
+                await server.stop()
+        reply_at = [
+            (i, f) for i, f in enumerate(frames) if "ev" not in f
+        ]
+        assert [f["id"] for _, f in reply_at] == list(range(1, 121))
+        assert all(f["ok"] for _, f in reply_at)
+        pushes = [(i, f) for i, f in enumerate(frames) if "ev" in f]
+        assert {f["ev"] for _, f in pushes} == {"firing", "ic_veto"}
+        for at, push in pushes:
+            assert all(
+                at < i
+                for i, reply in reply_at
+                if reply["state_index"] >= push["state_index"]
+            ), push
+        assert drain_rounds >= 1
+        assert len(created) <= drain_rounds, [
+            c.__qualname__ for c in created
+        ]
+
+    async def test_a_peer_that_does_not_read_is_not_read(self):
+        """A session that pipelines transactions and never reads stops
+        being read once its unsent output passes the transport's
+        high-water mark: its tenant stops committing and no task piles
+        up, while another tenant's session is still served and the
+        server still stops."""
+        loop = asyncio.get_running_loop()
+        with serving_root() as (root, sock):
+            server = ReproServer(
+                root, StockProfile(), unix_path=sock, fsync=False,
+                sweep_interval=0,
+            )
+            await server.start()
+            flood = None
+            try:
+                # A small stream limit: the client's own reader stops
+                # taking bytes off the socket after 2 kB.
+                a = await Client.connect(sock, limit=1024)
+                b = await Client.connect(sock)
+                assert (await a.rpc(op="open", tenant="t1", id=0))["ok"]
+                assert (await b.rpc(op="open", tenant="t2", id=0))["ok"]
+                frames = txn_frames("t1", range(1, 33))
+
+                async def never_read():
+                    while True:
+                        await a.send_raw(frames)
+
+                flood = loop.create_task(never_read())
+                t1 = server.registry.resident_tenant("t1")
+                counts = [t1.engine.state_count]
+                deadline = loop.time() + 2.5
+                while len(counts) < 6 or counts[-1] != counts[-6]:
+                    assert loop.time() < deadline, counts[-6:]
+                    await asyncio.sleep(0.05)
+                    counts.append(t1.engine.state_count)
+                assert counts[-1] > 0
+                assert len(asyncio.all_tasks()) <= 8, asyncio.all_tasks()
+                reply = await b.rpc(
+                    op="txn", tenant="t2", id=1, stmts=update_stmt(60.0)
+                )
+                assert reply["committed"]
+                assert t1.engine.state_count == counts[-1]
+            finally:
+                if flood is not None:
+                    flood.cancel()
+                    await asyncio.gather(flood, return_exceptions=True)
+                async with asyncio.timeout(10):
+                    await server.stop()
+            a.close()
+            b.close()
