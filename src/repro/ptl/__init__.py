@@ -2,7 +2,7 @@
 
 Names are exported lazily: reading one imports only the module that
 defines it, so an engine that evaluates conditions does not load the
-reference semantics, the future-formula monitor or the compiler.
+reference semantics or the future-formula monitor.
 """
 
 from repro._lazy import lazy_exports
@@ -54,10 +54,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("AuxiliaryRelation", "AuxiliaryStore"), "repro.ptl.auxrel"
-    ),
-    "CompiledChain": "repro.ptl.compiled",
-    **dict.fromkeys(
-        ("ptl_compile_enabled", "set_ptl_compile"), "repro.ptl.compile_toggle"
     ),
     **dict.fromkeys(("check_safety", "unsafe_variables"), "repro.ptl.safety"),
 }

@@ -94,9 +94,8 @@ def _item_values(agg) -> tuple:
 class AggregateExecutor:
     """The maintenance rules of one rewritten condition — an r1/r2 pair
     per aggregate — registered in one :class:`SharedPlan`, whose shared
-    accumulators the overlay items are read off.  Whatever steps a plan
-    (interpreted nodes, or a compiled chain under ``REPRO_PTL_COMPILE=1``)
-    steps the maintenance."""
+    accumulators the overlay items are read off: stepping the plan steps
+    the maintenance."""
 
     def __init__(self, ctx: EvalContext) -> None:
         self.plan = SharedPlan(ctx)
@@ -271,11 +270,6 @@ class RewrittenEvaluator(IncrementalEvaluator):
 
     def aux_rows(self) -> int:
         return super().aux_rows() + self.maintenance.aux_rows()
-
-    def compiled_ops(self) -> int:
-        """Chain slots of the condition plus the maintenance plan (0 on
-        the interpreted path)."""
-        return super().compiled_ops() + self.maintenance.compiled_ops()
 
     def snapshot(self):
         return (super().snapshot(), self.maintenance.snapshot())

@@ -186,13 +186,6 @@ class AuxiliaryStore:
     def total_rows(self) -> int:
         return sum(len(r) for r in self._relations.values())
 
-    def row_counts(self) -> dict[str, int]:
-        """Per-variable version-row counts — the auxiliary-relation side
-        of the bounded-memory accounting that the compiled-backend
-        regression tests pin alongside the evaluators' ``stored_size``
-        (the recurrence backend must not change what is retained)."""
-        return {name: len(rel) for name, rel in sorted(self._relations.items())}
-
     def prune_before(self, timestamp: int) -> int:
         return sum(r.prune_before(timestamp) for r in self._relations.values())
 

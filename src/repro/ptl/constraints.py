@@ -599,56 +599,6 @@ def cor(operands: Iterable[C]) -> C:
     return _intern(COr, ops)
 
 
-def cand2(a: C, b: C) -> C:
-    """``cand((a, b))`` with the common two-operand cases short-circuited
-    before the general flatten/dedup machinery — the combiner the compiled
-    recurrence chains emit.  Produces the identical (interned) formula.
-
-    The asymmetric fast path (plain literal ∧ existing ``CAnd``) is the
-    ``Since``/``Lasttime`` recurrence appending one new clause to a stored
-    window: because every ``CAnd`` in the system comes out of
-    :func:`cand` (including :func:`from_payload` decoding), its operands
-    are already flat, deduplicated, and complement-free, so the append
-    only has to check the new literal against them — an identity-compare
-    scan instead of rebuilding the whole operand set."""
-    if a is CFALSE or b is CFALSE:
-        return CFALSE
-    if a is CTRUE:
-        return b
-    if b is CTRUE:
-        return a
-    if a is b:
-        return a
-    if isinstance(b, CAnd) and not isinstance(a, (CAnd, CBool)):
-        ops = b.operands
-        if a in ops:  # absorption: already a conjunct
-            return b
-        if cnot(a) in ops:
-            return CFALSE
-        return _intern(CAnd, (a,) + ops)
-    return cand((a, b))
-
-
-def cor2(a: C, b: C) -> C:
-    """``cor((a, b))`` with the two-operand fast paths (see :func:`cand2`)."""
-    if a is CTRUE or b is CTRUE:
-        return CTRUE
-    if a is CFALSE:
-        return b
-    if b is CFALSE:
-        return a
-    if a is b:
-        return a
-    if isinstance(b, COr) and not isinstance(a, (COr, CBool)):
-        ops = b.operands
-        if a in ops:
-            return b
-        if cnot(a) in ops:
-            return CTRUE
-        return _intern(COr, (a,) + ops)
-    return cor((a, b))
-
-
 def cbool(value: bool) -> C:
     return CTRUE if value else CFALSE
 

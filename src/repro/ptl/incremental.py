@@ -625,8 +625,8 @@ def peel(node):
 
 def children(node) -> tuple:
     """The DAG nodes hanging directly under ``node`` — the one child
-    enumeration (plan release, the per-rule walks and the compiled
-    chain's toposort all go through it).  Children come back *as
+    enumeration (plan release and the per-rule walks go through it).
+    Children come back *as
     referenced*: memo wrappers on, since those carry the refcounts.  A
     comparison's children are the shared aggregates it reads, an
     aggregate's are its φ/ψ roots — so whatever walks the DAG sees

@@ -65,7 +65,6 @@ from repro.obs.metrics import as_registry
 from repro.ptl import ast
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
-from repro.ptl import compile_toggle
 from repro.ptl.incremental import (
     FireResult,
     _AggregateState,
@@ -126,17 +125,6 @@ def rule_drift(checkpointed: dict, registered: dict, strict: bool) -> dict:
 
 #: The node classes that store a formula between states.
 _TEMPORAL = (_LasttimeNode, _SinceNode)
-
-#: "Tried to lower, unsupported" marker — distinct from None ("not yet
-#: tried") so the lowering attempt happens at most once per root set.
-_NO_CHAIN = object()
-
-
-def _is_chain(chain) -> bool:
-    """A built compiled chain: neither not-yet-tried nor declined.  Only
-    then is :mod:`repro.ptl.compiled` loaded."""
-    return chain is not None and chain is not _NO_CHAIN
-
 
 def _time_vars(formula: ast.Formula) -> frozenset[str]:
     """Variables assigned from the ``time`` item (monotone — prunable)."""
@@ -282,17 +270,6 @@ class SharedPlan:
         #: Compile-time sharing counters (dedup ratio).
         self.compile_requests = 0
         self.compile_shared = 0
-        #: Compiled recurrence chain over all rule roots (None = not yet
-        #: built; _NO_CHAIN = lowering unsupported).  ``_layout_gen`` bumps
-        #: whenever the root set changes; a live chain is *patched* to the
-        #: new root set (full rebuilds only on first use, restore, or
-        #: lazy compaction).
-        self._chain = None
-        self._chain_gen = -1
-        self._layout_gen = 0
-        #: Full chain compiles / incremental patches performed.
-        self.chain_builds = 0
-        self.chain_patches = 0
         if self._obs_on:
             self._m_rules = self.metrics.gauge("plan_rules")
             self._m_nodes = self.metrics.gauge("plan_distinct_nodes")
@@ -300,14 +277,6 @@ class SharedPlan:
             self._m_state_size = self.metrics.gauge("plan_state_size")
             self._m_intern = self.metrics.gauge("plan_intern_hit_rate")
             self._m_intern_live = self.metrics.gauge("plan_intern_live_nodes")
-            self._m_compiled = self.metrics.gauge("plan_compiled")
-            self._m_compiled_ops = self.metrics.gauge("plan_compiled_ops")
-            self._m_chain_build = self.metrics.histogram(
-                "plan_chain_build_seconds"
-            )
-            self._m_chain_patches = self.metrics.counter(
-                "plan_chain_patches_total"
-            )
 
     # ------------------------------------------------------------------
     # Registration / compilation
@@ -345,7 +314,6 @@ class SharedPlan:
         if not qvars:
             self._compile_root(entry)
         self._rules[name] = entry
-        self._layout_gen += 1
         if self._obs_on:
             self._record_metrics()
         return entry
@@ -363,7 +331,6 @@ class SharedPlan:
         self.add_rule(names[0], term.start)
         view = self.add_rule(names[1], term.sample)
         view.entry.maintains = self._ref_aggregate(term, frozenset())
-        self._layout_gen += 1
         return view
 
     def _compile_root(self, entry: _PlanRule) -> None:
@@ -389,7 +356,6 @@ class SharedPlan:
         entry = self._rules.pop(name)
         for root in entry.roots():
             self._release(root)
-        self._layout_gen += 1
         if self._obs_on:
             self._record_metrics()
 
@@ -497,16 +463,10 @@ class SharedPlan:
         for entry in self._rules.values():
             if entry.qvars:
                 self._refresh_instances(entry, state)
-        chain = self._ensure_chain() if compile_toggle.ENABLED else None
-        if chain is not None:
-            # Aggregates are slots of the chain like their φ/ψ: the
-            # generated code maintains every one reachable from a root.
-            chain.run(state)
-        else:
-            for agg in self._aggregates.values():
-                agg.step(state)
+        for agg in self._aggregates.values():
+            agg.step(state)
         for entry in self._rules.values():
-            entry.result = self._eval_rule(entry, state, chain)
+            entry.result = self._eval_rule(entry, state)
         if self.optimize:
             for node, prune_set, _ in self._temporal:
                 if prune_set:
@@ -517,22 +477,16 @@ class SharedPlan:
     def result_of(self, name: str) -> FireResult:
         return self._rules[name].result
 
-    def _eval_rule(self, entry: _PlanRule, state, chain=None) -> FireResult:
+    def _eval_rule(self, entry: _PlanRule, state) -> FireResult:
         if entry.root is not None:
-            if chain is not None:
-                top = chain.top_of(entry.root)
-            else:
-                top = entry.root.compute(state)
+            top = entry.root.compute(state)
             entry.last_top = top
             return fire_result(top, state, entry.ctx)
         fired = False
         bindings: list[dict] = []
         tops = []
         for combo, root in entry.instances.items():
-            if chain is not None:
-                top = chain.top_of(root)
-            else:
-                top = root.compute(state)
+            top = root.compute(state)
             tops.append(top)
             result = fire_result(top, state, entry.ctx)
             if result.fired:
@@ -559,113 +513,6 @@ class SharedPlan:
             entry.instances[combo] = self._compile(
                 inst, frozenset(), _time_vars(inst)
             )
-            self._layout_gen += 1
-
-    # ------------------------------------------------------------------
-    # Compiled backend
-    # ------------------------------------------------------------------
-
-    def _ensure_chain(self):
-        """The compiled chain over every rule root (and instance root);
-        None when the lowering declined (evaluation stays interpreted).
-        Only *reachable* roots are lowered — temporal nodes orphaned by
-        ``remove_rule`` are not stepped, exactly as in the interpreted
-        path.
-
-        When the root set changed under a live chain, the chain is
-        *patched*: removed roots are refcounted out (dead temporal slots
-        go inert, whole segments drop once empty), new roots compile only
-        their unshared suffix into a fresh appended segment.  Full
-        rebuilds happen on first use, after a restore, when patching hits
-        an unlowerable shape, and lazily once enough dead slots pile up
-        (:meth:`CompiledChain.should_compact`)."""
-        chain = self._chain
-        if chain is not None and self._chain_gen == self._layout_gen:
-            return chain if chain is not _NO_CHAIN else None
-        roots = [
-            root
-            for entry in self._rules.values()
-            for root in entry.roots()
-        ]
-        if _is_chain(chain) and not chain.should_compact():
-            self._patch_chain(chain, roots)
-            chain = self._chain
-            if _is_chain(chain) and chain.should_compact():
-                # The patch just crossed the dead-slot threshold.
-                self._build_chain(roots)
-        else:
-            self._build_chain(roots)
-        self._chain_gen = self._layout_gen
-        chain = self._chain
-        return chain if chain is not _NO_CHAIN else None
-
-    def _temporal_meta(self) -> dict:
-        """Prune sets by temporal-node identity, for the chain's canonical
-        slot-layout fingerprint (birth epochs are deliberately excluded:
-        the fingerprint must be a function of the rule set alone so a
-        patched chain and a fresh rebuild agree)."""
-        return {
-            id(node): tuple(sorted(prune_set))
-            for node, prune_set, _ in self._temporal
-        }
-
-    def _build_chain(self, roots) -> None:
-        from repro.ptl.compiled import try_lower
-
-        start = perf_counter()
-        chain = try_lower(roots, self._temporal_meta())
-        self._chain = chain if chain is not None else _NO_CHAIN
-        self.chain_builds += 1
-        if self._obs_on:
-            self._m_chain_build.observe(perf_counter() - start)
-
-    def _patch_chain(self, chain, roots) -> None:
-        """Diff the wanted root multiset against the chain's root refs and
-        apply release + append patches; falls back to ``_NO_CHAIN`` if the
-        added rules contain an unlowerable shape (the whole plan then runs
-        interpreted — mixed-mode stepping is not worth the complexity)."""
-        want: dict[int, int] = {}
-        by_id: dict[int, _Node] = {}
-        for root in roots:
-            rid = id(root)
-            want[rid] = want.get(rid, 0) + 1
-            by_id[rid] = root
-        releases = []
-        for rid, have in list(chain._root_refs.items()):
-            extra = have - want.get(rid, 0)
-            if extra > 0:
-                releases.extend([chain._root_obj[rid]] * extra)
-        adds = []
-        for rid, need in want.items():
-            have = chain._root_refs.get(rid, 0)
-            if need > have:
-                adds.extend([by_id[rid]] * (need - have))
-        if not releases and not adds:
-            return
-        from repro.ptl.compiled import ChainLoweringError
-
-        chain.release_roots(releases)
-        try:
-            chain.add_roots(adds, self._temporal_meta())
-        except ChainLoweringError:
-            self._chain = _NO_CHAIN
-            return
-        chain.refingerprint()
-        self.chain_patches += 1
-        if self._obs_on:
-            self._m_chain_patches.inc()
-
-    def compiled_ops(self) -> int:
-        """Slots in the plan's compiled chain (0 when interpreted).
-
-        Gated on the live toggle, like ``plan_compiled``: a built chain
-        that the toggle has switched off is not what evaluates rules."""
-        if not compile_toggle.ENABLED:
-            return 0
-        chain = self._chain
-        if _is_chain(chain):
-            return chain.n_nodes
-        return 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -702,6 +549,11 @@ class SharedPlan:
             + self.aux_rows()
         )
 
+    def compiled_ops(self) -> int:
+        """Always 0: conditions step on the interpreted node DAG.  Kept
+        because ``benchmarks/spine/probes.py`` reads it."""
+        return 0
+
     def _record_metrics(self) -> None:
         self._m_rules.set(len(self._rules))
         self._m_nodes.set(len(self._nodes))
@@ -710,12 +562,6 @@ class SharedPlan:
         interned = cs.intern_stats()
         self._m_intern.set(interned["hit_rate"])
         self._m_intern_live.set(interned["formulas"] + interned["terms"])
-        chain = self._chain
-        is_chain = _is_chain(chain)
-        self._m_compiled.set(
-            1 if (is_chain and compile_toggle.ENABLED) else 0
-        )
-        self._m_compiled_ops.set(self.compiled_ops())
         qplan.STATS.publish(self.metrics)
 
     # ------------------------------------------------------------------
@@ -750,8 +596,6 @@ class SharedPlan:
             for combo in late:
                 del entry.instance_births[combo]
                 self._release(entry.instances.pop(combo))
-            if late:
-                self._layout_gen += 1
         self.epoch = epoch
         self._last_state = last_state
         # The memo cache is keyed on the epoch being rolled back: the next
@@ -785,7 +629,7 @@ class SharedPlan:
         (label, prune set, birth) pools rather than by position — which
         makes checkpoints taken after :meth:`remove_rule` (where replay
         order can differ from original compile order) restorable."""
-        out = {
+        return {
             "epoch": self.epoch,
             "next_seq": self._next_seq,
             "rules": [
@@ -817,11 +661,6 @@ class SharedPlan:
                 for (term, avail, birth), agg in self._aggregates.items()
             ],
         }
-        if compile_toggle.ENABLED:
-            chain = self._ensure_chain()
-            if chain is not None:
-                out["compiled"] = chain.to_state()
-        return out
 
     def from_state(self, payload: dict, strict: bool = True) -> dict:
         """Load a checkpoint by replaying the checkpointed compilation
@@ -838,7 +677,9 @@ class SharedPlan:
         epoch — their temporal operators start from "now", exactly like a
         hot registration; rules only in the checkpoint are dropped.
         Returns ``{"added": [...], "dropped": [...], "changed": [...]}``
-        (all empty under ``strict=True``)."""
+        (all empty under ``strict=True``).  A ``"compiled"`` section,
+        written by older commits that could step through a generated
+        chain, is ignored: the node states above are the whole value."""
         by_name = {r["name"]: r for r in payload["rules"]}
         drift = rule_drift(
             {name: rec["formula"] for name, rec in by_name.items()},
@@ -950,25 +791,6 @@ class SharedPlan:
             entry = self._rules[name]
             entry.last_top = cs.from_payload(rec["last_top"])
             entry.result = _decode_fire_result(rec["result"])
-        # The replay above rebuilt every node object; a surviving chain
-        # would patch against stale identities — drop it and rebuild.
-        self._chain = None
-        self._chain_gen = -1
-        self._layout_gen += 1
-        compiled_section = payload.get("compiled")
-        if (
-            compiled_section is not None
-            and compile_toggle.ENABLED
-            and not any(drift.values())
-        ):
-            chain = self._ensure_chain()
-            if chain is not None:
-                # The slots alias the temporal nodes restored above;
-                # loading through the chain verifies the layout
-                # fingerprint (RecoveryError on slot-layout drift).
-                # Under rule drift the section is skipped: the nodes
-                # already hold their state and the chain rebuilds lazily.
-                chain.from_state(compiled_section)
         if self._obs_on:
             self._record_metrics()
         return drift
@@ -1126,9 +948,6 @@ class IncrementalEvaluator(PlanBoundEvaluator):
             self._m_instances = registry.gauge(
                 "evaluator_instances", rule=rule
             )
-            self._m_compiled_ops = registry.gauge(
-                "evaluator_compiled_ops", rule=rule
-            )
 
     def step(self, state: SystemState) -> FireResult:
         """Process one new system state."""
@@ -1157,12 +976,7 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         self._m_instances.set(
             1 if entry.root is not None else len(entry.instances)
         )
-        self._m_compiled_ops.set(self.compiled_ops())
         qplan.STATS.publish(self.metrics)
-
-    def compiled_ops(self) -> int:
-        """Slots in the plan's compiled chain (0 when interpreted)."""
-        return self.plan.compiled_ops()
 
     def snapshot(self):
         return (self.steps, self.plan.snapshot())

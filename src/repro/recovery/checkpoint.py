@@ -25,9 +25,9 @@ from repro.storage.persist import _encode_item, atomic_write_text
 PathLike = Union[str, Path]
 
 #: The one version number of ``checkpoint.json``.  Every section inside
-#: the document (manager, plans, evaluators, compiled layouts, tiers) is
-#: versioned by it and carries none of its own; bump
-#: it whenever any section's shape changes.  :func:`read_checkpoint`
+#: the document (manager, plans, evaluators, tiers) is versioned by it
+#: and carries none of its own; bump it whenever any section's shape
+#: changes.  :func:`read_checkpoint`
 #: refuses every other value — there is no reader for an older document.
 FORMAT_VERSION = 4
 

@@ -13,16 +13,11 @@ two groupings of the one production backend:
   common-subformula elimination (the default).
 
 Each hypothesis-generated rule set × operation sequence runs on every
-backend in a two-cell matrix — recurrences interpreted and compiled —
-and all backends must produce identical firings (rule, bindings, state
-index, timestamp) and identical executed-relation contents.  The
-compiled-recurrence toggle (``REPRO_PTL_COMPILE`` /
-:func:`repro.ptl.set_ptl_compile`) swaps the incremental backends'
-node-graph interpretation for the lowered closure chains of
-:mod:`repro.ptl.compiled`; the naive backend ignores it, which is
-exactly what makes it the oracle for both.  Query plans and delta
-skipping are not cells: they are always on in the incremental rows, and
-the naive row never consults a :class:`~repro.query.plan.DeltaGate`.
+backend, and all backends must produce identical firings (rule,
+bindings, state index, timestamp) and identical executed-relation
+contents.  Query plans and delta skipping are not cells: they are always
+on in the incremental rows, and the naive row never consults a
+:class:`~repro.query.plan.DeltaGate`.
 
 The generated conditions are ``executed``-free: the naive backend
 re-evaluates old states against the *current* executed store, which is
@@ -31,16 +26,12 @@ conformance across the incremental backends is covered separately
 below.
 """
 
-from contextlib import contextmanager
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import NaiveDetector
 from repro.engine import ActiveDatabase
 from repro.events import user_event
-from repro.ptl.compiled import set_ptl_compile
 from repro.ptl.context import EvalContext
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
@@ -69,15 +60,6 @@ BACKENDS = [
     ("unshared", lambda e: RuleManager(e, shared_plan=False)),
     ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
 ]
-
-
-@contextmanager
-def ptl_compile(compiled: bool):
-    previous = set_ptl_compile(compiled)
-    try:
-        yield
-    finally:
-        set_ptl_compile(previous)
 
 
 # -- generated rule sets -----------------------------------------------------
@@ -141,20 +123,17 @@ def run_backend(factory, rules, ops):
     return sig
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
 @given(rules=rule_sets, ops=op_streams)
-@settings(max_examples=100)  # 3 rows x 100 examples: ~0.6 s per cell
-def test_backends_agree(compiled, rules, ops):
-    with ptl_compile(compiled):
-        results = {
-            name: run_backend(factory, rules, ops)
-            for name, factory in BACKENDS
-        }
+@settings(max_examples=100)  # 3 rows x 100 examples: ~0.6 s
+def test_backends_agree(rules, ops):
+    results = {
+        name: run_backend(factory, rules, ops)
+        for name, factory in BACKENDS
+    }
     oracle = results["naive"]
     for name, sig in results.items():
         assert sig == oracle, (
-            f"backend {name} diverged from the naive reference "
-            f"(compiled={compiled})"
+            f"backend {name} diverged from the naive reference"
         )
 
 
@@ -178,30 +157,28 @@ EXEC_OPS = [
 ]
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-def test_executed_coupling_agrees_across_incremental_backends(compiled):
+def test_executed_coupling_agrees_across_incremental_backends():
     results = {}
-    with ptl_compile(compiled):
-        for name, factory in BACKENDS:
-            if name == "naive":
-                continue
-            adb = ActiveDatabase()
-            adb.declare_item("price", 0)
-            manager = register_executed_coupled(factory(adb))
-            for op in EXEC_OPS:
-                if op[0] == "set":
-                    adb.execute(lambda t, v=op[1]: t.set_item("price", v))
-                else:
-                    adb.post_event(user_event(op[1]))
-            manager.flush()
-            results[name] = (
-                [
-                    (f.rule, f.bindings, f.state_index, f.timestamp)
-                    for f in manager.firings
-                ],
-                manager.executed.to_state(),
-            )
-            manager.detach()
+    for name, factory in BACKENDS:
+        if name == "naive":
+            continue
+        adb = ActiveDatabase()
+        adb.declare_item("price", 0)
+        manager = register_executed_coupled(factory(adb))
+        for op in EXEC_OPS:
+            if op[0] == "set":
+                adb.execute(lambda t, v=op[1]: t.set_item("price", v))
+            else:
+                adb.post_event(user_event(op[1]))
+        manager.flush()
+        results[name] = (
+            [
+                (f.rule, f.bindings, f.state_index, f.timestamp)
+                for f in manager.firings
+            ],
+            manager.executed.to_state(),
+        )
+        manager.detach()
     oracle = results["shared-plan"]
     assert any(r[0] == "follow" for r in oracle[0])  # coupling exercised
     for name, sig in results.items():

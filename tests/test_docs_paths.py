@@ -83,7 +83,6 @@ def env_reads() -> set[str]:
 
 def test_named_env_toggles_are_read():
     read = env_reads()
-    assert "REPRO_PTL_COMPILE" in read  # the extractor matches something
     workflow = ROOT / ".github" / "workflows" / "ci.yml"
     stale = {}
     for document in DOCUMENTS + [workflow]:
@@ -94,8 +93,8 @@ def test_named_env_toggles_are_read():
 
 
 def test_reference_pattern():
-    """The extractor sees the forms the documents use (so the guard above
-    cannot pass by matching nothing)."""
+    """The extractors see the forms the documents and the sources use
+    (so the guards above cannot pass by matching nothing)."""
     text = (
         "see `tests/test_query_plans.py::TestDeltaSkip`, src/repro/obs/, "
         "`bench_e3_incremental_vs_naive.py`, (`BENCH_E13.json`), "
@@ -112,3 +111,7 @@ def test_reference_pattern():
     assert exists("BENCHMARK.json") and not exists("BENCH_E13.json")
     assert not exists("BENCH_*.json")
     assert exists("test_spine.py") and not exists("bench_e13_query_plans.py")
+    assert ENV_READ.findall(
+        'os.environ.get("REPRO_X", "0") or os.environ["REPRO_Y"]'
+    ) == ["REPRO_X", "REPRO_Y"]
+    assert ENV_TOGGLE.findall("run with `REPRO_X=1`") == ["REPRO_X"]

@@ -6,21 +6,17 @@ crash a workload at a deterministic step, recover from the durable
 directory, finish the remaining operations, and require the recovered
 run to be indistinguishable from an uninterrupted oracle — same firings
 (rule, bindings, state index, timestamp), same database, same executed
-store.  Recovery must also replay *only* the WAL tail past the
-checkpoint (``replayed_steps``), never re-evaluating older history.
+store, and on the shared plan the same plan state.  Recovery must also
+replay *only* the WAL tail past the checkpoint (``replayed_steps``),
+never re-evaluating older history, and refuse a checkpoint whose
+temporal-node layout no longer matches the plan it rebuilt.
 
 Action failure isolation: a rule whose action raises must neither lose
 nor duplicate the firings of other rules, is retried by the bounded
 policy, and is quarantined after repeated failures.
-
-The crash matrix runs under both recurrence backends
-(``REPRO_PTL_COMPILE`` off and on): recovery must rebuild the compiled
-chains' slot vectors bit-identically from the WAL tail, and refuse a
-checkpoint whose slot layout no longer matches the compiled chain.
 """
 
 import json
-from contextlib import contextmanager
 
 import pytest
 
@@ -43,7 +39,6 @@ from repro.recovery import (
     SimulatedCrash,
     load_wal,
 )
-from repro.ptl.compiled import set_ptl_compile
 from repro.rules.actions import Action, RecordingAction
 from repro.rules.rule import CouplingMode, FireMode
 from repro.serve import ReproServer, StockProfile
@@ -61,15 +56,6 @@ from tests.helpers import (
     twin_replay,
     update_stmt,
 )
-
-
-@contextmanager
-def ptl_mode(compiled: bool):
-    prev = set_ptl_compile(compiled)
-    try:
-        yield
-    finally:
-        set_ptl_compile(prev)
 
 
 def make_engine():
@@ -121,19 +107,15 @@ class TestCrashMatrix:
     """Crash at a deterministic point, recover, finish; compare against
     the uninterrupted oracle."""
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
         "point", [PRE_COMMIT, POST_COMMIT, MID_WAL]
     )
     def test_crash_recover_differential(
-        self, tmp_path, shared, checkpoint_at, point, compiled
+        self, tmp_path, shared, checkpoint_at, point
     ):
-        with ptl_mode(compiled):
-            self._crash_recover(tmp_path, shared, checkpoint_at, point, OPS)
+        self._crash_recover(tmp_path, shared, checkpoint_at, point, OPS)
 
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
@@ -251,62 +233,58 @@ class TestCrashMatrix:
     def test_wal_replay_rebuilds_slot_vectors(
         self, tmp_path, checkpoint_at, point
     ):
-        """Under the compiled backend, recovery must leave the shared
-        plan — including the chain's slot vector and layout fingerprint —
-        bit-identical to the uninterrupted oracle's."""
-        with ptl_mode(True):
-            oracle_adb, oracle_m = oracle_run()
+        """Recovery must leave the shared plan — every temporal node's
+        stored state, every shared aggregate and every rule's last
+        result — bit-identical to the uninterrupted oracle's."""
+        oracle_adb, oracle_m = oracle_run()
 
-            injector = FaultInjector()
-            rm = RecoveryManager(tmp_path, injector=injector)
-            adb = make_engine()
-            manager = setup_rules(adb)
-            rm.start(adb)
-            injector.arm(point, after=5)
-            done = 0
-            with pytest.raises(SimulatedCrash):
-                for op in OPS:
-                    drive(adb, [op])
-                    done += 1
-                    if checkpoint_at is not None and done == checkpoint_at:
-                        manager.flush()
-                        rm.checkpoint(adb, manager)
-            rm.stop()
+        injector = FaultInjector()
+        rm = RecoveryManager(tmp_path, injector=injector)
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm.start(adb)
+        injector.arm(point, after=5)
+        done = 0
+        with pytest.raises(SimulatedCrash):
+            for op in OPS:
+                drive(adb, [op])
+                done += 1
+                if checkpoint_at is not None and done == checkpoint_at:
+                    manager.flush()
+                    rm.checkpoint(adb, manager)
+        rm.stop()
 
-            report = RecoveryManager(tmp_path).recover(
-                setup=lambda e: setup_rules(e)
-            )
-            drive(report.engine, OPS[report.engine.state_count:])
-            report.manager.flush()
-            oracle_m.flush()
-            recovered = report.manager.plan.to_state()
-            assert "compiled" in recovered, "slot vector missing"
-            assert recovered == oracle_m.plan.to_state()
+        report = RecoveryManager(tmp_path).recover(
+            setup=lambda e: setup_rules(e)
+        )
+        drive(report.engine, OPS[report.engine.state_count:])
+        report.manager.flush()
+        oracle_m.flush()
+        assert report.manager.plan.to_state() == oracle_m.plan.to_state()
 
     def test_checkpoint_slot_layout_drift_rejected(self, tmp_path):
-        """A checkpoint whose compiled-section fingerprint no longer
-        matches the chain the recovering process built must be refused —
-        loading slots positionally into a drifted layout would silently
-        scramble recurrence state."""
-        with ptl_mode(True):
-            rm = RecoveryManager(tmp_path)
-            adb = make_engine()
-            manager = setup_rules(adb)
-            rm.start(adb)
-            drive(adb, OPS[:4])
-            manager.flush()
-            rm.checkpoint(adb, manager)
-            drive(adb, OPS[4:])
-            rm.stop()
+        """A checkpoint whose temporal-node layout no longer matches the
+        plan the recovering process rebuilt must be refused — loading
+        node states into a drifted layout would silently scramble
+        recurrence state."""
+        rm = RecoveryManager(tmp_path)
+        adb = make_engine()
+        manager = setup_rules(adb)
+        rm.start(adb)
+        drive(adb, OPS[:4])
+        manager.flush()
+        rm.checkpoint(adb, manager)
+        drive(adb, OPS[4:])
+        rm.stop()
 
-            payload = json.loads(rm.checkpoint_path.read_text())
-            payload["manager"]["plan"]["compiled"]["fingerprint"] = "0" * 16
-            rm.checkpoint_path.write_text(json.dumps(payload))
+        payload = json.loads(rm.checkpoint_path.read_text())
+        temporal = payload["manager"]["plan"]["temporal"]
+        assert temporal, "checkpoint carries no temporal node states"
+        temporal[0][2] += 1  # the node's birth epoch no longer matches
+        rm.checkpoint_path.write_text(json.dumps(payload))
 
-            with pytest.raises(RecoveryError, match="slot-layout drift"):
-                RecoveryManager(tmp_path).recover(
-                    setup=lambda e: setup_rules(e)
-                )
+        with pytest.raises(RecoveryError, match="temporal"):
+            RecoveryManager(tmp_path).recover(setup=lambda e: setup_rules(e))
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_mid_checkpoint_crash_keeps_previous_checkpoint(
@@ -520,18 +498,12 @@ class TestGroupCommitCrash:
     def _setup_for(self, kind):
         return lambda e: setup_rules(e, shared=(kind == "shared"))
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
         "point", [MID_GROUP_COMMIT, MID_WAL], ids=["fsync", "torn-record"]
     )
-    def test_crash_mid_batch_drops_whole_batch(
-        self, tmp_path, kind, point, compiled
-    ):
-        with ptl_mode(compiled):
-            self._run_mid_batch_crash(tmp_path, kind, point, OPS)
+    def test_crash_mid_batch_drops_whole_batch(self, tmp_path, kind, point):
+        self._run_mid_batch_crash(tmp_path, kind, point, OPS)
 
     @pytest.mark.parametrize(
         "point", [MID_GROUP_COMMIT, MID_WAL], ids=["fsync", "torn-record"]
@@ -613,15 +585,11 @@ class TestGroupCommitCrash:
             == oracle_m.executed.to_state()
         )
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
     @pytest.mark.parametrize("kind", KINDS)
-    def test_durable_batch_replays_whole_batch(self, tmp_path, kind, compiled):
+    def test_durable_batch_replays_whole_batch(self, tmp_path, kind):
         """Once the group fsync lands, recovery replays the entire
         batch."""
-        with ptl_mode(compiled):
-            self._run_durable_batch(tmp_path, kind, OPS)
+        self._run_durable_batch(tmp_path, kind, OPS)
 
     def _run_durable_batch(self, tmp_path, kind, ops):
         oracle_adb = make_engine()

@@ -3,13 +3,12 @@
 A served tenant evaluates its conditions on the shared plan.  It needs
 none of: the reference semantics (``ptl.semantics``, the oracle of every
 Theorem-1 differential), the future-formula monitor (``ptl.future*``),
-the recurrence compiler (``ptl.compiled``, default off), the Section 5
-auxiliary relations (``ptl.auxrel``), the Section 7 composite actions
-(``rules.composite``) or the facade; and, keeping no history and only the
-stock profile, neither the tiered history (``history.spill``) nor the
-random workload generators (``workloads.generator``).  Package exports
-are lazy (PEP 562), so none of them loads unless something reads one of
-its names.
+the Section 5 auxiliary relations (``ptl.auxrel``), the Section 7
+composite actions (``rules.composite``) or the facade; and, keeping no
+history and only the stock profile, neither the tiered history
+(``history.spill``) nor the random workload generators
+(``workloads.generator``).  Package exports are lazy (PEP 562), so none
+of them loads unless something reads one of its names.
 
 The graph is read in a fresh interpreter: once ``import repro.serve``,
 and once more after a started server has opened a ``StockProfile``
@@ -32,7 +31,6 @@ NEVER_SERVED = (
     "repro.ptl.semantics",
     "repro.ptl.future",
     "repro.ptl.future_parser",
-    "repro.ptl.compiled",
     "repro.ptl.auxrel",
     "repro.rules.composite",
     "repro.facade",
@@ -91,7 +89,6 @@ ALLOWED_SERVED = ALLOWED_AT_IMPORT | {
     "repro.ptl",
     "repro.ptl.aggregates",
     "repro.ptl.ast",
-    "repro.ptl.compile_toggle",
     "repro.ptl.constraints",
     "repro.ptl.context",
     "repro.ptl.incremental",
@@ -159,7 +156,6 @@ print(json.dumps({"import": at_import, "served": loaded(), "replies": replies}))
 @pytest.fixture(scope="module")
 def served_process():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("REPRO_PTL_COMPILE", None)
     result = subprocess.run(
         [sys.executable, "-c", SERVED_PROCESS],
         capture_output=True,

@@ -15,15 +15,12 @@ Three layers of guarantees:
   lifecycle operations (register / remove / replace / promote, with
   mid-run checkpoint + restore into a fresh manager) produces identical
   firing sequences and executed-store contents on every backend (naive
-  full-history, unshared one-plan-per-rule, shared-plan) under both the
-  interpreted and compiled recurrence pipelines;
+  full-history, unshared one-plan-per-rule, shared-plan);
 * **execution records** — a rule's executions are recorded only while
   some live condition (trigger, shadow trigger, integrity constraint)
   reads them, or any future monitor is registered; each reader row
   matches the naive backend.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +31,6 @@ from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, TransactionAborted, UnknownRuleError
 from repro.events import user_event
 from repro.obs.trace import FIRING, LIFECYCLE, SHADOW_FIRING
-from repro.ptl.compiled import set_ptl_compile
 from repro.ptl.context import EvalContext
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
@@ -64,15 +60,6 @@ BACKENDS = [
     ("unshared", lambda e: RuleManager(e, shared_plan=False)),
     ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
 ]
-
-
-@contextmanager
-def compiled_toggle(compiled: bool):
-    prev = set_ptl_compile(compiled)
-    try:
-        yield
-    finally:
-        set_ptl_compile(prev)
 
 
 #: Executed-free condition templates (the naive oracle re-evaluates old
@@ -595,20 +582,17 @@ lifecycle_scripts = st.lists(
 )
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
 @given(script=lifecycle_scripts)
 @settings(max_examples=16, deadline=None)
-def test_lifecycle_backends_agree(compiled, script):
-    with compiled_toggle(compiled):
-        results = {
-            name: run_script(factory, script, checkpoint=(name != "naive"))
-            for name, factory in BACKENDS
-        }
+def test_lifecycle_backends_agree(script):
+    results = {
+        name: run_script(factory, script, checkpoint=(name != "naive"))
+        for name, factory in BACKENDS
+    }
     oracle = results["naive"]
     for name, sig in results.items():
         assert sig == oracle, (
-            f"backend {name} diverged under lifecycle churn "
-            f"(compiled={compiled})"
+            f"backend {name} diverged under lifecycle churn"
         )
 
 
@@ -636,11 +620,9 @@ def fifty_rule_script():
     return script
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-def test_fifty_rule_churn_across_backends(compiled):
+def test_fifty_rule_churn_across_backends():
     """The acceptance bar: a 50-rule live engine with mid-stream
-    lifecycle changes produces identical firings on every backend,
-    including the compiled recurrence pipeline."""
+    lifecycle changes produces identical firings on every backend."""
 
     def run(factory):
         adb = make_engine()
@@ -701,12 +683,11 @@ def test_fifty_rule_churn_across_backends(compiled):
         manager.detach()
         return sig
 
-    with compiled_toggle(compiled):
-        results = {name: run(factory) for name, factory in BACKENDS}
+    results = {name: run(factory) for name, factory in BACKENDS}
     oracle = results["naive"]
     assert oracle[0], "churn scenario produced no firings"
     for name, sig in results.items():
-        assert sig == oracle, f"backend {name} diverged (compiled={compiled})"
+        assert sig == oracle, f"backend {name} diverged"
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,6 @@ from hypothesis import strategies as st
 from repro.errors import EvaluationError
 from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl import constraints as cs
-from repro.ptl.compiled import (
-    _apply_steps,
-    _atom_builder,
-    _fast_subst,
-    _partial_normalize,
-    _specialization_agrees,
-)
 from repro.ptl.optimize import prune_time_bounds
 from repro.workloads import (
     SHARP_INCREASE,
@@ -235,10 +228,12 @@ def rebuild(c, conj, disj):
     return (conj if isinstance(c, cs.CAnd) else disj)(ops)
 
 
-def fold_right(binary):
-    """An n-ary constructor out of ``cand2``/``cor2``, appending to the
-    front the way the recurrences do."""
-    return lambda ops: reduce(lambda acc, x: binary(x, acc), reversed(ops))
+def fold_right(junction):
+    """An n-ary constructor out of two-operand ``cand``/``cor`` calls,
+    appending to the front the way the recurrences do."""
+    return lambda ops: reduce(
+        lambda acc, x: junction((x, acc)), reversed(ops)
+    )
 
 
 def reference_prune(c, now, time_vars):
@@ -275,7 +270,7 @@ def assert_canonical(c):
     """Every way of building a formula structurally equal to the live
     ``c`` returns ``c`` itself."""
     assert rebuild(c, cs.cand, cs.cor) is c
-    assert rebuild(c, fold_right(cs.cand2), fold_right(cs.cor2)) is c
+    assert rebuild(c, fold_right(cs.cand), fold_right(cs.cor)) is c
     assert cs.from_payload(cs.to_payload(c)) is c
     negation = cs.cnot(c)
     assert cs.cnot(c) is negation
@@ -287,9 +282,6 @@ def assert_canonical(c):
         assert pruned is reference_prune(c, now, variables)
         if not isinstance(pruned, cs.CBool):
             assert rebuild(pruned, cs.cand, cs.cor) is pruned
-        for var in variables:
-            specialized = _fast_subst(c, var, now)
-            assert specialized is cs.substitute(c, {var: now})
 
 
 class TestHashConsing:
@@ -374,10 +366,11 @@ class TestHashConsing:
             gc.enable()
 
     def test_atom_specialization_agrees_by_identity(self):
-        # u <= time + w, the desugared ``previously[w]`` deadline atom.
+        # u <= time + w, the desugared ``previously[w]`` deadline atom:
+        # specialising ``time`` yields the interned atom built directly.
         fixed = cs.sapp("+", (cs.SVar("u"), cs.SConst(-8)))
-        op, var_side, steps = _partial_normalize("<=", fixed, dyn_on_left=True)
-        builder = _atom_builder(op, var_side)
-        assert _specialization_agrees(builder, steps, "<=", fixed, True)
+        atom = cs.catom("<=", cs.SVar("time"), fixed)
         want = cs.catom("<=", cs.SConst(12), fixed)
-        assert builder(_apply_steps(steps, 12)) is want
+        assert cs.substitute(atom, {"time": 12}) is want
+        assert cs.substitute(atom, {"time": 12, "u": 30}) is cs.CTRUE
+        assert cs.substitute(atom, {"time": 12, "u": 19}) is cs.CFALSE

@@ -12,7 +12,6 @@ from repro.engine import ActiveDatabase
 from repro.errors import QueryEvaluationError, TransactionAborted
 from repro.obs.metrics import MetricsRegistry
 from repro.ptl import EvalContext, IncrementalEvaluator, parse_formula
-from repro.ptl.compiled import set_ptl_compile
 from repro.query import parse_query
 from repro.query import plan as qplan
 from repro.query.deps import query_deps
@@ -296,17 +295,10 @@ class TestDeltaSkip:
         assert fired == [reference.step(s).fired for s in states]
         return fired
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
-    def test_firings_match_reference(self, compiled):
-        """Both recurrence backends read atoms through delta gates."""
-        previous = set_ptl_compile(compiled)
-        try:
-            qplan.STATS.reset()
-            fired = self.assert_matches_reference("price(IBM) > 70")
-        finally:
-            set_ptl_compile(previous)
+    def test_firings_match_reference(self):
+        """The plan reads atoms through delta gates."""
+        qplan.STATS.reset()
+        fired = self.assert_matches_reference("price(IBM) > 70")
         assert qplan.STATS.atoms_skipped > 0
         assert any(fired) and not all(fired)
 

@@ -10,16 +10,19 @@ checkpoint, never re-evaluating checkpointed history.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datamodel import FLOAT, STRING, Schema
 from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, StorageError, TransactionAborted
 from repro.events import user_event
 from repro.history.spill import attach_tiered_history
-from repro.ptl import IncrementalEvaluator, parse_formula, set_ptl_compile
+from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.plan import SharedPlan
 from repro.recovery import RecoveryManager, recover
@@ -237,11 +240,8 @@ class TestManagerRoundTrip:
         )
         assert manager2.run_pending() == oracle_m.run_pending()
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
-    def test_round_trip_across_ic_vetoes(self, shared, compiled):
+    def test_round_trip_across_ic_vetoes(self, shared):
         """Triggers (one plan for all, or one plan per rule) next to a
         *temporal* integrity constraint that vetoes on both sides of the
         checkpoint: the restored manager re-serializes to the very same
@@ -268,22 +268,18 @@ class TestManagerRoundTrip:
 
         head = OPS[:6] + [("set", 95)]  # 80 then 95: vetoed
         tail = [("set", 90), ("set", 55), ("ev", "go"), ("set", 75), ("set", 85)]
-        previous = set_ptl_compile(compiled)
-        try:
-            twin, twin_m = build()
-            assert run(twin, head) == 1 and run(twin, tail) == 2
+        twin, twin_m = build()
+        assert run(twin, head) == 1 and run(twin, tail) == 2
 
-            adb, manager = build()
-            run(adb, head)
-            payload = json_round_trip(manager.to_state())
+        adb, manager = build()
+        run(adb, head)
+        payload = json_round_trip(manager.to_state())
 
-            adb2, manager2 = build()
-            run(adb2, head)
-            manager2.from_state(payload)
-            assert json_round_trip(manager2.to_state()) == payload
-            assert run(adb2, tail) == 2
-        finally:
-            set_ptl_compile(previous)
+        adb2, manager2 = build()
+        run(adb2, head)
+        manager2.from_state(payload)
+        assert json_round_trip(manager2.to_state()) == payload
+        assert run(adb2, tail) == 2
         assert firing_sig(manager2) == firing_sig(twin_m)
         assert executed_sig(manager2) == executed_sig(twin_m)
         assert store_sig(adb2) == store_sig(twin)
@@ -414,8 +410,7 @@ def _with_aggregate(setup):
 
 
 @pytest.mark.parametrize("tiers", [False, True], ids=["ram", "tiers"])
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-def test_checkpoint_document_round_trip(tmp_path, compiled, tiers):
+def test_checkpoint_document_round_trip(tmp_path, tiers):
     """``checkpoint.json`` graded as one document: written, recovered and
     written again it is byte-identical; the recovered run then matches an
     uninterrupted twin; and only its root is versioned — any other root
@@ -432,63 +427,163 @@ def test_checkpoint_document_round_trip(tmp_path, compiled, tiers):
                 segment_records=2, spill_check_every=1, manager=manager,
             )
 
-    previous = set_ptl_compile(compiled)
-    try:
-        twin = make_engine()
-        twin_m = setup(twin)
-        drive(twin, head + tail)
-        twin_m.flush()
+    twin = make_engine()
+    twin_m = setup(twin)
+    drive(twin, head + tail)
+    twin_m.flush()
 
-        adb = make_engine()
-        manager = setup(adb)
-        rm = RecoveryManager(tmp_path)
-        start(rm, adb, manager)
-        drive(adb, head)
-        manager.flush()
-        rm.checkpoint(adb, manager)
-        rm.stop()
-        manager.detach()
-        written = rm.checkpoint_path.read_bytes()
-        document = json.loads(written)
-        assert _count_keys(document, {"format"}) == 1
-        assert document["format"] == FORMAT_VERSION == 4
-        # No evaluator-shaped section nests under an aggregate entry.
-        assert _count_keys(document, {"start", "sample"}) == 0
-        assert '"samples"' in written.decode()
-        assert "backend" not in document["manager"]
-        assert ("tiers" in document) == tiers
-        if tiers:
-            assert document["tiers"]["history"]["segments"], "nothing spilled"
+    adb = make_engine()
+    manager = setup(adb)
+    rm = RecoveryManager(tmp_path)
+    start(rm, adb, manager)
+    drive(adb, head)
+    manager.flush()
+    rm.checkpoint(adb, manager)
+    rm.stop()
+    manager.detach()
+    written = rm.checkpoint_path.read_bytes()
+    document = json.loads(written)
+    assert _count_keys(document, {"format"}) == 1
+    assert document["format"] == FORMAT_VERSION == 4
+    # No evaluator-shaped section nests under an aggregate entry.
+    assert _count_keys(document, {"start", "sample"}) == 0
+    assert '"samples"' in written.decode()
+    assert "backend" not in document["manager"]
+    assert ("tiers" in document) == tiers
+    if tiers:
+        assert document["tiers"]["history"]["segments"], "nothing spilled"
 
-        report = recover(tmp_path, setup=setup)
-        adb2, manager2 = report.engine, report.manager
-        assert report.checkpoint_used and report.replayed_steps == 0
-        rm2 = RecoveryManager(tmp_path)
-        rm2.checkpoint(adb2, manager2)
-        assert rm2.checkpoint_path.read_bytes() == written
+    report = recover(tmp_path, setup=setup)
+    adb2, manager2 = report.engine, report.manager
+    assert report.checkpoint_used and report.replayed_steps == 0
+    rm2 = RecoveryManager(tmp_path)
+    rm2.checkpoint(adb2, manager2)
+    assert rm2.checkpoint_path.read_bytes() == written
 
-        start(rm2, adb2)
-        drive(adb2, tail)
-        manager2.flush()
-        rm2.stop()
-        assert firing_sig(manager2) == firing_sig(twin_m)
-        assert executed_sig(manager2) == executed_sig(twin_m)
-        assert store_sig(adb2) == store_sig(twin)
-        manager2.detach()
-        twin_m.detach()
+    start(rm2, adb2)
+    drive(adb2, tail)
+    manager2.flush()
+    rm2.stop()
+    assert firing_sig(manager2) == firing_sig(twin_m)
+    assert executed_sig(manager2) == executed_sig(twin_m)
+    assert store_sig(adb2) == store_sig(twin)
+    manager2.detach()
+    twin_m.detach()
 
-        def never(engine):
-            raise AssertionError("setup() ran on a refused document")
+    def never(engine):
+        raise AssertionError("setup() ran on a refused document")
 
-        for foreign in (FORMAT_VERSION - 1, str(FORMAT_VERSION)):
-            document["format"] = foreign
-            tampered = json.dumps(document, sort_keys=True).encode()
-            rm.checkpoint_path.write_bytes(tampered)
-            with pytest.raises(RecoveryError, match=repr(foreign)):
-                recover(tmp_path, setup=never)
-            assert rm.checkpoint_path.read_bytes() == tampered
-    finally:
-        set_ptl_compile(previous)
+    for foreign in (FORMAT_VERSION - 1, str(FORMAT_VERSION)):
+        document["format"] = foreign
+        tampered = json.dumps(document, sort_keys=True).encode()
+        rm.checkpoint_path.write_bytes(tampered)
+        with pytest.raises(RecoveryError, match=repr(foreign)):
+            recover(tmp_path, setup=never)
+        assert rm.checkpoint_path.read_bytes() == tampered
+
+
+#: A durable directory written by commit 474f523, the last that could step
+#: conditions through a generated recurrence chain, with that chain on: a
+#: format-4 checkpoint whose plan carries a ``"compiled"`` section, and a
+#: WAL tail past it (see the fixture's README.md).
+V4_COMPILED_SECTION = (
+    Path(__file__).parent / "fixtures" / "ckpt_v4_compiled_section"
+)
+
+#: Price ticks (``("new", name, price)`` lists a stock); the fixture ran
+#: the first 18 with a checkpoint after 12.
+STOCK_TICKS = [
+    ("IBM", 40), ("IBM", 60), ("XYZ", 90), ("IBM", 45), ("XYZ", 85),
+    ("new", "ACME", 95), ("IBM", 70), ("ACME", 30), ("IBM", 52),
+    ("XYZ", 20), ("IBM", 80), ("ACME", 88), ("IBM", 50), ("XYZ", 99),
+    ("IBM", 65), ("ACME", 90), ("IBM", 30), ("XYZ", 81),
+    ("new", "ZED", 84), ("IBM", 51), ("ZED", 86), ("IBM", 40),
+    ("ACME", 97), ("IBM", 75),
+]
+
+
+def make_stock_engine():
+    adb = ActiveDatabase()
+    adb.create_relation(
+        "STOCK", Schema.of(name=STRING, price=FLOAT),
+        [("IBM", 40.0), ("XYZ", 40.0)],
+    )
+    adb.define_query(
+        "price", ["name"], "RETRIEVE (S.price) FROM STOCK S WHERE S.name = $name"
+    )
+    return adb
+
+
+def setup_stock_rules(adb):
+    """A temporal rule, a ``$``-parameter rule instantiated per listed
+    stock, and a running aggregate."""
+    manager = adb.rule_manager()
+    manager.add_trigger(
+        "rise", "price(IBM) > 50 & lasttime price(IBM) <= 50",
+        RecordingAction(),
+    )
+    manager.add_trigger(
+        "held_high", "previously[2] (price($s) > 80)", RecordingAction(),
+        params=("s",), domains={"s": "RETRIEVE (S.name) FROM STOCK S"},
+    )
+    manager.add_trigger(
+        "avg_high", "avg(price(IBM); time >= 0; @update_stocks) > 55",
+        RecordingAction(),
+    )
+    return manager
+
+
+def tick(adb, op):
+    def body(txn):
+        if op[0] == "new":
+            txn.insert("STOCK", (op[1], float(op[2])))
+        else:
+            txn.update(
+                "STOCK", lambda r: r["name"] == op[0],
+                lambda r: {"price": float(op[1])},
+            )
+        txn.post_event(user_event("update_stocks"))
+
+    adb.execute(body)
+
+
+def test_compiled_era_checkpoint_restores_on_the_one_path(tmp_path):
+    """A checkpoint whose plan section still carries the generated
+    chain's ``"compiled"`` slot layout restores: the node states are the
+    whole value, the section is ignored, and six states past the WAL tail
+    the firings (bindings included) and the plan equal an uninterrupted
+    twin's."""
+    shutil.copytree(V4_COMPILED_SECTION, tmp_path / "durable")
+    document = json.loads(
+        (tmp_path / "durable" / "checkpoint.json").read_text()
+    )
+    assert document["format"] == FORMAT_VERSION == 4
+    assert document["manager"]["plan"]["compiled"]["slots"] > 0
+
+    report = recover(tmp_path / "durable", setup=setup_stock_rules)
+    adb, manager = report.engine, report.manager
+    assert report.checkpoint_used and report.replayed_steps == 6
+    for op in STOCK_TICKS[18:]:
+        tick(adb, op)
+    manager.flush()
+
+    twin = make_stock_engine()
+    twin_m = setup_stock_rules(twin)
+    for op in STOCK_TICKS:
+        tick(twin, op)
+    twin_m.flush()
+    assert adb.state_count == twin.state_count == len(STOCK_TICKS)
+    assert firing_sig(manager) == firing_sig(twin_m)
+    assert {f.rule for f in manager.firings if f.state_index >= 18} == {
+        "rise", "held_high", "avg_high",
+    }
+    # ACME was listed before the checkpoint, ZED after the recovery.
+    held = {dict(f.bindings)["s"] for f in manager.firings
+            if f.rule == "held_high"}
+    assert {"ACME", "ZED"} <= held
+    state = manager.plan.to_state()
+    assert "compiled" not in state
+    assert state == twin_m.plan.to_state()
 
 
 class TestRecoveryManager:

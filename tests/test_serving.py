@@ -4,13 +4,12 @@ eviction/recovery (see :mod:`repro.serve`).
 The headline property is the cross-tenant isolation oracle: interleaved
 sessions against N served tenants must produce firings, bindings,
 executed-store records, and committed store contents bit-identical to N
-standalone engines replaying the same per-tenant transaction streams —
-on the interpreted and the compiled PTL pipeline.  Around it:
-every malformed/oversized/invalid frame gets a typed error reply and
-never corrupts tenant state (a tenant reopens cleanly from its WAL
-tail), admission backpressure is explicit, and an evicted tenant resumes
-with identical temporal state — including after a crash injected mid
-eviction-checkpoint.
+standalone engines replaying the same per-tenant transaction streams.
+Around it: every malformed/oversized/invalid frame gets a typed error
+reply and never corrupts tenant state (a tenant reopens cleanly from its
+WAL tail), admission backpressure is explicit, and an evicted tenant
+resumes with identical temporal state — including after a crash injected
+mid eviction-checkpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.engine import ActiveDatabase
 from repro.errors import ProtocolError, TenantError, TransactionAborted
-from repro.ptl.compiled import set_ptl_compile
 from repro.recovery import MID_CHECKPOINT, FaultInjector, SimulatedCrash
 from repro.serve import ReproServer, StockProfile, compile_statements
 from repro.serve.admission import AdmissionController
@@ -139,21 +137,6 @@ def serving_root():
         shutil.rmtree(root, ignore_errors=True)
 
 
-@contextmanager
-def backend(name: str):
-    """Pin the recurrence pipeline for both halves of a differential:
-    ``shared`` (the ambient default), ``compiled`` (PTL recurrences
-    lowered to closure chains)."""
-    if name != "compiled":
-        yield
-        return
-    previous = set_ptl_compile(True)
-    try:
-        yield
-    finally:
-        set_ptl_compile(previous)
-
-
 def tenant_signatures(server, tenant_ids):
     """Read each served tenant's comparable outcome straight off the
     resident engines (the served half of the isolation oracle)."""
@@ -202,20 +185,16 @@ price_streams = st.lists(
 
 
 class TestIsolationOracle:
-    @pytest.mark.parametrize("mode", ["shared", "compiled"])
     @given(streams=price_streams, seed=st.integers(0, 7))
     @settings(max_examples=9, deadline=None)
-    def test_served_matches_standalone(self, mode, streams, seed):
+    def test_served_matches_standalone(self, streams, seed):
         """Interleaved sessions against N served tenants == N standalone
         engines replaying the same per-tenant streams, bit for bit."""
-        with backend(mode):
-            served = asyncio.run(self._serve(streams, seed))
-            expected = {
-                f"t{i}": standalone_signature(
-                    [update_stmt(p) for p in stream]
-                )
-                for i, stream in enumerate(streams)
-            }
+        served = asyncio.run(self._serve(streams, seed))
+        expected = {
+            f"t{i}": standalone_signature([update_stmt(p) for p in stream])
+            for i, stream in enumerate(streams)
+        }
         assert served == expected
 
     async def _serve(self, streams, seed):

@@ -10,8 +10,8 @@ same executed store.  On top of that: no torn or corrupted segment is
 ever loaded (fingerprints), a disk that stays broken flips the engine
 into degraded read-only mode deterministically (and back out), a
 checkpoint of a spilled run recovers bit-identically across the
-per-rule / shared-plan and interpreted / compiled backends, and a
-checkpoint written while execution records still spilled restores.
+per-rule / shared-plan groupings, and a checkpoint written while
+execution records still spilled restores.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.history.spill import (
     TieredHistory,
     attach_tiered_history,
 )
-from repro.ptl.compiled import set_ptl_compile
 from repro.recovery import (
     DISK_FULL,
     FSYNC_FAIL,
@@ -658,20 +657,8 @@ class TestSpilledRecovery:
     def _setup_for(self, kind):
         return lambda e: setup_rules(e, shared=(kind == "shared"))
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interp", "compiled"]
-    )
     @pytest.mark.parametrize("kind", KINDS)
-    def test_spilled_checkpoint_recovers_bit_identically(
-        self, tmp_path, kind, compiled
-    ):
-        prev = set_ptl_compile(compiled)
-        try:
-            self._run(tmp_path, kind)
-        finally:
-            set_ptl_compile(prev)
-
-    def _run(self, tmp_path, kind):
+    def test_spilled_checkpoint_recovers_bit_identically(self, tmp_path, kind):
         ops = row_ops(60)
         oracle = make_engine()
         oracle_m = self._setup_for(kind)(oracle)
