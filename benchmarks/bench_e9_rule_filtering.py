@@ -31,12 +31,9 @@ def build_engine():
 
 def run_filtering(filtering: bool):
     adb = build_engine()
-    # per-rule evaluators: the shared plan steps every rule's temporal
-    # state each update regardless of relevance, which is what this
-    # experiment measures the cost of skipping
-    manager = RuleManager(
-        adb, relevance_filtering=filtering, shared_plan=False
-    )
+    # the rules are stateless and event-gated: with filtering the manager
+    # reads one rule per event and the plan computes that rule's root only
+    manager = RuleManager(adb, relevance_filtering=filtering)
     actions = []
     for k in range(N_RULES):
         action = RecordingAction()

@@ -3,14 +3,18 @@ timing and paper-style result tables."""
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Callable, Sequence
 
 
 def time_best(fn: Callable[[], Any], repeat: int = 3) -> float:
-    """Best-of-``repeat`` wall-clock seconds."""
+    """Best-of-``repeat`` wall-clock seconds.  Each run starts on a
+    collected heap: a cyclic-garbage collection the code timed before it
+    left due would otherwise land in whichever run comes first."""
     best = float("inf")
     for _ in range(repeat):
+        gc.collect()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)

@@ -171,9 +171,7 @@ class ActiveDatabase:
     def rule_manager(self, **kwargs):
         """Attach a :class:`~repro.rules.manager.RuleManager` (the paper's
         temporal component) to this engine and return it.  Keyword
-        arguments pass through — e.g. ``shared_plan=False`` for one
-        independent evaluator per rule instead of the shared
-        condition-evaluation plan."""
+        arguments pass through — e.g. ``relevance_filtering=True``."""
         from repro.rules.manager import RuleManager
 
         return RuleManager(self, **kwargs)

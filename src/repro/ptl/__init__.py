@@ -47,6 +47,7 @@ _EXPORTS = {
         ("IncrementalEvaluator", "SharedPlan", "PlanBoundEvaluator"),
         "repro.ptl.plan",
     ),
+    "infer_relevant_events": "repro.ptl.plan",
     "FireResult": "repro.ptl.incremental",
     **dict.fromkeys(
         ("EvalContext", "ExecutedStore", "ExecutionRecord"),

@@ -22,7 +22,9 @@ r1 and r2 are real rules: each rewritten condition owns one maintenance
 :class:`~repro.ptl.plan.SharedPlan` holding them, and F is that plan's
 :class:`repro.ptl.incremental._AggregateState` — the accumulator the
 evaluator's *direct* pipeline (the ablation counterpart) reads as a term
-value.  The two pipelines are two read paths over one maintenance.
+value.  The two pipelines are two read paths over one maintenance.  The
+rule manager runs the direct one; this module is benchmark E5's
+comparison and its tests' reference.
 """
 
 from __future__ import annotations

@@ -40,6 +40,12 @@ other: they compile through the same cache under the same key, so a ψ that
 also occurs in another rule's condition — or in five other aggregates — is
 one node, stepped once per state.
 
+A root is computed on every state, except that of a stateless condition
+gated by an event atom (:func:`infer_relevant_events`), which is computed
+when its result is read.  So Section 8's relevance filter reaches into
+the plan: a rule the rule manager does not consider on a state costs
+nothing there, and records not fired.
+
 This is the one condition-evaluation backend: a standalone condition is
 a plan holding one rule (:class:`IncrementalEvaluator`).  THEOREM 1
 equivalence — one plan for all rules vs one plan per rule vs the
@@ -66,6 +72,7 @@ from repro.ptl import ast
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
 from repro.ptl.incremental import (
+    _FALSE_RESULT,
     FireResult,
     _AggregateState,
     _LasttimeNode,
@@ -121,6 +128,31 @@ def rule_drift(checkpointed: dict, registered: dict, strict: bool) -> dict:
             f"  registered: {registered[name]}"
         )
     return {"added": added, "dropped": dropped, "changed": changed}
+
+
+def infer_relevant_events(formula: ast.Formula) -> Optional[frozenset[str]]:
+    """Event names that gate a *stateless* condition.
+
+    Sound only when the condition has no temporal operators or aggregates
+    (its evaluator carries no state across steps, so skipping states
+    cannot corrupt it) and is a conjunction with at least one top-level
+    event atom (so states without those events cannot satisfy it).
+    Returns None when filtering would be unsound.
+    """
+    temporal = (ast.Since, ast.Lasttime, ast.Previously, ast.ThroughoutPast)
+    if any(isinstance(sub, temporal) for sub in ast.walk(formula)):
+        return None
+    if ast.aggregate_terms(formula):
+        return None
+    if isinstance(formula, ast.EventAtom):
+        return frozenset({formula.name})
+    if isinstance(formula, ast.And):
+        names = {
+            c.name for c in formula.operands if isinstance(c, ast.EventAtom)
+        }
+        if names:
+            return frozenset(names)
+    return None
 
 
 #: The node classes that store a formula between states.
@@ -196,6 +228,7 @@ class _PlanRule:
         "seq",
         "instance_births",
         "maintains",
+        "events",
     )
 
     def __init__(self, name, formula, ctx, time_vars, qvars):
@@ -218,6 +251,10 @@ class _PlanRule:
         #: The accumulator F a maintenance rule ``r2: ψ → update F`` roots
         #: (:meth:`SharedPlan.add_aggregate_rules`); None for conditions.
         self.maintains: Optional[_AggregateState] = None
+        #: The event atoms a stateless condition conjoins
+        #: (:func:`infer_relevant_events`): its root is computed when its
+        #: result is read.  None: on every state.
+        self.events: Optional[frozenset[str]] = None
 
     def roots(self) -> Iterator[_Node]:
         if self.root is not None:
@@ -256,6 +293,9 @@ class SharedPlan:
         self.epoch = 0
         self._last_state: Optional[SystemState] = None
         self._rules: dict[str, _PlanRule] = {}
+        #: Rules the next step resets to not fired: the gated roots read
+        #: at this state (all rules after a restore).
+        self._read: list[_PlanRule] = []
         #: (subformula, avail, prune set, birth epoch) -> memo node.
         self._nodes: dict = {}
         #: (node, prune set, birth epoch) per distinct temporal node.
@@ -308,6 +348,7 @@ class SharedPlan:
                     f"needs a domain (EvalContext.domains[{qv!r}])"
                 )
         entry = _PlanRule(name, formula, rule_ctx, _time_vars(formula), qvars)
+        entry.events = infer_relevant_events(formula)
         entry.birth = self.epoch
         entry.seq = self._next_seq
         self._next_seq += 1
@@ -453,9 +494,9 @@ class SharedPlan:
     # ------------------------------------------------------------------
 
     def step(self, state: SystemState) -> None:
-        """Process one new system state for *all* rules.  Idempotent per
-        state object: the per-rule views each call this, the first one
-        does the work."""
+        """Process one new system state for *all* rules: every root is
+        computed, a gated stateless one when read (:meth:`_result`).  Idempotent per state object: the per-rule
+        views each call this, the first one does the work."""
         if state is self._last_state:
             return
         self._last_state = state
@@ -465,8 +506,15 @@ class SharedPlan:
                 self._refresh_instances(entry, state)
         for agg in self._aggregates.values():
             agg.step(state)
+        # A gated root read at the previous state is not fired here until
+        # it is read again (:meth:`_result`).
+        for entry in self._read:
+            entry.last_top = cs.CFALSE
+            entry.result = _FALSE_RESULT
+        self._read = []
         for entry in self._rules.values():
-            entry.result = self._eval_rule(entry, state)
+            if entry.events is None:
+                entry.result = self._eval_rule(entry, state)
         if self.optimize:
             for node, prune_set, _ in self._temporal:
                 if prune_set:
@@ -475,7 +523,15 @@ class SharedPlan:
             self._record_metrics()
 
     def result_of(self, name: str) -> FireResult:
-        return self._rules[name].result
+        return self._result(self._rules[name])
+
+    def _result(self, entry: _PlanRule) -> FireResult:
+        """The rule's result at the current state; a gated root is
+        computed when read (again on a second read, from memo nodes)."""
+        if entry.events is not None and self._last_state is not None:
+            entry.result = self._eval_rule(entry, self._last_state)
+            self._read.append(entry)
+        return entry.result
 
     def _eval_rule(self, entry: _PlanRule, state) -> FireResult:
         if entry.root is not None:
@@ -598,6 +654,7 @@ class SharedPlan:
                 self._release(entry.instances.pop(combo))
         self.epoch = epoch
         self._last_state = last_state
+        self._read = list(self._rules.values())
         # The memo cache is keyed on the epoch being rolled back: the next
         # step reuses it, and must not read the abandoned step's values.
         for memo in self._nodes.values():
@@ -741,6 +798,7 @@ class SharedPlan:
                 self._compile_root(entry)
         self._next_seq = next_seq
         self._last_state = None
+        self._read = list(self._rules.values())
 
         # Pool matching by (label, prune set, birth): nodes with the same
         # pool key carry identical state (temporal children and aggregate
@@ -836,7 +894,7 @@ class PlanBoundEvaluator:
     def step(self, state: SystemState) -> FireResult:
         self.plan.step(state)
         self.steps += 1
-        return self.entry.result
+        return self.plan._result(self.entry)
 
     @property
     def last_top(self) -> cs.C:
@@ -911,8 +969,9 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         shared anonymous label.
 
     Call :meth:`step` with each appended system state; the result reports
-    firing and free-variable bindings.  :meth:`snapshot`/:meth:`restore`
-    bracket a *trial* step (integrity-constraint enforcement).
+    firing and free-variable bindings.  :meth:`snapshot` before a *trial*
+    step lets :meth:`restore` undo it (integrity-constraint enforcement
+    undoes the step on a commit candidate that is never published).
     """
 
     def __init__(

@@ -29,10 +29,8 @@ _EXPORTS = {
         ),
         "repro.rules.rule",
     ),
-    **dict.fromkeys(
-        ("RuleManager", "TemporalComponent", "infer_relevant_events"),
-        "repro.rules.manager",
-    ),
+    **dict.fromkeys(("RuleManager", "TemporalComponent"), "repro.rules.manager"),
+    "infer_relevant_events": "repro.ptl.plan",
     **dict.fromkeys(
         ("CompositeStep", "add_sequence", "add_periodic", "add_composite"),
         "repro.rules.composite",

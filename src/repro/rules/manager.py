@@ -4,17 +4,20 @@
 temporal component, i.e. a system that executes the temporal condition
 evaluation algorithm for each trigger."  The manager:
 
-* subscribes to the engine's event bus and steps every registered rule's
-  incremental evaluator on each new system state;
+* subscribes to the engine's event bus and steps every trigger's
+  condition on one :class:`~repro.ptl.plan.SharedPlan` per new system
+  state;
 * enforces integrity constraints at the ``attempts_to_commit`` event by
-  *trial evaluation* (snapshot -> step candidate -> restore), vetoing the
-  commit when the IC condition (``attempts_to_commit(X) & !c``) fires;
+  *trial evaluation*: each IC steps the candidate state once, vetoing the
+  commit when the IC condition (``attempts_to_commit(X) & !c``) fires; the
+  trial is kept when that candidate is published and undone otherwise;
 * executes trigger actions according to their coupling mode, records
   the executions some live condition reads in the ``executed`` store
   (Section 7), and garbage-collects records past their retention;
 * implements the Section 8 optimizations: *relevance filtering* (rules
   considered only when their events occur — automatically inferred only
-  for stateless, event-guarded conditions, where it is sound) and
+  for stateless, event-guarded conditions, where it is sound, and the
+  plan computes such a condition only for a rule considered) and
   *batched invocation* ("trigger firing may be delayed, but not go
   unrecognized").
 """
@@ -44,7 +47,6 @@ from repro.obs.trace import (
     as_trace,
 )
 from repro.ptl import ast
-from repro.ptl.aggregates import RewrittenEvaluator
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.parser import parse_formula
 from repro.ptl.plan import (
@@ -115,31 +117,6 @@ class _RegisteredMonitor:
             self.monitor = FutureMonitor(self.formula, self._ctx)
 
 
-def infer_relevant_events(formula: ast.Formula) -> Optional[frozenset[str]]:
-    """Event names that gate a *stateless* condition.
-
-    Sound only when the condition has no temporal operators or aggregates
-    (its evaluator carries no state across steps, so skipping states
-    cannot corrupt it) and is a conjunction with at least one top-level
-    event atom (so states without those events cannot satisfy it).
-    Returns None when filtering would be unsound.
-    """
-    for sub in ast.walk(formula):
-        if isinstance(sub, (ast.Since, ast.Lasttime, ast.Previously, ast.ThroughoutPast)):
-            return None
-    for agg in ast.aggregate_terms(formula):
-        return None
-    if isinstance(formula, ast.EventAtom):
-        return frozenset({formula.name})
-    if isinstance(formula, ast.And):
-        names = {
-            c.name for c in formula.operands if isinstance(c, ast.EventAtom)
-        }
-        if names:
-            return frozenset(names)
-    return None
-
-
 @dataclass
 class RuleStats:
     evaluations: int = 0
@@ -153,6 +130,7 @@ class _RegisteredRule:
         "evaluator",
         "stats",
         "_prev_bindings",
+        "gate",
         "birth",
         "reads",
         "m_firings",
@@ -173,6 +151,10 @@ class _RegisteredRule:
         self.evaluator = evaluator
         self.stats = RuleStats()
         self._prev_bindings: frozenset = frozenset()
+        #: Event atoms the condition conjoins, when it is stateless
+        #: (:func:`~repro.ptl.plan.infer_relevant_events` of the plan's
+        #: normalized condition); else None.
+        self.gate: Optional[frozenset[str]] = None
         #: ``states_seen`` at registration — a hot-added rule's firings
         #: can only start here (recorded in checkpoints).
         self.birth = birth
@@ -227,7 +209,6 @@ class RuleManager:
         executed_retention: Optional[int] = None,
         metrics=None,
         trace=None,
-        shared_plan: bool = True,
         isolate_action_failures: bool = False,
         action_retries: int = 0,
         quarantine_after: Optional[int] = 3,
@@ -237,15 +218,14 @@ class RuleManager:
         a :class:`~repro.obs.metrics.MetricsRegistry`; ``trace`` likewise
         resolves to a :class:`~repro.obs.trace.TraceSink`.
 
-        With ``shared_plan=True`` (the default) trigger conditions are
-        compiled into one :class:`~repro.ptl.plan.SharedPlan` with
-        common-subformula elimination, so overlapping conditions are
-        evaluated once per state instead of once per rule;
-        ``shared_plan=False`` is the same backend grouped differently —
-        one private plan per rule (:class:`IncrementalEvaluator`), no
-        sharing across rules.  Integrity constraints and
-        ``rewrite_aggregates`` rules always get a private plan (IC trial
-        evaluation must not touch shared state).
+        Trigger conditions are compiled into one
+        :class:`~repro.ptl.plan.SharedPlan` with common-subformula
+        elimination, so overlapping conditions are evaluated once per
+        state instead of once per rule.  Each integrity constraint has a
+        private plan (:class:`IncrementalEvaluator`), stepped once per
+        state: at ``attempts_to_commit`` on the candidate, a step that is
+        kept when the candidate is published and undone when the commit
+        is vetoed or refused.
 
         ``isolate_action_failures=True`` contains a raising trigger action
         to its own rule: the exception is recorded (a ``"failed"``
@@ -269,12 +249,8 @@ class RuleManager:
         else:
             self.metrics = as_registry(metrics)
         self.trace = as_trace(trace)
-        self.plan: Optional[SharedPlan] = (
-            SharedPlan(
-                EvalContext(executed=self.executed), metrics=self.metrics
-            )
-            if shared_plan
-            else None
+        self.plan = SharedPlan(
+            EvalContext(executed=self.executed), metrics=self.metrics
         )
         self.isolate_action_failures = isolate_action_failures
         self.action_retries = max(0, action_retries)
@@ -303,6 +279,12 @@ class RuleManager:
         self._batch: list = []
         self._draining = False
         self._validator_installed = False
+        #: Triggers in evaluation order (:meth:`_ordered_rules`); None =
+        #: re-sort.
+        self._ordered: Optional[list[_RegisteredRule]] = None
+        #: The candidate the ICs were last stepped on and their snapshots
+        #: from before that step, while its publication is pending.
+        self._trial: Optional[tuple] = None
         self.states_seen = 0
         #: Consecutive-failure count per rule and the quarantined set.
         self._action_failures: dict[str, int] = {}
@@ -386,7 +368,6 @@ class RuleManager:
         coupling: CouplingMode = CouplingMode.T_CA,
         fire_mode: FireMode = FireMode.ALWAYS,
         relevant_events: Optional[Iterable[str]] = None,
-        rewrite_aggregates: bool = False,
         priority: int = 0,
         shadow: bool = False,
     ) -> Rule:
@@ -424,32 +405,19 @@ class RuleManager:
             relevant_events=(
                 frozenset(relevant_events) if relevant_events is not None else None
             ),
-            rewrite_aggregates=rewrite_aggregates,
             priority=priority,
             shadow=shadow,
         )
         ctx = EvalContext(executed=self.executed, domains=domain_map)
-        if rewrite_aggregates:
-            evaluator = RewrittenEvaluator(
-                formula, ctx, metrics=self.metrics, name=name
-            )
-        elif self.plan is not None:
-            evaluator = self.plan.add_rule(name, formula, ctx)
-        else:
-            evaluator = IncrementalEvaluator(
-                formula, ctx, metrics=self.metrics, name=name
-            )
+        evaluator = self.plan.add_rule(name, formula, ctx)
         registered = _RegisteredRule(
             rule, evaluator, registry=self.metrics, birth=self.states_seen
         )
-        if (
-            rule.relevant_events is None
-            and self.relevance_filtering
-        ):
-            inferred = infer_relevant_events(formula)
-            if inferred is not None:
-                rule.relevant_events = inferred
+        registered.gate = evaluator.entry.events
+        if rule.relevant_events is None and self.relevance_filtering:
+            rule.relevant_events = registered.gate
         self._rules[name] = registered
+        self._ordered = None
         self._derive_readers()
         if self._obs_on:
             if self.states_seen > 0:
@@ -559,9 +527,9 @@ class RuleManager:
             raise UnknownRuleError(f"no rule named {name!r}")
         self._lifecycle_sync("remove", name)
         if name in self._rules:
-            reg = self._rules.pop(name)
-            if self._in_shared_plan(reg):
-                self.plan.remove_rule(name)
+            del self._rules[name]
+            self._ordered = None
+            self.plan.remove_rule(name)
             self._pending_actions = [
                 p for p in self._pending_actions if p[0].name != name
             ]
@@ -636,11 +604,16 @@ class RuleManager:
     # ------------------------------------------------------------------
 
     def _validate(self, candidate, txn) -> list[str]:
+        """Step every IC on the commit candidate.  The step is the IC's
+        step for that state if the candidate is published (see
+        :meth:`_settle_trial`); a pending trial whose commit never
+        published is undone first."""
+        self._settle_trial()
         violations = []
+        snaps = []
         for reg in self._ics.values():
-            snap = reg.evaluator.snapshot()
+            snaps.append((reg.evaluator, reg.evaluator.snapshot()))
             result = reg.evaluator.step(candidate)
-            reg.evaluator.restore(snap)
             if result.fired:
                 violations.append(
                     f"integrity constraint {reg.rule.name!r} violated"
@@ -659,13 +632,45 @@ class RuleManager:
                         txn=txn.id,
                         state_index=candidate.index,
                     )
+        self._trial = (candidate, snaps)
         return violations
+
+    def _settle_trial(self, state=None) -> bool:
+        """Resolve the pending IC trial against ``state``, the state just
+        published (None: nothing was).  Returns True when ``state`` is the
+        trial's candidate — same database object, index, timestamp and
+        events — so the ICs have already stepped it; otherwise the trial
+        is undone (a veto, a commit the disk refused, another validator's
+        veto)."""
+        trial, self._trial = self._trial, None
+        if trial is None:
+            return False
+        candidate, snaps = trial
+        if (
+            state is not None
+            and state.db is candidate.db
+            and state.index == candidate.index
+            and state.timestamp == candidate.timestamp
+            and state.events == candidate.events
+        ):
+            return True
+        for evaluator, snap in snaps:
+            evaluator.restore(snap)
+        return False
 
     # ------------------------------------------------------------------
     # State processing
     # ------------------------------------------------------------------
 
     def _on_state(self, state) -> None:
+        # Integrity constraints step at publication, never queued or
+        # batched: a commit attempted from inside a cascade is judged on
+        # every state committed before it.
+        stepped = self._settle_trial(state)
+        for reg in self._ics.values():
+            if not stepped:
+                reg.evaluator.step(state)
+            reg.stats.evaluations += 1
         self._queue.append(state)
         if self._draining:
             return
@@ -679,11 +684,6 @@ class RuleManager:
 
     def _process_state(self, state) -> None:
         self.states_seen += 1
-        # Integrity constraints are never batched: their evaluators must be
-        # current at the next attempts_to_commit.
-        for reg in self._ics.values():
-            reg.evaluator.step(state)
-            reg.stats.evaluations += 1
         self._batch.append(state)
         if self._obs_on:
             self._m_states.inc()
@@ -716,27 +716,35 @@ class RuleManager:
 
     def _ordered_rules(self) -> list[_RegisteredRule]:
         """Registration order, stably re-ordered by descending priority."""
-        return sorted(
-            self._rules.values(), key=lambda reg: -reg.rule.priority
-        )
+        if self._ordered is None:
+            self._ordered = sorted(
+                self._rules.values(), key=lambda reg: -reg.rule.priority
+            )
+        return self._ordered
 
     def _step_triggers(self, state) -> None:
         obs = self._obs_on
         to_execute: list[tuple[Rule, dict]] = []
         names = state.event_names()
-        if self.plan is not None and self.plan.rule_names():
-            # One shared evaluation pass for all plan-backed rules, even
-            # when relevance filtering skips reading some results below
-            # (shared temporal state must see every state).
+        if self._rules:
+            # One shared evaluation pass for all rules (shared temporal
+            # state must see every state); a gated stateless root is
+            # computed only if its rule is considered below.
             self.plan.step(state)
         for reg in self._ordered_rules():
             rule = reg.rule
-            if rule.relevant_events is not None and not (
-                rule.relevant_events & names
+            if (
+                rule.relevant_events is not None
+                and rule.relevant_events.isdisjoint(names)
             ):
                 reg.stats.skips += 1
                 if obs:
                     reg.m_skips.inc()
+                if reg.gate is not None and not reg.gate <= names:
+                    # The condition is false here, as evaluating it would
+                    # find: a firing at the next considered state is a
+                    # rising edge.
+                    reg._prev_bindings = frozenset()
                 continue
             if obs:
                 t0 = perf_counter()
@@ -900,14 +908,6 @@ class RuleManager:
     # Checkpoint serialization (crash recovery)
     # ------------------------------------------------------------------
 
-    def _in_shared_plan(self, reg: _RegisteredRule) -> bool:
-        """Whether the rule's state lives in the manager's shared plan
-        (as opposed to a private evaluator of its own)."""
-        return (
-            self.plan is not None
-            and getattr(reg.evaluator, "plan", None) is self.plan
-        )
-
     @staticmethod
     def _fingerprints(registered: dict) -> dict:
         return {
@@ -931,7 +931,7 @@ class RuleManager:
         """Serialize the temporal component for a recovery checkpoint.
 
         Everything needed to resume monitoring is captured: evaluator
-        states (through the shared plan or per rule), the executed store,
+        states (the triggers' plan and each IC's), the executed store,
         firing records, per-rule rising-edge memory, queued T-C-A actions,
         and the failure-isolation bookkeeping.  The manager must be
         quiescent — no batched or queued states (call :meth:`flush`
@@ -945,16 +945,11 @@ class RuleManager:
             raise RecoveryError(
                 "cannot checkpoint with batched states pending; flush() first"
             )
+        # A trial whose candidate was never published is not state.
+        self._settle_trial()
         rules = {}
         for name, reg in self._rules.items():
-            if isinstance(reg.evaluator, RewrittenEvaluator):
-                raise RecoveryError(
-                    f"rule {name!r} uses rewrite_aggregates; rewritten "
-                    "evaluators are not checkpointable (their generated "
-                    "item names are process-local) — use the direct "
-                    "aggregate pipeline"
-                )
-            entry = {
+            rules[name] = {
                 "prev": [
                     self._encode_pairs(t) for t in sorted(reg._prev_bindings)
                 ],
@@ -969,9 +964,6 @@ class RuleManager:
                 "birth": reg.birth,
                 "shadow": reg.rule.shadow,
             }
-            if not self._in_shared_plan(reg):
-                entry["evaluator"] = reg.evaluator.to_state()
-            rules[name] = entry
         return {
             "states_seen": self.states_seen,
             "executed": self.executed.to_state(),
@@ -986,11 +978,7 @@ class RuleManager:
                 for f in self._firings
             ],
             "rules": rules,
-            "plan": (
-                self.plan.to_state()
-                if self.plan is not None and self.plan.rule_names()
-                else None
-            ),
+            "plan": self.plan.to_state() if self.plan.rule_names() else None,
             "ics": {
                 name: {
                     "evaluator": reg.evaluator.to_state(),
@@ -1040,6 +1028,13 @@ class RuleManager:
             )
         ck_rules = payload["rules"]
         ck_ics = payload["ics"]
+        private = sorted(n for n, e in ck_rules.items() if "evaluator" in e)
+        if private:
+            raise RecoveryError(
+                f"triggers {private} were checkpointed with private "
+                "evaluators (a per-rule manager); every trigger now runs "
+                "on the manager's plan, so this checkpoint cannot be restored"
+            )
         # Triggers and integrity constraints drift separately: a name
         # that moved from one kind to the other is dropped and added.
         drift = rule_drift(
@@ -1055,10 +1050,7 @@ class RuleManager:
         drift = {key: sorted(drift[key] + ic_drift[key]) for key in drift}
         changed_set = set(drift["changed"])
         plan_state = payload["plan"]
-        if plan_state is not None and self.plan is None:
-            raise RecoveryError(
-                "checkpoint used a shared plan; manager has shared_plan=False"
-            )
+        self._settle_trial()
         self.states_seen = payload["states_seen"]
         self.executed.from_state(payload["executed"])
         # Records of rules no registered condition reads are not kept.
@@ -1087,13 +1079,6 @@ class RuleManager:
                 reg.m_shadow_firings = self.metrics.counter(
                     "shadow_firings_total", rule=name
                 )
-            if ("evaluator" in entry) == self._in_shared_plan(reg):
-                raise RecoveryError(
-                    f"rule {name!r} changed between plan-backed and "
-                    "independent evaluation since the checkpoint"
-                )
-            if "evaluator" in entry:
-                reg.evaluator.from_state(entry["evaluator"])
         for name, reg in self._ics.items():
             entry = ck_ics.get(name)
             if entry is None or name in changed_set:
@@ -1197,18 +1182,11 @@ class RuleManager:
         return render(explanation) if rendered else explanation
 
     def total_state_size(self) -> int:
-        """Retained evaluator state across all rules.  Plan-backed rules
-        are counted once through the shared plan (their state *is*
-        shared); independent evaluators and ICs add their own."""
-        total = 0
-        plan_counted = False
-        for reg in list(self._rules.values()) + list(self._ics.values()):
-            if not self._in_shared_plan(reg):
-                total += reg.evaluator.state_size()
-            elif not plan_counted:
-                total += self.plan.state_size()
-                plan_counted = True
-        return total
+        """Retained evaluator state across all rules: the triggers' plan
+        once (its state *is* shared), plus each IC's own."""
+        return self.plan.state_size() + sum(
+            reg.evaluator.state_size() for reg in self._ics.values()
+        )
 
     def detach(self) -> None:
         """Unsubscribe from the engine (rules stop being evaluated)."""

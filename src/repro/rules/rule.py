@@ -67,9 +67,6 @@ class Rule:
     #: Event names this rule is *relevant* to (Section 8 filtering); None
     #: means the rule is considered at every state.
     relevant_events: Optional[frozenset[str]] = None
-    #: Process temporal aggregates by rewriting (Section 6.1.1) instead of
-    #: the direct pipeline.
-    rewrite_aggregates: bool = False
     #: Evaluation/execution order within one state: higher runs first;
     #: ties break by registration order.
     priority: int = 0

@@ -20,14 +20,30 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from repro.baselines import NaiveDetector
 from repro.datamodel import FLOAT, INT, STRING, Relation, Schema
 from repro.events.model import Event, transaction_commit, user_event
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
 from repro.query.subst import QueryRegistry
+from repro.rules.manager import RuleManager
 from repro.storage.snapshot import DatabaseState
 
 STOCK_SCHEMA = Schema.of(name=STRING, price=FLOAT)
+
+
+class NaiveRuleManager(RuleManager):
+    """The reference backend: each trigger's firings come from a
+    :class:`NaiveDetector` that re-runs the offline semantics over the
+    history it has been stepped on.  The detector accumulates its history
+    from registration on, so hot adds get the "start from now" semantics
+    by construction — which makes it the lifecycle oracle too."""
+
+    def add_trigger(self, name, condition, action, **kwargs):
+        rule = super().add_trigger(name, condition, action, **kwargs)
+        reg = self._rules[name]
+        reg.evaluator = NaiveDetector(reg.rule.condition, reg.evaluator.ctx)
+        return rule
 
 
 def stock_registry() -> QueryRegistry:

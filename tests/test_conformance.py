@@ -2,15 +2,15 @@
 backend must pass.
 
 Three rows evaluate the same PTL conditions — the reference semantics and
-two groupings of the one production backend:
+the one production backend with and without Section 8 filtering:
 
 * ``naive`` — full-history re-evaluation per state (the reference
   semantics, :class:`repro.baselines.NaiveDetector` per rule);
-* ``unshared`` — one private one-rule plan per rule
-  (``shared_plan=False``: the same code as ``shared-plan`` with no
-  sharing across rules);
 * ``shared-plan`` — one :class:`~repro.ptl.plan.SharedPlan` with
-  common-subformula elimination (the default).
+  common-subformula elimination (the default);
+* ``filtered`` — the same with ``relevance_filtering=True``: the manager
+  skips a stateless event-gated rule (``@go``, ``@go & price > 50``) on
+  a state without its event, and the plan computes no root for it there.
 
 Each hypothesis-generated rule set × operation sequence runs on every
 backend, and all backends must produce identical firings (rule,
@@ -29,36 +29,19 @@ below.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import NaiveDetector
 from repro.engine import ActiveDatabase
 from repro.events import user_event
-from repro.ptl.context import EvalContext
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 from repro.rules.rule import FireMode
 
-
-class NaiveRuleManager(RuleManager):
-    """A rule manager whose per-rule evaluators re-run the reference
-    (offline) semantics over the full retained history."""
-
-    def __init__(self, engine, **kwargs):
-        kwargs["shared_plan"] = False
-        super().__init__(engine, **kwargs)
-
-    def add_trigger(self, name, condition, action, **kwargs):
-        rule = super().add_trigger(name, condition, action, **kwargs)
-        reg = self._rules[name]
-        reg.evaluator = NaiveDetector(
-            reg.rule.condition, EvalContext(executed=self.executed)
-        )
-        return rule
+from tests.helpers import NaiveRuleManager
 
 
 BACKENDS = [
     ("naive", NaiveRuleManager),
-    ("unshared", lambda e: RuleManager(e, shared_plan=False)),
-    ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
+    ("shared-plan", RuleManager),
+    ("filtered", lambda e: RuleManager(e, relevance_filtering=True)),
 ]
 
 

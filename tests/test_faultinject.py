@@ -1,12 +1,12 @@
 """Differential crash-consistency tests and action failure isolation.
 
 For every crash point (pre-commit, post-commit, torn WAL append,
-mid-checkpoint), both evaluator backends, with and without a checkpoint:
-crash a workload at a deterministic step, recover from the durable
-directory, finish the remaining operations, and require the recovered
-run to be indistinguishable from an uninterrupted oracle — same firings
-(rule, bindings, state index, timestamp), same database, same executed
-store, and on the shared plan the same plan state.  Recovery must also
+mid-checkpoint), with and without Section 8 relevance filtering, with and
+without a checkpoint: crash a workload at a deterministic step, recover
+from the durable directory, finish the remaining operations, and require
+the recovered run to be indistinguishable from an uninterrupted,
+unfiltered oracle — same firings (rule, bindings, state index,
+timestamp), same database, same executed store, and the same plan state.  Recovery must also
 replay *only* the WAL tail past the checkpoint (``replayed_steps``),
 never re-evaluating older history, and refuse a checkpoint whose
 temporal-node layout no longer matches the plan it rebuilt.
@@ -65,8 +65,8 @@ def make_engine():
     return adb
 
 
-def setup_rules(adb, shared=True):
-    manager = adb.rule_manager(shared_plan=shared)
+def setup_rules(adb, filtering=False):
+    manager = adb.rule_manager(relevance_filtering=filtering)
     manager.add_trigger(
         "rising",
         "price > 50 & lasttime price <= 50",
@@ -78,6 +78,14 @@ def setup_rules(adb, shared=True):
         "@go & (price > 10 since @go)",
         RecordingAction(),
         coupling=CouplingMode.T_C_A,
+    )
+    # Stateless and event-gated: filtering skips it, and its plan root,
+    # on every state without @go.
+    manager.add_trigger(
+        "gated",
+        "@go & price > 30",
+        RecordingAction(),
+        fire_mode=FireMode.RISING_EDGE,
     )
     manager.add_integrity_constraint("cap", "!(price > 1000)")
     return manager
@@ -107,15 +115,15 @@ class TestCrashMatrix:
     """Crash at a deterministic point, recover, finish; compare against
     the uninterrupted oracle."""
 
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("filtering", [True, False])
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
         "point", [PRE_COMMIT, POST_COMMIT, MID_WAL]
     )
     def test_crash_recover_differential(
-        self, tmp_path, shared, checkpoint_at, point
+        self, tmp_path, filtering, checkpoint_at, point
     ):
-        self._crash_recover(tmp_path, shared, checkpoint_at, point, OPS)
+        self._crash_recover(tmp_path, filtering, checkpoint_at, point, OPS)
 
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
@@ -124,7 +132,7 @@ class TestCrashMatrix:
     def test_row_delta_wal_tail_recovers(self, tmp_path, checkpoint_at, point):
         """The same matrix over a workload that writes relation rows:
         the WAL tail past the checkpoint image is row deltas."""
-        self._crash_recover(tmp_path, True, checkpoint_at, point, ROW_OPS)
+        self._crash_recover(tmp_path, False, checkpoint_at, point, ROW_OPS)
         records, _ = load_wal(tmp_path / RecoveryManager.WAL_NAME)
         kinds = [
             payload["kind"]
@@ -177,13 +185,13 @@ class TestCrashMatrix:
         assert report.engine.state_count == oracle.state_count
         assert_versions_invisible(report.engine, recorder)
 
-    def _crash_recover(self, tmp_path, shared, checkpoint_at, point, ops):
+    def _crash_recover(self, tmp_path, filtering, checkpoint_at, point, ops):
         oracle_adb, oracle_m = oracle_run(ops)
 
         injector = FaultInjector()
         rm = RecoveryManager(tmp_path, injector=injector)
         adb = make_engine()
-        manager = setup_rules(adb, shared)
+        manager = setup_rules(adb, filtering)
         rm.start(adb)
         injector.arm(point, after=5)  # crash during the 6th state
         done = 0
@@ -197,7 +205,7 @@ class TestCrashMatrix:
         rm.stop()
 
         report = RecoveryManager(tmp_path).recover(
-            setup=lambda e: setup_rules(e, shared)
+            setup=lambda e: setup_rules(e, filtering)
         )
         survived = report.engine.state_count
         # pre-commit / torn-write crashes lose the in-flight state;
@@ -225,6 +233,10 @@ class TestCrashMatrix:
             == oracle_m.executed.to_state()
         )
         assert report.engine.state_count == oracle_adb.state_count
+        # A root the filter skipped records what computing it would have.
+        report.manager.flush()
+        oracle_m.flush()
+        assert report.manager.plan.to_state() == oracle_m.plan.to_state()
 
     @pytest.mark.parametrize("checkpoint_at", [None, 4])
     @pytest.mark.parametrize(
@@ -286,22 +298,22 @@ class TestCrashMatrix:
         with pytest.raises(RecoveryError, match="temporal"):
             RecoveryManager(tmp_path).recover(setup=lambda e: setup_rules(e))
 
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("filtering", [True, False])
     def test_mid_checkpoint_crash_keeps_previous_checkpoint(
-        self, tmp_path, shared
+        self, tmp_path, filtering
     ):
-        self._mid_checkpoint_crash(tmp_path, shared, OPS)
+        self._mid_checkpoint_crash(tmp_path, filtering, OPS)
 
     def test_row_delta_mid_checkpoint_crash(self, tmp_path):
-        self._mid_checkpoint_crash(tmp_path, True, ROW_OPS)
+        self._mid_checkpoint_crash(tmp_path, False, ROW_OPS)
 
-    def _mid_checkpoint_crash(self, tmp_path, shared, ops):
+    def _mid_checkpoint_crash(self, tmp_path, filtering, ops):
         oracle_adb, oracle_m = oracle_run(ops)
 
         injector = FaultInjector()
         rm = RecoveryManager(tmp_path, injector=injector)
         adb = make_engine()
-        manager = setup_rules(adb, shared)
+        manager = setup_rules(adb, filtering)
         rm.start(adb)
         drive(adb, ops[:3])
         manager.flush()
@@ -314,7 +326,7 @@ class TestCrashMatrix:
         rm.stop()
 
         report = RecoveryManager(tmp_path).recover(
-            setup=lambda e: setup_rules(e, shared)
+            setup=lambda e: setup_rules(e, filtering)
         )
         assert report.checkpoint_used
         # the surviving checkpoint is the *old* one: 3 states replayed
@@ -493,17 +505,11 @@ class TestGroupCommitCrash:
     must replay or drop the *whole* batch on recovery — never a prefix
     of it."""
 
-    KINDS = ["shared", "perrule"]
-
-    def _setup_for(self, kind):
-        return lambda e: setup_rules(e, shared=(kind == "shared"))
-
-    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
         "point", [MID_GROUP_COMMIT, MID_WAL], ids=["fsync", "torn-record"]
     )
-    def test_crash_mid_batch_drops_whole_batch(self, tmp_path, kind, point):
-        self._run_mid_batch_crash(tmp_path, kind, point, OPS)
+    def test_crash_mid_batch_drops_whole_batch(self, tmp_path, point):
+        self._run_mid_batch_crash(tmp_path, point, OPS)
 
     @pytest.mark.parametrize(
         "point", [MID_GROUP_COMMIT, MID_WAL], ids=["fsync", "torn-record"]
@@ -511,10 +517,10 @@ class TestGroupCommitCrash:
     def test_row_delta_batch_dropped_whole(self, tmp_path, point):
         """A dropped unmarked group is a *suffix* of the log: the row
         deltas that survive still chain from the base record."""
-        self._run_mid_batch_crash(tmp_path, "shared", point, ROW_OPS)
+        self._run_mid_batch_crash(tmp_path, point, ROW_OPS)
 
     def test_row_delta_batch_replays_whole(self, tmp_path):
-        self._run_durable_batch(tmp_path, "shared", ROW_OPS)
+        self._run_durable_batch(tmp_path, ROW_OPS)
 
     def test_marker_before_a_reattach_closes_no_later_group(self, tmp_path):
         """Group ids restart with every WAL attach: a group written after
@@ -544,16 +550,16 @@ class TestGroupCommitCrash:
         assert final.state_count == 3
         assert final.state.item("price") == 3
 
-    def _run_mid_batch_crash(self, tmp_path, kind, point, ops):
+    def _run_mid_batch_crash(self, tmp_path, point, ops):
         oracle_adb = make_engine()
-        oracle_m = self._setup_for(kind)(oracle_adb)
+        oracle_m = setup_rules(oracle_adb)
         drive(oracle_adb, ops)
         oracle_m.flush()
 
         injector = FaultInjector()
         rm = RecoveryManager(tmp_path, injector=injector)
         adb = make_engine()
-        self._setup_for(kind)(adb)
+        setup_rules(adb)
         rm.start(adb)
         drive(adb, ops[:3])  # individually durable states
         _enqueue_ops(adb, ops[3:6])
@@ -571,9 +577,7 @@ class TestGroupCommitCrash:
         assert seqs == [0, 1, 2]
         assert torn
 
-        report = RecoveryManager(tmp_path).recover(
-            setup=self._setup_for(kind)
-        )
+        report = RecoveryManager(tmp_path).recover(setup=setup_rules)
         assert report.engine.state_count == 3  # no batch prefix survived
         # Redo the lost batch and the rest; end state matches the oracle.
         drive(report.engine, ops[3:])
@@ -585,21 +589,20 @@ class TestGroupCommitCrash:
             == oracle_m.executed.to_state()
         )
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_durable_batch_replays_whole_batch(self, tmp_path, kind):
+    def test_durable_batch_replays_whole_batch(self, tmp_path):
         """Once the group fsync lands, recovery replays the entire
         batch."""
-        self._run_durable_batch(tmp_path, kind, OPS)
+        self._run_durable_batch(tmp_path, OPS)
 
-    def _run_durable_batch(self, tmp_path, kind, ops):
+    def _run_durable_batch(self, tmp_path, ops):
         oracle_adb = make_engine()
-        oracle_m = self._setup_for(kind)(oracle_adb)
+        oracle_m = setup_rules(oracle_adb)
         drive(oracle_adb, ops)
         oracle_m.flush()
 
         rm = RecoveryManager(tmp_path)
         adb = make_engine()
-        manager = self._setup_for(kind)(adb)
+        manager = setup_rules(adb)
         rm.start(adb)
         drive(adb, ops[:3])
         _enqueue_ops(adb, ops[3:])
@@ -607,9 +610,7 @@ class TestGroupCommitCrash:
         manager.flush()
         rm.stop()
 
-        report = RecoveryManager(tmp_path).recover(
-            setup=self._setup_for(kind)
-        )
+        report = RecoveryManager(tmp_path).recover(setup=setup_rules)
         assert report.engine.state_count == len(ops)
         assert report.replayed_steps == len(ops)
         report.manager.flush()

@@ -14,8 +14,8 @@ Three layers of guarantees:
 * **conformance** — a hypothesis-generated interleaving of states and
   lifecycle operations (register / remove / replace / promote, with
   mid-run checkpoint + restore into a fresh manager) produces identical
-  firing sequences and executed-store contents on every backend (naive
-  full-history, unshared one-plan-per-rule, shared-plan);
+  firing sequences and executed-store contents on the naive full-history
+  backend and the shared plan;
 * **execution records** — a rule's executions are recorded only while
   some live condition (trigger, shadow trigger, integrity constraint)
   reads them, or any future monitor is registered; each reader row
@@ -26,39 +26,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import NaiveDetector
 from repro.engine import ActiveDatabase
 from repro.errors import RecoveryError, TransactionAborted, UnknownRuleError
 from repro.events import user_event
 from repro.obs.trace import FIRING, LIFECYCLE, SHADOW_FIRING
-from repro.ptl.context import EvalContext
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 
-
-class NaiveRuleManager(RuleManager):
-    """Reference backend: per-rule full-history re-evaluation.  The
-    detector accumulates its own history from registration on, so hot
-    adds get the "start from now" semantics by construction — which is
-    what makes it the lifecycle oracle."""
-
-    def __init__(self, engine, **kwargs):
-        kwargs["shared_plan"] = False
-        super().__init__(engine, **kwargs)
-
-    def add_trigger(self, name, condition, action, **kwargs):
-        rule = super().add_trigger(name, condition, action, **kwargs)
-        reg = self._rules[name]
-        reg.evaluator = NaiveDetector(
-            reg.rule.condition, EvalContext(executed=self.executed)
-        )
-        return rule
+from tests.helpers import NaiveRuleManager
 
 
 BACKENDS = [
     ("naive", NaiveRuleManager),
-    ("unshared", lambda e: RuleManager(e, shared_plan=False)),
-    ("shared-plan", lambda e: RuleManager(e, shared_plan=True)),
+    ("shared-plan", RuleManager),
 ]
 
 
@@ -114,7 +94,7 @@ def signature(manager):
 class TestPlanRelease:
     def test_remove_rule_releases_unshared_nodes(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger(
             "keep", "price > 50 & lasttime price <= 50", RecordingAction()
         )
@@ -144,7 +124,7 @@ class TestPlanRelease:
 
     def test_remove_rule_releases_aggregate_state(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger("anchor", "price > 90", RecordingAction())
         baseline = manager.plan.distinct_nodes()
         manager.add_trigger(
@@ -162,7 +142,7 @@ class TestPlanRelease:
 
     def test_repeated_add_remove_is_steady_state(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger("keep", "price > 50", RecordingAction())
         drive(adb, [("set", 60)])
         manager.flush()
@@ -225,7 +205,7 @@ class TestHotAddSemantics:
         """Replacing a rule under the *same* condition text still resets
         its temporal operators — no state carries over."""
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger(
             "r", "previously[100] (price > 60)", RecordingAction()
         )
@@ -243,7 +223,7 @@ class TestHotAddSemantics:
 
     def test_remove_unknown_and_reinstate_unknown_raise(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         with pytest.raises(UnknownRuleError):
             manager.remove_rule("ghost")
         with pytest.raises(UnknownRuleError):
@@ -259,7 +239,7 @@ class TestHotAddSemantics:
 class TestShadowMode:
     def test_shadow_fires_without_side_effects(self):
         adb = make_engine(metrics=True)
-        manager = RuleManager(adb, shared_plan=True, trace=True)
+        manager = RuleManager(adb, trace=True)
         executed_actions = []
         manager.add_trigger(
             "probe", "price > 50", lambda ctx: executed_actions.append(ctx),
@@ -308,7 +288,7 @@ class TestShadowMode:
 
     def test_promote_is_idempotent_and_checked(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger("live", "price > 50", RecordingAction())
         manager.promote_rule("live")  # already live: no-op
         with pytest.raises(UnknownRuleError):
@@ -467,7 +447,7 @@ class TestExecutedReaders:
         """A reader added to an unread rule fires exactly as the same two
         rules on a manager attached at that point."""
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         reader_first_added(adb, manager)
         live = [
             (f.bindings, f.state_index, f.timestamp)
@@ -477,7 +457,7 @@ class TestExecutedReaders:
 
         fresh_adb = make_engine()
         drive(fresh_adb, PREFIX)
-        fresh = RuleManager(fresh_adb, shared_plan=True)
+        fresh = RuleManager(fresh_adb)
         fresh.add_trigger("base", BASE, RecordingAction())
         add_follow(fresh)
         drive(fresh_adb, SUFFIX)
@@ -698,7 +678,7 @@ def test_fifty_rule_churn_across_backends():
 class TestDriftRestore:
     def _checkpoint(self):
         adb = make_engine()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger("a", "price > 50", RecordingAction())
         manager.add_trigger(
             "b", "previously[10] (price > 50)", RecordingAction()
@@ -713,7 +693,7 @@ class TestDriftRestore:
 
     def test_restore_reports_and_tolerates_drift(self):
         adb, state, fired_before = self._checkpoint()
-        manager = RuleManager(adb, shared_plan=True)
+        manager = RuleManager(adb)
         manager.add_trigger(
             "b", "previously[10] (price > 50)", RecordingAction()
         )

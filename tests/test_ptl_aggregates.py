@@ -260,23 +260,6 @@ class TestRewriting:
         # accumulators, same φ/ψ nodes, wherever they are read from.
         assert rewritten.state_size() == direct.state_size() > 0
 
-    @pytest.mark.parametrize("cond", REWRITABLE)
-    def test_manager_counts_rewritten_rules(self, cond):
-        from repro.rules import RecordingAction, RuleManager
-        from repro.workloads import apply_tick, make_stock_db
-
-        sizes = []
-        for rewrite in (False, True):
-            adb = make_stock_db([("IBM", 40.0)])
-            manager = RuleManager(adb)
-            manager.add_trigger(
-                "r", cond, RecordingAction(), rewrite_aggregates=rewrite
-            )
-            for i, price in enumerate([60, 90, 50, 95, 120, 40]):
-                apply_tick(adb, "IBM", float(price), at_time=540 + 60 * i)
-            sizes.append(manager.total_state_size())
-        assert sizes[0] == sizes[1] > 0
-
     def test_maintenance_rules_are_real_and_checkpointable(self, registry):
         """r1/r2 exist in the maintenance plan under the generated names,
         and that plan round-trips like any other (the accumulator an r2

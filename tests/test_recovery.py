@@ -172,8 +172,8 @@ def make_engine():
     return adb
 
 
-def setup_rules(adb, shared=True):
-    return register_rules(adb.rule_manager(shared_plan=shared))
+def setup_rules(adb, filtering=False):
+    return register_rules(adb.rule_manager(relevance_filtering=filtering))
 
 
 def register_rules(manager):
@@ -188,6 +188,12 @@ def register_rules(manager):
         "@go & (price > 10 since @go)",
         RecordingAction(),
         coupling=CouplingMode.T_C_A,
+    )
+    manager.add_trigger(
+        "gated",
+        "@go & price > 30",
+        RecordingAction(),
+        fire_mode=FireMode.RISING_EDGE,
     )
     manager.add_integrity_constraint("cap", "!(price > 1000)")
     return manager
@@ -215,19 +221,22 @@ def firing_sig(manager):
 
 
 class TestManagerRoundTrip:
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_round_trip_preserves_behaviour(self, shared):
+    @pytest.mark.parametrize("filtering", [True, False])
+    def test_round_trip_preserves_behaviour(self, filtering):
+        """With filtering the checkpointed manager skipped ``gated`` (and
+        its plan root) on every state without @go; the restored one still
+        matches the unfiltered twin."""
         oracle = make_engine()
-        oracle_m = setup_rules(oracle, shared)
+        oracle_m = setup_rules(oracle)
         drive(oracle, OPS)
 
         adb = make_engine()
-        manager = setup_rules(adb, shared)
+        manager = setup_rules(adb, filtering)
         drive(adb, OPS[:5])
         payload = json_round_trip(manager.to_state())
 
         adb2 = make_engine()
-        manager2 = setup_rules(adb2, shared)
+        manager2 = setup_rules(adb2, filtering)
         drive(adb2, OPS[:5])  # bring the engine to the same point
         manager2.from_state(payload)
         drive(adb2, OPS[5:])
@@ -240,9 +249,8 @@ class TestManagerRoundTrip:
         )
         assert manager2.run_pending() == oracle_m.run_pending()
 
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
-    def test_round_trip_across_ic_vetoes(self, shared):
-        """Triggers (one plan for all, or one plan per rule) next to a
+    def test_round_trip_across_ic_vetoes(self):
+        """Triggers next to a
         *temporal* integrity constraint that vetoes on both sides of the
         checkpoint: the restored manager re-serializes to the very same
         payload and then matches an uninterrupted twin on firings,
@@ -251,7 +259,7 @@ class TestManagerRoundTrip:
 
         def build():
             adb = make_engine()
-            manager = setup_rules(adb, shared)
+            manager = setup_rules(adb)
             manager.add_integrity_constraint(
                 "calm", "!(price > 70 & lasttime price > 70)"
             )
@@ -313,14 +321,21 @@ class TestManagerRoundTrip:
             other.from_state(payload)
 
     def test_backend_mismatch_rejected(self):
+        """A checkpoint whose triggers carry private evaluator states
+        (written by a manager that gave each rule its own plan) is
+        refused whole, before anything is restored."""
         adb = make_engine()
-        manager = setup_rules(adb, shared=True)
+        manager = setup_rules(adb)
         drive(adb, OPS[:2])
-        payload = manager.to_state()
+        payload = json_round_trip(manager.to_state())
+        payload["rules"]["rising"]["evaluator"] = {"steps": 2, "plan": {}}
         adb2 = make_engine()
-        other = setup_rules(adb2, shared=False)
-        with pytest.raises(RecoveryError):
+        other = setup_rules(adb2)
+        drive(adb2, OPS[:2])
+        before = other.to_state()
+        with pytest.raises(RecoveryError, match="private evaluators"):
             other.from_state(payload)
+        assert other.to_state() == before
 
 
 def _drift_manager(adb, condition):

@@ -165,19 +165,6 @@ class TestTriggers:
         assert all(r["name"] != "TMP" for r in adb.state.relation("STOCK"))
         assert not adb.txns.active
 
-    def test_aggregate_trigger_both_pipelines(self, adb, manager):
-        direct = RecordingAction()
-        rewritten = RecordingAction()
-        cond = "avg(price(IBM); @session_start; @update_stocks) > 50"
-        manager.add_trigger("avg_direct", cond, direct)
-        manager.add_trigger(
-            "avg_rewritten", cond, rewritten, rewrite_aggregates=True
-        )
-        adb.post_event(user_event("session_start"))
-        set_price(adb, 40.0)
-        set_price(adb, 80.0)  # avg 60 -> both fire
-        assert len(direct.calls) == len(rewritten.calls) == 1
-
 
 class TestIntegrityConstraints:
     def test_static_constraint_aborts(self, adb, manager):
@@ -401,6 +388,78 @@ class TestExecutionModel:
         assert stats.skips == 10
         assert stats.evaluations == 1
         assert len(action.calls) == 1
+
+    def test_relevance_filtering_computes_no_gated_root(self, adb):
+        """Section 8 on the plan: a stateless root is computed when the
+        manager considers its rule.  With filtering, a state without
+        ``@evt_k`` computes no root of the rule gated by it; without, every
+        root is computed.  A root not computed records not fired, which is
+        what computing it gives."""
+
+        def run(filtering):
+            manager = RuleManager(adb, relevance_filtering=filtering)
+            for k in range(3):
+                manager.add_trigger(
+                    f"w{k}", f"@evt_{k}(u) & price(IBM) > 30",
+                    RecordingAction(),
+                )
+            manager.add_trigger(
+                "since", "price(IBM) > 30 since @evt_0(u)", RecordingAction()
+            )
+            return manager
+
+        def computed(manager):
+            plan = manager.plan
+            return {
+                name: entry.root._epoch == plan.epoch
+                for name, entry in plan._rules.items()
+            }
+
+        filtered, unfiltered = run(True), run(False)
+        adb.post_event(user_event("evt_0", "a"))
+        adb.post_event(user_event("evt_1", "b"))
+        assert computed(filtered) == {
+            "w0": False, "w1": True, "w2": False, "since": True
+        }
+        assert set(computed(unfiltered).values()) == {True}
+        assert [f.rule for f in filtered.firings] == ["w0", "since", "w1", "since"]
+        assert filtered.firings == unfiltered.firings
+        assert filtered.plan.to_state() == unfiltered.plan.to_state()
+
+    def test_filtered_rising_edge_resets_where_the_condition_is_false(
+        self, adb
+    ):
+        """A skipped state resets a rising-edge rule's memory only where
+        its condition is false there.  ``@go & ...`` is false on a state
+        without ``go``, so go / update / go fires twice, filtered or not;
+        ``price > 50`` considered only at ticks stays true across the
+        update between two ticks, so it fires once."""
+        gated = {}
+        for filtering in (True, False):
+            manager = RuleManager(adb, relevance_filtering=filtering)
+            gated[filtering] = RecordingAction()
+            manager.add_trigger(
+                f"go_high_{filtering}", "@go & price(IBM) > 50",
+                gated[filtering], fire_mode=FireMode.RISING_EDGE,
+            )
+        ticked = RecordingAction()
+        manager.add_trigger(
+            "high_at_tick", "price(IBM) > 50", ticked,
+            fire_mode=FireMode.RISING_EDGE, relevant_events={"clock_tick"},
+        )
+        set_price(adb, 60.0, at_time=1)
+        adb.post_event(user_event("go"), at_time=2)
+        adb.tick(at_time=3)
+        set_price(adb, 70.0, at_time=4)
+        adb.post_event(user_event("go"), at_time=5)
+        adb.tick(at_time=6)
+        set_price(adb, 40.0, at_time=7)
+        adb.tick(at_time=8)
+        set_price(adb, 60.0, at_time=9)
+        adb.tick(at_time=10)
+        assert [t for _, t in gated[True].calls] == [2, 5]
+        assert gated[True].calls == gated[False].calls
+        assert [t for _, t in ticked.calls] == [3, 10]
 
     def test_relevance_inference_declines_temporal(self):
         f = parse_formula("previously @e")

@@ -4,14 +4,14 @@ THEOREM 1 must survive sharing: a rule evaluated off the shared plan fires
 at exactly the states, with exactly the bindings, that its own private
 one-rule plan (:class:`IncrementalEvaluator`) produces — and both fire
 exactly where the reference semantics (:func:`repro.ptl.semantics.answers`)
-says.  Shared and unshared are the same code grouped differently, so the
-first comparison is the CSE-soundness check and the second is what keeps
-the plan from being graded against itself.  The differential tests check
-that step-by-step over random rule sets built to share subformulas
-(including ``executed(...)``-coupled rules, so plan sharing doesn't break
-Section 7 composite actions), and the manager-level test replays a stock
-workload under ``shared_plan=True`` and ``False`` and compares the firing
-logs.
+says.  One plan and one plan per rule are the same code grouped
+differently, so the first comparison is the CSE-soundness check and the
+second is what keeps the plan from being graded against itself.  The
+differential tests check that step-by-step over random rule sets built to
+share subformulas (including ``executed(...)``-coupled rules, so plan
+sharing doesn't break Section 7 composite actions), and the manager-level
+test replays a stock workload on the rule manager and on the naive
+reference manager and compares the firing logs.
 """
 
 import random
@@ -37,7 +37,7 @@ from repro.workloads.generator import (
     random_executed_store,
     random_history,
 )
-from tests.helpers import stock_history, stock_registry
+from tests.helpers import NaiveRuleManager, stock_history, stock_registry
 
 
 def overlapping_formulas(rng, allow_executed=False):
@@ -393,9 +393,9 @@ class TestPlanTrialEvaluation:
         assert ev.steps == 2
 
 
-def _run_stock_workload(shared_plan):
+def _run_stock_workload(factory=RuleManager):
     adb = make_stock_db([("IBM", 40.0), ("ACME", 80.0)])
-    manager = RuleManager(adb, shared_plan=shared_plan)
+    manager = factory(adb)
     manager.add_trigger(
         "spike",
         "(previously[6] (price(IBM) > 45)) & price(IBM) > 45",
@@ -425,18 +425,22 @@ def _run_stock_workload(shared_plan):
 
 class TestManagerSharedPlan:
     def test_firings_match_per_rule_manager(self):
-        with_plan = _run_stock_workload(shared_plan=True)
-        without = _run_stock_workload(shared_plan=False)
+        with_plan = _run_stock_workload()
+        without = _run_stock_workload(NaiveRuleManager)
         assert with_plan.firings == without.firings
         assert with_plan.firings  # the workload actually fires rules
 
     def test_total_state_size_counts_plan_once(self):
-        with_plan = _run_stock_workload(shared_plan=True)
-        without = _run_stock_workload(shared_plan=False)
-        assert 0 < with_plan.total_state_size() <= without.total_state_size()
+        """A node two rules share is in each rule's working set and
+        counts once in the manager's total."""
+        manager = _run_stock_workload()
+        per_rule = sum(
+            reg.evaluator.state_size() for reg in manager._rules.values()
+        )
+        assert 0 < manager.total_state_size() < per_rule
 
     def test_remove_rule_detaches_from_plan(self):
-        manager = _run_stock_workload(shared_plan=True)
+        manager = _run_stock_workload()
         manager.remove_rule("spike_shadow")
         assert "spike_shadow" not in manager.plan.rule_names()
         # remaining rules keep evaluating

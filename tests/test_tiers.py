@@ -9,9 +9,8 @@ timestamp), same states under random access / ``as_of`` / iteration,
 same executed store.  On top of that: no torn or corrupted segment is
 ever loaded (fingerprints), a disk that stays broken flips the engine
 into degraded read-only mode deterministically (and back out), a
-checkpoint of a spilled run recovers bit-identically across the
-per-rule / shared-plan groupings, and a checkpoint written while
-execution records still spilled restores.
+checkpoint of a spilled run recovers bit-identically, and a checkpoint
+written while execution records still spilled restores.
 """
 
 import json
@@ -57,8 +56,8 @@ def make_engine(metrics=False):
     return adb
 
 
-def setup_rules(adb, shared=True):
-    manager = adb.rule_manager(shared_plan=shared)
+def setup_rules(adb):
+    manager = adb.rule_manager()
     manager.add_trigger(
         "rising",
         "price > 50 & lasttime price <= 50",
@@ -648,27 +647,21 @@ class TestSpillCrash:
             assert seg.name in live or not seg.exists()
 
 
-# -- checkpoint + recovery of a spilled run across backends ------------------
+# -- checkpoint + recovery of a spilled run ----------------------------------
 
 
 class TestSpilledRecovery:
-    KINDS = ["shared", "perrule"]
-
-    def _setup_for(self, kind):
-        return lambda e: setup_rules(e, shared=(kind == "shared"))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_spilled_checkpoint_recovers_bit_identically(self, tmp_path, kind):
+    def test_spilled_checkpoint_recovers_bit_identically(self, tmp_path):
         ops = row_ops(60)
         oracle = make_engine()
-        oracle_m = self._setup_for(kind)(oracle)
+        oracle_m = setup_rules(oracle)
         drive(oracle, ops)
         oracle_m.flush()
 
         rm = RecoveryManager(tmp_path)
         adb = make_engine()
         rm.start(adb)
-        manager = self._setup_for(kind)(adb)
+        manager = setup_rules(adb)
         attach(adb, tmp_path / "segments", manager=manager)
         cut = 60
         drive(adb, ops[:cut])
@@ -680,9 +673,7 @@ class TestSpilledRecovery:
         manager.flush()
         rm.stop()
 
-        report = RecoveryManager(tmp_path).recover(
-            setup=self._setup_for(kind)
-        )
+        report = RecoveryManager(tmp_path).recover(setup=setup_rules)
         adb2, manager2 = report.engine, report.manager
         assert report.checkpoint_used
         assert report.replayed_steps == len(adb2.history) - len(
