@@ -251,17 +251,21 @@ class ActiveDatabase:
 
     _NO_DELTA: frozenset = frozenset()
 
-    def _append(
+    def _new_state(
         self,
         db_state,
         events: Iterable[ev.Event],
         ts: int,
         delta: Optional[frozenset] = _NO_DELTA,
-        prepared: bool = False,
     ) -> SystemState:
-        state = SystemState(
+        """The state the next append will add: the one object a commit
+        validator judges, the WAL logs, the history keeps and the bus
+        publishes."""
+        return SystemState(
             db_state, events, ts, index=self._state_count, delta=delta
         )
+
+    def _append(self, state: SystemState, prepared: bool = False) -> SystemState:
         if not prepared:
             self._prepare_durable(state)
         if self.history is not None:
@@ -285,7 +289,7 @@ class ActiveDatabase:
             # storage or transaction failure.
             raise ActionError(
                 f"subscriber failed while processing state "
-                f"#{state.index} (t={ts}): {exc}"
+                f"#{state.index} (t={state.timestamp}): {exc}"
             ) from exc
         return state
 
@@ -298,7 +302,7 @@ class ActiveDatabase:
         outside any transaction; appends one system state."""
         events = [event] if isinstance(event, ev.Event) else list(event)
         ts = self._next_timestamp(at_time)
-        return self._append(self.db.state, events, ts)
+        return self._append(self._new_state(self.db.state, events, ts))
 
     def tick(self, at_time: Optional[int] = None) -> SystemState:
         """Advance time and record a clock-tick event (so conditions like
@@ -312,7 +316,7 @@ class ActiveDatabase:
         if self.begin_states:
             ts = self._next_timestamp(at_time)
             state = self._append(
-                self.db.state, [ev.transaction_begin(txn.id)], ts
+                self._new_state(self.db.state, [ev.transaction_begin(txn.id)], ts)
             )
             txn.begin_time = state.timestamp
         else:
@@ -427,10 +431,7 @@ class ActiveDatabase:
             [ev.attempts_to_commit(txn.id), ev.transaction_commit(txn.id)]
             + txn.events
         )
-        delta = txn.write_set()
-        candidate = SystemState(
-            candidate_db, events, ts, index=self._state_count, delta=delta
-        )
+        candidate = self._new_state(candidate_db, events, ts, txn.write_set())
 
         violations: list[str] = []
         for validator in self._commit_validators:
@@ -441,9 +442,11 @@ class ActiveDatabase:
             if self._obs_on:
                 self._m_aborts.inc()
             self._append(
-                self.db.state,
-                [ev.attempts_to_commit(txn.id), ev.transaction_abort(txn.id)],
-                ts,
+                self._new_state(
+                    self.db.state,
+                    [ev.attempts_to_commit(txn.id), ev.transaction_abort(txn.id)],
+                    ts,
+                )
             )
             raise TransactionAborted(txn.id, "; ".join(violations))
 
@@ -461,7 +464,7 @@ class ActiveDatabase:
         self.txns.finish(txn, TxnStatus.COMMITTED)
         if self._obs_on:
             self._m_commits.inc()
-        return self._append(candidate_db, events, ts, delta=delta, prepared=True)
+        return self._append(candidate, prepared=True)
 
     def _abort(
         self, txn: Transaction, at_time: Optional[int], reason: str
@@ -470,4 +473,6 @@ class ActiveDatabase:
         self.txns.finish(txn, TxnStatus.ABORTED)
         if self._obs_on:
             self._m_aborts.inc()
-        return self._append(self.db.state, [ev.transaction_abort(txn.id)], ts)
+        return self._append(
+            self._new_state(self.db.state, [ev.transaction_abort(txn.id)], ts)
+        )

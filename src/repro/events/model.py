@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+from weakref import WeakValueDictionary
 
 
 # Standard event names -------------------------------------------------------
@@ -40,7 +41,7 @@ STANDARD_EVENTS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Event:
     """An instantaneous event occurrence: ``name(params...)``.
 
@@ -85,8 +86,22 @@ def delete_tuple(relation: str, values: tuple) -> Event:
     return Event(DELETE_TUPLE, (relation,) + tuple(values))
 
 
+#: The live catalog-named events by ``(name, params)``: every kept state
+#: that writes ``STOCK`` holds the one ``update_item('STOCK')``, and an
+#: entry dies with the last state holding its event.
+_shared_events: WeakValueDictionary = WeakValueDictionary()
+
+
+def _shared_event(name: str, params: tuple) -> Event:
+    key = (name, params)
+    event = _shared_events.get(key)
+    if event is None:
+        event = _shared_events[key] = Event(name, params)
+    return event
+
+
 def update_item(name: str) -> Event:
-    return Event(UPDATE_ITEM, (name,))
+    return _shared_event(UPDATE_ITEM, (name,))
 
 
 def rule_execute(rule_name: str, params: tuple = ()) -> Event:
@@ -94,5 +109,8 @@ def rule_execute(rule_name: str, params: tuple = ()) -> Event:
 
 
 def user_event(name: str, *params: Any) -> Event:
-    """A user-defined event, e.g. ``user_event("user_login", "X")``."""
-    return Event(name, tuple(params))
+    """A user-defined event, e.g. ``user_event("user_login", "X")``.
+    A parameterless one is shared, as :func:`update_item` is."""
+    if params:
+        return Event(name, params)
+    return _shared_event(name, ())

@@ -48,7 +48,9 @@ class SystemHistory:
     # -- construction ---------------------------------------------------------
 
     def append(self, state: SystemState) -> SystemState:
-        """Validate and append, returning the (re-indexed) state."""
+        """Validate and append, returning the state — ``state`` itself
+        when it already carries its position's index, else a re-indexed
+        copy."""
         if self._states and state.timestamp <= self._states[-1].timestamp:
             raise ClockError(
                 f"timestamp {state.timestamp} not greater than previous "
@@ -68,9 +70,11 @@ class SystemHistory:
             raise HistoryError(
                 "database state changed without a transaction commit"
             )
-        indexed = state.with_index(self.base_index + len(self._states))
-        self._states.append(indexed)
-        return indexed
+        index = self.base_index + len(self._states)
+        if state.index != index:
+            state = state.with_index(index)
+        self._states.append(state)
+        return state
 
     def append_state(
         self,

@@ -52,9 +52,12 @@ DEFAULT_HOT_WINDOW = 256
 SEGMENT_DIR_NAME = "segments"
 
 #: Per-unit RAM estimates.  A hot state's fixed part is its SystemState,
-#: event set, events, write-set and DatabaseState item table (measured:
-#: ~1.25 kB for a three-item database and a four-event commit); a row only
-#: the past still holds is a Row, its value tuple and a boxed value or two.
+#: event set, events and DatabaseState item table; its write-set and
+#: catalog-named events are shared with every equal commit (measured:
+#: ~0.86 kB for a three-item database and a four-event commit, ~1.2 kB
+#: while each state held its own; the estimate stays at 1 280 so that a
+#: spill schedule does not move).  A row only the past still holds is a
+#: Row, its value tuple and a boxed value or two.
 _EST_STATE_BYTES = 1280
 _EST_ROW_BYTES = 200
 _EST_AUX_ROW_BYTES = 120

@@ -218,7 +218,7 @@ class RecoveryManager:
                 if ts > engine.clock.now:
                     engine.clock.advance_to(ts)
                 events, delta = state_events(record)
-                engine._append(db_state, events, ts, delta=delta)
+                engine._append(engine._new_state(db_state, events, ts, delta))
                 replayed += 1
         finally:
             if manager is not None:

@@ -638,21 +638,15 @@ class RuleManager:
     def _settle_trial(self, state=None) -> bool:
         """Resolve the pending IC trial against ``state``, the state just
         published (None: nothing was).  Returns True when ``state`` is the
-        trial's candidate — same database object, index, timestamp and
-        events — so the ICs have already stepped it; otherwise the trial
+        trial's candidate — the engine publishes the candidate object
+        itself — so the ICs have already stepped it; otherwise the trial
         is undone (a veto, a commit the disk refused, another validator's
         veto)."""
         trial, self._trial = self._trial, None
         if trial is None:
             return False
         candidate, snaps = trial
-        if (
-            state is not None
-            and state.db is candidate.db
-            and state.index == candidate.index
-            and state.timestamp == candidate.timestamp
-            and state.events == candidate.events
-        ):
+        if state is candidate:
             return True
         for evaluator, snap in snaps:
             evaluator.restore(snap)

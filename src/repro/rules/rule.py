@@ -9,8 +9,9 @@ integrity constraint. ... A trigger is any other type of rule."
 from __future__ import annotations
 
 import enum
-import struct
+from array import array
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Any, Iterator, Optional
 
 from repro.ptl import ast
@@ -101,21 +102,34 @@ class FiringRecord:
         return dict(self.bindings)
 
 
-#: One firing in a :class:`FiringLog`: ``(rule, shadow)`` id, bindings id,
-#: state index, timestamp.
-_FIRING = struct.Struct("=IIqq")
+#: A run of consecutive firings at one state: its first position, the
+#: state index and the timestamp.
+_Run = tuple[int, int, int]
 
 
 class FiringLog:
-    """The manager's firing log, stored as packed rows.
+    """The manager's firing log, stored as packed numbers.
 
-    One firing is one 24-byte row of a ``bytearray``: an interned
-    ``(rule, shadow)`` id, an interned bindings id, the state index and
-    the timestamp.  A :class:`FiringRecord` is built only when the log
-    is read."""
+    A firing is two numbers of one ``array``: an interned ``(rule,
+    shadow)`` id and an interned bindings id, two bytes each until an id
+    outgrows them, four from then on.  The state a run of consecutive
+    firings shares is stored once, in a ``bytearray`` of varints: the
+    run's first position, state index and timestamp, each as its
+    difference from the previous run's — a few bytes, where a run of one
+    firing, the served shape, would pay 24 as three 8-byte numbers.
+    Reads decode the runs forward, from the start or from where the last
+    read stopped, so a reader that takes only what is new (the
+    notification pump) decodes only that.  A :class:`FiringRecord` is
+    built only when the log is read."""
 
     def __init__(self) -> None:
-        self._rows = bytearray()
+        self._rows = array("H")
+        self._runs = bytearray()
+        #: The last run appended; ``_runs`` is empty while it is None.
+        self._last: Optional[_Run] = None
+        #: Where the last read stopped: a decoded run and the offset of
+        #: the record after it (``None, 0``: the start of ``_runs``).
+        self._cursor: tuple[Optional[_Run], int] = (None, 0)
         #: ``(rule, shadow)`` pairs and bindings tuples, by id.
         self._key_values: list[tuple[str, bool]] = []
         self._key_ids: dict[tuple[str, bool], int] = {}
@@ -130,22 +144,54 @@ class FiringLog:
         timestamp: int,
         shadow: bool = False,
     ) -> None:
+        last = self._last
+        if last is None or last[1:] != (state_index, timestamp):
+            run = (len(self), state_index, timestamp)
+            _put_run(self._runs, run, last or (0, 0, 0))
+            self._last = run
         key = (rule, shadow)
         # ``1 == 1.0 == True`` hash alike: the value types join the
         # bindings' intern key so a read gives back what was appended.
         exact = (bindings, tuple(type(v) for _, v in bindings))
-        self._rows += _FIRING.pack(
+        row = (
             _intern(self._key_ids, self._key_values, key, key),
             _intern(self._binding_ids, self._binding_values, exact, bindings),
-            state_index,
-            timestamp,
         )
+        if self._rows.typecode == "H" and max(row) > 0xFFFF:
+            self._rows = array("I", self._rows)
+        self._rows.extend(row)
 
-    def record(self, i: int) -> FiringRecord:
-        """Build the ``i``-th firing's record."""
-        key, bindings, index, timestamp = _FIRING.unpack_from(
-            self._rows, i * _FIRING.size
-        )
+    def _walk(self, start: int = 0) -> Iterator[tuple[int, int, int, int]]:
+        """``(key id, bindings id, state index, timestamp)`` per firing,
+        from position ``start`` on."""
+        rows, runs, total = self._rows, self._runs, len(self)
+        if start >= total:
+            return
+        run, offset = self._cursor
+        if run is None or run[0] > start:
+            run, offset = _next_run(runs, 0, (0, 0, 0))
+        # Decode forward to the run holding ``start``.
+        while offset < len(runs):
+            after, next_offset = _next_run(runs, offset, run)
+            if after[0] > start:
+                break
+            run, offset = after, next_offset
+        while True:
+            self._cursor = (run, offset)
+            if offset < len(runs):
+                after, next_offset = _next_run(runs, offset, run)
+                end = after[0]
+            else:
+                end = total
+            for i in range(2 * start, 2 * end, 2):
+                yield rows[i], rows[i + 1], run[1], run[2]
+            if end == total:
+                return
+            start, run, offset = end, after, next_offset
+
+    def _record(
+        self, key: int, bindings: int, index: int, timestamp: int
+    ) -> FiringRecord:
         rule, shadow = self._key_values[key]
         return FiringRecord(
             rule, self._binding_values[bindings], index, timestamp,
@@ -154,23 +200,50 @@ class FiringLog:
 
     def records(self, start: int = 0) -> list[FiringRecord]:
         """The firings from position ``start`` on."""
-        return list(map(self.record, range(len(self))[start:]))
+        return list(
+            starmap(self._record, self._walk(range(len(self))[start:].start))
+        )
 
     def records_of(self, rule: str) -> list[FiringRecord]:
         wanted = {
             i for i, (name, _) in enumerate(self._key_values) if name == rule
         }
-        return [
-            self.record(i)
-            for i, (key, *_) in enumerate(_FIRING.iter_unpack(self._rows))
-            if key in wanted
-        ]
+        return [self._record(*row) for row in self._walk() if row[0] in wanted]
 
     def __len__(self) -> int:
-        return len(self._rows) // _FIRING.size
+        return len(self._rows) // 2
 
     def __iter__(self) -> Iterator[FiringRecord]:
-        return map(self.record, range(len(self)))
+        return starmap(self._record, self._walk())
+
+
+def _put_run(buf: bytearray, run: _Run, prev: _Run) -> None:
+    """Append ``run`` to ``buf`` as zigzag varints of its differences
+    from ``prev``."""
+    for value, base in zip(run, prev):
+        delta = value - base
+        n = delta << 1 if delta >= 0 else (-delta << 1) - 1
+        while n > 0x7F:
+            buf.append(n & 0x7F | 0x80)
+            n >>= 7
+        buf.append(n)
+
+
+def _next_run(buf: bytearray, offset: int, prev: _Run) -> tuple[_Run, int]:
+    """The run recorded at ``offset`` after ``prev``, and the offset of
+    the record that follows it."""
+    values = []
+    for base in prev:
+        n = shift = 0
+        while True:
+            byte = buf[offset]
+            offset += 1
+            n |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                break
+        values.append(base + ((n >> 1) ^ -(n & 1)))
+    return tuple(values), offset
 
 
 def _intern(ids: dict, values: list, key, value) -> int:

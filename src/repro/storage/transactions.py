@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from typing import Any, Callable, Mapping, Optional
+from weakref import WeakValueDictionary
 
 from repro.datamodel.relation import Relation
 from repro.datamodel.tuples import Row
@@ -18,6 +19,12 @@ from repro.errors import TransactionStateError
 from repro.events import model as ev
 from repro.storage.database import Database
 from repro.storage.snapshot import DatabaseState, IndexedItem
+
+
+#: The live write-sets by their sorted names: the kept states of every
+#: commit that writes only ``STOCK`` share one ``frozenset({'STOCK'})``,
+#: and an entry dies with the last state holding its write-set.
+_write_sets: WeakValueDictionary = WeakValueDictionary()
 
 
 class TxnStatus(enum.Enum):
@@ -162,8 +169,13 @@ class Transaction:
     def write_set(self) -> frozenset[str]:
         """Names of the database items this transaction's writes touch —
         recorded as ``SystemState.delta`` on the commit state so the
-        temporal component can skip atoms over untouched items."""
-        return frozenset(op.item for op in self.writes)
+        temporal component can skip atoms over untouched items.  Equal
+        write-sets are one object."""
+        names = tuple(sorted({op.item for op in self.writes}))
+        write_set = _write_sets.get(names)
+        if write_set is None:
+            write_set = _write_sets[names] = frozenset(names)
+        return write_set
 
     def apply_to(self, state: DatabaseState) -> DatabaseState:
         """The state with this transaction's buffered writes applied."""

@@ -40,6 +40,7 @@ from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
 from repro.events.model import user_event
 from repro.history.spill import attach_tiered_history
+from repro.history.state import SystemState
 from repro.obs import MetricsRegistry
 from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl.constraints import intern_stats
@@ -55,6 +56,7 @@ from repro.workloads import (
     trace_history,
 )
 from repro.workloads.generator import random_bounded_pair
+from repro.workloads.stock import STOCK_SCHEMA
 from tests.helpers import replay_transactions, serve_batch, update_stmt
 
 #: History length for the growth check; the first/second halves are
@@ -606,7 +608,9 @@ class TestHotPastCostsItsDeltas:
         return retained / (self.STATES - self.WARMUP)
 
     def test_a_hot_state_costs_its_delta(self, tmp_path):
-        # ~1.6 kB; 7.6 kB while every fifth state owned a 400-row table
+        # ~1.0 kB; ~1.3 kB while each state held its own write-set and
+        # update_item event, 7.6 kB while every fifth state owned a
+        # 400-row table
         assert self._per_state(tmp_path, 400) < 2_500
 
     def test_flat_in_the_cardinality(self, tmp_path):
@@ -689,9 +693,136 @@ class TestFiringCostsItsRow:
         assert firings > self.STEPS - self.WARMUP
         assert {f.rule for f in manager.firings} == {"every", "rise", "level"}
         assert len(manager.executed) == 0
-        # ~29 B: a 24-byte row plus the bytearray's over-allocation;
-        # ~200 B with a FiringRecord and an ExecutionRecord each
+        # ~9 B: a 4-byte row plus a few bytes for each state with a firing
+        # (~1.1 firings each); ~29 B with the state index and timestamp in
+        # every row, ~200 B with a FiringRecord and an ExecutionRecord each
         assert retained / firings <= 40, retained / firings
+
+
+CROWDED_SYMBOLS = tuple(f"S{i}" for i in range(10))
+CROWDED_SHAPES = (
+    "price({s}) > 10",
+    "previously[4] (price({s}) > 10)",
+    "throughout_past[3] (price({s}) > 10)",
+    "price({s}) > 10 & lasttime (price({s}) > 10)",
+)
+
+
+def crowded_engine(keep_history):
+    """Ten symbols under forty triggers, four per symbol, that hold at
+    almost every state: ~40 firings per committed state."""
+    adb = ActiveDatabase(keep_history=keep_history)
+    adb.create_relation(
+        "STOCK",
+        STOCK_SCHEMA,
+        [(s, 50.0, f"{s} Corp", "tech") for s in CROWDED_SYMBOLS],
+    )
+    adb.define_query(
+        "price", ["name"], "RETRIEVE (S.price) FROM STOCK S WHERE S.name = $name"
+    )
+    manager = adb.rule_manager()
+    for s in CROWDED_SYMBOLS:
+        for shape in CROWDED_SHAPES:
+            manager.add_trigger(
+                f"{shape}_{s}", shape.format(s=s), lambda ctx: None
+            )
+    rng = random.Random(7)
+
+    def step(i):
+        apply_tick(adb, rng.choice(CROWDED_SYMBOLS), rng.uniform(20.0, 80.0))
+
+    return adb, manager, step
+
+
+class TestKeptStateCostsWhatItAdds:
+    """A kept state holds what its commit changed: one ``SystemState``,
+    the write-set and catalog-named events every ``STOCK`` commit shares,
+    and its firings' packed rows, with the state they share stored once."""
+
+    WARMUP = 10
+    STEPS = 310
+
+    def test_bytes_retained_per_kept_state(self):
+        adb, manager, step = crowded_engine(keep_history=True)
+        fired = []
+        retained = retained_bytes(
+            lambda i: step(i) or fired.append(manager.firing_count),
+            self.WARMUP,
+            self.STEPS,
+        )
+        states = self.STEPS - self.WARMUP
+        assert (fired[-1] - fired[self.WARMUP - 1]) / states >= 36
+        assert len(adb.history) == self.STEPS
+        # ~1.6 kB; ~2.9 kB with a write-set and two events of its own per
+        # state and the state index and timestamp stored with every firing
+        assert retained / states <= 2_000, retained / states
+
+    def test_bytes_retained_per_firing(self):
+        adb, manager, step = crowded_engine(keep_history=False)
+        fired = []
+        retained = retained_bytes(
+            lambda i: step(i) or fired.append(manager.firing_count),
+            self.WARMUP,
+            self.STEPS,
+        )
+        firings = fired[-1] - fired[self.WARMUP - 1]
+        assert firings / (self.STEPS - self.WARMUP) >= 36
+        assert len(manager.executed) == 0
+        # ~7 B: a 4-byte row plus a few bytes per state; ~31 B with the
+        # state index and timestamp in every row
+        assert retained / firings <= 10, retained / firings
+
+    def test_stock_commits_share_write_set_and_events(self):
+        adb, _, _ = crowded_engine(keep_history=True)
+        apply_tick(adb, "S1", 60.0)
+        first = adb.last_state
+        apply_tick(adb, "S2", 70.0)
+        second = adb.last_state
+        assert first.delta == {"STOCK"}
+        assert first.delta is second.delta
+        for name in ("update_item", "update_stocks"):
+            [shared] = [e for e in first.events if e.name == name]
+            assert [e for e in second.events if e.name == name][0] is shared
+
+    def test_a_commit_builds_one_state(self, monkeypatch):
+        adb, _ = dense_engine()
+        apply_tick(adb, "S1", 51.0)
+        built = []
+        init = SystemState.__init__
+
+        def counted(state, *args, **kwargs):
+            built.append(state)
+            init(state, *args, **kwargs)
+
+        monkeypatch.setattr(SystemState, "__init__", counted)
+        apply_tick(adb, "S1", 52.0)
+        assert len(built) == 1
+        assert built[0] is adb.last_state is adb.history[-1]
+
+    def test_intern_tables_forget_a_dropped_engine(self):
+        from repro.events import model
+        from repro.storage import transactions
+
+        def sizes():
+            gc.collect()
+            return len(model._shared_events), len(transactions._write_sets)
+
+        before = sizes()
+        adb = ActiveDatabase()
+        names = [f"R{i}" for i in range(100)]
+        for name in names:
+            adb.create_relation(name, Schema.of(k=INT), [(0,)])
+        for name in names:
+
+            def work(txn, name=name):
+                txn.update(name, lambda r: True, lambda r: {"k": 1})
+                txn.post_event(user_event(f"{name}_done"))
+
+            adb.execute(work)
+        grown = sizes()
+        assert grown[0] >= before[0] + 200 and grown[1] >= before[1] + 100
+        del adb, work
+        assert sizes() == before
 
 
 class TestServedTenantHoldsThePresent:
@@ -721,7 +852,8 @@ class TestServedTenantHoldsThePresent:
 
         retained = retained_bytes(step, self.WARMUP, self.BATCHES)
         per_txn = retained / (self.BATCH * (self.BATCHES - self.WARMUP))
-        # ~68 B (the firing log's packed rows); ~560 while every tenant
+        # ~57 B (mostly the firing log's packed rows); ~68 B with the
+        # state index and timestamp in every row; ~560 while every tenant
         # kept a 10 000-event trace, ~635 while every firing also left an
         # execution record, ~2 230 while every tenant kept its history
         assert per_txn < 120, per_txn

@@ -32,6 +32,32 @@ def test_stats_of_unknown_rule(setup):
     assert manager.firings_of("ghost") == []
 
 
+def test_firing_log_reads_back_every_firing():
+    """A run of firings shares one state record, the ids outgrow two
+    bytes, and a read may start anywhere, before or after the last."""
+    from repro.rules.rule import FiringLog, FiringRecord
+
+    log, want = FiringLog(), []
+
+    def append(i):
+        rule, bindings, state = f"r{i % 5}", (("x", i),), i // 3
+        # Varints of every width and sign: a timestamp may go back.
+        ts = 10 * state if state % 50 else -(2**40) - state
+        log.append(rule, bindings, state, ts, shadow=i % 7 == 0)
+        want.append(FiringRecord(rule, bindings, state, ts, i % 7 == 0))
+
+    for i in range(66_000):
+        append(i)
+    assert log._rows.typecode == "I"
+    assert len(log) == len(want) and list(log) == want
+    for start in (65_998, 2, 66_000, 65_536, -4, 40_001):
+        assert log.records(start) == want[start:]
+    for i in range(66_000, 66_010):
+        append(i)
+    assert log.records(66_000) == want[66_000:]
+    assert log.records_of("r3") == [f for f in want if f.rule == "r3"]
+
+
 def test_rule_names_lists_both_kinds(setup):
     adb, manager = setup
     manager.add_trigger("t1", "@ping", RecordingAction())

@@ -717,8 +717,8 @@ class TestNotificationPump:
             )
         manager = tenant.manager
         log, built = manager._firings, []
-        build = log.record
-        log.record = lambda i: built.append(i) or build(i)
+        build = log._record
+        log._record = lambda *row: built.append(row) or build(*row)
         pump, drained = server.pump, []
 
         def counted_pump(tenant, done):
