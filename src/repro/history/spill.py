@@ -1,11 +1,10 @@
 """Tiered history: a memory governor + transparent spill to segments.
 
-ROADMAP item 3: bounded-memory pruning handles time-bounded operators,
-but the engine's :class:`~repro.history.history.SystemHistory`,
-auxiliary-relation versions, and unbounded-``Since`` storage still grow
-in RAM forever.  This module splits each into a *hot*
-recent window kept in memory and an *archival* past spilled to the
-checksummed segments of :class:`~repro.storage.tiers.SegmentStore`:
+Bounded-memory pruning handles time-bounded operators, but the engine's
+:class:`~repro.history.history.SystemHistory` and unbounded-``Since``
+storage still grow in RAM forever.  This module splits the history into
+a *hot* recent window kept in memory and an *archival* past spilled to
+the checksummed segments of :class:`~repro.storage.tiers.SegmentStore`:
 
 * :class:`MemoryGovernor` — tracks estimated bytes per account against a
   configurable budget;
@@ -20,9 +19,14 @@ checksummed segments of :class:`~repro.storage.tiers.SegmentStore`:
 
 Unbounded-``Since`` stored formulas are *accounted* (they are consulted
 at every step, so spilling them would just move the hot loop to disk);
-history states and auxiliary-relation versions are *spilled*.  Execution
-records are not a tier: the rule manager keeps only those some live
-condition reads, and those are consulted at every step.
+history states are *spilled*.  Execution records are not a tier: the
+rule manager keeps only those some live condition reads, and those are
+consulted at every step.
+
+The segments serve reads of the as-of past; they are not the record of
+it.  That is the write-ahead log, which holds every state from its base
+record on: :meth:`repro.recovery.manager.RecoveryManager.audit` replays
+it into a whole history offline.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ SEGMENT_DIR_NAME = "segments"
 #: Row, its value tuple and a boxed value or two.
 _EST_STATE_BYTES = 1280
 _EST_ROW_BYTES = 200
-_EST_AUX_ROW_BYTES = 120
 _EST_FORMULA_BYTES = 80
 
 _ABSENT = object()
@@ -398,7 +401,6 @@ class TieredHistory(SystemHistory):
             start = self._archived - self._mem_start
             chunk = self._states[start : start + count]
             info = self._store.write_segment(
-                "history",
                 _records_of(chunk),
                 meta={
                     "first_pos": self._archived,
@@ -461,14 +463,11 @@ class TieredHistory(SystemHistory):
         store: SegmentStore,
         tier_state: dict,
         metrics=None,
-        verify: bool = True,
     ) -> "TieredHistory":
-        """Rebuild a tiered history from a checkpoint descriptor.
-
-        With ``verify`` (the default) every referenced segment is loaded
-        and checked against its fingerprint before use; anything missing
-        or mismatched raises :class:`~repro.errors.RecoveryError`, and
-        unreferenced segment files (crash debris) are quarantined."""
+        """Rebuild a tiered history from a checkpoint descriptor.  Every
+        referenced segment is loaded and checked against its fingerprint
+        before use; anything missing or mismatched raises
+        :class:`~repro.errors.RecoveryError`."""
         history = cls(
             store, hot_window=tier_state["hot_window"], metrics=metrics
         )
@@ -477,9 +476,8 @@ class TieredHistory(SystemHistory):
         history._archived = tier_state["archived"]
         history._mem_start = history._archived
         history.base_index = tier_state["index_base"] + history._mem_start
-        if verify:
-            for info in history._catalog:
-                store.verify(info)
+        for info in history._catalog:
+            store.verify(info)
         history._m_spilled.set(history._mem_start)
         return history
 
@@ -514,7 +512,6 @@ class TieredRuntime:
         self.manager = None
         self.spill_check_every = max(1, spill_check_every)
         self._since_check = 0
-        self._aux_stores: list = []
         governor.register("history", history.estimated_hot_bytes)
         if manager is not None:
             self.adopt_manager(manager)
@@ -532,14 +529,6 @@ class TieredRuntime:
                 "since",
                 lambda: manager.total_state_size() * _EST_FORMULA_BYTES,
             )
-
-    def track_aux(self, aux_store) -> None:
-        """Account (and spill) an auxiliary-relation store's versions."""
-        self._aux_stores.append(aux_store)
-        self.governor.register(
-            f"aux:{id(aux_store):x}",
-            lambda: aux_store.total_rows() * _EST_AUX_ROW_BYTES,
-        )
 
     def detach(self) -> None:
         if self._subscription is not None:
@@ -571,14 +560,6 @@ class TieredRuntime:
         spilled = 0
         try:
             spilled = self.history.spill()
-            horizon = (
-                self.history._states[0].timestamp
-                if self.history._states
-                else None
-            )
-            for aux in self._aux_stores:
-                if horizon is not None and hasattr(aux, "spill_cold"):
-                    aux.spill_cold(horizon, self.store)
         except OSError as exc:
             self.engine.enter_degraded(f"history spill failed: {exc}")
         return spilled
@@ -586,7 +567,7 @@ class TieredRuntime:
     # -- checkpoint integration -------------------------------------------
 
     def archive(self) -> dict:
-        """Flush every tier to sealed segments and return the checkpoint
+        """Flush the history to sealed segments and return the checkpoint
         descriptor (segment names + fingerprints)."""
         return {
             "history": self.history.archive(),
@@ -659,7 +640,6 @@ def restore_tiers(
     tiers: dict,
     directory: PathLike,
     injector=None,
-    verify: bool = True,
 ) -> TieredRuntime:
     """Rebuild the tiered runtime from a checkpoint's ``tiers`` section
     (fingerprint-verified).  The engine's history becomes a
@@ -677,10 +657,7 @@ def restore_tiers(
     )
     live = [info["name"] for info in tiers["history"]["segments"]]
     history = TieredHistory.restore(
-        store,
-        tiers["history"],
-        metrics=engine.metrics,
-        verify=verify,
+        store, tiers["history"], metrics=engine.metrics
     )
     store.quarantine_orphans(live)
     engine.history = history

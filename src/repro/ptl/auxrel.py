@@ -53,11 +53,6 @@ class AuxiliaryRelation:
         self._rows: list[VersionRow] = []
         self._gate = _atom_gate((query,))
         self._gated = gated_query_value
-        #: Spill tier (see :meth:`spill_cold`): closed versions archived
-        #: to segments, faulted back by :meth:`value_at`.
-        self._spill_store = None
-        self._spill_catalog: list[dict] = []
-        self._spilled_rows = 0
 
     # -- maintenance -----------------------------------------------------------
 
@@ -85,57 +80,14 @@ class AuxiliaryRelation:
         ]
         return before - len(self._rows)
 
-    def spill_cold(self, horizon: int, store) -> int:
-        """Move *closed* versions with ``t_end <= horizon`` to a sealed
-        segment of ``store`` (the memory governor's archival tier for
-        R_x); :meth:`value_at` faults them back for deep-past reads.
-        Returns how many rows moved."""
-        cold = [
-            r
-            for r in self._rows
-            if r.t_end is not MAX_TIME and r.t_end <= horizon
-        ]
-        if not cold:
-            return 0
-        from repro.ptl.constraints import encode_value
-
-        info = store.write_segment(
-            "aux",
-            [[encode_value(r.value), r.t_start, r.t_end] for r in cold],
-            meta={
-                "relation": self.name,
-                "first_ts": cold[0].t_start,
-                "last_ts": cold[-1].t_end,
-            },
-        )
-        cold_ids = {id(r) for r in cold}
-        self._rows = [r for r in self._rows if id(r) not in cold_ids]
-        self._spill_catalog.append(info)
-        self._spill_store = store
-        self._spilled_rows += len(cold)
-        return len(cold)
-
     # -- retrieval -----------------------------------------------------------------
 
     def value_at(self, t: int) -> Any:
         """The query's value at time ``t`` — the paper's selection +
-        projection on R_x.  Spilled versions are consulted transparently
-        when ``t`` precedes the in-memory rows."""
+        projection on R_x."""
         for row in self._rows:
             if row.covers(t):
                 return row.value
-        if self._spilled_rows:
-            from repro.ptl.constraints import decode_value
-
-            for info in self._spill_catalog:
-                meta = info.get("meta", {})
-                if meta.get("first_ts") is not None and t < meta["first_ts"]:
-                    continue
-                for value, t_start, t_end in self._spill_store.load_segment(
-                    info
-                ):
-                    if VersionRow(decode_value(value), t_start, t_end).covers(t):
-                        return decode_value(value)
         return UNDEFINED
 
     @property
@@ -188,10 +140,3 @@ class AuxiliaryStore:
 
     def prune_before(self, timestamp: int) -> int:
         return sum(r.prune_before(timestamp) for r in self._relations.values())
-
-    def spill_cold(self, horizon: int, store) -> int:
-        """Spill every relation's closed cold versions (see
-        :meth:`AuxiliaryRelation.spill_cold`)."""
-        return sum(
-            r.spill_cold(horizon, store) for r in self._relations.values()
-        )

@@ -11,7 +11,9 @@ makes it durable:
   evaluator state (via the ``to_state``/``from_state`` protocol) that
   bound replay work;
 * :class:`~repro.recovery.manager.RecoveryManager` — checkpoint load +
-  torn-tail truncation + WAL tail replay with actions suppressed;
+  torn-tail truncation + WAL tail replay with actions suppressed, and
+  the offline audit (:meth:`~repro.recovery.manager.RecoveryManager.audit`:
+  the whole recorded history, replayed from the WAL);
 * :mod:`~repro.recovery.faultinject` — deterministic crash points for
   differential crash-consistency tests.
 """

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from repro.errors import RecoveryError
 from repro.recovery.faultinject import MID_CHECKPOINT
-from repro.storage.persist import _encode_item, atomic_write_text
+from repro.storage.persist import atomic_write_text, encode_catalog
 
 PathLike = Union[str, Path]
 
@@ -37,24 +37,13 @@ def write_checkpoint(
 ) -> dict:
     """Atomically write a checkpoint of ``engine`` (and ``manager``) to
     ``path``; returns the payload that was written."""
-    state = engine.db.state
     last = engine.last_state
     payload = {
         "format": FORMAT_VERSION,
         "clock": engine.now,
         "state_count": engine.state_count,
         "last": None if last is None else [last.timestamp, last.index],
-        "items": {
-            name: _encode_item(state.raw_item(name))
-            for name in state.item_names()
-        },
-        "queries": {
-            name: {
-                "params": list(engine.db.queries.get(name).params),
-                "text": str(engine.db.queries.get(name).body),
-            }
-            for name in engine.db.queries.names()
-        },
+        **encode_catalog(engine.db),
         "manager": None if manager is None else manager.to_state(),
     }
     tiered = getattr(engine, "tiered", None)

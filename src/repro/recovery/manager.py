@@ -12,6 +12,11 @@ directory::
     report = RecoveryManager("run/").recover(setup=register_rules)
     report.engine, report.manager     # at the last durable state
 
+    # offline, any time: the history the WAL recorded, to judge a
+    # constraint that was never registered live
+    audited = RecoveryManager("run/").audit()
+    satisfies(audited.history.states, i, formula)
+
 Recovery (i) loads the newest checkpoint if one exists, rebuilding the
 engine's catalog, clock, and evaluator states without touching history
 older than the WAL tail; (ii) truncates a torn final WAL record; (iii)
@@ -143,10 +148,7 @@ class RecoveryManager:
         checkpoint = read_checkpoint(self.checkpoint_path)
         records, truncated = load_wal(self.wal_path)
         runtime = None
-        base = None
-        if records and records[0].get("seq") is None:
-            base = records[0]
-        states = [r for r in records if r.get("seq") is not None]
+        base, states = _split_wal(records)
 
         if checkpoint is not None:
             engine = ActiveDatabase(
@@ -177,9 +179,7 @@ class RecoveryManager:
                 ts, index = checkpoint["last"]
                 engine._last_state = self._stub_state(engine, ts, index)
         elif base is not None:
-            engine = ActiveDatabase(keep_history=keep_history, metrics=metrics)
-            self._restore_items(engine, base["items"])
-            self._restore_queries(engine, base.get("queries", {}))
+            engine = self._base_engine(base, keep_history, metrics)
         else:
             raise RecoveryError(
                 f"nothing to recover in {str(self.directory)!r}: no "
@@ -202,24 +202,10 @@ class RecoveryManager:
 
         start_seq = engine.state_count
         tail = [r for r in states if r["seq"] >= start_seq]
-        replayed = 0
         if manager is not None:
             manager._replaying = True
         try:
-            for record in tail:
-                if record["seq"] != engine.state_count:
-                    raise RecoveryError(
-                        f"WAL gap: expected seq {engine.state_count}, "
-                        f"found {record['seq']}"
-                    )
-                db_state = apply_state(engine.db.state, record)
-                engine.db._set_state(db_state)
-                ts = record["ts"]
-                if ts > engine.clock.now:
-                    engine.clock.advance_to(ts)
-                events, delta = state_events(record)
-                engine._append(engine._new_state(db_state, events, ts, delta))
-                replayed += 1
+            replayed = self._replay(engine, tail)
         finally:
             if manager is not None:
                 manager._replaying = False
@@ -241,7 +227,67 @@ class RecoveryManager:
             rule_drift=rule_drift,
         )
 
+    # -- offline audit -----------------------------------------------------
+
+    def audit(self):
+        """The system history the WAL recorded, rebuilt offline: an
+        :class:`~repro.engine.ActiveDatabase` holding the base record's
+        catalog, its clock at the last logged state, and every logged
+        state in ``engine.history``, with the WAL's seqs as indices.  No
+        rule is registered and the checkpoint is not read — judge any
+        constraint, registered live or not, with
+        :func:`repro.ptl.satisfies` / :func:`repro.ptl.answers` over
+        ``engine.history.states``.
+
+        The log is read as recovery reads it (a torn tail and a trailing
+        group without its commit marker are left out) but never written:
+        a torn tail stays on disk for recovery to truncate."""
+        records, _ = load_wal(self.wal_path, truncate_torn=False)
+        base, states = _split_wal(records)
+        if base is None:
+            raise RecoveryError(
+                f"no base record in {str(self.wal_path)!r}: nothing to audit"
+            )
+        engine = self._base_engine(base, True, None)
+        if states:
+            # The log may start after the engine's first state.
+            engine._state_count = states[0]["seq"]
+            engine.history.base_index = states[0]["seq"]
+        self._replay(engine, states)
+        return engine
+
     # -- helpers -----------------------------------------------------------
+
+    @classmethod
+    def _base_engine(cls, base: dict, keep_history: bool, metrics):
+        """A fresh engine holding the WAL base record's catalog."""
+        from repro.engine import ActiveDatabase
+
+        engine = ActiveDatabase(keep_history=keep_history, metrics=metrics)
+        cls._restore_items(engine, base["items"])
+        cls._restore_queries(engine, base.get("queries", {}))
+        return engine
+
+    @staticmethod
+    def _replay(engine, records: list) -> int:
+        """Append the state each WAL record describes to ``engine`` (its
+        subscribers see each one); returns how many were replayed.  A
+        ``seq`` that is not the engine's next state index is a hole in
+        the delta chain and is refused."""
+        for record in records:
+            if record["seq"] != engine.state_count:
+                raise RecoveryError(
+                    f"WAL gap: expected seq {engine.state_count}, "
+                    f"found {record['seq']}"
+                )
+            db_state = apply_state(engine.db.state, record)
+            engine.db._set_state(db_state)
+            ts = record["ts"]
+            if ts > engine.clock.now:
+                engine.clock.advance_to(ts)
+            events, delta = state_events(record)
+            engine._append(engine._new_state(db_state, events, ts, delta))
+        return len(records)
 
     @staticmethod
     def _stub_state(engine, ts: int, index: int):
@@ -267,6 +313,13 @@ class RecoveryManager:
     def _restore_queries(engine, queries: dict) -> None:
         for name, qdef in sorted(queries.items()):
             engine.define_query(name, qdef["params"], qdef["text"])
+
+
+def _split_wal(records: list) -> tuple[Optional[dict], list]:
+    """A loaded WAL's base record (``None`` when absent) and its state
+    records."""
+    base = records[0] if records and records[0].get("seq") is None else None
+    return base, [r for r in records if r.get("seq") is not None]
 
 
 def recover(

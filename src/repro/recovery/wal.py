@@ -14,12 +14,14 @@ delta::
 
 plus one *base* record (``"seq": null``) capturing the full catalog when
 the log is first attached, so a log is replayable even without a
-checkpoint.  Torn final records (a crash mid-append) are detected and
-truncated by :func:`load_wal`; corruption anywhere else raises
-:class:`~repro.errors.RecoveryError`.
+checkpoint.  The log is the system's one per-state record:
+:meth:`repro.recovery.manager.RecoveryManager.audit` replays it into the
+whole history offline.  Torn final records (a crash mid-append) are
+detected and truncated by :func:`load_wal`; corruption anywhere else
+raises :class:`~repro.errors.RecoveryError`.
 
 Records are written by :func:`repro.storage.persist.encode_state`, the
-codec the history segments and the change log share: a changed relation
+codec the history segments also use: a changed relation
 is logged as the rows that left and the rows that came
 (``"kind": "rows"``), every other change as its full image — which is
 also all that a log written before row deltas holds, so older logs
@@ -54,7 +56,7 @@ from repro.recovery.faultinject import (
     POST_COMMIT,
     PRE_COMMIT,
 )
-from repro.storage.persist import _encode_item, encode_state, fsync_dir
+from repro.storage.persist import encode_catalog, encode_state, fsync_dir
 from repro.storage.tiers import retry_io
 
 PathLike = Union[str, Path]
@@ -115,25 +117,9 @@ class WriteAheadLog:
         fresh = not wal.path.exists() or wal.path.stat().st_size == 0
         wal._fp = open(wal.path, "a")
         if fresh:
-            state = engine.db.state
             wal._write_line(
-                {
-                    "seq": None,
-                    "ts": None,
-                    "items": {
-                        name: _encode_item(state.raw_item(name))
-                        for name in state.item_names()
-                    },
-                    "queries": {
-                        name: {
-                            "params": list(engine.db.queries.get(name).params),
-                            "text": str(engine.db.queries.get(name).body),
-                        }
-                        for name in engine.db.queries.names()
-                    },
-                }
+                {"seq": None, "ts": None, **encode_catalog(engine.db)}
             )
-        if fresh:
             # Make the log file's *name* durable too: a crash right after
             # creation must not lose the base record to an unsynced
             # directory entry.

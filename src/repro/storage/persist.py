@@ -1,17 +1,20 @@
-"""JSON persistence for the database: catalog + current committed state.
+"""JSON persistence: the durable encodings of the database.
 
 The paper's model keeps "only the current information" in the database
-(Section 10 — history is the temporal component's business), so a snapshot
-is exactly the catalog and the current state.  Histories, rules, and
-evaluator states are runtime artifacts and deliberately not serialized;
-reload and re-register rules to resume monitoring from the restored state.
+(Section 10 — history is the temporal component's business).  This
+module holds the two encodings the durable layer writes it in:
 
-The module also owns the one *state-record* codec
-(:func:`encode_state` / :func:`apply_state`) shared by the write-ahead
-log, the history segments and the change log.  A record describes one
-system state relative to the previous *logged* state, and it versions
-data the way Section 5's auxiliary relations do — by tuple: a changed
-relation is written as the rows that left and the rows that came
+* the *catalog* — every item's full image and every named query
+  (:func:`encode_catalog`) — which the checkpoint (the present state) and
+  the write-ahead log's base record both carry;
+* the one *state-record* codec (:func:`encode_state` /
+  :func:`apply_state`) shared by the write-ahead log and the history
+  segments.
+
+A state record describes one system state relative to the previous
+*logged* state, and it versions data the way Section 5's auxiliary
+relations do — by tuple: a changed relation is written as the rows that
+left and the rows that came
 (``{"kind": "rows", "del": [...], "add": [...]}``), not as its image, so
 a version costs what changed.  Everything else (a scalar, an
 :class:`~repro.storage.snapshot.IndexedItem`, a new item, a schema
@@ -22,7 +25,6 @@ row deltas contain — the reader has no format branch.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -36,8 +38,6 @@ from repro.events.model import Event
 from repro.storage.snapshot import DatabaseState, IndexedItem
 
 PathLike = Union[str, Path]
-
-_FORMAT_VERSION = 1
 
 
 def fsync_dir(path: PathLike) -> None:
@@ -140,7 +140,29 @@ def _decode_item(payload: dict):
     raise StorageError(f"unknown item kind {kind!r}")
 
 
-# -- state records: one codec for WAL, segments and change log ---------------
+def encode_catalog(db) -> dict:
+    """The catalog of ``db`` (a :class:`~repro.storage.database.Database`):
+    ``"items"``, every item's full image, and ``"queries"``, every named
+    query's parameters and text.  A checkpoint and the WAL's base record
+    both embed it; recovery's ``_restore_items`` / ``_restore_queries``
+    read it back."""
+    state = db.state
+    return {
+        "items": {
+            name: _encode_item(state.raw_item(name))
+            for name in state.item_names()
+        },
+        "queries": {
+            name: {
+                "params": list(db.queries.get(name).params),
+                "text": str(db.queries.get(name).body),
+            }
+            for name in db.queries.names()
+        },
+    }
+
+
+# -- state records: one codec for the WAL and the history segments -----------
 
 
 def encode_change(prev: Any, value: Any) -> dict:
@@ -248,56 +270,3 @@ def state_events(record: dict) -> tuple[list[Event], Optional[frozenset]]:
         [Event(name, tuple(params)) for name, params in record["events"]],
         None if delta is None else frozenset(delta),
     )
-
-
-def dump_database(engine, path: PathLike) -> None:
-    """Write the engine's catalog, current state, queries, and clock to
-    ``path`` as JSON.  If the engine carries an enabled metrics registry,
-    the snapshot size and count are recorded
-    (``storage_snapshot_bytes``/``storage_snapshots_total``)."""
-    state = engine.db.state
-    payload = {
-        "format": _FORMAT_VERSION,
-        "clock": engine.now,
-        "items": {
-            name: _encode_item(state.raw_item(name))
-            for name in state.item_names()
-        },
-        "queries": {
-            name: {
-                "params": list(engine.db.queries.get(name).params),
-                "text": str(engine.db.queries.get(name).body),
-            }
-            for name in engine.db.queries.names()
-        },
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    atomic_write_text(path, text)
-    registry = getattr(engine, "metrics", None)
-    if registry is not None and registry.enabled:
-        registry.gauge("storage_snapshot_bytes").set(len(text))
-        registry.counter("storage_snapshots_total").inc()
-
-
-def load_database(path: PathLike):
-    """Reconstitute an :class:`~repro.engine.ActiveDatabase` from a dump
-    (fresh history; rules must be re-registered)."""
-    from repro.engine import ActiveDatabase
-
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != _FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported snapshot format {payload.get('format')!r}"
-        )
-    engine = ActiveDatabase(start_time=payload["clock"])
-    for name, item in sorted(payload["items"].items()):
-        value = _decode_item(item)
-        if isinstance(value, Relation):
-            engine.create_relation(
-                name, value.schema, [r.values for r in value.sorted_rows()]
-            )
-        else:
-            engine.declare_item(name, value)
-    for name, qdef in sorted(payload["queries"].items()):
-        engine.define_query(name, qdef["params"], qdef["text"])
-    return engine

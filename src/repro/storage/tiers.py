@@ -3,10 +3,14 @@
 A :class:`SegmentStore` owns a directory of append-only *segments*: each
 segment is one jsonl file written once and sealed — a header line carrying
 the record count and a SHA-256 over the payload, followed by the records
-(same jsonl idiom as :mod:`repro.storage.log`).  The payload hash doubles
-as the segment's *fingerprint*: checkpoints reference live segments by
-``(name, sha256)`` and recovery refuses to load anything that does not
-match — a corrupted segment is never read back as data.
+(the state records of :func:`repro.storage.persist.encode_state`, the
+codec the write-ahead log writes).  The payload hash doubles as the
+segment's *fingerprint*: the checkpoint's ``tiers`` section — the one
+list of live segments — references each by ``(name, sha256)``, and
+recovery refuses to load anything that does not match — a corrupted
+segment is never read back as data.  Segments serve deep-past reads;
+the durable record of the past is the write-ahead log, which
+:meth:`repro.recovery.manager.RecoveryManager.audit` replays offline.
 
 Every disk path is hardened:
 
@@ -18,11 +22,10 @@ Every disk path is hardened:
   segment is *refused*, not half-read.  Nothing is parsed to verify: the
   hash runs over the file's bytes in place, and the loaded segment is a
   :class:`SegmentRecords` that decodes a record only when it is read;
-* :meth:`SegmentStore.quarantine_orphans` renames segment files that no
-  manifest or checkpoint references (the debris of a crash mid-spill) so
+* :meth:`SegmentStore.quarantine_orphans` renames segment files that the
+  checkpoint does not reference (the debris of a crash mid-spill) so
   they can never shadow live data;
-* the directory is fsynced after each segment creation and the manifest
-  is replaced via :func:`~repro.storage.persist.atomic_write_text`.
+* the directory is fsynced after each segment creation.
 
 Fault injection: the store honours the ``mid-segment-write`` /
 ``torn-segment`` crash points and the ``disk-full`` / ``fsync-fail``
@@ -41,15 +44,18 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
-from repro.errors import RecoveryError, StorageError
+from repro.errors import RecoveryError
 from repro.obs.metrics import as_registry
-from repro.storage.persist import atomic_write_text, fsync_dir
+from repro.storage.persist import fsync_dir
 
 PathLike = Union[str, Path]
 
 SEGMENT_FORMAT = 1
 HEADER_KIND = "segment-header"
-MANIFEST_NAME = "MANIFEST.json"
+#: The one tier that writes segments: the history's archival past.  It
+#: is named in every header, descriptor and file name, so a segment is
+#: byte-identical to the one an older build wrote for the same records.
+TIER = "history"
 
 #: Errnos worth retrying: the disk may answer on the next attempt.
 #: ENOSPC is deliberately absent — a full disk does not heal by waiting,
@@ -145,10 +151,6 @@ class SegmentStore:
         self._m_write_s = self.metrics.histogram("segment_write_seconds")
         self._m_load_s = self.metrics.histogram("segment_load_seconds")
         self._next_id = self._scan_next_id()
-        #: The manifest as last written by this store (read once from the
-        #: file): a segment write extends it and replaces the file
-        #: atomically, without re-reading what it wrote itself.
-        self._manifest: Optional[dict] = None
 
     # -- naming ------------------------------------------------------------
 
@@ -165,10 +167,6 @@ class SegmentStore:
     def segment_path(self, name: str) -> Path:
         return self.directory / name
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / MANIFEST_NAME
-
     # -- writing -----------------------------------------------------------
 
     def _retry(self, fn):
@@ -184,7 +182,7 @@ class SegmentStore:
         )
 
     def write_segment(
-        self, tier: str, records: Iterable, meta: Optional[dict] = None
+        self, records: Iterable, meta: Optional[dict] = None
     ) -> dict:
         """Seal ``records`` into a new segment; returns its descriptor
         ``{name, tier, count, sha256, bytes, meta}``.
@@ -203,7 +201,7 @@ class SegmentStore:
             TORN_SEGMENT,
         )
 
-        name = f"seg-{tier}-{self._next_id:06d}.jsonl"
+        name = f"seg-{TIER}-{self._next_id:06d}.jsonl"
         self._next_id += 1
         sha = hashlib.sha256()
         lines = []
@@ -218,7 +216,7 @@ class SegmentStore:
                 {
                     "kind": HEADER_KIND,
                     "format": SEGMENT_FORMAT,
-                    "tier": tier,
+                    "tier": TIER,
                     "count": len(lines),
                     "sha256": digest,
                     "meta": meta or {},
@@ -272,38 +270,15 @@ class SegmentStore:
             fsync_dir(self.directory)
         info = {
             "name": name,
-            "tier": tier,
+            "tier": TIER,
             "count": len(lines),
             "sha256": digest,
             "bytes": len(header) + payload_bytes,
             "meta": meta or {},
         }
-        self._update_manifest(info)
         self._m_write_s.observe(time.perf_counter() - started)
         self._m_segments.inc()
         return info
-
-    def _update_manifest(self, info: dict) -> None:
-        manifest = self._manifest or self.read_manifest()
-        manifest = {**manifest, "segments": manifest["segments"] + [info]}
-        atomic_write_text(
-            self.manifest_path,
-            json.dumps(manifest, sort_keys=True),
-            fsync=self.fsync,
-        )
-        # Only now: memory must not run ahead of the file it mirrors.
-        self._manifest = manifest
-
-    def read_manifest(self) -> dict:
-        if not self.manifest_path.exists():
-            return {"format": SEGMENT_FORMAT, "segments": []}
-        try:
-            return json.loads(self.manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"unreadable segment manifest {str(self.manifest_path)!r}: "
-                f"{exc}"
-            ) from exc
 
     # -- loading -----------------------------------------------------------
 

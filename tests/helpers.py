@@ -125,7 +125,7 @@ def make_orders(adb, rows: int = 6) -> None:
 
 #: A relation-writing twin of the crash suites' eight-op scalar
 #: workload: one state per op, inserts, updates and deletes of
-#: ``ORDERS`` rows, so WAL / change-log records carry row deltas.
+#: ``ORDERS`` rows, so WAL and segment records carry row deltas.
 ROW_OPS = [
     ("upd", 1, 20), ("ev", "go"), ("ins", 9, 60), ("set", 60),
     ("ev", "go"), ("upd", 9, 80), ("del", 2), ("ins", 7, 1),

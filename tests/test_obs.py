@@ -340,3 +340,42 @@ class TestHolderGauges:
         assert manager.firing_count == 10
         assert registry.value("executed_records") == 2
         assert len(manager.executed) == 2
+
+
+class TestMetricCatalog:
+    """docs/OBSERVABILITY.md's tables and the code name the same
+    metrics: every literal name passed to ``.counter(`` / ``.gauge(`` /
+    ``.histogram(`` under ``src/``, plus the ``qplan_*`` gauges that
+    ``query.plan.STATS`` publishes, has one row, and every row names
+    one of them."""
+
+    def test_doc_rows_are_the_code_names(self):
+        import re
+        from pathlib import Path
+
+        from repro.query.plan import STATS
+
+        root = Path(__file__).resolve().parents[1]
+        call = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"([^"]+)"')
+        in_code = {
+            name
+            for path in (root / "src").rglob("*.py")
+            for name in call.findall(path.read_text())
+        } | {f"qplan_{key}" for key in STATS.snapshot()}
+
+        rows = []
+        in_table = False
+        doc = root / "docs" / "OBSERVABILITY.md"
+        for line in doc.read_text().splitlines():
+            if line.startswith("| metric | kind | meaning |"):
+                in_table = True
+            elif not line.startswith("|"):
+                in_table = False
+            elif in_table and not line.startswith("|---"):
+                rows.append(line.split("|")[1].strip())
+        malformed = [cell for cell in rows if not re.fullmatch(r"`\w+`", cell)]
+        assert malformed == [], "one metric name per row"
+        in_doc = [cell.strip("`") for cell in rows]
+        assert len(in_doc) == len(set(in_doc)), "a metric with two rows"
+        assert sorted(set(in_doc) - in_code) == [], "rows nothing emits"
+        assert sorted(in_code - set(in_doc)) == [], "metrics with no row"

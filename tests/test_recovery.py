@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.datamodel import FLOAT, STRING, Schema
 from repro.engine import ActiveDatabase
-from repro.errors import RecoveryError, StorageError, TransactionAborted
+from repro.errors import RecoveryError, TransactionAborted
 from repro.events import user_event
 from repro.history.spill import attach_tiered_history
 from repro.ptl import IncrementalEvaluator, parse_formula
@@ -30,7 +30,6 @@ from repro.recovery.checkpoint import FORMAT_VERSION
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 from repro.rules.rule import CouplingMode, FireMode
-from repro.storage.log import ChangeLog
 from repro.storage.persist import atomic_write_text
 from repro.workloads.generator import (
     random_aggregate_pair,
@@ -782,52 +781,3 @@ class TestDurableWrites:
             atomic_write_text(path, "new", before_replace=boom)
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
-
-
-class TestChangeLogStreaming:
-    def _recorded(self):
-        adb = make_engine()
-        log = ChangeLog.attach(adb)
-        drive(adb, OPS[:4])
-        return adb, log
-
-    def test_append_jsonl_is_incremental(self, tmp_path):
-        adb, log = self._recorded()
-        path = tmp_path / "log.jsonl"
-        assert log.append_jsonl(path) == 5  # base + 4 states
-        assert log.append_jsonl(path) == 0
-        drive(adb, OPS[4:6])
-        assert log.append_jsonl(path) == 2
-        restored = ChangeLog.from_jsonl(path)
-        assert len(restored.records) == len(log.records)
-
-    def test_stream_to_appends_as_recorded(self, tmp_path):
-        adb, log = self._recorded()
-        path = tmp_path / "log.jsonl"
-        log.stream_to(path)
-        drive(adb, OPS[4:])
-        log.detach()
-        restored = ChangeLog.from_jsonl(path)
-        assert len(restored.records) == len(log.records)
-        replayed = restored.replay()
-        assert replayed.last.timestamp == adb.last_state.timestamp
-
-    def test_torn_trailing_record_skipped_with_warning(self, tmp_path):
-        _, log = self._recorded()
-        path = tmp_path / "log.jsonl"
-        log.to_jsonl(path)
-        with open(path, "a") as fp:
-            fp.write('{"ts": 99, "events": [], "chan')  # torn append
-        with pytest.warns(UserWarning, match="torn trailing"):
-            restored = ChangeLog.from_jsonl(path)
-        assert len(restored.records) == len(log.records)
-
-    def test_mid_file_corruption_rejected(self, tmp_path):
-        _, log = self._recorded()
-        path = tmp_path / "log.jsonl"
-        log.to_jsonl(path)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StorageError):
-            ChangeLog.from_jsonl(path)

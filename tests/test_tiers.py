@@ -151,7 +151,7 @@ class TestSegmentStore:
     def test_roundtrip_and_fingerprint(self, tmp_path):
         store = SegmentStore(tmp_path)
         rows = [{"i": i, "v": "x" * i} for i in range(10)]
-        info = store.write_segment("history", rows, meta={"first_pos": 0})
+        info = store.write_segment(rows, meta={"first_pos": 0})
         assert info["count"] == 10
         assert list(store.load_segment(info)) == rows
         assert list(store.load_segment(info["name"])) == rows  # header self-check
@@ -159,34 +159,34 @@ class TestSegmentStore:
     def test_rewritten_segment_is_byte_identical(self, tmp_path):
         """Each history segment of a durable directory an earlier commit
         wrote, fed back to ``write_segment`` as a one-shot generator of
-        its records, is the same file with the same descriptor."""
-        segments = V4_EXECUTED_TIER / "segments"
-        manifest = {
-            info["name"]: info
-            for info in json.loads((segments / "MANIFEST.json").read_text())[
-                "segments"
-            ]
-        }
-        originals = sorted(segments.glob("seg-history-*.jsonl"))
+        its records, is the same file, and its descriptor is the one the
+        segment's own header and size give."""
+        originals = sorted(
+            (V4_EXECUTED_TIER / "segments").glob("seg-history-*.jsonl")
+        )
         assert originals
         for original in originals:
             data = original.read_bytes()
             header, *lines = data.splitlines(keepends=True)
             header = json.loads(header)
+            assert header["tier"] == "history"
             store = SegmentStore(tmp_path / original.stem, fsync=False)
             info = store.write_segment(
-                header["tier"],
-                (json.loads(line) for line in lines),
-                meta=header["meta"],
+                (json.loads(line) for line in lines), meta=header["meta"]
             )
             assert store.segment_path(info["name"]).read_bytes() == data
-            want = dict(manifest[original.name], name=info["name"])
-            assert info == want
-            assert info["bytes"] == len(data)
+            assert info == {
+                "name": info["name"],
+                "bytes": len(data),
+                **{
+                    key: header[key]
+                    for key in ("tier", "count", "sha256", "meta")
+                },
+            }
 
     def test_tampered_payload_refused(self, tmp_path):
         store = SegmentStore(tmp_path)
-        info = store.write_segment("history", [{"i": 1}, {"i": 2}])
+        info = store.write_segment([{"i": 1}, {"i": 2}])
         path = store.segment_path(info["name"])
         lines = path.read_text().splitlines()
         lines[1] = '{"i": 999}'
@@ -198,7 +198,7 @@ class TestSegmentStore:
         """A crash mid-write leaves a torn final record: load truncates
         it from the parse and then refuses the unsealed segment."""
         store = SegmentStore(tmp_path)
-        info = store.write_segment("history", [{"i": 1}, {"i": 2}])
+        info = store.write_segment([{"i": 1}, {"i": 2}])
         path = store.segment_path(info["name"])
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 6])  # tear the final record
@@ -207,7 +207,7 @@ class TestSegmentStore:
 
     def test_mid_file_corruption_refused(self, tmp_path):
         store = SegmentStore(tmp_path)
-        info = store.write_segment("history", [{"i": i} for i in range(3)])
+        info = store.write_segment([{"i": i} for i in range(3)])
         path = store.segment_path(info["name"])
         lines = path.read_text().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]
@@ -217,14 +217,14 @@ class TestSegmentStore:
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         store = SegmentStore(tmp_path)
-        info = store.write_segment("history", [{"i": 1}])
+        info = store.write_segment([{"i": 1}])
         stale = dict(info, sha256="0" * 64)
         with pytest.raises(RecoveryError, match="fingerprint"):
             store.load_segment(stale)
 
     def test_quarantine_orphans(self, tmp_path):
         store = SegmentStore(tmp_path)
-        live = store.write_segment("history", [{"i": 1}])
+        live = store.write_segment([{"i": 1}])
         (tmp_path / "seg-history-000099.jsonl").write_text("debris")
         quarantined = store.quarantine_orphans([live["name"]])
         assert quarantined == ["seg-history-000099.jsonl"]
@@ -237,7 +237,7 @@ class TestSegmentStore:
             tmp_path, injector=injector, metrics=True, sleep=lambda s: None
         )
         injector.arm_io(FSYNC_FAIL, times=2)
-        info = store.write_segment("history", [{"i": 1}])
+        info = store.write_segment([{"i": 1}])
         assert list(store.load_segment(info)) == [{"i": 1}]
         assert store.metrics.counter("io_retries_total").value == 2
 
@@ -248,7 +248,7 @@ class TestSegmentStore:
         )
         injector.arm_io(DISK_FULL, times=None)
         with pytest.raises(OSError):
-            store.write_segment("history", [{"i": 1}])
+            store.write_segment([{"i": 1}])
         # ENOSPC is non-transient: exactly one attempt, no partial file
         assert injector.fired.count(DISK_FULL) == 1
         assert list(tmp_path.glob("seg-*.jsonl")) == []
@@ -264,7 +264,7 @@ class TestSegmentStore:
         )
         injector.arm_io(FSYNC_FAIL, times=None)
         with pytest.raises(OSError):
-            store.write_segment("history", [{"i": 1}])
+            store.write_segment([{"i": 1}])
         assert injector.fired.count(FSYNC_FAIL) == 3  # 1 try + 2 retries
 
     def test_retry_io_backoff_doubles(self):
@@ -792,36 +792,48 @@ class TestOldExecutedTierCheckpoint:
         assert {f"{name}.orphan" for name in spilled} <= orphans
         for info in checkpoint["tiers"]["history"]["segments"]:
             assert (segments / info["name"]).exists()
+        # The checkpoint's list is the one recovery reads; the segment
+        # manifest that commit also wrote is left as it was.
+        manifest = "MANIFEST.json"
+        assert (segments / manifest).read_bytes() == (
+            V4_EXECUTED_TIER / "segments" / manifest
+        ).read_bytes()
 
 
-class TestAuxSpill:
-    def test_value_at_faults_spilled_versions(self, tmp_path):
-        from repro.ptl.auxrel import AuxiliaryRelation
-        from repro.query.parser import parse_query
+class TestOneSegmentList:
+    """The checkpoint's ``tiers`` section is the only list of live
+    segments: no run writes another, and a leftover one is not read."""
 
-        store = SegmentStore(tmp_path)
-        rel = AuxiliaryRelation("v", parse_query("price"))
-
-        class FakeState:
-            def __init__(self, p):
-                self.p = p
-
-            def item(self, name):
-                return self.p
-
-            def raw_item(self, name):
-                return self.p
-
-        from repro.storage.snapshot import DatabaseState
-
+    def test_leftover_manifest_does_not_break_a_commit(self, tmp_path):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        leftover = segments / "MANIFEST.json"
+        leftover.write_text('{"segments": [')
         adb = make_engine()
-        for t in range(10):
-            adb.execute(lambda t_, v=t: t_.set_item("price", v * 10))
-        for s in adb.history:
-            rel.observe(s.db, s.timestamp)
-        full = {t: rel.value_at(t) for t in range(1, 11)}
-        moved = rel.spill_cold(horizon=6, store=store)
-        assert moved > 0
-        assert len(rel) < 10
-        for t in range(1, 11):
-            assert rel.value_at(t) == full[t], f"t={t}"
+        attach(adb, segments, hot_window=4)
+        drive(adb, long_ops(30))
+        assert adb.history.spilled_states > 0
+        assert not adb.degraded
+        assert leftover.read_text() == '{"segments": ['
+
+    def test_no_run_writes_a_manifest(self, tmp_path):
+        adb = make_engine()
+        rm = RecoveryManager(tmp_path, fsync=False)
+        rm.start(adb)
+        manager = setup_rules(adb)
+        attach(adb, tmp_path / "segments", manager=manager, fsync=False)
+        drive(adb, long_ops(60), manager)
+        rm.checkpoint(adb, manager)
+        rm.stop()
+        report = RecoveryManager(tmp_path).recover(setup=setup_rules)
+        assert report.engine.history.spilled_states > 0
+        files = {
+            p.relative_to(tmp_path).as_posix()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert {"wal.jsonl", "checkpoint.json"} < files
+        rest = files - {"wal.jsonl", "checkpoint.json"}
+        assert rest and all(
+            name.startswith("segments/seg-history-") for name in rest
+        )
