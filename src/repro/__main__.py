@@ -268,7 +268,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--batch", type=int, default=1, metavar="N",
         help="rule-manager batch size for the monitor workload "
-        "(Section 8 batched invocation)",
+        "(Section 8 batched invocation: every state is evaluated when "
+        "it is published; firings and actions are released every N "
+        "states)",
     )
     parser.add_argument(
         "--churn", type=int, default=None, metavar="N",

@@ -30,7 +30,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.datamodel.relation import STATS as VERSION_STATS
 from repro.errors import (
-    ActionError,
     ClockError,
     HistoryError,
     QueueFullError,
@@ -100,7 +99,7 @@ class ActiveDatabase:
         self.bus.attach_metrics(self.metrics)
         # -- ingest batching / group commit --------------------------------
         #: True while a batch() is open: durability consumers amortize
-        #: their fsync, rule managers hold trigger processing until the
+        #: their fsync, rule managers hold firings and actions until the
         #: batch is durable.
         self.in_batch = False
         #: A durability provider (the WAL when attached) offering
@@ -279,18 +278,9 @@ class ActiveDatabase:
             self._m_demoted.set(VERSION_STATS.demoted)
             folded = VERSION_STATS.materialisations
             self._m_materialised.inc(folded - self._m_materialised.value)
-        try:
-            self.bus.publish(state)
-        except ReproError:
-            raise
-        except Exception as exc:
-            # The state is already appended (and, with a WAL attached,
-            # durable); a subscriber blowing up is an action failure, not a
-            # storage or transaction failure.
-            raise ActionError(
-                f"subscriber failed while processing state "
-                f"#{state.index} (t={state.timestamp}): {exc}"
-            ) from exc
+        # A subscriber's failure surfaces here (EventBus.publish): the
+        # state is appended either way.
+        self.bus.publish(state)
         return state
 
     def post_event(
@@ -350,9 +340,10 @@ class ActiveDatabase:
         block is logged to the WAL (when attached) without an fsync of its
         own; one fsync at block exit makes the whole batch durable
         atomically — recovery replays the batch entirely or not at all,
-        never a prefix.  Rule managers defer trigger processing until the
-        batch is durable (integrity constraints still check every commit
-        immediately — aborts must veto *inside* the batch)."""
+        never a prefix.  Rule managers evaluate every state when it is
+        published, as outside a batch, and hold what a firing puts out —
+        its firing-log entry and its action — until the batch is durable
+        (integrity constraints veto *inside* the batch)."""
         if self.in_batch:
             raise ReproError("engine batches do not nest")
         self.in_batch = True
@@ -365,7 +356,7 @@ class ActiveDatabase:
             if self.durability is not None:
                 self.durability.end_group()
         # Only on clean exit (durable point reached): let the temporal
-        # component process the batched states.
+        # component release the firings and actions it held.
         if self._obs_on:
             self._m_batches.inc()
         for listener in list(self.batch_listeners):
@@ -393,10 +384,10 @@ class ActiveDatabase:
     def drain(self, max_batch: Optional[int] = None) -> list[Transaction]:
         """Run queued transaction bodies (up to ``max_batch``) inside one
         :meth:`batch`: their WAL records reach the disk with a single
-        fsync and their triggers are dispatched to the temporal component
-        in one round.  A transaction aborted by an integrity constraint
-        stays aborted without poisoning the rest of the batch.  Returns
-        the finished transactions (committed and aborted)."""
+        fsync and their firings and actions are released by the temporal
+        component in one round.  A transaction aborted by an integrity
+        constraint stays aborted without poisoning the rest of the batch.
+        Returns the finished transactions (committed and aborted)."""
         count = len(self._txn_queue)
         if max_batch is not None:
             count = min(count, max_batch)

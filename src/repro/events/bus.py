@@ -2,14 +2,19 @@
 
 Section 8: "whenever an event occurs the database management system invokes
 the temporal component".  Subscribers receive each appended
-:class:`~repro.history.state.SystemState`; a subscriber may additionally
-declare the event names it is *relevant* to, enabling the paper's
-optimization of "consider only the relevant triggers".
+:class:`~repro.history.state.SystemState`, in commit order: a state
+published while another one is being delivered — a rule action committing
+from inside the rule manager — waits in one FIFO until the current state
+has reached every subscriber.  Every subscriber therefore sees every state
+once, in index order, and a rule manager evaluates each state at exactly
+one position: when it is delivered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable
+
+from repro.errors import ActionError, ReproError
 
 Listener = Callable[..., None]
 
@@ -17,13 +22,10 @@ Listener = Callable[..., None]
 class Subscription:
     """Handle for a registered listener; ``cancel()`` unsubscribes."""
 
-    __slots__ = ("listener", "event_names", "_bus", "active")
+    __slots__ = ("listener", "_bus", "active")
 
-    def __init__(self, bus: "EventBus", listener: Listener, event_names):
+    def __init__(self, bus: "EventBus", listener: Listener):
         self.listener = listener
-        self.event_names: Optional[frozenset[str]] = (
-            None if event_names is None else frozenset(event_names)
-        )
         self._bus = bus
         self.active = True
 
@@ -31,17 +33,16 @@ class Subscription:
         self.active = False
         self._bus._prune()
 
-    def wants(self, event_names: Iterable[str]) -> bool:
-        if self.event_names is None:
-            return True
-        return any(name in self.event_names for name in event_names)
-
 
 class EventBus:
-    """Dispatches appended system states to subscribers."""
+    """Dispatches appended system states to subscribers, in commit order."""
 
     def __init__(self) -> None:
         self._subscriptions: list[Subscription] = []
+        #: Published states not yet delivered to every subscriber, the one
+        #: being delivered first.
+        self.pending: list = []
+        self._delivering = False
         self.dispatch_count = 0
         self.delivery_count = 0
         self._m_on = False
@@ -59,44 +60,100 @@ class EventBus:
         self._m_events = registry.counter("bus_events_total")
         self._m_on = True
 
-    def subscribe(
-        self,
-        listener: Listener,
-        event_names: Optional[Iterable[str]] = None,
-        front: bool = False,
-    ) -> Subscription:
-        """Register ``listener``; if ``event_names`` is given, the listener
-        is only invoked for states whose event set intersects it (the
-        Section 8 relevance filter).  ``front=True`` places the listener
-        ahead of existing subscribers — the write-ahead log uses this so a
-        state is durable before any rule action observes it."""
-        sub = Subscription(self, listener, event_names)
-        if front:
-            self._subscriptions.insert(0, sub)
-        else:
-            self._subscriptions.append(sub)
+    def subscribe(self, listener: Listener) -> Subscription:
+        """Register ``listener``; it receives every state published from
+        now on, after the subscribers registered before it."""
+        sub = Subscription(self, listener)
+        self._subscriptions.append(sub)
         return sub
 
     def publish(self, state) -> None:
-        """Deliver a newly-appended system state to relevant subscribers."""
-        self.dispatch_count += 1
-        names = [e.name for e in state.events]
-        delivered = 0
-        for sub in list(self._subscriptions):
-            if not sub.active:
-                continue
-            if not sub.wants(names):
-                continue
-            delivered += 1
-            sub.listener(state)
-        self.delivery_count += delivered
-        if self._m_on:
-            self._m_dispatch.inc()
-            self._m_delivery.inc(delivered)
-            self._m_events.inc(len(names))
+        """Deliver a newly-appended system state to every subscriber.
+
+        Published during a delivery, the state is queued and this returns
+        at once; the delivery in progress hands it on when the states
+        ahead of it are done.
+
+        A subscriber that raises does not keep the state from the
+        subscribers after it.  Delivery then stops, and the failure is
+        raised to the publisher that started it: a
+        :class:`~repro.errors.ReproError` as it is, anything else as an
+        :class:`~repro.errors.ActionError` naming the state whose
+        subscriber failed.  The states still queued stay queued — a
+        committed state is never dropped — and are delivered, in order,
+        ahead of the next published state or by the next :meth:`hold`
+        (a rule manager's ``flush()``).  Stopping matters: a failing
+        action whose own transaction aborts appends a state that would
+        fire it again."""
+        self.pending.append(state)
+        if not self._delivering:
+            self._deliver()
+
+    def hold(self, work: Callable[[], None]) -> None:
+        """Run ``work()`` as part of a delivery: states it publishes are
+        queued and delivered, in order, once it returns, after any state
+        a failed delivery left queued.  Inside a delivery this is just
+        ``work()``.  An exception from ``work`` itself is raised as it is
+        and leaves the queue for the next delivery."""
+        if self._delivering:
+            work()
+            return
+        self._delivering = True
+        try:
+            work()
+        finally:
+            self._delivering = False
+        self._deliver()
+
+    def _deliver(self) -> None:
+        self._delivering = True
+        pending = self.pending
+        failure = None
+        try:
+            while pending and failure is None:
+                state = pending[0]
+                delivered = 0
+                for sub in list(self._subscriptions):
+                    if not sub.active:
+                        continue
+                    delivered += 1
+                    try:
+                        sub.listener(state)
+                    except Exception as exc:
+                        if failure is None:
+                            failure = _as_delivery_error(state, exc)
+                pending.pop(0)
+                self.dispatch_count += 1
+                self.delivery_count += delivered
+                if self._m_on:
+                    self._m_dispatch.inc()
+                    self._m_delivery.inc(delivered)
+                    self._m_events.inc(len(state.events))
+        except BaseException:
+            # A crash tears through: what it left undelivered died with it.
+            pending.clear()
+            raise
+        finally:
+            self._delivering = False
+        if failure is not None:
+            raise failure
 
     def _prune(self) -> None:
         self._subscriptions = [s for s in self._subscriptions if s.active]
 
     def __len__(self) -> int:
         return len(self._subscriptions)
+
+
+def _as_delivery_error(state, exc: Exception) -> Exception:
+    """The error a subscriber's ``exc`` surfaces as.  The state is already
+    appended (and, with a WAL attached, durable): a subscriber blowing up
+    is an action failure, not a storage or transaction failure."""
+    if isinstance(exc, ReproError):
+        return exc
+    error = ActionError(
+        f"subscriber failed while processing state "
+        f"#{state.index} (t={state.timestamp}): {exc}"
+    )
+    error.__cause__ = exc
+    return error

@@ -94,8 +94,9 @@ class RecoveryManager:
     # -- logging side ------------------------------------------------------
 
     def start(self, engine) -> WriteAheadLog:
-        """Attach the WAL to ``engine`` (front of the event bus: states
-        are durable before rule actions observe them)."""
+        """Attach the WAL to ``engine``: every state is logged before the
+        engine installs and publishes it, so it is durable before any rule
+        action observes it."""
         self.wal = WriteAheadLog.attach(
             engine, self.wal_path, fsync=self.fsync, injector=self.injector
         )
@@ -109,7 +110,7 @@ class RecoveryManager:
     def checkpoint(self, engine, manager=None) -> dict:
         """Atomically checkpoint engine (+ temporal component) state.
         With a manager, call after ``manager.flush()`` at a quiet point
-        (no batched states)."""
+        (no firings held by batching)."""
         return write_checkpoint(
             self.checkpoint_path, engine, manager, injector=self.injector
         )

@@ -1,10 +1,11 @@
 """Durable write-ahead log of committed system states.
 
 Every state the engine appends — transaction commits, user events, clock
-ticks — is written to an append-only JSONL file *before* the rule manager
-(and therefore any rule action) observes it: the log subscribes at the
-front of the event bus.  Each record carries the state's identity and
-delta::
+ticks — is written to an append-only JSONL file *before* the engine
+installs and publishes it (:meth:`WriteAheadLog.prepare`, called from
+:meth:`repro.engine.ActiveDatabase._prepare_durable`), so no rule action
+observes a state that is not logged.  Each record carries the state's
+identity and delta::
 
     {"seq": 7, "ts": 12, "events": [["transaction_commit", [3]]],
      "changes": {"price": {"kind": "scalar", "value": 60.0},
@@ -81,15 +82,10 @@ class WriteAheadLog:
         self.records_written = 0
         self._prev = None
         self._fp = None
-        self._subscription = None
         self._m_records = None
         self._m_bytes = None
         self._m_groups = None
         self._m_retries = None
-        #: Index of the state most recently written via :meth:`prepare`
-        #: (the engine's pre-install durability hook); the bus
-        #: subscription skips it to avoid double-logging.
-        self._last_prepared: Optional[int] = None
         #: Active group id (None outside a group) and whether the group
         #: has written any record yet (empty groups skip the marker).
         self._group: Optional[int] = None
@@ -108,10 +104,9 @@ class WriteAheadLog:
         """Start logging ``engine``'s states to ``path``.
 
         If the file is empty (or absent) a base record with the full
-        current state and query catalog is written first.  The
-        subscription goes to the *front* of the bus: a state is durable
-        before any other subscriber — in particular the rule manager —
-        sees it."""
+        current state and query catalog is written first.  From then on
+        the engine hands every state to :meth:`prepare` before it
+        installs and publishes it."""
         wal = cls(path, fsync=fsync, injector=injector)
         wal._prev = engine.db.state
         fresh = not wal.path.exists() or wal.path.stat().st_size == 0
@@ -124,12 +119,10 @@ class WriteAheadLog:
             # creation must not lose the base record to an unsynced
             # directory entry.
             fsync_dir(wal.path.parent if str(wal.path.parent) else ".")
-        wal._subscription = engine.bus.subscribe(wal._on_state, front=True)
         wal._engine = engine
-        if hasattr(engine, "durability"):
-            # The engine's batch() amortizes our fsync via
-            # begin_group()/end_group().
-            engine.durability = wal
+        # The engine prepares every state with us, and its batch()
+        # amortizes our fsync via begin_group()/end_group().
+        engine.durability = wal
         registry = getattr(engine, "metrics", None)
         if registry is not None and registry.enabled:
             wal._m_records = registry.counter("wal_records_total")
@@ -142,20 +135,8 @@ class WriteAheadLog:
 
     def prepare(self, state) -> None:
         """Write ``state``'s record durably *before* the engine installs
-        it (called from the commit path via
-        :meth:`~repro.engine.ActiveDatabase._prepare_durable`).  The bus
-        subscription then recognizes the already-prepared state and skips
-        it, so every state is logged exactly once either way."""
-        self._log_state(state)
-        self._last_prepared = state.index
-
-    def _on_state(self, state) -> None:
-        if state.index == self._last_prepared:
-            # Already durable via prepare(); nothing to log.
-            return
-        self._log_state(state)
-
-    def _log_state(self, state) -> None:
+        it (called for every appended state via
+        :meth:`~repro.engine.ActiveDatabase._prepare_durable`)."""
         if self.injector is not None:
             self.injector.hit(PRE_COMMIT)
         record = encode_state(state, self._prev)
@@ -278,9 +259,6 @@ class WriteAheadLog:
         os.fsync(self._fp.fileno())
 
     def detach(self) -> None:
-        if self._subscription is not None:
-            self._subscription.cancel()
-            self._subscription = None
         if self._engine is not None:
             if getattr(self._engine, "durability", None) is self:
                 self._engine.durability = None

@@ -4,9 +4,10 @@
 temporal component, i.e. a system that executes the temporal condition
 evaluation algorithm for each trigger."  The manager:
 
-* subscribes to the engine's event bus and steps every trigger's
-  condition on one :class:`~repro.ptl.plan.SharedPlan` per new system
-  state;
+* subscribes to the engine's event bus, which delivers states in commit
+  order, and evaluates each state at one position — when it is delivered:
+  every trigger's condition on one :class:`~repro.ptl.plan.SharedPlan`,
+  every integrity constraint and every future monitor;
 * enforces integrity constraints at the ``attempts_to_commit`` event by
   *trial evaluation*: each IC steps the candidate state once, vetoing the
   commit when the IC condition (``attempts_to_commit(X) & !c``) fires; the
@@ -19,7 +20,9 @@ evaluation algorithm for each trigger."  The manager:
   for stateless, event-guarded conditions, where it is sound, and the
   plan computes such a condition only for a rule considered) and
   *batched invocation* ("trigger firing may be delayed, but not go
-  unrecognized").
+  unrecognized"): ``batch_size`` and an open ``engine.batch()`` delay
+  what a firing puts out — its firing-log entry, trace and counters, and
+  its action — never the position at which its condition was evaluated.
 """
 
 from __future__ import annotations
@@ -97,13 +100,24 @@ class _RegisteredMonitor:
         #: (verdict, timestamp) per resolution.
         self.resolutions: list[tuple[str, int]] = []
 
-    def step(self, state, engine):
+    def step(self, state):
+        """Progress the obligation over ``state``; returns the verdict it
+        resolves to here, else None."""
         from repro.ptl.future import FutureMonitor, Verdict
 
         already_resolved = self.monitor.verdict is not Verdict.PENDING
         verdict = self.monitor.step(state)
         if verdict is Verdict.PENDING or already_resolved:
-            return
+            return None
+        if self.respawn:
+            # a fresh obligation starts with the next state
+            self.monitor = FutureMonitor(self.formula, self._ctx)
+        return verdict
+
+    def resolve(self, verdict, state, engine) -> None:
+        """Record a resolution and run its callback action."""
+        from repro.ptl.future import Verdict
+
         self.resolutions.append((verdict.value, state.timestamp))
         callback = (
             self.on_satisfied
@@ -112,9 +126,6 @@ class _RegisteredMonitor:
         )
         if callback is not None:
             callback.execute(ActionContext(engine, {}, state, self.name))
-        if self.respawn:
-            # a fresh obligation starts with the next state
-            self.monitor = FutureMonitor(self.formula, self._ctx)
 
 
 @dataclass
@@ -223,9 +234,14 @@ class RuleManager:
         elimination, so overlapping conditions are evaluated once per
         state instead of once per rule.  Each integrity constraint has a
         private plan (:class:`IncrementalEvaluator`), stepped once per
-        state: at ``attempts_to_commit`` on the candidate, a step that is
-        kept when the candidate is published and undone when the commit
-        is vetoed or refused.
+        state, in index order: at ``attempts_to_commit`` on the candidate,
+        a step that is kept when the candidate is published and undone
+        when the commit is vetoed or refused.
+
+        ``batch_size`` > 1 holds the outputs of that many states —
+        firing-log entries with their traces and counters, and actions —
+        before releasing them (:meth:`flush`); conditions still step every
+        state when it is delivered.
 
         ``isolate_action_failures=True`` contains a raising trigger action
         to its own rule: the exception is recorded (a ``"failed"``
@@ -275,9 +291,14 @@ class RuleManager:
         #: is registered.  See :meth:`_derive_readers`.
         self._read_rules: Optional[frozenset[str]] = frozenset()
         self._pending_actions: list[tuple[Rule, dict, Any]] = []
-        self._queue: list = []
-        self._batch: list = []
-        self._draining = False
+        #: Per delivered state with firings or monitor resolutions, what
+        #: they put out: ``(state, [(reg, binding, record)], [(monitor,
+        #: verdict)])``, released in order by :meth:`flush`.
+        self._outputs: list = []
+        #: Delivered states whose outputs are not released yet, and the
+        #: newest delivered state's time (the retention horizon's base).
+        self._held = 0
+        self._newest_ts: Optional[int] = None
         self._validator_installed = False
         #: Triggers in evaluation order (:meth:`_ordered_rules`); None =
         #: re-sort.
@@ -285,6 +306,8 @@ class RuleManager:
         #: The candidate the ICs were last stepped on and their snapshots
         #: from before that step, while its publication is pending.
         self._trial: Optional[tuple] = None
+        #: Index of the newest state the ICs have stepped for good.
+        self._ic_index = engine.state_count - 1
         self.states_seen = 0
         #: Consecutive-failure count per rule and the quarantined set.
         self._action_failures: dict[str, int] = {}
@@ -295,9 +318,9 @@ class RuleManager:
         self._replaying = False
 
         self._subscription = engine.bus.subscribe(self._on_state)
-        # Group-commit hook: while the engine holds a batch open, trigger
-        # processing is deferred; the engine calls back (post-fsync) when
-        # the batch is durable.
+        # Group-commit hook: while the engine holds a batch open, outputs
+        # are held; the engine calls back (post-fsync) when the batch is
+        # durable.
         self._batch_listener = self._on_batch_end
         listeners = getattr(engine, "batch_listeners", None)
         if listeners is not None:
@@ -326,18 +349,17 @@ class RuleManager:
         return out
 
     def _lifecycle_sync(self, op: str, name: str) -> None:
-        """Bring the manager to a consistent stream position before a
-        rule-base change: batched states are evaluated first, so the
-        change takes effect strictly *after* every state already
-        ingested.  Inside an open engine ingest batch the held-back
-        states are not yet durable (WAL-before-actions), so a change
-        there is rejected rather than flushed early."""
-        if self._batch and getattr(self.engine, "in_batch", False):
+        """Release held outputs before a rule-base change, so every firing
+        already evaluated is logged and acted on under the rule base it
+        fired in.  Inside an open engine ingest batch the held states are
+        not yet durable (WAL-before-actions), so a change there is
+        rejected rather than flushed early."""
+        if self._held and getattr(self.engine, "in_batch", False):
             raise RuleError(
                 f"cannot {op} rule {name!r} inside an open ingest batch "
                 "(states pending group commit); close the batch first"
             )
-        if self._batch:
+        if self._held:
             self.flush()
 
     def _derive_readers(self) -> None:
@@ -508,7 +530,7 @@ class RuleManager:
 
     def remove_rule(self, name: str) -> None:
         """Unregister a trigger, integrity constraint, or monitor.  Works
-        on a live manager: batched states are evaluated first, then the
+        on a live manager: held outputs are released first, then the
         rule's evaluator state (including its share of the plan DAG) is
         released, its queued detached actions are dropped, and its
         quarantine bookkeeping is cleared.  Past firings stay; so do
@@ -606,8 +628,13 @@ class RuleManager:
     def _validate(self, candidate, txn) -> list[str]:
         """Step every IC on the commit candidate.  The step is the IC's
         step for that state if the candidate is published (see
-        :meth:`_settle_trial`); a pending trial whose commit never
-        published is undone first."""
+        :meth:`_settle_trial`).  States published ahead of the candidate
+        that the bus has not delivered yet — an action that commits twice
+        — are stepped first, in commit order; a pending trial whose
+        commit never published is then undone."""
+        for state in self.engine.bus.pending:
+            if state.index > self._ic_index:
+                self._step_ics(state)
         self._settle_trial()
         violations = []
         snaps = []
@@ -636,12 +663,12 @@ class RuleManager:
         return violations
 
     def _settle_trial(self, state=None) -> bool:
-        """Resolve the pending IC trial against ``state``, the state just
-        published (None: nothing was).  Returns True when ``state`` is the
-        trial's candidate — the engine publishes the candidate object
-        itself — so the ICs have already stepped it; otherwise the trial
-        is undone (a veto, a commit the disk refused, another validator's
-        veto)."""
+        """Resolve the pending IC trial against ``state``, the next
+        published state (None: nothing was).  Returns True when ``state``
+        is the trial's candidate — the engine publishes the candidate
+        object itself — so the ICs have already stepped it; otherwise the
+        trial is undone (a veto, a commit the disk refused, another
+        validator's veto)."""
         trial, self._trial = self._trial, None
         if trial is None:
             return False
@@ -652,58 +679,68 @@ class RuleManager:
             evaluator.restore(snap)
         return False
 
-    # ------------------------------------------------------------------
-    # State processing
-    # ------------------------------------------------------------------
-
-    def _on_state(self, state) -> None:
-        # Integrity constraints step at publication, never queued or
-        # batched: a commit attempted from inside a cascade is judged on
-        # every state committed before it.
+    def _step_ics(self, state) -> None:
+        """Step every IC on ``state``, the next published state they have
+        not stepped (tracked by index, not by delivery: a commit's
+        validation may run before the states ahead of it are
+        delivered)."""
         stepped = self._settle_trial(state)
         for reg in self._ics.values():
             if not stepped:
                 reg.evaluator.step(state)
             reg.stats.evaluations += 1
-        self._queue.append(state)
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            while self._queue:
-                next_state = self._queue.pop(0)
-                self._process_state(next_state)
-        finally:
-            self._draining = False
+        self._ic_index = state.index
 
-    def _process_state(self, state) -> None:
+    # ------------------------------------------------------------------
+    # State processing
+    # ------------------------------------------------------------------
+
+    def _on_state(self, state) -> None:
+        """Evaluate a delivered state — the one position at which every
+        condition steps it — and hold what its firings put out until
+        ``batch_size`` states are held outside an engine batch."""
+        if state.index > self._ic_index:
+            # Integrity constraints are never held: a commit attempted
+            # from inside a cascade is judged on every state before it.
+            self._step_ics(state)
         self.states_seen += 1
-        self._batch.append(state)
+        self._step_conditions(state)
+        self._held += 1
+        self._newest_ts = state.timestamp
         if self._obs_on:
             self._m_states.inc()
-            self._m_batch.set(len(self._batch))
-        if len(self._batch) >= self.batch_size and not getattr(
+            self._m_batch.set(self._held)
+        if self._held >= self.batch_size and not getattr(
             self.engine, "in_batch", False
         ):
             self.flush()
 
     def _on_batch_end(self) -> None:
-        """The engine finished a group commit (states durable): process
-        everything that was held back while the batch was open."""
-        if len(self._batch) >= self.batch_size:
+        """The engine finished a group commit (states durable): release
+        what was held while the batch was open."""
+        if self._held >= self.batch_size:
             self.flush()
 
     def flush(self) -> None:
-        """Process any batched states now (Section 8: batched invocation
-        delays firing but never loses it)."""
-        batch, self._batch = self._batch, []
-        for state in batch:
-            self._step_triggers(state)
-        if self.executed_retention is not None and batch:
-            horizon = batch[-1].timestamp - self.executed_retention
-            self.executed.discard_before(horizon)
+        """Release the delayed outputs of every held state, in state
+        order: firing-log entries with their traces and counters, then
+        actions (Section 8: batched invocation delays firing but never
+        loses it).  The conditions already stepped each state when it was
+        delivered; states the actions commit are delivered after the
+        release, in commit order."""
+        self.engine.bus.hold(self._release_held)
+
+    def _release_held(self) -> None:
+        held, self._held = self._held, 0
+        outputs = self._outputs
+        while outputs:
+            self._release(*outputs.pop(0))
+        if self.executed_retention is not None and held:
+            self.executed.discard_before(
+                self._newest_ts - self.executed_retention
+            )
         if self._obs_on:
-            self._m_batch.set(len(self._batch))
+            self._m_batch.set(0)
             self._m_state_size.set(self.total_state_size())
             self._m_executed.set(len(self.executed))
             self._m_firing_log.set(len(self._firings))
@@ -716,9 +753,13 @@ class RuleManager:
             )
         return self._ordered
 
-    def _step_triggers(self, state) -> None:
+    def _step_conditions(self, state) -> None:
+        """Step the triggers and future monitors on ``state`` and hold
+        what fired.  Execution records are written here, once every
+        condition has read this state, so the next state's conditions see
+        them however long the action itself is delayed."""
         obs = self._obs_on
-        to_execute: list[tuple[Rule, dict]] = []
+        fired: list[list] = []  # [reg, binding, execution record]
         names = state.event_names()
         if self._rules:
             # One shared evaluation pass for all rules (shared temporal
@@ -747,62 +788,85 @@ class RuleManager:
             else:
                 bindings = reg.step(state)
             for binding in bindings:
-                reg.stats.firings += 1
-                self._firings.append(
-                    rule.name,
-                    tuple(sorted(binding.items(), key=lambda kv: kv[0])),
-                    state.index,
-                    state.timestamp,
-                    rule.shadow,
+                fired.append([reg, binding, None])
+        for entry in fired:
+            rule = entry[0].rule
+            # A shadow rule's firing enters no executed record: it cannot
+            # perturb live behaviour (other rules' executed() atoms).
+            if not rule.shadow and rule.coupling is CouplingMode.T_CA:
+                entry[2] = self._record(rule, entry[1], state)
+        resolved = []
+        for monitor in self._monitors.values():
+            verdict = monitor.step(state)
+            if verdict is not None:
+                resolved.append((monitor, verdict))
+        if fired or resolved:
+            self._outputs.append((state, fired, resolved))
+
+    def _release(self, state, fired, resolved) -> None:
+        """Put out what fired at ``state``: its firing-log entries, traces
+        and counters, then its T-CA actions (T-C-A ones are queued for
+        :meth:`run_pending`), then its monitor callbacks."""
+        obs = self._obs_on
+        to_execute = []
+        for reg, binding, rec in fired:
+            rule = reg.rule
+            reg.stats.firings += 1
+            self._firings.append(
+                rule.name,
+                tuple(sorted(binding.items(), key=lambda kv: kv[0])),
+                state.index,
+                state.timestamp,
+                rule.shadow,
+            )
+            if obs:
+                reg.m_firings.inc()
+                self.trace.emit(
+                    SHADOW_FIRING if rule.shadow else FIRING,
+                    timestamp=state.timestamp,
+                    rule=rule.name,
+                    state_index=state.index,
+                    bindings=dict(binding),
                 )
-                if obs:
-                    reg.m_firings.inc()
-                    self.trace.emit(
-                        SHADOW_FIRING if rule.shadow else FIRING,
-                        timestamp=state.timestamp,
-                        rule=rule.name,
-                        state_index=state.index,
-                        bindings=dict(binding),
-                    )
-                if rule.shadow:
-                    # Shadow deployment: the firing is observable above,
-                    # but the action and the executed-store record are
-                    # both suppressed — a shadow rule cannot perturb
-                    # live behaviour (other rules' executed() atoms).
-                    if reg.m_shadow_firings is not None:
-                        reg.m_shadow_firings.inc()
-                    continue
-                if rule.coupling is CouplingMode.T_CA:
-                    to_execute.append((rule, binding))
-                elif rule.coupling is CouplingMode.T_C_A:
-                    self._pending_actions.append((rule, binding, state))
+            if rule.shadow:
+                # Shadow deployment: the firing is observable above, but
+                # the action is suppressed.
+                if reg.m_shadow_firings is not None:
+                    reg.m_shadow_firings.inc()
+                continue
+            if rule.coupling is CouplingMode.T_CA:
+                to_execute.append((rule, binding, rec))
+            elif rule.coupling is CouplingMode.T_C_A:
+                self._pending_actions.append((rule, binding, state))
         if obs:
             self._m_pending.set(len(self._pending_actions))
-        for rule, binding in to_execute:
-            self._execute(rule, binding, state)
-        for monitor in list(self._monitors.values()):
-            before = len(monitor.resolutions)
-            monitor.step(state, self.engine)
-            if obs and len(monitor.resolutions) > before:
-                verdict, ts = monitor.resolutions[-1]
+        for rule, binding, rec in to_execute:
+            self._run_action(rule, binding, state, rec)
+        for monitor, verdict in resolved:
+            monitor.resolve(verdict, state, self.engine)
+            if obs:
                 self.metrics.counter(
                     "monitor_resolutions_total",
                     monitor=monitor.name,
-                    verdict=verdict,
+                    verdict=verdict.value,
                 ).inc()
                 self.trace.emit(
                     MONITOR,
-                    timestamp=ts,
+                    timestamp=state.timestamp,
                     monitor=monitor.name,
-                    verdict=verdict,
+                    verdict=verdict.value,
                 )
 
-    def _execute(self, rule: Rule, binding: dict, state) -> None:
-        rec = None
+    def _record(self, rule: Rule, binding: dict, state):
+        """The execution record of ``rule`` firing at ``state``, when some
+        live condition reads ``rule``'s executions (else None)."""
         read = self._read_rules
         if read is None or rule.name in read:
             params = tuple(binding.get(p) for p in rule.params)
-            rec = self.executed.record(rule.name, params, state.timestamp)
+            return self.executed.record(rule.name, params, state.timestamp)
+        return None
+
+    def _run_action(self, rule: Rule, binding: dict, state, rec) -> None:
         if self._replaying or rule.name in self._quarantined:
             return
         ctx = ActionContext(self.engine, binding, state, rule.name)
@@ -893,7 +957,9 @@ class RuleManager:
         """Execute queued T-C-A actions; returns how many ran."""
         pending, self._pending_actions = self._pending_actions, []
         for rule, binding, state in pending:
-            self._execute(rule, binding, state)
+            self._run_action(
+                rule, binding, state, self._record(rule, binding, state)
+            )
         if self._obs_on:
             self._m_pending.set(0)
         return len(pending)
@@ -927,15 +993,16 @@ class RuleManager:
         Everything needed to resume monitoring is captured: evaluator
         states (the triggers' plan and each IC's), the executed store,
         firing records, per-rule rising-edge memory, queued T-C-A actions,
-        and the failure-isolation bookkeeping.  The manager must be
-        quiescent — no batched or queued states (call :meth:`flush`
-        first).  Restore into a freshly built manager with the *same*
-        rules registered (see :meth:`from_state`)."""
+        and the failure-isolation bookkeeping.  Every condition has
+        stepped every delivered state, so the manager only has to be
+        quiescent in its outputs — none held by batching (call
+        :meth:`flush` first).  Restore into a freshly built manager with
+        the *same* rules registered (see :meth:`from_state`)."""
         if self._monitors:
             raise RecoveryError(
                 "future-obligation monitors are not checkpointable"
             )
-        if self._batch or self._queue:
+        if self._held:
             raise RecoveryError(
                 "cannot checkpoint with batched states pending; flush() first"
             )
@@ -1045,6 +1112,7 @@ class RuleManager:
         changed_set = set(drift["changed"])
         plan_state = payload["plan"]
         self._settle_trial()
+        self._ic_index = self.engine.state_count - 1
         self.states_seen = payload["states_seen"]
         self.executed.from_state(payload["executed"])
         # Records of rules no registered condition reads are not kept.

@@ -287,7 +287,13 @@ def served_sig(engine, manager) -> tuple:
 class VersionRecorder:
     """Keeps, for every state an engine appends, a flat copy of the named
     relations — taken on the bus, while the version is still the newest
-    one and its table is its own."""
+    one and its table is its own.
+
+    The bus delivers a state to one subscriber after another, so a rule
+    action that commits while an earlier subscriber handles the state
+    supersedes it before a later subscriber sees it.  Build the recorder
+    before any rule manager whose actions commit; the rule sets that use
+    it here only record their firings."""
 
     def __init__(self, engine, names: Sequence[str] = ("ORDERS",)):
         self.engine = engine

@@ -15,7 +15,14 @@ the one production backend with and without Section 8 filtering:
 Each hypothesis-generated rule set × operation sequence runs on every
 backend, and all backends must produce identical firings (rule,
 bindings, state index, timestamp) and identical executed-relation
-contents.  Query plans and delta skipping are not cells: they are always
+contents.
+
+A fourth row, ``group-commit``, feeds the same operations through
+``engine.batch()`` in chunks and adds one rule whose T-CA action posts an
+event.  Those actions run when a batch is durable, so they append states
+after the batch's own: this row's history differs from the others', and
+each of its firings is checked against :mod:`repro.ptl.semantics` over
+that engine's own history.  Query plans and delta skipping are not cells: they are always
 on in the incremental rows, and the naive row never consults a
 :class:`~repro.query.plan.DeltaGate`.
 
@@ -26,11 +33,12 @@ conformance across the incremental backends is covered separately
 below.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ActiveDatabase
 from repro.events import user_event
+from repro.ptl import answers
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 from repro.rules.rule import FireMode
@@ -118,6 +126,67 @@ def test_backends_agree(rules, ops):
         assert sig == oracle, (
             f"backend {name} diverged from the naive reference"
         )
+
+
+# -- group commit: every firing against the oracle over its own history -------
+
+
+def post_halt(ctx):
+    ctx.engine.post_event(user_event("halt"))
+
+
+def oracle_firings(states, name, condition, fire_mode) -> list:
+    """``name``'s firings over ``states`` by the reference semantics."""
+    out, previous = [], frozenset()
+    for i, state in enumerate(states):
+        current = frozenset(
+            tuple(sorted(b.items())) for b in answers(states, i, condition)
+        )
+        new = current
+        if fire_mode is FireMode.RISING_EDGE:
+            new = current - previous
+        previous = current
+        out.extend((name, b, i, state.timestamp) for b in new)
+    return out
+
+
+@given(rules=rule_sets, ops=op_streams, chunk=st.integers(1, 4))
+@example(  # the action's @halt state comes after the batch's @set 60
+    rules=[(3, FireMode.ALWAYS, 0)], ops=[("ev", "go"), ("set", 60)], chunk=2
+)
+@settings(max_examples=100)
+def test_group_commit_row_agrees_with_the_oracle(rules, ops, chunk):
+    adb = ActiveDatabase()
+    adb.declare_item("price", 0)
+    manager = RuleManager(adb)
+    specs = []
+    for i, (template, fire_mode, priority) in enumerate(rules):
+        rule = manager.add_trigger(
+            f"r{i}", TEMPLATES[template], RecordingAction(),
+            fire_mode=fire_mode, priority=priority,
+        )
+        specs.append((rule, fire_mode))
+    specs.append((manager.add_trigger("post", "@go", post_halt), None))
+    for start in range(0, len(ops), chunk):
+        with adb.batch():
+            for op in ops[start:start + chunk]:
+                if op[0] == "set":
+                    adb.execute(lambda t, v=op[1]: t.set_item("price", v))
+                else:
+                    adb.post_event(user_event(op[1]))
+    manager.flush()
+    states = adb.history.states
+    assert len(states) == len(ops) + sum(op == ("ev", "go") for op in ops)
+    expected = []
+    for rule, fire_mode in specs:
+        expected += oracle_firings(
+            states, rule.name, rule.condition, fire_mode
+        )
+    got = [
+        (f.rule, f.bindings, f.state_index, f.timestamp)
+        for f in manager.firings
+    ]
+    assert sorted(got, key=repr) == sorted(expected, key=repr)
 
 
 # -- executed-coupled conformance (incremental backends only) ---------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ClockError
+from repro.errors import ActionError, ClockError
 from repro.events import Clock, Event, EventBus, user_event
 from repro.events.model import (
     attempts_to_commit,
@@ -65,13 +65,55 @@ class TestBus:
         bus.publish(self._state("e", ts=4))
         assert seen == [("a", 4), ("b", 4)]
 
-    def test_event_name_filter(self):
+    def test_delivers_in_publication_order(self):
+        """A state published during a delivery waits until the current
+        one has reached every subscriber."""
         bus = EventBus()
         seen = []
-        bus.subscribe(lambda s: seen.append(s.timestamp), event_names=["x"])
+
+        def first(s):
+            seen.append(("a", s.timestamp))
+            if s.timestamp == 1:
+                bus.publish(self._state("e", ts=2))
+                assert [ts for _, ts in seen] == [1]  # queued, not delivered
+
+        bus.subscribe(first)
+        bus.subscribe(lambda s: seen.append(("b", s.timestamp)))
         bus.publish(self._state("e", ts=1))
-        bus.publish(self._state("x", "e", ts=2))
-        assert seen == [2]
+        assert seen == [("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+        assert not bus.pending
+
+    def test_failing_subscriber_stops_after_its_state(self):
+        """The failing state still reaches the later subscribers; what
+        is queued behind it goes out ahead of the next publication."""
+        bus = EventBus()
+        seen = []
+
+        def first(s):
+            if s.timestamp == 1:
+                bus.publish(self._state("e", ts=2))
+                raise RuntimeError("boom")
+
+        bus.subscribe(first)
+        bus.subscribe(lambda s: seen.append(s.timestamp))
+        with pytest.raises(ActionError, match="t=1"):
+            bus.publish(self._state("e", ts=1))
+        assert seen == [1]
+        assert [s.timestamp for s in bus.pending] == [2]
+        bus.publish(self._state("e", ts=3))
+        assert seen == [1, 2, 3]
+
+    def test_hold_delivers_after_the_work(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda s: seen.append(s.timestamp))
+
+        def work():
+            bus.publish(self._state("e", ts=1))
+            seen.append("work done")
+
+        bus.hold(work)
+        assert seen == ["work done", 1]
 
     def test_cancel(self):
         bus = EventBus()
@@ -85,10 +127,12 @@ class TestBus:
     def test_counters(self):
         bus = EventBus()
         bus.subscribe(lambda s: None)
-        bus.subscribe(lambda s: None, event_names=["never"])
+        sub = bus.subscribe(lambda s: None)
         bus.publish(self._state("e"))
-        assert bus.dispatch_count == 1
-        assert bus.delivery_count == 1
+        sub.cancel()
+        bus.publish(self._state("e", ts=2))
+        assert bus.dispatch_count == 2
+        assert bus.delivery_count == 3
 
 
 class TestSystemState:
