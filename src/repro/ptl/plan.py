@@ -40,11 +40,12 @@ other: they compile through the same cache under the same key, so a ψ that
 also occurs in another rule's condition — or in five other aggregates — is
 one node, stepped once per state.
 
-A root is computed on every state, except that of a stateless condition
-gated by an event atom (:func:`infer_relevant_events`), which is computed
-when its result is read.  So Section 8's relevance filter reaches into
-the plan: a rule the rule manager does not consider on a state costs
-nothing there, and records not fired.
+A root is computed when its result is read; :meth:`SharedPlan.complete`
+computes the roots nobody read and prunes, except that of a stateless
+condition gated by an event atom (:func:`infer_relevant_events`), computed
+only when read.  So Section 8's relevance filter reaches into the plan:
+a rule the manager does not consider on a state costs nothing there, and
+a trial step rolled back before it completes costs only what was read.
 
 This is the one condition-evaluation backend: a standalone condition is
 a plan holding one rule (:class:`IncrementalEvaluator`).  THEOREM 1
@@ -229,6 +230,7 @@ class _PlanRule:
         "instance_births",
         "maintains",
         "events",
+        "at",
     )
 
     def __init__(self, name, formula, ctx, time_vars, qvars):
@@ -252,9 +254,11 @@ class _PlanRule:
         #: (:meth:`SharedPlan.add_aggregate_rules`); None for conditions.
         self.maintains: Optional[_AggregateState] = None
         #: The event atoms a stateless condition conjoins
-        #: (:func:`infer_relevant_events`): its root is computed when its
-        #: result is read.  None: on every state.
+        #: (:func:`infer_relevant_events`): its root is computed only when
+        #: its result is read.  None: by :meth:`SharedPlan.complete` too.
         self.events: Optional[frozenset[str]] = None
+        #: Plan epoch of ``result`` (:meth:`SharedPlan._result`).
+        self.at = 0
 
     def roots(self) -> Iterator[_Node]:
         if self.root is not None:
@@ -292,10 +296,10 @@ class SharedPlan:
         #: Number of steps taken; also the memoization epoch.
         self.epoch = 0
         self._last_state: Optional[SystemState] = None
+        #: The stepped state whose unread roots are not computed yet
+        #: (:meth:`complete`); None once complete.
+        self._open: Optional[SystemState] = None
         self._rules: dict[str, _PlanRule] = {}
-        #: Rules the next step resets to not fired: the gated roots read
-        #: at this state (all rules after a restore).
-        self._read: list[_PlanRule] = []
         #: (subformula, avail, prune set, birth epoch) -> memo node.
         self._nodes: dict = {}
         #: (node, prune set, birth epoch) per distinct temporal node.
@@ -349,7 +353,7 @@ class SharedPlan:
                 )
         entry = _PlanRule(name, formula, rule_ctx, _time_vars(formula), qvars)
         entry.events = infer_relevant_events(formula)
-        entry.birth = self.epoch
+        entry.birth = entry.at = self.epoch
         entry.seq = self._next_seq
         self._next_seq += 1
         if not qvars:
@@ -494,27 +498,35 @@ class SharedPlan:
     # ------------------------------------------------------------------
 
     def step(self, state: SystemState) -> None:
-        """Process one new system state for *all* rules: every root is
-        computed, a gated stateless one when read (:meth:`_result`).  Idempotent per state object: the per-rule
-        views each call this, the first one does the work."""
+        """Process one new system state for *all* rules; the step is
+        open until :meth:`complete`.  Idempotent per state object: the
+        per-rule views each call this, the first one does the work."""
         if state is self._last_state:
             return
-        self._last_state = state
+        self.complete()
+        self._last_state = self._open = state
         self.epoch += 1
         for entry in self._rules.values():
             if entry.qvars:
                 self._refresh_instances(entry, state)
         for agg in self._aggregates.values():
             agg.step(state)
-        # A gated root read at the previous state is not fired here until
-        # it is read again (:meth:`_result`).
-        for entry in self._read:
-            entry.last_top = cs.CFALSE
-            entry.result = _FALSE_RESULT
-        self._read = []
+
+    def complete(self) -> None:
+        """Close the open step: compute every root not read at its state
+        (a gated stateless one is not fired there), then prune.  The next
+        step and every read of the plan's state call this; a step rolled
+        back by :meth:`restore` never completes."""
+        state, self._open = self._open, None
+        if state is None:
+            return
         for entry in self._rules.values():
+            if entry.at == self.epoch:
+                continue
             if entry.events is None:
                 entry.result = self._eval_rule(entry, state)
+            else:
+                entry.last_top, entry.result = cs.CFALSE, _FALSE_RESULT
         if self.optimize:
             for node, prune_set, _ in self._temporal:
                 if prune_set:
@@ -526,14 +538,14 @@ class SharedPlan:
         return self._result(self._rules[name])
 
     def _result(self, entry: _PlanRule) -> FireResult:
-        """The rule's result at the current state; a gated root is
-        computed when read (again on a second read, from memo nodes)."""
-        if entry.events is not None and self._last_state is not None:
+        """The rule's result at the current state, computed on its first
+        read there."""
+        if entry.at != self.epoch and self._last_state is not None:
             entry.result = self._eval_rule(entry, self._last_state)
-            self._read.append(entry)
         return entry.result
 
     def _eval_rule(self, entry: _PlanRule, state) -> FireResult:
+        entry.at = self.epoch
         if entry.root is not None:
             top = entry.root.compute(state)
             entry.last_top = top
@@ -587,6 +599,7 @@ class SharedPlan:
         return self.compile_shared / self.compile_requests
 
     def stored_formulas(self) -> list[tuple[str, cs.C]]:
+        self.complete()
         out = []
         for node, _, _ in self._temporal:
             out.extend(node.stored_formulas())
@@ -626,7 +639,9 @@ class SharedPlan:
 
     def snapshot(self):
         """Whole-plan snapshot (temporal node states, aggregate states,
-        per-rule results).  Restoring also rolls back the step count."""
+        per-rule results) of the completed step.  Restoring also rolls
+        back the step count."""
+        self.complete()
         return (
             self.epoch,
             self._last_state,
@@ -654,7 +669,7 @@ class SharedPlan:
                 self._release(entry.instances.pop(combo))
         self.epoch = epoch
         self._last_state = last_state
-        self._read = list(self._rules.values())
+        self._open = None
         # The memo cache is keyed on the epoch being rolled back: the next
         # step reuses it, and must not read the abandoned step's values.
         for memo in self._nodes.values():
@@ -668,6 +683,10 @@ class SharedPlan:
             if name in self._rules:
                 self._rules[name].last_top = last_top
                 self._rules[name].result = result
+        for entry in self._rules.values():
+            entry.at = epoch
+        if self._obs_on:
+            self._record_metrics()
 
     # ------------------------------------------------------------------
     # Serialization (recovery checkpoints)
@@ -686,6 +705,7 @@ class SharedPlan:
         (label, prune set, birth) pools rather than by position — which
         makes checkpoints taken after :meth:`remove_rule` (where replay
         order can differ from original compile order) restorable."""
+        self.complete()
         return {
             "epoch": self.epoch,
             "next_seq": self._next_seq,
@@ -797,8 +817,9 @@ class SharedPlan:
             if not entry.qvars:
                 self._compile_root(entry)
         self._next_seq = next_seq
-        self._last_state = None
-        self._read = list(self._rules.values())
+        self._last_state = self._open = None
+        for entry in self._rules.values():
+            entry.at = self.epoch
 
         # Pool matching by (label, prune set, birth): nodes with the same
         # pool key carry identical state (temporal children and aggregate
@@ -918,6 +939,7 @@ class PlanBoundEvaluator:
         return out
 
     def stored_formulas(self) -> list[tuple[str, cs.C]]:
+        self.plan.complete()
         return [
             pair
             for node in self._under(_TEMPORAL)
@@ -944,9 +966,11 @@ class PlanBoundEvaluator:
 
 class IncrementalEvaluator(PlanBoundEvaluator):
     """Incremental detector for one PTL condition: the sole view of a
-    private one-rule :class:`SharedPlan`, so a standalone condition (an
-    integrity constraint, a valid-time trigger, a future-monitor atom)
-    runs through exactly the code a shared rule base does.
+    private one-rule :class:`SharedPlan`, so a standalone condition (a
+    valid-time trigger, a future-monitor atom, a baseline's condition)
+    runs through exactly the code a shared rule base does.  A rule
+    manager's triggers and integrity constraints are not standalone: they
+    are roots of the manager's one plan.
 
     Parameters
     ----------
@@ -970,8 +994,8 @@ class IncrementalEvaluator(PlanBoundEvaluator):
 
     Call :meth:`step` with each appended system state; the result reports
     firing and free-variable bindings.  :meth:`snapshot` before a *trial*
-    step lets :meth:`restore` undo it (integrity-constraint enforcement
-    undoes the step on a commit candidate that is never published).
+    step lets :meth:`restore` undo it.  The private plan is ``plan``; a
+    checkpoint serializes it (:meth:`SharedPlan.to_state`).
     """
 
     def __init__(
@@ -1046,24 +1070,4 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         if self._obs_on:
             # Gauges must reflect the restored state, not the pre-restore
             # one (no stale R_x counts after a snapshot round-trip).
-            self._record_gauges()
-
-    # -- serialization (recovery checkpoints) --------------------------------
-
-    def to_state(self) -> dict:
-        """JSON-serializable evaluator state (the recovery counterpart of
-        the in-memory :meth:`snapshot`): the step count around the private
-        plan's own checkpoint section (which fingerprints the normalized
-        condition: :meth:`from_state` refuses to load state into an
-        evaluator compiled from a different one)."""
-        return {"steps": self.steps, "plan": self.plan.to_state()}
-
-    def from_state(self, payload: dict) -> None:
-        """Load serialized state produced by :meth:`to_state`.  The
-        evaluator must have been constructed from the same formula (and
-        context domains); domain-indexed instances are re-instantiated
-        from their recorded keys."""
-        self.plan.from_state(payload["plan"])
-        self.steps = payload["steps"]
-        if self._obs_on:
             self._record_gauges()

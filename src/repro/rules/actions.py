@@ -33,6 +33,17 @@ class Action:
         raise NotImplementedError
 
 
+def _failure(label: str, ctx: ActionContext, exc: Exception) -> ActionError:
+    """The error an action that raised ``exc`` surfaces as: it names the
+    rule and the state it fired at (a valid-time firing has no index)."""
+    index = getattr(ctx.state, "index", None)
+    at = "" if index is None else f"#{index} "
+    return ActionError(
+        f"action {label!r} of rule {ctx.rule_name!r} failed at state "
+        f"{at}(t={ctx.state.timestamp}): {exc}"
+    )
+
+
 class PyAction(Action):
     """A program as action: an arbitrary callable receiving the context."""
 
@@ -44,9 +55,7 @@ class PyAction(Action):
         try:
             self.fn(ctx)
         except Exception as exc:
-            raise ActionError(
-                f"action {self.label!r} of rule {ctx.rule_name!r} failed: {exc}"
-            ) from exc
+            raise _failure(self.label, ctx, exc) from exc
 
     def __repr__(self) -> str:
         return f"PyAction({self.label})"
@@ -67,9 +76,7 @@ class DbAction(Action):
             self.fn(txn, ctx.bindings)
         except Exception as exc:
             txn.abort(reason=f"action {self.label!r} failed")
-            raise ActionError(
-                f"action {self.label!r} of rule {ctx.rule_name!r} failed: {exc}"
-            ) from exc
+            raise _failure(self.label, ctx, exc) from exc
         txn.commit()
 
     def __repr__(self) -> str:

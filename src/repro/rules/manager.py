@@ -4,14 +4,18 @@
 temporal component, i.e. a system that executes the temporal condition
 evaluation algorithm for each trigger."  The manager:
 
-* subscribes to the engine's event bus, which delivers states in commit
-  order, and evaluates each state at one position — when it is delivered:
-  every trigger's condition on one :class:`~repro.ptl.plan.SharedPlan`,
-  every integrity constraint and every future monitor;
+* compiles every condition — each trigger's and each integrity
+  constraint's — into one :class:`~repro.ptl.plan.SharedPlan`, and steps
+  that plan once per state, in commit order;
 * enforces integrity constraints at the ``attempts_to_commit`` event by
-  *trial evaluation*: each IC steps the candidate state once, vetoing the
-  commit when the IC condition (``attempts_to_commit(X) & !c``) fires; the
-  trial is kept when that candidate is published and undone otherwise;
+  *trial evaluation*: a commit's validation is its state's one step — the
+  plan steps the candidate, and the commit is vetoed when an IC root
+  (``attempts_to_commit(X) & !c``) fires; the step is kept when that
+  candidate is published and rolled back otherwise;
+* *settles* each stepped state in commit order — reads the triggers'
+  results, writes execution records, steps the future monitors and holds
+  what fired — at its delivery by the engine's event bus, or at the next
+  commit's validation when that comes first;
 * executes trigger actions according to their coupling mode, records
   the executions some live condition reads in the ``executed`` store
   (Section 7), and garbage-collects records past their retention;
@@ -52,12 +56,7 @@ from repro.obs.trace import (
 from repro.ptl import ast
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.parser import parse_formula
-from repro.ptl.plan import (
-    IncrementalEvaluator,
-    SharedPlan,
-    rule_drift,
-    rule_fingerprint,
-)
+from repro.ptl.plan import SharedPlan, rule_drift, rule_fingerprint
 from repro.ptl.safety import check_safety
 from repro.query.parser import parse_query
 from repro.rules.actions import Action, ActionContext, as_action
@@ -229,19 +228,20 @@ class RuleManager:
         a :class:`~repro.obs.metrics.MetricsRegistry`; ``trace`` likewise
         resolves to a :class:`~repro.obs.trace.TraceSink`.
 
-        Trigger conditions are compiled into one
-        :class:`~repro.ptl.plan.SharedPlan` with common-subformula
-        elimination, so overlapping conditions are evaluated once per
-        state instead of once per rule.  Each integrity constraint has a
-        private plan (:class:`IncrementalEvaluator`), stepped once per
-        state, in index order: at ``attempts_to_commit`` on the candidate,
-        a step that is kept when the candidate is published and undone
-        when the commit is vetoed or refused.
+        Every condition — triggers and integrity constraints alike — is a
+        root of one :class:`~repro.ptl.plan.SharedPlan` with
+        common-subformula elimination, so overlapping conditions are
+        evaluated once per state instead of once per rule.  The plan steps
+        each state once, in index order.  A commit's state is stepped at
+        ``attempts_to_commit``, where the IC roots judge the candidate; the
+        step is kept when the candidate is published and rolled back when
+        the commit is vetoed or refused.  Any other state is stepped when
+        it is delivered.
 
         ``batch_size`` > 1 holds the outputs of that many states —
         firing-log entries with their traces and counters, and actions —
         before releasing them (:meth:`flush`); conditions still step every
-        state when it is delivered.
+        state at its own position.
 
         ``isolate_action_failures=True`` contains a raising trigger action
         to its own rule: the exception is recorded (a ``"failed"``
@@ -281,8 +281,8 @@ class RuleManager:
         self._m_executed = self.metrics.gauge("executed_records")
         self._m_firing_log = self.metrics.gauge("firing_log_length")
 
+        #: Triggers and integrity constraints, by name.
         self._rules: dict[str, _RegisteredRule] = {}
-        self._ics: dict[str, _RegisteredRule] = {}
         self._monitors: dict[str, _RegisteredMonitor] = {}
         self._firings = FiringLog()
         #: Rules whose executions are recorded: those an ``executed``
@@ -291,23 +291,26 @@ class RuleManager:
         #: is registered.  See :meth:`_derive_readers`.
         self._read_rules: Optional[frozenset[str]] = frozenset()
         self._pending_actions: list[tuple[Rule, dict, Any]] = []
-        #: Per delivered state with firings or monitor resolutions, what
+        #: Per settled state with firings or monitor resolutions, what
         #: they put out: ``(state, [(reg, binding, record)], [(monitor,
-        #: verdict)])``, released in order by :meth:`flush`.
+        #: verdict)])``, released in order by :meth:`flush` once the
+        #: state is delivered.
         self._outputs: list = []
         #: Delivered states whose outputs are not released yet, and the
-        #: newest delivered state's time (the retention horizon's base).
+        #: newest delivered state (its time is the retention horizon's
+        #: base).
         self._held = 0
-        self._newest_ts: Optional[int] = None
+        self._delivered = None
         self._validator_installed = False
-        #: Triggers in evaluation order (:meth:`_ordered_rules`); None =
-        #: re-sort.
-        self._ordered: Optional[list[_RegisteredRule]] = None
-        #: The candidate the ICs were last stepped on and their snapshots
-        #: from before that step, while its publication is pending.
+        #: (triggers in evaluation order, integrity constraints)
+        #: (:meth:`_ordered_rules`); None = re-sort.
+        self._ordered: Optional[tuple[list, list]] = None
+        #: The candidate the plan last stepped at a commit's validation and
+        #: the plan's snapshot from before that step, until the candidate
+        #: is settled or the step rolled back.
         self._trial: Optional[tuple] = None
-        #: Index of the newest state the ICs have stepped for good.
-        self._ic_index = engine.state_count - 1
+        #: Index of the newest settled state.
+        self._settled = engine.state_count - 1
         self.states_seen = 0
         #: Consecutive-failure count per rule and the quarantined set.
         self._action_failures: dict[str, int] = {}
@@ -353,7 +356,8 @@ class RuleManager:
         already evaluated is logged and acted on under the rule base it
         fired in.  Inside an open engine ingest batch the held states are
         not yet durable (WAL-before-actions), so a change there is
-        rejected rather than flushed early."""
+        rejected rather than flushed early.  An unsettled trial step is
+        rolled back: no root may compile at an abandoned epoch."""
         if self._held and getattr(self.engine, "in_batch", False):
             raise RuleError(
                 f"cannot {op} rule {name!r} inside an open ingest batch "
@@ -361,6 +365,7 @@ class RuleManager:
             )
         if self._held:
             self.flush()
+        self._undo_trial()
 
     def _derive_readers(self) -> None:
         """Recompute which rules' executions are recorded, and drop the
@@ -372,10 +377,7 @@ class RuleManager:
             # Future formulas are not walked: a monitor keeps everything.
             self._read_rules = None
             return
-        read = frozenset().union(
-            *(reg.reads for reg in self._rules.values()),
-            *(reg.reads for reg in self._ics.values()),
-        )
+        read = frozenset().union(*(reg.reads for reg in self._rules.values()))
         previous, self._read_rules = self._read_rules, read
         if previous is None or previous - read:
             self.executed.keep_only(read)
@@ -411,7 +413,7 @@ class RuleManager:
         this condition sees the records kept since the rule it names
         first had a reader.
         """
-        if name in self._rules or name in self._ics or name in self._monitors:
+        if name in self._rules or name in self._monitors:
             raise DuplicateRuleError(f"rule {name!r} already registered")
         self._lifecycle_sync("register", name)
         formula = self._parse_condition(condition)
@@ -462,20 +464,23 @@ class RuleManager:
     ) -> Rule:
         """Register a temporal integrity constraint (Section 3): the
         condition must hold at every commit point; violating transactions
-        are aborted."""
-        if name in self._rules or name in self._ics or name in self._monitors:
+        are aborted.  The condition is a root of the manager's plan, like
+        a trigger's; it starts from "now" when added to a live manager."""
+        if name in self._rules or name in self._monitors:
             raise DuplicateRuleError(f"rule {name!r} already registered")
         formula = self._parse_condition(constraint)
         domain_map = self._parse_domains(domains)
         rule = make_integrity_constraint(name, formula)
         check_safety(rule.condition, domain_map.keys())
+        self._undo_trial()
         ctx = EvalContext(executed=self.executed, domains=domain_map)
-        evaluator = IncrementalEvaluator(
-            rule.condition, ctx, metrics=self.metrics, name=name
+        self._rules[name] = _RegisteredRule(
+            rule,
+            self.plan.add_rule(name, rule.condition, ctx),
+            registry=self.metrics,
+            birth=self.states_seen,
         )
-        self._ics[name] = _RegisteredRule(
-            rule, evaluator, registry=self.metrics
-        )
+        self._ordered = None
         self._derive_readers()
         if not self._validator_installed:
             self.engine.add_commit_validator(self._validate)
@@ -499,7 +504,7 @@ class RuleManager:
         from repro.ptl.future import FFormula
         from repro.ptl.future_parser import parse_future_formula
 
-        if name in self._rules or name in self._ics or name in self._monitors:
+        if name in self._rules or name in self._monitors:
             raise DuplicateRuleError(f"rule {name!r} already registered")
         if not isinstance(formula, FFormula):
             items = {
@@ -541,11 +546,7 @@ class RuleManager:
 
     def _unregister(self, name: str) -> None:
         """:meth:`remove_rule` short of recomputing the reader set."""
-        if (
-            name not in self._rules
-            and name not in self._ics
-            and name not in self._monitors
-        ):
+        if name not in self._rules and name not in self._monitors:
             raise UnknownRuleError(f"no rule named {name!r}")
         self._lifecycle_sync("remove", name)
         if name in self._rules:
@@ -555,9 +556,7 @@ class RuleManager:
             self._pending_actions = [
                 p for p in self._pending_actions if p[0].name != name
             ]
-        elif name in self._ics:
-            del self._ics[name]
-        elif name in self._monitors:
+        else:
             del self._monitors[name]
         self._action_failures.pop(name, None)
         self._quarantined.discard(name)
@@ -577,7 +576,8 @@ class RuleManager:
         temporal operators start from "now" (no state carries over, even
         if the condition text is unchanged); execution records that both
         definitions read stay.  ``kwargs`` are :meth:`add_trigger`'s."""
-        if name not in self._rules:
+        reg = self._rules.get(name)
+        if reg is None or reg.rule.is_integrity_constraint:
             raise UnknownRuleError(f"no trigger named {name!r}")
         self._unregister(name)
         try:
@@ -598,10 +598,10 @@ class RuleManager:
         execute the action and enter the executed store.  Idempotent on
         an already-live rule; unknown names raise
         :class:`UnknownRuleError`."""
-        if name not in self._rules:
+        reg = self._rules.get(name)
+        if reg is None or reg.rule.is_integrity_constraint:
             raise UnknownRuleError(f"no trigger named {name!r}")
         self._lifecycle_sync("promote", name)
-        reg = self._rules[name]
         if not reg.rule.shadow:
             return
         reg.rule.shadow = False
@@ -617,96 +617,80 @@ class RuleManager:
         )
 
     def rule_names(self) -> list[str]:
-        return sorted(
-            list(self._rules) + list(self._ics) + list(self._monitors)
-        )
+        return sorted(list(self._rules) + list(self._monitors))
 
     # ------------------------------------------------------------------
     # Integrity-constraint enforcement (trial evaluation)
     # ------------------------------------------------------------------
 
     def _validate(self, candidate, txn) -> list[str]:
-        """Step every IC on the commit candidate.  The step is the IC's
-        step for that state if the candidate is published (see
-        :meth:`_settle_trial`).  States published ahead of the candidate
-        that the bus has not delivered yet — an action that commits twice
-        — are stepped first, in commit order; a pending trial whose
-        commit never published is then undone."""
+        """Judge the commit candidate by the plan's step for that state.
+        States published ahead of it and not settled yet — an action that
+        commits twice — are settled first, in commit order, and a trial
+        whose candidate was never published is rolled back; then the plan
+        steps the candidate and the IC roots are read.  The step is kept
+        if the candidate is published (:meth:`_step`)."""
+        ics = self._ordered_rules()[1]
+        if not ics:
+            return []
         for state in self.engine.bus.pending:
-            if state.index > self._ic_index:
-                self._step_ics(state)
-        self._settle_trial()
+            if state.index > self._settled:
+                self._step(state)
+        self._undo_trial()
+        self._trial = (candidate, self.plan.snapshot())
+        self.plan.step(candidate)
         violations = []
-        snaps = []
-        for reg in self._ics.values():
-            snaps.append((reg.evaluator, reg.evaluator.snapshot()))
-            result = reg.evaluator.step(candidate)
-            if result.fired:
-                violations.append(
-                    f"integrity constraint {reg.rule.name!r} violated"
-                )
-                txn.vetoes += (
-                    (reg.rule.name, candidate.index, candidate.timestamp),
-                )
+        for reg in ics:
+            name = reg.rule.name
+            if self.plan.result_of(name).fired:
+                violations.append(f"integrity constraint {name!r} violated")
+                txn.vetoes += ((name, candidate.index, candidate.timestamp),)
                 if self._obs_on:
                     self.metrics.counter(
-                        "ic_violations_total", rule=reg.rule.name
+                        "ic_violations_total", rule=name
                     ).inc()
                     self.trace.emit(
                         IC_VIOLATION,
                         timestamp=candidate.timestamp,
-                        rule=reg.rule.name,
+                        rule=name,
                         txn=txn.id,
                         state_index=candidate.index,
                     )
-        self._trial = (candidate, snaps)
         return violations
 
-    def _settle_trial(self, state=None) -> bool:
-        """Resolve the pending IC trial against ``state``, the next
-        published state (None: nothing was).  Returns True when ``state``
-        is the trial's candidate — the engine publishes the candidate
-        object itself — so the ICs have already stepped it; otherwise the
-        trial is undone (a veto, a commit the disk refused, another
-        validator's veto)."""
-        trial, self._trial = self._trial, None
-        if trial is None:
-            return False
-        candidate, snaps = trial
-        if state is candidate:
-            return True
-        for evaluator, snap in snaps:
-            evaluator.restore(snap)
-        return False
+    def _undo_trial(self) -> None:
+        """Roll the plan back from a trial step that is not settled yet
+        (a commit the disk refused; before the rule base or the plan's
+        state changes)."""
+        if self._trial is not None:
+            self.plan.restore(self._trial[1])
+            self._trial = None
 
-    def _step_ics(self, state) -> None:
-        """Step every IC on ``state``, the next published state they have
-        not stepped (tracked by index, not by delivery: a commit's
-        validation may run before the states ahead of it are
-        delivered)."""
-        stepped = self._settle_trial(state)
-        for reg in self._ics.values():
-            if not stepped:
-                reg.evaluator.step(state)
-            reg.stats.evaluations += 1
-        self._ic_index = state.index
+    def _step(self, state) -> None:
+        """Step and settle ``state``, the next published state.  A pending
+        trial is kept when ``state`` is its candidate — the engine
+        publishes the candidate object itself — and rolled back otherwise
+        (a veto, a commit the disk refused, another validator's veto)."""
+        if self._trial is not None and self._trial[0] is state:
+            self._trial = None
+        else:
+            self._undo_trial()
+            if self._rules:
+                self.plan.step(state)
+        self._settle(state)
 
     # ------------------------------------------------------------------
     # State processing
     # ------------------------------------------------------------------
 
     def _on_state(self, state) -> None:
-        """Evaluate a delivered state — the one position at which every
-        condition steps it — and hold what its firings put out until
+        """A state is delivered: settle it, unless the next commit's
+        validation already has, and hold what its firings put out until
         ``batch_size`` states are held outside an engine batch."""
-        if state.index > self._ic_index:
-            # Integrity constraints are never held: a commit attempted
-            # from inside a cascade is judged on every state before it.
-            self._step_ics(state)
-        self.states_seen += 1
-        self._step_conditions(state)
+        if state.index > self._settled:
+            self._step(state)
         self._held += 1
-        self._newest_ts = state.timestamp
+        self._delivered = state
         if self._obs_on:
             self._m_states.inc()
             self._m_batch.set(self._held)
@@ -725,48 +709,60 @@ class RuleManager:
         """Release the delayed outputs of every held state, in state
         order: firing-log entries with their traces and counters, then
         actions (Section 8: batched invocation delays firing but never
-        loses it).  The conditions already stepped each state when it was
-        delivered; states the actions commit are delivered after the
+        loses it).  The conditions already stepped each state at its own
+        position; states the actions commit are delivered after the
         release, in commit order."""
         self.engine.bus.hold(self._release_held)
 
     def _release_held(self) -> None:
         held, self._held = self._held, 0
-        outputs = self._outputs
-        while outputs:
-            self._release(*outputs.pop(0))
-        if self.executed_retention is not None and held:
-            self.executed.discard_before(
-                self._newest_ts - self.executed_retention
-            )
+        if held:
+            newest = self._delivered
+            if self.executed_retention is not None:
+                # Before the actions: a state they commit is stepped at
+                # its validation and reads the store its delivery would.
+                self.executed.discard_before(
+                    newest.timestamp - self.executed_retention
+                )
+            # Outputs of states settled ahead of their delivery wait for it.
+            outputs = self._outputs
+            while outputs and outputs[0][0].index <= newest.index:
+                self._release(*outputs.pop(0))
         if self._obs_on:
             self._m_batch.set(0)
             self._m_state_size.set(self.total_state_size())
             self._m_executed.set(len(self.executed))
             self._m_firing_log.set(len(self._firings))
 
-    def _ordered_rules(self) -> list[_RegisteredRule]:
-        """Registration order, stably re-ordered by descending priority."""
+    def _ordered_rules(self) -> tuple[list, list]:
+        """The triggers in registration order, stably re-ordered by
+        descending priority, and the integrity constraints."""
         if self._ordered is None:
-            self._ordered = sorted(
+            triggers, ics = [], []
+            for reg in sorted(
                 self._rules.values(), key=lambda reg: -reg.rule.priority
-            )
+            ):
+                kind = ics if reg.rule.is_integrity_constraint else triggers
+                kind.append(reg)
+            self._ordered = (triggers, ics)
         return self._ordered
 
-    def _step_conditions(self, state) -> None:
-        """Step the triggers and future monitors on ``state`` and hold
-        what fired.  Execution records are written here, once every
-        condition has read this state, so the next state's conditions see
-        them however long the action itself is delayed."""
+    def _settle(self, state) -> None:
+        """Read the triggers' results at ``state`` (the plan has stepped
+        it; a gated stateless root is computed only if its rule is
+        considered), complete the plan's step, step the future monitors,
+        and hold what fired.  Execution records are written here, once
+        every condition has read this state, so the next state's
+        conditions see them however long the action itself is delayed."""
+        self.states_seen += 1
+        self._settled = state.index
         obs = self._obs_on
         fired: list[list] = []  # [reg, binding, execution record]
         names = state.event_names()
-        if self._rules:
-            # One shared evaluation pass for all rules (shared temporal
-            # state must see every state); a gated stateless root is
-            # computed only if its rule is considered below.
-            self.plan.step(state)
-        for reg in self._ordered_rules():
+        triggers, ics = self._ordered_rules()
+        for reg in ics:
+            reg.stats.evaluations += 1
+        for reg in triggers:
             rule = reg.rule
             if (
                 rule.relevant_events is not None
@@ -789,6 +785,7 @@ class RuleManager:
                 bindings = reg.step(state)
             for binding in bindings:
                 fired.append([reg, binding, None])
+        self.plan.complete()
         for entry in fired:
             rule = entry[0].rule
             # A shadow rule's firing enters no executed record: it cannot
@@ -969,13 +966,6 @@ class RuleManager:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _fingerprints(registered: dict) -> dict:
-        return {
-            name: rule_fingerprint(reg.rule.condition)
-            for name, reg in registered.items()
-        }
-
-    @staticmethod
     def _encode_pairs(pairs) -> list:
         from repro.ptl.constraints import encode_value
 
@@ -990,8 +980,8 @@ class RuleManager:
     def to_state(self) -> dict:
         """Serialize the temporal component for a recovery checkpoint.
 
-        Everything needed to resume monitoring is captured: evaluator
-        states (the triggers' plan and each IC's), the executed store,
+        Everything needed to resume monitoring is captured: the plan's
+        state (every trigger's and IC's condition), the executed store,
         firing records, per-rule rising-edge memory, queued T-C-A actions,
         and the failure-isolation bookkeeping.  Every condition has
         stepped every delivered state, so the manager only has to be
@@ -1006,8 +996,8 @@ class RuleManager:
             raise RecoveryError(
                 "cannot checkpoint with batched states pending; flush() first"
             )
-        # A trial whose candidate was never published is not state.
-        self._settle_trial()
+        # A trial step not settled yet is not state.
+        self._undo_trial()
         rules = {}
         for name, reg in self._rules.items():
             rules[name] = {
@@ -1040,18 +1030,6 @@ class RuleManager:
             ],
             "rules": rules,
             "plan": self.plan.to_state() if self.plan.rule_names() else None,
-            "ics": {
-                name: {
-                    "evaluator": reg.evaluator.to_state(),
-                    "stats": [
-                        reg.stats.evaluations,
-                        reg.stats.skips,
-                        reg.stats.firings,
-                    ],
-                    "formula": rule_fingerprint(reg.rule.condition),
-                }
-                for name, reg in self._ics.items()
-            },
             "pending": [
                 [
                     rule.name,
@@ -1080,15 +1058,19 @@ class RuleManager:
         fresh at the checkpoint position (a hot add across the crash);
         checkpointed rules no longer registered are dropped along with
         their queued actions.  Returns ``{"added", "dropped",
-        "changed"}`` name lists (all empty on a strict restore)."""
+        "changed"}`` name lists (all empty on a strict restore).
+
+        An older checkpoint's ``"ics"`` section (each IC on a private
+        plan) is read too: a stateless IC compiles fresh at the checkpoint
+        epoch, which is exact; a stateful one is refused under
+        ``strict=True`` and starts fresh (reported as added) otherwise."""
         from repro.history.state import SystemState
 
         if self._monitors:
             raise RecoveryError(
                 "future-obligation monitors are not checkpointable"
             )
-        ck_rules = payload["rules"]
-        ck_ics = payload["ics"]
+        ck_rules = dict(payload["rules"])
         private = sorted(n for n, e in ck_rules.items() if "evaluator" in e)
         if private:
             raise RecoveryError(
@@ -1096,23 +1078,32 @@ class RuleManager:
                 "evaluators (a per-rule manager); every trigger now runs "
                 "on the manager's plan, so this checkpoint cannot be restored"
             )
-        # Triggers and integrity constraints drift separately: a name
-        # that moved from one kind to the other is dropped and added.
+        # Older commits: each IC on a private plan (see above).
+        legacy = payload.get("ics", {})
+        for name, entry in legacy.items():
+            own = entry["evaluator"]["plan"]
+            if own["temporal"] or own["aggregates"]:
+                if strict:
+                    raise RecoveryError(
+                        f"integrity constraint {name!r} was checkpointed "
+                        "with temporal state on a private plan, which the "
+                        "manager's plan cannot take over; restore with "
+                        "strict_rules=False to start it fresh"
+                    )
+                continue
+            ck_rules[name] = {"prev": [], "birth": 0, "shadow": False, **entry}
         drift = rule_drift(
             {name: entry["formula"] for name, entry in ck_rules.items()},
-            self._fingerprints(self._rules),
+            {
+                name: rule_fingerprint(reg.rule.condition)
+                for name, reg in self._rules.items()
+            },
             strict,
         )
-        ic_drift = rule_drift(
-            {name: entry["formula"] for name, entry in ck_ics.items()},
-            self._fingerprints(self._ics),
-            strict,
-        )
-        drift = {key: sorted(drift[key] + ic_drift[key]) for key in drift}
         changed_set = set(drift["changed"])
         plan_state = payload["plan"]
-        self._settle_trial()
-        self._ic_index = self.engine.state_count - 1
+        self._undo_trial()
+        self._settled = self.engine.state_count - 1
         self.states_seen = payload["states_seen"]
         self.executed.from_state(payload["executed"])
         # Records of rules no registered condition reads are not kept.
@@ -1123,7 +1114,8 @@ class RuleManager:
                 rule, self._decode_pairs(bindings), index, ts, shadow
             )
         if plan_state is not None:
-            self.plan.from_state(plan_state, strict=strict)
+            # An old IC is not in the plan's section: it compiles fresh.
+            self.plan.from_state(plan_state, strict=strict and not legacy)
         for name, reg in self._rules.items():
             entry = ck_rules.get(name)
             if entry is None or name in changed_set:
@@ -1141,13 +1133,6 @@ class RuleManager:
                 reg.m_shadow_firings = self.metrics.counter(
                     "shadow_firings_total", rule=name
                 )
-        for name, reg in self._ics.items():
-            entry = ck_ics.get(name)
-            if entry is None or name in changed_set:
-                continue
-            reg.evaluator.from_state(entry["evaluator"])
-            ev, sk, fi = entry["stats"]
-            reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
         self._pending_actions = []
         for name, binding, index, ts in payload["pending"]:
             if name not in self._rules:
@@ -1168,7 +1153,7 @@ class RuleManager:
         failures = dict(payload["action_failures"])
         quarantined = set(payload["quarantined"])
         if not strict:
-            known = set(self._rules) | set(self._ics)
+            known = set(self._rules)
             failures = {k: v for k, v in failures.items() if k in known}
             quarantined &= known
         self._action_failures = failures
@@ -1203,8 +1188,6 @@ class RuleManager:
     def stats_of(self, rule: str) -> RuleStats:
         if rule in self._rules:
             return self._rules[rule].stats
-        if rule in self._ics:
-            return self._ics[rule].stats
         raise UnknownRuleError(f"no rule named {rule!r}")
 
     def explain_firing(self, record: FiringRecord, rendered: bool = False):
@@ -1222,11 +1205,8 @@ class RuleManager:
         history = self.engine.history
         if history is None:
             raise HistoryError("explain_firing needs keep_history=True")
-        if record.rule in self._rules:
-            reg = self._rules[record.rule]
-        elif record.rule in self._ics:
-            reg = self._ics[record.rule]
-        else:
+        reg = self._rules.get(record.rule)
+        if reg is None:
             raise UnknownRuleError(f"no rule named {record.rule!r}")
         states = history.states
         if not (0 <= record.state_index < len(states)):
@@ -1244,11 +1224,9 @@ class RuleManager:
         return render(explanation) if rendered else explanation
 
     def total_state_size(self) -> int:
-        """Retained evaluator state across all rules: the triggers' plan
-        once (its state *is* shared), plus each IC's own."""
-        return self.plan.state_size() + sum(
-            reg.evaluator.state_size() for reg in self._ics.values()
-        )
+        """Retained evaluator state across all rules: the plan's, once
+        (its state *is* shared)."""
+        return self.plan.state_size()
 
     def detach(self) -> None:
         """Unsubscribe from the engine (rules stop being evaluated)."""

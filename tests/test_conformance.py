@@ -22,7 +22,10 @@ A fourth row, ``group-commit``, feeds the same operations through
 event.  Those actions run when a batch is durable, so they append states
 after the batch's own: this row's history differs from the others', and
 each of its firings is checked against :mod:`repro.ptl.semantics` over
-that engine's own history.  Query plans and delta skipping are not cells: they are always
+that engine's own history.  A fifth row judges integrity constraints:
+every commit verdict — direct, or made by an action that commits once or
+twice — is checked against the same semantics over the engine's history
+plus the candidate.  Query plans and delta skipping are not cells: they are always
 on in the incremental rows, and the naive row never consults a
 :class:`~repro.query.plan.DeltaGate`.
 
@@ -37,8 +40,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ActiveDatabase
+from repro.errors import TransactionAborted
 from repro.events import user_event
-from repro.ptl import answers
+from repro.ptl import EvalContext, answers
 from repro.rules.actions import RecordingAction
 from repro.rules.manager import RuleManager
 from repro.rules.rule import FireMode
@@ -187,6 +191,94 @@ def test_group_commit_row_agrees_with_the_oracle(rules, ops, chunk):
         for f in manager.firings
     ]
     assert sorted(got, key=repr) == sorted(expected, key=repr)
+
+
+# -- integrity constraints: every commit verdict against the oracle ----------
+
+#: IC templates: stateless, ``lasttime``, and two reading the executions of
+#: the trigger ``one`` (a price of 1), one of them time-bounded.
+IC_TEMPLATES = [
+    "price <= 90",
+    "!(price = 2 & lasttime price = 1)",
+    "!(price = 2 & executed(one, t))",
+    "!(price > 50 & executed(one, t) & time <= t + 2)",
+]
+
+ic_prices = st.sampled_from([1, 2, 30, 60, 95])
+
+#: ``("set", p)`` commits a price directly; ``("go", [p, ...])`` posts
+#: ``@go``, whose action commits each price in turn (once or twice).
+ic_streams = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), ic_prices),
+        st.tuples(st.just("go"), st.lists(ic_prices, min_size=1, max_size=2)),
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+def commit_price(engine, price) -> None:
+    try:
+        engine.execute(lambda t: t.set_item("price", price))
+    except TransactionAborted:
+        pass
+
+
+@given(
+    ics=st.lists(
+        st.integers(0, len(IC_TEMPLATES) - 1), min_size=1, max_size=3,
+        unique=True,
+    ),
+    ops=ic_streams,
+)
+@example(ics=[2], ops=[("go", [1, 2])])  # the cascade reads one's record
+@settings(max_examples=100)
+def test_ic_row_verdicts_agree_with_the_oracle(ics, ops):
+    """Each commit candidate is vetoed exactly when some IC condition
+    (``attempts_to_commit(X) & !c``) holds at it by
+    :mod:`repro.ptl.semantics`, over the engine's history up to it plus
+    the candidate — whether it was committed directly or by an action."""
+    adb = ActiveDatabase()
+    adb.declare_item("price", 0)
+    manager = RuleManager(adb)
+    one = manager.add_trigger("one", "price = 1", RecordingAction())
+    queued = []
+
+    def commit_queued(ctx):
+        while queued:
+            commit_price(ctx.engine, queued.pop(0))
+
+    manager.add_trigger("go", "@go", commit_queued)
+    constraints = [
+        manager.add_integrity_constraint(f"ic{i}", IC_TEMPLATES[i])
+        for i in ics
+    ]
+    candidates = []
+    adb.add_commit_validator(lambda c, txn: candidates.append(c) or [])
+    for op in ops:
+        if op[0] == "set":
+            commit_price(adb, op[1])
+        else:
+            queued.extend(op[1])
+            adb.post_event(user_event("go"))
+    manager.flush()
+    states = adb.history.states
+    ctx = EvalContext(executed=manager.executed)
+    assert len(candidates) == sum(
+        1 if op[0] == "set" else len(op[1]) for op in ops
+    )
+    for candidate in candidates:
+        i = candidate.index
+        prefix = [*states[:i], candidate]
+        vetoed = any(answers(prefix, i, ic.condition, ctx) for ic in constraints)
+        assert vetoed is (states[i] is not candidate), (
+            f"candidate #{i} (price {candidate.db.item('price')})"
+        )
+    assert [
+        (f.rule, f.bindings, f.state_index, f.timestamp)
+        for f in manager.firings_of("one")
+    ] == oracle_firings(states, "one", one.condition, FireMode.ALWAYS)
 
 
 # -- executed-coupled conformance (incremental backends only) ---------------

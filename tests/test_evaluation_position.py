@@ -16,7 +16,7 @@ from repro.engine import ActiveDatabase
 from repro.errors import ActionError, TransactionAborted
 from repro.events import user_event
 from repro.ptl import satisfies
-from repro.rules import RecordingAction, RuleManager
+from repro.rules import DbAction, PyAction, RecordingAction, RuleManager
 
 
 def oracle_indices(adb, condition) -> list:
@@ -137,6 +137,35 @@ def test_executed_atoms_read_the_same_records_in_every_mode(mode):
 def test_executed_retention_horizon_per_mode(mode):
     _, follow, _ = run_executed(9, **MODES[mode])
     assert follow == SINCE_RETENTION[mode]
+
+
+def test_an_actions_commit_reads_the_store_after_the_retention_discard():
+    """A commit made by an action is stepped at its validation (an IC is
+    registered), inside the release of the outputs that ran the action.
+    The retention discard comes first, so the commit reads the store its
+    delivery would: ``follow`` does not see ``a``'s record, dropped at
+    the flush of t=10, at the commit made at t=11."""
+    adb = ActiveDatabase()
+    adb.declare_item("price", 0)
+    manager = RuleManager(adb, executed_retention=6)
+    manager.add_integrity_constraint("nonnegative", "price >= 0")
+    manager.add_trigger("spike", "@go(x)", RecordingAction(), params=("x",))
+    follow = RecordingAction()
+    manager.add_trigger(
+        "follow", "executed(spike, x, t) & time <= t + 20", follow,
+        params=("x", "t"),
+    )
+
+    def commit(ctx):
+        ctx.engine.execute(lambda t: t.set_item("price", 1), commit_time=11)
+
+    manager.add_trigger("kick", "@kick", commit)
+    adb.post_event(user_event("go", "a"), at_time=1)
+    adb.post_event(user_event("kick"), at_time=10)
+    assert [(s.index, s.timestamp) for s in adb.history.states] == [
+        (0, 1), (1, 10), (2, 11),
+    ]
+    assert indices(manager, "follow") == [1]
 
 
 # -- commit order -------------------------------------------------------------
@@ -270,6 +299,22 @@ def test_failing_subscriber_names_its_state_and_strands_nothing():
     adb.tick()
     assert later == [0, 1, 2]
     assert indices(manager, "ping") == [1]
+
+
+@pytest.mark.parametrize("kind", [PyAction, DbAction])
+def test_failing_action_names_the_state_it_fired_at(kind):
+    adb = ActiveDatabase()
+    manager = RuleManager(adb)
+
+    def boom(*_):
+        raise RuntimeError("boom")
+
+    manager.add_trigger("bad", "@go", kind(boom))
+    adb.tick(at_time=3)
+    with pytest.raises(
+        ActionError, match=r"rule 'bad' failed at state #1 \(t=5\): boom"
+    ):
+        adb.post_event(user_event("go"), at_time=5)
 
 
 def test_failure_on_a_queued_state_names_that_state():

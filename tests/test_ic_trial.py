@@ -16,10 +16,14 @@ from repro.engine import ActiveDatabase
 from repro.errors import StorageDegradedError, TransactionAborted
 from repro.events import user_event
 from repro.recovery import DISK_FULL, FaultInjector, RecoveryManager
-from repro.rules import PyAction, RuleManager
+from repro.rules import PyAction, RecordingAction, RuleManager
+
+from tests.helpers import firing_sig
 
 #: No price of 2 right after a price of 1.
 NO_ONE_TWO = "!(price = 2 & lasttime price = 1)"
+#: No price of 2 once the trigger ``one`` (a price of 1) has executed.
+NO_TWO_AFTER_ONE = "!(price = 2 & executed(one, t))"
 #: No commit of a transaction that raises ``bad``.
 NO_BAD = "!@bad"
 #: No ``ping`` once a ``bad`` has been committed.
@@ -76,13 +80,44 @@ class TestCascade:
         assert adb.state.item("price") == 1
         assert direct.state.item("price") == 1
 
+    def test_cascade_reads_the_executions_before_its_commit(self):
+        """The IC reads ``one``'s execution at the cascade's first commit
+        when it judges the second, as it does for the same two commits
+        made directly: each state is settled (execution records written)
+        before the next one is stepped."""
+
+        def build():
+            adb = make_engine()
+            manager = RuleManager(adb)
+            manager.add_trigger("one", "price = 1", RecordingAction())
+            manager.add_integrity_constraint("no_2_after_1", NO_TWO_AFTER_ONE)
+            return adb, manager
+
+        direct, _ = build()
+        assert [attempt(direct, p, t) for t, p in [(1, 1), (2, 2)]] == [
+            True,
+            False,
+        ]
+
+        adb, manager = build()
+        verdicts = []
+
+        def commit_one_then_two(ctx):
+            verdicts.append(attempt(ctx.engine, 1, 2))
+            verdicts.append(attempt(ctx.engine, 2, 3))
+
+        manager.add_trigger("go", "@go", PyAction(commit_one_then_two))
+        adb.post_event(user_event("go"), at_time=1)
+        assert verdicts == [True, False]
+        assert adb.state.item("price") == 1
+
 
 class TestOneStepPerState:
     def test_ic_plan_steps_once_per_commit(self):
         adb = make_engine()
         manager = RuleManager(adb)
         manager.add_integrity_constraint("no_1_2", NO_ONE_TWO)
-        plan = manager._ics["no_1_2"].evaluator.plan
+        plan = manager.plan
         calls = []
         step = plan.step
         plan.step = lambda state: calls.append(state.index) or step(state)
@@ -95,7 +130,7 @@ class TestOneStepPerState:
         adb = make_engine()
         manager = RuleManager(adb)
         manager.add_integrity_constraint("no_1_2", NO_ONE_TWO)
-        plan = manager._ics["no_1_2"].evaluator.plan
+        plan = manager.plan
         calls = []
         step = plan.step
         plan.step = lambda state: calls.append(state.index) or step(state)
@@ -149,6 +184,35 @@ class TestUnpublishedTrials:
         assert attempt(adb, 2, 3) is attempt(twin, 2, 3) is False
         assert manager.to_state() == twin_m.to_state()
 
+    def test_hot_add_after_a_refused_commit(self, tmp_path):
+        """A trigger added after a commit the disk refused compiles on the
+        plan as it was before that commit's trial: its firings and the
+        plan's checkpoint equal those of a twin that never attempted the
+        commit."""
+
+        def build():
+            adb = make_engine()
+            manager = RuleManager(adb)
+            manager.add_integrity_constraint("no_1_2", NO_ONE_TWO)
+            return adb, manager
+
+        twin, twin_m = build()
+        adb, manager = build()
+        assert attempt(twin, 1, 1) and attempt(adb, 1, 1)
+        heal = refuse_disk_full(tmp_path, adb)
+        with pytest.raises(StorageDegradedError):
+            attempt(adb, 7, 2)
+        for m in (manager, twin_m):
+            m.add_trigger("rise", "price > 1 & lasttime price <= 1", RecordingAction())
+        heal()
+        for t, p in [(3, 5), (4, 0), (5, 2), (6, 1), (7, 2)]:
+            assert attempt(adb, p, t) is attempt(twin, p, t)
+        manager.flush()
+        twin_m.flush()
+        assert firing_sig(manager) == firing_sig(twin_m)
+        assert manager.firings_of("rise")
+        assert manager.plan.to_state() == twin_m.plan.to_state()
+
     def test_second_validators_veto_undoes_the_trial(self):
         """Two managers' ICs on one engine: the first passes the
         candidate, the second vetoes it — the first's trial is undone,
@@ -167,9 +231,9 @@ class TestUnpublishedTrials:
         RuleManager(adb).add_integrity_constraint("cap", "price <= 5")
         assert attempt(adb, 1, 1)
         assert not attempt(adb, 7, 2)
-        assert manager.to_state()["ics"] == twin_m.to_state()["ics"]
+        assert manager.plan.to_state() == twin_m.plan.to_state()
         assert attempt(adb, 2, 3) is attempt(twin, 2, 3) is False
-        assert manager.to_state()["ics"] == twin_m.to_state()["ics"]
+        assert manager.plan.to_state() == twin_m.plan.to_state()
 
     def test_veto_of_a_txn_without_writes_steps_the_abort_state(self, tmp_path):
         """A transaction that writes nothing leaves the database object as
@@ -192,8 +256,4 @@ class TestUnpublishedTrials:
         rm.stop()
         replayed = RecoveryManager(tmp_path).recover(setup=setup).manager
         assert replayed.engine.state_count == adb.state_count == 2
-        for name in ("no_bad", "no_ping"):
-            assert (
-                replayed._ics[name].evaluator.to_state()
-                == manager._ics[name].evaluator.to_state()
-            )
+        assert replayed.plan.to_state() == manager.plan.to_state()

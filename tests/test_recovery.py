@@ -57,7 +57,8 @@ def fire_signature(results):
 
 
 class TestEvaluatorRoundTrip:
-    """IncrementalEvaluator.to_state/from_state mid-history."""
+    """A standalone evaluator's private plan round-trips mid-history
+    (``SharedPlan.to_state`` / ``from_state``)."""
 
     def _check(self, formula, history, ctx_a, ctx_b, cut):
         ev = IncrementalEvaluator(formula, ctx_a)
@@ -66,10 +67,10 @@ class TestEvaluatorRoundTrip:
         partial = IncrementalEvaluator(formula, ctx_a)
         for state in history.states[:cut]:
             partial.step(state)
-        payload = json_round_trip(partial.to_state())
+        payload = json_round_trip(partial.plan.to_state())
 
         restored = IncrementalEvaluator(formula, ctx_b)
-        restored.from_state(payload)
+        restored.plan.from_state(payload)
         tail = [restored.step(s) for s in history.states[cut:]]
         assert fire_signature(tail) == fire_signature(oracle[cut:]), (
             f"restored evaluator diverged after cut {cut}: {formula}"
@@ -114,7 +115,7 @@ class TestEvaluatorRoundTrip:
         if str(f1) == str(f2):  # pragma: no cover - seeds differ
             pytest.skip("seeds produced identical formulas")
         with pytest.raises(RecoveryError):
-            other.from_state(ev.to_state())
+            other.plan.from_state(ev.plan.to_state())
 
 
 class TestSharedPlanRoundTrip:
@@ -598,6 +599,49 @@ def test_compiled_era_checkpoint_restores_on_the_one_path(tmp_path):
     state = manager.plan.to_state()
     assert "compiled" not in state
     assert state == twin_m.plan.to_state()
+
+
+#: A served stock tenant's directory written by commit 46db55d, the last
+#: that ran each integrity constraint on a private plan: its checkpoint's
+#: manager section carries them in an ``"ics"`` section (see the
+#: fixture's README.md).
+V4_IC_SECTION = Path(__file__).parent / "fixtures" / "ckpt_v4_ic_section"
+
+
+def test_stateful_ic_in_an_old_ics_section_is_named():
+    """An old ``"ics"`` entry whose private plan held temporal state has
+    no place on the manager's plan: a strict restore names the IC, a
+    lenient one starts it fresh (reported as added).  The stateless
+    entry as written is restored (``tests/test_serving.py`` reopens the
+    whole tenant)."""
+    from repro.serve import StockProfile
+
+    def restore(payload, strict):
+        engine, profile = ActiveDatabase(), StockProfile()
+        profile.catalog(engine)
+        manager = profile.rules(engine)
+        return manager, manager.from_state(payload, strict=strict)
+
+    document = json.loads((V4_IC_SECTION / "checkpoint.json").read_text())
+    payload = document["manager"]
+    own = payload["ics"]["positive_price"]["evaluator"]["plan"]
+    assert own["temporal"] == own["aggregates"] == []
+    manager, drift = restore(payload, strict=True)
+    assert drift == {"added": [], "dropped": [], "changed": []}
+    assert manager.stats_of("positive_price").evaluations == 8
+
+    # A temporal node's stored state, as a stateful IC's plan holds it.
+    stateful = SharedPlan()
+    stateful.add_rule(
+        "positive_price", parse_formula("lasttime true", {}, set())
+    )
+    own["temporal"] = stateful.to_state()["temporal"]
+    assert own["temporal"]
+    with pytest.raises(RecoveryError, match="'positive_price'"):
+        restore(payload, strict=True)
+    manager, drift = restore(payload, strict=False)
+    assert drift == {"added": ["positive_price"], "dropped": [], "changed": []}
+    assert manager.stats_of("positive_price").evaluations == 0
 
 
 class TestRecoveryManager:

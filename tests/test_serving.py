@@ -20,6 +20,7 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from repro.serve.protocol import (
     ERR_UNKNOWN_OP,
     decode_frame,
 )
-from repro.serve.tenant import TenantRegistry
+from repro.serve.tenant import TENANT_DIR, TenantRegistry
 
 from tests.helpers import (
     executed_sig,
@@ -58,6 +59,13 @@ from tests.helpers import (
 #: Price levels exercising quiet updates, sharp doublings (the
 #: SHARP-INCREASE trigger), and an IC-vetoed negative price.
 PRICES = [20.0, 45.0, 60.0, 100.0, 210.0, -5.0]
+
+#: A stock tenant's directory written by commit 46db55d after the first
+#: eight ``PRICES * 3`` transactions, its checkpoint carrying the IC in an
+#: ``"ics"`` section (see the fixture's README.md).
+V4_IC_SECTION = (
+    Path(__file__).parent / "fixtures" / "ckpt_v4_ic_section"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +543,34 @@ class TestEvictionRecovery:
             *twin_replay(stock_twin, ops)
         )
         assert tenant.manager.firing_count
+        await server.registry.close_all()
+
+    async def test_old_ic_section_reopens_like_an_uninterrupted_twin(
+        self, tmp_path
+    ):
+        """A tenant checkpointed by an older commit carries its
+        ``positive_price`` IC in an ``"ics"`` section, on a private plan
+        with no temporal state: reopened, the IC compiles fresh on the
+        manager's plan at the checkpoint epoch, and the tenant finishes the
+        stream (vetoes included) exactly like an uninterrupted twin."""
+        ops = [("stmts", update_stmt(p)) for p in PRICES * 3]
+        shutil.copytree(
+            V4_IC_SECTION, tmp_path / TENANT_DIR / "t1",
+            ignore=shutil.ignore_patterns("README.md"),
+        )
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        assert tenant.recovered and tenant.engine.state_count == 8
+        for start in range(8, len(ops), 4):
+            serve_batch(server, tenant, ops[start : start + 4])
+        tenant.manager.flush()
+        assert served_sig(tenant.engine, tenant.manager) == served_sig(
+            *twin_replay(stock_twin, ops)
+        )
+        assert tenant.manager.stats_of("positive_price").evaluations == 18
+        assert "ics" not in tenant.manager.to_state()
         await server.registry.close_all()
 
     async def test_eviction_refused_while_busy(self):

@@ -257,12 +257,12 @@ class TestAggregateSubformulasInTheDag:
         states = agg_history().states
         plan = SharedPlan()
         plan.add_rule("a", a)
-        view_b = plan.add_rule("b", b)
+        plan.add_rule("b", b)
         fresh_b = IncrementalEvaluator(b)
         for state in states[:4]:
             plan.step(state)
             fresh_b.step(state)
-        late = plan.add_rule("late", c)
+        plan.add_rule("late", c)
         fresh_c = IncrementalEvaluator(c)
         assert psi_nodes(plan) == [0, 4]  # same ψ, its own birth
         plan.remove_rule("a")
@@ -272,8 +272,8 @@ class TestAggregateSubformulasInTheDag:
         )]
         for state in states[4:]:
             plan.step(state)
-            assert view_b.entry.result == fresh_b.step(state)
-            assert late.entry.result == fresh_c.step(state)
+            assert plan.result_of("b") == fresh_b.step(state)
+            assert plan.result_of("late") == fresh_c.step(state)
         plan.remove_rule("b")
         assert psi_nodes(plan) == [4]
 
@@ -359,8 +359,8 @@ class TestPlanTrialEvaluation:
         adb = make_stock_db([("IBM", 40.0)])
         manager = RuleManager(adb)
         manager.add_integrity_constraint("twice", ic)
-        reg = manager._ics["twice"]
-        twin = IncrementalEvaluator(reg.rule.condition, name="twice")
+        twin = SharedPlan()
+        twin.add_rule("twice", manager._rules["twice"].rule.condition)
         ticks = [(1, 60.0), (2, 70.0), (3, 30.0), (4, 80.0), (5, 20.0)]
         vetoed, seen = [], 0
         for ts, price in ticks:
@@ -374,7 +374,7 @@ class TestPlanTrialEvaluation:
             for state in adb.history.states[seen:]:
                 twin.step(state)
             seen = len(adb.history.states)
-            assert reg.evaluator.to_state() == twin.to_state()
+            assert manager.plan.to_state() == twin.to_state()
         # ψ holds at t=2 and t=3 (the previous price was above 50): the
         # commit at t=3 would be the second sample — the first violation —
         # and with 70 left in place every later commit samples again.
