@@ -5,11 +5,13 @@ All operations return new relations; the engine layers versioning on top
 of this immutability (see ``repro.storage.snapshot``), and versions the
 way Section 5's ``R_x(attrs…, T_start, T_end)`` does — by tuple: only the
 newest version of a relation owns a table, every older one is a reverse
-row-delta off its successor (:meth:`Relation.supersede`).
+row-delta off its successor or, now and then, a tuple of its rows
+(:meth:`Relation.supersede`).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.datamodel.schema import Attribute, Schema
@@ -38,19 +40,23 @@ class Relation:
     """An immutable set of :class:`Row` sharing one :class:`Schema`.
 
     The row *set* never changes; its representation does, once.  The
-    newest version of a relation is *flat*: ``_rows`` is its table and
-    ``_index_cache`` memoizes hash indexes on it (see
+    newest version of a relation is *flat*: ``_rows`` is its table (a
+    ``frozenset``) and ``_index_cache`` memoizes hash indexes on it (see
     :mod:`repro.storage.index`).  When the engine installs a successor
-    (:meth:`supersede`) the version drops its caches, points at the
-    successor (``_succ``) and — when that is the smaller of the two —
-    trades the table for a reverse row-delta (``_delta``: the rows the
-    successor removed, the rows it added), RCS-style: the present is
-    materialised, the past is "my successor, minus what it added, plus
-    what it removed".  A version keeps its table once the deltas chained
-    behind it (``_chain``: their rows and links) would outweigh it, so
-    reading any past version costs O(|R|) however long the history.
-    ``_succ`` only ever points forward in time, so a chain is never a
-    cycle and an evicted past is freed by reference count.
+    (:meth:`supersede`) the version drops its caches and its table and
+    points at the successor (``_succ``).  While that is the smaller of
+    the two it becomes a reverse row-delta (``_delta``: one tuple, the
+    count of rows the successor removed, those rows, then the rows it
+    added), RCS-style: the present is materialised, the past is "my
+    successor, minus what it added, plus what it removed".  A version
+    keeps its rows, as a tuple, once the deltas chained behind it
+    (``_chain``: their rows and links) would outweigh them, so reading
+    any past version costs O(|R|) however long the history; it then
+    keeps in ``_chain`` the bytes its table held (:meth:`table_bytes`).
+    No superseded version holds a hash table: a reader gets one built
+    for it (:meth:`flat`).  ``_succ`` only ever points forward in time,
+    so a chain is never a cycle and an evicted past is freed by
+    reference count.
     """
 
     __slots__ = (
@@ -117,15 +123,18 @@ class Relation:
     @property
     def rows(self) -> frozenset[Row]:
         rows = self._rows
-        return rows if rows is not None else self._fold()
+        if rows is None:
+            return self._fold()
+        return rows if self._succ is None else frozenset(rows)
 
     def __len__(self) -> int:
-        # Counted along the chain, not by folding it into a table.
+        # Counted along the chain, not by folding it into a table: a
+        # delta of n rows, k of them removed, undoes n - 2k of them.
         count = 0
         version = self
         while version._rows is None:
-            removed, added = version._delta
-            count += len(removed) - len(added)
+            delta = version._delta
+            count += 2 * delta[0] + 1 - len(delta)
             version = version._succ
         return count + len(version._rows)
 
@@ -179,13 +188,16 @@ class Relation:
 
     def supersede(self, successor: "Relation") -> None:
         """``successor`` took this version's place as the newest one: give
-        up the representation only the present needs.  The caches go; the
-        table goes too while the reverse delta, together with the deltas
-        already chained behind this version, is smaller — reading the
-        version from then on folds the chain (:meth:`flat`), and the fold
-        never undoes more rows than a table holds.  A version already
-        superseded keeps its first successor, and a superseded version is
-        never a successor — both keep chains acyclic."""
+        up the representation only the present needs.  The caches and the
+        hash table go.  While the reverse delta, together with the deltas
+        already chained behind this version, is smaller than the table,
+        the version becomes that delta — reading it from then on folds the
+        chain (:meth:`flat`), and the fold never undoes more rows than a
+        table holds.  Otherwise (and across a schema change) it keeps its
+        rows as a tuple, and a reader builds the table from them.  A
+        version already superseded keeps its first successor, and a
+        superseded version is never a successor — both keep chains
+        acyclic."""
         if (
             successor is self
             or self._succ is not None
@@ -196,21 +208,39 @@ class Relation:
         self._sorted_cache = None
         self._succ = successor
         STATS.demoted += 1
-        if self._schema != successor._schema:
-            return
-        removed = self._rows - successor._rows
-        added = successor._rows - self._rows
-        chain = self._chain + len(removed) + len(added) + 1
-        if chain <= len(self._rows):
-            self._delta = (tuple(removed), tuple(added))
-            self._rows = None
-            successor._chain = chain
+        table = self._rows
+        if self._schema == successor._schema:
+            removed = table - successor._rows
+            added = successor._rows - table
+            chain = self._chain + len(removed) + len(added) + 1
+            if chain <= len(table):
+                self._delta = (len(removed), *removed, *added)
+                self._rows = None
+                successor._chain = chain
+                return
+        self._rows = tuple(table)
+        self._chain = sys.getsizeof(table)
+
+    def table_bytes(self) -> int:
+        """``sys.getsizeof`` of this version's table: the one it owns
+        while it is the newest, the one it gave up when it was superseded
+        keeping its rows (what a memory account charged it then), or the
+        one its rows fold into."""
+        if self._succ is None:
+            return sys.getsizeof(self._rows)
+        if self._rows is not None:
+            return self._chain
+        return sys.getsizeof(self._fold())
 
     def delta_onto(self, other: "Relation") -> Optional[tuple[tuple, tuple]]:
         """``(removed, added)`` — the rows of this version ``other`` lacks
         and the rows ``other`` has beyond it — when this version is stored
         as exactly that reverse delta off ``other``; else ``None``."""
-        return self._delta if self._succ is other else None
+        if self._succ is not other or self._delta is None:
+            return None
+        delta = self._delta
+        split = delta[0] + 1
+        return delta[1:split], delta[split:]
 
     def flat(self) -> "Relation":
         """This version with a table of its own: ``self`` while it is the
@@ -222,20 +252,22 @@ class Relation:
         return Relation._of(self._schema, self.rows)
 
     def _fold(self) -> frozenset:
-        """The table of a version stored as a reverse delta: the table of
-        the first successor that still has one with every delta of the
-        chain undone, newest first — one table build, O(|R|) because
-        :meth:`supersede` bounds the chain.  Rows no delta touched are
-        the successor's own objects."""
+        """The table of a version stored as a reverse delta: the rows of
+        the first successor that still keeps them (its table, or the tuple
+        of a version kept whole) with every delta of the chain undone,
+        newest first — one table build, O(|R|) because :meth:`supersede`
+        bounds the chain.  Rows no delta touched are the successor's own
+        objects."""
         chain = []
         version = self
         while version._rows is None:
             chain.append(version._delta)
             version = version._succ
         table = set(version._rows)
-        for removed, added in reversed(chain):
-            table.difference_update(added)
-            table.update(removed)
+        for delta in reversed(chain):
+            split = delta[0] + 1
+            table.difference_update(delta[split:])
+            table.update(delta[1:split])
         STATS.materialisations += 1
         return frozenset(table)
 

@@ -418,10 +418,12 @@ class ActiveDatabase:
     def _commit(self, txn: Transaction, at_time: Optional[int]) -> SystemState:
         ts = self._next_timestamp(at_time)
         candidate_db = txn.apply_to(self.db.state)
-        events = (
-            [ev.attempts_to_commit(txn.id), ev.transaction_commit(txn.id)]
-            + txn.events
-        )
+        txn_params = (txn.id,)  # one tuple for both of the commit's events
+        events = [
+            ev.Event(ev.ATTEMPTS_TO_COMMIT, txn_params),
+            ev.Event(ev.TRANSACTION_COMMIT, txn_params),
+            *txn.events,
+        ]
         candidate = self._new_state(candidate_db, events, ts, txn.write_set())
 
         violations: list[str] = []

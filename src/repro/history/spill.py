@@ -56,12 +56,13 @@ DEFAULT_HOT_WINDOW = 256
 SEGMENT_DIR_NAME = "segments"
 
 #: Per-unit RAM estimates.  A hot state's fixed part is its SystemState,
-#: event set, events and DatabaseState item table; its write-set and
+#: event tuple, events and DatabaseState value tuple; its write-set and
 #: catalog-named events are shared with every equal commit (measured:
-#: ~0.86 kB for a three-item database and a four-event commit, ~1.2 kB
-#: while each state held its own; the estimate stays at 1 280 so that a
-#: spill schedule does not move).  A row only the past still holds is a
-#: Row, its value tuple and a boxed value or two.
+#: ~0.54 kB for a three-item database and a four-event commit, ~0.86 kB
+#: with an event frozenset and an item dict per state, ~1.2 kB while each
+#: state held its own write-set and events; the estimate stays at 1 280
+#: so that a spill schedule does not move).  A row only the past still
+#: holds is a Row, its value tuple and a boxed value or two.
 _EST_STATE_BYTES = 1280
 _EST_ROW_BYTES = 200
 _EST_FORMULA_BYTES = 80
@@ -73,10 +74,13 @@ def _version_bytes(value, prev) -> int:
     """What the hot window keeps because one database item went from
     ``prev`` to ``value``.  A relation that replaced a relation leaves its
     predecessor behind: a reverse row-delta once the engine superseded it
-    (two row tuples, plus the rows the successor dropped — the others are
-    shared), the table it still owns otherwise.  The newest table itself
-    is the current database's, not the history's.  Anything else costs
-    its container: the entry table of an indexed item, a boxed scalar."""
+    (charged as its two row tuples, plus the rows the successor dropped —
+    the others are shared), else its table (:meth:`Relation.table_bytes`:
+    a version kept whole holds its rows as a tuple but is charged the
+    table it gave up, so a spill schedule does not depend on how it is
+    held).  The newest table itself is the current database's, not the
+    history's.  Anything else costs its container: the entry table of an
+    indexed item, a boxed scalar."""
     if isinstance(value, Relation):
         if prev is value:
             return 0
@@ -84,7 +88,7 @@ def _version_bytes(value, prev) -> int:
             return sys.getsizeof(value.rows)
         delta = prev.delta_onto(value)
         if delta is None:
-            return sys.getsizeof(prev.rows)
+            return prev.table_bytes()
         removed, added = delta
         return (
             sys.getsizeof(removed)

@@ -20,6 +20,12 @@ from repro.storage.snapshot import DatabaseState
 class SystemState:
     """One element of a system history.
 
+    ``events`` is the paper's event *set*, held as a duplicate-free tuple
+    sorted by ``str`` — the order the state codec writes
+    (:func:`repro.storage.persist.encode_state`) — so two states with the
+    same events hold equal tuples whether the engine built them or they
+    were decoded from a record.
+
     Also satisfies the query :class:`~repro.query.evaluator.StateView`
     protocol, resolving the ``time`` item to the state's timestamp — so PTL
     atoms such as ``time <= t - 10`` evaluate naturally at any state.
@@ -36,7 +42,7 @@ class SystemState:
         delta: Optional[frozenset[str]] = None,
     ):
         self.db = db
-        self.events = frozenset(events)
+        self.events = tuple(sorted(dict.fromkeys(events), key=str))
         self.timestamp = timestamp
         self.index = index
         #: Names of the database items this state's update wrote (the
@@ -91,5 +97,5 @@ class SystemState:
         return SystemState(db, self.events, self.timestamp, self.index, None)
 
     def __repr__(self) -> str:
-        evs = ", ".join(sorted(str(e) for e in self.events))
+        evs = ", ".join(map(str, self.events))
         return f"SystemState(t={self.timestamp}, events=[{evs}])"

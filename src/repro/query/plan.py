@@ -664,10 +664,10 @@ class DeltaGate:
         delta = state.delta
         if delta is not None and not delta.isdisjoint(self.names_set):
             return MISS
-        items = db._items
+        get = db.get
         token = self._token
         for i, name in enumerate(self.names):
-            if items.get(name, _ABSENT) is not token[i]:
+            if get(name, _ABSENT) is not token[i]:
                 return MISS
         self._db = db
         STATS.atoms_skipped += 1
@@ -682,9 +682,8 @@ class DeltaGate:
             self._valid = False
             return
         db = state.db
-        items = db._items
         self._db = db
-        self._token = tuple(items.get(n, _ABSENT) for n in self.names)
+        self._token = tuple(db.get(n, _ABSENT) for n in self.names)
         self._value = value
         self._valid = True
 

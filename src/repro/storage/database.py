@@ -22,7 +22,7 @@ class Database:
 
     def __init__(self) -> None:
         self._schemas: dict[str, Schema] = {}
-        self._state = DatabaseState({}, version=0)
+        self._state = DatabaseState({})
         self.queries = QueryRegistry()
 
     # -- catalog -----------------------------------------------------------

@@ -230,7 +230,7 @@ def encode_state(state, prev_db: Optional[DatabaseState]) -> dict:
         "ts": state.timestamp,
         "events": [
             [e.name, [_encode_value(p) for p in e.params]]
-            for e in sorted(state.events, key=str)
+            for e in state.events  # already sorted by str
         ],
         "delta": None if state.delta is None else sorted(state.delta),
     }

@@ -62,13 +62,19 @@ class DatabaseState:
     queries evaluate directly against snapshots — including snapshots deep
     inside a history, which is what the reference (offline) PTL semantics
     needs.
+
+    A state holds its values in one tuple (``_values``) against a layout
+    (``_slots``: item name → position) that every state derived from it
+    shares until the catalog changes, so a kept state costs a tuple of
+    references, not a hash table of its own.
     """
 
-    __slots__ = ("_items", "version")
+    __slots__ = ("_slots", "_values")
 
-    def __init__(self, items: Mapping[str, Any], version: int = 0):
-        self._items = dict(items)
-        self.version = version
+    def __init__(self, items: Mapping[str, Any]):
+        items = dict(items)
+        self._slots = {name: i for i, name in enumerate(items)}
+        self._values = tuple(items.values())
 
     # -- StateView protocol --------------------------------------------------
 
@@ -77,15 +83,17 @@ class DatabaseState:
         is the newest, a transient flat copy of a superseded one (see
         :meth:`Relation.flat` — a query over the past indexes the copy,
         not the history)."""
-        value = self._items.get(name)
+        slot = self._slots.get(name)
+        value = None if slot is None else self._values[slot]
         if not isinstance(value, Relation):
             raise UnknownRelationError(f"no relation named {name!r}")
         return value if value._succ is None else value.flat()
 
     def item(self, name: str, index: tuple = ()) -> Any:
-        if name not in self._items:
+        slot = self._slots.get(name)
+        if slot is None:
             raise QueryEvaluationError(f"no database item named {name!r}")
-        value = self._items[name]
+        value = self._values[slot]
         if isinstance(value, IndexedItem):
             return value.get(index)
         if index:
@@ -93,46 +101,67 @@ class DatabaseState:
         return value
 
     def has_relation(self, name: str) -> bool:
-        return isinstance(self._items.get(name), Relation)
+        return isinstance(self.get(name), Relation)
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """The stored value of ``name`` (not unwrapped), or ``default``
+        when the state has no such item."""
+        slot = self._slots.get(name)
+        return default if slot is None else self._values[slot]
 
     def raw_item(self, name: str) -> Any:
         """The stored value, without unwrapping :class:`IndexedItem`."""
-        if name not in self._items:
+        slot = self._slots.get(name)
+        if slot is None:
             raise QueryEvaluationError(f"no database item named {name!r}")
-        return self._items[name]
+        return self._values[slot]
 
     # -- inspection ------------------------------------------------------------
 
     def has_item(self, name: str) -> bool:
-        return name in self._items
+        return name in self._slots
 
     def item_names(self) -> list[str]:
-        return sorted(self._items)
+        return sorted(self._slots)
 
     def items_view(self) -> Mapping[str, Any]:
-        return dict(self._items)
+        return dict(zip(self._slots, self._values))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatabaseState):
             return NotImplemented
-        return self._items == other._items
+        if self._slots is other._slots:
+            return self._values == other._values
+        return self.items_view() == other.items_view()
 
     def __repr__(self) -> str:
-        return f"DatabaseState(v{self.version}, items={sorted(self._items)})"
+        return f"DatabaseState(items={self.item_names()})"
 
     # -- derivation --------------------------------------------------------------
 
     def with_updates(self, changes: Mapping[str, Any]) -> "DatabaseState":
-        """New state with ``changes`` applied (unchanged items shared)."""
+        """New state with ``changes`` applied (unchanged items shared, and
+        the layout too unless ``changes`` names a new item)."""
         if not changes:
             return self
+        slots = self._slots
+        values = list(self._values)
+        for name, value in changes.items():
+            slot = slots.get(name)
+            if slot is None:
+                if slots is self._slots:
+                    slots = dict(slots)
+                slots[name] = len(values)
+                values.append(value)
+            else:
+                values[slot] = value
         out = DatabaseState.__new__(DatabaseState)
-        out._items = {**self._items, **changes}
-        out.version = self.version + 1
+        out._slots = slots
+        out._values = tuple(values)
         return out
 
     def with_indexed_update(self, name: str, index: tuple, value: Any) -> "DatabaseState":
-        current = self._items.get(name)
+        current = self.get(name)
         if not isinstance(current, IndexedItem):
             current = IndexedItem()
         return self.with_updates({name: current.with_entry(index, value)})
@@ -141,11 +170,9 @@ class DatabaseState:
         """Names of items whose value differs from ``previous`` (the delta
         the incremental algorithm looks at)."""
         out = []
-        names = set(self._items) | set(previous._items)
-        for name in names:
-            if self._items.get(name) is previous._items.get(name):
-                continue
-            if self._items.get(name) != previous._items.get(name):
+        for name in set(self._slots) | set(previous._slots):
+            now, was = self.get(name), previous.get(name)
+            if now is not was and now != was:
                 out.append(name)
         return sorted(out)
 
@@ -155,9 +182,8 @@ def supersede(old: DatabaseState, new: DatabaseState) -> None:
     every relation version it replaced becomes a reverse row-delta off its
     replacement (:meth:`Relation.supersede`).  Call it only once ``new``
     is decided — a vetoed candidate must not demote the live version."""
-    items = new._items
-    for name, was in old._items.items():
+    for name, was in zip(old._slots, old._values):
         if isinstance(was, Relation):
-            now = items.get(name)
+            now = new.get(name)
             if now is not was and isinstance(now, Relation):
                 was.supersede(now)

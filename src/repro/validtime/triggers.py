@@ -7,6 +7,10 @@ transaction, until the last system state in the history" — implemented
 with checkpointed evaluator snapshots so the rollback is to the latest
 checkpoint before the oldest retroactively-touched state.
 
+Under a maximum delay DELTA no commit reaches back more than DELTA, so
+a tentative trigger keeps only the checkpoints a rollback can still
+land on: the newest at or before ``now - DELTA`` and every later one.
+
 *Definite* triggers act only on definite values: under the maximum-delay
 assumption, a state older than DELTA can no longer change, so the
 evaluator "only considers the system states that have a time-stamp that is
@@ -17,6 +21,7 @@ incremental).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -63,7 +68,8 @@ class TentativeTrigger:
         self._fired_keys: set = set()
         self._evaluator = IncrementalEvaluator(condition, self.ctx)
         #: checkpoints[i] = snapshot of the evaluator before processing
-        #: history position i (kept every ``checkpoint_every`` positions).
+        #: history position i (kept every ``checkpoint_every`` positions,
+        #: back to the DELTA horizon when the database has one).
         self._checkpoints: dict[int, Any] = {0: self._evaluator.snapshot()}
         self._processed = 0  # history positions consumed
         self._timestamps: list[int] = []  # timestamp per processed position
@@ -84,6 +90,7 @@ class TentativeTrigger:
             first_affected = self._processed
         self._rollback_to(first_affected)
         self._run_from(history)
+        self._forget_before_horizon()
 
     def _rollback_to(self, position: int) -> None:
         if position >= self._processed:
@@ -97,6 +104,23 @@ class TentativeTrigger:
         self._checkpoints = {
             p: s for p, s in self._checkpoints.items() if p <= checkpoint_pos
         }
+
+    def _forget_before_horizon(self) -> None:
+        """Drop the checkpoints no later commit can roll back to.  Under
+        DELTA a commit happens at or after now and none of its updates is
+        older than its commit time minus DELTA, so its rollback lands at
+        or after the first position timed ``now - DELTA`` or later: keep
+        the newest checkpoint at or before that position and every later
+        one."""
+        delta = self.vtdb.max_delay
+        if delta is None:
+            return
+        first = bisect_left(self._timestamps, self.vtdb.now - delta)
+        keep = max(p for p in self._checkpoints if p <= first)
+        if keep > next(iter(self._checkpoints)):
+            self._checkpoints = {
+                p: s for p, s in self._checkpoints.items() if p >= keep
+            }
 
     def _run_from(self, history) -> None:
         states = history.states

@@ -47,6 +47,7 @@ from repro.ptl.constraints import intern_stats
 from repro.query.evaluator import eval_query
 from repro.query.parser import parse_query
 from repro.serve import ReproServer, StockProfile, compile_statements
+from repro.validtime import TentativeTrigger, ValidTimeDatabase
 from repro.workloads import (
     SHARP_INCREASE,
     apply_tick,
@@ -187,6 +188,49 @@ class TestOptimizationDiscrimination:
         """The exact assertion the property test makes must FAIL without
         the optimization — i.e. the property genuinely discriminates."""
         assert not bounded(self._sizes(optimize=False))
+
+
+class TestValidTimeCheckpointsWithinDelta:
+    """Section 9's maximum delay bounds what a tentative trigger keeps: no
+    commit reaches back more than DELTA, so the evaluator snapshots a
+    rollback can still land on stay within DELTA of now, however long the
+    valid-time history grows (ROADMAP 6, stage 1)."""
+
+    DELTA = 5
+    CONDITION = "PRICE >= 100 & lasttime (PRICE < 100)"
+
+    def _run(self, max_delay):
+        """``LENGTH`` commits two time units apart, each setting the price
+        up to DELTA back in valid time; the trigger's checkpoint count
+        after each."""
+        vtdb = ValidTimeDatabase(start_time=10, max_delay=max_delay)
+        vtdb.declare_item("PRICE", 40.0)
+        trigger = TentativeTrigger(
+            vtdb, parse_formula(self.CONDITION, items={"PRICE"})
+        )
+        rng = random.Random(3)
+        kept = []
+        for _ in range(LENGTH):
+            at = vtdb.now + 2
+            txn = vtdb.begin()
+            txn.set_item(
+                "PRICE",
+                rng.choice((40.0, 120.0)),
+                valid_time=at - rng.randint(0, self.DELTA),
+            )
+            txn.commit(at_time=at)
+            kept.append(len(trigger._checkpoints))
+        return trigger, kept
+
+    def test_checkpoints_stay_within_delta(self):
+        trigger, kept = self._run(self.DELTA)
+        assert bounded(kept), (max(kept[:HALF]), max(kept[HALF:]))
+        # the same commits without a maximum delay keep every checkpoint,
+        # and roll back to the same ones: same firings, same replays
+        twin, twin_kept = self._run(None)
+        assert not bounded(twin_kept)
+        assert trigger.firings == twin.firings and trigger.firings
+        assert trigger.replays == twin.replays
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +652,10 @@ class TestHotPastCostsItsDeltas:
         return retained / (self.STATES - self.WARMUP)
 
     def test_a_hot_state_costs_its_delta(self, tmp_path):
-        # ~1.0 kB; ~1.3 kB while each state held its own write-set and
-        # update_item event, 7.6 kB while every fifth state owned a
-        # 400-row table
+        # ~0.66 kB; ~1.0 kB with an event frozenset, an item dict and a
+        # pair of row tuples per state, ~1.3 kB while each state held its
+        # own write-set and update_item event, 7.6 kB while every fifth
+        # state owned a 400-row table
         assert self._per_state(tmp_path, 400) < 2_500
 
     def test_flat_in_the_cardinality(self, tmp_path):
@@ -753,9 +798,13 @@ class TestKeptStateCostsWhatItAdds:
         states = self.STEPS - self.WARMUP
         assert (fired[-1] - fired[self.WARMUP - 1]) / states >= 36
         assert len(adb.history) == self.STEPS
-        # ~1.6 kB; ~2.9 kB with a write-set and two events of its own per
-        # state and the state index and timestamp stored with every firing
-        assert retained / states <= 2_000, retained / states
+        # ~1.0 kB: the state, its event tuple and item tuple, a STOCK
+        # reverse delta in one tuple and the firings' rows; ~1.6 kB with
+        # an event frozenset, an item dict and a pair of row tuples per
+        # state and every superseded STOCK table kept as a hash table;
+        # ~2.9 kB with a write-set and two events of its own per state and
+        # the state index and timestamp stored with every firing
+        assert retained / states <= 1_250, retained / states
 
     def test_bytes_retained_per_firing(self):
         adb, manager, step = crowded_engine(keep_history=False)

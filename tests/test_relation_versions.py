@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datamodel import Relation
+from repro.datamodel import Relation, Row
 from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
 from repro.history.spill import attach_tiered_history
@@ -168,17 +168,48 @@ class TestSupersede:
         # the oldest version is a few links from a table, not 199.
         versions = self._versions(n=200)
         oracles = [self._flat(v) for v in versions]
-        for old, new in zip(versions, versions[1:]):
+        pairs = list(zip(versions, versions[1:]))
+        for old, new in pairs:
             old.supersede(new)
-        kept = [v for v in versions[:-1] if v._rows is not None]
+        deltas = [old.delta_onto(new) for old, new in pairs]
+        kept = [delta for delta in deltas if delta is None]
         assert 0 < len(kept) < len(versions) // 2
-        for version, oracle in zip(versions, oracles):
-            undone, link = 0, version
-            while link._rows is None:
-                undone += sum(map(len, link._delta)) + 1
-                link = link._succ
-            assert undone <= len(link._rows)
+        for i, (version, oracle) in enumerate(zip(versions, oracles)):
+            undone, link = 0, i
+            while link < len(deltas) and deltas[link] is not None:
+                undone += sum(map(len, deltas[link])) + 1
+                link += 1
+            assert undone <= len(versions[link])
             assert version.rows == oracle.rows and len(version) == len(oracle)
+
+    def test_a_version_kept_whole_reads_as_a_fresh_one(self):
+        # Updates of an 8-row relation keep a version whole once the chain
+        # behind it is over budget, and so does a schema change (the
+        # newest one here).
+        versions = self._versions(n=40)
+        oracles = [self._flat(v) for v in versions]
+        charged = [v.table_bytes() for v in versions]
+        successors = versions[1:] + [versions[-1].rename({"amount": "x"})]
+        for old, new in zip(versions, successors):
+            old.supersede(new)
+        whole = [
+            i for i, (old, new) in enumerate(zip(versions, successors))
+            if old.delta_onto(new) is None
+        ]
+        assert 3 <= len(whole) < len(versions) and whole[-1] == 39
+        for i in whole:
+            version, oracle = versions[i], oracles[i]
+            assert version.superseded and not oracle.superseded
+            assert_reads_as(version, oracle)
+            assert_reads_as(version.flat(), oracle)
+            assert version.flat() is not version
+            assert version.delta_onto(oracle) is oracle.delta_onto(version)
+            # the version before it is a delta onto it, as onto a table
+            removed, added = versions[i - 1].delta_onto(version)
+            assert set(removed) == oracles[i - 1].rows - oracle.rows
+            assert set(added) == oracle.rows - oracles[i - 1].rows
+            # a memory account charges it the table it gave up
+            assert version.table_bytes() == charged[i]
 
     def test_adjacent_versions_compare_without_a_table(self):
         a, b = self._versions(2)
@@ -194,9 +225,10 @@ class TestSupersede:
         b = a.update(lambda r: True, lambda r: {"amount": 2.0})
         index_for(a, ("oid",)), a.sorted_rows()
         a.supersede(b)
-        assert a.superseded and a._rows is not None
+        assert a.superseded and a.delta_onto(b) is None
         assert a._index_cache is None and a._sorted_cache is None
-        assert a.flat() is not a and a.flat().rows is a.rows
+        assert a.flat() is not a and a.flat() is not a.flat()
+        assert a.flat().rows == a.rows == {Row(ORDERS_SCHEMA, (1, 1.0))}
         assert index_for(a, ("oid",)) is not index_for(a, ("oid",))
 
     def test_first_successor_wins_and_chains_stay_acyclic(self):

@@ -35,7 +35,8 @@ class TestDatabaseState:
         assert new.item("V") == 8
         assert new.relation("R") is state.relation("R")
         assert state.item("V") == 7  # original untouched
-        assert new.version == state.version + 1
+        assert new.raw_item("FAM") is state.raw_item("FAM")
+        assert new != state and new.with_updates({"V": 7}) == state
 
     def test_with_updates_empty_is_identity(self, state):
         assert state.with_updates({}) is state

@@ -222,7 +222,7 @@ class TestStateRecord:
         for state, db, record in zip(states, out, records):
             assert db == state.db
             events, delta = state_events(record)
-            assert frozenset(events) == state.events
+            assert tuple(events) == state.events
             assert delta == state.delta
             assert record["ts"] == state.timestamp
         # unchanged items, and the untouched rows of a changed relation,
