@@ -43,10 +43,7 @@ _EXPORTS = {
     "satisfies": "repro.ptl.semantics",
     "answers": "repro.ptl.semantics",
     "UNDEFINED": "repro.ptl.values",
-    **dict.fromkeys(
-        ("IncrementalEvaluator", "SharedPlan", "PlanBoundEvaluator"),
-        "repro.ptl.plan",
-    ),
+    **dict.fromkeys(("IncrementalEvaluator", "SharedPlan"), "repro.ptl.plan"),
     "infer_relevant_events": "repro.ptl.plan",
     "FireResult": "repro.ptl.incremental",
     **dict.fromkeys(

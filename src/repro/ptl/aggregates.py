@@ -101,20 +101,22 @@ class AggregateExecutor:
 
     def __init__(self, ctx: EvalContext) -> None:
         self.plan = SharedPlan(ctx)
-        #: (item names, r2's view) per rewritten aggregate.
+        #: (item names, r2's name) per rewritten aggregate.
         self._maintained: list = []
 
     def add(self, rewritten: RewrittenAggregate) -> None:
-        view = self.plan.add_aggregate_rules(
-            rewritten.term, rewritten.rule_names
+        self.plan.add_aggregate_rules(rewritten.term, rewritten.rule_names)
+        self._maintained.append(
+            (rewritten.item_names, rewritten.rule_names[1])
         )
-        self._maintained.append((rewritten.item_names, view))
 
     def step(self, state: SystemState) -> dict[str, Any]:
         self.plan.step(state)
         overlay: dict[str, Any] = {}
-        for names, view in self._maintained:
-            overlay.update(zip(names, _item_values(view.entry.maintains)))
+        for names, r2 in self._maintained:
+            # By name: a plan's from_state replaces its accumulators.
+            accumulator = self.plan._rules[r2].maintains
+            overlay.update(zip(names, _item_values(accumulator)))
         return overlay
 
 

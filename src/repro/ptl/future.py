@@ -20,7 +20,7 @@ Bounded operators carry a time budget decremented by the elapsed time
 between states, so ``eventually[10] p`` fails once 10 time units pass.
 
 Past and future compose: :class:`Past` embeds any ground past-PTL formula
-as an atom whose per-state value comes from an incremental evaluator —
+as an atom whose per-state value is a root of a condition plan —
 e.g. ``always (Past(alarm-condition) -> eventually[5] @ack)``.
 """
 
@@ -34,7 +34,7 @@ from repro.errors import PTLError, UnsafeFormulaError
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
-from repro.ptl.plan import IncrementalEvaluator
+from repro.ptl.plan import SharedPlan
 
 # ---------------------------------------------------------------------------
 # Future-formula AST (wraps past-PTL formulas as atoms)
@@ -71,8 +71,8 @@ FFALSE = FBool(False)
 @dataclass(frozen=True)
 class Atom(FFormula):
     """A present-state atom: any *ground* past-PTL formula (plain
-    comparisons and event atoms included), evaluated per state by an
-    incremental evaluator."""
+    comparisons and event atoms included), evaluated per state as a root
+    of the monitor's plan."""
 
     formula: ast.Formula
 
@@ -242,42 +242,56 @@ class Verdict(enum.Enum):
 class FutureMonitor:
     """Monitors one future formula from the state of its first ``step``.
 
-    Atoms (embedded past formulas) are evaluated by shared incremental
-    evaluators, so the full past+future logic is processed with the same
-    per-state incremental discipline as pure-past conditions.
+    Each atom (an embedded past formula) is a root of a :class:`SharedPlan`
+    — a private one, or the ``plan`` of the rule manager that hosts the
+    monitor, named ``(name, atom formula)`` so that no rule name can equal
+    it — and is registered at the plan's current epoch: its temporal
+    operators start with the monitor.  A resolved monitor releases its
+    atoms.
     """
 
-    def __init__(self, formula: FFormula, ctx: Optional[EvalContext] = None):
-        self.ctx = ctx or EvalContext()
+    def __init__(
+        self,
+        formula: FFormula,
+        ctx: Optional[EvalContext] = None,
+        plan: Optional[SharedPlan] = None,
+        name: str = "",
+    ):
+        self.plan = plan if plan is not None else SharedPlan(ctx)
         self.initial = _coerce(formula)
         self.current: FFormula = self.initial
         self.verdict = Verdict.PENDING
         self.steps = 0
-        self._last_ts: Optional[int] = None
-        self._atoms: dict[ast.Formula, IncrementalEvaluator] = {}
+        #: atom formula -> its root's name on the plan (empty once the
+        #: monitor has resolved and released them).
+        self.atoms: dict[ast.Formula, tuple] = {}
         self._atom_values: dict[ast.Formula, bool] = {}
-        for atom in _collect_atoms(self.initial):
-            if ast.free_variables(atom.formula):
+        atoms = [atom.formula for atom in _collect_atoms(self.initial)]
+        for f in atoms:
+            if ast.free_variables(f):
                 raise UnsafeFormulaError(
-                    f"future-monitor atoms must be ground: {atom.formula}"
+                    f"future-monitor atoms must be ground: {f}"
                 )
-            self._atoms[atom.formula] = IncrementalEvaluator(
-                atom.formula, self.ctx
-            )
+        for f in atoms:
+            self.plan.add_rule((name, f), f, ctx)
+            self.atoms[f] = (name, f)
 
     # -- stepping ---------------------------------------------------------------
 
     def step(self, state: SystemState) -> Verdict:
-        """Progress through one new system state."""
+        """Step the private plan through one new system state and
+        progress over it."""
+        if self.verdict is Verdict.PENDING:
+            self.plan.step(state)
+        return self.advance(state)
+
+    def advance(self, state: SystemState) -> Verdict:
+        """Progress over ``state``, which the plan has just stepped (the
+        hosting manager reads the atoms before the step completes)."""
         if self.verdict is not Verdict.PENDING:
-            # keep atom evaluators current anyway (cheap, and a monitor
-            # pool may share them), but the verdict is final.
-            for ev in self._atoms.values():
-                ev.step(state)
             return self.verdict
-        self._last_ts = state.timestamp
         self._atom_values = {
-            f: ev.step(state).fired for f, ev in self._atoms.items()
+            f: self.plan.result_of(key).fired for f, key in self.atoms.items()
         }
         self.current = self._progress(self.current, state.timestamp)
         self.steps += 1
@@ -285,7 +299,14 @@ class FutureMonitor:
             self.verdict = (
                 Verdict.SATISFIED if self.current.value else Verdict.VIOLATED
             )
+            self.release()
         return self.verdict
+
+    def release(self) -> None:
+        """Drop the atoms' roots from the plan."""
+        for key in self.atoms.values():
+            self.plan.remove_rule(key)
+        self.atoms = {}
 
     def _progress(self, f: FFormula, now: int) -> FFormula:
         if isinstance(f, FBool):
@@ -330,14 +351,10 @@ class FutureMonitor:
 
     # -- inspection -----------------------------------------------------------------
 
-    @property
-    def pending_formula(self) -> FFormula:
-        return self.current
-
     def state_size(self) -> int:
-        return _fsize(self.current) + sum(
-            ev.state_size() for ev in self._atoms.values()
-        )
+        """The pending formula's size plus the plan's retained state (a
+        hosting manager's whole plan, when hosted)."""
+        return _fsize(self.current) + self.plan.state_size()
 
 
 def satisfies_finite(

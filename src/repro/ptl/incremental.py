@@ -40,7 +40,7 @@ formula -> node switch (:func:`build_node`), the one child enumeration
 (:func:`children`) and the aggregate accumulator.  The engine that steps
 them — for one rule or for many, with common-subformula elimination — is
 :class:`repro.ptl.plan.SharedPlan`;
-:class:`~repro.ptl.plan.IncrementalEvaluator` is its one-rule view.
+:class:`~repro.ptl.plan.IncrementalEvaluator` is a one-rule plan.
 """
 
 from __future__ import annotations
@@ -625,8 +625,7 @@ def peel(node):
 
 def children(node) -> tuple:
     """The DAG nodes hanging directly under ``node`` — the one child
-    enumeration (plan release and the per-rule walks go through it).
-    Children come back *as
+    enumeration (plan release goes through it).  Children come back *as
     referenced*: memo wrappers on, since those carry the refcounts.  A
     comparison's children are the shared aggregates it reads, an
     aggregate's are its φ/ψ roots — so whatever walks the DAG sees

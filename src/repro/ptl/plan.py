@@ -28,10 +28,12 @@ Sharing is keyed so it is *sound*, not just syntactic:
 * the subformula's *prune set* — the rule's time-assigned variables
   restricted to the subformula's free variables.  Two rules may share g
   only if Section 5 pruning treats g's stored formula identically;
-* the *birth epoch* — the plan step count at compile time.  A rule (or a
-  lazily created query-parameter instance) added after the plan has
-  started stepping must not inherit another rule's history-laden temporal
-  state, so it only shares nodes born at the same epoch.  Rules registered
+* the *birth epoch* — the plan step count before the node's first step:
+  a rule registered between steps e and e+1, and a query-parameter
+  instance the domains add at step e+1, are born at e.  A node added
+  after the plan has started stepping must not inherit another rule's
+  history-laden temporal state, so it only shares nodes born at the same
+  epoch — nodes that have not stepped yet either.  Rules registered
   before the first step (the common case) all share.
 
 A temporal aggregate's starting and sampling formulas (Section 6.1.1's
@@ -86,7 +88,6 @@ from repro.ptl.incremental import (
     children,
     fire_result,
     instantiate_formula,
-    peel,
     query_param_vars,
 )
 from repro.ptl.rewrite import TIME_QUERY, normalize
@@ -328,18 +329,14 @@ class SharedPlan:
 
     def add_rule(
         self,
-        name: str,
+        name,
         formula: ast.Formula,
         ctx: Optional[EvalContext] = None,
-    ) -> "PlanBoundEvaluator":
-        """Register a rule's condition; returns the per-rule view.
-        ``ctx`` carries the rule's domains; its executed store should be
-        the plan's."""
-        return PlanBoundEvaluator(
-            self, self._register(name, formula, ctx), formula
-        )
-
-    def _register(self, name, formula, ctx) -> "_PlanRule":
+    ) -> Optional[frozenset[str]]:
+        """Register a condition under ``name`` (any hashable; its result is
+        read by :meth:`result_of`).  ``ctx`` carries the rule's domains;
+        its executed store should be the plan's.  Returns the event atoms
+        that gate the condition (:func:`infer_relevant_events`), or None."""
         if name in self._rules:
             raise DuplicateRuleError(f"rule {name!r} already in the plan")
         formula = normalize(formula)
@@ -361,22 +358,22 @@ class SharedPlan:
         self._rules[name] = entry
         if self._obs_on:
             self._record_metrics()
-        return entry
+        return entry.events
 
     def add_aggregate_rules(
         self, term: ast.AggT, names: tuple[str, str]
-    ) -> "PlanBoundEvaluator":
+    ) -> _AggregateState:
         """Section 6.1.1's maintenance of ``term = f(q, φ, ψ)`` as two
         real rules of this plan, ``names = (r1, r2)``: ``r1: φ →
         initialize F`` and ``r2: ψ → update F``.  F is the plan's own
         accumulator for the (normalized, ground) term — the rules' roots
-        *are* its φ/ψ nodes — and ``r2`` roots it, so whichever backend
-        steps the plan maintains it.  Returns r2's view; the live
-        accumulator is ``view.entry.maintains``."""
+        *are* its φ/ψ nodes — and ``r2`` roots it, so stepping the plan
+        maintains it.  Returns F (replaced by :meth:`from_state`)."""
         self.add_rule(names[0], term.start)
-        view = self.add_rule(names[1], term.sample)
-        view.entry.maintains = self._ref_aggregate(term, frozenset())
-        return view
+        self.add_rule(names[1], term.sample)
+        entry = self._rules[names[1]]
+        entry.maintains = self._ref_aggregate(term, frozenset())
+        return entry.maintains
 
     def _compile_root(self, entry: _PlanRule) -> None:
         """Compile a ground rule's root at the current epoch (and
@@ -499,16 +496,15 @@ class SharedPlan:
 
     def step(self, state: SystemState) -> None:
         """Process one new system state for *all* rules; the step is
-        open until :meth:`complete`.  Idempotent per state object: the
-        per-rule views each call this, the first one does the work."""
-        if state is self._last_state:
-            return
+        open until :meth:`complete`.  The query-parameter instances the
+        state's domains add compile first, at the epoch before the step:
+        they share only with nodes that have not stepped yet."""
         self.complete()
-        self._last_state = self._open = state
-        self.epoch += 1
         for entry in self._rules.values():
             if entry.qvars:
                 self._refresh_instances(entry, state)
+        self._last_state = self._open = state
+        self.epoch += 1
         for agg in self._aggregates.values():
             agg.step(state)
 
@@ -586,8 +582,8 @@ class SharedPlan:
     # Introspection
     # ------------------------------------------------------------------
 
-    def rule_names(self) -> list[str]:
-        return sorted(self._rules)
+    def rule_names(self) -> list:
+        return sorted(self._rules, key=str)
 
     def distinct_nodes(self) -> int:
         return len(self._nodes)
@@ -655,14 +651,15 @@ class SharedPlan:
 
     def restore(self, snap) -> None:
         epoch, last_state, node_states, agg_states, rule_states = snap
-        # Query-parameter instances born after the snapshot leave through
-        # the refcount path, taking their temporal nodes and aggregates
-        # with them (they would otherwise keep the trial's state).
+        # Query-parameter instances born in a step after the snapshot (at
+        # its epoch or later) leave through the refcount path, taking their
+        # temporal nodes and aggregates with them (they would otherwise
+        # keep the trial's state).
         for entry in self._rules.values():
             late = [
                 combo
                 for combo, (birth, _) in entry.instance_births.items()
-                if birth > epoch
+                if birth >= epoch
             ]
             for combo in late:
                 del entry.instance_births[combo]
@@ -707,6 +704,7 @@ class SharedPlan:
         order can differ from original compile order) restorable."""
         self.complete()
         return {
+            "births": "pre_step",
             "epoch": self.epoch,
             "next_seq": self._next_seq,
             "rules": [
@@ -756,7 +754,11 @@ class SharedPlan:
         Returns ``{"added": [...], "dropped": [...], "changed": [...]}``
         (all empty under ``strict=True``).  A ``"compiled"`` section,
         written by older commits that could step through a generated
-        chain, is ignored: the node states above are the whole value."""
+        chain, is ignored: the node states above are the whole value.
+        A section without the ``"births"`` mark is converted on read
+        (:func:`_pre_step_births`)."""
+        if payload.get("births") != "pre_step":
+            payload = _pre_step_births(payload, strict)
         by_name = {r["name"]: r for r in payload["rules"]}
         drift = rule_drift(
             {name: rec["formula"] for name, rec in by_name.items()},
@@ -875,6 +877,47 @@ class SharedPlan:
         return drift
 
 
+def _pre_step_births(payload: dict, strict: bool) -> dict:
+    """Convert a plan section written when a query-parameter instance was
+    born at the epoch *after* its first step: its instances, and the
+    temporal nodes and aggregates born with them, move one epoch down.
+    Where a rule root was registered at such an instance's old birth, the
+    two may have shared nodes the instance had already stepped, and the
+    entries cannot be attributed: a strict restore refuses them, a lenient
+    one keeps them as recorded (the roots' nodes restore, the instance's
+    start fresh)."""
+    roots = {rec["birth"] for rec in payload["rules"] if not rec["instances"]}
+    born = {b for rec in payload["rules"] for _, b, _ in rec["instances"]}
+    if born & roots and strict:
+        raise RecoveryError(
+            f"checkpointed instances born at epochs {sorted(born & roots)} "
+            "may share nodes with rules registered there; restore with "
+            "strict_rules=False to start them fresh"
+        )
+    shift = born - roots
+
+    def moved(entries: list) -> list:
+        kept = [e for e in entries if e[2] not in shift]
+        out = list(kept)
+        for label, key, birth, state in entries:
+            entry = [label, key, birth - 1, state]
+            # A root born there holds the same node (same key, same state).
+            if birth in shift and entry not in kept:
+                out.append(entry)
+        return out
+
+    rules = [
+        {**rec, "instances": [[c, b - 1, q] for c, b, q in rec["instances"]]}
+        for rec in payload["rules"]
+    ]
+    return {
+        **payload,
+        "rules": rules,
+        "temporal": moved(payload["temporal"]),
+        "aggregates": moved(payload["aggregates"]),
+    }
+
+
 def _encode_fire_result(result: FireResult) -> dict:
     return {
         "fired": result.fired,
@@ -895,82 +938,13 @@ def _decode_fire_result(payload: dict) -> FireResult:
     )
 
 
-class PlanBoundEvaluator:
-    """Per-rule view of a :class:`SharedPlan` (step, firing result,
-    inspection), with the evaluation work done once in the plan however
-    many views step it on the same state."""
-
-    def __init__(self, plan: SharedPlan, entry: _PlanRule, original):
-        self.plan = plan
-        self.entry = entry
-        self.original = original
-        self.formula = entry.formula
-        self.ctx = entry.ctx
-        self.steps = 0
-
-    @property
-    def name(self) -> str:
-        return self.entry.name
-
-    def step(self, state: SystemState) -> FireResult:
-        self.plan.step(state)
-        self.steps += 1
-        return self.plan._result(self.entry)
-
-    @property
-    def last_top(self) -> cs.C:
-        return self.entry.last_top
-
-    def _under(self, kinds) -> list:
-        """Distinct DAG nodes of the given classes under this rule's
-        roots (aggregates and their φ/ψ included)."""
-        seen: set[int] = set()
-        stack = list(self.entry.roots())
-        out = []
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            inner = peel(node)
-            if isinstance(inner, kinds):
-                out.append(inner)
-            stack.extend(children(node))
-        return out
-
-    def stored_formulas(self) -> list[tuple[str, cs.C]]:
-        self.plan.complete()
-        return [
-            pair
-            for node in self._under(_TEMPORAL)
-            for pair in node.stored_formulas()
-        ]
-
-    def stored_formula_size(self) -> int:
-        """This rule's stored-formula footprint, counted over the shared
-        DAG (nodes shared with other rules are still part of this rule's
-        working set — the plan's :meth:`SharedPlan.state_size` is the
-        deduplicated total)."""
-        return cs.dag_size(c for _, c in self.stored_formulas())
-
-    def aux_rows(self) -> int:
-        return sum(
-            agg.state_size() for agg in self._under(_AggregateState)
-        )
-
-    def state_size(self) -> int:
-        """Total retained state — the paper's space metric (E2/E4):
-        stored-formula DAG size plus auxiliary aggregate rows."""
-        return self.stored_formula_size() + self.aux_rows()
-
-
-class IncrementalEvaluator(PlanBoundEvaluator):
-    """Incremental detector for one PTL condition: the sole view of a
-    private one-rule :class:`SharedPlan`, so a standalone condition (a
-    valid-time trigger, a future-monitor atom, a baseline's condition)
-    runs through exactly the code a shared rule base does.  A rule
-    manager's triggers and integrity constraints are not standalone: they
-    are roots of the manager's one plan.
+class IncrementalEvaluator:
+    """Incremental detector for one PTL condition: a private one-rule
+    :class:`SharedPlan`, so a standalone condition (a valid-time trigger,
+    a baseline's condition) runs through exactly the code a shared rule
+    base does.  A rule manager's triggers, integrity constraints and
+    future-monitor atoms are not standalone: they are roots of the
+    manager's one plan.
 
     Parameters
     ----------
@@ -1006,13 +980,10 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         metrics=None,
         name: Optional[str] = None,
     ):
-        ctx = ctx or EvalContext()
-        plan = SharedPlan(ctx, optimize)
-        entry = plan._register(
-            name if name is not None else "<anonymous>", formula, ctx
-        )
-        super().__init__(plan, entry, formula)
-        self.optimize = optimize
+        self.name = name if name is not None else "<anonymous>"
+        self.plan = SharedPlan(ctx, optimize)
+        self.plan.add_rule(self.name, formula)
+        self.steps = 0
         self.metrics = as_registry(metrics)
         self._obs_on = self.metrics.enabled
         if self._obs_on:
@@ -1034,18 +1005,36 @@ class IncrementalEvaluator(PlanBoundEvaluator):
 
     def step(self, state: SystemState) -> FireResult:
         """Process one new system state."""
-        # Sole view: every call is a new step, even on the same state
-        # object (the plan's per-state idempotence exists for many views
-        # stepping one plan).
-        self.plan._last_state = None
         if not self._obs_on:
-            return super().step(state)
+            self.plan.step(state)
+            self.steps += 1
+            return self.plan.result_of(self.name)
         t0 = perf_counter()
-        result = super().step(state)
+        self.plan.step(state)
+        self.steps += 1
+        result = self.plan.result_of(self.name)
         self._m_step_seconds.observe(perf_counter() - t0)
         self._m_steps.inc()
         self._record_gauges()
         return result
+
+    @property
+    def last_top(self) -> cs.C:
+        return self.plan._rules[self.name].last_top
+
+    def stored_formulas(self) -> list[tuple[str, cs.C]]:
+        return self.plan.stored_formulas()
+
+    def stored_formula_size(self) -> int:
+        return cs.dag_size(c for _, c in self.stored_formulas())
+
+    def aux_rows(self) -> int:
+        return self.plan.aux_rows()
+
+    def state_size(self) -> int:
+        """Total retained state — the paper's space metric (E2/E4):
+        stored-formula DAG size plus auxiliary aggregate rows."""
+        return self.stored_formula_size() + self.aux_rows()
 
     def _record_gauges(self) -> None:
         """Refresh the memory gauges from the current evaluator state (the
@@ -1055,7 +1044,7 @@ class IncrementalEvaluator(PlanBoundEvaluator):
         self._m_stored_size.set(stored)
         self._m_aux_rows.set(aux)
         self._m_state_size.set(stored + aux)
-        entry = self.entry
+        entry = self.plan._rules[self.name]
         self._m_instances.set(
             1 if entry.root is not None else len(entry.instances)
         )

@@ -686,10 +686,3 @@ class DeltaGate:
         self._token = tuple(db.get(n, _ABSENT) for n in self.names)
         self._value = value
         self._valid = True
-
-
-def value_gate(query) -> Optional[DeltaGate]:
-    """A :class:`DeltaGate` for one ground query, or None if gating is
-    unsound for it (time-dependent or unanalyzable)."""
-    gate = DeltaGate((query,))
-    return gate if gate.enabled else None

@@ -13,9 +13,10 @@ evaluation algorithm for each trigger."  The manager:
   (``attempts_to_commit(X) & !c``) fires; the step is kept when that
   candidate is published and rolled back otherwise;
 * *settles* each stepped state in commit order — reads the triggers'
-  results, writes execution records, steps the future monitors and holds
-  what fired — at its delivery by the engine's event bus, or at the next
-  commit's validation when that comes first;
+  results and the future monitors' atoms (roots of the same plan), writes
+  execution records and holds what fired — at its delivery by the
+  engine's event bus, or at the next commit's validation when that comes
+  first;
 * executes trigger actions according to their coupling mode, records
   the executions some live condition reads in the ``executed`` store
   (Section 7), and garbage-collects records past their retention;
@@ -73,7 +74,8 @@ ConditionLike = Union[str, ast.Formula]
 
 
 class _RegisteredMonitor:
-    """A future-obligation monitor attached to the manager (extension)."""
+    """A future-obligation monitor attached to the manager (extension):
+    its atoms are roots of the manager's plan."""
 
     __slots__ = (
         "name",
@@ -83,35 +85,48 @@ class _RegisteredMonitor:
         "on_violated",
         "respawn",
         "resolutions",
-        "_ctx",
+        "reads",
     )
 
-    def __init__(self, name, formula, ctx, on_satisfied, on_violated, respawn):
+    def __init__(self, name, formula, plan, on_satisfied, on_violated, respawn):
         from repro.ptl.future import FutureMonitor
 
         self.name = name
         self.formula = formula
-        self._ctx = ctx
-        self.monitor = FutureMonitor(formula, ctx)
+        self.monitor = FutureMonitor(formula, plan=plan, name=name)
         self.on_satisfied = on_satisfied
         self.on_violated = on_violated
         self.respawn = respawn
         #: (verdict, timestamp) per resolution.
         self.resolutions: list[tuple[str, int]] = []
+        #: Rules whose executions the atoms read.
+        self.reads = frozenset(
+            sub.rule
+            for atom in self.monitor.atoms
+            for sub in ast.walk(atom)
+            if isinstance(sub, ast.ExecutedAtom)
+        )
 
-    def step(self, state):
-        """Progress the obligation over ``state``; returns the verdict it
-        resolves to here, else None."""
-        from repro.ptl.future import FutureMonitor, Verdict
+    def advance(self, state):
+        """Progress the obligation over ``state``, which the plan has
+        stepped; returns the verdict it resolves to here, else None."""
+        from repro.ptl.future import Verdict
 
-        already_resolved = self.monitor.verdict is not Verdict.PENDING
-        verdict = self.monitor.step(state)
-        if verdict is Verdict.PENDING or already_resolved:
+        if self.monitor.verdict is not Verdict.PENDING:
             return None
+        verdict = self.monitor.advance(state)
+        return None if verdict is Verdict.PENDING else verdict
+
+    def renew(self) -> None:
+        """After a resolution, a respawning monitor starts a fresh
+        obligation: fresh atoms, whose operators start with the next
+        state."""
         if self.respawn:
-            # a fresh obligation starts with the next state
-            self.monitor = FutureMonitor(self.formula, self._ctx)
-        return verdict
+            from repro.ptl.future import FutureMonitor
+
+            self.monitor = FutureMonitor(
+                self.formula, plan=self.monitor.plan, name=self.name
+            )
 
     def resolve(self, verdict, state, engine) -> None:
         """Record a resolution and run its callback action."""
@@ -137,7 +152,6 @@ class RuleStats:
 class _RegisteredRule:
     __slots__ = (
         "rule",
-        "evaluator",
         "stats",
         "_prev_bindings",
         "gate",
@@ -150,15 +164,8 @@ class _RegisteredRule:
         "m_shadow_firings",
     )
 
-    def __init__(
-        self,
-        rule: Rule,
-        evaluator,
-        registry=None,
-        birth: int = 0,
-    ):
+    def __init__(self, rule: Rule, registry=None, birth: int = 0):
         self.rule = rule
-        self.evaluator = evaluator
         self.stats = RuleStats()
         self._prev_bindings: frozenset = frozenset()
         #: Event atoms the condition conjoins, when it is stateless
@@ -188,11 +195,10 @@ class _RegisteredRule:
             else None
         )
 
-    def step(self, state) -> list[dict]:
-        """Step the evaluator and return the bindings that actually fire
-        under the rule's fire mode (rising edge: only bindings absent
-        from the previous state's binding set)."""
-        result = self.evaluator.step(state)
+    def fire(self, result) -> list[dict]:
+        """The bindings of ``result``, the condition's at this state, that
+        actually fire under the rule's fire mode (rising edge: only
+        bindings absent from the previous state's binding set)."""
         self.stats.evaluations += 1
         if not result.fired:
             self._prev_bindings = frozenset()
@@ -286,10 +292,9 @@ class RuleManager:
         self._monitors: dict[str, _RegisteredMonitor] = {}
         self._firings = FiringLog()
         #: Rules whose executions are recorded: those an ``executed``
-        #: atom of a live trigger (shadow ones too) or integrity
-        #: constraint reads; ``None`` (every rule) while a future monitor
-        #: is registered.  See :meth:`_derive_readers`.
-        self._read_rules: Optional[frozenset[str]] = frozenset()
+        #: atom of a live trigger (shadow ones too), integrity constraint
+        #: or future monitor reads.  See :meth:`_derive_readers`.
+        self._read_rules: frozenset[str] = frozenset()
         self._pending_actions: list[tuple[Rule, dict, Any]] = []
         #: Per settled state with firings or monitor resolutions, what
         #: they put out: ``(state, [(reg, binding, record)], [(monitor,
@@ -373,13 +378,12 @@ class RuleManager:
         hot therefore sees the executions recorded since some live
         condition first read that rule — none, for a rule nobody read,
         exactly as on a fresh engine."""
-        if self._monitors:
-            # Future formulas are not walked: a monitor keeps everything.
-            self._read_rules = None
-            return
-        read = frozenset().union(*(reg.reads for reg in self._rules.values()))
+        read = frozenset().union(
+            *(reg.reads for reg in self._rules.values()),
+            *(mon.reads for mon in self._monitors.values()),
+        )
         previous, self._read_rules = self._read_rules, read
-        if previous is None or previous - read:
+        if previous - read:
             self.executed.keep_only(read)
 
     def add_trigger(
@@ -433,11 +437,10 @@ class RuleManager:
             shadow=shadow,
         )
         ctx = EvalContext(executed=self.executed, domains=domain_map)
-        evaluator = self.plan.add_rule(name, formula, ctx)
         registered = _RegisteredRule(
-            rule, evaluator, registry=self.metrics, birth=self.states_seen
+            rule, registry=self.metrics, birth=self.states_seen
         )
-        registered.gate = evaluator.entry.events
+        registered.gate = self.plan.add_rule(name, formula, ctx)
         if rule.relevant_events is None and self.relevance_filtering:
             rule.relevant_events = registered.gate
         self._rules[name] = registered
@@ -474,11 +477,9 @@ class RuleManager:
         check_safety(rule.condition, domain_map.keys())
         self._undo_trial()
         ctx = EvalContext(executed=self.executed, domains=domain_map)
+        self.plan.add_rule(name, rule.condition, ctx)
         self._rules[name] = _RegisteredRule(
-            rule,
-            self.plan.add_rule(name, rule.condition, ctx),
-            registry=self.metrics,
-            birth=self.states_seen,
+            rule, registry=self.metrics, birth=self.states_seen
         )
         self._ordered = None
         self._derive_readers()
@@ -497,10 +498,11 @@ class RuleManager:
     ) -> "_RegisteredMonitor":
         """Attach a future-obligation monitor (the future-operator
         extension): ``formula`` is an FFormula or future-syntax text
-        (``"always (!@req | eventually[5] @ack)"``).  The matching
+        (``"always (!@req | eventually[5] @ack)"``).  Its atoms are roots
+        of the manager's plan, starting from "now".  The matching
         callback action runs when the obligation resolves; with
-        ``respawn=True`` a fresh monitor starts at the next state
-        (continuous enforcement)."""
+        ``respawn=True`` a fresh monitor, with fresh atoms, starts at the
+        next state (continuous enforcement)."""
         from repro.ptl.future import FFormula
         from repro.ptl.future_parser import parse_future_formula
 
@@ -515,11 +517,11 @@ class RuleManager:
             formula = parse_future_formula(
                 formula, self.engine.db.queries, items
             )
-        ctx = EvalContext(executed=self.executed)
+        self._undo_trial()
         registered = _RegisteredMonitor(
             name,
             formula,
-            ctx,
+            self.plan,
             None if on_satisfied is None else as_action(on_satisfied),
             None if on_violated is None else as_action(on_violated),
             respawn,
@@ -557,7 +559,7 @@ class RuleManager:
                 p for p in self._pending_actions if p[0].name != name
             ]
         else:
-            del self._monitors[name]
+            self._monitors.pop(name).monitor.release()
         self._action_failures.pop(name, None)
         self._quarantined.discard(name)
         if self._obs_on:
@@ -675,7 +677,7 @@ class RuleManager:
             self._trial = None
         else:
             self._undo_trial()
-            if self._rules:
+            if self._rules or self._monitors:
                 self.plan.step(state)
         self._settle(state)
 
@@ -750,9 +752,9 @@ class RuleManager:
     def _settle(self, state) -> None:
         """Read the triggers' results at ``state`` (the plan has stepped
         it; a gated stateless root is computed only if its rule is
-        considered), complete the plan's step, step the future monitors,
-        and hold what fired.  Execution records are written here, once
-        every condition has read this state, so the next state's
+        considered) and the future monitors' atoms, complete the plan's
+        step, and hold what fired.  Execution records are written here,
+        once every condition has read this state, so the next state's
         conditions see them however long the action itself is delayed."""
         self.states_seen += 1
         self._settled = state.index
@@ -779,26 +781,33 @@ class RuleManager:
                 continue
             if obs:
                 t0 = perf_counter()
-                bindings = reg.step(state)
+                bindings = reg.fire(self._result_of(reg, state))
                 reg.m_eval_seconds.observe(perf_counter() - t0)
             else:
-                bindings = reg.step(state)
+                bindings = reg.fire(self._result_of(reg, state))
             for binding in bindings:
                 fired.append([reg, binding, None])
+        resolved = []
+        for monitor in self._monitors.values():
+            verdict = monitor.advance(state)
+            if verdict is not None:
+                resolved.append((monitor, verdict))
         self.plan.complete()
+        for monitor, _ in resolved:
+            monitor.renew()
         for entry in fired:
             rule = entry[0].rule
             # A shadow rule's firing enters no executed record: it cannot
             # perturb live behaviour (other rules' executed() atoms).
             if not rule.shadow and rule.coupling is CouplingMode.T_CA:
                 entry[2] = self._record(rule, entry[1], state)
-        resolved = []
-        for monitor in self._monitors.values():
-            verdict = monitor.step(state)
-            if verdict is not None:
-                resolved.append((monitor, verdict))
         if fired or resolved:
             self._outputs.append((state, fired, resolved))
+
+    def _result_of(self, reg, state):
+        """The trigger's condition result at ``state``, the plan's current
+        state."""
+        return self.plan.result_of(reg.rule.name)
 
     def _release(self, state, fired, resolved) -> None:
         """Put out what fired at ``state``: its firing-log entries, traces
@@ -857,8 +866,7 @@ class RuleManager:
     def _record(self, rule: Rule, binding: dict, state):
         """The execution record of ``rule`` firing at ``state``, when some
         live condition reads ``rule``'s executions (else None)."""
-        read = self._read_rules
-        if read is None or rule.name in read:
+        if rule.name in self._read_rules:
             params = tuple(binding.get(p) for p in rule.params)
             return self.executed.record(rule.name, params, state.timestamp)
         return None

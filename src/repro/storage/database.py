@@ -8,11 +8,11 @@ events, histories, or rules — that wiring lives in
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.datamodel.relation import Relation
 from repro.datamodel.schema import Schema
-from repro.errors import DuplicateRelationError, StorageError, UnknownRelationError
+from repro.errors import DuplicateRelationError, UnknownRelationError
 from repro.query.subst import QueryDef, QueryRegistry
 from repro.storage.snapshot import DatabaseState, IndexedItem, supersede
 
@@ -59,9 +59,6 @@ class Database:
         except KeyError:
             raise UnknownRelationError(f"no relation named {name!r}") from None
 
-    def relation_names(self) -> list[str]:
-        return sorted(self._schemas)
-
     # -- named queries -------------------------------------------------------
 
     def define_query(
@@ -87,11 +84,3 @@ class Database:
         replayed WAL record): only the present stays materialised."""
         supersede(self._state, state)
         self._state = state
-
-    def apply_changes(self, changes: Mapping[str, Any]) -> DatabaseState:
-        """Install a new current state with ``changes`` applied."""
-        for name in changes:
-            if not self._state.has_item(name):
-                raise StorageError(f"unknown database item {name!r}")
-        self._set_state(self._state.with_updates(changes))
-        return self._state

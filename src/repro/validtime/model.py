@@ -43,7 +43,6 @@ from repro.events.clock import Clock
 from repro.history.history import SystemHistory
 from repro.history.state import SystemState
 from repro.storage.database import Database
-from repro.storage.snapshot import DatabaseState
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,9 @@ class ValidTimeDatabase:
         self._commits: dict[int, int] = {}  # txn -> commit time
         self._aborts: dict[int, int] = {}
         self._user_events: list[tuple[ev.Event, int]] = []
+        #: Times of the user events posted since the last commit: the next
+        #: commit's listeners re-evaluate from the oldest.
+        self._unseen_events: list[int] = []
         self._pending: dict[int, VTTransaction] = {}
         #: Called after each commit with (txn_id, commit_time,
         #: oldest_valid_time) — the trigger processors' re-evaluation hook.
@@ -179,11 +181,14 @@ class ValidTimeDatabase:
         return txn
 
     def post_event(self, event: ev.Event, at_time: Optional[int] = None) -> None:
-        """A user event, occurring at ``at_time`` (default: now)."""
+        """A user event, occurring at ``at_time`` (default: now).  One in
+        the past reaches back as a retroactive update does: the next
+        commit's listeners re-evaluate from it."""
         ts = self.now if at_time is None else at_time
         if at_time is not None and at_time > self.clock.now:
             self.clock.advance_to(at_time)
         self._user_events.append((event, ts))
+        self._unseen_events.append(ts)
 
     def _commit(self, txn: VTTransaction, at_time: Optional[int]) -> int:
         commit_time = self._resolve_commit_time(at_time)
@@ -219,8 +224,10 @@ class ValidTimeDatabase:
         self._commits[txn.id] = commit_time
         del self._pending[txn.id]
         oldest = min(
-            (u.valid_time for u in txn.updates), default=commit_time
+            [u.valid_time for u in txn.updates] + self._unseen_events,
+            default=commit_time,
         )
+        self._unseen_events = []
         for listener in list(self.commit_listeners):
             listener(txn.id, commit_time, oldest)
         return commit_time
@@ -368,9 +375,6 @@ class ValidTimeDatabase:
         """A *complete* history: every started transaction committed or
         aborted (Section 9.3)."""
         return not self._pending
-
-    def commit_time_of(self, txn_id: int) -> Optional[int]:
-        return self._commits.get(txn_id)
 
     def definite_horizon(self) -> Optional[int]:
         """States at or before this timestamp are *definite*: no future

@@ -39,11 +39,20 @@ class NaiveRuleManager(RuleManager):
     from registration on, so hot adds get the "start from now" semantics
     by construction — which makes it the lifecycle oracle too."""
 
+    def __init__(self, engine, **kwargs):
+        super().__init__(engine, **kwargs)
+        #: Trigger name -> the detector its results are read from.
+        self._detectors: dict[str, NaiveDetector] = {}
+
     def add_trigger(self, name, condition, action, **kwargs):
         rule = super().add_trigger(name, condition, action, **kwargs)
-        reg = self._rules[name]
-        reg.evaluator = NaiveDetector(reg.rule.condition, reg.evaluator.ctx)
+        self._detectors[name] = NaiveDetector(
+            rule.condition, self.plan._rules[name].ctx
+        )
         return rule
+
+    def _result_of(self, reg, state):
+        return self._detectors[reg.rule.name].step(state)
 
 
 def stock_registry() -> QueryRegistry:

@@ -17,9 +17,9 @@ Three layers of guarantees:
   firing sequences and executed-store contents on the naive full-history
   backend and the shared plan;
 * **execution records** — a rule's executions are recorded only while
-  some live condition (trigger, shadow trigger, integrity constraint)
-  reads them, or any future monitor is registered; each reader row
-  matches the naive backend.
+  some live condition (trigger, shadow trigger, integrity constraint,
+  future-monitor atom) reads them; each reader row matches the naive
+  backend.
 """
 
 import pytest
@@ -398,15 +398,17 @@ def reader_is_a_constraint(adb, manager):
 
 
 def reader_is_a_monitor(adb, manager):
-    """While a future monitor is registered every execution is kept
-    (future formulas are not walked); its removal drops what no
-    condition reads."""
+    """A future monitor is a reader of the rules its ground ``executed``
+    atoms name: ``base``'s executions are kept for it, ``other``'s are
+    not, and the monitor resolves on what it read; its removal drops
+    what no condition reads."""
     manager.add_trigger("base", BASE, RecordingAction())
     manager.add_trigger("other", "@go", RecordingAction())
-    manager.add_future_monitor("m", "eventually @halt")
+    manager.add_future_monitor("m", "eventually executed(base, 3)")
     drive(adb, PREFIX)
     manager.flush()
-    assert {r.rule for r in manager.executed.records()} == {"base", "other"}
+    assert {r.rule for r in manager.executed.records()} == {"base"}
+    assert manager.monitor_resolutions("m") == [("satisfied", 4)]
     manager.remove_rule("m")
     assert len(manager.executed) == 0
     add_follow(manager)

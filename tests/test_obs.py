@@ -343,8 +343,8 @@ class TestMetricCatalog:
     """docs/OBSERVABILITY.md's tables and the code name the same
     metrics: every literal name passed to ``.counter(`` / ``.gauge(`` /
     ``.histogram(`` under ``src/``, plus the ``qplan_*`` gauges that
-    ``query.plan.STATS`` publishes, has one row, and every row names
-    one of them."""
+    ``query.plan.STATS`` publishes, has one row, every row names one of
+    them, and a row's kind is the call that emits it."""
 
     def test_doc_rows_are_the_code_names(self):
         import re
@@ -353,12 +353,14 @@ class TestMetricCatalog:
         from repro.query.plan import STATS
 
         root = Path(__file__).resolve().parents[1]
-        call = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"([^"]+)"')
-        in_code = {
-            name
-            for path in (root / "src").rglob("*.py")
-            for name in call.findall(path.read_text())
-        } | {f"qplan_{key}" for key in STATS.snapshot()}
+        call = re.compile(r'\.(counter|gauge|histogram)\(\s*"([^"]+)"')
+        kinds: dict[str, set] = {
+            f"qplan_{key}": {"gauge"} for key in STATS.snapshot()
+        }
+        for path in (root / "src").rglob("*.py"):
+            for kind, name in call.findall(path.read_text()):
+                kinds.setdefault(name, set()).add(kind)
+        in_code = set(kinds)
 
         rows = []
         in_table = False
@@ -369,10 +371,21 @@ class TestMetricCatalog:
             elif not line.startswith("|"):
                 in_table = False
             elif in_table and not line.startswith("|---"):
-                rows.append(line.split("|")[1].strip())
-        malformed = [cell for cell in rows if not re.fullmatch(r"`\w+`", cell)]
+                rows.append([cell.strip() for cell in line.split("|")[1:3]])
+        malformed = [
+            cell for cell, _ in rows if not re.fullmatch(r"`\w+`", cell)
+        ]
         assert malformed == [], "one metric name per row"
-        in_doc = [cell.strip("`") for cell in rows]
+        in_doc = [cell.strip("`") for cell, _ in rows]
         assert len(in_doc) == len(set(in_doc)), "a metric with two rows"
         assert sorted(set(in_doc) - in_code) == [], "rows nothing emits"
         assert sorted(in_code - set(in_doc)) == [], "metrics with no row"
+        assert sorted(n for n, k in kinds.items() if len(k) > 1) == [], (
+            "a metric emitted as two kinds"
+        )
+        wrong = [
+            (cell, kind)
+            for cell, kind in rows
+            if kinds[cell.strip("`")] != {kind}
+        ]
+        assert wrong == [], "rows whose kind is not the emitting call's"

@@ -25,6 +25,7 @@ from repro.history.spill import attach_tiered_history
 from repro.ptl import IncrementalEvaluator, parse_formula
 from repro.ptl.context import EvalContext, ExecutedStore
 from repro.ptl.plan import SharedPlan
+from repro.query.parser import parse_query
 from repro.recovery import RecoveryManager, recover
 from repro.recovery.checkpoint import FORMAT_VERSION
 from repro.rules.actions import RecordingAction
@@ -121,15 +122,14 @@ class TestEvaluatorRoundTrip:
 class TestSharedPlanRoundTrip:
     def _plan(self, seeds, store):
         plan = SharedPlan(EvalContext(executed=store))
-        evaluators = {}
         for seed in seeds:
             formula, _ = random_pair(seed, length=4, max_depth=3)
-            name = f"r{seed}"
-            evaluators[name] = plan.add_rule(name, formula, plan.ctx)
-        return plan, evaluators
+            plan.add_rule(f"r{seed}", formula, plan.ctx)
+        return plan
 
     @staticmethod
-    def _step_all(evaluators, state):
+    def _step_all(plan, state):
+        plan.step(state)
         return {
             name: (
                 r.fired,
@@ -139,7 +139,7 @@ class TestSharedPlanRoundTrip:
                 ),
             )
             for name, r in (
-                (name, ev.step(state)) for name, ev in evaluators.items()
+                (name, plan.result_of(name)) for name in plan.rule_names()
             )
         }
 
@@ -147,21 +147,21 @@ class TestSharedPlanRoundTrip:
     def test_round_trip_preserves_firings(self, seed):
         _, history = random_pair(seed, length=10, max_depth=3)
         seeds = [seed, seed + 7, seed + 13]
-        oracle_plan, oracle_evs = self._plan(seeds, ExecutedStore())
-        oracle = [self._step_all(oracle_evs, s) for s in history]
+        oracle_plan = self._plan(seeds, ExecutedStore())
+        oracle = [self._step_all(oracle_plan, s) for s in history]
 
-        plan_a, evs_a = self._plan(seeds, ExecutedStore())
+        plan_a = self._plan(seeds, ExecutedStore())
         cut = (seed % (len(history) - 1)) + 1 if len(history) > 1 else 0
         for state in history.states[:cut]:
-            self._step_all(evs_a, state)
-        plan_b, evs_b = self._plan(seeds, ExecutedStore())
+            self._step_all(plan_a, state)
+        plan_b = self._plan(seeds, ExecutedStore())
         plan_b.from_state(json_round_trip(plan_a.to_state()))
-        tail = [self._step_all(evs_b, s) for s in history.states[cut:]]
+        tail = [self._step_all(plan_b, s) for s in history.states[cut:]]
         assert tail == oracle[cut:]
 
     def test_rule_set_mismatch_rejected(self):
-        plan_a, _ = self._plan([3, 5], ExecutedStore())
-        plan_c, _ = self._plan([3], ExecutedStore())
+        plan_a = self._plan([3, 5], ExecutedStore())
+        plan_c = self._plan([3], ExecutedStore())
         with pytest.raises(RecoveryError):
             plan_c.from_state(plan_a.to_state())
 
@@ -599,6 +599,100 @@ def test_compiled_era_checkpoint_restores_on_the_one_path(tmp_path):
     state = manager.plan.to_state()
     assert "compiled" not in state
     assert state == twin_m.plan.to_state()
+
+
+def _quantified_plan_states():
+    """A plan whose ``$s`` rule gains an instance at each of its first two
+    steps (IBM, then ACME), and the three states."""
+    from repro.history.state import SystemState
+    from tests.helpers import stock_registry, stock_state
+
+    plan = SharedPlan()
+    plan.add_rule(
+        "q",
+        parse_formula("previously (price($s) > 50)", stock_registry()),
+        EvalContext(domains={"s": parse_query("RETRIEVE (S.name) FROM STOCK S")}),
+    )
+    prices = [{"IBM": 60}, {"IBM": 40, "ACME": 70}, {"IBM": 40, "ACME": 30}]
+    states = [
+        SystemState(stock_state(p), [], ts) for ts, p in enumerate(prices, 1)
+    ]
+    return plan, states
+
+
+def _as_written_before_pre_step_births(plan):
+    """The plan section an older commit wrote for ``plan``: no
+    ``"births"`` mark, and every instance, with the temporal nodes only
+    instances reach, born one epoch later."""
+    from repro.ptl.incremental import children, peel
+
+    def reached(roots):
+        seen, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if id(peel(node)) not in seen:
+                seen.add(id(peel(node)))
+                stack.extend(children(node))
+        return seen
+
+    entries = plan._rules.values()
+    instance_only = reached(
+        r for e in entries for r in e.instances.values()
+    ) - reached(e.root for e in entries if e.root is not None)
+    old = json_round_trip(plan.to_state())
+    del old["births"]
+    for rec in old["rules"]:
+        for inst in rec["instances"]:
+            inst[1] += 1
+    for entry, (node, _, _) in zip(old["temporal"], plan._temporal):
+        if id(node) in instance_only:
+            entry[2] += 1
+    return old
+
+
+class TestPreStepBirthsConversion:
+    """A plan section without the ``"births"`` mark records instance
+    births one epoch later; it restores to the plan that wrote it."""
+
+    def test_old_births_restore_to_the_same_plan(self):
+        plan, states = _quantified_plan_states()
+        for state in states[:2]:
+            plan.step(state)
+        payload = plan.to_state()
+        assert [b for _, b, _ in payload["rules"][0]["instances"]] == [0, 1]
+        twin, _ = _quantified_plan_states()
+        twin.from_state(_as_written_before_pre_step_births(plan))
+        assert twin.to_state() == payload
+        plan.step(states[2])
+        twin.step(states[2])
+        assert twin.result_of("q") == plan.result_of("q")
+
+    def test_a_birth_a_root_shares_is_refused_or_started_fresh(self):
+        """IBM's instance was born at the first step; ``b`` was
+        registered right after it, at the epoch the old convention gave
+        that instance, so the two may have shared nodes."""
+        def build():
+            plan, states = _quantified_plan_states()
+            plan.step(states[0])
+            plan.add_rule("b", parse_formula("previously @go", {}, set()))
+            return plan, states
+
+        plan, states = build()
+        plan.step(states[1])
+        old = _as_written_before_pre_step_births(plan)
+        assert sorted(e[2] for e in old["temporal"]) == [1, 1, 2]
+        with pytest.raises(RecoveryError, match=r"epochs \[1\]"):
+            build()[0].from_state(old)
+        twin, _ = build()
+        twin.from_state(old, strict=False)
+        plan.step(states[2])
+        twin.step(states[2])
+        assert [b["s"] for b in plan.result_of("q").bindings] == [
+            "IBM", "ACME",
+        ]
+        # IBM's node started fresh; ACME's (born at an epoch no root
+        # shares) restored.
+        assert [b["s"] for b in twin.result_of("q").bindings] == ["ACME"]
 
 
 #: A served stock tenant's directory written by commit 46db55d, the last

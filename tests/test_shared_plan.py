@@ -58,17 +58,17 @@ def canon(bindings):
 
 def assert_equivalent(formulas, history, store):
     plan = SharedPlan(EvalContext(executed=store))
-    views = [
-        plan.add_rule(f"r{i}", f) for i, f in enumerate(formulas)
-    ]
+    for i, f in enumerate(formulas):
+        plan.add_rule(f"r{i}", f)
     independents = [
         IncrementalEvaluator(f, EvalContext(executed=store))
         for f in formulas
     ]
     oracle_ctx = EvalContext(executed=store)
     for pos, state in enumerate(history):
-        for i, (view, ev) in enumerate(zip(views, independents)):
-            shared = view.step(state)
+        plan.step(state)
+        for i, ev in enumerate(independents):
+            shared = plan.result_of(f"r{i}")
             alone = ev.step(state)
             expected = bool(
                 answers(history.states, pos, formulas[i], oracle_ctx)
@@ -156,19 +156,22 @@ class TestSharedPlanSharing:
             for i, s in enumerate(history)
         ]
         plan = SharedPlan()
-        early = plan.add_rule("early", f)
+        plan.add_rule("early", f)
         for state in states[:4]:
-            early.step(state)
-        late = plan.add_rule("late", f)
+            plan.step(state)
+        plan.add_rule("late", f)
         fresh = IncrementalEvaluator(f, EvalContext())
+        early, late = [], []
         for state in states[4:]:
-            early.step(state)
-            assert late.step(state).fired == fresh.step(state).fired
+            plan.step(state)
+            early.append(plan.result_of("early").fired)
+            late.append(plan.result_of("late").fired)
+            assert late[-1] == fresh.step(state).fired
         # the early rule saw the ping at position 1, the late one did not
         # until position 6 re-fired it; both end up true, but the plan kept
         # them distinct until then.
-        assert early.steps == len(states)
-        assert late.steps == len(states) - 4
+        assert early == [True] * 6
+        assert late == [False, False, True, True, True, True]
 
     def test_plan_metrics_exported(self):
         registry = MetricsRegistry()
@@ -381,9 +384,8 @@ class TestPlanTrialEvaluation:
         assert vetoed == [3, 4, 5]
 
     def test_single_evaluator_steps_twice_on_one_state_object(self):
-        """The plan skips a state object it has already stepped so that
-        many views can share it; a standalone evaluator has one view, and
-        every ``step`` call advances it."""
+        """Every ``step`` call advances the plan, even on a state object
+        it has already stepped."""
         (state,) = stock_history([(60, 1)]).states
         ev = IncrementalEvaluator(
             parse_formula("lasttime (price('IBM') > 50)", stock_registry())
@@ -432,11 +434,16 @@ class TestManagerSharedPlan:
 
     def test_total_state_size_counts_plan_once(self):
         """A node two rules share is in each rule's working set and
-        counts once in the manager's total."""
+        counts once in the manager's total.  A rule's working set is what
+        the plan keeps once every other rule is removed."""
         manager = _run_stock_workload()
-        per_rule = sum(
-            reg.evaluator.state_size() for reg in manager._rules.values()
-        )
+        per_rule = 0
+        for name in manager.rule_names():
+            alone = _run_stock_workload()
+            for other in alone.rule_names():
+                if other != name:
+                    alone.plan.remove_rule(other)
+            per_rule += alone.total_state_size()
         assert 0 < manager.total_state_size() < per_rule
 
     def test_remove_rule_detaches_from_plan(self):
@@ -449,3 +456,69 @@ class TestManagerSharedPlan:
         apply_tick(adb, "IBM", 60.0, at_time=20)
         apply_tick(adb, "IBM", 61.0, at_time=21)
         assert len(manager.firings) > before
+
+    def test_plan_steps_once_per_delivered_state(self):
+        """The manager reads every trigger's and monitor atom's result off
+        one step of the plan per delivered state, however many there are."""
+        for count in (1, 12):
+            adb = make_stock_db([("IBM", 40.0)])
+            manager = RuleManager(adb)
+            for i in range(count):
+                manager.add_trigger(
+                    f"r{i}",
+                    f"price(IBM) > {40 + i} & lasttime price(IBM) <= {40 + i}",
+                    RecordingAction(),
+                )
+            manager.add_future_monitor("m", "eventually price(IBM) > 90")
+            calls = []
+            step = manager.plan.step
+            manager.plan.step = lambda s: calls.append(s.index) or step(s)
+            for ts, price in enumerate([42.0, 38.0, 50.0, 61.0], start=1):
+                apply_tick(adb, "IBM", price, at_time=ts)
+            manager.flush()
+            assert manager.firings
+            assert calls == [s.index for s in adb.history.states[-4:]]
+
+
+def _stock_s_engine():
+    """An engine over ``S(name, price)`` with the ``price`` query."""
+    from repro.datamodel import FLOAT, STRING, Schema
+    from repro.engine import ActiveDatabase
+
+    adb = ActiveDatabase()
+    adb.create_relation("S", Schema.of(name=STRING, price=FLOAT))
+    adb.define_query(
+        "price", ["name"], "RETRIEVE (S.price) FROM S S WHERE S.name = $name"
+    )
+    return adb
+
+
+class TestHotAddedRootBirth:
+    """A query-parameter instance the domains add at a step is born at
+    the epoch before that step, so a root registered after the step does
+    not share the nodes the instance has already stepped."""
+
+    @staticmethod
+    def _run(with_quantified):
+        adb = _stock_s_engine()
+        manager = RuleManager(adb)
+        if with_quantified:
+            manager.add_trigger(
+                "q", "lasttime @go & price($x) > 0", RecordingAction(),
+                domains={"x": "RETRIEVE (S.name) FROM S S"},
+            )
+
+        def body(txn):
+            txn.insert("S", ("A", 1.0))
+            txn.post_event(user_event("go"))
+
+        adb.execute(body)
+        manager.add_trigger("b", "lasttime @go", RecordingAction())
+        adb.tick()
+        adb.tick()
+        manager.flush()
+        return [f.state_index for f in manager.firings_of("b")]
+
+    def test_hot_added_root_ignores_an_instance_born_at_the_last_step(self):
+        assert self._run(with_quantified=False) == []
+        assert self._run(with_quantified=True) == []

@@ -154,6 +154,24 @@ class TestTriggers:
         set_price(vtdb, 10.0, valid_time=5, commit_time=20)
         assert trig.fired_at() != []
 
+    def test_tentative_evaluates_a_retroactive_event(self):
+        """An event posted in the past is evaluated at the next commit,
+        as a retroactive update is: the committed history holds
+        ``alarm`` with ``P = 1`` at t = 7."""
+        vtdb = ValidTimeDatabase(start_time=0)
+        vtdb.declare_item("P", 0)
+        trig = TentativeTrigger(
+            vtdb, parse_formula("@alarm & P = 1", items={"P"})
+        )
+        txn = vtdb.begin()
+        txn.set_item("P", 1, valid_time=5)
+        txn.commit(at_time=10)
+        vtdb.post_event(user_event("alarm"), at_time=7)
+        txn = vtdb.begin()
+        txn.set_item("P", 1, valid_time=12)
+        txn.commit(at_time=15)
+        assert trig.fired_at() == [7]
+
     def test_definite_trigger_delays_firing(self):
         vtdb = ValidTimeDatabase(start_time=0, max_delay=10)
         vtdb.declare_item("PRICE", 10.0)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.events import user_event
 from repro.ptl import parse_formula, satisfies
 from repro.validtime import DefiniteTrigger, TentativeTrigger, ValidTimeDatabase
 
@@ -28,6 +29,8 @@ CONDITIONS = [
     "[x := V] lasttime (V < x)",
     "throughout_past V >= 0 & V != 3",
     "previously[5] V = 8",
+    "@alarm & V >= 5",
+    "previously[4] @alarm",
 ]
 
 
@@ -48,9 +51,15 @@ class _ScratchOracle:
 
 
 def random_retroactive_workload(rng, vtdb, max_delay=None):
-    """Commits with scattered (possibly retroactive) valid times."""
+    """Commits with scattered (possibly retroactive) valid times, and
+    ``alarm`` events posted between them at such times too."""
     commit_at = 30
     for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.4:
+            back = rng.randint(0, max_delay if max_delay is not None else 25)
+            vtdb.post_event(
+                user_event("alarm"), at_time=max(1, vtdb.now - back)
+            )
         txn = vtdb.begin()
         for _ in range(rng.randint(1, 3)):
             back = rng.randint(0, max_delay if max_delay is not None else 25)
