@@ -114,9 +114,7 @@ class AggregateExecutor:
         self.plan.step(state)
         overlay: dict[str, Any] = {}
         for names, r2 in self._maintained:
-            # By name: a plan's from_state replaces its accumulators.
-            accumulator = self.plan._rules[r2].maintains
-            overlay.update(zip(names, _item_values(accumulator)))
+            overlay.update(zip(names, _item_values(self.plan.accumulator(r2))))
         return overlay
 
 

@@ -247,7 +247,7 @@ class FutureMonitor:
     monitor, named ``(name, atom formula)`` so that no rule name can equal
     it — and is registered at the plan's current epoch: its temporal
     operators start with the monitor.  A resolved monitor releases its
-    atoms.
+    atoms.  Only a private plan is stepped by :meth:`step`.
     """
 
     def __init__(
@@ -257,6 +257,7 @@ class FutureMonitor:
         plan: Optional[SharedPlan] = None,
         name: str = "",
     ):
+        self.hosted = plan is not None
         self.plan = plan if plan is not None else SharedPlan(ctx)
         self.initial = _coerce(formula)
         self.current: FFormula = self.initial
@@ -279,17 +280,20 @@ class FutureMonitor:
     # -- stepping ---------------------------------------------------------------
 
     def step(self, state: SystemState) -> Verdict:
-        """Step the private plan through one new system state and
-        progress over it."""
+        """Step the private plan through ``state`` and progress over it."""
+        if self.hosted:
+            raise PTLError("a hosted monitor is advanced by its host's plan")
         if self.verdict is Verdict.PENDING:
             self.plan.step(state)
-        return self.advance(state)
+            self.advance(state)
+        return self.verdict
 
-    def advance(self, state: SystemState) -> Verdict:
-        """Progress over ``state``, which the plan has just stepped (the
-        hosting manager reads the atoms before the step completes)."""
+    def advance(self, state: SystemState) -> Optional[Verdict]:
+        """Progress over ``state``, which the plan has just stepped (a host
+        reads the atoms before the step completes); returns the verdict
+        the monitor resolves to here, else None."""
         if self.verdict is not Verdict.PENDING:
-            return self.verdict
+            return None
         self._atom_values = {
             f: self.plan.result_of(key).fired for f, key in self.atoms.items()
         }
@@ -300,7 +304,8 @@ class FutureMonitor:
                 Verdict.SATISFIED if self.current.value else Verdict.VIOLATED
             )
             self.release()
-        return self.verdict
+            return self.verdict
+        return None
 
     def release(self) -> None:
         """Drop the atoms' roots from the plan."""
@@ -352,9 +357,9 @@ class FutureMonitor:
     # -- inspection -----------------------------------------------------------------
 
     def state_size(self) -> int:
-        """The pending formula's size plus the plan's retained state (a
-        hosting manager's whole plan, when hosted)."""
-        return _fsize(self.current) + self.plan.state_size()
+        """The pending formula's size, plus a private plan's state."""
+        plan = 0 if self.hosted else self.plan.state_size()
+        return _fsize(self.current) + plan
 
 
 def satisfies_finite(

@@ -362,18 +362,20 @@ class SharedPlan:
 
     def add_aggregate_rules(
         self, term: ast.AggT, names: tuple[str, str]
-    ) -> _AggregateState:
+    ) -> None:
         """Section 6.1.1's maintenance of ``term = f(q, φ, ψ)`` as two
         real rules of this plan, ``names = (r1, r2)``: ``r1: φ →
         initialize F`` and ``r2: ψ → update F``.  F is the plan's own
         accumulator for the (normalized, ground) term — the rules' roots
         *are* its φ/ψ nodes — and ``r2`` roots it, so stepping the plan
-        maintains it.  Returns F (replaced by :meth:`from_state`)."""
+        maintains it; :meth:`accumulator` reads it by ``r2``'s name."""
         self.add_rule(names[0], term.start)
         self.add_rule(names[1], term.sample)
-        entry = self._rules[names[1]]
-        entry.maintains = self._ref_aggregate(term, frozenset())
-        return entry.maintains
+        self._rules[names[1]].maintains = self._ref_aggregate(term, frozenset())
+
+    def accumulator(self, name) -> _AggregateState:
+        """F, rooted by ``name``; :meth:`from_state` replaces it."""
+        return self._rules[name].maintains
 
     def _compile_root(self, entry: _PlanRule) -> None:
         """Compile a ground rule's root at the current epoch (and
@@ -651,10 +653,9 @@ class SharedPlan:
 
     def restore(self, snap) -> None:
         epoch, last_state, node_states, agg_states, rule_states = snap
-        # Query-parameter instances born in a step after the snapshot (at
-        # its epoch or later) leave through the refcount path, taking their
-        # temporal nodes and aggregates with them (they would otherwise
-        # keep the trial's state).
+        # Query-parameter instances born at or after the snapshot's epoch
+        # leave through the refcount path, taking their temporal nodes and
+        # aggregates with them (else they would keep the trial's state).
         for entry in self._rules.values():
             late = [
                 combo
@@ -758,7 +759,8 @@ class SharedPlan:
         A section without the ``"births"`` mark is converted on read
         (:func:`_pre_step_births`)."""
         if payload.get("births") != "pre_step":
-            payload = _pre_step_births(payload, strict)
+            ground = {n for n, e in self._rules.items() if not e.qvars}
+            payload = _pre_step_births(payload, ground, strict)
         by_name = {r["name"]: r for r in payload["rules"]}
         drift = rule_drift(
             {name: rec["formula"] for name, rec in by_name.items()},
@@ -877,16 +879,17 @@ class SharedPlan:
         return drift
 
 
-def _pre_step_births(payload: dict, strict: bool) -> dict:
+def _pre_step_births(payload: dict, ground: set, strict: bool) -> dict:
     """Convert a plan section written when a query-parameter instance was
     born at the epoch *after* its first step: its instances, and the
     temporal nodes and aggregates born with them, move one epoch down.
-    Where a rule root was registered at such an instance's old birth, the
+    Where a rule root (a rule of ``ground``, the plan's rules without
+    query parameters) was registered at such an instance's old birth, the
     two may have shared nodes the instance had already stepped, and the
     entries cannot be attributed: a strict restore refuses them, a lenient
     one keeps them as recorded (the roots' nodes restore, the instance's
     start fresh)."""
-    roots = {rec["birth"] for rec in payload["rules"] if not rec["instances"]}
+    roots = {rec["birth"] for rec in payload["rules"] if rec["name"] in ground}
     born = {b for rec in payload["rules"] for _, b, _ in rec["instances"]}
     if born & roots and strict:
         raise RecoveryError(

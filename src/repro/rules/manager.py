@@ -74,8 +74,7 @@ ConditionLike = Union[str, ast.Formula]
 
 
 class _RegisteredMonitor:
-    """A future-obligation monitor attached to the manager (extension):
-    its atoms are roots of the manager's plan."""
+    """A future-obligation monitor whose atoms are on the manager's plan."""
 
     __slots__ = (
         "name",
@@ -85,7 +84,6 @@ class _RegisteredMonitor:
         "on_violated",
         "respawn",
         "resolutions",
-        "reads",
     )
 
     def __init__(self, name, formula, plan, on_satisfied, on_violated, respawn):
@@ -99,28 +97,20 @@ class _RegisteredMonitor:
         self.respawn = respawn
         #: (verdict, timestamp) per resolution.
         self.resolutions: list[tuple[str, int]] = []
-        #: Rules whose executions the atoms read.
-        self.reads = frozenset(
+
+    @property
+    def reads(self) -> frozenset:
+        """Rules whose executions the atoms read (none once released)."""
+        return frozenset(
             sub.rule
             for atom in self.monitor.atoms
             for sub in ast.walk(atom)
             if isinstance(sub, ast.ExecutedAtom)
         )
 
-    def advance(self, state):
-        """Progress the obligation over ``state``, which the plan has
-        stepped; returns the verdict it resolves to here, else None."""
-        from repro.ptl.future import Verdict
-
-        if self.monitor.verdict is not Verdict.PENDING:
-            return None
-        verdict = self.monitor.advance(state)
-        return None if verdict is Verdict.PENDING else verdict
-
     def renew(self) -> None:
         """After a resolution, a respawning monitor starts a fresh
-        obligation: fresh atoms, whose operators start with the next
-        state."""
+        obligation, whose atoms' operators start with the next state."""
         if self.respawn:
             from repro.ptl.future import FutureMonitor
 
@@ -789,12 +779,14 @@ class RuleManager:
                 fired.append([reg, binding, None])
         resolved = []
         for monitor in self._monitors.values():
-            verdict = monitor.advance(state)
+            verdict = monitor.monitor.advance(state)
             if verdict is not None:
                 resolved.append((monitor, verdict))
         self.plan.complete()
         for monitor, _ in resolved:
             monitor.renew()
+        if any(not monitor.respawn for monitor, _ in resolved):
+            self._derive_readers()
         for entry in fired:
             rule = entry[0].rule
             # A shadow rule's firing enters no executed record: it cannot
@@ -805,8 +797,7 @@ class RuleManager:
             self._outputs.append((state, fired, resolved))
 
     def _result_of(self, reg, state):
-        """The trigger's condition result at ``state``, the plan's current
-        state."""
+        """The trigger's result at ``state``, the plan's current state."""
         return self.plan.result_of(reg.rule.name)
 
     def _release(self, state, fired, resolved) -> None:

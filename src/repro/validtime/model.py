@@ -181,10 +181,14 @@ class ValidTimeDatabase:
         return txn
 
     def post_event(self, event: ev.Event, at_time: Optional[int] = None) -> None:
-        """A user event, occurring at ``at_time`` (default: now).  One in
-        the past reaches back as a retroactive update does: the next
-        commit's listeners re-evaluate from it."""
+        """A user event at ``at_time`` (default: now).  One in the past
+        reaches back as a retroactive update does (at most DELTA before
+        now): the next commit's listeners re-evaluate from it."""
         ts = self.now if at_time is None else at_time
+        if self.max_delay is not None and ts < self.now - self.max_delay:
+            raise RetroactiveLimitError(
+                f"event at {ts} is more than DELTA before now ({self.now})"
+            )
         if at_time is not None and at_time > self.clock.now:
             self.clock.advance_to(at_time)
         self._user_events.append((event, ts))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     DuplicateRuleError,
+    PTLError,
     TransactionAborted,
     UnknownRuleError,
 )
@@ -114,6 +115,20 @@ class TestObligations:
         adb.post_event(user_event("ack"), at_time=1)
         assert manager.monitor_resolutions("n") == [("satisfied", 1)]
         assert manager.plan.distinct_nodes() == nodes
+
+    def test_hosted_monitor_does_not_step_the_managers_plan(self, setup):
+        """Only the host steps its plan: a hosted monitor refuses
+        ``step``, and its size is its pending formula's alone (the
+        manager counts its plan once)."""
+        adb, manager = setup
+        manager.add_trigger("high", "price(IBM) > 50", RecordingAction())
+        registered = manager.add_future_monitor("m", "eventually @ack")
+        adb.post_event(user_event("tick"), at_time=1)
+        epoch = manager.plan.epoch
+        with pytest.raises(PTLError):
+            registered.monitor.step(adb.history.states[-1])
+        assert manager.plan.epoch == epoch
+        assert registered.monitor.state_size() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -399,18 +399,22 @@ def reader_is_a_constraint(adb, manager):
 
 def reader_is_a_monitor(adb, manager):
     """A future monitor is a reader of the rules its ground ``executed``
-    atoms name: ``base``'s executions are kept for it, ``other``'s are
-    not, and the monitor resolves on what it read; its removal drops
-    what no condition reads."""
+    atoms name while it is pending: ``base``'s executions are kept for
+    it, ``other``'s are not.  Once it resolves (no respawn) its atoms are
+    released, and ``base``'s records are dropped and no longer written
+    though the resolved monitor stays registered."""
     manager.add_trigger("base", BASE, RecordingAction())
     manager.add_trigger("other", "@go", RecordingAction())
     manager.add_future_monitor("m", "eventually executed(base, 3)")
-    drive(adb, PREFIX)
+    drive(adb, PREFIX[:3])
     manager.flush()
     assert {r.rule for r in manager.executed.records()} == {"base"}
+    assert manager.monitor_resolutions("m") == []
+    drive(adb, PREFIX[3:])
+    manager.flush()
     assert manager.monitor_resolutions("m") == [("satisfied", 4)]
-    manager.remove_rule("m")
     assert len(manager.executed) == 0
+    manager.remove_rule("m")
     add_follow(manager)
     drive(adb, SUFFIX)
     manager.flush()

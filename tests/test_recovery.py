@@ -694,6 +694,32 @@ class TestPreStepBirthsConversion:
         # shares) restored.
         assert [b["s"] for b in twin.result_of("q").bindings] == ["ACME"]
 
+    def test_a_quantified_rule_without_instances_is_not_a_root(self):
+        """A quantified rule whose domain is empty has no nodes: its
+        registration at an old instance birth shares nothing, and the
+        section restores strictly to the plan that wrote it."""
+        from tests.helpers import stock_registry
+
+        def build():
+            plan, states = _quantified_plan_states()
+            plan.step(states[0])
+            plan.add_rule(
+                "none",
+                parse_formula("previously (price($n) > 0)", stock_registry()),
+                EvalContext(domains={"n": parse_query(
+                    "RETRIEVE (S.name) FROM STOCK S WHERE S.name = 'XYZ'"
+                )}),
+            )
+            return plan, states
+
+        plan, states = build()
+        plan.step(states[1])
+        payload = plan.to_state()
+        assert [r["instances"] for r in payload["rules"]][1] == []
+        twin, _ = build()
+        twin.from_state(_as_written_before_pre_step_births(plan))
+        assert twin.to_state() == payload
+
 
 #: A served stock tenant's directory written by commit 46db55d, the last
 #: that ran each integrity constraint on a private plan: its checkpoint's

@@ -172,6 +172,29 @@ class TestTriggers:
         txn.commit(at_time=15)
         assert trig.fired_at() == [7]
 
+    def test_event_older_than_delta_is_refused(self):
+        """Under DELTA an event reaches back at most DELTA, as an update
+        may: one older is refused before it is recorded, after the
+        trigger has forgotten the checkpoints it would need, and later
+        commits still run (and a retroactive event within DELTA fires)."""
+        vtdb = ValidTimeDatabase(start_time=0, max_delay=5)
+        vtdb.declare_item("P", 1)
+        trig = TentativeTrigger(
+            vtdb, parse_formula("@alarm & P = 1", items={"P"})
+        )
+        for t in range(10, 60, 10):
+            txn = vtdb.begin()
+            txn.set_item("P", 1, valid_time=t)
+            txn.commit(at_time=t)
+        assert min(trig._checkpoints) > 0  # the early ones are forgotten
+        with pytest.raises(RetroactiveLimitError):
+            vtdb.post_event(user_event("alarm"), at_time=vtdb.now - 50)
+        vtdb.post_event(user_event("alarm"), at_time=vtdb.now - 5)
+        txn = vtdb.begin()
+        txn.set_item("P", 1, valid_time=60)
+        txn.commit(at_time=60)
+        assert trig.fired_at() == [45]
+
     def test_definite_trigger_delays_firing(self):
         vtdb = ValidTimeDatabase(start_time=0, max_delay=10)
         vtdb.declare_item("PRICE", 10.0)
