@@ -20,7 +20,7 @@ equivalence and compares cost).
 
 r1 and r2 are real rules: each rewritten condition owns one maintenance
 :class:`~repro.ptl.plan.SharedPlan` holding them, and F is that plan's
-:class:`repro.ptl.incremental._AggregateState` — the accumulator the
+accumulator for the term (:class:`repro.ptl.incremental._Aggregate`) — the
 evaluator's *direct* pipeline (the ablation counterpart) reads as a term
 value.  The two pipelines are two read paths over one maintenance.  The
 rule manager runs the direct one; this module is benchmark E5's
@@ -77,20 +77,21 @@ class AggregateRewrite:
         return 1 + 2 * len(self.rewritten)
 
 
-def _item_values(agg) -> tuple:
-    """The maintained items of one accumulator F, in ``item_names``
-    order (``None`` = undefined: before the first φ, or poisoned; the
-    caller zips against the names, so one spare ``None`` is harmless)."""
-    if not agg.started or agg.poisoned:
+def _item_values(func: str, acc: tuple) -> tuple:
+    """The maintained items of one running accumulator F of aggregate
+    ``func``, in ``item_names`` order (``None`` = undefined: before the
+    first φ, or poisoned; the caller zips against the names, so one spare
+    ``None`` is harmless)."""
+    started, poisoned, count, total, extremum = acc
+    if not started or poisoned:
         return (None, None)
-    acc = agg.agg
-    if acc.name == "avg":
-        return (acc._sum, acc._count)
-    if acc.name == "sum":
-        return (acc._sum,)
-    if acc.name == "count":
-        return (acc._count,)
-    return (acc._extremum,)  # min / max: None until the first sample
+    if func == "avg":
+        return (total, count)
+    if func == "sum":
+        return (total,)
+    if func == "count":
+        return (count,)
+    return (extremum,)  # min / max: None until the first sample
 
 
 class AggregateExecutor:
@@ -101,20 +102,23 @@ class AggregateExecutor:
 
     def __init__(self, ctx: EvalContext) -> None:
         self.plan = SharedPlan(ctx)
-        #: (item names, r2's name) per rewritten aggregate.
+        #: (item names, aggregate, r2's name) per rewritten aggregate.
         self._maintained: list = []
 
     def add(self, rewritten: RewrittenAggregate) -> None:
         self.plan.add_aggregate_rules(rewritten.term, rewritten.rule_names)
-        self._maintained.append(
-            (rewritten.item_names, rewritten.rule_names[1])
-        )
+        self._maintained.append((
+            rewritten.item_names,
+            rewritten.term.func.lower(),
+            rewritten.rule_names[1],
+        ))
 
     def step(self, state: SystemState) -> dict[str, Any]:
         self.plan.step(state)
         overlay: dict[str, Any] = {}
-        for names, r2 in self._maintained:
-            overlay.update(zip(names, _item_values(self.plan.accumulator(r2))))
+        for names, func, r2 in self._maintained:
+            acc = self.plan.accumulator(r2)
+            overlay.update(zip(names, _item_values(func, acc)))
         return overlay
 
 

@@ -52,20 +52,27 @@ from repro.datamodel.relation import Relation
 from repro.errors import (
     EvaluationError,
     PTLError,
+    QueryEvaluationError,
     RecoveryError,
+    UnknownFunctionError,
     UnsafeFormulaError,
 )
 from repro.history.state import SystemState
 from repro.ptl import ast
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
-from repro.ptl.optimize import prune_time_bounds
 from repro.ptl.rewrite import TIME_QUERY
 from repro.ptl.values import UNDEFINED, eval_query_value
 from repro.query import ast as qast
 from repro.query import plan as qplan
 from repro.query.evaluator import apply_comparison
-from repro.query.functions import RunningAggregate, scalar_function
+from repro.query.functions import (
+    aggregate_function,
+    is_aggregate,
+    running_fold,
+    running_value,
+    scalar_function,
+)
 from repro.query.subst import substitute_query
 
 
@@ -240,28 +247,13 @@ def gated_query_value(gate, query, state):
 
 class _Node:
     """A compiled subformula.  ``compute(state)`` returns the node's state
-    formula at the new system state, updating any persistent storage."""
+    formula at the new system state.  A node holds no state between
+    states: what a temporal node stores is its plan's (:meth:`advance`)."""
 
     __slots__ = ()
 
     def compute(self, state: SystemState) -> cs.C:
         raise NotImplementedError
-
-    def get_state(self):
-        return None
-
-    def set_state(self, snapshot) -> None:
-        pass
-
-    def stored_size(self) -> int:
-        return 0
-
-    def prune(self, now: int, time_vars: frozenset[str]) -> None:
-        pass
-
-    def stored_formulas(self):
-        """(label, stored C) pairs for inspection (the E1 table)."""
-        return ()
 
 
 class _BoolNode(_Node):
@@ -444,69 +436,40 @@ class _OrNode(_Node):
 
 
 class _LasttimeNode(_Node):
-    __slots__ = ("child", "stored", "label")
+    """``F_{lasttime g, i} = F_{g, i-1}``."""
+
+    __slots__ = ("child", "label")
 
     def __init__(self, child: _Node, label: str):
         self.child = child
-        self.stored: cs.C = cs.CFALSE
         self.label = label
 
-    def compute(self, state):
-        result = self.stored
-        self.stored = self.child.compute(state)
-        return result
-
-    def get_state(self):
-        return self.stored
-
-    def set_state(self, snapshot):
-        self.stored = snapshot
-
-    def stored_size(self):
-        return cs.size(self.stored)
-
-    def prune(self, now, time_vars):
-        self.stored = prune_time_bounds(self.stored, now, time_vars)
-
-    def stored_formulas(self):
-        return ((self.label, self.stored),)
+    def advance(self, state, stored):
+        """(this state's formula, the formula stored for the next) from
+        the stored ``F_{g, i-1}`` (None before the first state)."""
+        previous = cs.CFALSE if stored is None else stored
+        return previous, self.child.compute(state)
 
 
 class _SinceNode(_Node):
-    __slots__ = ("lhs", "rhs", "stored", "started", "label")
+    """``F_{g since h, i} = F_{h,i} | (F_{g,i} & F_{g since h, i-1})``."""
+
+    __slots__ = ("lhs", "rhs", "label")
 
     def __init__(self, lhs: _Node, rhs: _Node, label: str):
         self.lhs = lhs
         self.rhs = rhs
-        self.stored: cs.C = cs.CFALSE
-        self.started = False
         self.label = label
 
-    def compute(self, state):
+    def advance(self, state, stored):
+        """(this state's formula, the formula stored for the next) from
+        the stored previous one (None: not started)."""
         f_lhs = self.lhs.compute(state)
         f_rhs = self.rhs.compute(state)
-        if not self.started:
-            current = f_rhs
-            self.started = True
-        else:
-            current = cs.cor((f_rhs, cs.cand((f_lhs, self.stored))))
-        self.stored = current
-        return current
-
-    def get_state(self):
-        return (self.stored, self.started)
-
-    def set_state(self, snapshot):
-        self.stored, self.started = snapshot
-
-    def stored_size(self):
-        return cs.size(self.stored)
-
-    def prune(self, now, time_vars):
-        self.stored = prune_time_bounds(self.stored, now, time_vars)
-
-    def stored_formulas(self):
-        return ((self.label, self.stored),)
+        if stored is None:
+            return f_rhs, f_rhs
+        current = cs.cor((f_rhs, cs.cand((f_lhs, stored))))
+        return current, current
 
 
 class _AssignNode(_Node):
@@ -569,23 +532,24 @@ def build_node(f: ast.Formula, avail: frozenset[str], owner, child) -> _Node:
 
 
 class _MemoNode(_Node):
-    """Epoch-memoized wrapper around a shared node: however many parents
+    """Memoized wrapper around a shared node: however many parents
     (within one rule or across rules) reference it, ``compute`` runs once
     per plan step.  Besides the shared work, this is what keeps temporal
     nodes *correct* under sharing — a ``Since`` stepped twice per state
-    would corrupt its recurrence.
+    would corrupt its recurrence.  The memo is valid for the plan's
+    ``_tick``, a step counter that never rewinds (a restore moves it on).
 
     ``refs`` counts referencing parents (rule roots, parent memo nodes
     and aggregates): :meth:`SharedPlan.remove_rule` releases a removed
     rule's references and physically drops subtrees nobody shares any
     more."""
 
-    __slots__ = ("inner", "plan", "_epoch", "_cached", "key", "refs")
+    __slots__ = ("inner", "plan", "_tick", "_cached", "key", "refs")
 
     def __init__(self, inner: _Node, plan):
         self.inner = inner
         self.plan = plan
-        self._epoch = -1
+        self._tick = -1
         self._cached: Optional[cs.C] = None
         #: The plan's sharing key (subformula, avail, prune set, birth).
         self.key = None
@@ -593,27 +557,33 @@ class _MemoNode(_Node):
         self.refs = 0
 
     def compute(self, state):
-        if self._epoch == self.plan.epoch:
+        tick = self.plan._tick
+        if self._tick == tick:
             return self._cached
         result = self.inner.compute(state)
-        self._epoch = self.plan.epoch
+        self._tick = tick
         self._cached = result
         return result
 
-    def get_state(self):
-        return self.inner.get_state()
 
-    def set_state(self, snapshot) -> None:
-        self.inner.set_state(snapshot)
+class _TemporalMemo(_MemoNode):
+    """The memo of a ``lasttime`` / ``since`` node: it reads the node's
+    stored formula from the plan's committed value and writes the next
+    one into the open step's."""
 
-    def stored_size(self) -> int:
-        return self.inner.stored_size()
+    __slots__ = ()
 
-    def prune(self, now, time_vars) -> None:
-        self.inner.prune(now, time_vars)
-
-    def stored_formulas(self):
-        return self.inner.stored_formulas()
+    def compute(self, state):
+        plan = self.plan
+        if self._tick == plan._tick:
+            return self._cached
+        inner = self.inner
+        result, plan._open.stored[inner] = inner.advance(
+            state, plan._value.stored.get(inner)
+        )
+        self._tick = plan._tick
+        self._cached = result
+        return result
 
 
 def peel(node):
@@ -639,7 +609,7 @@ def children(node) -> tuple:
         return (node.lhs, node.rhs)
     if isinstance(node, _ComparisonNode):
         return node.aggs
-    if isinstance(node, _AggregateState):
+    if isinstance(node, _Aggregate):
         if node.start is None:
             return (node.sample,)
         return (node.start, node.sample)
@@ -729,8 +699,8 @@ def _is_monotone_window(f: ast.Formula, avail: frozenset[str]) -> bool:
     )
 
 
-class _AggregateState:
-    """Running state for one temporal-aggregate term ``f(q, φ, ψ)``.
+class _Aggregate:
+    """One temporal-aggregate term ``f(q, φ, ψ)``.
 
     Section 6.1.1 maintains the aggregate with two more rules — ``r1: φ →
     initialize F``, ``r2: ψ → update F`` — so φ and ψ are ordinary
@@ -738,22 +708,27 @@ class _AggregateState:
     owning plan's DAG* (bound by :meth:`SharedPlan._ref_aggregate`;
     compiled, shared, refcounted, pruned and checkpointed like every other
     subformula), and the aggregate itself is a refcounted DAG node whose
-    parents are the comparison atoms reading it (:func:`children`).
+    parents are the comparison atoms reading it (:func:`children`).  Its
+    accumulator F is a value of the plan's: :meth:`step` maps the
+    previous one to the next.
 
     Two modes:
 
-    * **running** — ground starting formula: φ firing resets, a
-      :class:`RunningAggregate` accumulates samples (O(1) per step).
+    * **running** — ground starting formula: φ firing resets, and F is
+      ``(started, poisoned, count, sum, extremum)`` (O(1) per step and in
+      size — the paper's ``CUM_PRICE`` / ``TOTAL_UPDATES`` items).
     * **windowed** — starting formula is a pure time predicate over outer
       variables assigned from ``time`` (the paper's moving hourly
-      average): a log of (timestamp, sampled, value) entries; at read time
-      the start index is the latest entry satisfying the predicate with
-      the outer variables bound to the *current* timestamp.  For monotone
-      windows the log is pruned below the start index.  No φ node.
+      average): F is ``(poisoned, now, log)``, a tuple log of (timestamp,
+      sampled, value) entries; at read time the start index is the latest
+      entry satisfying the predicate with the outer variables bound to
+      the *current* timestamp.  For monotone windows the log is pruned
+      below the start index.  No φ node.
     """
 
     __slots__ = (
         "term",
+        "func",
         "mode",
         "avail",
         "ctx",
@@ -761,12 +736,8 @@ class _AggregateState:
         "sample",
         "key",
         "refs",
-        "agg",
-        "started",
-        "poisoned",
-        "log",
+        "empty",
         "prunable",
-        "now",
         "_qgate",
     )
 
@@ -782,6 +753,7 @@ class _AggregateState:
                 f"aggregate sampling formula must be ground: {term}"
             )
         self.term = term
+        self.func = term.func.lower()
         self.ctx = ctx
         self.avail = frozenset(avail_time_vars)
         #: φ / ψ roots in the owning plan (φ only in running mode).
@@ -790,13 +762,14 @@ class _AggregateState:
         #: The plan's sharing key (term, avail, birth) and reader count.
         self.key = None
         self.refs = 0
-        self.started = False
-        self.poisoned = False
         self._qgate = _atom_gate((term.query,))
         if not start_free:
+            if not is_aggregate(self.func):
+                raise UnknownFunctionError(
+                    f"unknown aggregate function {self.func!r}"
+                )
             self.mode = "running"
-            self.agg = RunningAggregate(term.func)
-            self.log = None
+            self.empty = (False, False, 0, 0, None)
             self.prunable = False
         else:
             if not start_free <= self.avail or not _is_time_pred(
@@ -808,153 +781,145 @@ class _AggregateState:
                     f"operator in between): {term}"
                 )
             self.mode = "windowed"
-            self.agg = None
-            #: (timestamp, sampled, value) per state.
-            self.log = []
+            self.empty = (False, None, ())
             self.prunable = _is_monotone_window(term.start, self.avail)
-        self.now = None
 
-    def step(self, state: SystemState) -> None:
-        """Interpreted step: whether φ/ψ fire is read off the plan's
-        nodes (memoized — the plan computes each once per state)."""
+    def step(self, acc, state: SystemState):
+        """F after ``state``: the r1/r2 actions, with whether φ and ψ
+        fire read off the plan's nodes (memoized — the plan computes each
+        once per state)."""
         ctx = self.ctx
         reset = (
             self.start is not None
             and fire_result(self.start.compute(state), state, ctx).fired
         )
         sampled = fire_result(self.sample.compute(state), state, ctx).fired
-        self.advance(state, reset, sampled)
-
-    def advance(self, state: SystemState, reset: bool, sampled: bool) -> None:
-        """The r1/r2 actions for one state, given whether φ and ψ fired
-        (``reset`` is ignored in windowed mode)."""
-        self.now = state.timestamp
         if self.mode == "running":
             if reset:
-                self.agg.reset()
-                self.started = True
-                self.poisoned = False
-            if sampled and self.started:
+                acc = (True, False, 0, 0, None)
+            started, poisoned, count, total, extremum = acc
+            if sampled and started:
                 value = gated_query_value(self._qgate, self.term.query, state)
                 if value is UNDEFINED:
-                    self.poisoned = True
+                    poisoned = True
                 else:
-                    self.agg.add(value)
-            return
+                    count, total, extremum = running_fold(
+                        self.func, count, total, extremum, value
+                    )
+            return (started, poisoned, count, total, extremum)
         # windowed mode: record, then evaluate lazily at read time.
+        poisoned, _, log = acc
         value = None
         if sampled:
             v = gated_query_value(self._qgate, self.term.query, state)
             if v is UNDEFINED:
-                self.poisoned = True
+                poisoned = True
             else:
                 value = v
-        self.log.append((state.timestamp, sampled, value))
+        now = state.timestamp
+        log += ((now, sampled, value),)
         if self.prunable:
-            self._prune()
+            j = self._start_index(log, now)
+            if j:
+                log = log[j:]
+        return (poisoned, now, log)
 
-    def _start_index(self) -> Optional[int]:
-        env = {name: self.now for name in self.avail}
-        for k in range(len(self.log) - 1, -1, -1):
-            if _eval_time_pred(self.term.start, self.log[k][0], env):
+    def _start_index(self, log, now) -> Optional[int]:
+        env = {name: now for name in self.avail}
+        for k in range(len(log) - 1, -1, -1):
+            if _eval_time_pred(self.term.start, log[k][0], env):
                 return k
         return None
 
-    def _prune(self) -> None:
-        j = self._start_index()
-        if j and j > 0:
-            del self.log[:j]
-
-    def value(self):
-        if self.poisoned:
-            return UNDEFINED
+    def value(self, acc):
+        """The aggregate's value under accumulator ``acc``."""
         if self.mode == "running":
-            if not self.started:
+            started, poisoned, count, total, extremum = acc
+            if poisoned or not started:
                 return UNDEFINED
-            return self.agg.value_or(UNDEFINED)
-        j = self._start_index()
+            try:
+                return running_value(self.func, count, total, extremum)
+            except QueryEvaluationError:
+                return UNDEFINED
+        poisoned, now, log = acc
+        if poisoned:
+            return UNDEFINED
+        j = self._start_index(log, now)
         if j is None:
             return UNDEFINED
-        samples = [v for (_, sampled, v) in self.log[j:] if sampled]
-        from repro.query.functions import aggregate_function
-        from repro.errors import QueryEvaluationError
-
+        samples = [v for (_, sampled, v) in log[j:] if sampled]
         try:
-            return aggregate_function(self.term.func)(samples)
+            return aggregate_function(self.func)(samples)
         except QueryEvaluationError:
             return UNDEFINED
 
-    def get_state(self):
-        if self.mode == "running":
-            return (self.started, self.poisoned, list(self.agg._samples))
-        return (self.poisoned, list(self.log), self.now)
-
-    def set_state(self, snap) -> None:
-        if self.mode == "running":
-            self.started, self.poisoned, samples = snap
-            self.agg.reset()
-            self.agg.add_all(samples)
-        else:
-            self.poisoned, log, self.now = snap
-            self.log = list(log)
-
-    def state_size(self) -> int:
+    def size(self, acc) -> int:
         """Accumulator rows (φ/ψ state is the plan's, counted there)."""
-        return self.agg.count if self.mode == "running" else len(self.log)
+        return acc[2] if self.mode == "running" else len(acc[2])
 
     # -- serialization (recovery checkpoints) --------------------------------
 
-    def to_state(self) -> dict:
+    def encode(self, acc) -> dict:
         if self.mode == "running":
+            started, poisoned, count, total, extremum = acc
             return {
                 "mode": "running",
-                "started": self.started,
-                "poisoned": self.poisoned,
-                "samples": [cs.encode_value(v) for v in self.agg._samples],
+                "started": started,
+                "poisoned": poisoned,
+                "count": count,
+                "sum": cs.encode_value(total),
+                "extremum": cs.encode_value(extremum),
             }
+        poisoned, now, log = acc
         return {
             "mode": "windowed",
-            "poisoned": self.poisoned,
+            "poisoned": poisoned,
             "log": [
-                [ts, sampled, cs.encode_value(v)]
-                for ts, sampled, v in self.log
+                [ts, sampled, cs.encode_value(v)] for ts, sampled, v in log
             ],
-            "now": self.now,
+            "now": now,
         }
 
-    def from_state(self, state: dict) -> None:
+    def decode(self, state: dict):
+        """F from :meth:`encode`'s entry.  A running entry written when
+        the accumulator kept its samples (``"samples"``) is folded in
+        their original order — the sum the uninterrupted run holds."""
         if state.get("mode") != self.mode:
             raise RecoveryError(
                 f"aggregate mode mismatch: checkpoint says "
                 f"{state.get('mode')!r}, evaluator compiled {self.mode!r}"
             )
-        self.poisoned = state["poisoned"]
-        if self.mode == "running":
-            self.started = state["started"]
-            self.agg.reset()
-            self.agg.add_all([cs.decode_value(v) for v in state["samples"]])
-        else:
-            self.log = [
+        if self.mode == "windowed":
+            log = tuple(
                 (ts, sampled, cs.decode_value(v))
                 for ts, sampled, v in state["log"]
-            ]
-            self.now = state["now"]
+            )
+            return (state["poisoned"], state["now"], log)
+        if "samples" in state:
+            count, total, extremum = 0, 0, None
+            for v in state["samples"]:
+                count, total, extremum = running_fold(
+                    self.func, count, total, extremum, cs.decode_value(v)
+                )
+        else:
+            count = state["count"]
+            total = cs.decode_value(state["sum"])
+            extremum = cs.decode_value(state["extremum"])
+        return (state["started"], state["poisoned"], count, total, extremum)
 
 
-def _encode_node_state(snap) -> Optional[dict]:
-    """JSON-encode one temporal node's stored state (``Lasttime`` stores a
-    constraint formula; ``Since`` stores a formula plus its started flag)."""
-    if snap is None:
+def encode_stored(node, stored) -> dict:
+    """JSON-encode one temporal node's stored formula (``Lasttime``: the
+    formula; ``Since``: the formula plus whether it has started)."""
+    f = cs.to_payload(cs.CFALSE if stored is None else stored)
+    if isinstance(node, _SinceNode):
+        return {"k": "since", "f": f, "started": stored is not None}
+    return {"k": "last", "f": f}
+
+
+def decode_stored(payload):
+    """Inverse of :func:`encode_stored`: None for a ``Since`` that has not
+    started."""
+    if payload["k"] == "since" and not payload["started"]:
         return None
-    if isinstance(snap, tuple):
-        stored, started = snap
-        return {"k": "since", "f": cs.to_payload(stored), "started": started}
-    return {"k": "last", "f": cs.to_payload(snap)}
-
-
-def _decode_node_state(payload):
-    if payload is None:
-        return None
-    if payload["k"] == "since":
-        return (cs.from_payload(payload["f"]), payload["started"])
     return cs.from_payload(payload["f"])

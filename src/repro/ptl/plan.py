@@ -42,6 +42,10 @@ other: they compile through the same cache under the same key, so a ψ that
 also occurs in another rule's condition — or in five other aggregates — is
 one node, stepped once per state.
 
+The plan's state is one value (:class:`PlanValue`): the nodes hold none,
+a step writes the next value from the committed one, and a capture
+(:meth:`SharedPlan.snapshot`) is a reference to it.
+
 A root is computed when its result is read; :meth:`SharedPlan.complete`
 computes the roots nobody read and prunes, except that of a stateless
 condition gated by an event atom (:func:`infer_relevant_events`), computed
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import (
     DuplicateRuleError,
@@ -77,19 +81,21 @@ from repro.ptl.context import EvalContext
 from repro.ptl.incremental import (
     _FALSE_RESULT,
     FireResult,
-    _AggregateState,
+    _Aggregate,
     _LasttimeNode,
     _MemoNode,
     _Node,
     _SinceNode,
-    _decode_node_state,
-    _encode_node_state,
+    _TemporalMemo,
     build_node,
     children,
+    decode_stored,
+    encode_stored,
     fire_result,
     instantiate_formula,
     query_param_vars,
 )
+from repro.ptl.optimize import prune_time_bounds
 from repro.ptl.rewrite import TIME_QUERY, normalize
 from repro.ptl.values import UNDEFINED, eval_query_value
 from repro.query import plan as qplan
@@ -160,6 +166,33 @@ def infer_relevant_events(formula: ast.Formula) -> Optional[frozenset[str]]:
 #: The node classes that store a formula between states.
 _TEMPORAL = (_LasttimeNode, _SinceNode)
 
+#: The (top, result) of a rule with no entry in the plan's value.
+_NO_TOP = (cs.CFALSE, _FALSE_RESULT)
+
+
+class PlanValue(NamedTuple):
+    """A plan's whole state after one step — Section 5's ``F_{g,i}`` for
+    every stored subformula g, as one value.  A step writes the next
+    value; once :meth:`SharedPlan.complete` swaps it in, it changes only
+    by entries added to ``tops`` that follow from it (a gated stateless
+    root's result computed on its first read, a function of
+    ``last_state``; a rule registered since, not fired), so a capture is
+    a reference."""
+
+    #: Plan step count.
+    epoch: int
+    #: The stepped state (None before the first step and after a load).
+    last_state: Optional[SystemState]
+    #: Temporal node -> stored formula (a ``Since`` that has not started,
+    #: or a node not stepped yet, has no entry).
+    stored: dict
+    #: Aggregate -> accumulator F (:class:`_Aggregate`).
+    accs: dict
+    #: Rule name -> (top-level formula, :class:`FireResult`) of the rules
+    #: computed at ``last_state``.
+    tops: dict
+
+
 def _time_vars(formula: ast.Formula) -> frozenset[str]:
     """Variables assigned from the ``time`` item (monotone — prunable)."""
     return frozenset(
@@ -173,12 +206,14 @@ class _SubEval:
     """The evaluator surface the compiled node classes expect (``ctx``,
     ``_term_value``, ``_aggregates``), for one (avail, birth) sharing
     context.  Aggregate terms resolve to the plan-shared
-    :class:`_AggregateState` for that context."""
+    :class:`_Aggregate` for that context, read under the plan's current
+    accumulator."""
 
-    __slots__ = ("ctx", "_aggregates")
+    __slots__ = ("ctx", "plan", "_aggregates")
 
-    def __init__(self, ctx: EvalContext):
-        self.ctx = ctx
+    def __init__(self, plan: "SharedPlan"):
+        self.ctx = plan.ctx
+        self.plan = plan
         self._aggregates: dict = {}
 
     def _term_value(self, term: ast.Term, state: SystemState):
@@ -205,7 +240,8 @@ class _SubEval:
                 return None
             return cs.SConst(value)
         if isinstance(term, ast.AggT):
-            value = self._aggregates[term].value()
+            agg = self._aggregates[term]
+            value = agg.value(self.plan._current().accs.get(agg, agg.empty))
             if value is UNDEFINED:
                 return None
             return cs.SConst(value)
@@ -224,14 +260,11 @@ class _PlanRule:
         "qvars",
         "root",
         "instances",
-        "last_top",
-        "result",
         "birth",
         "seq",
         "instance_births",
         "maintains",
         "events",
-        "at",
     )
 
     def __init__(self, name, formula, ctx, time_vars, qvars):
@@ -243,8 +276,6 @@ class _PlanRule:
         self.root: Optional[_Node] = None
         #: domain combo -> root node (query-parameter instantiation).
         self.instances: dict[tuple, _Node] = {}
-        self.last_top: cs.C = cs.CFALSE
-        self.result: FireResult = FireResult(False)
         #: Plan epoch when this rule's root was compiled.
         self.birth = 0
         #: Global compilation sequence number (checkpoint replay order).
@@ -253,13 +284,11 @@ class _PlanRule:
         self.instance_births: dict[tuple, tuple[int, int]] = {}
         #: The accumulator F a maintenance rule ``r2: ψ → update F`` roots
         #: (:meth:`SharedPlan.add_aggregate_rules`); None for conditions.
-        self.maintains: Optional[_AggregateState] = None
+        self.maintains: Optional[_Aggregate] = None
         #: The event atoms a stateless condition conjoins
         #: (:func:`infer_relevant_events`): its root is computed only when
         #: its result is read.  None: by :meth:`SharedPlan.complete` too.
         self.events: Optional[frozenset[str]] = None
-        #: Plan epoch of ``result`` (:meth:`SharedPlan._result`).
-        self.at = 0
 
     def roots(self) -> Iterator[_Node]:
         if self.root is not None:
@@ -294,12 +323,14 @@ class SharedPlan:
         self.optimize = optimize
         self.metrics = as_registry(metrics)
         self._obs_on = self.metrics.enabled
-        #: Number of steps taken; also the memoization epoch.
+        #: Number of steps taken (the birth epoch of what compiles now).
         self.epoch = 0
-        self._last_state: Optional[SystemState] = None
-        #: The stepped state whose unread roots are not computed yet
-        #: (:meth:`complete`); None once complete.
-        self._open: Optional[SystemState] = None
+        #: The committed value, and the open step's (the stepped state's
+        #: unread roots not computed yet, :meth:`complete`; else None).
+        self._value = PlanValue(0, None, {}, {}, {})
+        self._open: Optional[PlanValue] = None
+        #: Memo validity: moves on at every step and restore, never back.
+        self._tick = 0
         self._rules: dict[str, _PlanRule] = {}
         #: (subformula, avail, prune set, birth epoch) -> memo node.
         self._nodes: dict = {}
@@ -350,12 +381,14 @@ class SharedPlan:
                 )
         entry = _PlanRule(name, formula, rule_ctx, _time_vars(formula), qvars)
         entry.events = infer_relevant_events(formula)
-        entry.birth = entry.at = self.epoch
+        entry.birth = self.epoch
         entry.seq = self._next_seq
         self._next_seq += 1
         if not qvars:
             self._compile_root(entry)
         self._rules[name] = entry
+        # Not fired at the current state, nor computed when it completes.
+        self._current().tops[name] = _NO_TOP
         if self._obs_on:
             self._record_metrics()
         return entry.events
@@ -373,9 +406,12 @@ class SharedPlan:
         self.add_rule(names[1], term.sample)
         self._rules[names[1]].maintains = self._ref_aggregate(term, frozenset())
 
-    def accumulator(self, name) -> _AggregateState:
-        """F, rooted by ``name``; :meth:`from_state` replaces it."""
-        return self._rules[name].maintains
+    def accumulator(self, name):
+        """The accumulator F rooted by ``name`` at the current step (a
+        running aggregate's ``(started, poisoned, count, sum,
+        extremum)``)."""
+        agg = self._rules[name].maintains
+        return self._current().accs.get(agg, agg.empty)
 
     def _compile_root(self, entry: _PlanRule) -> None:
         """Compile a ground rule's root at the current epoch (and
@@ -410,7 +446,7 @@ class SharedPlan:
         node.refs -= 1
         if node.refs > 0:
             return
-        if isinstance(node, _AggregateState):
+        if isinstance(node, _Aggregate):
             term, avail, birth = node.key
             del self._aggregates[node.key]
             del self._subevals[(avail, birth)]._aggregates[term]
@@ -440,7 +476,9 @@ class SharedPlan:
             self.compile_shared += 1
             node.refs += 1
             return node
-        node = _MemoNode(self._build(f, avail, time_vars, prune_set), self)
+        inner = self._build(f, avail, time_vars, prune_set)
+        memo = _TemporalMemo if isinstance(inner, _TEMPORAL) else _MemoNode
+        node = memo(inner, self)
         node.key = key
         node.refs = 1
         self._nodes[key] = node
@@ -464,11 +502,11 @@ class SharedPlan:
         key = (avail, self.epoch)
         sub = self._subevals.get(key)
         if sub is None:
-            sub = _SubEval(self.ctx)
+            sub = _SubEval(self)
             self._subevals[key] = sub
         return sub
 
-    def _ref_aggregate(self, term, avail) -> _AggregateState:
+    def _ref_aggregate(self, term, avail) -> _Aggregate:
         """Take one reference to the shared aggregate for ``term`` in this
         (avail, birth) context, creating it on first use.  Its φ and ψ
         are conditions like any other: they compile into this DAG at the
@@ -478,7 +516,7 @@ class SharedPlan:
         key = (term, avail, self.epoch)
         agg = self._aggregates.get(key)
         if agg is None:
-            agg = _AggregateState(term, self.ctx, avail)
+            agg = _Aggregate(term, self.ctx, avail)
             agg.key = key
             if agg.mode == "running":
                 agg.start = self._compile(
@@ -497,57 +535,73 @@ class SharedPlan:
     # ------------------------------------------------------------------
 
     def step(self, state: SystemState) -> None:
-        """Process one new system state for *all* rules; the step is
-        open until :meth:`complete`.  The query-parameter instances the
-        state's domains add compile first, at the epoch before the step:
-        they share only with nodes that have not stepped yet."""
+        """Process one new system state for *all* rules: the step writes
+        the next value from the committed one and stays open until
+        :meth:`complete`.  The query-parameter instances the state's
+        domains add compile first, at the epoch before the step: they
+        share only with nodes that have not stepped yet."""
         self.complete()
         for entry in self._rules.values():
             if entry.qvars:
                 self._refresh_instances(entry, state)
-        self._last_state = self._open = state
         self.epoch += 1
+        self._tick += 1
+        self._open = value = PlanValue(self.epoch, state, {}, {}, {})
+        prev, accs = self._value.accs, value.accs
         for agg in self._aggregates.values():
-            agg.step(state)
+            accs[agg] = agg.step(prev.get(agg, agg.empty), state)
 
     def complete(self) -> None:
         """Close the open step: compute every root not read at its state
-        (a gated stateless one is not fired there), then prune.  The next
-        step and every read of the plan's state call this; a step rolled
-        back by :meth:`restore` never completes."""
-        state, self._open = self._open, None
-        if state is None:
+        (a gated stateless one is not fired there), prune, and swap the
+        value in.  The next step and every read of the plan's state call
+        this; a step rolled back by :meth:`restore` never completes."""
+        value = self._open
+        if value is None:
             return
-        for entry in self._rules.values():
-            if entry.at == self.epoch:
-                continue
-            if entry.events is None:
-                entry.result = self._eval_rule(entry, state)
-            else:
-                entry.last_top, entry.result = cs.CFALSE, _FALSE_RESULT
+        state, tops = value.last_state, value.tops
+        for name, entry in self._rules.items():
+            if entry.events is None and name not in tops:
+                tops[name] = self._eval_rule(entry, state)
         if self.optimize:
+            stored = value.stored
             for node, prune_set, _ in self._temporal:
-                if prune_set:
-                    node.prune(state.timestamp, prune_set)
+                if prune_set and node in stored:
+                    stored[node] = prune_time_bounds(
+                        stored[node], state.timestamp, prune_set
+                    )
+        self._value, self._open = value, None
         if self._obs_on:
             self._record_metrics()
+
+    def _current(self) -> PlanValue:
+        """The open step's value, else the committed one."""
+        return self._value if self._open is None else self._open
 
     def result_of(self, name: str) -> FireResult:
         return self._result(self._rules[name])
 
     def _result(self, entry: _PlanRule) -> FireResult:
         """The rule's result at the current state, computed on its first
-        read there."""
-        if entry.at != self.epoch and self._last_state is not None:
-            entry.result = self._eval_rule(entry, self._last_state)
-        return entry.result
+        read there: in the open step, or a gated stateless root's after
+        it (a rule registered since has an entry, :data:`_NO_TOP`)."""
+        value = self._current()
+        got = value.tops.get(entry.name)
+        if got is None:
+            if value.last_state is None or (
+                value is self._value and entry.events is None
+            ):
+                return _FALSE_RESULT
+            got = value.tops[entry.name] = self._eval_rule(
+                entry, value.last_state
+            )
+        return got[1]
 
-    def _eval_rule(self, entry: _PlanRule, state) -> FireResult:
-        entry.at = self.epoch
+    def _eval_rule(self, entry: _PlanRule, state) -> tuple:
+        """(top-level formula, result) of the rule at ``state``."""
         if entry.root is not None:
             top = entry.root.compute(state)
-            entry.last_top = top
-            return fire_result(top, state, entry.ctx)
+            return top, fire_result(top, state, entry.ctx)
         fired = False
         bindings: list[dict] = []
         tops = []
@@ -561,8 +615,7 @@ class SharedPlan:
                     merged = dict(zip(entry.qvars, combo))
                     merged.update(b)
                     bindings.append(merged)
-        entry.last_top = cs.cor(tops)
-        return FireResult(fired, tuple(bindings))
+        return cs.cor(tops), FireResult(fired, tuple(bindings))
 
     def _refresh_instances(self, entry: _PlanRule, state) -> None:
         per_var = []
@@ -598,14 +651,19 @@ class SharedPlan:
 
     def stored_formulas(self) -> list[tuple[str, cs.C]]:
         self.complete()
-        out = []
-        for node, _, _ in self._temporal:
-            out.extend(node.stored_formulas())
-        return out
+        stored = self._value.stored
+        return [
+            (node.label, stored.get(node, cs.CFALSE))
+            for node, _, _ in self._temporal
+        ]
 
     def aux_rows(self) -> int:
         """Accumulator rows across the plan's shared aggregates."""
-        return sum(agg.state_size() for agg in self._aggregates.values())
+        accs = self._current().accs
+        return sum(
+            agg.size(accs.get(agg, agg.empty))
+            for agg in self._aggregates.values()
+        )
 
     def state_size(self) -> int:
         """Retained state across the whole plan: the stored-formula DAG
@@ -635,54 +693,30 @@ class SharedPlan:
     # Snapshot / restore (trial evaluation)
     # ------------------------------------------------------------------
 
-    def snapshot(self):
-        """Whole-plan snapshot (temporal node states, aggregate states,
-        per-rule results) of the completed step.  Restoring also rolls
-        back the step count."""
+    def snapshot(self) -> PlanValue:
+        """The committed value, completing the open step first: a
+        reference, not a copy."""
         self.complete()
-        return (
-            self.epoch,
-            self._last_state,
-            [(node, node.get_state()) for node, _, _ in self._temporal],
-            {key: agg.get_state() for key, agg in self._aggregates.items()},
-            {
-                name: (entry.last_top, entry.result)
-                for name, entry in self._rules.items()
-            },
-        )
+        return self._value
 
-    def restore(self, snap) -> None:
-        epoch, last_state, node_states, agg_states, rule_states = snap
-        # Query-parameter instances born at or after the snapshot's epoch
+    def restore(self, value: PlanValue) -> None:
+        """Rewind to ``value`` (a :meth:`snapshot`), dropping the open
+        step.  The step count rolls back with it."""
+        # Query-parameter instances born at or after the value's epoch
         # leave through the refcount path, taking their temporal nodes and
         # aggregates with them (else they would keep the trial's state).
         for entry in self._rules.values():
             late = [
                 combo
                 for combo, (birth, _) in entry.instance_births.items()
-                if birth >= epoch
+                if birth >= value.epoch
             ]
             for combo in late:
                 del entry.instance_births[combo]
                 self._release(entry.instances.pop(combo))
-        self.epoch = epoch
-        self._last_state = last_state
-        self._open = None
-        # The memo cache is keyed on the epoch being rolled back: the next
-        # step reuses it, and must not read the abandoned step's values.
-        for memo in self._nodes.values():
-            memo._epoch = -1
-        for node, stored in node_states:
-            node.set_state(stored)
-        for key, stored in agg_states.items():
-            if key in self._aggregates:
-                self._aggregates[key].set_state(stored)
-        for name, (last_top, result) in rule_states.items():
-            if name in self._rules:
-                self._rules[name].last_top = last_top
-                self._rules[name].result = result
-        for entry in self._rules.values():
-            entry.at = epoch
+        self.epoch = value.epoch
+        self._value, self._open = value, None
+        self._tick += 1
         if self._obs_on:
             self._record_metrics()
 
@@ -691,10 +725,10 @@ class SharedPlan:
     # ------------------------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable whole-plan state.
+        """The committed value, JSON-serializable.
 
         Alongside every temporal node's stored formula and every shared
-        aggregate's running state, the payload records each rule root's
+        aggregate's accumulator, the payload records each rule root's
         (and each query-parameter instance's) *birth epoch* and global
         compilation sequence number: :meth:`from_state` replays the
         compilations at those exact epochs, so the sharing keys reproduce
@@ -704,36 +738,39 @@ class SharedPlan:
         makes checkpoints taken after :meth:`remove_rule` (where replay
         order can differ from original compile order) restorable."""
         self.complete()
+        value = self._value
+        rules = []
+        for name, entry in self._rules.items():
+            top, result = value.tops.get(name, _NO_TOP)
+            rules.append({
+                "name": name,
+                "formula": rule_fingerprint(entry.formula),
+                "birth": entry.birth,
+                "seq": entry.seq,
+                "instances": [
+                    [cs.encode_value(combo), birth, seq]
+                    for combo, (birth, seq) in entry.instance_births.items()
+                ],
+                "last_top": cs.to_payload(top),
+                "result": _encode_fire_result(result),
+            })
         return {
             "births": "pre_step",
             "epoch": self.epoch,
             "next_seq": self._next_seq,
-            "rules": [
-                {
-                    "name": entry.name,
-                    "formula": rule_fingerprint(entry.formula),
-                    "birth": entry.birth,
-                    "seq": entry.seq,
-                    "instances": [
-                        [cs.encode_value(combo), birth, seq]
-                        for combo, (birth, seq) in entry.instance_births.items()
-                    ],
-                    "last_top": cs.to_payload(entry.last_top),
-                    "result": _encode_fire_result(entry.result),
-                }
-                for entry in self._rules.values()
-            ],
+            "rules": rules,
             "temporal": [
                 [
                     node.label,
                     sorted(prune_set),
                     birth,
-                    _encode_node_state(node.get_state()),
+                    encode_stored(node, value.stored.get(node)),
                 ]
                 for node, prune_set, birth in self._temporal
             ],
             "aggregates": [
-                [str(term), sorted(avail), birth, agg.to_state()]
+                [str(term), sorted(avail), birth,
+                 agg.encode(value.accs.get(agg, agg.empty))]
                 for (term, avail, birth), agg in self._aggregates.items()
             ],
         }
@@ -816,14 +853,9 @@ class SharedPlan:
             entry.root = None
             entry.instances = {}
             entry.instance_births = {}
-            entry.last_top = cs.CFALSE
-            entry.result = FireResult(False)
             if not entry.qvars:
                 self._compile_root(entry)
         self._next_seq = next_seq
-        self._last_state = self._open = None
-        for entry in self._rules.values():
-            entry.at = self.epoch
 
         # Pool matching by (label, prune set, birth): nodes with the same
         # pool key carry identical state (temporal children and aggregate
@@ -831,13 +863,16 @@ class SharedPlan:
         # step in lockstep),
         # making assignment within a pool safe whatever order replay
         # produced them in.
+        stored: dict = {}
         pools: dict = {}
         for label, ps, birth, state in payload["temporal"]:
             pools.setdefault((label, tuple(ps), birth), []).append(state)
         for node, prune_set, birth in self._temporal:
             pool = pools.get((node.label, tuple(sorted(prune_set)), birth))
             if pool:
-                node.set_state(_decode_node_state(pool.pop(0)))
+                formula = decode_stored(pool.pop(0))
+                if formula is not None:
+                    stored[node] = formula
             elif strict:
                 raise RecoveryError(
                     f"temporal node {node.label!r} (prune "
@@ -850,6 +885,7 @@ class SharedPlan:
             raise RecoveryError(
                 f"checkpoint temporal states left unmatched: {leftover}"
             )
+        accs: dict = {}
         agg_pools: dict = {}
         for fp, fp_avail, fp_birth, state in payload["aggregates"]:
             agg_pools.setdefault(
@@ -858,7 +894,7 @@ class SharedPlan:
         for (term, avail, birth), agg in self._aggregates.items():
             pool = agg_pools.get((str(term), tuple(sorted(avail)), birth))
             if pool:
-                agg.from_state(pool.pop(0))
+                accs[agg] = agg.decode(pool.pop(0))
             elif strict:
                 raise RecoveryError(
                     f"shared aggregate ({str(term)!r}, {sorted(avail)}, "
@@ -869,11 +905,16 @@ class SharedPlan:
             raise RecoveryError(
                 f"checkpoint aggregate states left unmatched: {leftover}"
             )
-        for name in kept:
-            rec = by_name[name]
-            entry = self._rules[name]
-            entry.last_top = cs.from_payload(rec["last_top"])
-            entry.result = _decode_fire_result(rec["result"])
+        tops = {
+            name: (
+                cs.from_payload(by_name[name]["last_top"]),
+                _decode_fire_result(by_name[name]["result"]),
+            )
+            for name in kept
+        }
+        self._value = PlanValue(self.epoch, None, stored, accs, tops)
+        self._open = None
+        self._tick += 1
         if self._obs_on:
             self._record_metrics()
         return drift
@@ -1023,7 +1064,7 @@ class IncrementalEvaluator:
 
     @property
     def last_top(self) -> cs.C:
-        return self.plan._rules[self.name].last_top
+        return self.plan._current().tops.get(self.name, _NO_TOP)[0]
 
     def stored_formulas(self) -> list[tuple[str, cs.C]]:
         return self.plan.stored_formulas()

@@ -110,18 +110,43 @@ def is_aggregate(name: str) -> bool:
     return name.lower() in AGGREGATE_FUNCTIONS
 
 
+def running_fold(name: str, count: int, total: Any, extremum: Any, value: Any):
+    """One sample folded into a running aggregate's ``(count, sum,
+    extremum)``; ``name`` is a lower-case aggregate name."""
+    if name in ("sum", "avg"):
+        total += value
+    elif name == "min":
+        extremum = value if extremum is None else min(extremum, value)
+    elif name == "max":
+        extremum = value if extremum is None else max(extremum, value)
+    return count + 1, total, extremum
+
+
+def running_value(name: str, count: int, total: Any, extremum: Any) -> Any:
+    """The value of a running aggregate's ``(count, sum, extremum)``;
+    raises on empty avg/min/max."""
+    if name == "count":
+        return count
+    if name == "sum":
+        return total
+    if count == 0:
+        raise QueryEvaluationError(f"{name} of empty sample set")
+    if name == "avg":
+        return total / count
+    return extremum
+
+
 class RunningAggregate:
     """Incrementally-maintained aggregate over a stream of samples.
 
-    This is the workhorse of PTL temporal aggregates (Section 6): the direct
-    pipeline feeds one sample per satisfied sampling point and reads the
-    current value in O(1).  ``min``/``max`` keep all samples (they are not
-    incrementally decrementable, and the paper's model only ever *adds*
-    samples between resets, so a running extremum would also do; we keep the
-    samples to support diagnostics).
+    This is the workhorse of PTL temporal aggregates (Section 6): one
+    sample per satisfied sampling point, folded into O(1) state — §6.1.1's
+    ``CUM_PRICE`` / ``TOTAL_UPDATES`` items, plus a running extremum for
+    ``min``/``max`` (the paper's model only ever *adds* samples between
+    resets) — and the current value read in O(1).
     """
 
-    __slots__ = ("name", "_sum", "_count", "_extremum", "_samples")
+    __slots__ = ("name", "_sum", "_count", "_extremum")
 
     def __init__(self, name: str):
         name = name.lower()
@@ -134,17 +159,11 @@ class RunningAggregate:
         self._sum = 0
         self._count = 0
         self._extremum: Any = None
-        self._samples: list[Any] = []
 
     def add(self, value: Any) -> None:
-        self._count += 1
-        if self.name in ("sum", "avg"):
-            self._sum += value
-        elif self.name == "min":
-            self._extremum = value if self._extremum is None else min(self._extremum, value)
-        elif self.name == "max":
-            self._extremum = value if self._extremum is None else max(self._extremum, value)
-        self._samples.append(value)
+        self._count, self._sum, self._extremum = running_fold(
+            self.name, self._count, self._sum, self._extremum, value
+        )
 
     def add_all(self, values: Iterable[Any]) -> None:
         for value in values:
@@ -156,15 +175,7 @@ class RunningAggregate:
 
     def value(self) -> Any:
         """Current aggregate value; raises on empty avg/min/max."""
-        if self.name == "count":
-            return self._count
-        if self.name == "sum":
-            return self._sum
-        if self._count == 0:
-            raise QueryEvaluationError(f"{self.name} of empty sample set")
-        if self.name == "avg":
-            return self._sum / self._count
-        return self._extremum
+        return running_value(self.name, self._count, self._sum, self._extremum)
 
     def value_or(self, default: Any) -> Any:
         try:

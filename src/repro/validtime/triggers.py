@@ -4,8 +4,9 @@
 temporal component re-performs the incremental evaluation "for each state
 starting with the oldest system state that was updated by the
 transaction, until the last system state in the history" — implemented
-with checkpointed evaluator snapshots so the rollback is to the latest
-checkpoint before the oldest retroactively-touched state.
+with an evaluator snapshot per history position (a snapshot is the plan's
+value, captured by reference), so the rollback is to the position of the
+oldest retroactively-touched state.
 
 Under a maximum delay DELTA no commit reaches back more than DELTA, so
 a tentative trigger keeps only the checkpoints a rollback can still
@@ -58,18 +59,16 @@ class TentativeTrigger:
         vtdb: ValidTimeDatabase,
         condition: ast.Formula,
         ctx: Optional[EvalContext] = None,
-        checkpoint_every: int = 1,
     ):
         self.vtdb = vtdb
         self.condition = condition
         self.ctx = ctx or EvalContext()
-        self.checkpoint_every = max(1, checkpoint_every)
         self.firings: list[VTFiring] = []
         self._fired_keys: set = set()
         self._evaluator = IncrementalEvaluator(condition, self.ctx)
         #: checkpoints[i] = snapshot of the evaluator before processing
-        #: history position i (kept every ``checkpoint_every`` positions,
-        #: back to the DELTA horizon when the database has one).
+        #: history position i (back to the DELTA horizon when the
+        #: database has one).
         self._checkpoints: dict[int, Any] = {0: self._evaluator.snapshot()}
         self._processed = 0  # history positions consumed
         self._timestamps: list[int] = []  # timestamp per processed position
@@ -81,28 +80,20 @@ class TentativeTrigger:
     def _on_commit(self, txn_id: int, commit_time: int, oldest_valid: int) -> None:
         history = self.vtdb.committed_history()
         # first history position whose timestamp >= oldest touched time
-        first_affected = 0
-        for i, ts in enumerate(self._timestamps):
-            if ts >= oldest_valid:
-                first_affected = i
-                break
-        else:
-            first_affected = self._processed
-        self._rollback_to(first_affected)
+        self._rollback_to(bisect_left(self._timestamps, oldest_valid))
         self._run_from(history)
         self._forget_before_horizon()
 
     def _rollback_to(self, position: int) -> None:
+        """Rewind to the snapshot taken before ``position`` (every
+        position since the DELTA horizon has one)."""
         if position >= self._processed:
             return
-        checkpoint_pos = max(
-            p for p in self._checkpoints if p <= position
-        )
-        self._evaluator.restore(self._checkpoints[checkpoint_pos])
-        self._processed = checkpoint_pos
-        self._timestamps = self._timestamps[:checkpoint_pos]
+        self._evaluator.restore(self._checkpoints[position])
+        self._processed = position
+        self._timestamps = self._timestamps[:position]
         self._checkpoints = {
-            p: s for p, s in self._checkpoints.items() if p <= checkpoint_pos
+            p: s for p, s in self._checkpoints.items() if p <= position
         }
 
     def _forget_before_horizon(self) -> None:
@@ -126,7 +117,7 @@ class TentativeTrigger:
         states = history.states
         for i in range(self._processed, len(states)):
             state = states[i]
-            if i % self.checkpoint_every == 0 and i not in self._checkpoints:
+            if i not in self._checkpoints:
                 self._checkpoints[i] = self._evaluator.snapshot()
             result = self._evaluator.step(state)
             self.replays += 1

@@ -58,7 +58,13 @@ from repro.workloads import (
 )
 from repro.workloads.generator import random_bounded_pair
 from repro.workloads.stock import STOCK_SCHEMA
-from tests.helpers import replay_transactions, serve_batch, update_stmt
+from tests.helpers import (
+    replay_transactions,
+    serve_batch,
+    stock_history,
+    stock_registry,
+    update_stmt,
+)
 
 #: History length for the growth check; the first/second halves are
 #: compared below.
@@ -231,6 +237,53 @@ class TestValidTimeCheckpointsWithinDelta:
         assert not bounded(twin_kept)
         assert trigger.firings == twin.firings and trigger.firings
         assert trigger.replays == twin.replays
+
+
+class TestRunningAccumulatorIsConstant:
+    """Section 6.1.1 keeps a running aggregate as two items (``CUM_PRICE``,
+    ``TOTAL_UPDATES``): its accumulator is O(1) however many samples it
+    has folded, so neither the plan's memory nor a capture of its value
+    (``snapshot``, taken at every commit an integrity constraint judges)
+    grows with the run."""
+
+    CONDITION = "avg(price(IBM); time = 1; @update_stocks) > 0"
+
+    def _evaluator(self):
+        """A running average started at t=1 and its sampling state: every
+        step of ``sample`` folds one more sample."""
+        start, sample = stock_history([(40.0, 1), (50.0, 2)]).states
+        ev = IncrementalEvaluator(
+            parse_formula(self.CONDITION, stock_registry())
+        )
+        ev.step(start)
+        return ev, sample
+
+    def _snapshot_bytes(self, samples):
+        ev, sample = self._evaluator()
+        for _ in range(samples - 1):
+            ev.step(sample)
+        ev.plan.complete()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            ev.plan.snapshot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    def test_a_capture_costs_the_same_at_any_sample_count(self):
+        # ~80 kB at 10 000 samples when the accumulator kept every sample
+        # and a capture copied them
+        assert self._snapshot_bytes(10_000) <= self._snapshot_bytes(10)
+
+    def test_retained_memory_is_flat_in_the_sample_count(self):
+        ev, sample = self._evaluator()
+        grown = retained_bytes(lambda i: ev.step(sample), 99, 9_999)
+        assert ev.aux_rows() == 10_000
+        # ~85 kB when every sample was kept
+        assert grown <= 4_096, grown
 
 
 # ---------------------------------------------------------------------------

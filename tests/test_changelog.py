@@ -228,3 +228,34 @@ class TestTornLog:
         report = RecoveryManager(rm.directory).recover()
         assert report.truncated
         assert_same_history(report.engine.history, audited.history)
+
+
+class TestGroupSplit:
+    def test_file_size_depends_on_how_records_split_across_groups(
+        self, tmp_path
+    ):
+        """The same 24 states in 12 commit groups, split two ways, load to
+        the same history; but every record of a group numbered 10 or more
+        (and its marker) carries a two-digit ``"g"``, so the log that puts
+        more records in groups 10 and 11 is larger by one byte each."""
+
+        def write(name, sizes):
+            adb = ActiveDatabase()
+            rm = RecoveryManager(tmp_path / name, fsync=False)
+            rm.start(adb)
+            t = 0
+            for size in sizes:
+                with adb.batch():
+                    for _ in range(size):
+                        t += 1
+                        adb.post_event(user_event("tick"), at_time=t)
+            rm.stop()
+            return rm
+
+        early = write("early", [13] + [1] * 11)
+        late = write("late", [1] * 11 + [13])
+        assert len(state_records(early.wal_path)) == 24
+        assert_same_history(late.audit().history, early.audit().history)
+        # groups 10 and 11 hold 2 records in the first log, 14 in the other
+        size = lambda rm: rm.wal_path.stat().st_size
+        assert size(late) - size(early) == 14 - 2

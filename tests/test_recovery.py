@@ -462,7 +462,11 @@ def test_checkpoint_document_round_trip(tmp_path, tiers):
     assert document["format"] == FORMAT_VERSION == 4
     # No evaluator-shaped section nests under an aggregate entry.
     assert _count_keys(document, {"start", "sample"}) == 0
-    assert '"samples"' in written.decode()
+    # A running aggregate's entry is its O(1) accumulator, not its samples.
+    ((*_, entry),) = document["manager"]["plan"]["aggregates"]
+    assert sorted(entry) == [
+        "count", "extremum", "mode", "poisoned", "started", "sum",
+    ]
     assert "backend" not in document["manager"]
     assert ("tiers" in document) == tiers
     if tiers:
@@ -599,6 +603,86 @@ def test_compiled_era_checkpoint_restores_on_the_one_path(tmp_path):
     state = manager.plan.to_state()
     assert "compiled" not in state
     assert state == twin_m.plan.to_state()
+
+
+#: A durable directory written by commit 11fde29, the last whose running
+#: aggregates kept their samples: a format-4 checkpoint whose running
+#: ``avg`` and ``max`` entries list them, and a WAL tail past it with one
+#: vetoed commit (see the fixture's README.md).
+V4_RUNNING_SAMPLES = (
+    Path(__file__).parent / "fixtures" / "ckpt_v4_running_samples"
+)
+
+#: STOCK_TICKS a third higher: float sums that depend on the order of folding.
+THIRD_TICKS = [
+    op if op[0] == "new" else (op[0], op[1] + 1 / 3) for op in STOCK_TICKS
+]
+
+
+def setup_running_aggregates(adb):
+    """Two running aggregates started at t <= 1 and an integrity
+    constraint that vetoes XYZ at 95 or more."""
+    manager = adb.rule_manager()
+    manager.add_trigger(
+        "avg_high", "avg(price(IBM); time <= 1; @update_stocks) > 55",
+        RecordingAction(),
+    )
+    manager.add_trigger(
+        "max_low", "max(price(XYZ); time <= 1; @update_stocks) < 95",
+        RecordingAction(),
+    )
+    manager.add_integrity_constraint("xyz_below_95", "price(XYZ) < 95")
+    return manager
+
+
+def run_ticks(adb, ops):
+    for op in ops:
+        try:
+            tick(adb, op)
+        except TransactionAborted:
+            pass
+
+
+def test_checkpoint_with_running_samples_reopens_like_its_twin(tmp_path):
+    """A running aggregate checkpointed as its sample list reopens as the
+    accumulator an uninterrupted twin holds (the samples folded in their
+    order), and the checkpoint recovery writes then holds the O(1) fields
+    and is rewritten byte for byte by the next recovery."""
+    root = tmp_path / "durable"
+    shutil.copytree(V4_RUNNING_SAMPLES, root)
+    document = json.loads((root / "checkpoint.json").read_text())
+    assert document["format"] == FORMAT_VERSION == 4
+    entries = [a[3] for a in document["manager"]["plan"]["aggregates"]]
+    assert [len(e["samples"]) for e in entries] == [11, 11]
+
+    report = recover(root, setup=setup_running_aggregates)
+    adb, manager = report.engine, report.manager
+    assert report.checkpoint_used and report.replayed_steps == 6
+    twin = make_stock_engine()
+    twin_m = setup_running_aggregates(twin)
+    run_ticks(twin, THIRD_TICKS[:18])
+    twin_m.flush()
+    assert adb.state_count == twin.state_count
+    assert manager.plan.to_state() == twin_m.plan.to_state()
+
+    rm = RecoveryManager(root)
+    rm.checkpoint(adb, manager)
+    written = rm.checkpoint_path.read_bytes()
+    assert b'"samples"' not in written
+    again = recover(root, setup=setup_running_aggregates)
+    assert again.replayed_steps == 0
+    RecoveryManager(root).checkpoint(again.engine, again.manager)
+    assert rm.checkpoint_path.read_bytes() == written
+
+    for engine in (adb, twin):
+        run_ticks(engine, THIRD_TICKS[18:])
+    manager.flush()
+    twin_m.flush()
+    assert firing_sig(manager) == firing_sig(twin_m)
+    assert {f.rule for f in manager.firings if f.state_index >= 18} == {
+        "max_low",
+    }
+    assert manager.plan.to_state() == twin_m.plan.to_state()
 
 
 def _quantified_plan_states():

@@ -409,11 +409,8 @@ class TestExecutionModel:
             return manager
 
         def computed(manager):
-            plan = manager.plan
-            return {
-                name: entry.root._epoch == plan.epoch
-                for name, entry in plan._rules.items()
-            }
+            tops = manager.plan.snapshot().tops
+            return {name: name in tops for name in manager.plan._rules}
 
         filtered, unfiltered = run(True), run(False)
         adb.post_event(user_event("evt_0", "a"))

@@ -295,7 +295,7 @@ class TestAggregateSubformulasInTheDag:
         ((_, stored),) = ev.stored_formulas()
         (agg,) = ev.plan._aggregates.values()
         assert ev.plan.state_size() == ev.state_size() == (
-            cs.dag_size([stored]) + agg.state_size()
+            cs.dag_size([stored]) + agg.size(ev.plan.snapshot().accs[agg])
         )
 
         adb = make_stock_db([("IBM", 40.0)])
@@ -393,6 +393,106 @@ class TestPlanTrialEvaluation:
         assert not ev.step(state).fired
         assert ev.step(state).fired
         assert ev.steps == 2
+
+
+#: A windowed aggregate (log pruned below the window) and a ``since``.
+WINDOWED = "[u := time] avg(price(IBM); time <= u - 3; @update_stocks) > 50"
+SINCE = "price(IBM) > 35 since price(IBM) > 60"
+
+
+class TestPlanValue:
+    """The plan's state is one value: a step builds the next, ``complete``
+    swaps it in, and a capture is that value itself."""
+
+    def test_complete_leaves_an_entry_per_temporal_node_and_aggregate(self):
+        """Every temporal node and aggregate that has stepped has an entry
+        in the committed value, and nothing else has one: a rule added
+        mid-run gains entries at its first step, and a removed rule's
+        nodes leave with the next value."""
+        plan = SharedPlan()
+        for i, f in enumerate(parse_all(SHARED_A, SHARED_B, NESTED, SINCE)):
+            plan.add_rule(f"r{i}", f)
+        (late,) = parse_all(WINDOWED)
+        for i, state in enumerate(agg_history().states):
+            if i == 3:
+                plan.add_rule("late", late)
+            if i == 6:
+                plan.remove_rule("r0")
+            plan.step(state)
+            plan.complete()
+            value = plan.snapshot()
+            assert set(value.stored) == {n for n, _, _ in plan._temporal}
+            assert set(value.accs) == set(plan._aggregates.values())
+            assert set(value.tops) == set(plan._rules)
+        # ψ (shared by r1 and the nested count) and the since; r2's two
+        # aggregates and the late window.
+        assert len(value.stored) == 2 and len(value.accs) == 3
+
+    def test_a_capture_is_the_committed_value(self):
+        """``snapshot`` returns the committed value itself (no copy), the
+        steps after it leave it as it was, and restoring it rewinds the
+        plan to a twin that never took those steps."""
+        rules = parse_all(SHARED_A, SHARED_C, WINDOWED, SINCE)
+        plan, twin = SharedPlan(), SharedPlan()
+        for p in (plan, twin):
+            for i, f in enumerate(rules):
+                p.add_rule(f"r{i}", f)
+        states = agg_history().states
+        for state in states[:4]:
+            plan.step(state)
+            twin.step(state)
+        value = plan.snapshot()
+        assert plan.snapshot() is value
+        payload = plan.to_state()
+        for state in states[6:]:
+            plan.step(state)
+            assert plan.snapshot() is not value
+        plan.restore(value)
+        assert plan.to_state() == payload
+        for state in states[4:]:
+            plan.step(state)
+            twin.step(state)
+            for i in range(len(rules)):
+                assert plan.result_of(f"r{i}") == twin.result_of(f"r{i}")
+        assert plan.to_state() == twin.to_state()
+
+    def test_a_veto_after_a_reader_completed_the_trial_leaves_no_trace(self):
+        """A reader of the plan's state between the trial step and the
+        veto — here ``total_state_size`` in a later commit validator —
+        completes the trial and swaps its value in; the veto still rolls
+        the plan back to the value before it."""
+        from repro.errors import TransactionAborted
+
+        adb = make_stock_db([("IBM", 40.0)])
+        manager = RuleManager(adb)
+        manager.add_trigger(
+            "rise", "price(IBM) > 50 & lasttime (price(IBM) <= 50)",
+            RecordingAction(),
+        )
+        manager.add_trigger("summed", SHARED_A, RecordingAction())
+        manager.add_integrity_constraint("positive", "price(IBM) >= 0")
+        completed = []
+
+        def reader_veto(candidate, txn):
+            manager.total_state_size()
+            completed.append(manager.plan._open is None)
+            return ["no commits at t=3"] if candidate.timestamp == 3 else []
+
+        adb.add_commit_validator(reader_veto)
+        twin = SharedPlan()
+        for name, reg in manager._rules.items():
+            twin.add_rule(name, reg.rule.condition)
+        seen = 0
+        for ts, price in [(1, 60.0), (2, 40.0), (3, 70.0), (4, 55.0), (5, 45.0)]:
+            try:
+                apply_tick(adb, "IBM", price, at_time=ts)
+            except TransactionAborted:
+                assert ts == 3
+            for state in adb.history.states[seen:]:
+                twin.step(state)
+            seen = len(adb.history.states)
+            assert manager.plan.to_state() == twin.to_state()
+        assert completed == [True] * 5
 
 
 def _run_stock_workload(factory=RuleManager):

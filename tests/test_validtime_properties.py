@@ -74,19 +74,13 @@ def random_retroactive_workload(rng, vtdb, max_delay=None):
 
 class TestTentativeAgainstOracle:
     @SETTINGS
-    @given(
-        seed=st.integers(0, 5000),
-        cond=st.sampled_from(CONDITIONS),
-        checkpoint_every=st.sampled_from([1, 3, 7]),
-    )
-    def test_checkpointed_equals_scratch(self, seed, cond, checkpoint_every):
+    @given(seed=st.integers(0, 5000), cond=st.sampled_from(CONDITIONS))
+    def test_checkpointed_equals_scratch(self, seed, cond):
         rng = random.Random(seed)
         vtdb = ValidTimeDatabase(start_time=0)
         vtdb.declare_item("V", 0)
         formula = parse_formula(cond, items={"V"})
-        trig = TentativeTrigger(
-            vtdb, formula, checkpoint_every=checkpoint_every
-        )
+        trig = TentativeTrigger(vtdb, formula)
         oracle = _ScratchOracle(vtdb, formula)
         random_retroactive_workload(rng, vtdb)
         assert set(trig.fired_at()) == oracle.keys, (
