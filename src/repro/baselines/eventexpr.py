@@ -25,9 +25,9 @@ Syntax::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro._value import Value
 from repro.errors import EventExprError
 from repro.query.lexer import EOF, IDENT, TokenStream, tokenize
 
@@ -40,54 +40,47 @@ class EventExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(EventExpr):
+class Atom(EventExpr, Value):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class AnyEvent(EventExpr):
+class AnyEvent(EventExpr, Value):
     def __str__(self):
         return "."
 
 
-@dataclass(frozen=True)
-class Concat(EventExpr):
+class Concat(EventExpr, Value):
     parts: tuple[EventExpr, ...]
 
     def __str__(self):
         return " ".join(map(str, self.parts))
 
 
-@dataclass(frozen=True)
-class Union(EventExpr):
+class Union(EventExpr, Value):
     parts: tuple[EventExpr, ...]
 
     def __str__(self):
         return "(" + " | ".join(map(str, self.parts)) + ")"
 
 
-@dataclass(frozen=True)
-class Star(EventExpr):
+class Star(EventExpr, Value):
     inner: EventExpr
 
     def __str__(self):
         return f"({self.inner})*"
 
 
-@dataclass(frozen=True)
-class Optional_(EventExpr):
+class Optional_(EventExpr, Value):
     inner: EventExpr
 
     def __str__(self):
         return f"({self.inner})?"
 
 
-@dataclass(frozen=True)
-class Complement(EventExpr):
+class Complement(EventExpr, Value):
     inner: EventExpr
 
     def __str__(self):

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from repro._value import Value
 from repro.datamodel.types import ValueType, check_value
 from repro.errors import SchemaError, UnknownAttributeError
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(Value):
     """A named, typed column."""
 
     name: str

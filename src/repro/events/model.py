@@ -9,9 +9,12 @@ parameter *patterns* (constants, or variables that bind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 from weakref import WeakValueDictionary
+
+from repro._value import Value
+
+_set = object.__setattr__
 
 
 # Standard event names -------------------------------------------------------
@@ -41,16 +44,21 @@ STANDARD_EVENTS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
-class Event:
+class Event(Value):
     """An instantaneous event occurrence: ``name(params...)``.
 
     ``Event("transaction_begin", (30,))`` is the paper's
     ``Transaction-begin(30)``.
     """
 
+    __slots__ = ("name", "params", "__weakref__")
+
     name: str
-    params: tuple = ()
+    params: tuple
+
+    def __init__(self, name: str, params: tuple = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "params", params)
 
     def __str__(self) -> str:
         if not self.params:

@@ -15,8 +15,9 @@ sequence number keeps counting, so gaps are detectable).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional
+
+from repro._value import Value, factory
 
 #: Default retained-event cap.
 DEFAULT_TRACE_LIMIT = 10_000
@@ -33,8 +34,7 @@ SHADOW_FIRING = "shadow_firing"
 LIFECYCLE = "lifecycle"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Value):
     """One structured observation.
 
     ``seq`` is a global, strictly increasing sequence number; ``timestamp``
@@ -44,7 +44,7 @@ class TraceEvent:
     seq: int
     kind: str
     timestamp: Optional[int]
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any] = factory(dict)
 
     def to_dict(self) -> dict:
         return {

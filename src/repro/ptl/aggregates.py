@@ -30,9 +30,9 @@ comparison and its tests' reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro._value import Value
 from repro.errors import UnsafeFormulaError
 from repro.history.state import SystemState
 from repro.ptl import ast
@@ -44,8 +44,7 @@ from repro.query import ast as qast
 _counter = itertools.count()
 
 
-@dataclass
-class RewrittenAggregate:
+class RewrittenAggregate(Value, frozen=False):
     """One aggregate occurrence compiled to maintained items + two rules."""
 
     term: ast.AggT
@@ -58,8 +57,7 @@ class RewrittenAggregate:
     rule_names: tuple[str, str]
 
 
-@dataclass
-class AggregateRewrite:
+class AggregateRewrite(Value, frozen=False):
     """Outcome of rewriting a condition: the aggregate-free condition plus
     the executor that maintains the overlay items."""
 

@@ -28,9 +28,9 @@ connectives, and the past temporal operators ``Since`` and ``Lasttime``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro._value import Value
 from repro.query.ast import Query
 
 # ---------------------------------------------------------------------------
@@ -45,8 +45,7 @@ class Term:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class Var(Term):
+class Var(Term, Value):
     name: str
 
     def variables(self) -> frozenset[str]:
@@ -56,16 +55,14 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
-class ConstT(Term):
+class ConstT(Term, Value):
     value: object
 
     def __str__(self) -> str:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class FuncT(Term):
+class FuncT(Term, Value):
     func: str
     args: tuple[Term, ...]
 
@@ -81,8 +78,7 @@ class FuncT(Term):
         return f"{self.func}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class QueryT(Term):
+class QueryT(Term, Value):
     """A database query as a term.  Query parameters (``$v``) refer to PTL
     variables; they must be *domain-instantiated free variables* (the
     evaluators ground them before any query runs)."""
@@ -96,8 +92,7 @@ class QueryT(Term):
         return f"{{{self.query}}}"
 
 
-@dataclass(frozen=True)
-class AggT(Term):
+class AggT(Term, Value):
     """Temporal aggregate ``func(query; start; sample)`` (Section 6)."""
 
     func: str
@@ -153,8 +148,7 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
-class BoolConst(Formula):
+class BoolConst(Formula, Value):
     value: bool
 
     def __str__(self) -> str:
@@ -165,8 +159,7 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Comparison(Formula):
+class Comparison(Formula, Value):
     op: str  # = != < <= > >=
     left: Term
     right: Term
@@ -178,8 +171,7 @@ class Comparison(Formula):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
-class EventAtom(Formula):
+class EventAtom(Formula, Value):
     """``@name(p1, ..., pn)`` — satisfied at a state whose event set
     contains an event named ``name`` whose parameters match the argument
     terms.  Variable arguments *bind* to the event's parameter values."""
@@ -199,8 +191,7 @@ class EventAtom(Formula):
         return f"@{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class InQuery(Formula):
+class InQuery(Formula, Value):
     """``(t1, ..., tn) in q`` — membership of a tuple of terms in the
     relation retrieved by ``q`` at the current state (the paper's relation
     atoms, e.g. ``OVERPRICED(x)``).  Variable arguments bind to attribute
@@ -219,8 +210,7 @@ class InQuery(Formula):
         return f"({', '.join(map(str, self.args))}) in {{{self.query}}}"
 
 
-@dataclass(frozen=True)
-class ExecutedAtom(Formula):
+class ExecutedAtom(Formula, Value):
     """``executed(r, x1, ..., xk, t)`` (Section 7): satisfied at time T if
     rule ``r`` was executed with parameters ``x1..xk`` at time ``t < T``.
     Variable arguments (including the time argument) bind against the
@@ -241,8 +231,7 @@ class ExecutedAtom(Formula):
         return f"executed({inner})"
 
 
-@dataclass(frozen=True)
-class Not(Formula):
+class Not(Formula, Value):
     operand: Formula
 
     def variables(self) -> frozenset[str]:
@@ -255,8 +244,7 @@ class Not(Formula):
         return f"!({self.operand})"
 
 
-@dataclass(frozen=True)
-class And(Formula):
+class And(Formula, Value):
     operands: tuple[Formula, ...]
 
     def variables(self) -> frozenset[str]:
@@ -272,8 +260,7 @@ class And(Formula):
         return "(" + " & ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+class Or(Formula, Value):
     operands: tuple[Formula, ...]
 
     def variables(self) -> frozenset[str]:
@@ -289,8 +276,7 @@ class Or(Formula):
         return "(" + " | ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class Since(Formula):
+class Since(Formula, Value):
     """``lhs since rhs`` — ``rhs`` held at some state j <= i and ``lhs``
     held at every state in (j, i].  One of the two basic operators."""
 
@@ -307,8 +293,7 @@ class Since(Formula):
         return f"({self.lhs} since {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Lasttime(Formula):
+class Lasttime(Formula, Value):
     """``lasttime f`` — f held at the previous state (false at the first
     state).  The other basic operator."""
 
@@ -324,8 +309,7 @@ class Lasttime(Formula):
         return f"lasttime ({self.operand})"
 
 
-@dataclass(frozen=True)
-class Previously(Formula):
+class Previously(Formula, Value):
     """Derived: ``previously f == true since f`` (f held at some state
     <= i, including the current one)."""
 
@@ -345,8 +329,7 @@ class Previously(Formula):
         return f"previously{w} ({self.operand})"
 
 
-@dataclass(frozen=True)
-class ThroughoutPast(Formula):
+class ThroughoutPast(Formula, Value):
     """Derived: ``throughout_past f == !previously !f``."""
 
     operand: Formula
@@ -363,8 +346,7 @@ class ThroughoutPast(Formula):
         return f"throughout_past{w} ({self.operand})"
 
 
-@dataclass(frozen=True)
-class Assign(Formula):
+class Assign(Formula, Value):
     """The assignment operator ``[x := q] f``: bind ``x`` to the value of
     query ``q`` at the *current* state, then evaluate ``f`` under the
     binding.  The paper's alternative to first-order quantification; it

@@ -17,9 +17,9 @@ growth benchmark E4 measures when the optimization is disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro._value import Value
 from repro.query.ast import Query
 from repro.query.evaluator import StateView
 from repro.ptl.values import UNDEFINED, eval_query_value
@@ -28,8 +28,7 @@ from repro.ptl.values import UNDEFINED, eval_query_value
 MAX_TIME = None
 
 
-@dataclass
-class VersionRow:
+class VersionRow(Value, frozen=False):
     """One version of the query value: valid during [t_start, t_end)."""
 
     value: Any

@@ -13,16 +13,17 @@ Both the reference (offline) semantics and the incremental algorithm need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
+from repro._value import Value, factory
 from repro.datamodel.relation import Relation
 from repro.query.ast import Query
 from repro.query.evaluator import StateView, eval_query
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class ExecutionRecord:
+
+class ExecutionRecord(Value):
     """One rule execution: rule name, parameter tuple, commit time.
 
     ``status`` is ``"ok"`` for a successful action, ``"failed"`` when the
@@ -31,10 +32,20 @@ class ExecutionRecord:
     ``executed`` predicate — the rule *fired*; only its side effect was
     lost — so condition evaluation is independent of action health."""
 
+    __slots__ = ("rule", "params", "time", "status")
+
     rule: str
     params: tuple
     time: int
-    status: str = "ok"
+    status: str
+
+    def __init__(
+        self, rule: str, params: tuple, time: int, status: str = "ok"
+    ) -> None:
+        _set(self, "rule", rule)
+        _set(self, "params", params)
+        _set(self, "time", time)
+        _set(self, "status", status)
 
 
 class ExecutedStore:
@@ -125,12 +136,11 @@ def domain_values(spec: DomainSpec, state: StateView) -> list:
     return list(spec)
 
 
-@dataclass
-class EvalContext:
+class EvalContext(Value, frozen=False):
     """Everything an evaluator needs beyond the history itself."""
 
-    executed: ExecutedStore = field(default_factory=ExecutedStore)
-    domains: Mapping[str, DomainSpec] = field(default_factory=dict)
+    executed: ExecutedStore = factory(ExecutedStore)
+    domains: Mapping[str, DomainSpec] = factory(dict)
 
     def domain_for(self, var: str, state: StateView) -> Optional[list]:
         if var not in self.domains:

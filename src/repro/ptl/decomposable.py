@@ -29,9 +29,9 @@ in the design space, covering many practical triggers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro._value import Value
 from repro.errors import PTLError
 from repro.history.state import SystemState
 from repro.ptl import ast
@@ -66,8 +66,7 @@ def is_decomposable(f: ast.Formula) -> bool:
     return _ground_atom(f)
 
 
-@dataclass
-class _AtomTracker:
+class _AtomTracker(Value, frozen=False):
     """The auxiliary record for one temporal atom: latest satisfaction and
     latest violation timestamps (the decomposed state)."""
 

@@ -18,9 +18,9 @@ binding through ``env`` for rules with parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
+from repro._value import Value, factory
 from repro.errors import EvaluationError
 from repro.history.state import SystemState
 from repro.ptl import ast
@@ -29,8 +29,7 @@ from repro.ptl.rewrite import normalize
 from repro.ptl.semantics import UNDEFINED, eval_term, satisfies
 
 
-@dataclass
-class Explanation:
+class Explanation(Value, frozen=False):
     """One node of the proof tree."""
 
     formula: str
@@ -38,7 +37,7 @@ class Explanation:
     position: int
     timestamp: int
     detail: str = ""
-    children: list["Explanation"] = field(default_factory=list)
+    children: list["Explanation"] = factory(list)
 
 
 def explain(

@@ -27,9 +27,9 @@ e.g. ``always (Past(alarm-condition) -> eventually[5] @ack)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro._value import Value
 from repro.errors import PTLError, UnsafeFormulaError
 from repro.history.state import SystemState
 from repro.ptl import ast
@@ -56,8 +56,7 @@ class FFormula:
         return FNot(self)
 
 
-@dataclass(frozen=True)
-class FBool(FFormula):
+class FBool(FFormula, Value):
     value: bool
 
     def __str__(self):
@@ -68,8 +67,7 @@ FTRUE = FBool(True)
 FFALSE = FBool(False)
 
 
-@dataclass(frozen=True)
-class Atom(FFormula):
+class Atom(FFormula, Value):
     """A present-state atom: any *ground* past-PTL formula (plain
     comparisons and event atoms included), evaluated per state as a root
     of the monitor's plan."""
@@ -84,32 +82,28 @@ class Atom(FFormula):
 Past = Atom
 
 
-@dataclass(frozen=True)
-class FNot(FFormula):
+class FNot(FFormula, Value):
     operand: FFormula
 
     def __str__(self):
         return f"!({self.operand})"
 
 
-@dataclass(frozen=True)
-class FAnd(FFormula):
+class FAnd(FFormula, Value):
     operands: tuple[FFormula, ...]
 
     def __str__(self):
         return "(" + " & ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class FOr(FFormula):
+class FOr(FFormula, Value):
     operands: tuple[FFormula, ...]
 
     def __str__(self):
         return "(" + " | ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class Next(FFormula):
+class Next(FFormula, Value):
     """``next f`` — f holds at the next state."""
 
     operand: FFormula
@@ -118,8 +112,7 @@ class Next(FFormula):
         return f"next ({self.operand})"
 
 
-@dataclass(frozen=True)
-class Until(FFormula):
+class Until(FFormula, Value):
     """``f until g`` — g holds at some future (or current) state and f
     holds at every state before it."""
 
@@ -130,8 +123,7 @@ class Until(FFormula):
         return f"({self.lhs} until {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Eventually(FFormula):
+class Eventually(FFormula, Value):
     """``eventually f`` / ``eventually[w] f`` (within w time units of the
     state where this operator instance is first evaluated).
 
@@ -149,8 +141,7 @@ class Eventually(FFormula):
         return f"eventually{w} ({self.operand})"
 
 
-@dataclass(frozen=True)
-class Always(FFormula):
+class Always(FFormula, Value):
     """``always f`` / ``always[w] f`` (throughout the next w time units
     from this instance's first evaluation; see Eventually on anchoring)."""
 

@@ -45,9 +45,9 @@ them — for one rule or for many, with common-subformula elimination — is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
+from repro._value import Value
 from repro.datamodel.relation import Relation
 from repro.errors import (
     EvaluationError,
@@ -75,15 +75,20 @@ from repro.query.functions import (
 )
 from repro.query.subst import substitute_query
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class FireResult:
+
+class FireResult(Value):
     """Outcome of one evaluation step: whether the condition fired and the
     satisfying assignments for its free variables ("parameter passing from
     the condition part to the action part", Section 3)."""
 
     fired: bool
     bindings: tuple[dict, ...] = ()
+
+    def __init__(self, fired: bool, bindings: tuple[dict, ...] = ()) -> None:
+        _set(self, "fired", fired)
+        _set(self, "bindings", bindings)
 
     def __bool__(self) -> bool:
         return self.fired

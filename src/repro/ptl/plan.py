@@ -193,6 +193,9 @@ class PlanValue(NamedTuple):
     tops: dict
 
 
+_new_value = tuple.__new__
+
+
 def _time_vars(formula: ast.Formula) -> frozenset[str]:
     """Variables assigned from the ``time`` item (monotone — prunable)."""
     return frozenset(
@@ -546,10 +549,14 @@ class SharedPlan:
                 self._refresh_instances(entry, state)
         self.epoch += 1
         self._tick += 1
-        self._open = value = PlanValue(self.epoch, state, {}, {}, {})
-        prev, accs = self._value.accs, value.accs
-        for agg in self._aggregates.values():
-            accs[agg] = agg.step(prev.get(agg, agg.empty), state)
+        # ``tuple.__new__`` skips the keyword-matching ``PlanValue.__new__``.
+        self._open = value = _new_value(
+            PlanValue, (self.epoch, state, {}, {}, {})
+        )
+        if self._aggregates:
+            prev, accs = self._value.accs, value.accs
+            for agg in self._aggregates.values():
+                accs[agg] = agg.step(prev.get(agg, agg.empty), state)
 
     def complete(self) -> None:
         """Close the open step: compute every root not read at its state

@@ -15,8 +15,9 @@ such as ``price(x)`` (Section 6.1.1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Union
+
+from repro._value import Value
 
 # --------------------------------------------------------------------------
 # Scalar expressions
@@ -33,8 +34,7 @@ class Expr:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class Const(Expr):
+class Const(Expr, Value):
     """A literal value."""
 
     value: Any
@@ -43,8 +43,7 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Col(Expr):
+class Col(Expr, Value):
     """A column reference, possibly qualified: ``S.price`` or ``price``."""
 
     name: str
@@ -65,8 +64,7 @@ class Col(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
-class Param(Expr):
+class Param(Expr, Value):
     """A free parameter bound at evaluation time (written ``$name``)."""
 
     name: str
@@ -78,8 +76,7 @@ class Param(Expr):
         return f"${self.name}"
 
 
-@dataclass(frozen=True)
-class App(Expr):
+class App(Expr, Value):
     """Application of a registered scalar function."""
 
     func: str
@@ -97,8 +94,7 @@ class App(Expr):
         return f"{self.func}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class Cmp(Expr):
+class Cmp(Expr, Value):
     """A comparison; evaluates to a boolean."""
 
     op: str  # one of = != < <= > >=
@@ -112,8 +108,7 @@ class Cmp(Expr):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
-class BoolOp(Expr):
+class BoolOp(Expr, Value):
     """Conjunction or disjunction of boolean expressions."""
 
     op: str  # "and" | "or"
@@ -129,8 +124,7 @@ class BoolOp(Expr):
         return "(" + f" {self.op} ".join(map(str, self.operands)) + ")"
 
 
-@dataclass(frozen=True)
-class Not(Expr):
+class Not(Expr, Value):
     operand: Expr
 
     def params(self) -> frozenset[str]:
@@ -158,8 +152,7 @@ class Query:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class RelationRef(Query):
+class RelationRef(Query, Value):
     """The full contents of a named relation."""
 
     name: str
@@ -168,8 +161,7 @@ class RelationRef(Query):
         return self.name
 
 
-@dataclass(frozen=True)
-class ItemRef(Query):
+class ItemRef(Query, Value):
     """A scalar database item (e.g. ``time``, or an aggregate-rewriting
     item like ``CUM_PRICE``), optionally indexed by parameter expressions
     (``CUM_PRICE[$x]``, Section 6.1.1)."""
@@ -189,8 +181,7 @@ class ItemRef(Query):
         return self.name
 
 
-@dataclass(frozen=True)
-class RangeVar:
+class RangeVar(Value):
     """A range variable over a relation: ``STOCK S`` (alias optional)."""
 
     relation: str
@@ -206,8 +197,7 @@ class RangeVar:
         return self.relation
 
 
-@dataclass(frozen=True)
-class Retrieve(Query):
+class Retrieve(Query, Value):
     """QUEL-style retrieval.
 
     ``RETRIEVE (t1, t2, ...) FROM ranges WHERE cond`` — the paper's own
@@ -237,8 +227,7 @@ class Retrieve(Query):
         return s
 
 
-@dataclass(frozen=True)
-class AggregateQuery(Query):
+class AggregateQuery(Query, Value):
     """An aggregate over the rows selected by a retrieval:
     ``AVG(S.price) FROM STOCK S WHERE S.cat = 'tech'`` (scalar), or with
     ``GROUP BY`` a relation of (group columns..., aggregate value):
@@ -267,8 +256,7 @@ class AggregateQuery(Query):
         return s
 
 
-@dataclass(frozen=True)
-class ParamQuery(Query):
+class ParamQuery(Query, Value):
     """A query whose value is a free parameter itself (``$x`` used as a
     query, e.g. inside ``sum($x, phi, psi)``)."""
 
@@ -281,8 +269,7 @@ class ParamQuery(Query):
         return f"${self.name}"
 
 
-@dataclass(frozen=True)
-class ConstQuery(Query):
+class ConstQuery(Query, Value):
     """A constant query (e.g. the literal ``1`` in ``sum(1, phi, psi)``,
     which the paper uses to count sampling points)."""
 
@@ -292,8 +279,7 @@ class ConstQuery(Query):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class ExprQuery(Query):
+class ExprQuery(Query, Value):
     """A scalar query computed from other queries by a scalar function,
     e.g. ``price(IBM) * 2`` or ``CUM_PRICE / TOTAL_UPDATES``."""
 

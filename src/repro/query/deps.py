@@ -14,14 +14,13 @@ database — columns resolve against range-variable bindings and parameters
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._value import Value
 from repro.events.clock import TIME_ITEM
 from repro.query import ast
 
 
-@dataclass(frozen=True)
-class QueryDeps:
+class QueryDeps(Value):
     """The database items a query reads.
 
     ``items``

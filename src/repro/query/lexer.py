@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro._value import Value
 from repro.errors import QueryParseError
+
+_set = object.__setattr__
 
 # Token kinds
 IDENT = "IDENT"
@@ -46,11 +48,15 @@ _OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Value):
     kind: str
     text: str
     position: int
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "position", position)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.text!r})@{self.position}"

@@ -21,7 +21,7 @@ executable plan:
   naive path's semantics exactly.
 
 Plans are cached per (query AST, range schemas) — query ASTs are frozen
-dataclasses, so the cache key is the query itself.
+value classes (:mod:`repro._value`), so the cache key is the query itself.
 
 **Delta-aware atom skipping.**  :class:`DeltaGate` lets the incremental
 PTL evaluator skip re-evaluating a ground query atom when the new system

@@ -8,9 +8,9 @@ leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from repro._value import Value
 from repro.errors import QueryError
 from repro.query import ast
 
@@ -80,8 +80,7 @@ def substitute_query(query: ast.Query, mapping: Mapping[str, ast.Expr]) -> ast.Q
     raise QueryError(f"cannot substitute in {query!r}")
 
 
-@dataclass(frozen=True)
-class QueryDef:
+class QueryDef(Value):
     """A parameterized named query: ``price(name) := RETRIEVE ... $name ...``.
 
     ``params`` are the formal parameter names, appearing as ``$param`` in

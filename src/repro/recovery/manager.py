@@ -29,10 +29,10 @@ history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro._value import Value
 from repro.errors import RecoveryError
 from repro.recovery.checkpoint import read_checkpoint, write_checkpoint
 from repro.recovery.wal import WriteAheadLog, load_wal
@@ -42,8 +42,7 @@ from repro.storage.snapshot import IndexedItem
 PathLike = Union[str, Path]
 
 
-@dataclass
-class RecoveryReport:
+class RecoveryReport(Value, frozen=False):
     """What :meth:`RecoveryManager.recover` rebuilt."""
 
     engine: object

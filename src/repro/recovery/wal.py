@@ -57,8 +57,12 @@ from repro.recovery.faultinject import (
     POST_COMMIT,
     PRE_COMMIT,
 )
-from repro.storage.persist import encode_catalog, encode_state, fsync_dir
-from repro.storage.tiers import retry_io
+from repro.storage.persist import (
+    encode_catalog,
+    encode_state,
+    fsync_dir,
+    retry_io,
+)
 
 PathLike = Union[str, Path]
 

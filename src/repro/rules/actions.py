@@ -8,14 +8,13 @@ referred to in the condition part."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro._value import Value
 from repro.errors import ActionError
 
 
-@dataclass
-class ActionContext:
+class ActionContext(Value, frozen=False):
     """What an action sees when it runs: the engine, the satisfying
     bindings of the condition's free variables (parameter passing), and
     the system state that fired the rule."""
@@ -24,6 +23,14 @@ class ActionContext:
     bindings: Mapping[str, Any]
     state: Any
     rule_name: str
+
+    def __init__(
+        self, engine: Any, bindings: Mapping[str, Any], state: Any, rule_name: str
+    ) -> None:
+        self.engine = engine
+        self.bindings = bindings
+        self.state = state
+        self.rule_name = rule_name
 
 
 class Action:

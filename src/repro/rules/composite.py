@@ -22,9 +22,9 @@ state per event occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from repro._value import Value
 from repro.errors import RuleError
 from repro.ptl import ast
 from repro.ptl.rewrite import TIME_TERM
@@ -141,8 +141,7 @@ def add_periodic(
     return [arm, repeat]
 
 
-@dataclass(frozen=True)
-class CompositeStep:
+class CompositeStep(Value):
     """One atomic action of a composite action."""
 
     label: str

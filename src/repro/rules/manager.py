@@ -32,10 +32,10 @@ evaluation algorithm for each trigger."  The manager:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from repro._value import Value
 from repro.errors import (
     DuplicateRuleError,
     HistoryError,
@@ -132,8 +132,7 @@ class _RegisteredMonitor:
             callback.execute(ActionContext(engine, {}, state, self.name))
 
 
-@dataclass
-class RuleStats:
+class RuleStats(Value, frozen=False):
     evaluations: int = 0
     skips: int = 0
     firings: int = 0

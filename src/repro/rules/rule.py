@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from itertools import starmap
 from typing import Any, Iterator, Optional
 
+from repro._value import Value
 from repro.ptl import ast
 from repro.rules.actions import AbortAction, Action
+
+_set = object.__setattr__
 
 
 class CouplingMode(enum.Enum):
@@ -50,8 +52,7 @@ class FireMode(enum.Enum):
     RISING_EDGE = "rising_edge"
 
 
-@dataclass
-class Rule:
+class Rule(Value, frozen=False):
     """A Condition-Action rule.
 
     ``params`` names the condition's free variables whose bindings are
@@ -85,9 +86,10 @@ class Rule:
         return f"{self.name}: {self.condition} -> {self.action!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class FiringRecord:
+class FiringRecord(Value):
     """One rule firing: which rule, with which bindings, at which state."""
+
+    __slots__ = ("rule", "bindings", "state_index", "timestamp", "shadow")
 
     rule: str
     bindings: tuple[tuple[str, Any], ...]
@@ -95,7 +97,21 @@ class FiringRecord:
     timestamp: int
     #: True when the rule was in shadow mode: the firing was recorded but
     #: its action was suppressed.
-    shadow: bool = False
+    shadow: bool
+
+    def __init__(
+        self,
+        rule: str,
+        bindings: tuple[tuple[str, Any], ...],
+        state_index: int,
+        timestamp: int,
+        shadow: bool = False,
+    ) -> None:
+        _set(self, "rule", rule)
+        _set(self, "bindings", bindings)
+        _set(self, "state_index", state_index)
+        _set(self, "timestamp", timestamp)
+        _set(self, "shadow", shadow)
 
     @property
     def binding_dict(self) -> dict:

@@ -1,9 +1,10 @@
-"""Storage engine: snapshots, catalog, transactions."""
+"""Storage engine: snapshots, catalog, transactions.
 
-from repro.storage.database import Database
-from repro.storage.snapshot import DatabaseState, IndexedItem
-from repro.storage.tiers import SegmentStore, retry_io
-from repro.storage.transactions import Transaction, TransactionManager, TxnStatus
+Names are exported lazily: importing one submodule (the write-ahead log
+imports :mod:`repro.storage.persist`) does not load the segment store.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Database",
@@ -15,3 +16,17 @@ __all__ = [
     "TxnStatus",
     "retry_io",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Database": "repro.storage.database",
+        "DatabaseState": "repro.storage.snapshot",
+        "IndexedItem": "repro.storage.snapshot",
+        "SegmentStore": "repro.storage.tiers",
+        "Transaction": "repro.storage.transactions",
+        "TransactionManager": "repro.storage.transactions",
+        "TxnStatus": "repro.storage.transactions",
+        "retry_io": "repro.storage.persist",
+    },
+)

@@ -21,12 +21,17 @@ a version costs what changed.  Everything else (a scalar, an
 change, a bulk rewrite whose delta would outgrow the image) stays the
 full image of :func:`_encode_item`, which is all that logs written before
 row deltas contain — the reader has no format branch.
+
+It also holds the disk helpers the write-ahead log and the segment store
+share: :func:`fsync_dir`, :func:`atomic_write_text` and :func:`retry_io`.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
+import time
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -55,6 +60,40 @@ def fsync_dir(path: PathLike) -> None:
         pass
     finally:
         os.close(fd)
+
+
+#: Errnos worth retrying: the disk may answer on the next attempt.
+#: ENOSPC is deliberately absent — a full disk does not heal by waiting,
+#: it degrades the engine.
+TRANSIENT_ERRNOS = frozenset(
+    {errno.EIO, errno.EAGAIN, errno.EINTR, errno.EBUSY, errno.ETIMEDOUT}
+)
+
+
+def retry_io(
+    fn: Callable,
+    retries: int = 3,
+    backoff: float = 0.002,
+    sleep: Callable[[float], None] = time.sleep,
+    on_retry: Optional[Callable[[OSError, int], None]] = None,
+):
+    """Run ``fn`` with bounded retry-with-backoff on transient ``OSError``.
+
+    Each retry doubles the backoff.  Non-transient errnos (ENOSPC above
+    all) and exhaustion propagate the original ``OSError`` to the caller,
+    whose job is then to degrade, not to loop."""
+    attempt = 0
+    while True:
+        try:
+            return fn()
+        except OSError as exc:
+            transient = exc.errno in TRANSIENT_ERRNOS
+            if not transient or attempt >= retries:
+                raise
+            if on_retry is not None:
+                on_retry(exc, attempt)
+            sleep(backoff * (2 ** attempt))
+            attempt += 1
 
 
 def atomic_write_text(

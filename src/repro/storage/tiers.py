@@ -34,7 +34,6 @@ I/O fault points of :mod:`repro.recovery.faultinject`.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -46,7 +45,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import RecoveryError
 from repro.obs.metrics import as_registry
-from repro.storage.persist import fsync_dir
+from repro.storage.persist import TRANSIENT_ERRNOS, fsync_dir, retry_io
 
 PathLike = Union[str, Path]
 
@@ -56,40 +55,6 @@ HEADER_KIND = "segment-header"
 #: is named in every header, descriptor and file name, so a segment is
 #: byte-identical to the one an older build wrote for the same records.
 TIER = "history"
-
-#: Errnos worth retrying: the disk may answer on the next attempt.
-#: ENOSPC is deliberately absent — a full disk does not heal by waiting,
-#: it degrades the engine.
-TRANSIENT_ERRNOS = frozenset(
-    {errno.EIO, errno.EAGAIN, errno.EINTR, errno.EBUSY, errno.ETIMEDOUT}
-)
-
-
-def retry_io(
-    fn: Callable,
-    retries: int = 3,
-    backoff: float = 0.002,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Optional[Callable[[OSError, int], None]] = None,
-):
-    """Run ``fn`` with bounded retry-with-backoff on transient ``OSError``.
-
-    Each retry doubles the backoff.  Non-transient errnos (ENOSPC above
-    all) and exhaustion propagate the original ``OSError`` to the caller,
-    whose job is then to degrade, not to loop."""
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except OSError as exc:
-            transient = exc.errno in TRANSIENT_ERRNOS
-            if not transient or attempt >= retries:
-                raise
-            if on_retry is not None:
-                on_retry(exc, attempt)
-            sleep(backoff * (2 ** attempt))
-            attempt += 1
-
 
 class SegmentRecords(Sequence):
     """The records of one loaded segment, decoded when read.

@@ -29,9 +29,9 @@ at commit, and the foundation of *definite* triggers (Section 9.2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+from repro._value import Value
 from repro.errors import (
     ClockError,
     RetroactiveLimitError,
@@ -45,8 +45,7 @@ from repro.history.state import SystemState
 from repro.storage.database import Database
 
 
-@dataclass(frozen=True)
-class VTUpdate:
+class VTUpdate(Value):
     """One update: which item, how it changes, when it is valid, whose."""
 
     item: str

@@ -23,9 +23,9 @@ incremental).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro._value import Value
 from repro.errors import ValidTimeError
 from repro.ptl import ast
 from repro.ptl.context import EvalContext
@@ -33,8 +33,7 @@ from repro.ptl.plan import IncrementalEvaluator
 from repro.validtime.model import ValidTimeDatabase
 
 
-@dataclass(frozen=True)
-class VTFiring:
+class VTFiring(Value):
     """One trigger firing in the valid-time model."""
 
     timestamp: int

@@ -7,9 +7,13 @@ the Section 5 auxiliary relations (``ptl.auxrel``), the Section 6.1.1
 aggregate rewriting (``ptl.aggregates``, benchmark E5's comparison), the
 Section 7 composite actions (``rules.composite``) or the facade; and,
 keeping no history and only the stock profile, neither the tiered
-history (``history.spill``) nor the random workload generators
-(``workloads.generator``).  Package exports are lazy (PEP 562), so none
-of them loads unless something reads one of its names.
+history (``history.spill``, ``storage.tiers``) nor the random workload
+generators (``workloads.generator``).  Package exports are lazy (PEP
+562), so none of them loads unless something reads one of its names.
+
+Nor does it load the standard library's ``dataclasses``: the package's
+value classes share their methods (``repro._value``), so no class of a
+loaded ``repro`` module holds a method ``exec`` generated.
 
 The graph is read in a fresh interpreter: once ``import repro.serve``,
 and once more after a started server has opened a ``StockProfile``
@@ -18,6 +22,7 @@ that is not allowed fails the test; add it to the allow-list only if the
 served path really needs it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -36,12 +41,14 @@ NEVER_SERVED = (
     "repro.ptl.aggregates",
     "repro.rules.composite",
     "repro.facade",
+    "repro.storage.tiers",
 )
 
 #: ``import repro.serve``.
 ALLOWED_AT_IMPORT = {
     "repro",
     "repro._lazy",
+    "repro._value",
     "repro.datamodel",
     "repro.datamodel.relation",
     "repro.datamodel.schema",
@@ -82,7 +89,6 @@ ALLOWED_AT_IMPORT = {
     "repro.storage.database",
     "repro.storage.persist",
     "repro.storage.snapshot",
-    "repro.storage.tiers",
     "repro.storage.transactions",
 }
 
@@ -109,14 +115,29 @@ ALLOWED_SERVED = ALLOWED_AT_IMPORT | {
 }
 
 SERVED_PROCESS = r"""
-import asyncio, json, os, sys, tempfile
+import asyncio, inspect, json, os, sys, tempfile
 
 import repro.serve
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("repro"))
 
+def generated_methods():
+    # Functions held by a class of a loaded repro module whose code was
+    # compiled from a string (exec / eval), not read from a file.
+    out = []
+    for name in loaded():
+        for cls in vars(sys.modules[name]).values():
+            if not inspect.isclass(cls) or cls.__module__ != name:
+                continue
+            for attr, fn in vars(cls).items():
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    out.append(f"{cls.__qualname__}.{attr}")
+    return out
+
 at_import = loaded()
+dataclasses_at_import = "dataclasses" in sys.modules
 
 async def serve(root):
     from repro.serve import ReproServer, StockProfile
@@ -150,7 +171,11 @@ async def serve(root):
 
 with tempfile.TemporaryDirectory() as root:
     replies = asyncio.run(serve(root))
-print(json.dumps({"import": at_import, "served": loaded(), "replies": replies}))
+print(json.dumps({
+    "import": at_import, "served": loaded(), "replies": replies,
+    "dataclasses": [dataclasses_at_import, "dataclasses" in sys.modules],
+    "generated": generated_methods(),
+}))
 """
 
 
@@ -182,9 +207,41 @@ def test_a_served_tenant_loads_only_the_allow_list(served_process):
     assert loaded <= ALLOWED_SERVED, sorted(loaded - ALLOWED_SERVED)
 
 
+def test_a_served_process_never_loads_dataclasses(served_process):
+    at_import, served = served_process["dataclasses"]
+    assert not at_import
+    assert not served
+
+
+def test_no_loaded_class_holds_generated_methods(served_process):
+    assert served_process["generated"] == []
+
+
+def test_no_package_module_imports_dataclasses():
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.ptl", "repro.rules", "repro.workloads", "repro.history"],
+    [
+        "repro",
+        "repro.ptl",
+        "repro.rules",
+        "repro.workloads",
+        "repro.history",
+        "repro.storage",
+    ],
 )
 def test_every_public_name_resolves(package):
     module = __import__(package, fromlist=["__all__"])
