@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro._value import Value
 from repro.errors import EventExprError
-from repro.query.lexer import EOF, IDENT, TokenStream, tokenize
+from repro.query.lexer import EOF, IDENT, TokenStream
 
 # ---------------------------------------------------------------------------
 # Expression AST
@@ -88,10 +88,7 @@ class Complement(EventExpr, Value):
 
 
 def parse_event_expr(text: str) -> EventExpr:
-    stream = TokenStream(
-        tokenize(text, lambda m, p: EventExprError(f"{m} at {p}")),
-        lambda m, p: EventExprError(f"{m} at {p}"),
-    )
+    stream = TokenStream(text, lambda m, p: EventExprError(f"{m} at {p}"))
     expr = _parse_alt(stream)
     if stream.current.kind != EOF:
         raise EventExprError(f"trailing input {stream.current.text!r}")
@@ -99,13 +96,7 @@ def parse_event_expr(text: str) -> EventExpr:
 
 
 def _parse_alt(s) -> EventExpr:
-    parts = [_parse_cat(s)]
-    while s.at_op("|"):
-        s.advance()
-        parts.append(_parse_cat(s))
-    if len(parts) == 1:
-        return parts[0]
-    return Union(tuple(parts))
+    return s.nary(lambda: _parse_cat(s), Union, ("|",))
 
 
 def _parse_cat(s) -> EventExpr:

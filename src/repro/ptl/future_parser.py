@@ -10,12 +10,15 @@ Grammar (keywords case-insensitive)::
               | EVENTUALLY ['[' N ']'] funary
               | ALWAYS ['[' N ']'] funary
               | fprimary
-    fprimary := '(' fformula ')'                    # or a parenthesized
+    fprimary := TRUE | FALSE
+              | '(' fformula ')'                    # or a parenthesized
               | <past-PTL unary formula>            #   past formula
 
-Any primary that is not a future construct is parsed as one *past-PTL
-unary formula* by the ordinary PTL parser sharing the same token cursor —
-so event atoms, comparisons, ``previously``/``since`` (inside
+These are the PTL parser's levels (:class:`repro.ptl.parser._Parser`)
+with the future connectives; only the primary is this module's.  Any
+primary that is not a future construct is parsed as one *past-PTL unary
+formula* by the ordinary PTL parser sharing the same token cursor — so
+event atoms, comparisons, ``previously``/``since`` (inside
 parentheses), assignments, and aggregates all embed directly::
 
     parse_future_formula("always (!@req | eventually[5] @ack)")
@@ -31,7 +34,6 @@ from repro.errors import PTLParseError, UnsafeFormulaError
 from repro.ptl import ast as past_ast
 from repro.ptl import future as fut
 from repro.ptl.parser import _Parser
-from repro.query.lexer import NUMBER, TokenStream, tokenize
 from repro.query.subst import QueryRegistry
 
 
@@ -42,87 +44,36 @@ def parse_future_formula(
 ) -> fut.FFormula:
     """Parse future-operator text into a
     :class:`~repro.ptl.future.FFormula` (atoms must be ground)."""
-    err = lambda m, p: PTLParseError(m, p)
-    stream = TokenStream(tokenize(text, err), err)
-    parser = _FutureParser(text, registry, frozenset(items), stream)
-    formula = parser.parse()
-    stream.expect_eof()
-    return formula
+    return _FutureParser.parse(text, registry, items)
 
 
-class _FutureParser:
-    def __init__(self, text, registry, items, stream):
-        self.stream = stream
-        self._past = _Parser(text, registry, items, stream=stream)
+class _FutureParser(_Parser):
+    """The PTL parser's levels with the future connectives and its own
+    primary."""
 
-    def parse(self) -> fut.FFormula:
-        left = self._or()
-        while self.stream.at_keyword("UNTIL"):
-            self.stream.advance()
-            right = self._or()
-            left = fut.Until(left, right)
-        return left
+    CHAIN = ("UNTIL", fut.Until)
+    OR = staticmethod(fut.for_)
+    AND = staticmethod(fut.fand)
+    NOT = staticmethod(fut.fnot)
+    PREFIX = {
+        "NEXT": (fut.Next, False),
+        "EVENTUALLY": (fut.Eventually, True),
+        "ALWAYS": (fut.Always, True),
+    }
 
-    def _or(self) -> fut.FFormula:
-        operands = [self._and()]
-        while self.stream.at_op("|") or self.stream.at_keyword("OR"):
-            self.stream.advance()
-            operands.append(self._and())
-        return fut.for_(operands) if len(operands) > 1 else operands[0]
+    def __init__(self, text, registry, items):
+        super().__init__(text, registry, items)
+        self._past = _Parser(text, registry, items, stream=self.stream)
 
-    def _and(self) -> fut.FFormula:
-        operands = [self._unary()]
-        while self.stream.at_op("&") or self.stream.at_keyword("AND"):
-            self.stream.advance()
-            operands.append(self._unary())
-        return fut.fand(operands) if len(operands) > 1 else operands[0]
-
-    def _unary(self) -> fut.FFormula:
+    def parse_primary(self) -> fut.FFormula:
         s = self.stream
-        if s.at_op("!") or s.at_keyword("NOT"):
-            s.advance()
-            return fut.fnot(self._unary())
-        if s.at_keyword("NEXT"):
-            s.advance()
-            return fut.Next(self._unary())
-        if s.at_keyword("EVENTUALLY"):
-            s.advance()
-            window = self._parse_window()
-            return fut.Eventually(self._unary(), window)
-        if s.at_keyword("ALWAYS"):
-            s.advance()
-            window = self._parse_window()
-            return fut.Always(self._unary(), window)
-        return self._primary()
-
-    def _parse_window(self) -> Optional[int]:
-        s = self.stream
-        if s.accept_op("["):
-            tok = s.current
-            if tok.kind != NUMBER:
-                s.fail("expected a number in temporal window")
-            s.advance()
-            s.expect_op("]")
-            return int(float(tok.text))
-        return None
-
-    def _primary(self) -> fut.FFormula:
-        s = self.stream
-        if s.at_keyword("TRUE"):
-            s.advance()
+        if s.accept_keyword("TRUE"):
             return fut.FTRUE
-        if s.at_keyword("FALSE"):
-            s.advance()
+        if s.accept_keyword("FALSE"):
             return fut.FFALSE
-        if s.at_op("("):
-            saved = s._pos
-            s.advance()
-            try:
-                inner = self.parse()
-                s.expect_op(")")
-                return inner
-            except PTLParseError:
-                s._pos = saved
+        inner = s.parenthesised(self.parse_formula, PTLParseError)
+        if inner is not None:
+            return inner
         # fall back to one past-PTL unary formula
         past = self._past.parse_unary()
         if past_ast.free_variables(past):

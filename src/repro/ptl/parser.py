@@ -17,15 +17,16 @@ Grammar (keywords case-insensitive)::
                | EXECUTED '(' IDENT {',' term} ')'      # last term = time
                | term [CMP term | IN query]             # comparison / membership
 
-    term      := additive arithmetic over:
+    term      := arithmetic (TokenStream.arithmetic: + - * / MOD, unary -)
+                 over:
                  NUMBER | STRING | IDENT                # bare ident = variable
                | 'time'                                 # the clock item
                | IDENT '(' qarg {',' qarg} ')'          # registered query symbol
                | AGG '(' query ';' formula ';' formula ')'   # temporal aggregate
                | '{' ... '}'                            # inline query text
 
-    query     := arithmetic over query symbols, item names, '$'params,
-                 literals, aggregates, and '{...}' inline query text.
+    query     := the same arithmetic over query symbols, item names,
+                 '$'params, literals and '{...}' inline query text.
 
 Conventions (documented in the README):
 
@@ -46,7 +47,7 @@ from repro.errors import PTLParseError
 from repro.ptl import ast
 from repro.query import ast as qast
 from repro.query.functions import is_aggregate
-from repro.query.lexer import EOF, IDENT, NUMBER, OP, STRING, TokenStream, tokenize
+from repro.query.lexer import EOF, IDENT, OP, STRING, TokenStream
 from repro.query.parser import parse_query
 from repro.query.subst import QueryRegistry
 
@@ -63,13 +64,26 @@ def parse_formula(
     ``registry`` resolves named query symbols (``price(IBM)``); ``items``
     lists scalar database items recognizable in term position.
     """
-    parser = _Parser(text, registry, frozenset(items))
-    formula = parser.parse_formula()
-    parser.stream.expect_eof()
-    return formula
+    return _Parser.parse(text, registry, items)
 
 
 class _Parser:
+    """The formula levels over :class:`TokenStream`'s operator levels.
+    The future-operator parser (:mod:`repro.ptl.future_parser`) is this
+    class with its own connectives and primary."""
+
+    #: ``formula := orexpr (SINCE orexpr)*``, left-associative.
+    CHAIN = ("SINCE", ast.Since)
+    OR = ast.Or
+    AND = ast.And
+    NOT = ast.Not
+    #: Prefix keyword -> (node, whether an optional ``[N]`` window follows).
+    PREFIX = {
+        "PREVIOUSLY": (ast.Previously, True),
+        "THROUGHOUT_PAST": (ast.ThroughoutPast, True),
+        "LASTTIME": (ast.Lasttime, False),
+    }
+
     def __init__(
         self,
         text: str,
@@ -83,86 +97,59 @@ class _Parser:
         self.registry = registry
         self.items = items
         if stream is None:
-            err = lambda m, p: PTLParseError(m, p)
-            stream = TokenStream(tokenize(text, err), err)
+            stream = TokenStream(text, PTLParseError)
         self.stream = stream
+
+    @classmethod
+    def parse(cls, text: str, registry, items: Iterable[str]):
+        parser = cls(text, registry, frozenset(items))
+        formula = parser.parse_formula()
+        parser.stream.expect_eof()
+        return formula
 
     # -- formulas -----------------------------------------------------------
 
     def parse_formula(self) -> ast.Formula:
-        left = self.parse_or()
-        while self.stream.at_keyword("SINCE"):
-            self.stream.advance()
-            right = self.parse_or()
-            left = ast.Since(left, right)
-        return left
+        keyword, make = self.CHAIN
+        return self.stream.chain(self.parse_or, keyword, make)
 
     def parse_or(self) -> ast.Formula:
-        operands = [self.parse_and()]
-        while self.stream.at_op("|") or self.stream.at_keyword("OR"):
-            self.stream.advance()
-            operands.append(self.parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.Or(tuple(operands))
+        return self.stream.nary(self.parse_and, self.OR, ("|",), ("OR",))
 
     def parse_and(self) -> ast.Formula:
-        operands = [self.parse_unary()]
-        while self.stream.at_op("&") or self.stream.at_keyword("AND"):
-            self.stream.advance()
-            operands.append(self.parse_unary())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.And(tuple(operands))
+        return self.stream.nary(self.parse_unary, self.AND, ("&",), ("AND",))
 
     def parse_unary(self) -> ast.Formula:
         s = self.stream
         if s.at_op("!") or s.at_keyword("NOT"):
             s.advance()
-            return ast.Not(self.parse_unary())
-        if s.at_keyword("PREVIOUSLY"):
-            s.advance()
-            window = self._parse_window()
-            return ast.Previously(self.parse_unary(), window)
-        if s.at_keyword("THROUGHOUT_PAST"):
-            s.advance()
-            window = self._parse_window()
-            return ast.ThroughoutPast(self.parse_unary(), window)
-        if s.at_keyword("LASTTIME"):
-            s.advance()
-            return ast.Lasttime(self.parse_unary())
-        if s.at_op("[") :
-            # assignment operator [x := query]
-            s.advance()
-            var = s.expect_ident().text
-            if not (s.accept_op(":=") or s.accept_op("<-")):
-                s.fail("expected ':=' in assignment operator")
-            query = self.parse_query_part(stop_ops=("]",))
-            s.expect_op("]")
-            return ast.Assign(var, query, self.parse_unary())
-        return self.parse_primary()
-
-    def _parse_window(self) -> Optional[int]:
-        s = self.stream
-        if s.accept_op("["):
-            tok = s.current
-            if tok.kind != NUMBER:
-                s.fail("expected a number in temporal window")
-            s.advance()
-            s.expect_op("]")
-            return int(float(tok.text))
-        return None
+            return self.NOT(self.parse_unary())
+        tok = s.current
+        prefix = self.PREFIX.get(tok.text.upper()) if tok.kind == IDENT else None
+        if prefix is None:
+            return self.parse_primary()
+        s.advance()
+        make, windowed = prefix
+        if windowed:
+            window = s.window()
+            return make(self.parse_unary(), window)
+        return make(self.parse_unary())
 
     def parse_primary(self) -> ast.Formula:
         s = self.stream
-        if s.at_keyword("TRUE"):
-            s.advance()
+        if s.accept_op("["):
+            # assignment operator [x := query]
+            var = s.expect_ident().text
+            if not (s.accept_op(":=") or s.accept_op("<-")):
+                s.fail("expected ':=' in assignment operator")
+            query = self.parse_query_part()
+            s.expect_op("]")
+            return ast.Assign(var, query, self.parse_unary())
+        if s.accept_keyword("TRUE"):
             return ast.TRUE
-        if s.at_keyword("FALSE"):
-            s.advance()
+        if s.accept_keyword("FALSE"):
             return ast.FALSE
-        if s.at_op("@"):
-            s.advance()
+        if s.accept_op("@"):
             name = s.expect_ident().text
             args: list[ast.Term] = []
             if s.accept_op("("):
@@ -173,8 +160,7 @@ class _Parser:
                             break
                 s.expect_op(")")
             return ast.EventAtom(name, tuple(args))
-        if s.at_keyword("EXECUTED"):
-            s.advance()
+        if s.accept_keyword("EXECUTED"):
             s.expect_op("(")
             rule = s.expect_ident().text
             terms: list[ast.Term] = []
@@ -184,17 +170,10 @@ class _Parser:
             if not terms:
                 s.fail("executed(...) needs at least a time argument")
             return ast.ExecutedAtom(rule, tuple(terms[:-1]), terms[-1])
-        if s.at_op("("):
-            # could be a parenthesized formula or a parenthesized term;
-            # try formula first, backtracking on failure.
-            saved = s._pos
-            s.advance()
-            try:
-                inner = self.parse_formula()
-                s.expect_op(")")
-                return inner
-            except PTLParseError:
-                s._pos = saved
+        # '(' opens a formula or a term: try the formula first.
+        inner = s.parenthesised(self.parse_formula, PTLParseError)
+        if inner is not None:
+            return inner
         return self.parse_atom()
 
     def parse_atom(self) -> ast.Formula:
@@ -213,49 +192,24 @@ class _Parser:
     # -- terms ----------------------------------------------------------------
 
     def parse_term(self) -> ast.Term:
-        return self._term_additive()
-
-    def _term_additive(self) -> ast.Term:
-        left = self._term_mult()
-        while self.stream.at_op("+", "-"):
-            op = self.stream.advance().text
-            right = self._term_mult()
-            left = ast.FuncT(op, (left, right))
-        return left
-
-    def _term_mult(self) -> ast.Term:
-        left = self._term_primary()
-        while self.stream.at_op("*", "/") or self.stream.at_keyword("MOD"):
-            if self.stream.at_keyword("MOD"):
-                self.stream.advance()
-                op = "mod"
-            else:
-                op = self.stream.advance().text
-            right = self._term_primary()
-            left = ast.FuncT(op, (left, right))
-        return left
+        return self.stream.arithmetic(self._term_primary, ast.FuncT)
 
     def _term_primary(self) -> ast.Term:
         s = self.stream
+        number = s.accept_number()
+        if number is not None:
+            return ast.ConstT(number)
         tok = s.current
-        if tok.kind == NUMBER:
-            s.advance()
-            return ast.ConstT(_number(tok.text))
         if tok.kind == STRING:
             s.advance()
             return ast.ConstT(tok.text)
-        if s.at_op("-"):
-            s.advance()
-            return ast.FuncT("neg", (self._term_primary(),))
-        if s.at_op("("):
-            s.advance()
-            inner = self._term_additive()
+        if s.accept_op("("):
+            inner = self.parse_term()
             s.expect_op(")")
             return inner
         if s.at_op("{"):
             return ast.QueryT(self._inline_query())
-        if s.at_op("$"):
-            s.advance()
+        if s.accept_op("$"):
             return ast.Var(s.expect_ident().text)
         if tok.kind == IDENT:
             name = tok.text
@@ -304,7 +258,7 @@ class _Parser:
         s = self.stream
         func = s.expect_ident().text.lower()
         s.expect_op("(")
-        query = self.parse_query_part(stop_ops=(";",))
+        query = self.parse_query_part()
         s.expect_op(";")
         start = self.parse_formula()
         s.expect_op(";")
@@ -327,15 +281,14 @@ class _Parser:
 
     def _query_arg(self) -> qast.Expr:
         s = self.stream
+        number = s.accept_number()
+        if number is not None:
+            return qast.Const(number)
         tok = s.current
-        if tok.kind == NUMBER:
-            s.advance()
-            return qast.Const(_number(tok.text))
         if tok.kind == STRING:
             s.advance()
             return qast.Const(tok.text)
-        if s.at_op("$"):
-            s.advance()
+        if s.accept_op("$"):
             return qast.Param(s.expect_ident().text)
         if tok.kind == IDENT:
             s.advance()
@@ -344,48 +297,26 @@ class _Parser:
 
     # -- query parts -----------------------------------------------------------
 
-    def parse_query_part(self, stop_ops: tuple = ()) -> qast.Query:
+    def parse_query_part(self) -> qast.Query:
         """A query in PTL position: arithmetic over query symbols, item
         names, parameters, literals, aggregate-free."""
-        return self._qp_additive(stop_ops)
+        return self.stream.arithmetic(self._qp_primary, qast.ExprQuery)
 
-    def _qp_additive(self, stop) -> qast.Query:
-        left = self._qp_mult(stop)
-        while self.stream.at_op("+", "-"):
-            op = self.stream.advance().text
-            right = self._qp_mult(stop)
-            left = qast.ExprQuery(op, (left, right))
-        return left
-
-    def _qp_mult(self, stop) -> qast.Query:
-        left = self._qp_primary(stop)
-        while self.stream.at_op("*", "/") or self.stream.at_keyword("MOD"):
-            if self.stream.at_keyword("MOD"):
-                self.stream.advance()
-                op = "mod"
-            else:
-                op = self.stream.advance().text
-            right = self._qp_primary(stop)
-            left = qast.ExprQuery(op, (left, right))
-        return left
-
-    def _qp_primary(self, stop) -> qast.Query:
+    def _qp_primary(self) -> qast.Query:
         s = self.stream
+        number = s.accept_number()
+        if number is not None:
+            return qast.ConstQuery(number)
         tok = s.current
-        if tok.kind == NUMBER:
-            s.advance()
-            return qast.ConstQuery(_number(tok.text))
         if tok.kind == STRING:
             s.advance()
             return qast.ConstQuery(tok.text)
         if s.at_op("{"):
             return self._inline_query()
-        if s.at_op("$"):
-            s.advance()
+        if s.accept_op("$"):
             return qast.ParamQuery(s.expect_ident().text)
-        if s.at_op("("):
-            s.advance()
-            inner = self._qp_additive(stop)
+        if s.accept_op("("):
+            inner = self.parse_query_part()
             s.expect_op(")")
             return inner
         if tok.kind == IDENT:
@@ -395,8 +326,7 @@ class _Parser:
                     return self._query_symbol_app()
                 s.fail(f"unknown query symbol {name!r}")
             s.advance()
-            if s.at_op("["):
-                s.advance()
+            if s.accept_op("["):
                 index: list[qast.Expr] = []
                 while True:
                     index.append(self._query_arg())
@@ -438,8 +368,3 @@ class _Parser:
                 f"bad inline query: {exc}", position
             ) from exc
 
-
-def _number(text: str):
-    if "." in text:
-        return float(text)
-    return int(text)

@@ -1,4 +1,4 @@
-"""Tokenizer shared by the query parser and the PTL parser."""
+"""Tokenizer and token cursor shared by every parser of the package."""
 
 from __future__ import annotations
 
@@ -63,12 +63,10 @@ class Token(Value):
 
 
 def tokenize(
-    text: str, error: Callable[[str, int], Exception] = None
+    text: str, error: Callable[[str, int], Exception] = QueryParseError
 ) -> list[Token]:
-    """Split ``text`` into tokens; raises on unrecognized input."""
-    if error is None:
-        error = lambda msg, pos: QueryParseError(msg, pos)
-
+    """Split ``text`` into tokens; raises ``error(message, position)`` on
+    unrecognized input."""
     tokens: list[Token] = []
     i = 0
     n = len(text)
@@ -130,12 +128,24 @@ def tokenize(
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over the tokens of one text: the peek/expect helpers, and
+    the operator levels every parser of the package is built from
+    (:meth:`nary`, :meth:`chain`, :meth:`arithmetic`, :meth:`window`,
+    :meth:`accept_number`, :meth:`parenthesised`).  A level takes the
+    parser of its operands and the maker of its nodes, so the PTL,
+    future, query and event-expression grammars differ only in their
+    leaves and their connectives.  Keywords are given in upper case and
+    match in any case."""
 
-    def __init__(self, tokens: list[Token], error=None):
-        self._tokens = tokens
+    def __init__(
+        self,
+        text: str,
+        error: Callable[[str, int], Exception] = QueryParseError,
+    ):
+        """``error(message, position)`` makes what bad input raises."""
+        self._tokens = tokenize(text, error)
         self._pos = 0
-        self._error = error or (lambda msg, pos: QueryParseError(msg, pos))
+        self._error = error
 
     @property
     def current(self) -> Token:
@@ -153,7 +163,7 @@ class TokenStream:
 
     def at_keyword(self, *words: str) -> bool:
         tok = self.current
-        return tok.kind == IDENT and tok.text.upper() in {w.upper() for w in words}
+        return tok.kind == IDENT and tok.text.upper() in words
 
     def at_op(self, *ops: str) -> bool:
         tok = self.current
@@ -202,3 +212,87 @@ class TokenStream:
 
     def fail(self, message: str):
         raise self._error(message, self.current.position)
+
+    # -- operator levels ----------------------------------------------------
+
+    def nary(self, operand: Callable, make: Callable, ops=(), keywords=()):
+        """``operand (sep operand)*``, a separator being one of ``ops`` or
+        ``keywords``: the lone operand, or ``make`` of the tuple of all."""
+        operands = [operand()]
+        while self.at_op(*ops) or self.at_keyword(*keywords):
+            self.advance()
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else make(tuple(operands))
+
+    def chain(self, operand: Callable, keyword: str, make: Callable):
+        """Left-associative ``operand (keyword operand)*``, each step
+        ``make(left, right)``."""
+        left = operand()
+        while self.accept_keyword(keyword):
+            left = make(left, operand())
+        return left
+
+    def arithmetic(self, primary: Callable, make: Callable):
+        """The arithmetic ladder over ``primary``; ``make(op, args)``
+        builds each node (unary minus is ``make("neg", (x,))``)::
+
+            additive := mult (('+' | '-') mult)*
+            mult     := unary (('*' | '/' | MOD) unary)*
+            unary    := '-' unary | primary
+        """
+        left = self._mult(primary, make)
+        while self.at_op("+", "-"):
+            op = self.advance().text
+            left = make(op, (left, self._mult(primary, make)))
+        return left
+
+    def _mult(self, primary: Callable, make: Callable):
+        left = self._unary(primary, make)
+        while True:
+            if self.at_op("*", "/"):
+                op = self.advance().text
+            elif self.accept_keyword("MOD"):
+                op = "mod"
+            else:
+                return left
+            left = make(op, (left, self._unary(primary, make)))
+
+    def _unary(self, primary: Callable, make: Callable):
+        if self.accept_op("-"):
+            return make("neg", (self._unary(primary, make),))
+        return primary()
+
+    def accept_number(self):
+        """The value of a NUMBER token at the cursor (consumed), else
+        ``None``."""
+        tok = self._tokens[self._pos]
+        if tok.kind != NUMBER:
+            return None
+        self._pos += 1
+        return float(tok.text) if "." in tok.text else int(tok.text)
+
+    def window(self) -> Optional[int]:
+        """An optional ``'[' NUMBER ']'`` temporal window."""
+        if not self.accept_op("["):
+            return None
+        value = self.accept_number()
+        if value is None:
+            self.fail("expected a number in temporal window")
+        self.expect_op("]")
+        return int(float(value))
+
+    def parenthesised(self, parse: Callable, error: type):
+        """``'(' parse() ')'`` when that parses; otherwise ``None``, with
+        the cursor back at the ``'('`` (an ``error`` raised inside is the
+        signal to back off)."""
+        if not self.at_op("("):
+            return None
+        saved = self._pos
+        self._pos += 1
+        try:
+            inner = parse()
+            self.expect_op(")")
+            return inner
+        except error:
+            self._pos = saved
+            return None

@@ -9,15 +9,15 @@ Grammar (keywords case-insensitive)::
     range      := IDENT [IDENT]                         relation [alias]
     where      := WHERE expr
     target     := expr [AS IDENT]
-    itemexpr   := additive arithmetic over scalar items / $params / literals
+    itemexpr   := additive over scalar items / $params / literals (-V, V * -2)
 
     expr       := orexpr
     orexpr     := andexpr (OR andexpr)*
     andexpr    := notexpr (AND notexpr)*
     notexpr    := NOT notexpr | cmp
     cmp        := additive [cmpop additive]
-    additive   := mult (('+'|'-') mult)*
-    mult       := unary (('*'|'/'|MOD) unary)*
+    additive   := mult (('+'|'-') mult)*       # TokenStream.arithmetic,
+    mult       := unary (('*'|'/'|MOD) unary)*   # shared by every parser
     unary      := '-' unary | primary
     primary    := NUMBER | STRING | TRUE | FALSE | '$' IDENT
                 | IDENT '(' args ')' | IDENT ['.' IDENT] | '(' expr ')'
@@ -32,20 +32,12 @@ used in targets and WHERE.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.errors import QueryParseError
 from repro.query import ast
 from repro.query.functions import is_aggregate
-from repro.query.lexer import (
-        IDENT,
-    NUMBER,
-    OP,
-    STRING,
-    Token,
-    TokenStream,
-    tokenize,
-)
+from repro.query.lexer import IDENT, OP, STRING, TokenStream
 
 _KEYWORDS = {
     "RETRIEVE",
@@ -65,10 +57,7 @@ _KEYWORDS = {
 
 def parse_query(text: str) -> ast.Query:
     """Parse query text into a :class:`~repro.query.ast.Query`."""
-    stream = TokenStream(
-        tokenize(text, lambda m, p: QueryParseError(m, p)),
-        lambda m, p: QueryParseError(m, p),
-    )
+    stream = TokenStream(text)
     query = _parse_query(stream)
     stream.expect_eof()
     return query
@@ -76,10 +65,7 @@ def parse_query(text: str) -> ast.Query:
 
 def parse_expr(text: str) -> ast.Expr:
     """Parse a standalone scalar expression (used in tests and actions)."""
-    stream = TokenStream(
-        tokenize(text, lambda m, p: QueryParseError(m, p)),
-        lambda m, p: QueryParseError(m, p),
-    )
+    stream = TokenStream(text)
     expr = _parse_expr(stream)
     stream.expect_eof()
     return expr
@@ -214,52 +200,28 @@ def _parse_aggregate(stream: TokenStream) -> ast.AggregateQuery:
 def _parse_itemexpr(stream: TokenStream) -> ast.Query:
     """Arithmetic over scalar items, e.g. ``CUM_PRICE / TOTAL_UPDATES`` or
     ``time`` or ``price(IBM) * 2`` (query symbols resolved later)."""
-    return _parse_itemexpr_additive(stream)
-
-
-def _parse_itemexpr_additive(stream: TokenStream) -> ast.Query:
-    left = _parse_itemexpr_mult(stream)
-    while stream.at_op("+", "-"):
-        op = stream.advance().text
-        right = _parse_itemexpr_mult(stream)
-        left = ast.ExprQuery(op, (left, right))
-    return left
-
-
-def _parse_itemexpr_mult(stream: TokenStream) -> ast.Query:
-    left = _parse_itemexpr_primary(stream)
-    while stream.at_op("*", "/") or stream.at_keyword("MOD"):
-        if stream.at_keyword("MOD"):
-            stream.advance()
-            op = "mod"
-        else:
-            op = stream.advance().text
-        right = _parse_itemexpr_primary(stream)
-        left = ast.ExprQuery(op, (left, right))
-    return left
+    return stream.arithmetic(
+        lambda: _parse_itemexpr_primary(stream), ast.ExprQuery
+    )
 
 
 def _parse_itemexpr_primary(stream: TokenStream) -> ast.Query:
+    number = stream.accept_number()
+    if number is not None:
+        return ast.ConstQuery(number)
     tok = stream.current
-    if tok.kind == NUMBER:
-        stream.advance()
-        return ast.ConstQuery(_number(tok))
     if tok.kind == STRING:
         stream.advance()
         return ast.ConstQuery(tok.text)
-    if stream.at_op("("):
-        stream.advance()
-        inner = _parse_itemexpr_additive(stream)
+    if stream.accept_op("("):
+        inner = _parse_itemexpr(stream)
         stream.expect_op(")")
         return inner
-    if stream.at_op("$"):
-        stream.advance()
-        name = stream.expect_ident().text
-        return ast.ParamQuery(name)
+    if stream.accept_op("$"):
+        return ast.ParamQuery(stream.expect_ident().text)
     if tok.kind == IDENT:
         name = stream.advance().text
-        if stream.at_op("["):
-            stream.advance()
+        if stream.accept_op("["):
             index: list[ast.Expr] = []
             while True:
                 index.append(_parse_expr(stream))
@@ -275,25 +237,15 @@ def _parse_itemexpr_primary(stream: TokenStream) -> ast.Query:
 
 
 def _parse_expr(stream: TokenStream) -> ast.Expr:
-    return _parse_or(stream)
-
-
-def _parse_or(stream: TokenStream) -> ast.Expr:
-    operands = [_parse_and(stream)]
-    while stream.accept_keyword("OR"):
-        operands.append(_parse_and(stream))
-    if len(operands) == 1:
-        return operands[0]
-    return ast.BoolOp("or", tuple(operands))
+    return stream.nary(lambda: _parse_and(stream), _OR, keywords=("OR",))
 
 
 def _parse_and(stream: TokenStream) -> ast.Expr:
-    operands = [_parse_not(stream)]
-    while stream.accept_keyword("AND"):
-        operands.append(_parse_not(stream))
-    if len(operands) == 1:
-        return operands[0]
-    return ast.BoolOp("and", tuple(operands))
+    return stream.nary(lambda: _parse_not(stream), _AND, keywords=("AND",))
+
+
+_OR = partial(ast.BoolOp, "or")
+_AND = partial(ast.BoolOp, "and")
 
 
 def _parse_not(stream: TokenStream) -> ast.Expr:
@@ -306,56 +258,29 @@ _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 def _parse_cmp(stream: TokenStream) -> ast.Expr:
-    left = _parse_additive(stream)
+    left = _parse_arithmetic(stream)
     if stream.at_op(*_CMP_OPS):
         op = stream.advance().text
-        right = _parse_additive(stream)
+        right = _parse_arithmetic(stream)
         return ast.Cmp(op, left, right)
     return left
 
 
-def _parse_additive(stream: TokenStream) -> ast.Expr:
-    left = _parse_mult(stream)
-    while stream.at_op("+", "-"):
-        op = stream.advance().text
-        right = _parse_mult(stream)
-        left = ast.App(op, (left, right))
-    return left
-
-
-def _parse_mult(stream: TokenStream) -> ast.Expr:
-    left = _parse_unary(stream)
-    while stream.at_op("*", "/") or stream.at_keyword("MOD"):
-        if stream.at_keyword("MOD"):
-            stream.advance()
-            op = "mod"
-        else:
-            op = stream.advance().text
-        right = _parse_unary(stream)
-        left = ast.App(op, (left, right))
-    return left
-
-
-def _parse_unary(stream: TokenStream) -> ast.Expr:
-    if stream.at_op("-"):
-        stream.advance()
-        return ast.App("neg", (_parse_unary(stream),))
-    return _parse_primary(stream)
+def _parse_arithmetic(stream: TokenStream) -> ast.Expr:
+    return stream.arithmetic(lambda: _parse_primary(stream), ast.App)
 
 
 def _parse_primary(stream: TokenStream) -> ast.Expr:
+    number = stream.accept_number()
+    if number is not None:
+        return ast.Const(number)
     tok = stream.current
-    if tok.kind == NUMBER:
-        stream.advance()
-        return ast.Const(_number(tok))
     if tok.kind == STRING:
         stream.advance()
         return ast.Const(tok.text)
-    if stream.at_op("$"):
-        stream.advance()
+    if stream.accept_op("$"):
         return ast.Param(stream.expect_ident().text)
-    if stream.at_op("("):
-        stream.advance()
+    if stream.accept_op("("):
         inner = _parse_expr(stream)
         stream.expect_op(")")
         return inner
@@ -385,8 +310,3 @@ def _parse_primary(stream: TokenStream) -> ast.Expr:
         return ast.Col(name)
     stream.fail(f"unexpected token {tok.text!r} in expression")
 
-
-def _number(tok: Token):
-    if "." in tok.text:
-        return float(tok.text)
-    return int(tok.text)

@@ -21,11 +21,7 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional
 
-from repro.errors import (
-    ProtocolError,
-    QueueFullError,
-    StorageDegradedError,
-)
+from repro.errors import ProtocolError, StorageDegradedError
 from repro.obs.metrics import as_registry
 from repro.serve.protocol import ERR_BACKPRESSURE, ERR_DEGRADED
 from repro.serve.tenant import Tenant
@@ -77,16 +73,10 @@ class AdmissionController:
                 queue_depth=depth,
                 max_queue=self.max_queue,
             )
-        try:
-            engine.enqueue(work)
-        except QueueFullError as exc:
-            self._m_backpressure.inc()
-            raise ProtocolError(
-                ERR_BACKPRESSURE,
-                str(exc),
-                queue_depth=engine.queue_depth,
-                max_queue=engine.max_queue,
-            ) from exc
+        # The engine's own bound is this one, so the refusal above is the
+        # only one a served transaction meets.
+        engine.max_queue = self.max_queue
+        engine.enqueue(work)
         future = asyncio.get_running_loop().create_future()
         tenant.pending_futures.append(future)
         self._m_admitted.inc()

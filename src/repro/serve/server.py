@@ -59,6 +59,11 @@ from repro.serve.tenant import Tenant, TenantProfile, TenantRegistry
 
 _session_tokens = itertools.count(1)
 
+#: Query text -> parsed query: a session sends the same texts over and
+#: over.  A parsed query is immutable, so frames share it; a text that
+#: does not parse is not cached and raises on every frame.
+_parsed_query = functools.lru_cache(maxsize=256)(parse_query)
+
 
 class Session:
     """One connected client: a reader loop whose frames are written in
@@ -298,7 +303,7 @@ class Session:
             raise ProtocolError(ERR_INVALID, '"params" must be an object')
         try:
             result = eval_query(
-                parse_query(text), tenant.engine.state, params
+                _parsed_query(text), tenant.engine.state, params
             )
         except Exception as exc:  # noqa: BLE001 — parse/eval both typed
             raise ProtocolError(

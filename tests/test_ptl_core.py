@@ -287,6 +287,33 @@ class TestIncremental:
             False,
         ]
 
+    def test_assigned_negative_constant_fires(self):
+        f = parse_formula("[x := -5] (x < 0)")
+        h = event_history([([user_event("tick")], 1), ([], 2)])
+        ev = IncrementalEvaluator(f)
+        assert [r.fired for r in run_evaluator(ev, h)] == [True, True]
+
+    def test_negated_query_fires_where_its_difference_twin_does(
+        self, registry
+    ):
+        """``[x := -q]`` is ``[x := 0 - q]``: here, some earlier price
+        was at least 5 below the current one."""
+        body = "previously (price(IBM) + x <= -5)"
+        h = stock_history([(10, 1), (15, 2), (18, 3), (12, 4), (25, 5)])
+        fired = [
+            [
+                r.fired
+                for r in run_evaluator(
+                    IncrementalEvaluator(parse_formula(text, registry)), h
+                )
+            ]
+            for text in (
+                f"[x := -price(IBM)] {body}",
+                f"[x := 0 - price(IBM)] {body}",
+            )
+        ]
+        assert fired[0] == fired[1] == [False, True, True, False, True]
+
     def test_event_binding_answers(self):
         f = parse_formula("previously @login(u)")
         h = event_history(

@@ -97,6 +97,13 @@ class TestParser:
         assert parse_query("1") == ConstQuery(1)
         assert parse_query("0.5") == ConstQuery(0.5)
 
+    def test_unary_minus_in_item_expressions(self, state):
+        assert parse_query("-V") == ExprQuery("neg", (ItemRef("V"),))
+        assert parse_query("V * -2") == ExprQuery(
+            "*", (ItemRef("V"), ExprQuery("neg", (ConstQuery(2),)))
+        )
+        assert eval_scalar(parse_query("CUM_PRICE * -2"), state) == -288.0
+
     def test_leading_dot_float(self):
         # the paper writes ".5x"-style constants
         e = parse_expr(".5 * 144")

@@ -30,6 +30,7 @@ from repro.engine import ActiveDatabase
 from repro.errors import ProtocolError, TenantError, TransactionAborted
 from repro.recovery import MID_CHECKPOINT, FaultInjector, SimulatedCrash
 from repro.serve import ReproServer, StockProfile, compile_statements
+from repro.serve import server as server_module
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import (
     ERR_BACKPRESSURE,
@@ -37,6 +38,7 @@ from repro.serve.protocol import (
     ERR_INVALID_TENANT,
     ERR_MALFORMED,
     ERR_OVERSIZED,
+    ERR_QUERY,
     ERR_TENANT_ALREADY_OPEN,
     ERR_TENANT_NOT_OPEN,
     ERR_UNKNOWN_OP,
@@ -315,6 +317,36 @@ class TestProtocolRobustness:
             finally:
                 await server.stop()
 
+    async def test_query_text_is_parsed_once(self):
+        """A repeated query text reuses its parsed query; a text that does
+        not parse is refused on every frame."""
+        text = "RETRIEVE (S.price) FROM STOCK S WHERE S.name = 'IBM'"
+        with serving_root() as (root, sock):
+            server = await self._server(root, sock)
+            try:
+                c = await Client.connect(sock)
+                assert (await c.rpc(op="open", tenant="t1", id=1))["ok"]
+                before = server_module._parsed_query.cache_info()
+                replies = [
+                    await c.rpc(op="query", tenant="t1", id=i, text=text)
+                    for i in (2, 3)
+                ]
+                assert replies[0]["rows"] == replies[1]["rows"]
+                after = server_module._parsed_query.cache_info()
+                assert after.misses - before.misses <= 1
+                assert after.hits - before.hits >= 1
+                for i in (4, 5):
+                    reply = await c.rpc(
+                        op="query", tenant="t1", id=i, text="RETRIEVE ("
+                    )
+                    assert reply["error"]["type"] == ERR_QUERY
+                assert server_module._parsed_query.cache_info().currsize == (
+                    after.currsize
+                )
+                c.close()
+            finally:
+                await server.stop()
+
     async def test_oversized_frame_replies_typed_and_closes(self):
         with serving_root() as (root, sock):
             server = await self._server(root, sock, max_frame=1024)
@@ -436,6 +468,26 @@ class TestProtocolRobustness:
             # Queue drained: admission accepts again.
             txn = await admission.admit(tenant, work)
             assert txn.id == 3
+            await registry.close_all()
+
+    async def test_backpressure_bound_is_the_servers(self):
+        """A bound above the engine's default queue bound (1 024) is the
+        one a tenant meets: one refusal, with its per-tenant count."""
+        with serving_root() as (root, _sock):
+            registry = TenantRegistry(root, StockProfile(), fsync=False)
+            admission = AdmissionController(metrics=True, max_queue=1030)
+            tenant = await registry.get("t1")
+            work = compile_statements(update_stmt(60.0))
+            futures = [admission.admit(tenant, work) for _ in range(1030)]
+            with pytest.raises(ProtocolError) as exc:
+                admission.admit(tenant, work)
+            assert exc.value.type == ERR_BACKPRESSURE
+            assert exc.value.detail == {"queue_depth": 1030, "max_queue": 1030}
+            assert admission.metrics.counter(
+                "serve_tenant_backpressure_total", tenant="t1"
+            ).value == 1
+            done = await asyncio.gather(*futures)
+            assert len(done) == 1030
             await registry.close_all()
 
     def test_decode_frame_limits(self):
