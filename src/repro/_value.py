@@ -34,7 +34,7 @@ from __future__ import annotations
 from operator import attrgetter
 from reprlib import recursive_repr
 
-__all__ = ["FrozenInstanceError", "Value", "factory"]
+__all__ = ["FrozenInstanceError", "Value", "factory", "held_hash"]
 
 
 class FrozenInstanceError(AttributeError):
@@ -92,9 +92,9 @@ class Value:
                 defaults[name] = body[name]
                 if isinstance(body[name], factory):
                     delattr(cls, name)
-        fields = cls._fields + tuple(
+        fields = cls._fields + tuple([
             n for n in annotations if n not in cls._fields
-        )
+        ])
         required = [n for n in fields if n not in defaults]
         if required and fields.index(required[-1]) >= len(required):
             raise TypeError(
@@ -183,6 +183,21 @@ def _eq_one(self, other):
 
 def _hash_one(self) -> int:
     return hash((type(self)._row(self),))
+
+
+def held_hash(self) -> int:
+    """``__hash__`` of a frozen class whose instances are deep trees used
+    over and over as dict keys (a query keying the plan cache, an
+    aggregate term keying its accumulator): the same value as the shared
+    ``__hash__``, computed on first use and kept in the instance's
+    ``__dict__``, so a lookup no longer re-hashes the whole tree.  It is
+    not a field: ``==`` and ``repr`` do not see it."""
+    held = self.__dict__
+    try:
+        return held["_hash"]
+    except KeyError:
+        value = held["_hash"] = hash(type(self)._row(self))
+        return value
 
 
 def _frozen_setattr(self, name: str, value) -> None:

@@ -220,9 +220,9 @@ class DFA:
             for s in range(n):
                 sig = (
                     partition[s],
-                    tuple(
+                    tuple([
                         partition[self.transitions[s][a]] for a in self.alphabet
-                    ),
+                    ]),
                 )
                 if sig not in signatures:
                     signatures[sig] = len(signatures)

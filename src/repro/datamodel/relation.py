@@ -352,14 +352,14 @@ class Relation:
         index: dict[tuple, list[Row]] = {}
         right_keys = [r for (_, r) in on]
         for row in other.rows:
-            index.setdefault(tuple(row[k] for k in right_keys), []).append(row)
+            index.setdefault(tuple([row[k] for k in right_keys]), []).append(row)
 
         left_keys = [l for (l, _) in on]
         out = []
         for row in self.rows:
-            key = tuple(row[k] for k in left_keys)
+            key = tuple([row[k] for k in left_keys])
             for match in index.get(key, ()):
-                extra = tuple(match[n] for n in kept_right)
+                extra = tuple([match[n] for n in kept_right])
                 out.append(Row(schema, row.values + extra))
         return Relation(schema, out)
 
@@ -428,4 +428,4 @@ def _sort_key(value: Any):
 
 def sort_rows(rows: Iterable[Row]) -> list[Row]:
     """``rows`` in the deterministic order of :meth:`Relation.sorted_rows`."""
-    return sorted(rows, key=lambda r: tuple(map(_sort_key, r.values)))
+    return sorted(rows, key=lambda r: tuple([_sort_key(v) for v in r.values]))

@@ -32,7 +32,7 @@ class Schema:
     Schemas are immutable; operations produce new schemas.
     """
 
-    __slots__ = ("_attrs", "_index")
+    __slots__ = ("_attrs", "_index", "_hash")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -45,13 +45,15 @@ class Schema:
             index[attr.name] = i
         self._attrs = attrs
         self._index = index
+        #: Held: every planned query's cache key hashes its schemas.
+        self._hash = hash(attrs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def of(cls, **columns: ValueType) -> "Schema":
         """Build a schema from keyword arguments: ``Schema.of(a=INT, b=STRING)``."""
-        return cls(Attribute(name, vtype) for name, vtype in columns.items())
+        return cls([Attribute(name, vtype) for name, vtype in columns.items()])
 
     # -- basic protocol ----------------------------------------------------
 
@@ -61,11 +63,11 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self._attrs)
+        return tuple([a.name for a in self._attrs])
 
     @property
     def types(self) -> tuple[ValueType, ...]:
-        return tuple(a.vtype for a in self._attrs)
+        return tuple([a.vtype for a in self._attrs])
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -90,7 +92,7 @@ class Schema:
         return self._attrs == other._attrs
 
     def __hash__(self) -> int:
-        return hash(self._attrs)
+        return self._hash
 
     def __repr__(self) -> str:
         return "Schema(" + ", ".join(str(a) for a in self._attrs) + ")"
@@ -111,7 +113,7 @@ class Schema:
 
     def project(self, names: Sequence[str]) -> "Schema":
         """Sub-schema with the given attributes, in the given order."""
-        return Schema(self[n] for n in names)
+        return Schema([self[n] for n in names])
 
     def rename(self, mapping: dict[str, str]) -> "Schema":
         """Rename attributes per ``mapping`` (old name -> new name)."""
@@ -119,7 +121,7 @@ class Schema:
             if old not in self._index:
                 raise UnknownAttributeError(f"no attribute {old!r}")
         return Schema(
-            a.renamed(mapping.get(a.name, a.name)) for a in self._attrs
+            [a.renamed(mapping.get(a.name, a.name)) for a in self._attrs]
         )
 
     def concat(self, other: "Schema") -> "Schema":
@@ -131,7 +133,7 @@ class Schema:
 
     def prefixed(self, prefix: str) -> "Schema":
         """All attributes renamed to ``prefix.name`` (used by joins)."""
-        return Schema(a.renamed(f"{prefix}.{a.name}") for a in self._attrs)
+        return Schema([a.renamed(f"{prefix}.{a.name}") for a in self._attrs])
 
     # -- validation --------------------------------------------------------
 
@@ -143,6 +145,6 @@ class Schema:
                 f"arity mismatch: schema has {len(self._attrs)} attributes, "
                 f"row has {len(values)} values"
             )
-        return tuple(
+        return tuple([
             check_value(v, a.vtype) for v, a in zip(values, self._attrs)
-        )
+        ])

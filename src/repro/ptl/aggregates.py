@@ -221,7 +221,7 @@ def rewrite_condition(
             executor.add(rewritten[-1])
             return ast.QueryT(replacement)
         if isinstance(term, ast.FuncT):
-            return ast.FuncT(term.func, tuple(rewrite_term(a) for a in term.args))
+            return ast.FuncT(term.func, tuple([rewrite_term(a) for a in term.args]))
         return term
 
     def rec(f: ast.Formula) -> ast.Formula:
@@ -230,9 +230,9 @@ def rewrite_condition(
         if isinstance(f, ast.Not):
             return ast.Not(rec(f.operand))
         if isinstance(f, ast.And):
-            return ast.And(tuple(rec(c) for c in f.operands))
+            return ast.And(tuple([rec(c) for c in f.operands]))
         if isinstance(f, ast.Or):
-            return ast.Or(tuple(rec(c) for c in f.operands))
+            return ast.Or(tuple([rec(c) for c in f.operands]))
         if isinstance(f, ast.Since):
             return ast.Since(rec(f.lhs), rec(f.rhs))
         if isinstance(f, ast.Lasttime):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._value import Value
+from repro._value import Value, held_hash
 from repro.query.ast import Query
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,9 @@ class AggT(Term, Value):
     query: Query
     start: "Formula"
     sample: "Formula"
+
+    #: A plan reads an aggregate's accumulator by its term.
+    __hash__ = held_hash
 
     def variables(self) -> frozenset[str]:
         return (

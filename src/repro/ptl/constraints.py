@@ -231,7 +231,7 @@ def sapp(func: str, args: tuple[STerm, ...]) -> STerm:
     """Build an application, constant-folding when all arguments are ground."""
     if all(isinstance(a, SConst) for a in args):
         fn = scalar_function(func)
-        return SConst(fn(*(a.value for a in args)))
+        return SConst(fn(*[a.value for a in args]))
     return _intern(SApp, func, args)
 
 
@@ -241,7 +241,7 @@ def subst_term(term: STerm, env: Mapping[str, Any]) -> STerm:
             return SConst(env[term.name])
         return term
     if isinstance(term, SApp):
-        return sapp(term.func, tuple(subst_term(a, env) for a in term.args))
+        return sapp(term.func, tuple([subst_term(a, env) for a in term.args]))
     return term
 
 
@@ -522,9 +522,9 @@ def cnot(operand: C) -> C:
             CAtom, _NEGATED_OP[operand.op], operand.left, operand.right
         )
     elif isinstance(operand, CAnd):
-        result = cor(tuple(cnot(c) for c in operand.operands))
+        result = cor(tuple([cnot(c) for c in operand.operands]))
     elif isinstance(operand, COr):
-        result = cand(tuple(cnot(c) for c in operand.operands))
+        result = cand(tuple([cnot(c) for c in operand.operands]))
     else:
         return _intern(CNot, operand)
     if isinstance(result, CBool):
@@ -779,7 +779,7 @@ def decode_value(payload: Any):
 
             return UNDEFINED
         if "__tuple__" in payload:
-            return tuple(decode_value(v) for v in payload["__tuple__"])
+            return tuple([decode_value(v) for v in payload["__tuple__"]])
         if "__list__" in payload:
             return [decode_value(v) for v in payload["__list__"]]
         raise SerializationError(f"unknown value marker: {payload!r}")
@@ -807,7 +807,7 @@ def term_from_payload(payload: Any) -> STerm:
     if kind == "var":
         return SVar(payload["n"])
     if kind == "app":
-        args = tuple(term_from_payload(a) for a in payload["a"])
+        args = tuple([term_from_payload(a) for a in payload["a"]])
         # Rebuild through the interning table, but never constant-fold:
         # the original node survived folding at construction time.
         return _intern(SApp, payload["f"], args)

@@ -71,10 +71,12 @@ class _FutureParser(_Parser):
             return fut.FTRUE
         if s.accept_keyword("FALSE"):
             return fut.FFALSE
-        inner = s.parenthesised(self.parse_formula, PTLParseError)
-        if inner is not None:
-            return inner
-        # fall back to one past-PTL unary formula
+        return s.parenthesised(
+            self.parse_formula, PTLParseError, self._past_atom
+        )
+
+    def _past_atom(self) -> fut.FFormula:
+        """One past-PTL unary formula, ground."""
         past = self._past.parse_unary()
         if past_ast.free_variables(past):
             raise UnsafeFormulaError(

@@ -137,7 +137,7 @@ def instantiate_formula(f: ast.Formula, env: Mapping[str, Any]) -> ast.Formula:
         if isinstance(term, ast.Var) and term.name in env:
             return ast.ConstT(env[term.name])
         if isinstance(term, ast.FuncT):
-            return ast.FuncT(term.func, tuple(it(a) for a in term.args))
+            return ast.FuncT(term.func, tuple([it(a) for a in term.args]))
         if isinstance(term, ast.QueryT):
             return ast.QueryT(iq(term.query))
         if isinstance(term, ast.AggT):
@@ -148,17 +148,17 @@ def instantiate_formula(f: ast.Formula, env: Mapping[str, Any]) -> ast.Formula:
         if isinstance(g, ast.Comparison):
             return ast.Comparison(g.op, it(g.left), it(g.right))
         if isinstance(g, ast.EventAtom):
-            return ast.EventAtom(g.name, tuple(it(a) for a in g.args))
+            return ast.EventAtom(g.name, tuple([it(a) for a in g.args]))
         if isinstance(g, ast.ExecutedAtom):
-            return ast.ExecutedAtom(g.rule, tuple(it(a) for a in g.args), it(g.time))
+            return ast.ExecutedAtom(g.rule, tuple([it(a) for a in g.args]), it(g.time))
         if isinstance(g, ast.InQuery):
-            return ast.InQuery(tuple(it(a) for a in g.args), iq(g.query))
+            return ast.InQuery(tuple([it(a) for a in g.args]), iq(g.query))
         if isinstance(g, ast.Not):
             return ast.Not(rec(g.operand))
         if isinstance(g, ast.And):
-            return ast.And(tuple(rec(c) for c in g.operands))
+            return ast.And(tuple([rec(c) for c in g.operands]))
         if isinstance(g, ast.Or):
-            return ast.Or(tuple(rec(c) for c in g.operands))
+            return ast.Or(tuple([rec(c) for c in g.operands]))
         if isinstance(g, ast.Since):
             return ast.Since(rec(g.lhs), rec(g.rhs))
         if isinstance(g, ast.Lasttime):
@@ -278,10 +278,10 @@ class _ComparisonNode(_Node):
         self.formula = formula
         self.evaluator = evaluator
         #: The shared aggregates this atom reads (its DAG children).
-        self.aggs = tuple(
+        self.aggs = tuple([
             evaluator._aggregates[term]
             for term in dict.fromkeys(ast.aggregate_terms(formula))
-        )
+        ])
         queries: list = []
         left_ok = _term_queries(formula.left, queries)
         right_ok = _term_queries(formula.right, queries)
@@ -663,7 +663,7 @@ def _time_term(t: ast.Term, ts: int, env: Mapping[str, int]):
     if isinstance(t, ast.QueryT):
         return ts
     if isinstance(t, ast.FuncT):
-        return scalar_function(t.func)(*(_time_term(a, ts, env) for a in t.args))
+        return scalar_function(t.func)(*[_time_term(a, ts, env) for a in t.args])
     raise EvaluationError(f"not a time-predicate term: {t!r}")
 
 
@@ -895,10 +895,10 @@ class _Aggregate:
                 f"{state.get('mode')!r}, evaluator compiled {self.mode!r}"
             )
         if self.mode == "windowed":
-            log = tuple(
+            log = tuple([
                 (ts, sampled, cs.decode_value(v))
                 for ts, sampled, v in state["log"]
-            )
+            ])
             return (state["poisoned"], state["now"], log)
         if "samples" in state:
             count, total, extremum = 0, 0, None

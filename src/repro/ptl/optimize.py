@@ -149,7 +149,7 @@ def prune_time_bounds(
             # operand tuple :func:`~repro.ptl.constraints.cand` already
             # flattened, deduplicated, and complement-checked, so those
             # properties still hold and the general rebuild is skipped.
-            kept = tuple(b for a, b in zip(ops, c.operands) if a is b)
+            kept = tuple([b for a, b in zip(ops, c.operands) if a is b])
             if not kept:
                 return cs.CTRUE
             if len(kept) == 1:
@@ -173,7 +173,7 @@ def prune_time_bounds(
         if bools_only:
             # Dual of the CAnd fast path above: drop collapsed-to-false
             # disjuncts, keep the untouched canonical subsequence.
-            kept = tuple(b for a, b in zip(ops, c.operands) if a is b)
+            kept = tuple([b for a, b in zip(ops, c.operands) if a is b])
             if not kept:
                 return cs.CFALSE
             if len(kept) == 1:

@@ -171,10 +171,9 @@ class _Parser:
                 s.fail("executed(...) needs at least a time argument")
             return ast.ExecutedAtom(rule, tuple(terms[:-1]), terms[-1])
         # '(' opens a formula or a term: try the formula first.
-        inner = s.parenthesised(self.parse_formula, PTLParseError)
-        if inner is not None:
-            return inner
-        return self.parse_atom()
+        return s.parenthesised(
+            self.parse_formula, PTLParseError, self.parse_atom
+        )
 
     def parse_atom(self) -> ast.Formula:
         s = self.stream

@@ -982,10 +982,10 @@ def _encode_fire_result(result: FireResult) -> dict:
 def _decode_fire_result(payload: dict) -> FireResult:
     return FireResult(
         payload["fired"],
-        tuple(
+        tuple([
             {name: cs.decode_value(v) for name, v in b.items()}
             for b in payload["bindings"]
-        ),
+        ]),
     )
 
 

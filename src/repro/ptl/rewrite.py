@@ -79,9 +79,9 @@ def expand_derived(formula: ast.Formula, fresh: FreshNames = None) -> ast.Formul
         if isinstance(f, ast.Not):
             return ast.Not(rec(f.operand))
         if isinstance(f, ast.And):
-            return ast.And(tuple(rec(c) for c in f.operands))
+            return ast.And(tuple([rec(c) for c in f.operands]))
         if isinstance(f, ast.Or):
-            return ast.Or(tuple(rec(c) for c in f.operands))
+            return ast.Or(tuple([rec(c) for c in f.operands]))
         if isinstance(f, ast.Since):
             return ast.Since(rec(f.lhs), rec(f.rhs))
         if isinstance(f, ast.Lasttime):
@@ -96,7 +96,7 @@ def expand_derived(formula: ast.Formula, fresh: FreshNames = None) -> ast.Formul
         if isinstance(t, ast.AggT):
             return ast.AggT(t.func, t.query, rec(t.start), rec(t.sample))
         if isinstance(t, ast.FuncT):
-            return ast.FuncT(t.func, tuple(rec_term(a) for a in t.args))
+            return ast.FuncT(t.func, tuple([rec_term(a) for a in t.args]))
         return t
 
     return rec(formula)
@@ -130,25 +130,25 @@ def rename_duplicate_assignments(formula: ast.Formula) -> ast.Formula:
         if isinstance(f, ast.EventAtom):
             return ast.EventAtom(
                 f.name,
-                tuple(_rename_term(a, renaming, rec) for a in f.args),
+                tuple([_rename_term(a, renaming, rec) for a in f.args]),
             )
         if isinstance(f, ast.ExecutedAtom):
             return ast.ExecutedAtom(
                 f.rule,
-                tuple(_rename_term(a, renaming, rec) for a in f.args),
+                tuple([_rename_term(a, renaming, rec) for a in f.args]),
                 _rename_term(f.time, renaming, rec),
             )
         if isinstance(f, ast.InQuery):
             return ast.InQuery(
-                tuple(_rename_term(a, renaming, rec) for a in f.args),
+                tuple([_rename_term(a, renaming, rec) for a in f.args]),
                 _rename_query(f.query, renaming),
             )
         if isinstance(f, ast.Not):
             return ast.Not(rec(f.operand, renaming))
         if isinstance(f, ast.And):
-            return ast.And(tuple(rec(c, renaming) for c in f.operands))
+            return ast.And(tuple([rec(c, renaming) for c in f.operands]))
         if isinstance(f, ast.Or):
-            return ast.Or(tuple(rec(c, renaming) for c in f.operands))
+            return ast.Or(tuple([rec(c, renaming) for c in f.operands]))
         if isinstance(f, ast.Since):
             return ast.Since(rec(f.lhs, renaming), rec(f.rhs, renaming))
         if isinstance(f, ast.Lasttime):
@@ -166,7 +166,7 @@ def _rename_term(term: ast.Term, renaming: dict[str, str], rec) -> ast.Term:
     if isinstance(term, ast.FuncT):
         return ast.FuncT(
             term.func,
-            tuple(_rename_term(a, renaming, rec) for a in term.args),
+            tuple([_rename_term(a, renaming, rec) for a in term.args]),
         )
     if isinstance(term, ast.QueryT):
         return ast.QueryT(_rename_query(term.query, renaming))

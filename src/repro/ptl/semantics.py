@@ -155,7 +155,7 @@ def _sat(history, i, f, env, ctx) -> bool:
             result_values = {(result,)}
         else:
             result_values = {row.values for row in result}
-        values = tuple(eval_term(a, history, i, env, ctx) for a in f.args)
+        values = tuple([eval_term(a, history, i, env, ctx) for a in f.args])
         if any(v is UNDEFINED for v in values):
             return False
         return values in result_values
@@ -164,7 +164,7 @@ def _sat(history, i, f, env, ctx) -> bool:
         t = eval_term(f.time, history, i, env, ctx)
         if t is UNDEFINED:
             return False
-        values = tuple(eval_term(a, history, i, env, ctx) for a in f.args)
+        values = tuple([eval_term(a, history, i, env, ctx) for a in f.args])
         if any(v is UNDEFINED for v in values):
             return False
         for rec in ctx.executed.records(rule=f.rule, before=now):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Union
 
-from repro._value import Value
+from repro._value import Value, held_hash
 
 # --------------------------------------------------------------------------
 # Scalar expressions
@@ -209,6 +209,9 @@ class Retrieve(Query, Value):
     ranges: tuple[RangeVar, ...]
     where: Optional[Expr] = None
 
+    #: The plan cache is keyed by the query (:func:`repro.query.plan.try_execute`).
+    __hash__ = held_hash
+
     def params(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for _, e in self.targets:
@@ -238,6 +241,8 @@ class AggregateQuery(Query, Value):
     ranges: tuple[RangeVar, ...]
     where: Optional[Expr] = None
     group_by: tuple["Col", ...] = ()
+
+    __hash__ = held_hash
 
     def params(self) -> frozenset[str]:
         out = self.expr.params()

@@ -74,7 +74,7 @@ def eval_expr(expr: ast.Expr, row_env: Env, params: Env = _EMPTY_ENV) -> Any:
         return params[expr.name]
     if isinstance(expr, ast.App):
         fn = scalar_function(expr.func)
-        return fn(*(eval_expr(a, row_env, params) for a in expr.args))
+        return fn(*[eval_expr(a, row_env, params) for a in expr.args])
     if isinstance(expr, ast.Cmp):
         return apply_comparison(
             expr.op,
@@ -132,7 +132,7 @@ def eval_query(
     if isinstance(query, ast.RelationRef):
         return state.relation(query.name)
     if isinstance(query, ast.ItemRef):
-        index = tuple(eval_expr(e, _EMPTY_ENV, params) for e in query.index)
+        index = tuple([eval_expr(e, _EMPTY_ENV, params) for e in query.index])
         return state.item(query.name, index)
     if isinstance(query, ast.ConstQuery):
         return query.value
@@ -142,7 +142,7 @@ def eval_query(
         return params[query.name]
     if isinstance(query, ast.ExprQuery):
         fn = scalar_function(query.func)
-        return fn(*(eval_scalar(q, state, params) for q in query.args))
+        return fn(*[eval_scalar(q, state, params) for q in query.args])
     if isinstance(query, ast.Retrieve):
         return _eval_retrieve(query, state, params)
     if isinstance(query, ast.AggregateQuery):
@@ -281,7 +281,7 @@ def _eval_retrieve_scan(
                 ):
                     continue
                 out_rows.append(
-                    tuple(eval_expr(e, env, params) for _, e in query.targets)
+                    tuple([eval_expr(e, env, params) for _, e in query.targets])
                 )
             schema = _infer_target_schema(query, state)
             from repro.datamodel.relation import Relation as _R
@@ -292,7 +292,7 @@ def _eval_retrieve_scan(
         if query.where is not None and not eval_expr(query.where, env, params):
             continue
         out_rows.append(
-            tuple(eval_expr(e, env, params) for _, e in query.targets)
+            tuple([eval_expr(e, env, params) for _, e in query.targets])
         )
 
     schema = _infer_target_schema(query, state)
@@ -378,7 +378,7 @@ def _eval_aggregate_scan(
     for env in _bindings(query.ranges, state, params):
         if query.where is not None and not eval_expr(query.where, env, params):
             continue
-        key = tuple(eval_expr(c, env, params) for c in query.group_by)
+        key = tuple([eval_expr(c, env, params) for c in query.group_by])
         groups.setdefault(key, []).append(eval_expr(query.expr, env, params))
 
     from repro.datamodel.relation import Relation as _R

@@ -281,18 +281,26 @@ class TokenStream:
         self.expect_op("]")
         return int(float(value))
 
-    def parenthesised(self, parse: Callable, error: type):
-        """``'(' parse() ')'`` when that parses; otherwise ``None``, with
-        the cursor back at the ``'('`` (an ``error`` raised inside is the
-        signal to back off)."""
+    def parenthesised(self, parse: Callable, error: type, otherwise: Callable):
+        """``'(' parse() ')'`` when that parses; otherwise ``otherwise()``
+        from the ``'('`` (an ``error`` raised inside is the signal to back
+        off).  When both attempts fail, the error of the one that got
+        further (the larger ``position``; ``otherwise``'s on a tie) is
+        raised: a formula missing its ``')'`` reports that, not where the
+        term re-parse tripped over the formula's operator."""
         if not self.at_op("("):
-            return None
+            return otherwise()
         saved = self._pos
         self._pos += 1
         try:
             inner = parse()
             self.expect_op(")")
             return inner
-        except error:
+        except error as first:
             self._pos = saved
-            return None
+            try:
+                return otherwise()
+            except error as second:
+                if first.position > second.position:
+                    raise first from None
+                raise

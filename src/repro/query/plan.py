@@ -194,14 +194,14 @@ def _compile_expr(expr: ast.Expr, slots: _Slots) -> ExprFn:
         return param_fn
     if isinstance(expr, ast.App):
         fn = scalar_function(expr.func)
-        arg_fns = tuple(_compile_expr(a, slots) for a in expr.args)
+        arg_fns = tuple([_compile_expr(a, slots) for a in expr.args])
         if len(arg_fns) == 1:
             (a0,) = arg_fns
             return lambda env, params: fn(a0(env, params))
         if len(arg_fns) == 2:
             a0, a1 = arg_fns
             return lambda env, params: fn(a0(env, params), a1(env, params))
-        return lambda env, params: fn(*(a(env, params) for a in arg_fns))
+        return lambda env, params: fn(*[a(env, params) for a in arg_fns])
     if isinstance(expr, ast.Cmp):
         op = expr.op
         left = _compile_expr(expr.left, slots)
@@ -210,7 +210,7 @@ def _compile_expr(expr: ast.Expr, slots: _Slots) -> ExprFn:
             op, left(env, params), right(env, params)
         )
     if isinstance(expr, ast.BoolOp):
-        fns = tuple(_compile_expr(a, slots) for a in expr.operands)
+        fns = tuple([_compile_expr(a, slots) for a in expr.operands])
         if expr.op == "and":
             return lambda env, params: all(f(env, params) for f in fns)
         if expr.op == "or":
@@ -305,7 +305,7 @@ class _CompiledQuery:
         rows = None
         if step.key_fns is not None:
             try:
-                key = tuple(fn(env, params) for fn in step.key_fns)
+                key = tuple([fn(env, params) for fn in step.key_fns])
                 rows = index_for(rel, step.probe_attrs).lookup(*key)
             except (QueryEvaluationError, TypeError):
                 # Unbound parameter, evaluation error, or unhashable
@@ -349,7 +349,7 @@ class CompiledRetrieve(_CompiledQuery):
         self._count_exec()
         target_fns = self.target_fns
         out = [
-            tuple(fn(env, params) for fn in target_fns)
+            tuple([fn(env, params) for fn in target_fns])
             for env in self._bindings(rels, params)
         ]
         schema = self.schema
@@ -379,7 +379,7 @@ class CompiledAggregate(_CompiledQuery):
         groups: dict[tuple, list] = {}
         group_fns = self.group_fns
         for env in self._bindings(rels, params):
-            key = tuple(g(env, params) for g in group_fns)
+            key = tuple([g(env, params) for g in group_fns])
             groups.setdefault(key, []).append(expr_fn(env, params))
         schema = self.schema
         rows = []
@@ -473,14 +473,14 @@ def _compile_steps(query, slots: _Slots, schemas):
                 tuple(all_preds),
             )
         )
-    base_preds = tuple(_compile_expr(c, slots) for c in base)
+    base_preds = tuple([_compile_expr(c, slots) for c in base])
     return steps, base_preds
 
 
 def _compile_retrieve(query: ast.Retrieve, schemas) -> CompiledRetrieve:
     slots = _Slots(query.ranges, schemas)
     steps, base_preds = _compile_steps(query, slots, schemas)
-    target_fns = tuple(_compile_expr(e, slots) for _, e in query.targets)
+    target_fns = tuple([_compile_expr(e, slots) for _, e in query.targets])
 
     from repro.datamodel.types import ValueType
 
@@ -511,7 +511,7 @@ def _compile_aggregate(query: ast.AggregateQuery, schemas) -> CompiledAggregate:
     if query.group_by:
         from repro.datamodel.types import ValueType
 
-        group_fns = tuple(_compile_expr(c, slots) for c in query.group_by)
+        group_fns = tuple([_compile_expr(c, slots) for c in query.group_by])
         range_schemas = {
             rv.name: s for rv, s in zip(query.ranges, schemas)
         }
@@ -572,7 +572,7 @@ def try_execute(query, state, params):
             raise UnknownRelationError(f"unknown relation {rv.relation!r}")
         rels.append(state.relation(rv.relation))
     try:
-        key = (query, tuple(r.schema for r in rels))
+        key = (query, tuple([r.schema for r in rels]))
         plan = _CACHE.get(key)
     except TypeError:
         return FALLBACK
@@ -683,6 +683,6 @@ class DeltaGate:
             return
         db = state.db
         self._db = db
-        self._token = tuple(db.get(n, _ABSENT) for n in self.names)
+        self._token = tuple([db.get(n, _ABSENT) for n in self.names])
         self._value = value
         self._valid = True

@@ -23,7 +23,7 @@ def substitute_expr(expr: ast.Expr, mapping: Mapping[str, ast.Expr]) -> ast.Expr
         return expr
     if isinstance(expr, ast.App):
         return ast.App(
-            expr.func, tuple(substitute_expr(a, mapping) for a in expr.args)
+            expr.func, tuple([substitute_expr(a, mapping) for a in expr.args])
         )
     if isinstance(expr, ast.Cmp):
         return ast.Cmp(
@@ -33,7 +33,7 @@ def substitute_expr(expr: ast.Expr, mapping: Mapping[str, ast.Expr]) -> ast.Expr
         )
     if isinstance(expr, ast.BoolOp):
         return ast.BoolOp(
-            expr.op, tuple(substitute_expr(a, mapping) for a in expr.operands)
+            expr.op, tuple([substitute_expr(a, mapping) for a in expr.operands])
         )
     if isinstance(expr, ast.Not):
         return ast.Not(substitute_expr(expr.operand, mapping))
@@ -58,11 +58,11 @@ def substitute_query(query: ast.Query, mapping: Mapping[str, ast.Expr]) -> ast.Q
         )
     if isinstance(query, ast.ItemRef):
         return ast.ItemRef(
-            query.name, tuple(substitute_expr(e, mapping) for e in query.index)
+            query.name, tuple([substitute_expr(e, mapping) for e in query.index])
         )
     if isinstance(query, ast.Retrieve):
         return ast.Retrieve(
-            tuple((n, substitute_expr(e, mapping)) for n, e in query.targets),
+            tuple([(n, substitute_expr(e, mapping)) for n, e in query.targets]),
             query.ranges,
             None if query.where is None else substitute_expr(query.where, mapping),
         )
@@ -75,7 +75,7 @@ def substitute_query(query: ast.Query, mapping: Mapping[str, ast.Expr]) -> ast.Q
         )
     if isinstance(query, ast.ExprQuery):
         return ast.ExprQuery(
-            query.func, tuple(substitute_query(q, mapping) for q in query.args)
+            query.func, tuple([substitute_query(q, mapping) for q in query.args])
         )
     raise QueryError(f"cannot substitute in {query!r}")
 

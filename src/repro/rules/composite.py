@@ -43,7 +43,7 @@ def _executed_at_offset(
     """``executed(rule, params..., t) & time <cmp> t + offset``."""
     executed = ast.ExecutedAtom(
         rule_name,
-        tuple(ast.Var(p) for p in params),
+        tuple([ast.Var(p) for p in params]),
         ast.Var(_TIME_VAR),
     )
     timing = ast.Comparison(
@@ -124,7 +124,7 @@ def add_periodic(
     )
     executed = ast.ExecutedAtom(
         f"{name}__arm",
-        tuple(ast.Var(p) for p in params),
+        tuple([ast.Var(p) for p in params]),
         ast.Var(_TIME_VAR),
     )
     elapsed = ast.FuncT("-", (TIME_TERM, ast.Var(_TIME_VAR)))

@@ -368,8 +368,8 @@ class RuleManager:
         condition first read that rule — none, for a rule nobody read,
         exactly as on a fresh engine."""
         read = frozenset().union(
-            *(reg.reads for reg in self._rules.values()),
-            *(mon.reads for mon in self._monitors.values()),
+            *[reg.reads for reg in self._rules.values()],
+            *[mon.reads for mon in self._monitors.values()],
         )
         previous, self._read_rules = self._read_rules, read
         if previous - read:
@@ -857,7 +857,7 @@ class RuleManager:
         """The execution record of ``rule`` firing at ``state``, when some
         live condition reads ``rule``'s executions (else None)."""
         if rule.name in self._read_rules:
-            params = tuple(binding.get(p) for p in rule.params)
+            params = tuple([binding.get(p) for p in rule.params])
             return self.executed.record(rule.name, params, state.timestamp)
         return None
 
@@ -973,7 +973,7 @@ class RuleManager:
     def _decode_pairs(payload) -> tuple:
         from repro.ptl.constraints import decode_value
 
-        return tuple((k, decode_value(v)) for k, v in payload)
+        return tuple([(k, decode_value(v)) for k, v in payload])
 
     def to_state(self) -> dict:
         """Serialize the temporal component for a recovery checkpoint.

@@ -168,7 +168,7 @@ class FiringLog:
         key = (rule, shadow)
         # ``1 == 1.0 == True`` hash alike: the value types join the
         # bindings' intern key so a read gives back what was appended.
-        exact = (bindings, tuple(type(v) for _, v in bindings))
+        exact = (bindings, tuple([type(v) for _, v in bindings]))
         row = (
             _intern(self._key_ids, self._key_values, key, key),
             _intern(self._binding_ids, self._binding_values, exact, bindings),

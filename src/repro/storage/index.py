@@ -35,7 +35,7 @@ class HashIndex:
         buckets: dict[tuple, list[Row]] = {}
         positions = [relation.schema.position(a) for a in self.attrs]
         for row in relation.rows:
-            key = tuple(row[p] for p in positions)
+            key = tuple([row[p] for p in positions])
             buckets.setdefault(key, []).append(row)
         self._buckets = {k: tuple(v) for k, v in buckets.items()}
 

@@ -166,7 +166,7 @@ def _decode_item(payload: dict):
     kind = payload.get("kind")
     if kind == "relation":
         schema = Schema(
-            Attribute(name, ValueType(vtype)) for name, vtype in payload["schema"]
+            [Attribute(name, ValueType(vtype)) for name, vtype in payload["schema"]]
         )
         return Relation.from_values(schema, [tuple(r) for r in payload["rows"]])
     if kind == "indexed":

@@ -46,7 +46,7 @@ def random_history(rng: random.Random, length: int) -> SystemHistory:
         for _ in range(rng.randint(1, 2)):
             name = rng.choice(sorted(EVENT_ALPHABET))
             arity = EVENT_ALPHABET[name]
-            params = tuple(rng.choice(PARAM_POOL) for _ in range(arity))
+            params = tuple([rng.choice(PARAM_POOL) for _ in range(arity)])
             events.append(Event(name, params))
         db = DatabaseState({ITEM: rng.randint(0, 10)})
         history.append(SystemState(db, events, ts))
@@ -108,17 +108,17 @@ class FormulaGenerator:
             return ast.Not(self._formula(depth - 1, scope, time_scope))
         if choice == 4:
             return ast.And(
-                tuple(
+                tuple([
                     self._formula(depth - 1, scope, time_scope)
                     for _ in range(2)
-                )
+                ])
             )
         if choice == 5:
             return ast.Or(
-                tuple(
+                tuple([
                     self._formula(depth - 1, scope, time_scope)
                     for _ in range(2)
-                )
+                ])
             )
         if choice == 6:
             return ast.Since(
@@ -274,17 +274,17 @@ class BoundedFormulaGenerator(FormulaGenerator):
             return ast.Not(self._formula(depth - 1, scope, time_scope))
         if choice == 3:
             return ast.And(
-                tuple(
+                tuple([
                     self._formula(depth - 1, scope, time_scope)
                     for _ in range(2)
-                )
+                ])
             )
         if choice == 4:
             return ast.Or(
-                tuple(
+                tuple([
                     self._formula(depth - 1, scope, time_scope)
                     for _ in range(2)
-                )
+                ])
             )
         if choice == 5:
             return ast.Lasttime(self._formula(depth - 1, scope))

@@ -23,18 +23,25 @@ deltas it replays, not a copy of the database per faulted state, the
 memory governor's history account tracks the RAM the hot window really
 holds, and a hot state costs the rows it changed — only the newest
 version of a relation owns a table and its indexes.
+
+Memory that no live object owns is read too: a step parks nothing on the
+interpreter's free lists.  And one CPU row rides along with the dense and
+served harnesses: a step does not re-hash a query or an aggregate term
+tree to look it up.
 """
 
 import gc
 import json
 import math
 import random
+import sys
 import tracemalloc
 import types
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import _value
 from repro.datamodel import FLOAT, INT, Schema
 from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
@@ -536,22 +543,46 @@ def deep_txn(adb, i, rows=400):
     adb.execute(work)
 
 
-def retained_bytes(step, warmup, steps):
-    """``tracemalloc`` bytes still allocated after ``step(i)`` for ``i``
-    in ``range(warmup, steps)``, beyond what ``range(warmup)`` left."""
+def traced_totals(step, warmup, steps) -> tuple[int, int, int]:
+    """``tracemalloc``'s current total after ``step(i)`` for ``i`` in
+    ``range(warmup)`` and a full collection, after ``range(warmup,
+    steps)``, and after a closing full collection."""
     for i in range(warmup):
         step(i)
     gc.collect()
     tracemalloc.start()
     try:
-        before, _ = tracemalloc.get_traced_memory()
+        start, _ = tracemalloc.get_traced_memory()
         for i in range(warmup, steps):
             step(i)
+        stepped, _ = tracemalloc.get_traced_memory()
         gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
+        collected, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return after - before
+    return start, stepped, collected
+
+
+def retained_bytes(step, warmup, steps):
+    """``tracemalloc`` bytes still allocated after ``step(i)`` for ``i``
+    in ``range(warmup, steps)``, beyond what ``range(warmup)`` left.
+
+    Both readings follow a full collection, which also empties the
+    interpreter's free lists, so this cannot see memory parked there
+    (dead tuples of one size that nothing draws from again): a run that
+    makes no full collection holds those bytes all the same.
+    :func:`parked_bytes` reads them."""
+    start, _, collected = traced_totals(step, warmup, steps)
+    return collected - start
+
+
+def parked_bytes(step, warmup, steps):
+    """``tracemalloc`` bytes that a closing full collection frees after
+    ``step(i)`` for ``i`` in ``range(warmup, steps)``.  A step makes no
+    cycle (:class:`TestCycleFreeStep`), so this is what the interpreter's
+    free lists parked, which only a full collection gives back."""
+    _, stepped, collected = traced_totals(step, warmup, steps)
+    return stepped - collected
 
 
 class TestArchivalPastCostsItsDeltas:
@@ -925,6 +956,91 @@ class TestKeptStateCostsWhatItAdds:
         assert grown[0] >= before[0] + 200 and grown[1] >= before[1] + 100
         del adb, work
         assert sizes() == before
+
+
+class TestParkedBytes:
+    """A step parks nothing on the interpreter's tuple free lists: every
+    tuple the package builds starts at its final size, so a dead one goes
+    back to the free list that the next tuple of its kind draws from
+    (DESIGN.md, "Tuples are built at their final size")."""
+
+    async def test_served_stock_profile(self, tmp_path):
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        ops = [("stmts", update_stmt(p)) for p in served_prices(4 * 225)]
+        parked = parked_bytes(
+            lambda i: serve_batch(server, tenant, ops[4 * i : 4 * i + 4]),
+            25,
+            225,
+        )
+        # ~18 kB; ~296 kB while tuples were built from generators (the
+        # free lists of the sizes they shrank to stayed full)
+        assert parked < 64_000, parked
+        await server.registry.close_all()
+
+    def test_crowded_engine(self):
+        _, manager, step = crowded_engine(keep_history=False)
+        parked = parked_bytes(step, 10, 310)
+        assert manager.firing_count
+        # ~16 kB; ~252 kB while tuples were built from generators
+        assert parked < 64_000, parked
+
+
+def hash_calls(fn) -> int:
+    """Calls of a value class's ``__hash__`` (the shared ones of
+    ``repro._value``) while ``fn()`` runs, recursion included."""
+    codes = {
+        f.__code__ for f in (_value._hash, _value._hash_one, _value.held_hash)
+    }
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestLookupsHashOnce:
+    """The plan cache's key (query, schemas) and an aggregate's term hold
+    their hash, so a lookup hashes one object, not a tree of them."""
+
+    def test_dense_step(self):
+        adb, _ = dense_engine()
+        ops = list(dense_ops(200))
+        for op in ops[:50]:
+            apply_dense_op(adb, op)
+        calls = hash_calls(lambda: [apply_dense_op(adb, op) for op in ops[50:]])
+        # ~17 per op (most of them a state's events); ~140 while every
+        # lookup re-hashed the query, its schemas' attributes and the
+        # aggregate term's query and formulas
+        assert calls / 150 <= 40, calls / 150
+
+    async def test_served_op(self, tmp_path):
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenant = await server.registry.get("t1")
+        ops = [("stmts", update_stmt(p)) for p in served_prices(4 * 100)]
+        for i in range(25):
+            serve_batch(server, tenant, ops[4 * i : 4 * i + 4])
+        calls = hash_calls(
+            lambda: [
+                serve_batch(server, tenant, ops[4 * i : 4 * i + 4])
+                for i in range(25, 100)
+            ]
+        )
+        # 6 per op; 32 while every lookup re-hashed its key's tree
+        assert calls / 300 <= 12, calls / 300
+        await server.registry.close_all()
 
 
 class TestServedTenantHoldsThePresent:

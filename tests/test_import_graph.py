@@ -15,6 +15,13 @@ Nor does it load the standard library's ``dataclasses``: the package's
 value classes share their methods (``repro._value``), so no class of a
 loaded ``repro`` module holds a method ``exec`` generated.
 
+Nor does any ``tuple`` of the package start at a guessed size: one built
+from an iterable of unknown length (a generator expression, ``map``,
+``zip``, ``filter``) is allocated with ten slots and shrunk, and when it
+dies it is parked on the interpreter's free list for its final size,
+which no later tuple of the same kind draws from (DESIGN.md, "Tuples
+are built at their final size").
+
 The graph is read in a fresh interpreter: once ``import repro.serve``,
 and once more after a started server has opened a ``StockProfile``
 tenant and served it a transaction and a query.  A module on either list
@@ -228,6 +235,31 @@ def test_no_package_module_imports_dataclasses():
             else:
                 continue
             if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+def _unsized(node) -> bool:
+    """A generator expression or a ``map`` / ``zip`` / ``filter`` call: an
+    iterable whose length is unknown until it has run."""
+    return isinstance(node, ast.GeneratorExp) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("map", "zip", "filter")
+    )
+
+
+def test_every_tuple_is_built_at_its_final_size():
+    # ``tuple(x)`` and a call's ``*x`` both build a tuple from ``x``.
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            built = [a.value for a in node.args if isinstance(a, ast.Starred)]
+            if isinstance(node.func, ast.Name) and node.func.id == "tuple":
+                built += node.args[:1]
+            if any(_unsized(arg) for arg in built):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 

@@ -112,6 +112,20 @@ class TestParser:
         with pytest.raises(PTLParseError):
             parse_formula("price(IBM) > 5 extra", registry)
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # the formula attempt got further: its missing ')' is reported
+            ("(x > 3", "expected ')', found ''", 6),
+            # the term re-parse got further: its error is reported
+            ("(x) * > 3", "unexpected token '>' in term", 6),
+        ],
+    )
+    def test_parenthesis_reports_the_further_error(self, text, message, position):
+        with pytest.raises(PTLParseError) as raised:
+            parse_formula(text)
+        assert (str(raised.value), raised.value.position) == (message, position)
+
     def test_item_names(self):
         f = parse_formula("CUM > 70", items={"CUM"})
         assert isinstance(f.left, past.QueryT)
