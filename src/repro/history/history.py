@@ -70,10 +70,13 @@ class SystemHistory:
             raise HistoryError(
                 "database state changed without a transaction commit"
             )
-        index = self.base_index + len(self._states)
+        states = self._states
+        index = self.base_index + len(states)
         if state.index != index:
             state = state.with_index(index)
-        self._states.append(state)
+        if states:
+            states[-1].supersede(states[-2] if len(states) > 1 else None)
+        states.append(state)
         return state
 
     def append_state(

@@ -20,6 +20,7 @@ in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Any, Iterable, Mapping, Optional, Union
 
 #: Cap on retained histogram samples; on overflow every other sample is
@@ -93,10 +94,10 @@ class Gauge:
 class Histogram:
     """A distribution with exact count/sum/min/max and simple quantiles.
 
-    Samples are retained (up to ``max_samples``, then decimated 2:1) and
-    quantiles computed by sorting on demand — adequate for the per-step
-    latencies and size distributions this repo measures, with no external
-    dependency.
+    Samples are retained (up to ``max_samples``, then decimated 2:1) as
+    doubles in an ``array`` (8 B each) and quantiles computed by sorting
+    on demand — adequate for the per-step latencies and size
+    distributions this repo measures, with no external dependency.
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
@@ -112,7 +113,7 @@ class Histogram:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._samples: list[float] = []
+        self._samples = array("d")
         self._max_samples = max_samples
 
     def observe(self, value) -> None:
@@ -159,7 +160,7 @@ class Histogram:
         self.total = payload["sum"]
         self.min = payload["min"]
         self.max = payload["max"]
-        self._samples = list(payload.get("samples", ()))
+        self._samples = array("d", payload.get("samples", ()))
 
     def __repr__(self) -> str:
         return (

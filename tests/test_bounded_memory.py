@@ -736,11 +736,12 @@ class TestHotPastCostsItsDeltas:
         return retained / (self.STATES - self.WARMUP)
 
     def test_a_hot_state_costs_its_delta(self, tmp_path):
-        # ~0.66 kB; ~1.0 kB with an event frozenset, an item dict and a
-        # pair of row tuples per state, ~1.3 kB while each state held its
-        # own write-set and update_item event, 7.6 kB while every fifth
-        # state owned a 400-row table
-        assert self._per_state(tmp_path, 400) < 2_500
+        # ~0.46 kB; ~0.66 kB while a superseded commit state kept its
+        # two commit events and a tuple of its own, ~1.0 kB with an event
+        # frozenset, an item dict and a pair of row tuples per state,
+        # ~1.3 kB while each state held its own write-set and update_item
+        # event, 7.6 kB while every fifth state owned a 400-row table
+        assert self._per_state(tmp_path, 400) < 560
 
     def test_flat_in_the_cardinality(self, tmp_path):
         small, large = (self._per_state(tmp_path, n) for n in (400, 1600))
@@ -882,13 +883,16 @@ class TestKeptStateCostsWhatItAdds:
         states = self.STEPS - self.WARMUP
         assert (fired[-1] - fired[self.WARMUP - 1]) / states >= 36
         assert len(adb.history) == self.STEPS
-        # ~1.0 kB: the state, its event tuple and item tuple, a STOCK
-        # reverse delta in one tuple and the firings' rows; ~1.6 kB with
-        # an event frozenset, an item dict and a pair of row tuples per
+        # ~0.81 kB: the state (its commit's transaction id for the two
+        # commit events, its other events in the tuple it shares with the
+        # tick before), its item tuple, a STOCK reverse delta in one tuple
+        # and the firings' rows; ~1.0 kB while a superseded state kept
+        # the two commit events and its own event tuple, ~1.6 kB with an
+        # event frozenset, an item dict and a pair of row tuples per
         # state and every superseded STOCK table kept as a hash table;
         # ~2.9 kB with a write-set and two events of its own per state and
         # the state index and timestamp stored with every firing
-        assert retained / states <= 1_250, retained / states
+        assert retained / states <= 900, retained / states
 
     def test_bytes_retained_per_firing(self):
         adb, manager, step = crowded_engine(keep_history=False)
@@ -1019,10 +1023,11 @@ class TestLookupsHashOnce:
         for op in ops[:50]:
             apply_dense_op(adb, op)
         calls = hash_calls(lambda: [apply_dense_op(adb, op) for op in ops[50:]])
-        # ~17 per op (most of them a state's events); ~140 while every
-        # lookup re-hashed the query, its schemas' attributes and the
-        # aggregate term's query and formulas
-        assert calls / 150 <= 40, calls / 150
+        # ~13.6 per op: one per plan-cache lookup and aggregate term;
+        # ~17 while a state hashed its events to deduplicate them, ~140
+        # while every lookup re-hashed the query, its schemas' attributes
+        # and the aggregate term's query and formulas
+        assert calls / 150 <= 15, calls / 150
 
     async def test_served_op(self, tmp_path):
         server = ReproServer(

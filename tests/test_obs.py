@@ -5,12 +5,14 @@ across evaluator snapshot/restore."""
 import gc
 import json
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.obs import (
     DEFAULT_TRACE_LIMIT,
     FIRING,
+    Histogram,
     IC_VIOLATION,
     MetricsRegistry,
     NULL_COUNTER,
@@ -87,6 +89,48 @@ class TestHistogram:
         assert h.total == sum(range(n))
         assert h.min == 0 and h.max == n - 1
         assert len(h._samples) <= 64
+
+
+class TestHistogramHoldsDoubles:
+    """A histogram at its sample cap holds 8 B per sample: doubles in an
+    ``array``, not a float object and a list slot each."""
+
+    def test_bytes_per_sample(self):
+        cap = 2048
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            h = Histogram("lat", max_samples=cap)
+            for i in range(cap):
+                h.observe(i / 7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(h._samples) == cap
+        # ~8.5 B; ~33 B while each sample was a float in a list
+        assert (held - before) / cap <= 12, (held - before) / cap
+
+    def test_samples_and_quantiles_are_what_a_list_gave(self):
+        values = [(i * 37 % 101) / 3 for i in range(300)] + [7, True]
+        h = Histogram("lat", max_samples=64)
+        kept = []
+        for v in values:
+            h.observe(v)
+            kept.append(float(v))
+            if len(kept) > 64:
+                del kept[::2]
+        payload = h.payload()
+        assert payload["samples"] == kept
+        assert all(type(v) is float for v in payload["samples"])
+        ordered = sorted(kept)
+        for q in (0.5, 0.9, 0.99):
+            assert payload[f"p{int(q * 100)}"] == ordered[
+                min(len(ordered) - 1, int(q * len(ordered)))
+            ]
+        restored = Histogram("lat", max_samples=64)
+        restored._restore(json.loads(json.dumps(payload)))
+        assert restored.payload() == payload
 
 
 class TestRegistry:
