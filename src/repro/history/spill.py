@@ -60,12 +60,9 @@ SEGMENT_DIR_NAME = "segments"
 #: holds its transaction id for its two commit events, and its write-set,
 #: catalog-named events and the tuple of them are shared with equal
 #: commits (measured: ~0.28 kB for a three-item database and a four-event
-#: commit, ~0.51 kB while each state kept its commit events and event
-#: tuple, ~0.86 kB with an event frozenset and an item dict per state,
-#: ~1.2 kB while each state held its own write-set and events; the
-#: estimate stays at 1 280 so that a spill schedule does not move).  A
-#: row only the past still holds is a Row, its value tuple and a boxed
-#: value or two.
+#: commit; the estimate stays at 1 280 so that a spill schedule does not
+#: move).  A row only the past still holds is a Row, its value tuple and
+#: a boxed value or two.
 _EST_STATE_BYTES = 1280
 _EST_ROW_BYTES = 200
 _EST_FORMULA_BYTES = 80

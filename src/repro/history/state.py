@@ -19,16 +19,12 @@ from repro.storage.snapshot import DatabaseState
 
 def _distinct(events: Iterable[Event]) -> list[Event]:
     """``events`` without each one equal to an earlier one, in order —
-    what ``dict.fromkeys`` keeps, without hashing an event.  Events of
-    different names differ, so only events that share a name compare."""
-    events = list(events)
-    if len({e.name for e in events}) == len(events):
-        return events
-    kept: list[Event] = []
+    what ``dict.fromkeys`` keeps.  Keyed by the plain ``(name, params)``
+    tuple, so no event's ``__hash__`` runs."""
+    first: dict[tuple, Event] = {}
     for event in events:
-        if not any(k is event or k == event for k in kept):
-            kept.append(event)
-    return kept
+        first.setdefault((event.name, event.params), event)
+    return list(first.values())
 
 
 def _with_commit(rest: tuple, txn: int) -> tuple:
@@ -122,16 +118,22 @@ class SystemState:
     def supersede(self, prev: Optional["SystemState"]) -> None:
         """A successor took this state's place as its history's newest:
         a single-commit state keeps its transaction id for its two commit
-        events, and its other events as ``prev``'s tuple when the two are
-        equal (consecutive commits of one shape hold one tuple).  Any
-        other state, and a state already superseded, is left as it is."""
+        events, and its other events as ``prev``'s tuple when the two hold
+        the same objects (consecutive commits of one shape hold one tuple;
+        equal events that print differently, ``x(1)`` and ``x(1.0)``, are
+        not shared).  Any other state, and a state already superseded, is
+        left as it is."""
         if self._txn is not None:
             return
         split = _split_commit(self._events)
         if split is None:
             return
         self._txn, rest = split
-        if prev is not None and prev._events == rest:
+        if (
+            prev is not None
+            and len(prev._events) == len(rest)
+            and all(a is b for a, b in zip(prev._events, rest))
+        ):
             rest = prev._events
         self._events = rest
 

@@ -10,14 +10,18 @@ the state codec, a WAL replay, a tier fault and a checkpoint restore.
 
 import json
 import math
+import sys
+import time
 
 import pytest
 
+from repro import _value
 from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
 from repro.events.model import (
     Event,
     attempts_to_commit,
+    insert_tuple,
     transaction_abort,
     transaction_commit,
     user_event,
@@ -196,6 +200,73 @@ class TestRecoveredAndTiered:
         ]
 
 
+class TestEqualEventsThatPrintDifferently:
+    """``x(1)``, ``x(1.0)`` and ``x(True)`` are equal events that print
+    differently: consecutive commits holding them keep their own events,
+    so each reads back as it was posted, also once spilled and restored."""
+
+    PARAMS = [1, 1.0, True, 1, 1.0]
+
+    def expected(self, txn, param):
+        return [
+            f"attempts_to_commit({txn})",
+            f"transaction_commit({txn})",
+            f"x({param!r})",
+        ]
+
+    def test_in_a_history(self):
+        db = DatabaseState({})
+        history = SystemHistory()
+        states = [
+            history.append(
+                SystemState(
+                    db,
+                    [user_event("x", p), attempts_to_commit(t),
+                     transaction_commit(t)],
+                    t,
+                )
+            )
+            for t, p in enumerate(self.PARAMS, 1)
+        ]
+        history.append(SystemState(db, [user_event("next")], 99))
+        for t, (state, p) in enumerate(zip(states, self.PARAMS), 1):
+            assert state._txn == t
+            assert [str(e) for e in state.events] == self.expected(t, p)
+
+    def test_spilled_and_restored(self, tmp_path):
+        adb = ActiveDatabase()
+        manager = adb.rule_manager()
+        rm = RecoveryManager(tmp_path)
+        rm.start(adb)
+        attach_tiered_history(
+            adb, tmp_path / "segments", budget_bytes=1 << 40, fsync=False,
+            manager=manager,
+        )
+        for p in self.PARAMS:
+            txn = adb.begin()
+            txn.post_event(user_event("x", p))
+            txn.commit()
+        adb.post_event(user_event("next"))
+        count = len(adb.history)
+
+        def read(history):
+            return [
+                [str(e) for e in history[i].events if e.name == "x"]
+                for i in range(count)
+                if history[i].is_commit_point()
+            ]
+
+        posted = [[f"x({p!r})"] for p in self.PARAMS]
+        assert read(adb.history) == posted
+        assert adb.history.spill(keep_hot=1) == count - 1
+        assert read(adb.history) == posted
+        rm.checkpoint(adb, manager)
+        rm.stop()
+        manager.detach()
+        restored = recover(tmp_path, setup=ActiveDatabase.rule_manager).engine
+        assert read(restored.history) == posted
+
+
 class TestWhatStaysWhole:
     """States that are not exactly one ``attempts_to_commit(t)`` and one
     ``transaction_commit(t)`` of an ``int`` ``t`` keep their tuple."""
@@ -275,3 +346,30 @@ class TestEventsAreDeduplicatedWithoutHashing:
         monkeypatch.undo()
         assert len(state.events) == len(expected)
         assert all(a is b for a, b in zip(state.events, expected))
+
+    def test_a_10k_insert_commit_is_linear(self):
+        events = [
+            insert_tuple("STOCK", (f"N{i}", float(i), "new", "tech"))
+            for i in range(10_000)
+        ]
+        events += [attempts_to_commit(1), transaction_commit(1)]
+        eq = {_value._eq.__code__, _value._eq_one.__code__}
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code in eq:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            SystemState(DatabaseState({}), events, 1)
+        finally:
+            sys.setprofile(None)
+        # Comparing each event with every kept one of its name would make
+        # ~5 * 10^7 comparisons (tens of seconds) here.
+        assert calls == 0
+        started = time.perf_counter()
+        state = SystemState(DatabaseState({}), events, 1)
+        assert time.perf_counter() - started < 1.0
+        assert len(state.events) == len(events)
