@@ -187,16 +187,20 @@ def _hash_one(self) -> int:
 
 def held_hash(self) -> int:
     """``__hash__`` of a frozen class whose instances are deep trees used
-    over and over as dict keys (a query keying the plan cache, an
-    aggregate term keying its accumulator): the same value as the shared
-    ``__hash__``, computed on first use and kept in the instance's
-    ``__dict__``, so a lookup no longer re-hashes the whole tree.  It is
-    not a field: ``==`` and ``repr`` do not see it."""
-    held = self.__dict__
+    over and over as dict keys (the condition and query trees of
+    :class:`repro._intern.Canonical`: an aggregate term keying its
+    accumulator, a subformula keying its compiled node, a node keying its
+    parent's intern entry): the same value as the shared ``__hash__``,
+    computed on first use and kept in the instance's ``_hash`` slot, so a
+    lookup no longer re-hashes the whole tree.  It is not a field: ``==``
+    and ``repr`` do not see it."""
     try:
-        return held["_hash"]
-    except KeyError:
-        value = held["_hash"] = hash(type(self)._row(self))
+        return self._hash
+    except AttributeError:
+        cls = type(self)
+        row = cls._row(self)
+        value = hash((row,) if len(cls._fields) == 1 else row)
+        _setattr(self, "_hash", value)
         return value
 
 

@@ -24,38 +24,50 @@ connectives, and the past temporal operators ``Since`` and ``Lasttime``
 (primitive) plus ``Previously`` and ``ThroughoutPast`` (derived, Section
 4.1), the assignment operator ``[x := q] f``, and bounded sugar
 ``previously[w] f`` / ``throughout_past[w] f``.
+
+Nodes are canonical (:class:`repro._intern.Canonical`): building a node
+whose fields are a live node's returns that node, so every rule that
+holds a subformula holds the same one.  They are slotted and hold their
+hash; a formula holds its free variables once computed.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro._value import Value, held_hash
+from repro._intern import EMPTY, Canonical, singleton, small
+from repro._value import Value
 from repro.query.ast import Query
+
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
 
-class Term:
-    __slots__ = ()
+class Term(metaclass=Canonical):
+    __slots__ = ("_hash", "__weakref__")
 
     def variables(self) -> frozenset[str]:
-        return frozenset()
+        return EMPTY
 
 
 class Var(Term, Value):
+    __slots__ = ("name",)
+
     name: str
 
     def variables(self) -> frozenset[str]:
-        return frozenset({self.name})
+        return singleton(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
 class ConstT(Term, Value):
+    __slots__ = ("value",)
+
     value: object
 
     def __str__(self) -> str:
@@ -63,11 +75,13 @@ class ConstT(Term, Value):
 
 
 class FuncT(Term, Value):
+    __slots__ = ("func", "args")
+
     func: str
     args: tuple[Term, ...]
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for a in self.args:
             out |= a.variables()
         return out
@@ -83,6 +97,8 @@ class QueryT(Term, Value):
     variables; they must be *domain-instantiated free variables* (the
     evaluators ground them before any query runs)."""
 
+    __slots__ = ("query",)
+
     query: Query
 
     def variables(self) -> frozenset[str]:
@@ -95,13 +111,12 @@ class QueryT(Term, Value):
 class AggT(Term, Value):
     """Temporal aggregate ``func(query; start; sample)`` (Section 6)."""
 
+    __slots__ = ("func", "query", "start", "sample")
+
     func: str
     query: Query
     start: "Formula"
     sample: "Formula"
-
-    #: A plan reads an aggregate's accumulator by its term.
-    __hash__ = held_hash
 
     def variables(self) -> frozenset[str]:
         return (
@@ -129,12 +144,13 @@ class AggT(Term, Value):
 # ---------------------------------------------------------------------------
 
 
-class Formula:
-    __slots__ = ()
+class Formula(metaclass=Canonical):
+    #: ``_free``: :func:`free_variables`, once computed.
+    __slots__ = ("_free", "_hash", "__weakref__")
 
     def variables(self) -> frozenset[str]:
         """All variable names appearing in the formula."""
-        return frozenset()
+        return EMPTY
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -152,6 +168,8 @@ class Formula:
 
 
 class BoolConst(Formula, Value):
+    __slots__ = ("value",)
+
     value: bool
 
     def __str__(self) -> str:
@@ -163,6 +181,8 @@ FALSE = BoolConst(False)
 
 
 class Comparison(Formula, Value):
+    __slots__ = ("op", "left", "right")
+
     op: str  # = != < <= > >=
     left: Term
     right: Term
@@ -179,11 +199,17 @@ class EventAtom(Formula, Value):
     contains an event named ``name`` whose parameters match the argument
     terms.  Variable arguments *bind* to the event's parameter values."""
 
+    __slots__ = ("name", "args")
+
     name: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __init__(self, name, args=()) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for a in self.args:
             out |= a.variables()
         return out
@@ -199,6 +225,8 @@ class InQuery(Formula, Value):
     relation retrieved by ``q`` at the current state (the paper's relation
     atoms, e.g. ``OVERPRICED(x)``).  Variable arguments bind to attribute
     values of matching rows."""
+
+    __slots__ = ("args", "query")
 
     args: tuple[Term, ...]
     query: Query
@@ -219,6 +247,8 @@ class ExecutedAtom(Formula, Value):
     Variable arguments (including the time argument) bind against the
     rule-execution store."""
 
+    __slots__ = ("rule", "args", "time")
+
     rule: str
     args: tuple[Term, ...]
     time: Term
@@ -235,6 +265,8 @@ class ExecutedAtom(Formula, Value):
 
 
 class Not(Formula, Value):
+    __slots__ = ("operand",)
+
     operand: Formula
 
     def variables(self) -> frozenset[str]:
@@ -248,10 +280,12 @@ class Not(Formula, Value):
 
 
 class And(Formula, Value):
+    __slots__ = ("operands",)
+
     operands: tuple[Formula, ...]
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for f in self.operands:
             out |= f.variables()
         return out
@@ -264,10 +298,12 @@ class And(Formula, Value):
 
 
 class Or(Formula, Value):
+    __slots__ = ("operands",)
+
     operands: tuple[Formula, ...]
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for f in self.operands:
             out |= f.variables()
         return out
@@ -282,6 +318,8 @@ class Or(Formula, Value):
 class Since(Formula, Value):
     """``lhs since rhs`` — ``rhs`` held at some state j <= i and ``lhs``
     held at every state in (j, i].  One of the two basic operators."""
+
+    __slots__ = ("lhs", "rhs")
 
     lhs: Formula
     rhs: Formula
@@ -300,6 +338,8 @@ class Lasttime(Formula, Value):
     """``lasttime f`` — f held at the previous state (false at the first
     state).  The other basic operator."""
 
+    __slots__ = ("operand",)
+
     operand: Formula
 
     def variables(self) -> frozenset[str]:
@@ -316,10 +356,16 @@ class Previously(Formula, Value):
     """Derived: ``previously f == true since f`` (f held at some state
     <= i, including the current one)."""
 
+    __slots__ = ("operand", "window")
+
     operand: Formula
     #: Optional window: ``previously[w] f`` — f held at a past state whose
     #: timestamp is within ``w`` time units of the current timestamp.
-    window: Optional[int] = None
+    window: Optional[int]
+
+    def __init__(self, operand, window=None) -> None:
+        _set(self, "operand", operand)
+        _set(self, "window", window)
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -335,8 +381,14 @@ class Previously(Formula, Value):
 class ThroughoutPast(Formula, Value):
     """Derived: ``throughout_past f == !previously !f``."""
 
+    __slots__ = ("operand", "window")
+
     operand: Formula
-    window: Optional[int] = None
+    window: Optional[int]
+
+    def __init__(self, operand, window=None) -> None:
+        _set(self, "operand", operand)
+        _set(self, "window", window)
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -354,6 +406,8 @@ class Assign(Formula, Value):
     query ``q`` at the *current* state, then evaluate ``f`` under the
     binding.  The paper's alternative to first-order quantification; it
     naturally ensures safety (Section 10)."""
+
+    __slots__ = ("var", "query", "body")
 
     var: str
     query: Query
@@ -459,36 +513,55 @@ def free_variables(formula: Formula) -> frozenset[str]:
 
     Event/executed-atom variables *are* free in the binding sense used here
     (they are bound dynamically, by matching); "free" means "not
-    assignment-bound", matching the paper's usage.
+    assignment-bound", matching the paper's usage.  A node computes its
+    set once (nodes are shared, :mod:`repro._intern`); a variable bound
+    around a subformula is subtracted where it is bound.
     """
+    try:
+        return formula._free
+    except AttributeError:
+        free = small(_free_variables(formula))
+        _set(formula, "_free", free)
+        return free
 
-    def visit(f: Formula, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(f, Assign):
-            inner = visit(f.body, bound | {f.var})
-            return inner | (frozenset(f.query.params()) - bound)
-        if isinstance(f, Comparison):
-            return (
-                _term_vars_with_nested(f.left) | _term_vars_with_nested(f.right)
-            ) - bound
-        if isinstance(f, (EventAtom, ExecutedAtom, InQuery)):
-            return f.variables() - bound
-        out: frozenset[str] = frozenset()
-        for child in f.children():
-            out |= visit(child, bound)
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, as one of its operands' objects when it is one of them,
+    so a subformula's set is its child's wherever it adds nothing."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _free_variables(f: Formula) -> frozenset[str]:
+    if isinstance(f, Assign):
+        body = free_variables(f.body)
+        if f.var in body:
+            body = body - {f.var}
+        return _union(body, f.query.params())
+    if isinstance(f, Comparison):
+        return _union(
+            _term_free_variables(f.left), _term_free_variables(f.right)
+        )
+    if isinstance(f, (EventAtom, ExecutedAtom, InQuery)):
+        return f.variables()
+    out = EMPTY
+    for child in f.children():
+        out = _union(out, free_variables(child))
+    return out
+
+
+def _term_free_variables(term: Term) -> frozenset[str]:
+    if isinstance(term, AggT):
+        return _union(
+            _union(term.query.params(), free_variables(term.start)),
+            free_variables(term.sample),
+        )
+    if isinstance(term, FuncT):
+        out = EMPTY
+        for a in term.args:
+            out = _union(out, _term_free_variables(a))
         return out
-
-    def _term_vars_with_nested(term: Term) -> frozenset[str]:
-        if isinstance(term, AggT):
-            return (
-                frozenset(term.query.params())
-                | visit(term.start, frozenset())
-                | visit(term.sample, frozenset())
-            )
-        if isinstance(term, FuncT):
-            out: frozenset[str] = frozenset()
-            for a in term.args:
-                out |= _term_vars_with_nested(a)
-            return out
-        return term.variables()
-
-    return visit(formula, frozenset())
+    return term.variables()

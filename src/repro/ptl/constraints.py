@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Optional
 from weakref import ref as _weakref
 
+from repro._intern import file as _file
 from repro.errors import (
     EvaluationError,
     QueryEvaluationError,
@@ -52,28 +53,6 @@ from repro.query.functions import scalar_function
 # ---------------------------------------------------------------------------
 # Hash-consing (interning) tables
 # ---------------------------------------------------------------------------
-
-
-class _Entry(_weakref):
-    """A weak table entry that knows where it is filed, so the death of its
-    node removes exactly that entry."""
-
-    __slots__ = ("key", "table")
-
-
-def _forget(entry: _Entry) -> None:
-    table = entry.table
-    # A dead entry may already have been replaced by a rebuilt node's.
-    if table.get(entry.key) is entry:
-        del table[entry.key]
-
-
-def _file(table: dict, key, node) -> None:
-    entry = _Entry(node, _forget)
-    entry.key = key
-    entry.table = table
-    table[key] = entry
-
 
 #: ``hash tuple -> _Entry`` for the live :class:`SApp` terms / formula nodes.
 _intern_terms: dict = {}

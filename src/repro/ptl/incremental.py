@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
+from repro._intern import EMPTY, singleton, small
 from repro._value import Value
 from repro.datamodel.relation import Relation
 from repro.errors import (
@@ -419,7 +420,7 @@ class _NotNode(_Node):
 class _AndNode(_Node):
     __slots__ = ("children",)
 
-    def __init__(self, children: list[_Node]):
+    def __init__(self, children: tuple[_Node, ...]):
         self.children = children
 
     def compute(self, state):
@@ -432,7 +433,7 @@ class _AndNode(_Node):
 class _OrNode(_Node):
     __slots__ = ("children",)
 
-    def __init__(self, children: list[_Node]):
+    def __init__(self, children: tuple[_Node, ...]):
         self.children = children
 
     def compute(self, state):
@@ -440,14 +441,25 @@ class _OrNode(_Node):
         return cs.cor(results)
 
 
-class _LasttimeNode(_Node):
+class _TemporalNode(_Node):
+    """A node that stores a formula between states; ``formula`` is its
+    subformula, whose text labels the stored formula in checkpoints."""
+
+    __slots__ = ("formula",)
+
+    @property
+    def label(self) -> str:
+        return str(self.formula)
+
+
+class _LasttimeNode(_TemporalNode):
     """``F_{lasttime g, i} = F_{g, i-1}``."""
 
-    __slots__ = ("child", "label")
+    __slots__ = ("child",)
 
-    def __init__(self, child: _Node, label: str):
+    def __init__(self, child: _Node, formula: ast.Lasttime):
         self.child = child
-        self.label = label
+        self.formula = formula
 
     def advance(self, state, stored):
         """(this state's formula, the formula stored for the next) from
@@ -456,15 +468,15 @@ class _LasttimeNode(_Node):
         return previous, self.child.compute(state)
 
 
-class _SinceNode(_Node):
+class _SinceNode(_TemporalNode):
     """``F_{g since h, i} = F_{h,i} | (F_{g,i} & F_{g since h, i-1})``."""
 
-    __slots__ = ("lhs", "rhs", "label")
+    __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: _Node, rhs: _Node, label: str):
+    def __init__(self, lhs: _Node, rhs: _Node, formula: ast.Since):
         self.lhs = lhs
         self.rhs = rhs
-        self.label = label
+        self.formula = formula
 
     def advance(self, state, stored):
         """(this state's formula, the formula stored for the next) from
@@ -517,21 +529,23 @@ def build_node(f: ast.Formula, avail: frozenset[str], owner, child) -> _Node:
     if isinstance(f, ast.Not):
         return _NotNode(child(f.operand, avail))
     if isinstance(f, ast.And):
-        return _AndNode([child(c, avail) for c in f.operands])
+        return _AndNode(tuple([child(c, avail) for c in f.operands]))
     if isinstance(f, ast.Or):
-        return _OrNode([child(c, avail) for c in f.operands])
+        return _OrNode(tuple([child(c, avail) for c in f.operands]))
     if isinstance(f, ast.Lasttime):
-        return _LasttimeNode(child(f.operand, frozenset()), str(f))
+        return _LasttimeNode(child(f.operand, EMPTY), f)
     if isinstance(f, ast.Since):
         return _SinceNode(
-            child(f.lhs, frozenset()), child(f.rhs, frozenset()), str(f)
+            child(f.lhs, EMPTY), child(f.rhs, EMPTY), f
         )
     if isinstance(f, ast.Assign):
         if f.query.params():
             raise UnsafeFormulaError(
                 f"assignment query {f.query} has unresolved parameters"
             )
-        inner_avail = avail | {f.var} if f.query == TIME_QUERY else avail
+        inner_avail = (
+            small(avail | singleton(f.var)) if f.query == TIME_QUERY else avail
+        )
         return _AssignNode(f.var, f.query, child(f.body, inner_avail))
     raise PTLError(f"cannot compile formula node {f!r}")
 
@@ -609,7 +623,7 @@ def children(node) -> tuple:
     if isinstance(node, (_NotNode, _LasttimeNode, _AssignNode)):
         return (node.child,)
     if isinstance(node, (_AndNode, _OrNode)):
-        return tuple(node.children)
+        return node.children
     if isinstance(node, _SinceNode):
         return (node.lhs, node.rhs)
     if isinstance(node, _ComparisonNode):
@@ -750,7 +764,7 @@ class _Aggregate:
         self,
         term: ast.AggT,
         ctx: EvalContext,
-        avail_time_vars: frozenset[str] = frozenset(),
+        avail_time_vars: frozenset[str] = EMPTY,
     ):
         start_free = ast.free_variables(term.start)
         if ast.free_variables(term.sample):
@@ -760,7 +774,7 @@ class _Aggregate:
         self.term = term
         self.func = term.func.lower()
         self.ctx = ctx
-        self.avail = frozenset(avail_time_vars)
+        self.avail = small(frozenset(avail_time_vars))
         #: φ / ψ roots in the owning plan (φ only in running mode).
         self.start: Optional[_Node] = None
         self.sample: Optional[_Node] = None

@@ -64,8 +64,10 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
+from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional
 
+from repro._intern import EMPTY, singleton, small
 from repro.errors import (
     DuplicateRuleError,
     EvaluationError,
@@ -153,18 +155,21 @@ def infer_relevant_events(formula: ast.Formula) -> Optional[frozenset[str]]:
     if ast.aggregate_terms(formula):
         return None
     if isinstance(formula, ast.EventAtom):
-        return frozenset({formula.name})
+        return singleton(formula.name)
     if isinstance(formula, ast.And):
         names = {
             c.name for c in formula.operands if isinstance(c, ast.EventAtom)
         }
         if names:
-            return frozenset(names)
+            return small(frozenset(names))
     return None
 
 
 #: The node classes that store a formula between states.
 _TEMPORAL = (_LasttimeNode, _SinceNode)
+
+#: The instances of every ground rule (it has none).
+_NO_INSTANCES = MappingProxyType({})
 
 #: The (top, result) of a rule with no entry in the plan's value.
 _NO_TOP = (cs.CFALSE, _FALSE_RESULT)
@@ -198,11 +203,20 @@ _new_value = tuple.__new__
 
 def _time_vars(formula: ast.Formula) -> frozenset[str]:
     """Variables assigned from the ``time`` item (monotone — prunable)."""
-    return frozenset(
-        var
-        for var, query in ast.assigned_variables(formula).items()
-        if query == TIME_QUERY
+    assigned = ast.assigned_variables(formula).items()
+    return small(
+        frozenset(var for var, query in assigned if query == TIME_QUERY)
     )
+
+
+def _prune_set(time_vars: frozenset, free: frozenset) -> frozenset:
+    """``time_vars & free``, as one of its operands' objects when it is
+    all of ``time_vars`` or empty: a rule's subformulas share one set."""
+    if time_vars.isdisjoint(free):
+        return EMPTY
+    if time_vars <= free:
+        return time_vars
+    return time_vars & free
 
 
 class _SubEval:
@@ -277,14 +291,15 @@ class _PlanRule:
         self.time_vars = time_vars
         self.qvars = qvars
         self.root: Optional[_Node] = None
-        #: domain combo -> root node (query-parameter instantiation).
-        self.instances: dict[tuple, _Node] = {}
+        #: domain combo -> root node (query-parameter instantiation), and
+        #: combo -> (birth epoch, sequence number) per instance.
+        self.instances: dict[tuple, _Node]
+        self.instance_births: dict[tuple, tuple[int, int]]
+        self.clear_instances()
         #: Plan epoch when this rule's root was compiled.
         self.birth = 0
         #: Global compilation sequence number (checkpoint replay order).
         self.seq = 0
-        #: combo -> (birth epoch, sequence number) per instance.
-        self.instance_births: dict[tuple, tuple[int, int]] = {}
         #: The accumulator F a maintenance rule ``r2: ψ → update F`` roots
         #: (:meth:`SharedPlan.add_aggregate_rules`); None for conditions.
         self.maintains: Optional[_Aggregate] = None
@@ -292,6 +307,14 @@ class _PlanRule:
         #: (:func:`infer_relevant_events`): its root is computed only when
         #: its result is read.  None: by :meth:`SharedPlan.complete` too.
         self.events: Optional[frozenset[str]] = None
+
+    def clear_instances(self) -> None:
+        """No instance compiled yet.  A ground rule never has one, and
+        every ground rule holds the one read-only empty mapping."""
+        if self.qvars:
+            self.instances, self.instance_births = {}, {}
+        else:
+            self.instances = self.instance_births = _NO_INSTANCES
 
     def roots(self) -> Iterator[_Node]:
         if self.root is not None:
@@ -407,7 +430,7 @@ class SharedPlan:
         maintains it; :meth:`accumulator` reads it by ``r2``'s name."""
         self.add_rule(names[0], term.start)
         self.add_rule(names[1], term.sample)
-        self._rules[names[1]].maintains = self._ref_aggregate(term, frozenset())
+        self._rules[names[1]].maintains = self._ref_aggregate(term, EMPTY)
 
     def accumulator(self, name):
         """The accumulator F rooted by ``name`` at the current step (a
@@ -420,11 +443,11 @@ class SharedPlan:
         """Compile a ground rule's root at the current epoch (and
         re-reference the accumulator a maintenance rule roots)."""
         entry.root = self._compile(
-            entry.formula, frozenset(), entry.time_vars
+            entry.formula, EMPTY, entry.time_vars
         )
         if entry.maintains is not None:
             entry.maintains = self._ref_aggregate(
-                entry.maintains.term, frozenset()
+                entry.maintains.term, EMPTY
             )
 
     def remove_rule(self, name: str) -> None:
@@ -471,7 +494,7 @@ class SharedPlan:
     ) -> _Node:
         """Hash-consed compilation: one memo node per distinct
         (subformula, avail, prune set, birth epoch)."""
-        prune_set = time_vars & ast.free_variables(f)
+        prune_set = _prune_set(time_vars, ast.free_variables(f))
         key = (f, avail, prune_set, self.epoch)
         self.compile_requests += 1
         node = self._nodes.get(key)
@@ -523,10 +546,10 @@ class SharedPlan:
             agg.key = key
             if agg.mode == "running":
                 agg.start = self._compile(
-                    term.start, frozenset(), _time_vars(term.start)
+                    term.start, EMPTY, _time_vars(term.start)
                 )
             agg.sample = self._compile(
-                term.sample, frozenset(), _time_vars(term.sample)
+                term.sample, EMPTY, _time_vars(term.sample)
             )
             self._aggregates[key] = agg
             self._subeval(avail)._aggregates[term] = agg
@@ -637,7 +660,7 @@ class SharedPlan:
             entry.instance_births[combo] = (self.epoch, self._next_seq)
             self._next_seq += 1
             entry.instances[combo] = self._compile(
-                inst, frozenset(), _time_vars(inst)
+                inst, EMPTY, _time_vars(inst)
             )
 
     # ------------------------------------------------------------------
@@ -676,8 +699,12 @@ class SharedPlan:
         """Retained state across the whole plan: the stored-formula DAG
         (each distinct node once, aggregate φ/ψ included) plus shared
         aggregate rows."""
+        self.complete()
+        stored = self._value.stored
         return (
-            cs.dag_size(c for _, c in self.stored_formulas())
+            cs.dag_size(
+                stored.get(node, cs.CFALSE) for node, _, _ in self._temporal
+            )
             + self.aux_rows()
         )
 
@@ -832,8 +859,7 @@ class SharedPlan:
             entry.birth = rec["birth"]
             entry.seq = rec["seq"]
             entry.root = None
-            entry.instances = {}
-            entry.instance_births = {}
+            entry.clear_instances()
             if not entry.qvars:
                 jobs.append((rec["seq"], rec["birth"], entry, None))
             for enc_combo, birth, seq in rec["instances"]:
@@ -848,7 +874,7 @@ class SharedPlan:
             inst = instantiate_formula(entry.formula, env)
             entry.instance_births[combo] = (birth, seq)
             entry.instances[combo] = self._compile(
-                inst, frozenset(), _time_vars(inst)
+                inst, EMPTY, _time_vars(inst)
             )
         next_seq = payload["next_seq"]
         self.epoch = payload["epoch"]
@@ -858,8 +884,7 @@ class SharedPlan:
             entry.seq = next_seq
             next_seq += 1
             entry.root = None
-            entry.instances = {}
-            entry.instance_births = {}
+            entry.clear_instances()
             if not entry.qvars:
                 self._compile_root(entry)
         self._next_seq = next_seq

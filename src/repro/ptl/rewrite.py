@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro._intern import same
 from repro.errors import PTLError
 from repro.ptl import ast
 from repro.query import ast as qast
@@ -55,7 +56,8 @@ class FreshNames:
 
 def expand_derived(formula: ast.Formula, fresh: FreshNames = None) -> ast.Formula:
     """Eliminate ``Previously``/``ThroughoutPast`` (and their bounded
-    variants) in favour of ``Since``, ``Lasttime``, ``Not``, ``Assign``."""
+    variants) in favour of ``Since``, ``Lasttime``, ``Not``, ``Assign``.
+    A subformula with nothing to expand comes back as the same object."""
     if fresh is None:
         fresh = FreshNames(formula.variables())
 
@@ -76,27 +78,38 @@ def expand_derived(formula: ast.Formula, fresh: FreshNames = None) -> ast.Formul
         if isinstance(f, ast.ThroughoutPast):
             inner = ast.Previously(ast.Not(f.operand), f.window)
             return ast.Not(rec(inner))
-        if isinstance(f, ast.Not):
-            return ast.Not(rec(f.operand))
-        if isinstance(f, ast.And):
-            return ast.And(tuple([rec(c) for c in f.operands]))
-        if isinstance(f, ast.Or):
-            return ast.Or(tuple([rec(c) for c in f.operands]))
+        if isinstance(f, (ast.Not, ast.Lasttime)):
+            operand = rec(f.operand)
+            return f if operand is f.operand else type(f)(operand)
+        if isinstance(f, (ast.And, ast.Or)):
+            operands = [rec(c) for c in f.operands]
+            if same(operands, f.operands):
+                return f
+            return type(f)(tuple(operands))
         if isinstance(f, ast.Since):
-            return ast.Since(rec(f.lhs), rec(f.rhs))
-        if isinstance(f, ast.Lasttime):
-            return ast.Lasttime(rec(f.operand))
+            lhs, rhs = rec(f.lhs), rec(f.rhs)
+            if lhs is f.lhs and rhs is f.rhs:
+                return f
+            return ast.Since(lhs, rhs)
         if isinstance(f, ast.Assign):
-            return ast.Assign(f.var, f.query, rec(f.body))
+            body = rec(f.body)
+            return f if body is f.body else ast.Assign(f.var, f.query, body)
         if isinstance(f, ast.Comparison):
-            return ast.Comparison(f.op, rec_term(f.left), rec_term(f.right))
+            left, right = rec_term(f.left), rec_term(f.right)
+            if left is f.left and right is f.right:
+                return f
+            return ast.Comparison(f.op, left, right)
         return f
 
     def rec_term(t: ast.Term) -> ast.Term:
         if isinstance(t, ast.AggT):
-            return ast.AggT(t.func, t.query, rec(t.start), rec(t.sample))
+            start, sample = rec(t.start), rec(t.sample)
+            if start is t.start and sample is t.sample:
+                return t
+            return ast.AggT(t.func, t.query, start, sample)
         if isinstance(t, ast.FuncT):
-            return ast.FuncT(t.func, tuple([rec_term(a) for a in t.args]))
+            args = [rec_term(a) for a in t.args]
+            return t if same(args, t.args) else ast.FuncT(t.func, tuple(args))
         return t
 
     return rec(formula)
@@ -104,7 +117,8 @@ def expand_derived(formula: ast.Formula, fresh: FreshNames = None) -> ast.Formul
 
 def rename_duplicate_assignments(formula: ast.Formula) -> ast.Formula:
     """Ensure every assignment operator binds a distinct variable name,
-    renaming later occurrences (and their bound uses) with fresh names."""
+    renaming later occurrences (and their bound uses) with fresh names.
+    A subformula that needs no renaming comes back as the same object."""
     fresh = FreshNames(formula.variables())
     seen: set[str] = set()
 
@@ -118,41 +132,48 @@ def rename_duplicate_assignments(formula: ast.Formula) -> ast.Formula:
                 seen.add(new_name)
                 return ast.Assign(new_name, query, rec(f.body, inner_renaming))
             seen.add(f.var)
-            inner_renaming = dict(renaming)
-            inner_renaming.pop(f.var, None)
-            return ast.Assign(f.var, query, rec(f.body, inner_renaming))
+            inner_renaming = renaming
+            if f.var in renaming:
+                inner_renaming = dict(renaming)
+                del inner_renaming[f.var]
+            body = rec(f.body, inner_renaming)
+            if query is f.query and body is f.body:
+                return f
+            return ast.Assign(f.var, query, body)
         if isinstance(f, ast.Comparison):
-            return ast.Comparison(
-                f.op,
-                _rename_term(f.left, renaming, rec),
-                _rename_term(f.right, renaming, rec),
-            )
+            left = _rename_term(f.left, renaming, rec)
+            right = _rename_term(f.right, renaming, rec)
+            if left is f.left and right is f.right:
+                return f
+            return ast.Comparison(f.op, left, right)
         if isinstance(f, ast.EventAtom):
-            return ast.EventAtom(
-                f.name,
-                tuple([_rename_term(a, renaming, rec) for a in f.args]),
-            )
+            args = _rename_terms(f.args, renaming, rec)
+            return f if args is f.args else ast.EventAtom(f.name, args)
         if isinstance(f, ast.ExecutedAtom):
-            return ast.ExecutedAtom(
-                f.rule,
-                tuple([_rename_term(a, renaming, rec) for a in f.args]),
-                _rename_term(f.time, renaming, rec),
-            )
+            args = _rename_terms(f.args, renaming, rec)
+            time = _rename_term(f.time, renaming, rec)
+            if args is f.args and time is f.time:
+                return f
+            return ast.ExecutedAtom(f.rule, args, time)
         if isinstance(f, ast.InQuery):
-            return ast.InQuery(
-                tuple([_rename_term(a, renaming, rec) for a in f.args]),
-                _rename_query(f.query, renaming),
-            )
-        if isinstance(f, ast.Not):
-            return ast.Not(rec(f.operand, renaming))
-        if isinstance(f, ast.And):
-            return ast.And(tuple([rec(c, renaming) for c in f.operands]))
-        if isinstance(f, ast.Or):
-            return ast.Or(tuple([rec(c, renaming) for c in f.operands]))
+            args = _rename_terms(f.args, renaming, rec)
+            query = _rename_query(f.query, renaming)
+            if args is f.args and query is f.query:
+                return f
+            return ast.InQuery(args, query)
+        if isinstance(f, (ast.Not, ast.Lasttime)):
+            operand = rec(f.operand, renaming)
+            return f if operand is f.operand else type(f)(operand)
+        if isinstance(f, (ast.And, ast.Or)):
+            operands = [rec(c, renaming) for c in f.operands]
+            if same(operands, f.operands):
+                return f
+            return type(f)(tuple(operands))
         if isinstance(f, ast.Since):
-            return ast.Since(rec(f.lhs, renaming), rec(f.rhs, renaming))
-        if isinstance(f, ast.Lasttime):
-            return ast.Lasttime(rec(f.operand, renaming))
+            lhs, rhs = rec(f.lhs, renaming), rec(f.rhs, renaming)
+            if lhs is f.lhs and rhs is f.rhs:
+                return f
+            return ast.Since(lhs, rhs)
         if isinstance(f, (ast.Previously, ast.ThroughoutPast)):
             raise PTLError("expand derived operators before renaming")
         return f
@@ -160,23 +181,28 @@ def rename_duplicate_assignments(formula: ast.Formula) -> ast.Formula:
     return rec(formula, {})
 
 
+def _rename_terms(terms: tuple, renaming: dict[str, str], rec) -> tuple:
+    """``terms`` renamed, or ``terms`` itself when nothing changed."""
+    out = [_rename_term(a, renaming, rec) for a in terms]
+    return terms if same(out, terms) else tuple(out)
+
+
 def _rename_term(term: ast.Term, renaming: dict[str, str], rec) -> ast.Term:
     if isinstance(term, ast.Var):
-        return ast.Var(renaming.get(term.name, term.name))
+        name = renaming.get(term.name)
+        return term if name is None else ast.Var(name)
     if isinstance(term, ast.FuncT):
-        return ast.FuncT(
-            term.func,
-            tuple([_rename_term(a, renaming, rec) for a in term.args]),
-        )
+        args = _rename_terms(term.args, renaming, rec)
+        return term if args is term.args else ast.FuncT(term.func, args)
     if isinstance(term, ast.QueryT):
-        return ast.QueryT(_rename_query(term.query, renaming))
+        query = _rename_query(term.query, renaming)
+        return term if query is term.query else ast.QueryT(query)
     if isinstance(term, ast.AggT):
-        return ast.AggT(
-            term.func,
-            _rename_query(term.query, renaming),
-            rec(term.start, renaming),
-            rec(term.sample, renaming),
-        )
+        query = _rename_query(term.query, renaming)
+        start, sample = rec(term.start, renaming), rec(term.sample, renaming)
+        if query is term.query and start is term.start and sample is term.sample:
+            return term
+        return ast.AggT(term.func, query, start, sample)
     return term
 
 

@@ -11,31 +11,40 @@ Two layers:
 Queries may contain :class:`Param` leaves — free parameters supplied at
 evaluation time.  PTL uses parameters for free-variable-indexed aggregates
 such as ``price(x)`` (Section 6.1.1 of the paper).
+
+Nodes are canonical, as the PTL ones are (:class:`repro._intern.Canonical`):
+an equal query built again is the same object, which is how the plan
+cache finds a query's compiled plan (:func:`repro.query.plan.try_execute`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Union
 
-from repro._value import Value, held_hash
+from repro._intern import EMPTY, Canonical, singleton
+from repro._value import Value
+
+_set = object.__setattr__
 
 # --------------------------------------------------------------------------
 # Scalar expressions
 # --------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(metaclass=Canonical):
     """Base class of scalar expressions."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
 
     def params(self) -> frozenset[str]:
         """Names of :class:`Param` leaves appearing in this expression."""
-        return frozenset()
+        return EMPTY
 
 
 class Const(Expr, Value):
     """A literal value."""
+
+    __slots__ = ("value",)
 
     value: Any
 
@@ -45,6 +54,8 @@ class Const(Expr, Value):
 
 class Col(Expr, Value):
     """A column reference, possibly qualified: ``S.price`` or ``price``."""
+
+    __slots__ = ("name",)
 
     name: str
 
@@ -67,10 +78,12 @@ class Col(Expr, Value):
 class Param(Expr, Value):
     """A free parameter bound at evaluation time (written ``$name``)."""
 
+    __slots__ = ("name",)
+
     name: str
 
     def params(self) -> frozenset[str]:
-        return frozenset({self.name})
+        return singleton(self.name)
 
     def __str__(self) -> str:
         return f"${self.name}"
@@ -79,11 +92,13 @@ class Param(Expr, Value):
 class App(Expr, Value):
     """Application of a registered scalar function."""
 
+    __slots__ = ("func", "args")
+
     func: str
     args: tuple[Expr, ...]
 
     def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for a in self.args:
             out |= a.params()
         return out
@@ -96,6 +111,8 @@ class App(Expr, Value):
 
 class Cmp(Expr, Value):
     """A comparison; evaluates to a boolean."""
+
+    __slots__ = ("op", "left", "right")
 
     op: str  # one of = != < <= > >=
     left: Expr
@@ -111,11 +128,13 @@ class Cmp(Expr, Value):
 class BoolOp(Expr, Value):
     """Conjunction or disjunction of boolean expressions."""
 
+    __slots__ = ("op", "operands")
+
     op: str  # "and" | "or"
     operands: tuple[Expr, ...]
 
     def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for a in self.operands:
             out |= a.params()
         return out
@@ -125,6 +144,8 @@ class BoolOp(Expr, Value):
 
 
 class Not(Expr, Value):
+    __slots__ = ("operand",)
+
     operand: Expr
 
     def params(self) -> frozenset[str]:
@@ -139,21 +160,23 @@ class Not(Expr, Value):
 # --------------------------------------------------------------------------
 
 
-class Query:
+class Query(metaclass=Canonical):
     """Base class of queries.
 
     A query evaluates, against a database state and a parameter environment,
     to either a :class:`~repro.datamodel.relation.Relation` or a scalar.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
 
     def params(self) -> frozenset[str]:
-        return frozenset()
+        return EMPTY
 
 
 class RelationRef(Query, Value):
     """The full contents of a named relation."""
+
+    __slots__ = ("name",)
 
     name: str
 
@@ -166,11 +189,17 @@ class ItemRef(Query, Value):
     item like ``CUM_PRICE``), optionally indexed by parameter expressions
     (``CUM_PRICE[$x]``, Section 6.1.1)."""
 
+    __slots__ = ("name", "index")
+
     name: str
-    index: tuple[Expr, ...] = ()
+    index: tuple[Expr, ...]
+
+    def __init__(self, name, index=()) -> None:
+        _set(self, "name", name)
+        _set(self, "index", index)
 
     def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for e in self.index:
             out |= e.params()
         return out
@@ -181,11 +210,17 @@ class ItemRef(Query, Value):
         return self.name
 
 
-class RangeVar(Value):
+class RangeVar(Value, metaclass=Canonical):
     """A range variable over a relation: ``STOCK S`` (alias optional)."""
 
+    __slots__ = ("relation", "alias", "_hash", "__weakref__")
+
     relation: str
-    alias: Optional[str] = None
+    alias: Optional[str]
+
+    def __init__(self, relation, alias=None) -> None:
+        _set(self, "relation", relation)
+        _set(self, "alias", alias)
 
     @property
     def name(self) -> str:
@@ -205,15 +240,19 @@ class Retrieve(Query, Value):
     the qualified column names.
     """
 
+    __slots__ = ("targets", "ranges", "where")
+
     targets: tuple[tuple[str, Expr], ...]  # (output name, expression)
     ranges: tuple[RangeVar, ...]
-    where: Optional[Expr] = None
+    where: Optional[Expr]
 
-    #: The plan cache is keyed by the query (:func:`repro.query.plan.try_execute`).
-    __hash__ = held_hash
+    def __init__(self, targets, ranges, where=None) -> None:
+        _set(self, "targets", targets)
+        _set(self, "ranges", ranges)
+        _set(self, "where", where)
 
     def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for _, e in self.targets:
             out |= e.params()
         if self.where is not None:
@@ -236,13 +275,20 @@ class AggregateQuery(Query, Value):
     ``GROUP BY`` a relation of (group columns..., aggregate value):
     ``SUM(S.price) FROM STOCK S GROUP BY S.cat``."""
 
+    __slots__ = ("func", "expr", "ranges", "where", "group_by")
+
     func: str
     expr: Expr
     ranges: tuple[RangeVar, ...]
-    where: Optional[Expr] = None
-    group_by: tuple["Col", ...] = ()
+    where: Optional[Expr]
+    group_by: tuple["Col", ...]
 
-    __hash__ = held_hash
+    def __init__(self, func, expr, ranges, where=None, group_by=()) -> None:
+        _set(self, "func", func)
+        _set(self, "expr", expr)
+        _set(self, "ranges", ranges)
+        _set(self, "where", where)
+        _set(self, "group_by", group_by)
 
     def params(self) -> frozenset[str]:
         out = self.expr.params()
@@ -265,10 +311,12 @@ class ParamQuery(Query, Value):
     """A query whose value is a free parameter itself (``$x`` used as a
     query, e.g. inside ``sum($x, phi, psi)``)."""
 
+    __slots__ = ("name",)
+
     name: str
 
     def params(self) -> frozenset[str]:
-        return frozenset({self.name})
+        return singleton(self.name)
 
     def __str__(self) -> str:
         return f"${self.name}"
@@ -277,6 +325,8 @@ class ParamQuery(Query, Value):
 class ConstQuery(Query, Value):
     """A constant query (e.g. the literal ``1`` in ``sum(1, phi, psi)``,
     which the paper uses to count sampling points)."""
+
+    __slots__ = ("value",)
 
     value: Any
 
@@ -288,11 +338,13 @@ class ExprQuery(Query, Value):
     """A scalar query computed from other queries by a scalar function,
     e.g. ``price(IBM) * 2`` or ``CUM_PRICE / TOTAL_UPDATES``."""
 
+    __slots__ = ("func", "args")
+
     func: str
     args: tuple[Query, ...]
 
     def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: frozenset[str] = EMPTY
         for q in self.args:
             out |= q.params()
         return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from sys import intern
 from typing import Callable, Optional
 
 from repro._value import Value
@@ -16,7 +18,7 @@ STRING = "STRING"
 OP = "OP"
 EOF = "EOF"
 
-#: Multi-character operators, longest first.
+#: The operators; ``_TOKEN`` tries the two-character ones first.
 _OPERATORS = [
     ":=",
     "<-",
@@ -47,6 +49,27 @@ _OPERATORS = [
     "?",
 ]
 
+#: One token (or the whitespace or comment before one) per match, tried
+#: in this order; the group that matched names what it is.  ``\w`` is
+#: ``str.isalnum`` or ``_``, as the identifier rule has it; an identifier
+#: starts with a letter or ``_`` (``[^\W\d]`` also admits the few
+#: non-decimal digits and numerals, which :func:`tokenize` refuses).
+_TOKEN = re.compile(
+    r"(?P<space>\s+|\#[^\n]*)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<dotnumber>\.\d+)"
+    r"|'(?P<string>[^']*)'|\"(?P<dstring>[^\"]*)\""
+    r"|(?P<op>"
+    + "|".join([re.escape(op) for op in _OPERATORS if len(op) == 2])
+    + "|["
+    + "".join([re.escape(op) for op in _OPERATORS if len(op) == 1])
+    + "])"
+    r"|(?P<unterminated>['\"])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
 
 class Token(Value):
     kind: str
@@ -66,64 +89,33 @@ def tokenize(
     text: str, error: Callable[[str, int], Exception] = QueryParseError
 ) -> list[Token]:
     """Split ``text`` into tokens; raises ``error(message, position)`` on
-    unrecognized input."""
+    unrecognized input.  Identifier texts go through ``sys.intern``, so
+    the trees built from them share one string per name."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        i = m.start()
+        if kind == "space":
             continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], i))
-            i = j
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token(NUMBER, text[i:j], i))
-            i = j
-            continue
-        if c == "." and i + 1 < n and text[i + 1].isdigit():
+        if kind == "op":
+            tokens.append(Token(OP, m.group(), i))
+        elif kind == "ident":
+            word = m.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise error(f"unexpected character {word[0]!r}", i)
+            tokens.append(Token(IDENT, intern(word), i))
+        elif kind == "number":
+            tokens.append(Token(NUMBER, m.group(), i))
+        elif kind == "dotnumber":
             # leading-dot float like the paper's ".5x"
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token(NUMBER, "0" + text[i:j], i))
-            i = j
-            continue
-        if c in ("'", '"'):
-            j = i + 1
-            while j < n and text[j] != c:
-                j += 1
-            if j >= n:
-                raise error("unterminated string literal", i)
-            tokens.append(Token(STRING, text[i + 1 : j], i))
-            i = j + 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(OP, op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise error(f"unexpected character {c!r}", i)
-    tokens.append(Token(EOF, "", n))
+            tokens.append(Token(NUMBER, "0" + m.group(), i))
+        elif kind == "string" or kind == "dstring":
+            tokens.append(Token(STRING, m.group(kind), i))
+        elif kind == "unterminated":
+            raise error("unterminated string literal", i)
+        else:
+            raise error(f"unexpected character {m.group()!r}", i)
+    tokens.append(Token(EOF, "", len(text)))
     return tokens
 
 

@@ -544,6 +544,10 @@ def _compile_aggregate(query: ast.AggregateQuery, schemas) -> CompiledAggregate:
 #: caller falls back to the naive path).
 FALLBACK = object()
 
+#: ``(id(query), schemas) -> (query, plan)``.  A lookup hashes the query's
+#: identity, not its tree: a condition's queries are canonical objects
+#: (:mod:`repro._intern`), so an equal query built again is the same one.
+#: The entry holds its query, so the identity stays that query's.
 _CACHE: dict = {}
 _CACHE_MAX = 1024
 
@@ -571,22 +575,25 @@ def try_execute(query, state, params):
         if not state.has_relation(rv.relation):
             raise UnknownRelationError(f"unknown relation {rv.relation!r}")
         rels.append(state.relation(rv.relation))
-    try:
-        key = (query, tuple([r.schema for r in rels]))
-        plan = _CACHE.get(key)
-    except TypeError:
-        return FALLBACK
-    if plan is None:
+    schemas = tuple([r.schema for r in rels])
+    key = (id(query), schemas)
+    cached = _CACHE.get(key)
+    if cached is None:
+        try:
+            hash(query)
+        except TypeError:
+            return FALLBACK
         STATS.cache_misses += 1
         if isinstance(query, ast.Retrieve):
-            plan = _compile_retrieve(query, [r.schema for r in rels])
+            plan = _compile_retrieve(query, schemas)
         else:
-            plan = _compile_aggregate(query, [r.schema for r in rels])
+            plan = _compile_aggregate(query, schemas)
         if len(_CACHE) >= _CACHE_MAX:
             _CACHE.clear()
-        _CACHE[key] = plan
+        _CACHE[key] = (query, plan)
     else:
         STATS.cache_hits += 1
+        plan = cached[1]
     return plan.run(rels, params)
 
 
@@ -631,7 +638,7 @@ class DeltaGate:
     version counters would lie.
     """
 
-    __slots__ = ("names", "names_set", "enabled", "_db", "_token", "_value",
+    __slots__ = ("names", "enabled", "_db", "_token", "_value",
                  "_valid")
 
     def __init__(self, queries):
@@ -645,7 +652,6 @@ class DeltaGate:
             items |= deps.items
         self.enabled = stable and not uses_time
         self.names = tuple(sorted(items))
-        self.names_set = frozenset(items)
         self._db = None
         self._token: tuple = ()
         self._value = None
@@ -662,7 +668,7 @@ class DeltaGate:
             STATS.atoms_skipped += 1
             return self._value
         delta = state.delta
-        if delta is not None and not delta.isdisjoint(self.names_set):
+        if delta is not None and not delta.isdisjoint(self.names):
             return MISS
         get = db.get
         token = self._token

@@ -10,38 +10,51 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro._intern import same
 from repro._value import Value
 from repro.errors import QueryError
 from repro.query import ast
 
 
+def _substitute_all(items: tuple, mapping) -> tuple:
+    out = [substitute_expr(e, mapping) for e in items]
+    return items if same(out, items) else tuple(out)
+
+
+def _substitute_where(where, mapping):
+    return None if where is None else substitute_expr(where, mapping)
+
+
 def substitute_expr(expr: ast.Expr, mapping: Mapping[str, ast.Expr]) -> ast.Expr:
-    """Replace ``Param(p)`` with ``mapping[p]`` throughout ``expr``."""
+    """Replace ``Param(p)`` with ``mapping[p]`` throughout ``expr``; an
+    expression with nothing to replace comes back as the same object."""
     if isinstance(expr, ast.Param):
         return mapping.get(expr.name, expr)
     if isinstance(expr, (ast.Const, ast.Col)):
         return expr
     if isinstance(expr, ast.App):
-        return ast.App(
-            expr.func, tuple([substitute_expr(a, mapping) for a in expr.args])
-        )
+        args = _substitute_all(expr.args, mapping)
+        return expr if args is expr.args else ast.App(expr.func, args)
     if isinstance(expr, ast.Cmp):
-        return ast.Cmp(
-            expr.op,
-            substitute_expr(expr.left, mapping),
-            substitute_expr(expr.right, mapping),
-        )
+        left = substitute_expr(expr.left, mapping)
+        right = substitute_expr(expr.right, mapping)
+        if left is expr.left and right is expr.right:
+            return expr
+        return ast.Cmp(expr.op, left, right)
     if isinstance(expr, ast.BoolOp):
-        return ast.BoolOp(
-            expr.op, tuple([substitute_expr(a, mapping) for a in expr.operands])
-        )
+        operands = _substitute_all(expr.operands, mapping)
+        if operands is expr.operands:
+            return expr
+        return ast.BoolOp(expr.op, operands)
     if isinstance(expr, ast.Not):
-        return ast.Not(substitute_expr(expr.operand, mapping))
+        operand = substitute_expr(expr.operand, mapping)
+        return expr if operand is expr.operand else ast.Not(operand)
     raise QueryError(f"cannot substitute in {expr!r}")
 
 
 def substitute_query(query: ast.Query, mapping: Mapping[str, ast.Expr]) -> ast.Query:
-    """Replace ``Param(p)`` with ``mapping[p]`` throughout ``query``."""
+    """Replace ``Param(p)`` with ``mapping[p]`` throughout ``query``; a
+    query with nothing to replace comes back as the same object."""
     if isinstance(query, (ast.RelationRef, ast.ConstQuery)):
         return query
     if isinstance(query, ast.ParamQuery):
@@ -57,26 +70,29 @@ def substitute_query(query: ast.Query, mapping: Mapping[str, ast.Expr]) -> ast.Q
             f"${query.name}"
         )
     if isinstance(query, ast.ItemRef):
-        return ast.ItemRef(
-            query.name, tuple([substitute_expr(e, mapping) for e in query.index])
-        )
+        index = _substitute_all(query.index, mapping)
+        return query if index is query.index else ast.ItemRef(query.name, index)
     if isinstance(query, ast.Retrieve):
-        return ast.Retrieve(
-            tuple([(n, substitute_expr(e, mapping)) for n, e in query.targets]),
-            query.ranges,
-            None if query.where is None else substitute_expr(query.where, mapping),
-        )
+        targets = [(n, substitute_expr(e, mapping)) for n, e in query.targets]
+        where = _substitute_where(query.where, mapping)
+        if where is query.where and all(
+            [new is old for (_, new), (_, old) in zip(targets, query.targets)]
+        ):
+            return query
+        return ast.Retrieve(tuple(targets), query.ranges, where)
     if isinstance(query, ast.AggregateQuery):
+        expr = substitute_expr(query.expr, mapping)
+        where = _substitute_where(query.where, mapping)
+        if expr is query.expr and where is query.where:
+            return query
         return ast.AggregateQuery(
-            query.func,
-            substitute_expr(query.expr, mapping),
-            query.ranges,
-            None if query.where is None else substitute_expr(query.where, mapping),
+            query.func, expr, query.ranges, where, query.group_by
         )
     if isinstance(query, ast.ExprQuery):
-        return ast.ExprQuery(
-            query.func, tuple([substitute_query(q, mapping) for q in query.args])
-        )
+        args = [substitute_query(q, mapping) for q in query.args]
+        if same(args, query.args):
+            return query
+        return ast.ExprQuery(query.func, tuple(args))
     raise QueryError(f"cannot substitute in {query!r}")
 
 

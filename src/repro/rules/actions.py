@@ -36,6 +36,8 @@ class ActionContext(Value, frozen=False):
 class Action:
     """Base class of rule actions."""
 
+    __slots__ = ()
+
     def execute(self, ctx: ActionContext) -> None:
         raise NotImplementedError
 
@@ -53,6 +55,8 @@ def _failure(label: str, ctx: ActionContext, exc: Exception) -> ActionError:
 
 class PyAction(Action):
     """A program as action: an arbitrary callable receiving the context."""
+
+    __slots__ = ("fn", "label")
 
     def __init__(self, fn: Callable[[ActionContext], Any], label: str = ""):
         self.fn = fn

@@ -35,6 +35,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from repro._intern import EMPTY, small
 from repro._value import Value
 from repro.errors import (
     DuplicateRuleError,
@@ -133,9 +134,16 @@ class _RegisteredMonitor:
 
 
 class RuleStats(Value, frozen=False):
-    evaluations: int = 0
-    skips: int = 0
-    firings: int = 0
+    __slots__ = ("evaluations", "skips", "firings")
+
+    evaluations: int
+    skips: int
+    firings: int
+
+    def __init__(self, evaluations: int = 0, skips: int = 0, firings: int = 0):
+        self.evaluations = evaluations
+        self.skips = skips
+        self.firings = firings
 
 
 class _RegisteredRule:
@@ -156,7 +164,7 @@ class _RegisteredRule:
     def __init__(self, rule: Rule, registry=None, birth: int = 0):
         self.rule = rule
         self.stats = RuleStats()
-        self._prev_bindings: frozenset = frozenset()
+        self._prev_bindings: frozenset = EMPTY
         #: Event atoms the condition conjoins, when it is stateless
         #: (:func:`~repro.ptl.plan.infer_relevant_events` of the plan's
         #: normalized condition); else None.
@@ -165,10 +173,12 @@ class _RegisteredRule:
         #: can only start here (recorded in checkpoints).
         self.birth = birth
         #: Rules whose executions the condition reads.
-        self.reads = frozenset(
-            sub.rule
-            for sub in ast.walk(rule.condition)
-            if isinstance(sub, ast.ExecutedAtom)
+        self.reads = small(
+            frozenset(
+                sub.rule
+                for sub in ast.walk(rule.condition)
+                if isinstance(sub, ast.ExecutedAtom)
+            )
         )
         registry = registry or NULL_REGISTRY
         name = rule.name
@@ -190,7 +200,7 @@ class _RegisteredRule:
         bindings absent from the previous state's binding set)."""
         self.stats.evaluations += 1
         if not result.fired:
-            self._prev_bindings = frozenset()
+            self._prev_bindings = EMPTY
             return []
         bindings = [dict(b) for b in result.bindings]
         current = frozenset(
@@ -283,7 +293,7 @@ class RuleManager:
         #: Rules whose executions are recorded: those an ``executed``
         #: atom of a live trigger (shadow ones too), integrity constraint
         #: or future monitor reads.  See :meth:`_derive_readers`.
-        self._read_rules: frozenset[str] = frozenset()
+        self._read_rules: frozenset[str] = EMPTY
         self._pending_actions: list[tuple[Rule, dict, Any]] = []
         #: Per settled state with firings or monitor resolutions, what
         #: they put out: ``(state, [(reg, binding, record)], [(monitor,
@@ -337,6 +347,13 @@ class RuleManager:
                 items.add(name)
         return parse_formula(condition, self.engine.db.queries, items)
 
+    def _rule_context(self, domains: Mapping) -> Optional[EvalContext]:
+        """A rule's evaluation context: its own for a rule with domains;
+        None (the plan's, which every other rule shares) otherwise."""
+        if not domains:
+            return None
+        return EvalContext(executed=self.executed, domains=domains)
+
     def _parse_domains(self, domains) -> dict:
         out = {}
         for name, spec in (domains or {}).items():
@@ -367,10 +384,10 @@ class RuleManager:
         hot therefore sees the executions recorded since some live
         condition first read that rule — none, for a rule nobody read,
         exactly as on a fresh engine."""
-        read = frozenset().union(
+        read = EMPTY.union(
             *[reg.reads for reg in self._rules.values()],
             *[mon.reads for mon in self._monitors.values()],
-        )
+        ) or EMPTY
         previous, self._read_rules = self._read_rules, read
         if previous - read:
             self.executed.keep_only(read)
@@ -425,11 +442,12 @@ class RuleManager:
             priority=priority,
             shadow=shadow,
         )
-        ctx = EvalContext(executed=self.executed, domains=domain_map)
         registered = _RegisteredRule(
             rule, registry=self.metrics, birth=self.states_seen
         )
-        registered.gate = self.plan.add_rule(name, formula, ctx)
+        registered.gate = self.plan.add_rule(
+            name, formula, self._rule_context(domain_map)
+        )
         if rule.relevant_events is None and self.relevance_filtering:
             rule.relevant_events = registered.gate
         self._rules[name] = registered
@@ -465,8 +483,9 @@ class RuleManager:
         rule = make_integrity_constraint(name, formula)
         check_safety(rule.condition, domain_map.keys())
         self._undo_trial()
-        ctx = EvalContext(executed=self.executed, domains=domain_map)
-        self.plan.add_rule(name, rule.condition, ctx)
+        self.plan.add_rule(
+            name, rule.condition, self._rule_context(domain_map)
+        )
         self._rules[name] = _RegisteredRule(
             rule, registry=self.metrics, birth=self.states_seen
         )
@@ -766,7 +785,7 @@ class RuleManager:
                     # The condition is false here, as evaluating it would
                     # find: a firing at the next considered state is a
                     # rising edge.
-                    reg._prev_bindings = frozenset()
+                    reg._prev_bindings = EMPTY
                 continue
             if obs:
                 t0 = perf_counter()
@@ -1122,7 +1141,7 @@ class RuleManager:
                 continue
             reg._prev_bindings = frozenset(
                 self._decode_pairs(t) for t in entry["prev"]
-            )
+            ) or EMPTY
             ev, sk, fi = entry["stats"]
             reg.stats.evaluations, reg.stats.skips, reg.stats.firings = ev, sk, fi
             reg.birth = entry["birth"]

@@ -60,23 +60,57 @@ class Rule(Value, frozen=False):
     execution record's parameter list).
     """
 
+    __slots__ = (
+        "name",
+        "condition",
+        "action",
+        "params",
+        "coupling",
+        "fire_mode",
+        "relevant_events",
+        "priority",
+        "shadow",
+    )
+
     name: str
     condition: ast.Formula
     action: Action
-    params: tuple[str, ...] = ()
-    coupling: CouplingMode = CouplingMode.T_CA
-    fire_mode: FireMode = FireMode.ALWAYS
+    params: tuple[str, ...]
+    coupling: CouplingMode
+    fire_mode: FireMode
     #: Event names this rule is *relevant* to (Section 8 filtering); None
     #: means the rule is considered at every state.
-    relevant_events: Optional[frozenset[str]] = None
+    relevant_events: Optional[frozenset[str]]
     #: Evaluation/execution order within one state: higher runs first;
     #: ties break by registration order.
-    priority: int = 0
+    priority: int
     #: Shadow deployment: the condition evaluates (building temporal
     #: state) and firings are recorded/traced, but the action never runs
     #: and nothing enters the executed store.
     #: :meth:`~repro.rules.manager.RuleManager.promote_rule` flips it live.
-    shadow: bool = False
+    shadow: bool
+
+    def __init__(
+        self,
+        name: str,
+        condition: ast.Formula,
+        action: Action,
+        params: tuple[str, ...] = (),
+        coupling: CouplingMode = CouplingMode.T_CA,
+        fire_mode: FireMode = FireMode.ALWAYS,
+        relevant_events: Optional[frozenset[str]] = None,
+        priority: int = 0,
+        shadow: bool = False,
+    ) -> None:
+        self.name = name
+        self.condition = condition
+        self.action = action
+        self.params = params
+        self.coupling = coupling
+        self.fire_mode = fire_mode
+        self.relevant_events = relevant_events
+        self.priority = priority
+        self.shadow = shadow
 
     @property
     def is_integrity_constraint(self) -> bool:

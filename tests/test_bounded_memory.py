@@ -329,7 +329,11 @@ def dense_engine():
     a domain query and one integrity constraint."""
     adb = make_stock_db([(s, 50.0) for s in DENSE_SYMBOLS])
     manager = adb.rule_manager()
+    register_dense_rules(manager)
+    return adb, manager
 
+
+def register_dense_rules(manager):
     def action(ctx):
         pass
 
@@ -340,7 +344,6 @@ def dense_engine():
         params=("s",), domains={"s": "RETRIEVE (S.name) FROM STOCK S"},
     )
     manager.add_integrity_constraint("positive_price", "price(S0) >= 0")
-    return adb, manager
 
 
 def dense_ops(n, seed=4):
@@ -1014,8 +1017,8 @@ def hash_calls(fn) -> int:
 
 
 class TestLookupsHashOnce:
-    """The plan cache's key (query, schemas) and an aggregate's term hold
-    their hash, so a lookup hashes one object, not a tree of them."""
+    """The plan cache finds a query by its identity and an aggregate's
+    term holds its hash, so a lookup hashes no tree."""
 
     def test_dense_step(self):
         adb, _ = dense_engine()
@@ -1023,11 +1026,13 @@ class TestLookupsHashOnce:
         for op in ops[:50]:
             apply_dense_op(adb, op)
         calls = hash_calls(lambda: [apply_dense_op(adb, op) for op in ops[50:]])
-        # ~13.6 per op: one per plan-cache lookup and aggregate term;
-        # ~17 while a state hashed its events to deduplicate them, ~140
-        # while every lookup re-hashed the query, its schemas' attributes
-        # and the aggregate term's query and formulas
-        assert calls / 150 <= 15, calls / 150
+        # ~0.9 per op: one per aggregate read (the plan cache finds a
+        # query by its identity); ~13.6 while every plan-cache lookup
+        # called the query's held hash, ~17 while a state hashed its
+        # events to deduplicate them, ~140 while every lookup re-hashed
+        # the query, its schemas' attributes and the aggregate term's
+        # query and formulas
+        assert calls / 150 <= 2, calls / 150
 
     async def test_served_op(self, tmp_path):
         server = ReproServer(
@@ -1043,8 +1048,9 @@ class TestLookupsHashOnce:
                 for i in range(25, 100)
             ]
         )
-        # 6 per op; 32 while every lookup re-hashed its key's tree
-        assert calls / 300 <= 12, calls / 300
+        # none; ~2.9 per op while every plan-cache lookup called the
+        # query's held hash, 32 while every lookup re-hashed its key's tree
+        assert calls / 300 <= 2, calls / 300
         await server.registry.close_all()
 
 
@@ -1084,4 +1090,95 @@ class TestServedTenantHoldsThePresent:
         assert len(tenant.manager.executed) == 0
         assert tenant.engine.history is None
         assert tenant.manager.firing_count
+        await server.registry.close_all()
+
+
+def reachable(root) -> list:
+    """Every object reachable from ``root`` through references, not
+    entering modules, classes or functions (whose globals reach the
+    whole process)."""
+    skip = (
+        types.ModuleType,
+        type,
+        types.FunctionType,
+        types.BuiltinFunctionType,
+        types.CodeType,
+    )
+    seen, out, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+def traced_bytes(fn) -> int:
+    """``tracemalloc`` bytes still allocated after ``fn()`` and a full
+    collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        gc.collect()
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return end - start
+
+
+class TestRegistrationSharesSubformulas:
+    """A registered rule holds each distinct subformula once: condition
+    and query trees are hash-consed as they are built (``repro._intern``),
+    so a rule's parsed condition, its normal form and the other rules'
+    conditions share what they have in common, and a structure that holds
+    an empty set holds the one shared empty frozenset."""
+
+    def test_bytes_retained_per_registered_rule(self):
+        dense_engine()  # warm-up: imports, caches, table capacities
+        adb = make_stock_db([(s, 50.0) for s in DENSE_SYMBOLS])
+        manager = adb.rule_manager()
+        retained = traced_bytes(lambda: register_dense_rules(manager))
+        per_rule = retained / len(manager.rule_names())
+        # ~5.7 kB; ~8.5 kB while every parse, rewrite and query-symbol
+        # expansion built a tree of its own, every structure an empty set
+        # of its own and every rule an evaluation context of its own
+        assert per_rule < 6_500, per_rule
+
+    def test_one_empty_frozenset_is_reachable(self):
+        _, manager = dense_engine()
+        empties = [
+            o for o in reachable(manager) if type(o) is frozenset and not o
+        ]
+        # 63 while every structure built its own
+        assert len(empties) == 1, len(empties)
+
+    async def test_bytes_retained_per_opened_tenant(self, tmp_path):
+        server = ReproServer(
+            tmp_path, StockProfile(), fsync=False, sweep_interval=0
+        )
+        tenants = [await server.registry.get("warm")]
+        n = 10
+
+        async def open_tenants():
+            for i in range(n):
+                tenants.append(await server.registry.get(f"t{i}"))
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            await open_tenants()
+            gc.collect()
+            end, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_tenant = (end - start) / n
+        # ~22 kB: the tenants' rules share one tree per condition;
+        # ~35.5 kB while each tenant's parse built its own
+        assert per_tenant < 29_000, per_tenant
+        assert len(tenants) == n + 1
         await server.registry.close_all()

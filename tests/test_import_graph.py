@@ -55,6 +55,7 @@ NEVER_SERVED = (
 ALLOWED_AT_IMPORT = {
     "repro",
     "repro._lazy",
+    "repro._intern",
     "repro._value",
     "repro.datamodel",
     "repro.datamodel.relation",
