@@ -1,42 +1,52 @@
-"""Weak intern tables: one live object per value.
+"""Hash-consing: one live node per value, and one equality.
+
+The condition and query syntax trees (:mod:`repro.ptl.ast`,
+:mod:`repro.query.ast`) and the constraint algebra
+(:mod:`repro.ptl.constraints`) are value classes whose metaclass is
+:class:`Canonical`: a construction whose fields match a live node's
+returns that node, and builds one only on a miss.  A subformula that
+many rules share (``price(S5)``, a login interval) is one object, a
+rewrite that rebuilds an unchanged subtree gets the subtree back, and
+the ``Since`` recurrences that rebuild ``F_h | (F_g & F_prev)`` every
+step reuse the nodes they rebuild.
+
+Equality is *type-exact* at the leaves.  A raw leaf — a literal's
+value, a window — matches another only when both have the same type and
+the same value: ``1``, ``1.0`` and ``True`` are three leaves, ``-0.0`` is
+not ``0.0``, and every NaN is one leaf (:func:`leaf`).  ``==`` on a node
+compares its fields that way (children by their own ``==``), and its
+hash is that of the same keys, so ``a == b`` implies ``hash(a) ==
+hash(b)``.  The intern table's key is the same tuple, so two nodes
+are equal exactly when they are the same node, and a dict keyed by
+nodes (a plan's compiled nodes, a memo) tells ``x > 1`` from ``x > 1.0``.
+A node whose fields cannot be hashed (a list in a literal) stays
+private: it is built, not filed.
 
 A table maps a key to an :class:`_Entry`, a weak reference that knows
-where it is filed, so the death of its object removes exactly that entry:
-an object is canonical while something references it, and the table
-holds nothing else.  :mod:`repro.ptl.constraints` files its constraint
-nodes here; :class:`Canonical` files the syntax trees of conditions and
-queries.
-
-Syntax trees are hash-consed when they are built: a class whose metaclass
-is :class:`Canonical` returns, for a construction whose fields match a
-live node's, that node, and builds one only on a miss.  A subformula that
-many rules share (``price(S5)``, a login interval) is one object, and a
-rewrite that rebuilds an unchanged subtree gets the subtree back.
-
-The match is *type-exact*, not ``==``: ``ConstT(1)``, ``ConstT(1.0)``,
-``ConstT(True)`` and ``ConstT(-0.0)`` / ``ConstT(0.0)`` are equal values
-but print differently, so each stays its own node.  A key therefore holds
-a leaf with its type (a float by its ``repr``), and a string or a child
-node as itself.  Children are canonical, so equal children are the same
-object, except where equal leaves of different types below them make two
-distinct children compare equal (``x > 1`` and ``x > 1.0`` under one
-``Not``): a hit is taken only when the live node's children are the very
-objects given (:func:`_exact`), and otherwise the new node stays private,
-as does a node whose fields cannot be hashed (a list in a literal).
-Nothing else changes: ``==`` and ``hash`` are the value classes' own.
+where it is filed, so the death of its node removes exactly that entry:
+a node is canonical while something references it, and the table holds
+nothing else.  Each class files its nodes in its ``_table``:
+:data:`TREES` for the syntax trees, :data:`TERMS` and :data:`FORMULAS`
+for the constraint algebra, whose hits and misses
+:func:`repro.ptl.constraints.intern_stats` reports.
 """
 
 from __future__ import annotations
 
 from weakref import ref as _weakref
 
-from repro._value import Value, held_hash
+from repro._value import Value
+
+_set = object.__setattr__
 
 __all__ = [
     "EMPTY",
+    "FORMULAS",
+    "TERMS",
+    "TREES",
     "Canonical",
     "canonical_count",
-    "file",
+    "leaf",
     "same",
     "singleton",
     "small",
@@ -82,6 +92,43 @@ def singleton(name) -> frozenset:
     return found
 
 
+def leaf(value):
+    """A raw leaf as it is compared, hashed and keyed: a string or
+    ``None`` as itself, a tuple or list as its leaves, anything else with
+    its type — a zero or NaN float by its ``repr``, so ``-0.0`` is not
+    ``0.0`` and one NaN is every NaN."""
+    cls = value.__class__
+    if cls is str or value is None:
+        return value
+    if cls is float:
+        if value != value or not value:
+            return (cls, repr(value))
+        return (cls, value)
+    if cls is tuple:
+        return tuple([leaf(v) for v in value])
+    if cls is list:
+        return [leaf(v) for v in value]
+    return (cls, value)
+
+
+class _Table(dict):
+    """A weak intern table: ``key -> _Entry``, and how often a
+    construction found a live node (``hits``) or built one (``misses``)."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = self.misses = 0
+
+
+#: The live syntax-tree nodes (conditions and queries).
+TREES = _Table()
+#: The live constraint-algebra terms and formula nodes.
+TERMS = _Table()
+FORMULAS = _Table()
+
+
 class _Entry(_weakref):
     """A weak table entry that knows where it is filed, so the death of its
     object removes exactly that entry."""
@@ -91,102 +138,114 @@ class _Entry(_weakref):
 
 def _forget(entry: _Entry) -> None:
     table = entry.table
-    # A dead entry may already have been replaced by a rebuilt object's.
-    if table.get(entry.key) is entry:
-        del table[entry.key]
-
-
-def file(table: dict, key, node) -> None:
-    """File ``node`` under ``key`` until it dies."""
-    entry = _Entry(node, _forget)
-    entry.key = key
-    entry.table = table
-    table[key] = entry
-
-
-#: ``(class, field keys...) -> _Entry`` for the live syntax-tree nodes.
-_trees: dict = {}
+    filed = table.pop(entry.key, None)
+    if filed is not entry and filed is not None:
+        # A rebuilt node's entry replaced this dead one: put it back.
+        table[entry.key] = filed
 
 
 def canonical_count() -> int:
     """Live canonical syntax-tree nodes (conditions and queries)."""
-    return len(_trees)
+    return len(TREES)
 
 
-def _key(value):
-    """A field value as it stands in a key: a string, a node or a tuple of
-    them as itself, any other leaf with its type (a float by its
-    ``repr``: ``-0.0`` is not ``0.0``)."""
-    cls = value.__class__
-    if cls is str or cls.__class__ is Canonical:
-        return value
-    if cls is tuple:
-        keys = [_key(v) for v in value]
-        if same(keys, value):
-            return value
-        return tuple(keys)
-    if cls is float:
-        return (cls, repr(value))
-    return (cls, value)
+def _key(cls, fields) -> tuple:
+    """The intern key of a node of ``cls`` with these fields: the class,
+    then each field as itself, its leaves through :func:`leaf`."""
+    key = (cls, *fields)
+    if cls._leaf_at:
+        key = list(key)
+        for i in cls._leaf_at:
+            key[i] = leaf(key[i])
+        key = tuple(key)
+    return key
 
 
-def _exact(have, arg) -> bool:
-    """Whether a live node's field is ``arg``, given that their keys are
-    equal: equal leaves are (their keys carry their types), but two
-    distinct nodes are not — they are equal only through leaves of
-    different types below them (``x > 1`` and ``x > 1.0``)."""
-    if have is arg:
+def _fields(node) -> tuple:
+    return tuple([getattr(node, name) for name in node._fields])
+
+
+def _eq(self, other):
+    if self is other:
         return True
-    cls = have.__class__
-    if cls is tuple:
-        return all([_exact(h, a) for h, a in zip(have, arg)])
-    return cls.__class__ is not Canonical
+    if other.__class__ is self.__class__:
+        # Distinct live nodes have distinct keys, unless one is private.
+        cls = self.__class__
+        return _key(cls, _fields(self)) == _key(cls, _fields(other))
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    # Held in the node's ``_hash`` slot, set when the node is filed: a
+    # deep tree keys many dicts and is hashed once.  Not a field, so
+    # ``==`` and ``repr`` do not see it.  A private node has none, and
+    # hashing one raises.
+    try:
+        return self._hash
+    except AttributeError:
+        return hash(_key(self.__class__, _fields(self))[1:])
 
 
 def _reduce(node):
     """Pickle a node as its class and fields: loading builds (or finds)
     the canonical node, whose hash is then the loading process's."""
-    return (node.__class__, tuple([getattr(node, name) for name in node._fields]))
+    return (node.__class__, _fields(node))
 
 
 class Canonical(type):
-    """Metaclass of the syntax-tree value classes (see the module
-    docstring).  A frozen value class's node holds its hash in a ``_hash``
-    slot (:func:`~repro._value.held_hash`), so a key hashes its children
-    once, and pickles as its fields; a class that is not a frozen value
-    class (an abstract base) constructs as usual."""
+    """Metaclass of the hash-consed value classes (see the module
+    docstring).  A frozen value class names the fields that hold raw
+    leaves in ``_leaves``, and the table it files its nodes in in
+    ``_table`` (:data:`TREES` unless it says otherwise); its nodes hold
+    their hash in a ``_hash`` slot and pickle as their fields.  A class
+    that is not a frozen value class (an abstract base) constructs as
+    usual."""
 
     def __init__(cls, name, bases, namespace, **kwargs) -> None:
         super().__init__(name, bases, namespace, **kwargs)
-        cls._canonical = issubclass(cls, Value) and cls._frozen
-        if cls._canonical:
-            cls.__hash__ = held_hash
+        if issubclass(cls, Value) and cls._frozen:
+            fields = cls._fields
+            # Positions in the key, which starts with the class.
+            cls._leaf_at = tuple([fields.index(n) + 1 for n in cls._leaves])
+            cls._filing = (len(fields) + 1, cls._leaf_at, cls._table)
+            cls.__eq__ = _eq
+            cls.__hash__ = _hash
             cls.__reduce__ = _reduce
 
+    #: Fields holding raw leaves, compared by :func:`leaf`.
+    _leaves: tuple = ()
+    _table: _Table = TREES
+    #: (key length, leaf positions, table); no key of an abstract base.
+    _filing = (-1, (), None)
+
     def __call__(cls, *args, **kwargs):
-        if not cls._canonical:
-            return type.__call__(cls, *args, **kwargs)
-        fields = cls._fields
+        width, leaf_at, table = cls._filing
+        key = (cls, *args)
         node = None
-        if kwargs or len(args) != len(fields):
-            # Defaults and keywords: build, then look the fields up.
+        if kwargs or len(key) != width:
+            # Defaults, keywords or an abstract base: build, then look
+            # the fields up.
             node = type.__call__(cls, *args, **kwargs)
-            args = [getattr(node, name) for name in fields]
+            if table is None:
+                return node
+            key = (cls, *_fields(node))
+        if leaf_at:
+            key = _key(cls, key[1:])
         try:
-            key = (cls, *[_key(a) for a in args])
-            entry = _trees.get(key)
+            entry = table.get(key)
         except TypeError:
+            # An unhashable field: a private node.
             return type.__call__(cls, *args) if node is None else node
         if entry is not None:
             live = entry()
             if live is not None:
-                for name, arg in zip(fields, args):
-                    have = getattr(live, name)
-                    if have is not arg and not _exact(have, arg):
-                        # Equal to a live node, not the same: a private node.
-                        return type.__call__(cls, *args) if node is None else node
+                table.hits += 1
                 return live
+        table.misses += 1
         if node is None:
             node = type.__call__(cls, *args)
-        file(_trees, key, node)
+        _set(node, "_hash", hash(key[1:]))
+        entry = table[key] = _Entry(node, _forget)
+        entry.key = key
+        entry.table = table
         return node

@@ -34,7 +34,7 @@ from __future__ import annotations
 from operator import attrgetter
 from reprlib import recursive_repr
 
-__all__ = ["FrozenInstanceError", "Value", "factory", "held_hash"]
+__all__ = ["FrozenInstanceError", "Value", "factory"]
 
 
 class FrozenInstanceError(AttributeError):
@@ -183,25 +183,6 @@ def _eq_one(self, other):
 
 def _hash_one(self) -> int:
     return hash((type(self)._row(self),))
-
-
-def held_hash(self) -> int:
-    """``__hash__`` of a frozen class whose instances are deep trees used
-    over and over as dict keys (the condition and query trees of
-    :class:`repro._intern.Canonical`: an aggregate term keying its
-    accumulator, a subformula keying its compiled node, a node keying its
-    parent's intern entry): the same value as the shared ``__hash__``,
-    computed on first use and kept in the instance's ``_hash`` slot, so a
-    lookup no longer re-hashes the whole tree.  It is not a field: ``==``
-    and ``repr`` do not see it."""
-    try:
-        return self._hash
-    except AttributeError:
-        cls = type(self)
-        row = cls._row(self)
-        value = hash((row,) if len(cls._fields) == 1 else row)
-        _setattr(self, "_hash", value)
-        return value
 
 
 def _frozen_setattr(self, name: str, value) -> None:

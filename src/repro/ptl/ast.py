@@ -27,8 +27,10 @@ connectives, and the past temporal operators ``Since`` and ``Lasttime``
 
 Nodes are canonical (:class:`repro._intern.Canonical`): building a node
 whose fields are a live node's returns that node, so every rule that
-holds a subformula holds the same one.  They are slotted and hold their
-hash; a formula holds its free variables once computed.
+holds a subformula holds the same one.  Leaves compare type-exactly
+(``x > 1`` is not ``x > 1.0``), so two nodes are equal only when they are
+the same node.  They are slotted and hold their hash; a formula holds its
+free variables once computed.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class Var(Term, Value):
 
 class ConstT(Term, Value):
     __slots__ = ("value",)
+    _leaves = ("value",)
 
     value: object
 
@@ -169,6 +172,7 @@ class Formula(metaclass=Canonical):
 
 class BoolConst(Formula, Value):
     __slots__ = ("value",)
+    _leaves = ("value",)
 
     value: bool
 
@@ -357,6 +361,7 @@ class Previously(Formula, Value):
     <= i, including the current one)."""
 
     __slots__ = ("operand", "window")
+    _leaves = ("window",)
 
     operand: Formula
     #: Optional window: ``previously[w] f`` — f held at a past state whose
@@ -382,6 +387,7 @@ class ThroughoutPast(Formula, Value):
     """Derived: ``throughout_past f == !previously !f``."""
 
     __slots__ = ("operand", "window")
+    _leaves = ("window",)
 
     operand: Formula
     window: Optional[int]

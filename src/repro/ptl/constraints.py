@@ -17,15 +17,17 @@ with aggressive simplification on construction:
   what makes the Section 5 time-bound pruning (:mod:`repro.ptl.optimize`)
   applicable.
 
-Nodes are slotted, hashable and treated as immutable (nothing outside this
-module and the deadline cache of :mod:`repro.ptl.optimize` assigns to
-one); sharing makes the "and-or graph".  The smart constructors
-*hash-cons* their results through :func:`_intern`: while a node is alive,
-every construction of a structurally equal formula returns that same
-object, so the ``Since``/``Lasttime`` recurrences — which rebuild
-``F_h | (F_g & F_prev)`` every step from largely unchanged pieces — reuse
-existing nodes instead of allocating fresh copies, and equality checks
-degenerate to pointer comparisons on the hot path.
+Nodes are frozen value classes; sharing makes the "and-or graph".  The
+formula nodes and the variable and application terms are hash-consed as
+they are built (:class:`repro._intern.Canonical`): while a node is alive,
+every construction of an equal one returns that same object, so the
+``Since``/``Lasttime`` recurrences — which rebuild ``F_h | (F_g &
+F_prev)`` every step from largely unchanged pieces — reuse existing nodes
+instead of allocating fresh copies.  Constants compare type-exactly, as
+literals do (``x = 1`` is not ``x = 1.0``), so two nodes are equal
+exactly when they are the same node: the algebra tests a node's class
+and deduplicates operands by identity.  A constant (:class:`SConst`) is
+not interned; the recurrences fold in a new value nearly every step.
 
 The intern tables hold their nodes *weakly*: a node is canonical exactly
 while something references it, and its table entry goes when it does.
@@ -41,7 +43,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Optional
 from weakref import ref as _weakref
 
-from repro._intern import file as _file
+from repro._intern import EMPTY, FORMULAS, TERMS, Canonical, leaf, singleton
+from repro._value import Value
 from repro.errors import (
     EvaluationError,
     QueryEvaluationError,
@@ -50,47 +53,23 @@ from repro.errors import (
 from repro.query.evaluator import apply_comparison
 from repro.query.functions import scalar_function
 
-# ---------------------------------------------------------------------------
-# Hash-consing (interning) tables
-# ---------------------------------------------------------------------------
-
-#: ``hash tuple -> _Entry`` for the live :class:`SApp` terms / formula nodes.
-_intern_terms: dict = {}
-_intern_formulas: dict = {}
-_intern_hits = 0
-_intern_misses = 0
-
-
-def _intern(cls, *parts):
-    """The canonical ``cls(*parts)``: the live node with these parts when
-    there is one, otherwise a new node (built only now, on the miss)."""
-    global _intern_hits, _intern_misses
-    table = cls._table
-    key = (cls._tag, *parts)
-    entry = table.get(key)
-    if entry is not None:
-        node = entry()
-        if node is not None:
-            _intern_hits += 1
-            return node
-    _intern_misses += 1
-    node = cls(*parts)
-    _file(table, key, node)
-    return node
+_set = object.__setattr__
 
 
 def intern_stats() -> dict:
-    """Process-wide counters of the hash-consing tables: constructor
-    hits/misses since import, and the number of *live* interned terms and
-    formula nodes right now (the shared-plan obs layer publishes the hit
-    rate and the live count)."""
-    total = _intern_hits + _intern_misses
+    """Process-wide counters of the constraint algebra's hash-consing:
+    constructions answered by a live node (hits) or building one
+    (misses) since import, and the number of *live* terms and formula
+    nodes right now (the shared-plan obs layer publishes the hit rate and
+    the live count)."""
+    hits = TERMS.hits + FORMULAS.hits
+    total = hits + TERMS.misses + FORMULAS.misses
     return {
-        "hits": _intern_hits,
-        "misses": _intern_misses,
-        "hit_rate": (_intern_hits / total) if total else 0.0,
-        "terms": len(_intern_terms),
-        "formulas": len(_intern_formulas),
+        "hits": hits,
+        "misses": total - hits,
+        "hit_rate": (hits / total) if total else 0.0,
+        "terms": len(TERMS),
+        "formulas": len(FORMULAS),
     }
 
 
@@ -103,102 +82,82 @@ class STerm:
     __slots__ = ()
 
     def variables(self) -> frozenset[str]:
-        return frozenset()
+        return EMPTY
 
 
-class SConst(STerm):
+class SConst(STerm, Value):
+    """A constant: a frozen value compared type-exactly, as a literal of
+    the syntax trees is (:func:`repro._intern.leaf`), but not interned —
+    the recurrences build a new one for nearly every value they fold in."""
+
     __slots__ = ("value",)
 
-    def __init__(self, value: Any):
-        self.value = value
+    value: Any
+
+    def __init__(self, value) -> None:
+        _set(self, "value", value)
 
     def __eq__(self, other):
         if other.__class__ is SConst:
-            return self.value == other.value
+            return leaf(self.value) == leaf(other.value)
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Not cached: a ground atom folds without hashing its constants,
-        # so an unhashable value must stay legal until something keys on it.
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"SConst(value={self.value!r})"
+        # Not held: a ground atom folds without hashing its constants, so
+        # an unhashable value stays legal until something keys on it.
+        return hash((leaf(self.value),))
 
     def __str__(self) -> str:
-        if isinstance(self.value, float) and self.value == int(self.value):
-            return str(int(self.value))
-        return repr(self.value)
+        value = self.value
+        if isinstance(value, float) and value.is_integer():
+            return str(int(value))
+        return repr(value)
 
 
-class SVar(STerm):
-    __slots__ = ("name", "_h", "_vars")
+class _Interned(STerm, metaclass=Canonical):
+    """The interned terms."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self._h = hash((name,))
-        self._vars = frozenset((name,))
+    __slots__ = ("_hash", "__weakref__")
+    _table = TERMS
 
-    def __eq__(self, other):
-        if other.__class__ is SVar:
-            return self.name == other.name
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return self._h
+class SVar(_Interned, Value):
+    __slots__ = ("name",)
+
+    name: str
 
     def variables(self) -> frozenset[str]:
-        return self._vars
-
-    def __repr__(self) -> str:
-        return f"SVar(name={self.name!r})"
+        return singleton(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
 def _union_variables(parts) -> frozenset[str]:
-    v: frozenset[str] = frozenset()
+    v: frozenset[str] = EMPTY
     for p in parts:
         v |= p.variables()
     return v
 
 
-class SApp(STerm):
-    __slots__ = ("func", "args", "_h", "_vars", "__weakref__")
-    _tag = "sapp"
-    _table = _intern_terms
+class SApp(_Interned, Value):
+    #: ``_vars``: the free variables, once computed.
+    __slots__ = ("func", "args", "_vars")
 
-    def __init__(self, func: str, args: tuple[STerm, ...]):
-        self.func = func
-        self.args = args
-        # Structural hash, computed once: deep nodes are common dict keys
-        # and must not re-walk their subtree on every lookup.
-        self._h = hash(("sapp", func, args))
-        self._vars = None
+    func: str
+    args: tuple[STerm, ...]
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is SApp:
-            return (
-                self._h == other._h
-                and self.func == other.func
-                and self.args == other.args
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
+    def __init__(self, func, args) -> None:
+        _set(self, "func", func)
+        _set(self, "args", args)
+        _set(self, "_vars", None)
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = self._vars = _union_variables(self.args)
+            v = _union_variables(self.args)
+            _set(self, "_vars", v)
         return v
-
-    def __repr__(self) -> str:
-        return f"SApp(func={self.func!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if self.func in ("+", "-", "*", "/", "mod") and len(self.args) == 2:
@@ -211,21 +170,21 @@ def sapp(func: str, args: tuple[STerm, ...]) -> STerm:
     if all(isinstance(a, SConst) for a in args):
         fn = scalar_function(func)
         return SConst(fn(*[a.value for a in args]))
-    return _intern(SApp, func, args)
+    return SApp(func, args)
 
 
-def subst_term(term: STerm, env: Mapping[str, Any]) -> STerm:
-    if isinstance(term, SVar):
-        if term.name in env:
-            return SConst(env[term.name])
-        return term
-    if isinstance(term, SApp):
-        return sapp(term.func, tuple([subst_term(a, env) for a in term.args]))
+def subst_term(term: STerm, consts: Mapping[str, SConst]) -> STerm:
+    """``term`` with each variable ``consts`` names replaced by its
+    constant."""
+    if term.__class__ is SVar:
+        return consts.get(term.name, term)
+    if term.__class__ is SApp:
+        return sapp(term.func, tuple([subst_term(a, consts) for a in term.args]))
     return term
 
 
 def term_size(term: STerm) -> int:
-    if isinstance(term, SApp):
+    if term.__class__ is SApp:
         return 1 + sum(term_size(a) for a in term.args)
     return 1
 
@@ -235,32 +194,21 @@ def term_size(term: STerm) -> int:
 # ---------------------------------------------------------------------------
 
 
-class C:
+class C(metaclass=Canonical):
     """Base class of constraint formulas."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
+    _table = FORMULAS
 
     def variables(self) -> frozenset[str]:
-        return frozenset()
+        return EMPTY
 
 
-class CBool(C):
-    __slots__ = ("value", "_h")
+class CBool(C, Value):
+    __slots__ = ("value",)
+    _leaves = ("value",)
 
-    def __init__(self, value: bool):
-        self.value = value
-        self._h = hash((value,))
-
-    def __eq__(self, other):
-        if other.__class__ is CBool:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"CBool(value={self.value!r})"
+    value: bool
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -273,122 +221,95 @@ _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-class _Interned(C):
-    """The non-constant formula nodes.  Beside its parts and their
-    structural hash a node carries three caches: ``_vars`` (free
-    variables), ``_neg`` (its negation, see :func:`cnot`) and ``_mdl``
-    (earliest deadline, owned by :mod:`repro.ptl.optimize`)."""
+class _Node(C):
+    """The non-constant formula nodes.  Beside its fields a node carries
+    three caches, none of them a field: ``_vars`` (free variables),
+    ``_neg`` (its negation, see :func:`cnot`) and ``_mdl`` (earliest
+    deadline, owned by :mod:`repro.ptl.optimize`)."""
 
-    __slots__ = ("_h", "_vars", "_neg", "_mdl", "__weakref__")
-    _table = _intern_formulas
+    __slots__ = ("_vars", "_neg", "_mdl")
 
-    def __hash__(self) -> int:
-        return self._h
+    def _caches(self) -> None:
+        _set(self, "_vars", None)
+        _set(self, "_neg", None)
+        _set(self, "_mdl", None)
 
 
-class CAtom(_Interned):
+class CAtom(_Node, Value):
     __slots__ = ("op", "left", "right")
-    _tag = "atom"
 
-    def __init__(self, op: str, left: STerm, right: STerm):
-        self.op = op
-        self.left = left
-        self.right = right
-        self._h = hash(("atom", op, left, right))
-        self._vars = self._neg = self._mdl = None
+    op: str
+    left: STerm
+    right: STerm
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is CAtom:
-            return (
-                self._h == other._h
-                and self.op == other.op
-                and self.left == other.left
-                and self.right == other.right
-            )
-        return NotImplemented
-
-    __hash__ = _Interned.__hash__
+    def __init__(self, op, left, right) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        self._caches()
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = self._vars = self.left.variables() | self.right.variables()
+            v = self.left.variables() | self.right.variables()
+            _set(self, "_vars", v)
         return v
-
-    def __repr__(self) -> str:
-        return f"CAtom(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-class _Junction(_Interned):
+class _Junction(_Node):
     """Shared body of :class:`CAnd` / :class:`COr`."""
 
     __slots__ = ("operands",)
 
-    def __init__(self, operands: tuple[C, ...]):
-        self.operands = operands
-        self._h = hash((self._tag, operands))
-        self._vars = self._neg = self._mdl = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self._h == other._h and self.operands == other.operands
-        return NotImplemented
-
-    __hash__ = _Interned.__hash__
+    def __init__(self, operands) -> None:
+        _set(self, "operands", operands)
+        self._caches()
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = self._vars = _union_variables(self.operands)
+            v = _union_variables(self.operands)
+            _set(self, "_vars", v)
         return v
 
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(operands={self.operands!r})"
-
     def __str__(self) -> str:
-        return "(" + f" {self._tag} ".join(map(str, self.operands)) + ")"
+        return "(" + f" {self._symbol} ".join(map(str, self.operands)) + ")"
 
 
-class CAnd(_Junction):
+class CAnd(_Junction, Value):
     __slots__ = ()
-    _tag = "&"
+    _symbol = "&"
+
+    operands: tuple[C, ...]
 
 
-class COr(_Junction):
+class COr(_Junction, Value):
     __slots__ = ()
-    _tag = "|"
+    _symbol = "|"
+
+    operands: tuple[C, ...]
 
 
-class CNot(_Interned):
+#: The junction classes.  The algebra tests a node's class by identity:
+#: its classes have no subclasses, and ``isinstance`` against a class
+#: whose metaclass is not ``type`` costs a method call.
+JUNCTIONS = (CAnd, COr)
+
+
+class CNot(_Node, Value):
     __slots__ = ("operand",)
-    _tag = "not"
 
-    def __init__(self, operand: C):
-        self.operand = operand
-        self._h = hash(("not", operand))
-        self._vars = self._neg = self._mdl = None
+    operand: C
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is CNot:
-            return self._h == other._h and self.operand == other.operand
-        return NotImplemented
-
-    __hash__ = _Interned.__hash__
+    def __init__(self, operand) -> None:
+        _set(self, "operand", operand)
+        self._caches()
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
-
-    def __repr__(self) -> str:
-        return f"CNot(operand={self.operand!r})"
 
     def __str__(self) -> str:
         return f"!({self.operand})"
@@ -399,16 +320,9 @@ class CNot(_Interned):
 # ---------------------------------------------------------------------------
 
 
-#: ``pre-normalization (op, left, right) -> _Entry`` of the resulting live
-#: atom; like the intern tables, an entry goes when its atom does.
-_catom_memo: dict = {}
-
-
 def catom(op: str, left: STerm, right: STerm) -> C:
     """Build an atom: fold if ground, else normalize to ``var <op> const``
-    when the atom is linear in a single variable occurrence.  Memoized on
-    the *pre*-normalization triple — the recurrences rebuild the same
-    handful of atoms every step, and linear normalization is pure."""
+    when the atom is linear in a single variable occurrence."""
     if isinstance(left, SConst) and isinstance(right, SConst):
         try:
             return CTRUE if apply_comparison(op, left.value, right.value) else CFALSE
@@ -416,15 +330,7 @@ def catom(op: str, left: STerm, right: STerm) -> C:
             # Incomparable values (e.g. string vs int ordering): the atom
             # cannot hold.
             return CFALSE
-    key = (op, left, right)
-    entry = _catom_memo.get(key)
-    if entry is not None:
-        cached = entry()
-        if cached is not None:
-            return cached
-    result = _intern(CAtom, *_normalize_linear(op, left, right))
-    _file(_catom_memo, key, result)
-    return result
+    return CAtom(*_normalize_linear(op, left, right))
 
 
 def _is_number(value: Any) -> bool:
@@ -441,7 +347,7 @@ def _normalize_linear(op: str, left: STerm, right: STerm):
     changed = True
     while changed and isinstance(right, SConst) and _is_number(right.value):
         changed = False
-        if isinstance(left, SApp) and len(left.args) == 2:
+        if left.__class__ is SApp and len(left.args) == 2:
             a, b = left.args
             if left.func in ("+", "-") and isinstance(b, SConst) and _is_number(b.value):
                 # (X +/- c) op d  ->  X op d -/+ c
@@ -475,7 +381,7 @@ def _divide(var_side: STerm, const: float, coeff: float, op: str):
 
 
 def _intify(value: float):
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
 
@@ -486,9 +392,9 @@ def cnot(operand: C) -> C:
     back through a weakref, so ``x`` and ``!x`` never form a reference
     cycle, ``x`` keeps ``!x`` alive (re-negating the unchanged tail of a
     ``Since`` recurrence stays a single probe) and ``cnot(cnot(x)) is x``."""
-    if isinstance(operand, CBool):
+    if operand.__class__ is CBool:
         return CFALSE if operand.value else CTRUE
-    if isinstance(operand, CNot):
+    if operand.__class__ is CNot:
         return operand.operand
     cached = operand._neg
     if cached is not None:
@@ -496,86 +402,61 @@ def cnot(operand: C) -> C:
             cached = cached()
         if cached is not None:
             return cached
-    if isinstance(operand, CAtom):
-        result: C = _intern(
-            CAtom, _NEGATED_OP[operand.op], operand.left, operand.right
-        )
-    elif isinstance(operand, CAnd):
+    if operand.__class__ is CAtom:
+        result: C = CAtom(_NEGATED_OP[operand.op], operand.left, operand.right)
+    elif operand.__class__ is CAnd:
         result = cor(tuple([cnot(c) for c in operand.operands]))
-    elif isinstance(operand, COr):
+    elif operand.__class__ is COr:
         result = cand(tuple([cnot(c) for c in operand.operands]))
     else:
-        return _intern(CNot, operand)
-    if isinstance(result, CBool):
+        return CNot(operand)
+    if result.__class__ is CBool:
         # Only a hand-built, non-canonical junction negates to a constant.
         return result
     back = result._neg
     if back is operand:
         # The negation was built first and already owns this node.
-        operand._neg = _weakref(result)
+        _set(operand, "_neg", _weakref(result))
     else:
-        operand._neg = result
+        _set(operand, "_neg", result)
         if back is None or (back.__class__ is _weakref and back() is None):
-            result._neg = _weakref(operand)
+            _set(result, "_neg", _weakref(operand))
     return result
 
 
 def cand(operands: Iterable[C]) -> C:
-    flat: list[C] = []
-    seen: set[C] = set()
-    for c in operands:
-        if isinstance(c, CBool):
-            if not c.value:
-                return CFALSE
-            continue
-        children = c.operands if isinstance(c, CAnd) else (c,)
-        for child in children:
-            if isinstance(child, CBool):
-                if not child.value:
-                    return CFALSE
-                continue
-            if child in seen:
-                continue
-            seen.add(child)
-            flat.append(child)
-    for c in flat:
-        if cnot(c) in seen:
-            return CFALSE
-    if not flat:
-        return CTRUE
-    if len(flat) == 1:
-        return flat[0]
-    ops = tuple(flat)
-    return _intern(CAnd, ops)
+    return _junction(operands, CAnd, False)
 
 
 def cor(operands: Iterable[C]) -> C:
+    return _junction(operands, COr, True)
+
+
+def _junction(operands: Iterable[C], cls, absorbing: bool) -> C:
+    """:func:`cand` (``absorbing`` false) or :func:`cor` (true): flatten
+    nested ``cls`` nodes, drop duplicates and the neutral constant, and
+    fold to the absorbing constant on one operand or a complementary
+    pair.  Duplicates are found by identity: equal nodes are one node."""
     flat: list[C] = []
-    seen: set[C] = set()
+    seen: set[int] = set()
     for c in operands:
-        if isinstance(c, CBool):
-            if c.value:
-                return CTRUE
-            continue
-        children = c.operands if isinstance(c, COr) else (c,)
-        for child in children:
-            if isinstance(child, CBool):
-                if child.value:
-                    return CTRUE
+        for child in c.operands if c.__class__ is cls else (c,):
+            if child.__class__ is CBool:
+                if bool(child.value) is absorbing:
+                    return CTRUE if absorbing else CFALSE
                 continue
-            if child in seen:
-                continue
-            seen.add(child)
-            flat.append(child)
+            key = id(child)
+            if key not in seen:
+                seen.add(key)
+                flat.append(child)
     for c in flat:
-        if cnot(c) in seen:
-            return CTRUE
-    if not flat:
-        return CFALSE
-    if len(flat) == 1:
+        if id(cnot(c)) in seen:
+            return CTRUE if absorbing else CFALSE
+    if len(flat) > 1:
+        return cls(tuple(flat))
+    if flat:
         return flat[0]
-    ops = tuple(flat)
-    return _intern(COr, ops)
+    return CFALSE if absorbing else CTRUE
 
 
 def cbool(value: bool) -> C:
@@ -589,23 +470,27 @@ def cbool(value: bool) -> C:
 
 def substitute(c: C, env: Mapping[str, Any]) -> C:
     """Replace variables by values and re-simplify."""
-    if isinstance(c, CBool):
+    return _substitute(c, {name: SConst(value) for name, value in env.items()})
+
+
+def _substitute(c: C, consts: Mapping[str, SConst]) -> C:
+    if c.__class__ is CBool:
         return c
-    if isinstance(c, CAtom):
-        return catom(c.op, subst_term(c.left, env), subst_term(c.right, env))
-    if isinstance(c, CAnd):
-        return cand(substitute(x, env) for x in c.operands)
-    if isinstance(c, COr):
-        return cor(substitute(x, env) for x in c.operands)
-    if isinstance(c, CNot):
-        return cnot(substitute(c.operand, env))
+    if c.__class__ is CAtom:
+        return catom(c.op, subst_term(c.left, consts), subst_term(c.right, consts))
+    if c.__class__ is CAnd:
+        return cand(_substitute(x, consts) for x in c.operands)
+    if c.__class__ is COr:
+        return cor(_substitute(x, consts) for x in c.operands)
+    if c.__class__ is CNot:
+        return cnot(_substitute(c.operand, consts))
     raise EvaluationError(f"unknown constraint node {c!r}")
 
 
 def evaluate(c: C, env: Mapping[str, Any]) -> bool:
     """Fully evaluate; raises if variables remain unbound."""
     result = substitute(c, env)
-    if isinstance(result, CBool):
+    if result.__class__ is CBool:
         return result.value
     raise EvaluationError(
         f"constraint not ground after substitution: {result} "
@@ -615,13 +500,13 @@ def evaluate(c: C, env: Mapping[str, Any]) -> bool:
 
 def size(c: C) -> int:
     """Node count (formula + term nodes) — the paper's state-size metric."""
-    if isinstance(c, CBool):
+    if c.__class__ is CBool:
         return 1
-    if isinstance(c, CAtom):
+    if c.__class__ is CAtom:
         return 1 + term_size(c.left) + term_size(c.right)
-    if isinstance(c, CNot):
+    if c.__class__ is CNot:
         return 1 + size(c.operand)
-    if isinstance(c, (CAnd, COr)):
+    if c.__class__ in JUNCTIONS:
         return 1 + sum(size(x) for x in c.operands)
     raise EvaluationError(f"unknown constraint node {c!r}")
 
@@ -640,7 +525,7 @@ def _dag_term(t: STerm, seen: set) -> int:
     if t in seen:
         return 0
     seen.add(t)
-    if isinstance(t, SApp):
+    if t.__class__ is SApp:
         return 1 + sum(_dag_term(a, seen) for a in t.args)
     return 1
 
@@ -649,13 +534,13 @@ def _dag_walk(c: C, seen: set) -> int:
     if c in seen:
         return 0
     seen.add(c)
-    if isinstance(c, CBool):
+    if c.__class__ is CBool:
         return 1
-    if isinstance(c, CAtom):
+    if c.__class__ is CAtom:
         return 1 + _dag_term(c.left, seen) + _dag_term(c.right, seen)
-    if isinstance(c, CNot):
+    if c.__class__ is CNot:
         return 1 + _dag_walk(c.operand, seen)
-    if isinstance(c, (CAnd, COr)):
+    if c.__class__ in JUNCTIONS:
         return 1 + sum(_dag_walk(x, seen) for x in c.operands)
     raise EvaluationError(f"unknown constraint node {c!r}")
 
@@ -669,23 +554,23 @@ def equality_candidates(c: C) -> dict[str, set]:
 
 
 def _collect_equalities(node: C, out: dict[str, set]) -> None:
-    if isinstance(node, CAtom):
+    if node.__class__ is CAtom:
         if (
             node.op == "="
-            and isinstance(node.left, SVar)
+            and node.left.__class__ is SVar
             and isinstance(node.right, SConst)
         ):
             out.setdefault(node.left.name, set()).add(node.right.value)
         elif (
             node.op == "="
-            and isinstance(node.right, SVar)
+            and node.right.__class__ is SVar
             and isinstance(node.left, SConst)
         ):
             out.setdefault(node.right.name, set()).add(node.left.value)
-    elif isinstance(node, (CAnd, COr)):
+    elif node.__class__ in JUNCTIONS:
         for x in node.operands:
             _collect_equalities(x, out)
-    elif isinstance(node, CNot):
+    elif node.__class__ is CNot:
         _collect_equalities(node.operand, out)
 
 
@@ -768,9 +653,9 @@ def decode_value(payload: Any):
 def term_to_payload(term: STerm) -> Any:
     if isinstance(term, SConst):
         return {"t": "const", "v": encode_value(term.value)}
-    if isinstance(term, SVar):
+    if term.__class__ is SVar:
         return {"t": "var", "n": term.name}
-    if isinstance(term, SApp):
+    if term.__class__ is SApp:
         return {
             "t": "app",
             "f": term.func,
@@ -789,26 +674,26 @@ def term_from_payload(payload: Any) -> STerm:
         args = tuple([term_from_payload(a) for a in payload["a"]])
         # Rebuild through the interning table, but never constant-fold:
         # the original node survived folding at construction time.
-        return _intern(SApp, payload["f"], args)
+        return SApp(payload["f"], args)
     raise SerializationError(f"unknown term payload: {payload!r}")
 
 
 def to_payload(c: C) -> Any:
     """Encode a constraint formula as a JSON-compatible structure."""
-    if isinstance(c, CBool):
+    if c.__class__ is CBool:
         return {"c": "bool", "v": c.value}
-    if isinstance(c, CAtom):
+    if c.__class__ is CAtom:
         return {
             "c": "atom",
             "op": c.op,
             "l": term_to_payload(c.left),
             "r": term_to_payload(c.right),
         }
-    if isinstance(c, CAnd):
+    if c.__class__ is CAnd:
         return {"c": "and", "ops": [to_payload(x) for x in c.operands]}
-    if isinstance(c, COr):
+    if c.__class__ is COr:
         return {"c": "or", "ops": [to_payload(x) for x in c.operands]}
-    if isinstance(c, CNot):
+    if c.__class__ is CNot:
         return {"c": "not", "op": to_payload(c.operand)}
     raise SerializationError(f"unknown constraint node {c!r}")
 

@@ -58,6 +58,7 @@ from typing import AbstractSet
 from repro.ptl import constraints as cs
 
 _INF = float("inf")
+_set = object.__setattr__
 
 
 def _min_deadline(c: cs.C) -> float:
@@ -66,26 +67,26 @@ def _min_deadline(c: cs.C) -> float:
     possibly change the formula.  Cached on the hash-consed node, so the
     per-step prune pass degenerates to one comparison for formulas whose
     deadlines are all in the future (or absent)."""
-    if isinstance(c, cs.CBool):
+    if c.__class__ is cs.CBool:
         return _INF
     md = c._mdl
     if md is None:
-        if isinstance(c, cs.CAtom):
+        if c.__class__ is cs.CAtom:
             if (
-                isinstance(c.left, cs.SVar)
+                c.left.__class__ is cs.SVar
                 and isinstance(c.right, cs.SConst)
                 and cs._is_number(c.right.value)
             ):
                 md = c.right.value
             else:
                 md = _INF
-        elif isinstance(c, (cs.CAnd, cs.COr)):
+        elif c.__class__ in cs.JUNCTIONS:
             md = min(_min_deadline(x) for x in c.operands)
-        elif isinstance(c, cs.CNot):
+        elif c.__class__ is cs.CNot:
             md = _min_deadline(c.operand)
         else:
             md = _INF
-        c._mdl = md
+        _set(c, "_mdl", md)
     return md
 
 #: Comparison operators whose ``time_var <op> const`` atom is doomed once
@@ -108,15 +109,15 @@ def prune_time_bounds(
     """
     if not time_vars:
         return c
-    if isinstance(c, cs.CBool):
+    if c.__class__ is cs.CBool:
         return c
     if _min_deadline(c) > now:
         # No deadline anywhere in the formula has been reached yet:
         # nothing can prune, skip the rebuild entirely.
         return c
-    if isinstance(c, cs.CAtom):
+    if c.__class__ is cs.CAtom:
         if (
-            isinstance(c.left, cs.SVar)
+            c.left.__class__ is cs.SVar
             and c.left.name in time_vars
             and isinstance(c.right, cs.SConst)
             and cs._is_number(c.right.value)
@@ -129,14 +130,14 @@ def prune_time_bounds(
             if c.op in _SETTLED_OPS:
                 return cs.CTRUE
         return c
-    if isinstance(c, cs.CAnd):
+    if c.__class__ is cs.CAnd:
         ops = [prune_time_bounds(x, now, time_vars) for x in c.operands]
         same = bools_only = True
         for a, b in zip(ops, c.operands):
             if a is b:
                 continue
             same = False
-            if isinstance(a, cs.CBool):
+            if a.__class__ is cs.CBool:
                 if not a.value:
                     return cs.CFALSE
             else:
@@ -154,16 +155,16 @@ def prune_time_bounds(
                 return cs.CTRUE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(cs.CAnd, kept)
+            return cs.CAnd(kept)
         return cs.cand(ops)
-    if isinstance(c, cs.COr):
+    if c.__class__ is cs.COr:
         ops = [prune_time_bounds(x, now, time_vars) for x in c.operands]
         same = bools_only = True
         for a, b in zip(ops, c.operands):
             if a is b:
                 continue
             same = False
-            if isinstance(a, cs.CBool):
+            if a.__class__ is cs.CBool:
                 if a.value:
                     return cs.CTRUE
             else:
@@ -178,9 +179,9 @@ def prune_time_bounds(
                 return cs.CFALSE
             if len(kept) == 1:
                 return kept[0]
-            return cs._intern(cs.COr, kept)
+            return cs.COr(kept)
         return cs.cor(ops)
-    if isinstance(c, cs.CNot):
+    if c.__class__ is cs.CNot:
         inner = prune_time_bounds(c.operand, now, time_vars)
         if inner is c.operand:
             return c

@@ -146,7 +146,12 @@ def _sat(history, i, f, env, ctx) -> bool:
             values = [eval_term(a, history, i, env, ctx) for a in f.args]
             if any(v is UNDEFINED for v in values):
                 continue
-            if tuple(values) == event.params:
+            # Each argument ``=`` its parameter, as an event binds in the
+            # incremental evaluator: a NaN parameter matches nothing.
+            if all([
+                apply_comparison("=", v, p)
+                for v, p in zip(values, event.params)
+            ]):
                 return True
         return False
     if isinstance(f, ast.InQuery):

@@ -14,7 +14,8 @@ such as ``price(x)`` (Section 6.1.1 of the paper).
 
 Nodes are canonical, as the PTL ones are (:class:`repro._intern.Canonical`):
 an equal query built again is the same object, which is how the plan
-cache finds a query's compiled plan (:func:`repro.query.plan.try_execute`).
+cache finds a query's compiled plan (:func:`repro.query.plan.try_execute`),
+and a literal's value compares type-exactly (``1`` is not ``1.0``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class Const(Expr, Value):
     """A literal value."""
 
     __slots__ = ("value",)
+    _leaves = ("value",)
 
     value: Any
 
@@ -327,6 +329,7 @@ class ConstQuery(Query, Value):
     which the paper uses to count sampling points)."""
 
     __slots__ = ("value",)
+    _leaves = ("value",)
 
     value: Any
 

@@ -20,8 +20,10 @@ executable plan:
   scan with the consumed conjuncts restored as filters, preserving the
   naive path's semantics exactly.
 
-Plans are cached per (query AST, range schemas) — query ASTs are frozen
-value classes (:mod:`repro._value`), so the cache key is the query itself.
+Plans are cached per (query AST, range schemas), keyed by
+``(id(query), schemas)``: query ASTs are canonical (:mod:`repro._intern`),
+so an equal query built again is the same object, and a lookup hashes
+no tree.
 
 **Delta-aware atom skipping.**  :class:`DeltaGate` lets the incremental
 PTL evaluator skip re-evaluating a ground query atom when the new system

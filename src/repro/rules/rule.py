@@ -13,6 +13,7 @@ from array import array
 from itertools import starmap
 from typing import Any, Iterator, Optional
 
+from repro._intern import leaf
 from repro._value import Value
 from repro.ptl import ast
 from repro.rules.actions import AbortAction, Action
@@ -200,12 +201,13 @@ class FiringLog:
             _put_run(self._runs, run, last or (0, 0, 0))
             self._last = run
         key = (rule, shadow)
-        # ``1 == 1.0 == True`` hash alike: the value types join the
-        # bindings' intern key so a read gives back what was appended.
-        exact = (bindings, tuple([type(v) for _, v in bindings]))
+        # ``1 == 1.0 == True`` and ``-0.0 == 0.0``: the bindings are keyed
+        # type-exactly, so a read gives back what was appended.
         row = (
-            _intern(self._key_ids, self._key_values, key, key),
-            _intern(self._binding_ids, self._binding_values, exact, bindings),
+            _index_of(self._key_ids, self._key_values, key, key),
+            _index_of(
+                self._binding_ids, self._binding_values, leaf(bindings), bindings
+            ),
         )
         if self._rows.typecode == "H" and max(row) > 0xFFFF:
             self._rows = array("I", self._rows)
@@ -296,7 +298,7 @@ def _next_run(buf: bytearray, offset: int, prev: _Run) -> tuple[_Run, int]:
     return tuple(values), offset
 
 
-def _intern(ids: dict, values: list, key, value) -> int:
+def _index_of(ids: dict, values: list, key, value) -> int:
     """``value``'s position in ``values``, appended under ``key`` when new."""
     i = ids.get(key)
     if i is None:

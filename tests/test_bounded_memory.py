@@ -41,7 +41,7 @@ import types
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import _value
+from repro import _intern, _value
 from repro.datamodel import FLOAT, INT, Schema
 from repro.engine import ActiveDatabase
 from repro.errors import TransactionAborted
@@ -50,7 +50,7 @@ from repro.history.spill import attach_tiered_history
 from repro.history.state import SystemState
 from repro.obs import MetricsRegistry
 from repro.ptl import IncrementalEvaluator, parse_formula
-from repro.ptl.constraints import intern_stats
+from repro.ptl.constraints import C, STerm, intern_stats
 from repro.query.evaluator import eval_query
 from repro.query.parser import parse_query
 from repro.serve import ReproServer, StockProfile, compile_statements
@@ -997,15 +997,21 @@ class TestParkedBytes:
 
 def hash_calls(fn) -> int:
     """Calls of a value class's ``__hash__`` (the shared ones of
-    ``repro._value``) while ``fn()`` runs, recursion included."""
-    codes = {
-        f.__code__ for f in (_value._hash, _value._hash_one, _value.held_hash)
-    }
+    ``repro._value``, and the held one of ``repro._intern``) while
+    ``fn()`` runs, recursion included.  The constraint algebra's nodes
+    are not counted: these rows are about the values and syntax trees a
+    lookup keys on."""
+    codes = {f.__code__ for f in (_value._hash, _value._hash_one, _intern._hash)}
+    algebra = (STerm, C)
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code in codes:
+        if (
+            event == "call"
+            and frame.f_code in codes
+            and not isinstance(frame.f_locals["self"], algebra)
+        ):
             calls += 1
 
     sys.setprofile(profile)

@@ -16,6 +16,7 @@ import pytest
 from repro._intern import EMPTY, canonical_count, singleton, small
 from repro.engine import ActiveDatabase
 from repro.ptl import ast
+from repro.ptl import constraints as cs
 from repro.ptl.parser import parse_formula
 from repro.ptl.plan import rule_fingerprint
 from repro.ptl.rewrite import expand_derived, normalize
@@ -52,8 +53,9 @@ class TestTypeExactLeaves:
         assert [str(leaf) for leaf in leaves] == [
             "1", "1.0", "True", "-0.0", "0.0", "nan",
         ]
-        # Equality is unchanged: 1 == 1.0 == True, as before.
-        assert leaves[0] == leaves[1] == leaves[2]
+        # Equality is type-exact: 1, 1.0 and True are three leaves.
+        assert leaves[0] != leaves[1] != leaves[2] != leaves[0]
+        assert leaves[3] != leaves[4]
         assert ast.ConstT(1.0) is leaves[1]
         assert qast.Const(1) is not qast.Const(True)
 
@@ -87,11 +89,32 @@ class TestTypeExactLeaves:
     def test_a_node_over_an_equal_leaf_of_another_type_is_its_own(self):
         first = parse_formula("x > 1 & @e(x)")
         second = parse_formula("x > 1.0 & @e(x)")
-        assert first == second  # equal values, as before
+        assert first != second  # a literal's type is part of its value
         assert first is not second
         assert str(first) == "(x > 1 & @e(x))"
         assert str(second) == "(x > 1.0 & @e(x))"
         assert parse_formula("x > 1 & @e(x)") is first
+
+    @pytest.mark.parametrize(
+        "make",
+        [ast.ConstT, qast.Const, qast.ConstQuery, cs.SConst],
+        ids=lambda c: c.__name__,
+    )
+    def test_equal_leaves_hash_equal(self, make):
+        """``==`` implies equal hashes, NaN included (``hash(nan)`` is
+        its object's); an interned leaf is equal only to itself (a
+        constraint constant is not interned)."""
+        values = self.VALUES + [float("nan"), -math.nan, (1, 1.0), (1.0, 1)]
+        nodes = [make(v) for v in values]
+        for a in nodes:
+            equal = [b for b in nodes if a == b]
+            assert all(hash(a) == hash(b) for b in equal)
+            if make is not cs.SConst:
+                assert all(a is b for b in equal)
+            if a.value != a.value:
+                assert len(equal) == 3  # every NaN
+            else:
+                assert len(equal) == 1
 
 
 def ptl_corpus_by_env():

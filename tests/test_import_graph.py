@@ -22,6 +22,10 @@ dies it is parked on the interpreter's free list for its final size,
 which no later tuple of the same kind draws from (DESIGN.md, "Tuples
 are built at their final size").
 
+Nor does any module but ``repro/_intern.py`` hash-cons: it alone
+files a node in a weak intern table, so one rule decides when two values
+are one node (the scan below).
+
 The graph is read in a fresh interpreter: once ``import repro.serve``,
 and once more after a started server has opened a ``StockProfile``
 tenant and served it a transaction and a query.  A module on either list
@@ -261,6 +265,38 @@ def test_every_tuple_is_built_at_its_final_size():
             if isinstance(node.func, ast.Name) and node.func.id == "tuple":
                 built += node.args[:1]
             if any(_unsized(arg) for arg in built):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+#: What filing a node in a weak intern table takes: the entry and table
+#: classes of ``repro._intern``, and a hand-rolled interner's helpers.
+INTERN_NAMES = {"_Entry", "_Table", "_forget", "file", "_file", "_intern"}
+
+
+def test_only_the_intern_module_files_nodes():
+    """Outside ``repro/_intern.py`` no module imports or calls an intern
+    table's machinery, nor subclasses ``weakref.ref`` (a weak entry)."""
+    home = SRC / "repro" / "_intern.py"
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path == home:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro._intern":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = {getattr(func, "id", None) or getattr(func, "attr", None)}
+            elif isinstance(node, ast.ClassDef):
+                names = {
+                    "_Entry"
+                    for base in node.bases
+                    if ast.unparse(base) in ("ref", "_weakref", "weakref.ref")
+                }
+            else:
+                continue
+            if names & INTERN_NAMES:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 

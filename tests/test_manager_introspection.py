@@ -58,6 +58,18 @@ def test_firing_log_reads_back_every_firing():
     assert log.records_of("r3") == [f for f in want if f.rule == "r3"]
 
 
+def test_firing_log_reads_back_each_bindings_type():
+    """Equal bindings of other types (``1``, ``1.0``, ``True``; ``0.0``
+    and ``-0.0``) read back as they were appended."""
+    from repro.rules.rule import FiringLog
+
+    log = FiringLog()
+    values = [1, 1.0, True, 0.0, -0.0, 1, -0.0]
+    for i, value in enumerate(values):
+        log.append("r", (("x", value),), i, i)
+    assert [repr(f.bindings[0][1]) for f in log] == [repr(v) for v in values]
+
+
 def test_rule_names_lists_both_kinds(setup):
     adb, manager = setup
     manager.add_trigger("t1", "@ping", RecordingAction())

@@ -8,6 +8,7 @@ with and without the Section 5 optimization, plus answer-set agreement on
 ground bindings.
 """
 
+import math
 import random
 
 import pytest
@@ -16,10 +17,13 @@ from hypothesis import strategies as st
 
 from repro.baselines import NaiveDetector
 from repro.datamodel import INT, Relation, Schema
-from repro.ptl import IncrementalEvaluator, answers, satisfies
+from repro.engine import ActiveDatabase
+from repro.events.model import user_event
+from repro.ptl import IncrementalEvaluator, answers, ast, satisfies
 from repro.ptl import constraints as cs
 from repro.ptl.context import EvalContext
 from repro.ptl.optimize import prune_time_bounds
+from repro.rules import RecordingAction
 from repro.workloads.generator import (
     contains_aggregate,
     random_aggregate_pair,
@@ -41,6 +45,63 @@ def reference_run(formula, history):
     return [
         answers(history.states, i, formula) for i in range(len(history))
     ]
+
+
+#: Literals that ``==`` calls equal (1, 1.0, True; -0.0, 0.0) or that
+#: equal nothing (NaN): a condition holds the one it was written with.
+TYPED_LITERALS = (1, 1.0, True, -0.0, 0.0, math.nan)
+
+
+def exact(bindings) -> list:
+    """Bindings with each value's type, ``-0.0`` apart from ``0.0``."""
+    return sorted(
+        (name, type(value).__name__, repr(value))
+        for binding in bindings
+        for name, value in binding.items()
+    )
+
+
+def typed_conditions(literal):
+    """Conditions in which ``X`` has one candidate: the literal, or the
+    parameter of an ``@e`` event."""
+    x, c = ast.Var("X"), ast.ConstT(literal)
+    event = ast.EventAtom("e", (x,))
+    return [
+        ast.And((ast.EventAtom("go", ()), ast.Comparison("=", x, c))),
+        ast.Previously(event),
+        ast.And((event, ast.Comparison("!=", x, c))),
+        ast.And((ast.Previously(event), ast.Comparison("<=", x, c))),
+    ]
+
+
+class TypedEngine:
+    """An engine whose rules read the given literals, and each rule's
+    firings by state."""
+
+    def __init__(self, literals):
+        self.adb = ActiveDatabase()
+        manager = self.adb.rule_manager()
+        self.rules = {}
+        for i, literal in enumerate(literals):
+            for j, formula in enumerate(typed_conditions(literal)):
+                action = RecordingAction()
+                manager.add_trigger(f"r{i}_{j}", formula, action)
+                self.rules[f"r{i}_{j}"] = (formula, action)
+
+    def post(self, *events):
+        for event in events:
+            self.adb.post_event(event)
+
+    def check_against_reference(self):
+        states = self.adb.history.states
+        for name, (formula, action) in self.rules.items():
+            for i, state in enumerate(states):
+                got = [b for b, ts in action.calls if ts == state.timestamp]
+                want = answers(states, i, formula)
+                assert exact(got) == exact(want), (
+                    f"{name}: {formula} at position {i}: fired {got}, "
+                    f"the reference semantics answers {want}"
+                )
 
 
 class TestTheorem1:
@@ -154,6 +215,53 @@ class TestTheorem1:
             second = ev.step(state)
             direct = plain.step(state)
             assert first.fired == second.fired == direct.fired
+
+
+    def test_equal_literals_of_other_types_share_no_plan_node(self):
+        """``X = 1.0`` registered first, then ``X = 1``, in one plan:
+        each rule binds its own literal."""
+        engine = TypedEngine([1.0, 1])
+        engine.post(user_event("go"))
+        engine.check_against_reference()
+        calls = engine.rules["r1_0"][1].calls
+        assert exact([b for b, _ in calls]) == [("X", "int", "1")]
+
+    @pytest.mark.parametrize("second", [1, True])
+    def test_an_engine_does_not_bind_another_engines_constant(self, second):
+        """Engine A sees ``@e(1.0)``; engine B, alive beside it, sees
+        ``@e(1)`` (or ``@e(True)``) and binds that value."""
+        first = TypedEngine([0.0])
+        first.post(user_event("e", 1.0))
+        engine = TypedEngine([0.0])
+        engine.post(user_event("e", second))
+        first.check_against_reference()
+        engine.check_against_reference()
+        calls = engine.rules["r0_1"][1].calls
+        assert [repr(b["X"]) for b, _ in calls] == [repr(second)]
+
+    @given(
+        literals=st.lists(
+            st.sampled_from(TYPED_LITERALS), min_size=1, max_size=4
+        ),
+        params=st.lists(
+            st.sampled_from(TYPED_LITERALS), min_size=1, max_size=3
+        ),
+    )
+    def test_literals_of_every_type(self, literals, params):
+        """Rules over literals of every type, in one plan and across
+        engines alive in one process (one per event parameter), bind
+        what the reference semantics answers, type and sign included."""
+        engines = []
+        for param in params:
+            engine = TypedEngine(literals)
+            engine.post(
+                user_event("go"),
+                user_event("e", param),
+                user_event("go"),
+            )
+            engines.append(engine)
+        for engine in engines:
+            engine.check_against_reference()
 
 
 class TestConstraintProperties:

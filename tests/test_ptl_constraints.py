@@ -1,6 +1,7 @@
 """Unit tests for the state-formula (constraint) layer."""
 
 import gc
+import math
 import weakref
 from functools import reduce
 
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine import ActiveDatabase
 from repro.errors import EvaluationError
-from repro.ptl import IncrementalEvaluator, parse_formula
+from repro.events.model import user_event
+from repro.ptl import IncrementalEvaluator, answers, parse_formula
 from repro.ptl import constraints as cs
 from repro.ptl.optimize import prune_time_bounds
+from repro.rules import RecordingAction
 from repro.workloads import (
     SHARP_INCREASE,
     random_walk_trace,
@@ -80,6 +84,31 @@ class TestLinearNormalization:
         inner = cs.sapp("+", (X, cs.SConst(1)))
         a = atom("<=", cs.sapp("*", (inner, cs.SConst(2))), cs.SConst(10))
         assert a == cs.CAtom("<=", X, cs.SConst(4))
+
+
+class TestNonFiniteConstants:
+    """Infinite and NaN constants normalize and print: an integral float
+    becomes an int, and ``inf`` / ``nan`` are not integral."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_normalization_keeps_the_float(self, value):
+        a = atom(">", cs.sapp("*", (X, cs.SConst(2))), cs.SConst(value))
+        assert a.__class__ is cs.CAtom and a.left is X
+        assert repr(a.right.value) == repr(value)
+        assert str(cs.cand([a, atom("<", T, cs.SConst(3.0))])) == (
+            f"(x > {value!r} & t < 3)"
+        )
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_an_item_holding_one_does_not_crash_a_rule(self, value):
+        adb = ActiveDatabase()
+        adb.declare_item("big", value)
+        formula = parse_formula("[y := big] (@e(X) & X * 2 > y)")
+        action = RecordingAction()
+        adb.rule_manager().add_trigger("r", formula, action)
+        adb.post_event(user_event("e", 3))
+        assert action.calls == []
+        assert answers(adb.history.states, len(adb.history) - 1, formula) == []
 
 
 class TestBooleanSimplification:
@@ -314,11 +343,10 @@ class TestHashConsing:
         a = atom(">=", X, cs.SConst(22))
         b = atom("<=", T, cs.SConst(30))
         f = cs.cand([a, b])
-        # A hand-built twin: equal, never interned, survives the ``del``.
-        witness = cs.CAnd((cs.CAtom(">=", X, cs.SConst(22)),
-                           cs.CAtom("<=", T, cs.SConst(30))))
-        assert f == witness and f is not witness
-        assert hash(f) == hash(witness)
+        # The class constructors intern too: a direct build finds f.
+        assert cs.CAnd((cs.CAtom(">=", X, cs.SConst(22)),
+                        cs.CAtom("<=", T, cs.SConst(30)))) is f
+        witness = repr(f)
         # f, its two atoms, and the atoms' negations (complement check).
         assert cs.intern_stats()["formulas"] == before + 5
         seen = weakref.ref(f)
@@ -327,8 +355,7 @@ class TestHashConsing:
         assert cs.intern_stats()["formulas"] == before
         again = cs.cand([atom(">=", X, cs.SConst(22)),
                          atom("<=", T, cs.SConst(30))])
-        assert again == witness
-        assert repr(again) == repr(witness)
+        assert repr(again) == witness
         assert cs.cand([atom("<=", T, cs.SConst(30)),
                         atom(">=", X, cs.SConst(22))]) != again
 
