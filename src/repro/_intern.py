@@ -2,7 +2,7 @@
 
 The condition and query syntax trees (:mod:`repro.ptl.ast`,
 :mod:`repro.query.ast`) and the constraint algebra
-(:mod:`repro.ptl.constraints`) are value classes whose metaclass is
+(:mod:`repro.ptl.constraints`) are classes whose metaclass is
 :class:`Canonical`: a construction whose fields match a live node's
 returns that node, and builds one only on a miss.  A subformula that
 many rules share (``price(S5)``, a login interval) is one object, a
@@ -13,14 +13,15 @@ step reuse the nodes they rebuild.
 Equality is *type-exact* at the leaves.  A raw leaf — a literal's
 value, a window — matches another only when both have the same type and
 the same value: ``1``, ``1.0`` and ``True`` are three leaves, ``-0.0`` is
-not ``0.0``, and every NaN is one leaf (:func:`leaf`).  ``==`` on a node
-compares its fields that way (children by their own ``==``), and its
-hash is that of the same keys, so ``a == b`` implies ``hash(a) ==
-hash(b)``.  The intern table's key is the same tuple, so two nodes
-are equal exactly when they are the same node, and a dict keyed by
-nodes (a plan's compiled nodes, a memo) tells ``x > 1`` from ``x > 1.0``.
-A node whose fields cannot be hashed (a list in a literal) stays
-private: it is built, not filed.
+not ``0.0``, and every NaN is one leaf (:func:`leaf`).  The intern
+table's key is the class and the fields, leaves through :func:`leaf`, so
+two live nodes with equal keys are one node.  ``==`` on a node is
+therefore "same node": a syntax-tree node compares its key (and hashes
+it, so ``a == b`` implies ``hash(a) == hash(b)``), a constraint-algebra
+node compares its identity, and either way a dict keyed by nodes (a
+plan's compiled nodes, a memo) tells ``x > 1`` from ``x > 1.0``.  A node
+whose fields cannot be hashed (a list in a literal) stays private: it is
+built, not filed.
 
 A table maps a key to an :class:`_Entry`, a weak reference that knows
 where it is filed, so the death of its node removes exactly that entry:
@@ -46,6 +47,8 @@ __all__ = [
     "TREES",
     "Canonical",
     "canonical_count",
+    "eq_by_leaf",
+    "hash_by_leaf",
     "leaf",
     "same",
     "singleton",
@@ -112,8 +115,8 @@ def leaf(value):
 
 
 class _Table(dict):
-    """A weak intern table: ``key -> _Entry``, and how often a
-    construction found a live node (``hits``) or built one (``misses``)."""
+    """A weak intern table whose constructions are counted: how often one
+    found a live node (``hits``) or built one (``misses``)."""
 
     __slots__ = ("hits", "misses")
 
@@ -123,7 +126,7 @@ class _Table(dict):
 
 
 #: The live syntax-tree nodes (conditions and queries).
-TREES = _Table()
+TREES: dict = {}
 #: The live constraint-algebra terms and formula nodes.
 TERMS = _Table()
 FORMULAS = _Table()
@@ -192,34 +195,69 @@ def _reduce(node):
     return (node.__class__, _fields(node))
 
 
+def eq_by_leaf(self, other):
+    """``==`` of a value class that is compared but not filed, and whose
+    one field is ``value`` (a constraint-algebra constant): that field as
+    a :func:`leaf`, the nodes' rule; :func:`hash_by_leaf` is its hash."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return leaf(self.value) == leaf(other.value)
+
+
+def hash_by_leaf(self) -> int:
+    # Equal leaves have one type and equal values, whose hashes agree
+    # except for NaN, whose hash is its identity's.
+    value = self.value
+    if value.__class__ is float or value.__class__ is tuple:
+        return hash(leaf(value))
+    return hash(value)
+
+
 class Canonical(type):
-    """Metaclass of the hash-consed value classes (see the module
-    docstring).  A frozen value class names the fields that hold raw
-    leaves in ``_leaves``, and the table it files its nodes in in
-    ``_table`` (:data:`TREES` unless it says otherwise); its nodes hold
-    their hash in a ``_hash`` slot and pickle as their fields.  A class
-    that is not a frozen value class (an abstract base) constructs as
-    usual."""
+    """Metaclass of the hash-consed classes (see the module docstring).
+    A class names its fields in ``_fields``, those that hold raw leaves in
+    ``_leaves``, and the table it files its nodes in in ``_table``
+    (:data:`TREES` unless it says otherwise; a :class:`_Table` counts
+    hits and misses); its nodes pickle as their fields.  A frozen value
+    class (a condition or query tree) reads its fields from its
+    annotations, and its ``==`` and ``hash`` are those of its key, as a
+    dataclass's are of its fields; the hash is held in a ``_hash`` slot.
+    Any other class (the constraint algebra's, whose nodes carry caches)
+    keeps ``object``'s: identity, which for a filed node is the same
+    relation, and costs no Python call.  A class without fields (an
+    abstract base) constructs as usual."""
 
     def __init__(cls, name, bases, namespace, **kwargs) -> None:
         super().__init__(name, bases, namespace, **kwargs)
-        if issubclass(cls, Value) and cls._frozen:
+        if cls._fields:
             fields = cls._fields
             # Positions in the key, which starts with the class.
             cls._leaf_at = tuple([fields.index(n) + 1 for n in cls._leaves])
-            cls._filing = (len(fields) + 1, cls._leaf_at, cls._table)
-            cls.__eq__ = _eq
-            cls.__hash__ = _hash
+            table = cls._table
+            held = issubclass(cls, Value)
+            cls._filing = (
+                len(fields) + 1,
+                cls._leaf_at,
+                table,
+                table.__class__ is _Table,
+                held,
+            )
+            if held:
+                cls.__eq__ = _eq
+                cls.__hash__ = _hash
             cls.__reduce__ = _reduce
 
-    #: Fields holding raw leaves, compared by :func:`leaf`.
+    #: Field names, in order, and those holding raw leaves, compared by
+    #: :func:`leaf`.
+    _fields: tuple = ()
     _leaves: tuple = ()
-    _table: _Table = TREES
-    #: (key length, leaf positions, table); no key of an abstract base.
-    _filing = (-1, (), None)
+    _table: dict = TREES
+    #: (key length, leaf positions, table, counted, held hash); no key
+    #: of an abstract base.
+    _filing = (-1, (), None, False, False)
 
     def __call__(cls, *args, **kwargs):
-        width, leaf_at, table = cls._filing
+        width, leaf_at, table, counted, held = cls._filing
         key = (cls, *args)
         node = None
         if kwargs or len(key) != width:
@@ -239,12 +277,15 @@ class Canonical(type):
         if entry is not None:
             live = entry()
             if live is not None:
-                table.hits += 1
+                if counted:
+                    table.hits += 1
                 return live
-        table.misses += 1
+        if counted:
+            table.misses += 1
         if node is None:
             node = type.__call__(cls, *args)
-        _set(node, "_hash", hash(key[1:]))
+        if held:
+            _set(node, "_hash", hash(key[1:]))
         entry = table[key] = _Entry(node, _forget)
         entry.key = key
         entry.table = table

@@ -17,17 +17,21 @@ with aggressive simplification on construction:
   what makes the Section 5 time-bound pruning (:mod:`repro.ptl.optimize`)
   applicable.
 
-Nodes are frozen value classes; sharing makes the "and-or graph".  The
-formula nodes and the variable and application terms are hash-consed as
+Nodes are slotted and treated as immutable (nothing outside this module
+and the deadline cache of :mod:`repro.ptl.optimize` assigns to one, and
+then only to a cache); sharing makes the "and-or graph".  The formula
+nodes and the variable and application terms are hash-consed as
 they are built (:class:`repro._intern.Canonical`): while a node is alive,
 every construction of an equal one returns that same object, so the
 ``Since``/``Lasttime`` recurrences — which rebuild ``F_h | (F_g &
 F_prev)`` every step from largely unchanged pieces — reuse existing nodes
-instead of allocating fresh copies.  Constants compare type-exactly, as
-literals do (``x = 1`` is not ``x = 1.0``), so two nodes are equal
-exactly when they are the same node: the algebra tests a node's class
-and deduplicates operands by identity.  A constant (:class:`SConst`) is
-not interned; the recurrences fold in a new value nearly every step.
+instead of allocating fresh copies.  Constants key type-exactly, as
+literals do (``x = 1`` is not ``x = 1.0``), so two live nodes with equal
+fields are one node, and a node's ``==`` and ``hash`` are its identity's:
+a dict keyed by nodes costs no Python call, and the algebra tests a
+node's class and deduplicates operands by identity.  A constant
+(:class:`SConst`) is not interned (the recurrences fold in a new value
+nearly every step); it compares and hashes its value as a leaf.
 
 The intern tables hold their nodes *weakly*: a node is canonical exactly
 while something references it, and its table entry goes when it does.
@@ -44,6 +48,7 @@ from typing import Any, Iterable, Mapping, Optional
 from weakref import ref as _weakref
 
 from repro._intern import EMPTY, FORMULAS, TERMS, Canonical, leaf, singleton
+from repro._intern import eq_by_leaf, hash_by_leaf
 from repro._value import Value
 from repro.errors import (
     EvaluationError,
@@ -52,8 +57,6 @@ from repro.errors import (
 )
 from repro.query.evaluator import apply_comparison
 from repro.query.functions import scalar_function
-
-_set = object.__setattr__
 
 
 def intern_stats() -> dict:
@@ -79,33 +82,28 @@ def intern_stats() -> dict:
 
 
 class STerm:
+    """Base class of the symbolic terms.  A term class names its fields
+    in ``_fields`` and prints as ``Name(field=value, ...)``."""
+
     __slots__ = ()
+    __repr__ = Value.__repr__
 
     def variables(self) -> frozenset[str]:
         return EMPTY
 
 
-class SConst(STerm, Value):
-    """A constant: a frozen value compared type-exactly, as a literal of
-    the syntax trees is (:func:`repro._intern.leaf`), but not interned —
-    the recurrences build a new one for nearly every value they fold in."""
+class SConst(STerm):
+    """A constant: compared type-exactly, as a literal of the syntax trees
+    is (:func:`repro._intern.eq_by_leaf`), but not interned — the
+    recurrences build a new one for nearly every value they fold in."""
 
     __slots__ = ("value",)
+    _fields = ("value",)
+    __eq__ = eq_by_leaf
+    __hash__ = hash_by_leaf
 
-    value: Any
-
-    def __init__(self, value) -> None:
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is SConst:
-            return leaf(self.value) == leaf(other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Not held: a ground atom folds without hashing its constants, so
-        # an unhashable value stays legal until something keys on it.
-        return hash((leaf(self.value),))
+    def __init__(self, value: Any) -> None:
+        self.value = value
 
     def __str__(self) -> str:
         value = self.value
@@ -117,14 +115,16 @@ class SConst(STerm, Value):
 class _Interned(STerm, metaclass=Canonical):
     """The interned terms."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     _table = TERMS
 
 
-class SVar(_Interned, Value):
+class SVar(_Interned):
     __slots__ = ("name",)
+    _fields = ("name",)
 
-    name: str
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def variables(self) -> frozenset[str]:
         return singleton(self.name)
@@ -140,23 +140,20 @@ def _union_variables(parts) -> frozenset[str]:
     return v
 
 
-class SApp(_Interned, Value):
+class SApp(_Interned):
     #: ``_vars``: the free variables, once computed.
     __slots__ = ("func", "args", "_vars")
+    _fields = ("func", "args")
 
-    func: str
-    args: tuple[STerm, ...]
-
-    def __init__(self, func, args) -> None:
-        _set(self, "func", func)
-        _set(self, "args", args)
-        _set(self, "_vars", None)
+    def __init__(self, func: str, args: tuple[STerm, ...]) -> None:
+        self.func = func
+        self.args = args
+        self._vars = None
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = _union_variables(self.args)
-            _set(self, "_vars", v)
+            v = self._vars = _union_variables(self.args)
         return v
 
     def __str__(self) -> str:
@@ -195,20 +192,23 @@ def term_size(term: STerm) -> int:
 
 
 class C(metaclass=Canonical):
-    """Base class of constraint formulas."""
+    """Base class of constraint formulas, named and printed as the terms
+    are."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
+    __repr__ = Value.__repr__
     _table = FORMULAS
 
     def variables(self) -> frozenset[str]:
         return EMPTY
 
 
-class CBool(C, Value):
+class CBool(C):
     __slots__ = ("value",)
-    _leaves = ("value",)
+    _fields = _leaves = ("value",)
 
-    value: bool
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -229,30 +229,21 @@ class _Node(C):
 
     __slots__ = ("_vars", "_neg", "_mdl")
 
-    def _caches(self) -> None:
-        _set(self, "_vars", None)
-        _set(self, "_neg", None)
-        _set(self, "_mdl", None)
 
-
-class CAtom(_Node, Value):
+class CAtom(_Node):
     __slots__ = ("op", "left", "right")
+    _fields = ("op", "left", "right")
 
-    op: str
-    left: STerm
-    right: STerm
-
-    def __init__(self, op, left, right) -> None:
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        self._caches()
+    def __init__(self, op: str, left: STerm, right: STerm) -> None:
+        self.op = op
+        self.left = left
+        self.right = right
+        self._vars = self._neg = self._mdl = None
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = self.left.variables() | self.right.variables()
-            _set(self, "_vars", v)
+            v = self._vars = self.left.variables() | self.right.variables()
         return v
 
     def __str__(self) -> str:
@@ -263,34 +254,30 @@ class _Junction(_Node):
     """Shared body of :class:`CAnd` / :class:`COr`."""
 
     __slots__ = ("operands",)
+    _fields = ("operands",)
 
-    def __init__(self, operands) -> None:
-        _set(self, "operands", operands)
-        self._caches()
+    def __init__(self, operands: tuple[C, ...]) -> None:
+        self.operands = operands
+        self._vars = self._neg = self._mdl = None
 
     def variables(self) -> frozenset[str]:
         v = self._vars
         if v is None:
-            v = _union_variables(self.operands)
-            _set(self, "_vars", v)
+            v = self._vars = _union_variables(self.operands)
         return v
 
     def __str__(self) -> str:
         return "(" + f" {self._symbol} ".join(map(str, self.operands)) + ")"
 
 
-class CAnd(_Junction, Value):
+class CAnd(_Junction):
     __slots__ = ()
     _symbol = "&"
 
-    operands: tuple[C, ...]
 
-
-class COr(_Junction, Value):
+class COr(_Junction):
     __slots__ = ()
     _symbol = "|"
-
-    operands: tuple[C, ...]
 
 
 #: The junction classes.  The algebra tests a node's class by identity:
@@ -299,14 +286,13 @@ class COr(_Junction, Value):
 JUNCTIONS = (CAnd, COr)
 
 
-class CNot(_Node, Value):
+class CNot(_Node):
     __slots__ = ("operand",)
+    _fields = ("operand",)
 
-    operand: C
-
-    def __init__(self, operand) -> None:
-        _set(self, "operand", operand)
-        self._caches()
+    def __init__(self, operand: C) -> None:
+        self.operand = operand
+        self._vars = self._neg = self._mdl = None
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -416,11 +402,11 @@ def cnot(operand: C) -> C:
     back = result._neg
     if back is operand:
         # The negation was built first and already owns this node.
-        _set(operand, "_neg", _weakref(result))
+        operand._neg = _weakref(result)
     else:
-        _set(operand, "_neg", result)
+        operand._neg = result
         if back is None or (back.__class__ is _weakref and back() is None):
-            _set(result, "_neg", _weakref(operand))
+            result._neg = _weakref(operand)
     return result
 
 
@@ -438,19 +424,22 @@ def _junction(operands: Iterable[C], cls, absorbing: bool) -> C:
     fold to the absorbing constant on one operand or a complementary
     pair.  Duplicates are found by identity: equal nodes are one node."""
     flat: list[C] = []
-    seen: set[int] = set()
+    seen: set[C] = set()
     for c in operands:
         for child in c.operands if c.__class__ is cls else (c,):
             if child.__class__ is CBool:
                 if bool(child.value) is absorbing:
                     return CTRUE if absorbing else CFALSE
                 continue
-            key = id(child)
-            if key not in seen:
-                seen.add(key)
+            if child not in seen:
+                seen.add(child)
                 flat.append(child)
     for c in flat:
-        if id(cnot(c)) in seen:
+        # cnot(c), read from the node's cache when it holds the negation.
+        neg = c._neg
+        if neg is None or neg.__class__ is _weakref:
+            neg = cnot(c)
+        if neg in seen:
             return CTRUE if absorbing else CFALSE
     if len(flat) > 1:
         return cls(tuple(flat))
@@ -479,6 +468,7 @@ def _substitute(c: C, consts: Mapping[str, SConst]) -> C:
     if c.__class__ is CAtom:
         return catom(c.op, subst_term(c.left, consts), subst_term(c.right, consts))
     if c.__class__ is CAnd:
+        # Lazily: the junction stops at the first absorbing operand.
         return cand(_substitute(x, consts) for x in c.operands)
     if c.__class__ is COr:
         return cor(_substitute(x, consts) for x in c.operands)
@@ -545,28 +535,33 @@ def _dag_walk(c: C, seen: set) -> int:
     raise EvaluationError(f"unknown constraint node {c!r}")
 
 
-def equality_candidates(c: C) -> dict[str, set]:
+def equality_candidates(c: C) -> dict[str, dict]:
     """Candidate values for each variable, harvested from ``var = const``
-    atoms (answer extraction for event/executed-bound variables)."""
-    out: dict[str, set] = {}
+    atoms (answer extraction for event/executed-bound variables).  A pool
+    maps each value's :func:`~repro._intern.leaf` to the value, so ``1``,
+    ``1.0`` and ``True`` are three candidates, as they are three
+    constants."""
+    out: dict[str, dict] = {}
     _collect_equalities(c, out)
     return out
 
 
-def _collect_equalities(node: C, out: dict[str, set]) -> None:
+def _collect_equalities(node: C, out: dict[str, dict]) -> None:
     if node.__class__ is CAtom:
         if (
             node.op == "="
             and node.left.__class__ is SVar
             and isinstance(node.right, SConst)
         ):
-            out.setdefault(node.left.name, set()).add(node.right.value)
+            value = node.right.value
+            out.setdefault(node.left.name, {})[leaf(value)] = value
         elif (
             node.op == "="
             and node.right.__class__ is SVar
             and isinstance(node.left, SConst)
         ):
-            out.setdefault(node.right.name, set()).add(node.left.value)
+            value = node.left.value
+            out.setdefault(node.right.name, {})[leaf(value)] = value
     elif node.__class__ in JUNCTIONS:
         for x in node.operands:
             _collect_equalities(x, out)
@@ -742,9 +737,11 @@ def solve(
     candidates = equality_candidates(c)
     if domains:
         for name, values in domains.items():
-            candidates.setdefault(name, set()).update(values)
+            pool = candidates.setdefault(name, {})
+            for value in values:
+                pool[leaf(value)] = value
     for name in variables:
-        candidates.setdefault(name, set()).add(FRESH)
+        candidates.setdefault(name, {})[leaf(FRESH)] = FRESH
 
     solutions: list[dict[str, Any]] = []
     _solve_from(0, {}, c, variables, candidates, solutions, max_solutions)
@@ -756,7 +753,7 @@ def _solve_from(
     env: dict[str, Any],
     current: C,
     variables: list[str],
-    candidates: Mapping[str, set],
+    candidates: Mapping[str, dict],
     solutions: list[dict[str, Any]],
     max_solutions: int,
 ) -> None:
@@ -770,7 +767,7 @@ def _solve_from(
             solutions.append(dict(env))
         return
     name = variables[i]
-    for value in sorted(candidates[name], key=repr):
+    for value in sorted(candidates[name].values(), key=repr):
         env[name] = value
         _solve_from(
             i + 1,

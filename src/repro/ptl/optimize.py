@@ -58,7 +58,6 @@ from typing import AbstractSet
 from repro.ptl import constraints as cs
 
 _INF = float("inf")
-_set = object.__setattr__
 
 
 def _min_deadline(c: cs.C) -> float:
@@ -86,7 +85,7 @@ def _min_deadline(c: cs.C) -> float:
             md = _min_deadline(c.operand)
         else:
             md = _INF
-        _set(c, "_mdl", md)
+        c._mdl = md
     return md
 
 #: Comparison operators whose ``time_var <op> const`` atom is doomed once
@@ -111,7 +110,10 @@ def prune_time_bounds(
         return c
     if c.__class__ is cs.CBool:
         return c
-    if _min_deadline(c) > now:
+    md = c._mdl
+    if md is None:
+        md = _min_deadline(c)
+    if md > now:
         # No deadline anywhere in the formula has been reached yet:
         # nothing can prune, skip the rebuild entirely.
         return c

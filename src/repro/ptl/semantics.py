@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
+from repro._intern import leaf
 from repro.errors import EvaluationError, QueryEvaluationError
 from repro.history.state import SystemState
 from repro.ptl import ast
@@ -238,7 +239,7 @@ def answers(
     from repro.ptl.constraints import FRESH
 
     for name in free:
-        candidates.setdefault(name, set()).add(FRESH)
+        candidates.setdefault(name, {})[leaf(FRESH)] = FRESH
 
     out: list[dict[str, Any]] = []
 
@@ -248,7 +249,7 @@ def answers(
                 out.append(dict(env))
             return
         name = free[k]
-        for value in sorted(candidates[name], key=repr):
+        for value in sorted(candidates[name].values(), key=repr):
             env[name] = value
             rec(k + 1, env)
             del env[name]
@@ -257,35 +258,41 @@ def answers(
     return out
 
 
-def _candidate_values(history, i, formula, free, ctx) -> dict[str, set]:
-    candidates: dict[str, set] = {name: set() for name in free}
+def _candidate_values(history, i, formula, free, ctx) -> dict[str, dict]:
+    """Each free variable's pool of candidate values, keyed as the
+    incremental solver keys its pools (by :func:`repro._intern.leaf`, so
+    ``1``, ``1.0`` and ``True`` are three candidates)."""
+    candidates: dict[str, dict] = {name: {} for name in free}
 
     # Declared domains, evaluated at every state up to i.
     for name in free:
         if name in ctx.domains:
             for k in range(i + 1):
                 for v in domain_values(ctx.domains[name], history[k]):
-                    candidates[name].add(v)
+                    candidates[name][leaf(v)] = v
 
-    # Structural candidates from atoms.
-    def visit(f: ast.Formula) -> None:
+    # Structural candidates from atoms, each read at the positions where
+    # the atom is evaluated (``reach``): an event atom outside every past
+    # operator offers the parameters of state i only, as its state
+    # formula does in the incremental evaluator.
+    def visit(f: ast.Formula, reach: Sequence[int]) -> None:
         if isinstance(f, ast.EventAtom):
-            for k in range(i + 1):
+            for k in reach:
                 for event in history[k].events:
                     if event.name != f.name or len(event.params) != len(f.args):
                         continue
                     for arg, value in zip(f.args, event.params):
                         if isinstance(arg, ast.Var) and arg.name in candidates:
-                            candidates[arg.name].add(value)
+                            candidates[arg.name][leaf(value)] = value
         elif isinstance(f, ast.ExecutedAtom):
             for rec in ctx.executed.records(rule=f.rule):
                 for arg, value in zip(f.args, rec.params):
                     if isinstance(arg, ast.Var) and arg.name in candidates:
-                        candidates[arg.name].add(value)
+                        candidates[arg.name][leaf(value)] = value
                 if isinstance(f.time, ast.Var) and f.time.name in candidates:
-                    candidates[f.time.name].add(rec.time)
+                    candidates[f.time.name][leaf(rec.time)] = rec.time
         elif isinstance(f, ast.InQuery):
-            for k in range(i + 1):
+            for k in reach:
                 try:
                     result = eval_query(f.query, history[k], {})
                 except Exception:
@@ -297,19 +304,23 @@ def _candidate_values(history, i, formula, free, ctx) -> dict[str, set]:
                 for values in value_rows:
                     for arg, value in zip(f.args, values):
                         if isinstance(arg, ast.Var) and arg.name in candidates:
-                            candidates[arg.name].add(value)
+                            candidates[arg.name][leaf(value)] = value
         elif isinstance(f, ast.Comparison) and f.op == "=":
             pairs = [(f.left, f.right), (f.right, f.left)]
             for a, b in pairs:
                 if isinstance(a, ast.Var) and a.name in candidates and isinstance(
                     b, ast.ConstT
                 ):
-                    candidates[a.name].add(b.value)
+                    candidates[a.name][leaf(b.value)] = b.value
         if isinstance(f, ast.Assign):
-            visit(f.body)
-        else:
-            for child in f.children():
-                visit(child)
+            visit(f.body, reach)
+            return
+        if isinstance(f, ast.Lasttime):
+            reach = [k - 1 for k in reach if k > 0]
+        elif isinstance(f, (ast.Since, ast.Previously, ast.ThroughoutPast)):
+            reach = range(max(reach) + 1) if reach else ()
+        for child in f.children():
+            visit(child, reach)
 
-    visit(formula)
+    visit(formula, (i,))
     return candidates

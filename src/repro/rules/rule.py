@@ -201,13 +201,12 @@ class FiringLog:
             _put_run(self._runs, run, last or (0, 0, 0))
             self._last = run
         key = (rule, shadow)
-        # ``1 == 1.0 == True`` and ``-0.0 == 0.0``: the bindings are keyed
-        # type-exactly, so a read gives back what was appended.
+        # ``1 == 1.0 == True`` and ``-0.0 == 0.0``: the bindings' values
+        # are keyed type-exactly, so a read gives back what was appended.
+        exact = tuple([(name, leaf(value)) for name, value in bindings])
         row = (
             _index_of(self._key_ids, self._key_values, key, key),
-            _index_of(
-                self._binding_ids, self._binding_values, leaf(bindings), bindings
-            ),
+            _index_of(self._binding_ids, self._binding_values, exact, bindings),
         )
         if self._rows.typecode == "H" and max(row) > 0xFFFF:
             self._rows = array("I", self._rows)

@@ -97,13 +97,14 @@ class TestTypeExactLeaves:
 
     @pytest.mark.parametrize(
         "make",
-        [ast.ConstT, qast.Const, qast.ConstQuery, cs.SConst],
+        [ast.ConstT, qast.Const, qast.ConstQuery, cs.SConst, cs.CBool],
         ids=lambda c: c.__name__,
     )
     def test_equal_leaves_hash_equal(self, make):
         """``==`` implies equal hashes, NaN included (``hash(nan)`` is
         its object's); an interned leaf is equal only to itself (a
-        constraint constant is not interned)."""
+        constraint constant is not interned; a constraint node's ``==``
+        is its identity)."""
         values = self.VALUES + [float("nan"), -math.nan, (1, 1.0), (1.0, 1)]
         nodes = [make(v) for v in values]
         for a in nodes:

@@ -239,6 +239,19 @@ class TestTheorem1:
         calls = engine.rules["r0_1"][1].calls
         assert [repr(b["X"]) for b, _ in calls] == [repr(second)]
 
+    def test_one_history_keeps_equal_values_of_other_types_apart(self):
+        """``previously @e(X)`` after ``@e(1.0)`` and then ``@e(1)``
+        binds both values, as the reference semantics does."""
+        engine = TypedEngine([0.0])
+        engine.post(user_event("e", 1.0), user_event("e", 1))
+        engine.check_against_reference()
+        last = engine.adb.history.states[-1].timestamp
+        calls = engine.rules["r0_1"][1].calls
+        assert exact([b for b, ts in calls if ts == last]) == [
+            ("X", "float", "1.0"),
+            ("X", "int", "1"),
+        ]
+
     @given(
         literals=st.lists(
             st.sampled_from(TYPED_LITERALS), min_size=1, max_size=4
@@ -248,9 +261,10 @@ class TestTheorem1:
         ),
     )
     def test_literals_of_every_type(self, literals, params):
-        """Rules over literals of every type, in one plan and across
-        engines alive in one process (one per event parameter), bind
-        what the reference semantics answers, type and sign included."""
+        """Rules over literals of every type, in one plan, across engines
+        alive in one process (one per event parameter) and in one engine
+        that sees every parameter, bind what the reference semantics
+        answers, type and sign included."""
         engines = []
         for param in params:
             engine = TypedEngine(literals)
@@ -260,6 +274,10 @@ class TestTheorem1:
                 user_event("go"),
             )
             engines.append(engine)
+        shared = TypedEngine(literals)
+        for param in params:
+            shared.post(user_event("e", param), user_event("go"))
+        engines.append(shared)
         for engine in engines:
             engine.check_against_reference()
 
